@@ -77,9 +77,9 @@ def _descriptor(args) -> FamilyDescriptor:
                             m0=args.m0, m1=args.m1)
 
 
-def _parse_dims(pres, text: str) -> dict:
+def _parse_dim_values(text: str, vertices) -> list[int]:
+    """One nonnegative integer per vertex, from a comma separated list."""
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    vertices = pres.quiver.vertices
     if len(parts) != len(vertices):
         raise CliSemanticError(
             f"expected {len(vertices)} dimensions (vertex order "
@@ -90,7 +90,12 @@ def _parse_dims(pres, text: str) -> dict:
         raise CliSemanticError(f"dimensions must be integers: {text!r}") from exc
     if any(v < 0 for v in values):
         raise CliSemanticError("dimensions must be nonnegative")
-    return dict(zip(vertices, values))
+    return values
+
+
+def _parse_dims(pres, text: str) -> dict:
+    vertices = pres.quiver.vertices
+    return dict(zip(vertices, _parse_dim_values(text, vertices)))
 
 
 def _parse_vertex(pres, token: str):
@@ -100,13 +105,27 @@ def _parse_vertex(pres, token: str):
     raise CliSemanticError(f"unknown vertex {token!r}")
 
 
+def _prime_field(q: int) -> PrimeField:
+    try:
+        return PrimeField(q)
+    except ValueError as exc:
+        raise CliSemanticError(str(exc)) from exc
+
+
 def _field(args) -> PrimeField:
     if args.q is None:
         raise CliSemanticError("this command needs --q (a prime field size)")
+    return _prime_field(args.q)
+
+
+def _parse_q_list(text: str) -> list[int]:
+    """Comma separated prime field sizes."""
     try:
-        return PrimeField(args.q)
+        qs = [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise CliSemanticError(str(exc)) from exc
+        raise CliSemanticError(
+            f"--q must list integers separated by commas: {text!r}") from exc
+    return [_prime_field(q).p for q in qs]
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -214,7 +233,8 @@ def _cmd_count(args):
 
 
 def _cmd_census_hom(args):
-    res = hom_counterexample_census(args.n, args.q, budget=args.budget)
+    res = hom_counterexample_census(args.n, _field(args).p,
+                                    budget=args.budget)
     ok = res.identity_holds() and res.union_verified \
         and res.hom_bijection_verified
     result = {
@@ -240,7 +260,7 @@ def _witness_point_json(pt):
 
 
 def _cmd_witness_mono(args):
-    rep = mono_reducibility_witness(args.m, args.l, args.n, args.q,
+    rep = mono_reducibility_witness(args.m, args.l, args.n, _field(args).p,
                                     budget=args.budget)
     ok = (rep.both_nonempty() and rep.disjoint()
           and rep.implication_verified and rep.kernel_image_match_verified
@@ -266,10 +286,8 @@ def _cmd_witness_mono(args):
 
 
 def _cmd_product_check(args):
-    dims = [int(x) for x in args.dim.split(",")]
-    if len(dims) != 2:
-        raise CliSemanticError("--dim must be 'd,e' for the two vertices")
-    res = product_count_check(args.n, args.m, (dims[0], dims[1]), args.q,
+    d, e = _parse_dim_values(args.dim, (0, 1))
+    res = product_count_check(args.n, args.m, (d, e), _field(args).p,
                               budget=args.budget)
     result = {"n": res.n, "m": res.m, "d": res.d, "e": res.e, "q": res.q,
               "count_full": res.count_full, "count_core": res.count_core,
@@ -302,7 +320,7 @@ def _cmd_classify(args):
 
 
 def _cmd_probe(args):
-    qs = [int(x) for x in args.q_list.split(",")]
+    qs = _parse_q_list(args.q_list)
     pres = _load_pres(args)
 
     def task_for_q(q: int) -> EnumerationTask:

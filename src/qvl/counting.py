@@ -3,9 +3,26 @@
 Counts are exact: a point is counted only after its defining equations are
 checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
 blocks constrained linearly by relations) are counted through exact kernel
-computations instead of being walked pointwise.  The enumeration order is
-fixed (arrows in declaration order, matrix entries row-major, field elements
-ascending), so identical queries give identical traversals.
+computations instead of being walked pointwise.
+
+Loop loci are stratified by Jordan type when every loop vertex has exactly
+one loop, every loop has a power relation, and every loop-only relation is a
+nonzero multiple of a power of its loop.  The locus is then the union of the
+conjugacy classes of the nilpotent Jordan matrices J_lam whose parts are at
+most the smallest power, and the class of J_lam has |GL_d(q)| / |C(lam)|
+points (Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).  Counts
+sum over strata: a stratum adds its orbit size times q^(dimension of the
+fiber at J_lam), which simultaneous conjugation leaves unchanged.  Walks that
+must visit every point stream each orbit, closing J_lam under elementary
+conjugations.  Other presentations filter all q^(loop coordinates) loop
+matrices.
+
+The enumeration order is fixed and stratum-major: strata in loop declaration
+order with partitions largest part first, each orbit breadth-first from
+J_lam, then the fiber over each loop point (arrows in declaration order,
+matrix entries row-major, field elements ascending), so identical queries
+give identical traversals.  The budget counts the steps actually taken: one
+per stratum or pair of strata counted, one per point visited.
 
 Point counts over finite fields are evidence about the geometry over an
 algebraically closed field, never proof; only reducibility witnesses and
@@ -18,7 +35,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .extensions import cocycle_space_basis, zero_blocks
@@ -48,25 +64,41 @@ def default_budget() -> int:
 
 
 class _Meter:
-    """Counts explicit enumeration steps against the budget."""
+    """Counts explicit enumeration steps against the budget.
 
-    __slots__ = ("budget", "used")
+    Every walk plans its steps with ``precheck`` before taking them with
+    ``tick``, so ``planned`` is the number of steps the run has planned so
+    far and an error can say how far the run got."""
+
+    __slots__ = ("budget", "used", "planned")
 
     def __init__(self, budget: int):
         self.budget = budget
         self.used = 0
+        self.planned = 0
+
+    def _stop(self, planned: int):
+        raise BudgetExceededError(
+            f"stopped after {self.used} of {planned} planned steps: "
+            f"the budget is {self.budget}")
 
     def tick(self, k: int = 1):
+        if self.used + k > self.budget:
+            self._stop(max(self.planned, self.used + k))
         self.used += k
-        if self.used > self.budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the budget of {self.budget} steps")
 
     def precheck(self, planned: int):
         if planned > self.budget - self.used:
-            raise BudgetExceededError(
-                f"planned enumeration of {planned} points exceeds the "
-                f"budget of {self.budget}")
+            self._stop(self.planned + planned)
+        self.planned += planned
+
+
+def _metered(items: Sequence, meter: _Meter):
+    """Plan one step per item, then take it as each item is used."""
+    meter.precheck(len(items))
+    for item in items:
+        meter.tick()
+        yield item
 
 
 # --- task descriptions ---------------------------------------------------
@@ -272,8 +304,10 @@ def _linear_system_for_arrows(pres: BoundQuiver, field, dims, loop_mats,
     return arrow_slots, total, system
 
 
-def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
-                           meter: _Meter | None):
+def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
+                             meter: _Meter | None):
+    """Every loop assignment that satisfies the loop-only relations, found
+    by testing all q^(loop coordinates) of them."""
     quiver = pres.quiver
     loop_slots = [(a, dims.get(quiver.source(a), 0),
                    dims.get(quiver.source(a), 0))
@@ -299,23 +333,207 @@ def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
             yield loop_mats
 
 
+# --- Jordan-type strata of the loop locus ---------------------------------
+
+
+def jordan_types(d: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of d into parts of size at most max_part, in lexicographic
+    order from the largest part down."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, max_part), 0, -1):
+        for rest in jordan_types(d - first, first):
+            yield (first,) + rest
+
+
+def gl_order(d: int, q: int) -> int:
+    """|GL_d(F_q)|."""
+    out = 1
+    for i in range(d):
+        out *= q ** d - q ** i
+    return out
+
+
+def nilpotent_orbit_size(lam: Sequence[int], q: int) -> int:
+    """Number of nilpotent matrices of Jordan type lam over F_q.
+
+    The centralizer of J_lam has order
+    q^(sum_i lam'_i^2 - sum_i m_i^2) * prod_i |GL_(m_i)(q)|, with lam' the
+    conjugate partition and m_i the multiplicity of the part i."""
+    parts = list(lam)
+    conjugate = [sum(1 for part in parts if part > i)
+                 for i in range(max(parts, default=0))]
+    mults = [parts.count(i) for i in set(parts)]
+    centralizer = q ** (sum(c * c for c in conjugate)
+                        - sum(m * m for m in mults))
+    for m in mults:
+        centralizer *= gl_order(m, q)
+    return gl_order(sum(parts), q) // centralizer
+
+
+def _jordan_matrix(field, lam: Sequence[int]) -> Matrix:
+    """Nilpotent Jordan matrix with blocks lam, ones above the diagonal."""
+    d = sum(lam)
+    rows = [[0] * d for _ in range(d)]
+    start = 0
+    for part in lam:
+        for i in range(start, start + part - 1):
+            rows[i][i + 1] = 1
+        start += part
+    return Matrix(field, d, d, rows)
+
+
+def _jordan_loops(field, types: Mapping) -> dict:
+    return {a: _jordan_matrix(field, lam) for a, lam in types.items()}
+
+
+def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
+    """Smallest power relation of each loop, or None when the loop locus is
+    not a union of Jordan strata.
+
+    That needs exactly one loop at every loop vertex, at least one power
+    relation on every loop, and every loop-only relation a single term that
+    is a nonzero multiple of a loop power."""
+    quiver = pres.quiver
+    loops = quiver.loops()
+    if any(len(quiver.loops_at(quiver.source(a))) != 1 for a in loops):
+        return None
+    powers = {}
+    for rel in loop_rels:
+        if not rel.is_monomial():
+            return None
+        coeff, path = rel.terms[0]
+        if len(set(path.arrows)) != 1 or field.coerce(coeff) == field.zero:
+            return None
+        loop = path.arrows[0]
+        powers[loop] = min(powers.get(loop, path.length), path.length)
+    if set(powers) != set(loops):
+        return None
+    return {a: powers[a] for a in loops}
+
+
+def _loop_strata(pres: BoundQuiver, field, dims, loop_rels):
+    """Jordan strata of the loop locus as ({loop: partition}, orbit size)
+    pairs in the fixed order, or None when the locus is not stratified."""
+    powers = _loop_powers(pres, field, loop_rels)
+    if powers is None:
+        return None
+    quiver = pres.quiver
+    choices = [[(lam, nilpotent_orbit_size(lam, field.p))
+                for lam in jordan_types(dims.get(quiver.source(a), 0), k)]
+               for a, k in powers.items()]
+    strata = []
+    for combo in itertools.product(*choices):
+        weight = 1
+        for _, size in combo:
+            weight *= size
+        strata.append((dict(zip(powers, (lam for lam, _ in combo))), weight))
+    return strata
+
+
+def _primitive_root(p: int) -> int:
+    """Least generator of the multiplicative group of F_p."""
+    rest, primes, f = p - 1, [], 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+
+
+def _nilpotent_orbit(field, lam: Sequence[int]) -> list[Matrix]:
+    """The conjugacy class of J_lam, breadth-first from J_lam.
+
+    Conjugation by the transvections I + E_ij and by diag(g, 1, .., 1), with
+    g a primitive root, generates the action of GL_d(F_p); the closure is
+    checked against the orbit-size formula."""
+    p, d = field.p, sum(lam)
+    g = _primitive_root(p) if d > 1 else 1
+    g_inv = pow(g, -1, p)
+    start = tuple(x for row in _jordan_matrix(field, lam).rows for x in row)
+    seen = {start}
+    orbit = [start]
+    for x in orbit:
+        for i, j in itertools.permutations(range(d), 2):
+            y = list(x)
+            for k in range(d):    # (I + E_ij) X: row i += row j
+                y[i * d + k] = (y[i * d + k] + y[j * d + k]) % p
+            for k in range(d):    # ... (I - E_ij): column j -= column i
+                y[k * d + j] = (y[k * d + j] - y[k * d + i]) % p
+            y = tuple(y)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+        if g != 1:
+            y = [v * g % p if k < d else v for k, v in enumerate(x)]
+            for k in range(0, d * d, d):
+                y[k] = y[k] * g_inv % p
+            y = tuple(y)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    if len(orbit) != nilpotent_orbit_size(lam, p):
+        raise AssertionError(
+            f"orbit of Jordan type {tuple(lam)} has {len(orbit)} points, "
+            f"not {nilpotent_orbit_size(lam, p)}")
+    return [Matrix(field, d, d, [x[i * d:(i + 1) * d] for i in range(d)])
+            for x in orbit]
+
+
+def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
+                           meter: _Meter | None):
+    """Every point of the loop locus once, in the fixed order: the orbits
+    of the Jordan strata where the locus is stratified, else the filter."""
+    strata = _loop_strata(pres, field, dims, loop_rels)
+    if strata is None:
+        yield from _filter_loop_assignments(pres, field, dims, loop_rels,
+                                            meter)
+        return
+    if meter is not None:
+        meter.precheck(sum(weight for _, weight in strata))
+    orbits = {}
+    for types, _ in strata:
+        # keep only the orbits this stratum uses
+        orbits = {lam: orbits.get(lam) or _nilpotent_orbit(field, lam)
+                  for lam in set(types.values())}
+        for mats in itertools.product(*(orbits[lam]
+                                        for lam in types.values())):
+            if meter is not None:
+                meter.tick()
+            yield dict(zip(types, mats))
+
+
 def layered_applicable(pres: BoundQuiver) -> bool:
     return _classify_relations(pres) is not None
 
 
 def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                              dims: Mapping, meter: _Meter) -> int:
+    """Sum of q^(free arrow coordinates) over the loop locus: one term per
+    Jordan stratum, weighted by its orbit size, where the locus is
+    stratified, else one per loop point the filter accepts."""
     split = _classify_relations(pres)
     if split is None:
         raise ValueError("layered enumeration does not apply")
     loop_rels, linear_rels = split
+    strata = _loop_strata(pres, field, dims, loop_rels)
+    if strata is None:
+        loci = ((loop_mats, 1) for loop_mats in _filter_loop_assignments(
+            pres, field, dims, loop_rels, meter))
+    else:
+        loci = ((_jordan_loops(field, types), weight)
+                for types, weight in _metered(strata, meter))
     count = 0
-    for loop_mats in _iter_loop_assignments(pres, field, dims, loop_rels,
-                                            meter):
+    for loop_mats, weight in loci:
         _, total, system = _linear_system_for_arrows(
             pres, field, dims, loop_mats, linear_rels)
-        free = total - system.rank()
-        count += field.p ** free
+        count += weight * field.p ** (total - system.rank())
     return count
 
 
@@ -331,6 +549,8 @@ def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
         arrow_slots, total, system = _linear_system_for_arrows(
             pres, field, dims, loop_mats, linear_rels)
         kernel = system.kernel_basis()
+        if meter is not None:
+            meter.precheck(field.p ** len(kernel))
         for coeffs in itertools.product(field.elements(),
                                         repeat=len(kernel)):
             if meter is not None:
@@ -367,30 +587,16 @@ def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      budget: int | None = None,
-                     strategy: str = "auto", parts: int = 1) -> int:
-    """Exact number of valid points, optionally summed over ``parts``
-    round-robin partitions of the outer enumeration (a determinism check:
-    every partitioning gives the same total)."""
+                     strategy: str = "auto") -> int:
+    """Exact number of valid points; ``strategy`` as in iter_rep_points."""
     meter = _Meter(budget if budget is not None else default_budget())
-    if strategy == "auto" and layered_applicable(pres):
-        strategy = "layered"
-    if strategy == "layered":
-        if parts == 1:
-            return count_rep_points_layered(pres, field, dims, meter)
-        split = _classify_relations(pres)
-        loop_rels, linear_rels = split
-        totals = [0] * parts
-        for i, loop_mats in enumerate(_iter_loop_assignments(
-                pres, field, dims, loop_rels, meter)):
-            _, total, system = _linear_system_for_arrows(
-                pres, field, dims, loop_mats, linear_rels)
-            totals[i % parts] += field.p ** (total - system.rank())
-        return sum(totals)
-    totals = [0] * parts
-    for i, _rep in enumerate(iter_rep_points_odometer(
-            pres, field, dims, meter=meter)):
-        totals[i % parts] += 1
-    return sum(totals)
+    if strategy == "layered" or (strategy == "auto"
+                                 and layered_applicable(pres)):
+        return count_rep_points_layered(pres, field, dims, meter)
+    if strategy not in ("auto", "odometer"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return sum(1 for _ in iter_rep_points_odometer(pres, field, dims,
+                                                   meter=meter))
 
 
 # --- hom / mono / ext points ---------------------------------------------
@@ -417,6 +623,8 @@ def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
     for src in sources:
         for dst in targets:
             basis = hom_basis(src, dst)
+            if meter is not None:
+                meter.precheck(field.p ** len(basis))
             for coeffs in itertools.product(field.elements(),
                                             repeat=len(basis)):
                 if meter is not None:
@@ -425,19 +633,56 @@ def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                                 _combo_morphism(src, dst, basis, coeffs))
 
 
+def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
+                     meter: _Meter) -> list:
+    """(point, number of points it stands for) over the variety.
+
+    When no non-loop arrow has a nonempty block every point is a loop
+    assignment, so a stratified locus gives one Jordan representative per
+    stratum with its orbit size; otherwise every point comes once."""
+    quiver = pres.quiver
+    split = _classify_relations(pres)
+    strata = None
+    if split is not None and not any(
+            dims.get(s, 0) * dims.get(t, 0)
+            for a, s, t in quiver.arrows if not quiver.is_loop(a)):
+        strata = _loop_strata(pres, field, dims, split[0])
+    if strata is None:
+        return [(rep, 1) for rep in iter_rep_points(pres, field, dims,
+                                                    meter=meter)]
+    out = []
+    for types, weight in _metered(strata, meter):
+        mats = {a: Matrix.zeros(field, dims.get(t, 0), dims.get(s, 0))
+                for a, s, t in quiver.arrows}
+        mats.update(_jordan_loops(field, types))
+        out.append((Representation(pres, field, dims, mats), weight))
+    return out
+
+
+def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
+                 second_dims, fiber_basis, budget: int | None) -> int:
+    """Sum of q^len(fiber_basis(x, y)) over all pairs of points.
+
+    The fiber dimension is invariant under conjugating x and y separately,
+    so a pair of strata counts once, weighted by both orbit sizes."""
+    meter = _Meter(budget if budget is not None else default_budget())
+    firsts = _weighted_points(pres, field, first_dims, meter)
+    seconds = _weighted_points(pres, field, second_dims, meter)
+    meter.precheck(len(firsts) * len(seconds))
+    total = 0
+    for x, wx in firsts:
+        for y, wy in seconds:
+            meter.tick()
+            total += wx * wy * field.p ** len(fiber_basis(x, y))
+    return total
+
+
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs (each linear
     homomorphism space is counted exactly, not walked)."""
-    meter = _Meter(budget if budget is not None else default_budget())
-    sources = list(iter_rep_points(pres, field, source_dims, meter=meter))
-    targets = list(iter_rep_points(pres, field, target_dims, meter=meter))
-    total = 0
-    for src in sources:
-        for dst in targets:
-            meter.tick()
-            total += field.p ** len(hom_basis(src, dst))
-    return total
+    return _count_pairs(pres, field, source_dims, target_dims, hom_basis,
+                        budget)
 
 
 def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -470,6 +715,8 @@ def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
     for quo in quos:
         for sub in subs:
             basis = cocycle_space_basis(quo, sub)
+            if meter is not None:
+                meter.precheck(field.p ** len(basis))
             for coeffs in itertools.product(field.elements(),
                                             repeat=len(basis)):
                 if meter is not None:
@@ -485,15 +732,8 @@ def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    meter = _Meter(budget if budget is not None else default_budget())
-    quos = list(iter_rep_points(pres, field, quo_dims, meter=meter))
-    subs = list(iter_rep_points(pres, field, sub_dims, meter=meter))
-    total = 0
-    for quo in quos:
-        for sub in subs:
-            meter.tick()
-            total += field.p ** len(cocycle_space_basis(quo, sub))
-    return total
+    return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_space_basis,
+                        budget)
 
 
 def count_custom_points(field: PrimeField, ambient: int,
@@ -509,12 +749,12 @@ def count_custom_points(field: PrimeField, ambient: int,
     return count
 
 
-def count_points(task: EnumerationTask, parts: int = 1) -> int:
+def count_points(task: EnumerationTask) -> int:
     """Exact point count of the task's variety over its finite field."""
     budget = task.resolved_budget()
     if task.kind == "rep":
         return count_rep_points(task.pres, task.field, task.dims,
-                                budget=budget, parts=parts)
+                                budget=budget)
     if task.kind == "hom":
         return count_hom_points(task.pres, task.field, task.source_dims,
                                 task.target_dims, budget=budget)
@@ -738,6 +978,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
             raise AssertionError("unexpected arrow block shapes")
         arrow_kernel = system.kernel_basis()
         per_solution = len(ws) * len(nonzero)
+        meter.precheck(field.p ** len(arrow_kernel) * per_solution)
         for coeffs in itertools.product(field.elements(),
                                         repeat=len(arrow_kernel)):
             meter.tick(per_solution)
@@ -874,12 +1115,30 @@ class ProbeReport:
     note: str
 
 
+def _nearest_degree(q1: int, c1: int, q2: int, c2: int) -> int:
+    """The integer D with (q2/q1)^(2D-1) <= (c2/c1)^2 < (q2/q1)^(2D+1),
+    that is log(c2/c1) / log(q2/q1) rounded half up, by comparing integer
+    cross-products (q1 < q2, both counts positive)."""
+    def reaches(e: int) -> bool:    # (c2/c1)^2 >= (q2/q1)^e
+        if e >= 0:
+            return c2 * c2 * q1 ** e >= c1 * c1 * q2 ** e
+        return c2 * c2 * q2 ** -e >= c1 * c1 * q1 ** -e
+
+    degree = 0
+    while reaches(2 * degree + 1):
+        degree += 1
+    while not reaches(2 * degree - 1):
+        degree -= 1
+    return degree
+
+
 def leading_coefficient_probe(task_for_q: Callable[[int], EnumerationTask],
                               qs: Sequence[int]) -> ProbeReport:
     """Fit exact counts against c * q^D for the best integer D.
 
-    D comes from the log-log slope between the two largest field sizes
-    (or the single available one); the per-q coefficients count/q^D are
+    D is the slope of log count against log q between the two largest field
+    sizes (or from the single available one to q = 1, count = 1), rounded
+    half up in integer arithmetic; the per-q coefficients count/q^D are
     reported exactly.  A constant coefficient 1 is what an affine space
     gives; anything else is flagged as inconclusive evidence.
     """
@@ -895,11 +1154,10 @@ def leading_coefficient_probe(task_for_q: Callable[[int], EnumerationTask],
     qs_sorted = sorted(usable)
     if len(qs_sorted) == 1:
         q0 = qs_sorted[0]
-        degree = round(log(usable[q0]) / log(q0)) if usable[q0] > 1 else 0
+        degree = _nearest_degree(1, 1, q0, usable[q0])
     else:
         q1, q2 = qs_sorted[-2], qs_sorted[-1]
-        degree = round((log(usable[q2]) - log(usable[q1]))
-                       / (log(q2) - log(q1)))
+        degree = _nearest_degree(q1, usable[q1], q2, usable[q2])
     degree = max(degree, 0)
     coefficients = {q: Fraction(c, q ** degree) for q, c in counts.items()}
     looks_affine = all(c == 1 for c in coefficients.values())

@@ -369,7 +369,7 @@ def test_criterion_11_cli_round_trip_schema_exit_codes(tmp_path):
              EXIT_SEMANTIC),
             (["classify", "--family", "A", "--n", "0", "--m", "2",
               "--l", "1"], EXIT_SEMANTIC),
-            (["count", "--family", "Lambda", "--m", "3", "--dim", "3",
+            (["count", "--family", "Lambda", "--m", "8", "--dim", "8",
               "--q", "2", "--budget", "9"], EXIT_BUDGET),
         ]
         for argv, expected in cases:

@@ -96,10 +96,31 @@ class TestExitCodes:
         assert code == EXIT_SEMANTIC
 
     def test_budget_error(self):
-        code, report = run(["count", "--family", "Lambda", "--m", "3",
-                            "--dim", "3", "--q", "2", "--budget", "9"])
+        # 22 Jordan strata to count, more than the budget of 9
+        code, report = run(["count", "--family", "Lambda", "--m", "8",
+                            "--dim", "8", "--q", "2", "--budget", "9"])
         assert code == EXIT_BUDGET
         assert report["error"]["type"] == "budget"
+
+    @pytest.mark.parametrize("argv", [
+        ["census-hom", "--n", "2", "--q", "4"],
+        ["witness-mono", "--m", "3", "--l", "3", "--n", "1", "--q", "4"],
+        ["probe", "--family", "Lambda", "--m", "2", "--kind", "rep",
+         "--dim", "2", "--q", "2,4"],
+        ["probe", "--family", "Lambda", "--m", "2", "--kind", "rep",
+         "--dim", "2", "--q", "2,x"],
+        ["probe", "--family", "Lambda", "--m", "2", "--kind", "rep",
+         "--dim", "x", "--q", "2,3"],
+        ["product-check", "--n", "3", "--m", "2", "--dim", "1,1",
+         "--q", "4"],
+        ["product-check", "--n", "3", "--m", "2", "--dim", "1,x",
+         "--q", "3"],
+        ["product-check", "--n", "3", "--m", "2", "--dim", "1", "--q", "3"],
+    ])
+    def test_bad_field_or_dims_is_semantic(self, argv):
+        code, report = run(argv)
+        assert code == EXIT_SEMANTIC
+        assert report["error"]["type"] == "semantic"
 
     def test_missing_source(self, rep_files):
         code, report = run(["check", "--rep", rep_files["one"]])
@@ -288,8 +309,8 @@ class TestMainEntry:
 
     def test_budget_env_var(self, monkeypatch):
         monkeypatch.setenv("QVL_BUDGET", "9")
-        code, report = run(["count", "--family", "Lambda", "--m", "3",
-                            "--dim", "3", "--q", "2"])
+        code, report = run(["count", "--family", "Lambda", "--m", "8",
+                            "--dim", "8", "--q", "2"])
         assert code == EXIT_BUDGET
         monkeypatch.setenv("QVL_BUDGET", "100000")
         code, report = run(["count", "--family", "Lambda", "--m", "3",

@@ -2,20 +2,24 @@ import itertools
 
 import pytest
 
-from qvl.counting import (BudgetExceededError, EnumerationTask,
-                          ambient_dimension,
+from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
+                          _classify_relations, _filter_loop_assignments,
+                          _iter_loop_assignments, _linear_system_for_arrows,
+                          _loop_strata, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, hom_counterexample_census,
                           iter_hom_points, iter_mono_points, iter_rep_points,
-                          iter_rep_points_odometer, layered_applicable,
-                          leading_coefficient_probe, mono_reducibility_witness,
+                          iter_rep_points_odometer, jordan_types,
+                          layered_applicable, leading_coefficient_probe,
+                          mono_reducibility_witness, nilpotent_orbit_size,
                           product_count_check)
+from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, Matrix
 from qvl.quiver import BoundQuiver, Quiver
-from qvl.reps import is_monomorphism
+from qvl.reps import hom_basis, is_monomorphism
 
 F2 = GF(2)
 F3 = GF(3)
@@ -97,16 +101,110 @@ class TestRepCounts:
             counts.add(len(pts))
         assert len(counts) == 1
 
-    def test_partitioned_counts_match(self):
-        pres = family_a_prime_commuting(2)
-        dims = {0: 2, 1: 1}
-        base = count_rep_points(pres, F3, dims)
-        for parts in (2, 3, 5):
-            assert count_rep_points(pres, F3, dims, parts=parts) == base
-
     def test_every_point_is_valid(self):
         for rep in iter_rep_points(family_b(1, 2), F2, {0: 1, 1: 2}):
             assert rep.is_valid()
+
+
+def _filter_walk_count(pres, field, dims):
+    """Rep count by filtering every loop assignment (no strata)."""
+    loop_rels, linear_rels = _classify_relations(pres)
+    total = 0
+    for loop_mats in _filter_loop_assignments(pres, field, dims, loop_rels,
+                                              None):
+        _, n, system = _linear_system_for_arrows(pres, field, dims,
+                                                 loop_mats, linear_rels)
+        total += field.p ** (n - system.rank())
+    return total
+
+
+def _loop_keys(stream):
+    return [tuple((a, m.rows) for a, m in sorted(mats.items()))
+            for mats in stream]
+
+
+NAMED_CASES = [
+    (family_lambda(2), [{0: 1}, {0: 2}]),
+    (family_lambda(3), [{0: 2}]),
+    (family_a(1, 2, 1), [{0: 1, 1: 1}, {0: 1, 1: 2}]),
+    (family_a(1, 3, 2), [{0: 1, 1: 2}]),
+    (family_a_prime(1, 2, 2), [{0: 1, 1: 1}, {0: 2, 1: 1}]),
+    (family_a_prime(1, 1, 2), [{0: 1, 1: 2}]),
+    (family_a_prime_commuting(2), [{0: 1, 1: 1}, {0: 2, 1: 1}]),
+    (family_b(2, 3), [{0: 1, 1: 1}]),
+]
+
+
+class TestJordanStrata:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_fine_herstein(self, q):
+        for d in range(7):
+            sizes = [nilpotent_orbit_size(lam, q)
+                     for lam in jordan_types(d, d)]
+            assert sum(sizes) == q ** (d * d - d)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("pres,dim_list", NAMED_CASES,
+                             ids=[p.name for p, _ in NAMED_CASES])
+    def test_stratified_equals_filter_and_odometer(self, pres, dim_list, q):
+        field = GF(q)
+        loop_rels, _ = _classify_relations(pres)
+        for dims in dim_list:
+            assert _loop_strata(pres, field, dims, loop_rels) is not None
+            stratified = count_rep_points(pres, field, dims)
+            assert stratified == _filter_walk_count(pres, field, dims)
+            assert stratified == count_rep_points(pres, field, dims,
+                                                  strategy="odometer")
+
+    @pytest.mark.parametrize("m,a,b,q", [(2, 2, 2, 3), (2, 1, 3, 2),
+                                         (3, 2, 3, 2), (3, 3, 2, 2)])
+    def test_hom_and_ext_pairs_equal_pairwise_walk(self, m, a, b, q):
+        pres, field = family_lambda(m), GF(q)
+        firsts = list(iter_rep_points(pres, field, {0: a},
+                                      strategy="odometer"))
+        seconds = list(iter_rep_points(pres, field, {0: b},
+                                       strategy="odometer"))
+        hom = sum(q ** len(hom_basis(x, y)) for x in firsts for y in seconds)
+        ext = sum(q ** len(cocycle_space_basis(x, y))
+                  for x in firsts for y in seconds)
+        assert count_hom_points(pres, field, {0: a}, {0: b}) == hom
+        assert count_ext_points(pres, field, {0: a}, {0: b}) == ext
+
+    @pytest.mark.parametrize("pres,dims,q", [
+        (family_lambda(2), {0: 3}, 3),
+        (family_lambda(3), {0: 3}, 2),
+        (family_a(1, 3, 1), {0: 2, 1: 2}, 2),
+        (family_a_prime(0, 2, 3), {0: 2, 1: 3}, 2),
+    ])
+    def test_streamed_locus_equals_filtered_locus(self, pres, dims, q):
+        field = GF(q)
+        loop_rels, _ = _classify_relations(pres)
+        streamed = _loop_keys(_iter_loop_assignments(pres, field, dims,
+                                                     loop_rels, None))
+        filtered = _loop_keys(_filter_loop_assignments(pres, field, dims,
+                                                       loop_rels, None))
+        assert len(set(streamed)) == len(streamed)
+        assert set(streamed) == set(filtered)
+        again = _loop_keys(_iter_loop_assignments(pres, field, dims,
+                                                  loop_rels, None))
+        assert again == streamed
+
+    def test_budget_charges_visited_points(self):
+        # 105 loop points, each with a one-point arrow fiber; the filter
+        # would have planned all 3^9 loop matrices
+        pres, dims = family_lambda(2), {0: 3}
+        points = list(iter_rep_points(pres, F3, dims, meter=_Meter(210)))
+        assert len(points) == 105
+        with pytest.raises(BudgetExceededError,
+                           match="stopped after 209 of 210 planned steps"):
+            list(iter_rep_points(pres, F3, dims, meter=_Meter(209)))
+
+    def test_lambda8_closed_form_from_cli(self):
+        from qvl.cli import EXIT_OK, run_command
+        code, report = run_command(["count", "--family", "Lambda", "--m", "8",
+                                    "--dim", "8", "--q", "5"])
+        assert code == EXIT_OK
+        assert report["result"]["count"] == 5 ** 56
 
 
 class TestHomMonoExtCounts:
@@ -171,14 +269,18 @@ class TestTasksAndBudget:
                             predicate=lambda v: True)
 
     def test_budget_rejects_big_odometer(self):
-        with pytest.raises(BudgetExceededError):
-            count_rep_points(family_lambda(3), F2, {0: 3}, budget=100)
+        with pytest.raises(BudgetExceededError,
+                           match="stopped after 0 of 512 planned steps"):
+            count_rep_points(family_lambda(3), F2, {0: 3}, budget=100,
+                             strategy="odometer")
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("QVL_BUDGET", "7")
         assert default_budget() == 7
-        with pytest.raises(BudgetExceededError):
-            count_rep_points(family_lambda(3), F2, {0: 3})
+        # Lambda(8) at d = 8 has 22 Jordan strata to count
+        with pytest.raises(BudgetExceededError,
+                           match="stopped after 0 of 22 planned steps"):
+            count_rep_points(family_lambda(8), F2, {0: 8})
         monkeypatch.setenv("QVL_BUDGET", "junk")
         with pytest.raises(ValueError):
             default_budget()
@@ -400,3 +502,22 @@ class TestProbe:
         from fractions import Fraction
         assert report.coefficients[5] == Fraction(9, 5)
         assert not report.looks_affine
+
+    def test_huge_counts_exact_degree(self):
+        def task(q):
+            return EnumerationTask(kind="rep", pres=family_lambda(11),
+                                   field=GF(q), dims={0: 11})
+        report = leading_coefficient_probe(task, [5, 7])
+        assert report.counts[5] == 5 ** 110 > 10 ** 60
+        assert report.degree == 110
+        assert report.looks_affine
+
+    @pytest.mark.parametrize("c8,degree", [(2 ** 401, 101),
+                                           (2 ** 401 - 1, 100)])
+    def test_degree_rounds_half_up_exactly(self, monkeypatch, c8, degree):
+        # log(c8 / c2) / log(8 / 2) is 100.5 or a hair below
+        import qvl.counting as counting
+        counts = {2: 2 ** 200, 8: c8}
+        monkeypatch.setattr(counting, "count_points", lambda q: counts[q])
+        report = leading_coefficient_probe(lambda q: q, [2, 8])
+        assert report.degree == degree
