@@ -22,7 +22,7 @@ import sys
 import time
 
 from .counting import (BudgetExceededError, EnumerationTask, ambient_dimension,
-                       count_points, hom_counterexample_census,
+                       count_points, default_budget, hom_counterexample_census,
                        leading_coefficient_probe, mono_reducibility_witness,
                        product_count_check)
 from .dsl import DslSemanticError, DslSyntaxError, parse_quiver_spec
@@ -118,6 +118,18 @@ def _field(args) -> PrimeField:
     return _prime_field(args.q)
 
 
+def _budget(args) -> int:
+    """--budget, else QVL_BUDGET, else the default; positive either way."""
+    if args.budget is None:
+        try:
+            return default_budget()
+        except ValueError as exc:
+            raise CliSemanticError(str(exc)) from exc
+    if args.budget <= 0:
+        raise CliSemanticError(f"--budget must be positive, got {args.budget}")
+    return args.budget
+
+
 def _parse_q_list(text: str) -> list[int]:
     """Comma separated prime field sizes."""
     try:
@@ -197,7 +209,7 @@ def _cmd_split(args):
 
 def _make_task(args, pres, field) -> EnumerationTask:
     kind = args.kind
-    budget = args.budget
+    budget = _budget(args)
     if kind == "rep":
         if args.dim is None:
             raise CliSemanticError("rep counting needs --dim")
@@ -234,7 +246,7 @@ def _cmd_count(args):
 
 def _cmd_census_hom(args):
     res = hom_counterexample_census(args.n, _field(args).p,
-                                    budget=args.budget)
+                                    budget=_budget(args))
     ok = res.identity_holds() and res.union_verified \
         and res.hom_bijection_verified
     result = {
@@ -261,7 +273,7 @@ def _witness_point_json(pt):
 
 def _cmd_witness_mono(args):
     rep = mono_reducibility_witness(args.m, args.l, args.n, _field(args).p,
-                                    budget=args.budget)
+                                    budget=_budget(args))
     ok = (rep.both_nonempty() and rep.disjoint()
           and rep.implication_verified and rep.kernel_image_match_verified
           and rep.samples_verified)
@@ -288,7 +300,7 @@ def _cmd_witness_mono(args):
 def _cmd_product_check(args):
     d, e = _parse_dim_values(args.dim, (0, 1))
     res = product_count_check(args.n, args.m, (d, e), _field(args).p,
-                              budget=args.budget)
+                              budget=_budget(args))
     result = {"n": res.n, "m": res.m, "d": res.d, "e": res.e, "q": res.q,
               "count_full": res.count_full, "count_core": res.count_core,
               "free_factor": res.free_factor, "holds": res.ok}
@@ -472,8 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> tuple[int, dict]:
     """Run one subcommand; returns (exit code, report envelope)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args) -> tuple[int, dict]:
     command = args.command
     start = time.monotonic()
     try:
@@ -502,11 +516,10 @@ def _error_report(command: str, kind: str, exc: Exception) -> dict:
 
 
 def main(argv=None) -> int:
-    code, report = run_command(argv if argv is not None else sys.argv[1:])
+    args = build_parser().parse_args(argv)
+    code, report = _run(args)
     text = report.pop("_text", "")
-    parser_args = argv if argv is not None else sys.argv[1:]
-    as_json = "--json" in parser_args
-    if as_json:
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(text)

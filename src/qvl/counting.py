@@ -2,8 +2,9 @@
 
 Counts are exact: a point is counted only after its defining equations are
 checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
-blocks constrained linearly by relations) are counted through exact kernel
-computations instead of being walked pointwise.
+blocks constrained linearly by relations) are kernels of systems built by
+``linalg.sandwich_system`` and are counted through their dimension instead
+of being walked pointwise.
 
 Loop loci are stratified by Jordan type when every loop vertex has exactly
 one loop, every loop has a power relation, and every loop-only relation is a
@@ -37,11 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .extensions import cocycle_space_basis, zero_blocks
-from .families import family_a, family_a_prime, family_b
-from .linalg import Matrix, PrimeField
+from .extensions import ExtensionTriple, cocycle_kernel
+from .families import FamilyParameterError, family_a, family_a_prime, family_b
+from .linalg import Matrix, PrimeField, sandwich_system, split_blocks
 from .quiver import BoundQuiver
-from .reps import HomTriple, Morphism, Representation, hom_basis, is_monomorphism
+from .reps import (HomTriple, Morphism, Representation, hom_kernel,
+                   is_monomorphism, path_product)
 
 DEFAULT_BUDGET = 10**8
 
@@ -169,34 +171,15 @@ def ambient_dimension(task: EnumerationTask) -> int:
 # --- representation points ----------------------------------------------
 
 
-def _rep_slots(pres: BoundQuiver, dims: Mapping,
-               arrow_order: Sequence[str] | None = None):
-    """(arrow, shape) in enumeration order with the per-arrow entry count."""
+def _rep_shapes(pres: BoundQuiver, dims: Mapping,
+                arrow_order: Sequence[str] | None = None) -> dict:
+    """Shape of each arrow matrix, in enumeration order."""
     order = arrow_order or pres.quiver.arrow_names()
     if sorted(order) != sorted(pres.quiver.arrow_names()):
         raise ValueError("arrow_order must be a permutation of the arrows")
-    out = []
-    for a in order:
-        s, t = pres.quiver.source(a), pres.quiver.target(a)
-        out.append((a, dims.get(t, 0), dims.get(s, 0)))
-    return out
-
-
-def _mats_from_assignment(field, slots, values) -> dict:
-    mats = {}
-    pos = 0
-    for a, r, c in slots:
-        k = r * c
-        chunk = values[pos:pos + k]
-        pos += k
-        mats[a] = Matrix(field, r, c,
-                         [chunk[i * c:(i + 1) * c] for i in range(r)])
-    return mats
-
-
-def _relations_hold(pres: BoundQuiver, field, dims, mats) -> bool:
-    probe = Representation(pres, field, dims, mats)
-    return probe.is_valid()
+    quiver = pres.quiver
+    return {a: (dims.get(quiver.target(a), 0), dims.get(quiver.source(a), 0))
+            for a in order}
 
 
 def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
@@ -205,14 +188,14 @@ def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
                              meter: _Meter | None = None
                              ) -> Iterator[Representation]:
     """Walk the full ambient coordinate space and keep the valid points."""
-    slots = _rep_slots(pres, dims, arrow_order)
-    total = sum(r * c for _, r, c in slots)
+    shapes = _rep_shapes(pres, dims, arrow_order)
+    total = sum(r * c for r, c in shapes.values())
     if meter is not None:
         meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
         if meter is not None:
             meter.tick()
-        mats = _mats_from_assignment(field, slots, values)
+        mats = split_blocks(field, shapes, values)
         rep = Representation(pres, field, dims, mats)
         if rep.is_valid():
             yield rep
@@ -238,70 +221,32 @@ def _classify_relations(pres: BoundQuiver):
     return loop_rels, linear_rels
 
 
-def _eval_loop_path(field, loop_mats, dims, arrows, at_vertex) -> Matrix:
-    if not arrows:
-        return Matrix.identity(field, dims.get(at_vertex, 0))
-    result = loop_mats[arrows[0]]
-    for a in arrows[1:]:
-        result = result @ loop_mats[a]
-    return result
-
-
 def _linear_system_for_arrows(pres: BoundQuiver, field, dims, loop_mats,
                               linear_rels):
-    """Matrix of the linear constraints the non-loop arrow entries satisfy
-    once the loop matrices are fixed."""
+    """(arrow, rows, columns) of each non-loop arrow, their entry count, and
+    the linear system those entries satisfy once the loop matrices are
+    fixed: one term c * loops(prefix) @ X_a @ loops(suffix) per relation
+    term."""
     quiver = pres.quiver
-    arrow_slots = []
-    offsets = {}
-    total = 0
-    for a, s, t in quiver.arrows:
-        if quiver.is_loop(a):
-            continue
-        r, c = dims.get(t, 0), dims.get(s, 0)
-        offsets[a] = total
-        arrow_slots.append((a, r, c))
-        total += r * c
-    rows = []
+    shapes = {a: (dims.get(t, 0), dims.get(s, 0))
+              for a, s, t in quiver.arrows if not quiver.is_loop(a)}
+    equations = []
     for rel in linear_rels:
-        out_r = dims.get(rel.target, 0)
-        out_c = dims.get(rel.source, 0)
-        cells = [[[field.zero] * total for _ in range(out_c)]
-                 for _ in range(out_r)]
+        terms = []
         for coeff, path in rel.terms:
-            c_val = field.coerce(coeff)
             j = next(i for i, a in enumerate(path.arrows)
                      if not quiver.is_loop(a))
             arrow = path.arrows[j]
-            prefix = path.arrows[:j]
-            suffix = path.arrows[j + 1:]
-            pre = _eval_loop_path(field, loop_mats, dims, prefix,
-                                  quiver.target(arrow))
-            suf = _eval_loop_path(field, loop_mats, dims, suffix, rel.source)
-            ar, ac = dims.get(quiver.target(arrow), 0), dims.get(
-                quiver.source(arrow), 0)
-            base = offsets[arrow]
-            for u in range(out_r):
-                for v in range(out_c):
-                    row = cells[u][v]
-                    for r_i in range(ar):
-                        pre_ur = pre[u, r_i]
-                        if pre_ur == field.zero:
-                            continue
-                        for s_i in range(ac):
-                            suf_sv = suf[s_i, v]
-                            if suf_sv == field.zero:
-                                continue
-                            slot = base + r_i * ac + s_i
-                            row[slot] = field.add(
-                                row[slot],
-                                field.mul(c_val, field.mul(pre_ur, suf_sv)))
-        for u in range(out_r):
-            for v in range(out_c):
-                rows.append(cells[u][v])
-    system = Matrix(field, len(rows), total, rows) if rows else \
-        Matrix.zeros(field, 0, total)
-    return arrow_slots, total, system
+            terms.append((
+                field.coerce(coeff), arrow,
+                path_product(field, loop_mats, path.arrows[:j],
+                             dims.get(quiver.target(arrow), 0)),
+                path_product(field, loop_mats, path.arrows[j + 1:],
+                             dims.get(quiver.source(arrow), 0))))
+        equations.append(terms)
+    return ([(a, r, c) for a, (r, c) in shapes.items()],
+            sum(r * c for r, c in shapes.values()),
+            sandwich_system(field, shapes, equations))
 
 
 def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
@@ -309,22 +254,22 @@ def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
     """Every loop assignment that satisfies the loop-only relations, found
     by testing all q^(loop coordinates) of them."""
     quiver = pres.quiver
-    loop_slots = [(a, dims.get(quiver.source(a), 0),
-                   dims.get(quiver.source(a), 0))
-                  for a in quiver.arrow_names() if quiver.is_loop(a)]
-    total = sum(r * c for _, r, c in loop_slots)
+    loop_shapes = {a: (dims.get(quiver.source(a), 0),) * 2
+                   for a in quiver.loops()}
+    total = sum(r * c for r, c in loop_shapes.values())
     if meter is not None:
         meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
         if meter is not None:
             meter.tick()
-        loop_mats = _mats_from_assignment(field, loop_slots, values)
+        loop_mats = split_blocks(field, loop_shapes, values)
         ok = True
         for rel in loop_rels:
             acc = None
             for coeff, path in rel.terms:
-                term = _eval_loop_path(field, loop_mats, dims, path.arrows,
-                                       path.source).scale(field.coerce(coeff))
+                term = path_product(field, loop_mats, path.arrows,
+                                    dims.get(path.source, 0)
+                                    ).scale(field.coerce(coeff))
                 acc = term if acc is None else acc + term
             if acc is not None and not acc.is_zero():
                 ok = False
@@ -548,21 +493,15 @@ def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                                             meter):
         arrow_slots, total, system = _linear_system_for_arrows(
             pres, field, dims, loop_mats, linear_rels)
+        shapes = {a: (r, c) for a, r, c in arrow_slots}
         kernel = system.kernel_basis()
         if meter is not None:
             meter.precheck(field.p ** len(kernel))
-        for coeffs in itertools.product(field.elements(),
-                                        repeat=len(kernel)):
+        for values in _span(field, kernel, total):
             if meter is not None:
                 meter.tick()
-            values = [field.zero] * total
-            for c, vec in zip(coeffs, kernel):
-                if c == field.zero:
-                    continue
-                values = [field.add(v, field.mul(c, b))
-                          for v, b in zip(values, vec)]
             mats = dict(loop_mats)
-            mats.update(_mats_from_assignment(field, arrow_slots, values))
+            mats.update(split_blocks(field, shapes, values))
             yield Representation(pres, field, dims, mats)
 
 
@@ -602,35 +541,50 @@ def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 # --- hom / mono / ext points ---------------------------------------------
 
 
-def _combo_morphism(source, target, basis, coeffs) -> Morphism:
-    field = source.field
-    quiver = source.pres.quiver
-    maps = {}
-    for x in quiver.vertices:
-        acc = Matrix.zeros(field, target.dims[x], source.dims[x])
-        for c, mor in zip(coeffs, basis):
-            if c != field.zero:
-                acc = acc + mor.maps[x].scale(c)
-        maps[x] = acc
-    return Morphism(source, target, maps)
+def _span(field: PrimeField, kernel: Sequence[Sequence[int]],
+          size: int) -> Iterator[list]:
+    """Every linear combination of the kernel vectors, as a list of ``size``
+    entries, with coefficients in itertools.product order (the last one
+    varies fastest)."""
+    p = field.p
+
+    def walk(i: int, acc: list):
+        if i == len(kernel):
+            yield acc
+            return
+        vec = kernel[i]
+        for _ in range(p):
+            yield from walk(i + 1, acc)
+            acc = [(x + y) % p for x, y in zip(acc, vec)]
+
+    return walk(0, [0] * size)
+
+
+def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
+                      second_dims, fiber, meter: _Meter | None):
+    """(x, y, blocks) for every point x of the first variety, every point y
+    of the second and every element of the linear fiber over (x, y), in
+    that nesting order; ``fiber(x, y)`` gives the fiber's block shapes and
+    kernel basis.  The second variety is listed once, the first streamed."""
+    seconds = list(iter_rep_points(pres, field, second_dims, meter=meter))
+    for x in iter_rep_points(pres, field, first_dims, meter=meter):
+        for y in seconds:
+            shapes, kernel = fiber(x, y)
+            if meter is not None:
+                meter.precheck(field.p ** len(kernel))
+            for vec in _span(field, kernel,
+                             sum(r * c for r, c in shapes.values())):
+                if meter is not None:
+                    meter.tick()
+                yield x, y, split_blocks(field, shapes, vec)
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                     target_dims, meter: _Meter | None = None
                     ) -> Iterator[HomTriple]:
-    sources = list(iter_rep_points(pres, field, source_dims, meter=meter))
-    targets = list(iter_rep_points(pres, field, target_dims, meter=meter))
-    for src in sources:
-        for dst in targets:
-            basis = hom_basis(src, dst)
-            if meter is not None:
-                meter.precheck(field.p ** len(basis))
-            for coeffs in itertools.product(field.elements(),
-                                            repeat=len(basis)):
-                if meter is not None:
-                    meter.tick()
-                yield HomTriple(src, dst,
-                                _combo_morphism(src, dst, basis, coeffs))
+    for src, dst, maps in _iter_pair_fibers(pres, field, source_dims,
+                                            target_dims, hom_kernel, meter):
+        yield HomTriple(src, dst, Morphism(src, dst, maps))
 
 
 def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
@@ -660,8 +614,9 @@ def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
 
 
 def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
-                 second_dims, fiber_basis, budget: int | None) -> int:
-    """Sum of q^len(fiber_basis(x, y)) over all pairs of points.
+                 second_dims, fiber, budget: int | None) -> int:
+    """Sum of q^(dimension of the fiber) over all pairs of points, the
+    dimension read from the kernel basis that ``fiber(x, y)`` returns.
 
     The fiber dimension is invariant under conjugating x and y separately,
     so a pair of strata counts once, weighted by both orbit sizes."""
@@ -673,7 +628,7 @@ def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
     for x, wx in firsts:
         for y, wy in seconds:
             meter.tick()
-            total += wx * wy * field.p ** len(fiber_basis(x, y))
+            total += wx * wy * field.p ** len(fiber(x, y)[1])
     return total
 
 
@@ -681,7 +636,7 @@ def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs (each linear
     homomorphism space is counted exactly, not walked)."""
-    return _count_pairs(pres, field, source_dims, target_dims, hom_basis,
+    return _count_pairs(pres, field, source_dims, target_dims, hom_kernel,
                         budget)
 
 
@@ -708,31 +663,15 @@ def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                     meter: _Meter | None = None):
     """Extension triples (quotient point, sub point, cocycle blocks)."""
-    from .extensions import ExtensionTriple
-    quos = list(iter_rep_points(pres, field, quo_dims, meter=meter))
-    subs = list(iter_rep_points(pres, field, sub_dims, meter=meter))
-    arrows = pres.quiver.arrow_names()
-    for quo in quos:
-        for sub in subs:
-            basis = cocycle_space_basis(quo, sub)
-            if meter is not None:
-                meter.precheck(field.p ** len(basis))
-            for coeffs in itertools.product(field.elements(),
-                                            repeat=len(basis)):
-                if meter is not None:
-                    meter.tick()
-                blocks = zero_blocks(pres, field, sub.dims, quo.dims)
-                for c, fam in zip(coeffs, basis):
-                    if c == field.zero:
-                        continue
-                    blocks = {a: blocks[a] + fam[a].scale(c) for a in arrows}
-                yield ExtensionTriple(quo, sub, blocks, check=False)
+    for quo, sub, blocks in _iter_pair_fibers(pres, field, quo_dims, sub_dims,
+                                              cocycle_kernel, meter):
+        yield ExtensionTriple(quo, sub, blocks, check=False)
 
 
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_space_basis,
+    return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_kernel,
                         budget)
 
 
@@ -799,7 +738,7 @@ def hom_counterexample_census(n: int, q: int,
     target one-dimensional at both vertices) are verified point by point.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise FamilyParameterError(f"the census needs n >= 1, got {n}")
     field = PrimeField(q)
     meter = _Meter(budget if budget is not None else default_budget())
     meter.precheck(q ** (n + 1))
@@ -905,15 +844,14 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     determined, so the walk is a bijective parameterization of the variety.
     """
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise FamilyParameterError(f"the witness needs m >= 2, got {m}")
     if l == 2:
         pres = family_a(n, m, 1)
     elif l == m:
         pres = family_b(n, m)
     else:
-        raise ValueError("l must be 2 (first family) or m (corner family)")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+        raise FamilyParameterError(
+            f"l must be 2 (first family) or m (corner family), got {l}")
     field = PrimeField(q)
     meter = _Meter(budget if budget is not None else default_budget())
 
@@ -959,16 +897,8 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         if in_u1:
             if not (_kernel_space(field, loop) == _column_space(field, head)):
                 kernel_image_ok = False
-        kernel_vecs = loop.kernel_basis()
-        ws = []
-        for coeffs in itertools.product(field.elements(),
-                                        repeat=len(kernel_vecs)):
-            w = [0] * l
-            for c, vec in zip(coeffs, kernel_vecs):
-                if c:
-                    w = [(x + c * v) % p for x, v in zip(w, vec)]
-            if any(w):
-                ws.append(tuple(w))
+        ws = [tuple(w) for w in _span(field, loop.kernel_basis(), l)
+              if any(w)]
         if not ws:
             continue
 
@@ -979,13 +909,8 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         arrow_kernel = system.kernel_basis()
         per_solution = len(ws) * len(nonzero)
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
-        for coeffs in itertools.product(field.elements(),
-                                        repeat=len(arrow_kernel)):
+        for values in _span(field, arrow_kernel, total_slots):
             meter.tick(per_solution)
-            values = [0] * total_slots
-            for c, vec in zip(coeffs, arrow_kernel):
-                if c:
-                    values = [(x + c * v) % p for x, v in zip(values, vec)]
             arrow_rows = tuple(tuple(values[k * l:(k + 1) * l])
                                for k in range(n))
             # re-check the defining constraint on the first arrow row

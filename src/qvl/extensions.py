@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .linalg import Field, Matrix, hstack, vstack
+from .linalg import (Field, Matrix, hstack, sandwich_system, split_blocks,
+                     vstack)
 from .quiver import BoundQuiver, Relation, Vertex
 from .reps import (HomTriple, Morphism, Representation, dims_add,
-                   is_monomorphism, gl_action, standard_complement)
+                   is_monomorphism, gl_action, path_product,
+                   standard_complement)
 
 ArrowBlocks = Mapping[str, Matrix]
 
@@ -79,62 +81,38 @@ def is_cocycle(quo: Representation, sub: Representation,
                for rel in quo.pres.relations)
 
 
+def cocycle_kernel(quo: Representation, sub: Representation
+                   ) -> tuple[dict, list[tuple]]:
+    """Block shapes and the kernel basis of the cocycle system: one equation
+    per relation, one term c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l)
+    per relation term and arrow position j, as in cocycle_value."""
+    if quo.pres != sub.pres or quo.field != sub.field:
+        raise ValueError("representations live over different data")
+    field = quo.field
+    quiver = quo.pres.quiver
+    shapes = block_shapes(quo.pres, sub.dims, quo.dims)
+    equations = []
+    for rel in quo.pres.relations:
+        terms = []
+        for coeff, path in rel.terms:
+            c = field.coerce(coeff)
+            arrows = path.arrows
+            for j, a in enumerate(arrows):
+                terms.append((c, a,
+                              path_product(field, sub.mats, arrows[:j],
+                                           sub.dims[quiver.target(a)]),
+                              path_product(field, quo.mats, arrows[j + 1:],
+                                           quo.dims[quiver.source(a)])))
+        equations.append(terms)
+    return shapes, sandwich_system(field, shapes, equations).kernel_basis()
+
+
 def cocycle_space_basis(quo: Representation,
                         sub: Representation) -> list[dict[str, Matrix]]:
-    """Deterministic basis of the space of cocycles for the pair.
-
-    The defining map is linear in the blocks, so its matrix is assembled by
-    evaluating on unit blocks; the kernel basis is reshaped back into block
-    families.
-    """
-    _check_block_shapes(quo, sub, zero_blocks(quo.pres, quo.field,
-                                              sub.dims, quo.dims))
-    field = quo.field
-    pres = quo.pres
-    shapes = block_shapes(pres, sub.dims, quo.dims)
-    arrows = pres.quiver.arrow_names()
-    offsets = {}
-    total = 0
-    for a in arrows:
-        offsets[a] = total
-        r, c = shapes[a]
-        total += r * c
-
-    columns: list[list] = []
-    out_slots = None
-    for a in arrows:
-        r, c = shapes[a]
-        for i in range(r):
-            for j in range(c):
-                unit = zero_blocks(pres, field, sub.dims, quo.dims)
-                rows = [[field.one if (p, q) == (i, j) else field.zero
-                         for q in range(c)] for p in range(r)]
-                unit[a] = Matrix(field, r, c, rows)
-                values = [cocycle_value(quo, sub, unit, rel)
-                          for rel in pres.relations]
-                col = [x for m in values for row in m.rows for x in row]
-                columns.append(col)
-                if out_slots is None:
-                    out_slots = len(col)
-    if out_slots is None:
-        out_slots = 0
-
-    if total == 0:
-        return []
-    system = Matrix(field, out_slots, total,
-                    [[columns[j][i] for j in range(total)]
-                     for i in range(out_slots)])
-    basis = []
-    for vec in system.kernel_basis():
-        fam = {}
-        for a in arrows:
-            r, c = shapes[a]
-            off = offsets[a]
-            fam[a] = Matrix(field, r, c,
-                            [[vec[off + i * c + j] for j in range(c)]
-                             for i in range(r)])
-        basis.append(fam)
-    return basis
+    """Deterministic basis of the space of cocycles for the pair: one block
+    family per vector of the kernel basis of cocycle_kernel's system."""
+    shapes, kernel = cocycle_kernel(quo, sub)
+    return [split_blocks(quo.field, shapes, vec) for vec in kernel]
 
 
 class ExtensionTriple:

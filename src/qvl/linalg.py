@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -403,6 +403,67 @@ def vstack(*mats: Matrix) -> Matrix:
 def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """[[a, b], [c, d]] with shape checks; blocks may have zero dimensions."""
     return vstack(hstack(a, b), hstack(c, d))
+
+
+# --- linear fibers: kernels of sums of sandwiched unknown blocks --------
+
+
+def sandwich_system(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
+                    equations: Iterable[Sequence[tuple]]) -> Matrix:
+    """Matrix of the homogeneous system sum c * L @ X_k @ R = 0, one
+    equation per item, each a sequence of terms (c, k, L, R).
+
+    The unknowns are the entries of the blocks X_k with the given shapes,
+    block by block in the order of ``shapes`` and row-major inside a block.
+    The row-major vec of L X R is (L kron R^T) vec X, so a term adds
+    c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j) of
+    X_k.  Entries are summed as plain ints or Fractions, exact either way,
+    and reduced into the field once, when the Matrix is built.  Callers take
+    ``kernel_basis()`` or ``rank()`` of the result.
+    """
+    offsets, total = {}, 0
+    for k, (r, c) in shapes.items():
+        offsets[k] = total
+        total += r * c
+    rows = []
+    for terms in equations:
+        if not terms:
+            continue
+        out_r, out_c = terms[0][2].nrows, terms[0][3].ncols
+        block = [[0] * total for _ in range(out_r * out_c)]
+        for coeff, k, left, right in terms:
+            r, c = shapes[k]
+            if (left.nrows, left.ncols, right.nrows, right.ncols) != \
+                    (out_r, r, c, out_c):
+                raise ValueError(
+                    f"term on {k!r}: {left.shape} @ {(r, c)} @ "
+                    f"{right.shape} does not give {(out_r, out_c)}")
+            if not (block and r and c):
+                continue
+            right_cols = [[(j, y) for j, y in enumerate(col) if y]
+                          for col in zip(*right.rows)]
+            for u, left_row in enumerate(left.rows):
+                out_rows = block[u * out_c:(u + 1) * out_c]
+                for i, x in enumerate(left_row):
+                    if x:
+                        cx, base = coeff * x, offsets[k] + i * c
+                        for row, col in zip(out_rows, right_cols):
+                            for j, y in col:
+                                row[base + j] += cx * y
+        rows.extend(block)
+    return Matrix(field, len(rows), total, rows)
+
+
+def split_blocks(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
+                 vec: Sequence[Scalar]) -> dict:
+    """Cut a vector of unknowns, ordered as in sandwich_system, into its
+    blocks."""
+    out, pos = {}, 0
+    for k, (r, c) in shapes.items():
+        out[k] = Matrix(field, r, c,
+                        [vec[pos + i * c:pos + (i + 1) * c] for i in range(r)])
+        pos += r * c
+    return out
 
 
 # --- seeded sample generators (used by demos and the test suite) -------

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .linalg import Field, Matrix, hstack, vstack
+from .linalg import (Field, Matrix, hstack, sandwich_system, split_blocks,
+                     vstack)
 from .quiver import BoundQuiver, Path, QuiverError, Relation, Vertex
 
 DimVector = Mapping[Vertex, int]
@@ -23,6 +24,18 @@ def dims_leq(e: DimVector, d: DimVector) -> bool:
 
 def dims_add(a: DimVector, b: DimVector) -> dict:
     return {x: a.get(x, 0) + b.get(x, 0) for x in set(a) | set(b)}
+
+
+def path_product(field: Field, mats: Mapping[str, Matrix], arrows,
+                 size: int) -> Matrix:
+    """mats[arrows[0]] @ .. @ mats[arrows[-1]], or the size x size identity
+    when there are no arrows."""
+    if not arrows:
+        return Matrix.identity(field, size)
+    result = mats[arrows[0]]
+    for arrow in arrows[1:]:
+        result = result @ mats[arrow]
+    return result
 
 
 class Representation:
@@ -86,12 +99,8 @@ class Representation:
     def evaluate_path(self, path: Path) -> Matrix:
         """Product of the arrow matrices along the path (identity for a
         trivial path)."""
-        if path.is_trivial():
-            return Matrix.identity(self.field, self.dims[path.source])
-        result = self.mats[path.arrows[0]]
-        for arrow in path.arrows[1:]:
-            result = result @ self.mats[arrow]
-        return result
+        return path_product(self.field, self.mats, path.arrows,
+                            self.dims[path.source])
 
     def evaluate_relation(self, rel: Relation) -> Matrix:
         acc = Matrix.zeros(self.field, self.dims[rel.target],
@@ -182,58 +191,30 @@ class HomTriple:
         return hash(self.key())
 
 
-def hom_basis(source: Representation, target: Representation) -> list[Morphism]:
-    """Deterministic basis of Hom(source, target).
-
-    The intertwining constraints form one homogeneous linear system in the
-    stacked entries of all vertex maps; its kernel basis is converted back
-    to morphisms.
-    """
+def hom_kernel(source: Representation, target: Representation
+               ) -> tuple[dict, list[tuple]]:
+    """Shapes of the vertex maps f_x and the kernel basis of the
+    intertwining system target_a f_(s a) - f_(t a) source_a = 0, one
+    equation per arrow, in the stacked entries of all vertex maps."""
     if source.pres != target.pres or source.field != target.field:
         raise ValueError("representations live over different data")
     field = source.field
     quiver = source.pres.quiver
-    offsets = {}
-    total = 0
-    for x in quiver.vertices:
-        offsets[x] = total
-        total += target.dims[x] * source.dims[x]
+    shapes = {x: (target.dims[x], source.dims[x]) for x in quiver.vertices}
+    ids = {n: Matrix.identity(field, n)
+           for n in {*source.dims.values(), *target.dims.values()}}
+    equations = [[(1, s, target.mats[a], ids[source.dims[s]]),
+                  (-1, t, ids[target.dims[t]], source.mats[a])]
+                 for a, s, t in quiver.arrows]
+    return shapes, sandwich_system(field, shapes, equations).kernel_basis()
 
-    def slot(x: Vertex, i: int, j: int) -> int:
-        return offsets[x] + i * source.dims[x] + j
 
-    rows = []
-    for arrow, src, dst in quiver.arrows:
-        t_mat = target.mats[arrow]
-        s_mat = source.mats[arrow]
-        # (target_a f_src - f_dst source_a)[i, j] = 0
-        for i in range(target.dims[dst]):
-            for j in range(source.dims[src]):
-                row = [field.zero] * total
-                for k in range(target.dims[src]):
-                    row[slot(src, k, j)] = field.add(
-                        row[slot(src, k, j)], t_mat[i, k])
-                for k in range(source.dims[dst]):
-                    row[slot(dst, i, k)] = field.sub(
-                        row[slot(dst, i, k)], s_mat[k, j])
-                rows.append(row)
-
-    if rows:
-        system = Matrix(field, len(rows), total, rows)
-        kernel = system.kernel_basis()
-    else:
-        kernel = Matrix.zeros(field, 0, total).kernel_basis()
-
-    basis = []
-    for vec in kernel:
-        maps = {}
-        for x in quiver.vertices:
-            r, c = target.dims[x], source.dims[x]
-            maps[x] = Matrix(field, r, c,
-                             [[vec[slot(x, i, j)] for j in range(c)]
-                              for i in range(r)])
-        basis.append(Morphism(source, target, maps))
-    return basis
+def hom_basis(source: Representation, target: Representation) -> list[Morphism]:
+    """Deterministic basis of Hom(source, target): one morphism per vector
+    of the kernel basis of hom_kernel's system."""
+    shapes, kernel = hom_kernel(source, target)
+    return [Morphism(source, target, split_blocks(source.field, shapes, vec))
+            for vec in kernel]
 
 
 def is_monomorphism(mor: Morphism) -> bool:

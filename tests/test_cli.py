@@ -116,6 +116,11 @@ class TestExitCodes:
         ["product-check", "--n", "3", "--m", "2", "--dim", "1,x",
          "--q", "3"],
         ["product-check", "--n", "3", "--m", "2", "--dim", "1", "--q", "3"],
+        ["census-hom", "--n", "0", "--q", "3"],
+        ["witness-mono", "--m", "3", "--l", "4", "--n", "1", "--q", "3"],
+        ["witness-mono", "--m", "1", "--l", "2", "--n", "1", "--q", "3"],
+        ["count", "--family", "Lambda", "--m", "2", "--dim", "2", "--q", "3",
+         "--budget", "-3"],
     ])
     def test_bad_field_or_dims_is_semantic(self, argv):
         code, report = run(argv)
@@ -294,6 +299,14 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, SCHEMA)
         assert payload["result"]["count"] == 4
+
+    def test_abbreviated_json_flag(self, capsys):
+        code = main(["count", "--family", "Lambda", "--m", "2", "--dim", "2",
+                     "--q", "3", "--js"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["result"]["count"] == 9
 
     def test_text_output(self, capsys):
         code = main(["classify", "--family", "Aprime", "--n", "1",

@@ -1,0 +1,182 @@
+"""The shared linear-fiber builder (sandwich_system), the walk over a
+kernel's span, and the Hom/cocycle/arrow systems built on them."""
+
+import ast
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import random_two_vertex_rep
+from qvl.counting import _span, iter_ext_points, iter_hom_points
+from qvl.extensions import block_shapes, cocycle_space_basis, is_cocycle
+from qvl.families import (family_a, family_a_prime_commuting, family_b,
+                          family_lambda)
+from qvl.linalg import (GF, Matrix, QQ, random_matrix, sandwich_system,
+                        split_blocks)
+from qvl.reps import hom_basis
+from qvl.serialize import blocks_to_json, morphism_to_json, rep_from_json
+
+F2 = GF(2)
+F3 = GF(3)
+F5 = GF(5)
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# Hom and cocycle bases, and the hom/ext walks, as computed by the separate
+# hand-assembled linear systems that sandwich_system replaced.  The present
+# code must reproduce them bit for bit: same kernel basis, same order.
+PINNED = json.loads((DATA / "pinned_fibers.json").read_text())
+
+FAMILIES = {"Lambda(4)": family_lambda(4), "A(1,3,1)": family_a(1, 3, 1),
+            "B(1,3)": family_b(1, 3), "A'comm(2)": family_a_prime_commuting(2)}
+
+
+class TestSandwichSystem:
+    @pytest.mark.parametrize("field", [F5, QQ])
+    def test_system_applies_the_sum_of_products(self, field):
+        rng = random.Random(7)
+        shapes = {"x": (2, 3), "y": (3, 3)}
+        for _ in range(10):
+            blocks = {k: random_matrix(field, r, c, rng)
+                      for k, (r, c) in shapes.items()}
+            l1, r1 = random_matrix(field, 4, 2, rng), \
+                random_matrix(field, 3, 2, rng)
+            l2, r2 = random_matrix(field, 4, 3, rng), \
+                random_matrix(field, 3, 2, rng)
+            c1, c2 = field.coerce(2), field.coerce(-3)
+            system = sandwich_system(field, shapes, [
+                [(c1, "x", l1, r1), (c2, "y", l2, r2), (c1, "y", l2, r2)]])
+            expected = ((l1 @ blocks["x"] @ r1).scale(c1)
+                        + (l2 @ blocks["y"] @ r2).scale(c2)
+                        + (l2 @ blocks["y"] @ r2).scale(c1))
+            vec = [x for k in shapes for row in blocks[k].rows for x in row]
+            assert system.shape == (8, 15)
+            assert list(system.apply(vec)) == \
+                [x for row in expected.rows for x in row]
+
+    def test_split_blocks_inverts_flattening(self):
+        shapes = {"a": (2, 1), "b": (0, 3), "c": (1, 2)}
+        blocks = split_blocks(F5, shapes, [1, 2, 3, 4])
+        assert [blocks[k].shape for k in shapes] == list(shapes.values())
+        assert blocks["a"].rows == ((1,), (2,))
+        assert blocks["c"].rows == ((3, 4),)
+
+    def test_no_equations_leaves_every_entry_free(self):
+        system = sandwich_system(F2, {"x": (2, 2)}, [[]])
+        assert system.shape == (0, 4)
+        assert len(system.kernel_basis()) == 4
+
+    def test_mismatched_term_is_rejected(self):
+        ident = Matrix.identity(F2, 2)
+        with pytest.raises(ValueError):
+            sandwich_system(F2, {"x": (2, 3)}, [[(1, "x", ident, ident)]])
+
+
+class TestSpan:
+    def test_order_matches_itertools_product(self):
+        kernel = [(1, 0, 2, 1), (0, 1, 1, 2), (2, 2, 0, 1)]
+        got = list(_span(F3, kernel, 4))
+        expected = []
+        for coeffs in itertools.product(range(3), repeat=len(kernel)):
+            expected.append([sum(c * v[i] for c, v in zip(coeffs, kernel)) % 3
+                             for i in range(4)])
+        assert got == expected
+
+    def test_empty_kernel_gives_the_zero_vector(self):
+        assert list(_span(F5, [], 3)) == [[0, 0, 0]]
+
+
+class TestPinnedBases:
+    @pytest.mark.parametrize("index", range(len(PINNED["bases"])))
+    def test_bases_bit_identical(self, index):
+        case = PINNED["bases"][index]
+        pres = FAMILIES[case["family"]]
+        first = rep_from_json(pres, case["first"])
+        second = rep_from_json(pres, case["second"])
+        assert [morphism_to_json(m) for m in hom_basis(first, second)] \
+            == case["hom_basis"]
+        assert [blocks_to_json(first.field, fam)
+                for fam in cocycle_space_basis(first, second)] \
+            == case["cocycle_space_basis"]
+
+    def test_cases_cover_every_family_and_field(self):
+        seen = {(c["family"], c["first"]["field"]["type"],
+                 c["first"]["field"].get("p")) for c in PINNED["bases"]}
+        assert seen == {("Lambda(4)", "Fp", 5), ("Lambda(4)", "Q", None),
+                        ("A(1,3,1)", "Fp", 3), ("B(1,3)", "Fp", 3),
+                        ("A'comm(2)", "Fp", 3)}
+
+
+def _flat(mats):
+    return [x for m in mats for row in m.rows for x in row]
+
+
+class TestWalkOrder:
+    def test_hom_walk_order(self):
+        keys = [_flat(t.source.key()[1]) + _flat(t.target.key()[1])
+                + _flat(t.morphism.key())
+                for t in iter_hom_points(family_lambda(2), F3, {0: 1},
+                                         {0: 2})]
+        assert keys == PINNED["walks"]["hom"]
+
+    def test_ext_walk_order(self):
+        keys = [_flat(t.quo.key()[1]) + _flat(t.sub.key()[1])
+                + _flat([t.blocks["e"]])
+                for t in iter_ext_points(family_lambda(2), F3, {0: 2},
+                                         {0: 1})]
+        assert keys == PINNED["walks"]["ext"]
+
+
+class TestCocycleOracle:
+    """Over F_2 the cocycle space has 2^dim elements; count them by testing
+    every block family with the independent evaluator is_cocycle."""
+
+    @pytest.mark.parametrize("name", ["A(1,3,1)", "B(1,3)", "A'comm(2)"])
+    def test_brute_force_count(self, name):
+        pres = FAMILIES[name]
+        rng = random.Random(name)
+        checked, constrained = 0, 0
+        while checked < 6:
+            quo = random_two_vertex_rep(pres, F2, rng.randint(0, 2),
+                                        rng.randint(0, 2), rng)
+            sub = random_two_vertex_rep(pres, F2, rng.randint(0, 2),
+                                        rng.randint(0, 2), rng)
+            shapes = block_shapes(pres, sub.dims, quo.dims)
+            total = sum(r * c for r, c in shapes.values())
+            if not 3 <= total <= 10:
+                continue
+            checked += 1
+            count = 0
+            for values in itertools.product(range(2), repeat=total):
+                blocks, pos = {}, 0
+                for a, (r, c) in shapes.items():
+                    blocks[a] = Matrix(F2, r, c, [
+                        values[pos + i * c:pos + (i + 1) * c]
+                        for i in range(r)])
+                    pos += r * c
+                count += is_cocycle(quo, sub, blocks)
+            assert count == 2 ** len(cocycle_space_basis(quo, sub))
+            constrained += count < 2 ** total
+        assert constrained > 0
+
+
+def test_package_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src" / "qvl"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    f"{path.name} imports {name}"
