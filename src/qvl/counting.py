@@ -18,12 +18,32 @@ must visit every point stream each orbit, closing J_lam under elementary
 conjugations.  Other presentations filter all q^(loop coordinates) loop
 matrices.
 
+Each point splits into base matrices and linear ones.  The base is every
+loop plus a set of non-loop arrows: relations that use only base arrows are
+checked on each base point, and every other relation must have exactly one
+non-base arrow in each term, so that it is linear in the non-base arrows
+once the base is fixed.  The loops-only base is taken whenever it qualifies
+(every named family).  Otherwise, for relations such as b*a or b*a - d*c,
+the base adds the qualifying set of non-loop arrows from the relations
+with the fewest matrix entries at the given dimensions ({a} for b*a,
+{a, c} for b*a - d*c).  The set of all of them always qualifies, so no
+presentation falls back to the ambient odometer, which
+stays as ``strategy="odometer"`` and as the test oracle.  Base points are
+the loop locus (strata, orbits or filter; only loop-only relations shape
+it) crossed with every assignment of the base non-loop arrows that
+satisfies the base relations.  Conjugating a loop vertex carries each
+fiber bijectively onto the fiber over the conjugate, so counts still add
+orbit size times q^(fiber dimension) per base point over J_lam.
+
 The enumeration order is fixed and stratum-major: strata in loop declaration
 order with partitions largest part first, each orbit breadth-first from
-J_lam, then the fiber over each loop point (arrows in declaration order,
-matrix entries row-major, field elements ascending), so identical queries
-give identical traversals.  The budget counts the steps actually taken: one
-per stratum or pair of strata counted, one per point visited.
+J_lam, then the base non-loop arrows over each loop point in
+itertools.product order, then the linear fiber over each base point (arrows
+in declaration order, matrix entries row-major, field elements ascending),
+so identical queries give identical traversals.  The budget counts the
+steps actually taken: one per stratum or pair of strata counted, one per
+point visited, and with base non-loop arrows q^(base coordinates) planned
+per loop point or stratum and one taken per base point tried.
 
 Point counts over finite fields are evidence about the geometry over an
 algebraically closed field, never proof; only reducibility witnesses and
@@ -201,52 +221,104 @@ def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
             yield rep
 
 
-def _classify_relations(pres: BoundQuiver):
-    """Split relations into loop-only and arrow-linear classes.
+def _classify_relations(pres: BoundQuiver, base: Sequence[str] = ()):
+    """Split relations into base and linear classes, for the base made of
+    every loop and the non-loop arrows in ``base``.
 
-    Returns (loop_rels, linear_rels) or None when some relation fits
-    neither class (a term with two or more non-loop arrows, or a mix of
-    pure-loop and arrow terms)."""
+    Returns (base_rels, linear_rels), where a base relation uses only base
+    arrows and every term of a linear one has exactly one non-base arrow, or
+    None when some relation fits neither class (a term with two or more
+    non-base arrows, or a mix of base-only terms and terms with one)."""
     quiver = pres.quiver
-    loop_rels, linear_rels = [], []
+    base_rels, linear_rels = [], []
     for rel in pres.relations:
-        arrow_counts = {sum(0 if quiver.is_loop(a) else 1 for a in p.arrows)
+        arrow_counts = {sum(0 if quiver.is_loop(a) or a in base else 1
+                            for a in p.arrows)
                         for p in rel.paths()}
         if arrow_counts == {0}:
-            loop_rels.append(rel)
+            base_rels.append(rel)
         elif arrow_counts == {1}:
             linear_rels.append(rel)
         else:
             return None
-    return loop_rels, linear_rels
+    return base_rels, linear_rels
 
 
-def _linear_system_for_arrows(pres: BoundQuiver, field, dims, loop_mats,
+def _choose_base(pres: BoundQuiver, dims: Mapping):
+    """(base arrows, loop-only relations, other base relations, linear
+    relations) for the walk.
+
+    The loops-only base is taken whenever it qualifies (every named family).
+    Otherwise every qualifying set of non-loop arrows that occur in
+    relations is tried, and the one with the fewest matrix entries at
+    ``dims`` wins; ties go to fewer arrows, then to the earlier arrows in
+    declaration order.  The set of all of them always qualifies, since every
+    relation then becomes a base relation.  The search classifies 2^k sets
+    for k such arrows."""
+    base = ()
+    split = _classify_relations(pres)
+    if split is None:
+        quiver = pres.quiver
+        used = {a for rel in pres.relations for p in rel.paths()
+                for a in p.arrows}
+        bearing = [a for a in quiver.arrow_names()
+                   if a in used and not quiver.is_loop(a)]
+        shapes = _rep_shapes(pres, dims)
+        base = min((subset for r in range(1, len(bearing) + 1)
+                    for subset in itertools.combinations(bearing, r)
+                    if _classify_relations(pres, subset) is not None),
+                   key=lambda subset: sum(shapes[a][0] * shapes[a][1]
+                                          for a in subset))
+        split = _classify_relations(pres, base)
+    base_rels, linear_rels = split
+    loop_rels, arrow_rels = [], []
+    for rel in base_rels:
+        loops_only = all(pres.quiver.is_loop(a)
+                         for p in rel.paths() for a in p.arrows)
+        (loop_rels if loops_only else arrow_rels).append(rel)
+    return base, loop_rels, arrow_rels, linear_rels
+
+
+def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
                               linear_rels):
-    """(arrow, rows, columns) of each non-loop arrow, their entry count, and
-    the linear system those entries satisfy once the loop matrices are
-    fixed: one term c * loops(prefix) @ X_a @ loops(suffix) per relation
-    term."""
+    """(arrow, rows, columns) of each arrow outside ``base_mats``, their
+    entry count, and the linear system those entries satisfy once the base
+    matrices (every loop, and any base arrows) are fixed: one term
+    c * base(prefix) @ X_a @ base(suffix) per relation term."""
     quiver = pres.quiver
     shapes = {a: (dims.get(t, 0), dims.get(s, 0))
-              for a, s, t in quiver.arrows if not quiver.is_loop(a)}
+              for a, s, t in quiver.arrows if a not in base_mats}
     equations = []
     for rel in linear_rels:
         terms = []
         for coeff, path in rel.terms:
             j = next(i for i, a in enumerate(path.arrows)
-                     if not quiver.is_loop(a))
+                     if a not in base_mats)
             arrow = path.arrows[j]
             terms.append((
                 field.coerce(coeff), arrow,
-                path_product(field, loop_mats, path.arrows[:j],
+                path_product(field, base_mats, path.arrows[:j],
                              dims.get(quiver.target(arrow), 0)),
-                path_product(field, loop_mats, path.arrows[j + 1:],
+                path_product(field, base_mats, path.arrows[j + 1:],
                              dims.get(quiver.source(arrow), 0))))
         equations.append(terms)
     return ([(a, r, c) for a, (r, c) in shapes.items()],
             sum(r * c for r, c in shapes.values()),
             sandwich_system(field, shapes, equations))
+
+
+def _relations_vanish(field, dims, mats, rels) -> bool:
+    """Whether every relation in ``rels`` evaluates to zero on ``mats``."""
+    for rel in rels:
+        acc = None
+        for coeff, path in rel.terms:
+            term = path_product(field, mats, path.arrows,
+                                dims.get(path.source, 0)
+                                ).scale(field.coerce(coeff))
+            acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            return False
+    return True
 
 
 def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
@@ -263,18 +335,7 @@ def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
         if meter is not None:
             meter.tick()
         loop_mats = split_blocks(field, loop_shapes, values)
-        ok = True
-        for rel in loop_rels:
-            acc = None
-            for coeff, path in rel.terms:
-                term = path_product(field, loop_mats, path.arrows,
-                                    dims.get(path.source, 0)
-                                    ).scale(field.coerce(coeff))
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                ok = False
-                break
-        if ok:
+        if _relations_vanish(field, dims, loop_mats, loop_rels):
             yield loop_mats
 
 
@@ -455,54 +516,84 @@ def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
 
 
 def layered_applicable(pres: BoundQuiver) -> bool:
-    return _classify_relations(pres) is not None
+    """Always true: the base made of every arrow that occurs in a relation
+    makes every relation a base relation, so the layered walk applies to
+    every presentation.  Kept for callers that still ask."""
+    return True
+
+
+def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
+                 meter: _Meter | None):
+    """The loop matrices extended by every assignment of the base arrows
+    that satisfies ``base_rels``: one step planned per candidate, taken in
+    itertools.product order (arrows in declaration order, entries
+    row-major).  Without base arrows the loop point is the only base point
+    and costs nothing here."""
+    if not base:
+        yield loop_mats
+        return
+    shapes = {a: shape for a, shape in _rep_shapes(pres, dims).items()
+              if a in base}
+    total = sum(r * c for r, c in shapes.values())
+    if meter is not None:
+        meter.precheck(field.p ** total)
+    for values in itertools.product(field.elements(), repeat=total):
+        if meter is not None:
+            meter.tick()
+        mats = dict(loop_mats)
+        mats.update(split_blocks(field, shapes, values))
+        if _relations_vanish(field, dims, mats, base_rels):
+            yield mats
 
 
 def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                              dims: Mapping, meter: _Meter) -> int:
-    """Sum of q^(free arrow coordinates) over the loop locus: one term per
-    Jordan stratum, weighted by its orbit size, where the locus is
-    stratified, else one per loop point the filter accepts."""
-    split = _classify_relations(pres)
-    if split is None:
-        raise ValueError("layered enumeration does not apply")
-    loop_rels, linear_rels = split
+    """Sum of q^(free linear coordinates) over the base points: the loop
+    locus, one Jordan representative per stratum weighted by its orbit size
+    where it is stratified, else every loop point the filter accepts,
+    crossed with the base-arrow assignments that satisfy the base
+    relations.  Conjugating a loop vertex carries each fiber bijectively
+    onto the fiber over the conjugate loop point, so the representative
+    stands for its whole orbit."""
+    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     strata = _loop_strata(pres, field, dims, loop_rels)
     if strata is None:
         loci = ((loop_mats, 1) for loop_mats in _filter_loop_assignments(
             pres, field, dims, loop_rels, meter))
     else:
-        loci = ((_jordan_loops(field, types), weight)
-                for types, weight in _metered(strata, meter))
+        # with base arrows a stratum costs its base points, else one step
+        loci = ((_jordan_loops(field, types), weight) for types, weight
+                in (strata if base else _metered(strata, meter)))
     count = 0
     for loop_mats, weight in loci:
-        _, total, system = _linear_system_for_arrows(
-            pres, field, dims, loop_mats, linear_rels)
-        count += weight * field.p ** (total - system.rank())
+        for base_mats in _base_points(pres, field, dims, loop_mats, base,
+                                      base_rels, meter):
+            _, total, system = _linear_system_for_arrows(
+                pres, field, dims, base_mats, linear_rels)
+            count += weight * field.p ** (total - system.rank())
     return count
 
 
 def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                             dims: Mapping, meter: _Meter | None = None
                             ) -> Iterator[Representation]:
-    split = _classify_relations(pres)
-    if split is None:
-        raise ValueError("layered enumeration does not apply")
-    loop_rels, linear_rels = split
+    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     for loop_mats in _iter_loop_assignments(pres, field, dims, loop_rels,
                                             meter):
-        arrow_slots, total, system = _linear_system_for_arrows(
-            pres, field, dims, loop_mats, linear_rels)
-        shapes = {a: (r, c) for a, r, c in arrow_slots}
-        kernel = system.kernel_basis()
-        if meter is not None:
-            meter.precheck(field.p ** len(kernel))
-        for values in _span(field, kernel, total):
+        for base_mats in _base_points(pres, field, dims, loop_mats, base,
+                                      base_rels, meter):
+            arrow_slots, total, system = _linear_system_for_arrows(
+                pres, field, dims, base_mats, linear_rels)
+            shapes = {a: (r, c) for a, r, c in arrow_slots}
+            kernel = system.kernel_basis()
             if meter is not None:
-                meter.tick()
-            mats = dict(loop_mats)
-            mats.update(split_blocks(field, shapes, values))
-            yield Representation(pres, field, dims, mats)
+                meter.precheck(field.p ** len(kernel))
+            for values in _span(field, kernel, total):
+                if meter is not None:
+                    meter.tick()
+                mats = dict(base_mats)
+                mats.update(split_blocks(field, shapes, values))
+                yield Representation(pres, field, dims, mats)
 
 
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -510,18 +601,14 @@ def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                     strategy: str = "auto") -> Iterator[Representation]:
     """Deterministic, duplicate-free stream of all variety points.
 
-    ``strategy`` is "odometer", "layered", or "auto" (layered whenever the
-    relations allow it); both strategies produce the same point set.
+    ``strategy`` is "odometer", "layered", or "auto" (the same as
+    "layered"); both strategies produce the same point set.
     """
     if strategy == "odometer":
         return iter_rep_points_odometer(pres, field, dims, meter=meter)
-    if strategy == "layered":
-        return iter_rep_points_layered(pres, field, dims, meter=meter)
-    if strategy != "auto":
+    if strategy not in ("auto", "layered"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if layered_applicable(pres):
-        return iter_rep_points_layered(pres, field, dims, meter=meter)
-    return iter_rep_points_odometer(pres, field, dims, meter=meter)
+    return iter_rep_points_layered(pres, field, dims, meter=meter)
 
 
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -529,13 +616,12 @@ def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      strategy: str = "auto") -> int:
     """Exact number of valid points; ``strategy`` as in iter_rep_points."""
     meter = _Meter(budget if budget is not None else default_budget())
-    if strategy == "layered" or (strategy == "auto"
-                                 and layered_applicable(pres)):
-        return count_rep_points_layered(pres, field, dims, meter)
-    if strategy not in ("auto", "odometer"):
+    if strategy == "odometer":
+        return sum(1 for _ in iter_rep_points_odometer(pres, field, dims,
+                                                       meter=meter))
+    if strategy not in ("auto", "layered"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return sum(1 for _ in iter_rep_points_odometer(pres, field, dims,
-                                                   meter=meter))
+    return count_rep_points_layered(pres, field, dims, meter)
 
 
 # --- hom / mono / ext points ---------------------------------------------
@@ -588,8 +674,8 @@ def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
 
 
 def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
-                     meter: _Meter) -> list:
-    """(point, number of points it stands for) over the variety.
+                     meter: _Meter) -> Iterator[tuple]:
+    """Stream of (point, number of points it stands for) over the variety.
 
     When no non-loop arrow has a nonempty block every point is a loop
     assignment, so a stratified locus gives one Jordan representative per
@@ -602,15 +688,14 @@ def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
             for a, s, t in quiver.arrows if not quiver.is_loop(a)):
         strata = _loop_strata(pres, field, dims, split[0])
     if strata is None:
-        return [(rep, 1) for rep in iter_rep_points(pres, field, dims,
-                                                    meter=meter)]
-    out = []
+        for rep in iter_rep_points(pres, field, dims, meter=meter):
+            yield rep, 1
+        return
     for types, weight in _metered(strata, meter):
         mats = {a: Matrix.zeros(field, dims.get(t, 0), dims.get(s, 0))
                 for a, s, t in quiver.arrows}
         mats.update(_jordan_loops(field, types))
-        out.append((Representation(pres, field, dims, mats), weight))
-    return out
+        yield Representation(pres, field, dims, mats), weight
 
 
 def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
@@ -619,13 +704,15 @@ def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
     dimension read from the kernel basis that ``fiber(x, y)`` returns.
 
     The fiber dimension is invariant under conjugating x and y separately,
-    so a pair of strata counts once, weighted by both orbit sizes."""
+    so a pair of strata counts once, weighted by both orbit sizes.  The
+    second factor is listed once and the first streamed, so only one
+    variety's points are held at a time; each first point plans one step
+    per second point."""
     meter = _Meter(budget if budget is not None else default_budget())
-    firsts = _weighted_points(pres, field, first_dims, meter)
-    seconds = _weighted_points(pres, field, second_dims, meter)
-    meter.precheck(len(firsts) * len(seconds))
+    seconds = list(_weighted_points(pres, field, second_dims, meter))
     total = 0
-    for x, wx in firsts:
+    for x, wx in _weighted_points(pres, field, first_dims, meter):
+        meter.precheck(len(seconds))
         for y, wy in seconds:
             meter.tick()
             total += wx * wy * field.p ** len(fiber(x, y)[1])

@@ -1,0 +1,252 @@
+"""Presentations whose relations tie non-loop arrows to each other.
+
+Their counts and walks go over a base of loops plus some non-loop arrows;
+every result here is checked against the ambient odometer or a closed form
+that shares no code with qvl."""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from qvl.counting import (BudgetExceededError, _choose_base,
+                          _classify_relations, count_rep_points,
+                          iter_rep_points, rep_ambient_dim)
+from qvl.dsl import parse_quiver_spec
+from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
+                          family_b, family_lambda)
+from qvl.linalg import GF
+from qvl.quiver import BoundQuiver, Quiver, Relation
+
+PATH2 = """quiver P2 {
+  vertex 0; vertex 1; vertex 2;
+  arrow a: 0 -> 1; arrow b: 1 -> 2;
+  rel b*a;
+}"""
+
+PATH3_LONG = """quiver P3 {
+  vertex 0; vertex 1; vertex 2; vertex 3;
+  arrow a: 0 -> 1; arrow b: 1 -> 2; arrow c: 2 -> 3;
+  rel c*b*a;
+}"""
+
+PATH3_TWO = """quiver P3two {
+  vertex 0; vertex 1; vertex 2; vertex 3;
+  arrow a: 0 -> 1; arrow b: 1 -> 2; arrow c: 2 -> 3;
+  rel b*a; rel c*b;
+}"""
+
+SQUARE = """quiver Square {
+  vertex 0; vertex 1; vertex 2; vertex 3;
+  arrow a: 0 -> 1; arrow b: 1 -> 3; arrow c: 0 -> 2; arrow d: 2 -> 3;
+  rel b*a - d*c;
+}"""
+
+SANDWICH = """quiver Sandwich {
+  vertex 0; vertex 1; vertex 2;
+  arrow a: 0 -> 1; loop e at 1; arrow b: 1 -> 2;
+  rel b*e*a; rel e^2;
+}"""
+
+
+def two_cycle() -> BoundQuiver:
+    """Loop e0 at 0 and a 2-cycle 0 -> 1 -> 0 with b*a = e0^2 (the DSL
+    needs a weakly triangular quiver, so it is built directly)."""
+    q = Quiver([0, 1], [("e0", 0, 0), ("a", 0, 1), ("b", 1, 0)], name="C2")
+    rel = Relation([(1, q.path(["b", "a"])), (-1, q.path(["e0", "e0"]))])
+    return BoundQuiver(q, [rel], 4, check=False)
+
+
+CASES = [
+    (parse_quiver_spec(PATH2), ("a",),
+     [(1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2)]),
+    (parse_quiver_spec(PATH3_LONG), ("a", "b"),
+     [(1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 2, 1), (1, 2, 1, 2)]),
+    (parse_quiver_spec(PATH3_TWO), ("b",),
+     [(1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 1, 2), (1, 2, 2, 1)]),
+    (parse_quiver_spec(SQUARE), ("a", "c"),
+     [(1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (2, 1, 1, 2)]),
+    (parse_quiver_spec(SANDWICH), ("a",),
+     [(1, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2)]),
+    (two_cycle(), ("a", "b"), [(1, 1), (2, 1), (1, 2)]),
+]
+IDS = ["path2", "path3-cba", "path3-ba-cb", "square", "sandwich", "two-cycle"]
+
+
+def _dims(pres, dim_tuple):
+    return dict(zip(pres.quiver.vertices, dim_tuple))
+
+
+def _small(pres, dims, q, limit=4096):
+    return q ** rep_ambient_dim(pres, dims) <= limit
+
+
+class TestAgainstOdometer:
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("pres,base,dim_list", CASES, ids=IDS)
+    def test_counts_and_points(self, pres, base, dim_list, q):
+        field = GF(q)
+        assert _classify_relations(pres) is None
+        for dim_tuple in dim_list:
+            dims = _dims(pres, dim_tuple)
+            if not _small(pres, dims, q):
+                continue
+            slow = [r.key() for r in iter_rep_points(pres, field, dims,
+                                                     strategy="odometer")]
+            fast = [r.key() for r in iter_rep_points(pres, field, dims)]
+            assert len(set(fast)) == len(fast), dim_tuple
+            assert set(fast) == set(slow), dim_tuple
+            assert count_rep_points(pres, field, dims) == len(slow)
+            assert count_rep_points(pres, field, dims,
+                                    strategy="layered") == len(slow)
+
+    @pytest.mark.parametrize("pres,base,dim_list", CASES, ids=IDS)
+    def test_base_choice(self, pres, base, dim_list):
+        dims = _dims(pres, dim_list[0])
+        assert _choose_base(pres, dims)[0] == base
+
+    def test_base_follows_block_sizes(self):
+        # b*a and c*b: {b} costs d1*d2 entries, {a, c} costs d0*d1 + d2*d3
+        pres = parse_quiver_spec(PATH3_TWO)
+        assert _choose_base(pres, _dims(pres, (1, 3, 3, 1)))[0] == ("a", "c")
+        assert _choose_base(pres, _dims(pres, (3, 1, 1, 3)))[0] == ("b",)
+
+
+NAMED = [family_lambda(1), family_lambda(3), family_a(1, 2, 1),
+         family_a(2, 4, 2), family_a_prime(2, 2, 3), family_a_prime(0, 1, 2),
+         family_a_prime_commuting(2), family_a_prime_commuting(3),
+         family_b(1, 2), family_b(3, 4)]
+
+
+@pytest.mark.parametrize("pres", NAMED, ids=[p.name for p in NAMED])
+def test_named_families_keep_loops_only_base(pres):
+    assert _classify_relations(pres) is not None
+    for d in range(3):
+        dims = {x: d + i for i, x in enumerate(pres.quiver.vertices)}
+        assert _choose_base(pres, dims)[0] == ()
+
+
+# --- closed form for the path with b*a = 0 ------------------------------
+
+
+def _rank_count(m, n, r, q):
+    """Number of m x n matrices of rank r over F_q."""
+    out = 1
+    for i in range(r):
+        out *= (q ** m - q ** i) * (q ** n - q ** i)
+    for i in range(r):
+        out //= q ** r - q ** i
+    return out
+
+
+def _path_zero_count(d0, d1, d2, q):
+    """#{(A, B) : B A = 0}: A of rank r leaves B free on a complement of
+    its image, q^(d2 (d1 - r)) choices."""
+    return sum(_rank_count(d1, d0, r, q) * q ** (d2 * (d1 - r))
+               for r in range(min(d0, d1) + 1))
+
+
+@pytest.mark.parametrize("dims,q", [
+    ((1, 1, 1), 2), ((2, 1, 3), 2), ((1, 3, 2), 2), ((3, 3, 3), 2),
+    ((2, 2, 2), 3), ((3, 2, 1), 3), ((1, 2, 1), 5), ((0, 2, 2), 3),
+])
+def test_path_zero_relation_closed_form(dims, q):
+    pres = parse_quiver_spec(PATH2)
+    assert count_rep_points(pres, GF(q), _dims(pres, dims)) \
+        == _path_zero_count(*dims, q)
+
+
+def test_closed_form_matches_hand_values():
+    # 417 is the 2,2,2 count over F_3; one dimension gives 2q - 1
+    assert _path_zero_count(2, 2, 2, 3) == 417
+    assert all(_path_zero_count(1, 1, 1, q) == 2 * q - 1 for q in (2, 3, 5))
+
+
+def test_budget_covers_exactly_the_base_walk():
+    # base {a}: 2^9 base points, each counted through its linear fiber
+    pres = parse_quiver_spec(PATH2)
+    dims = _dims(pres, (3, 3, 3))
+    assert count_rep_points(pres, GF(2), dims, budget=512) \
+        == _path_zero_count(3, 3, 3, 2)
+    with pytest.raises(BudgetExceededError,
+                       match="stopped after 0 of 512 planned steps"):
+        count_rep_points(pres, GF(2), dims, budget=511)
+
+
+def test_cli_count_on_dsl_file(tmp_path):
+    from qvl.cli import EXIT_OK, run_command
+    path = tmp_path / "path2.qvl"
+    path.write_text(PATH2)
+    code, report = run_command(["count", "--quiver", str(path),
+                                "--dim", "2,2,2", "--q", "3"])
+    assert code == EXIT_OK
+    assert report["result"]["count"] == 417
+
+
+# --- random small presentations ------------------------------------------
+
+
+@st.composite
+def presentations(draw):
+    """A DSL text with at most 3 vertices and 4 arrows (each loop with a
+    power relation), plus up to two relations of length 2 or 3 with
+    coefficients +-1 over parallel paths, most of them through two or more
+    non-loop arrows."""
+    # the simplest draws give the arrows 0 -> 1, 1 -> 2, 0 -> 2, 0 -> 1,
+    # so that most examples need base arrows
+    n = 3
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    arrows, looped = [], set()
+    for i in range(draw(st.integers(2, 4))):
+        if draw(st.integers(0, 4)) == 4:
+            s = t = draw(st.integers(0, n - 1))
+            if s in looped:
+                continue
+            looped.add(s)
+        else:
+            s, t = pairs[(i + draw(st.integers(0, len(pairs) - 1)))
+                         % len(pairs)]
+        arrows.append((f"x{i}", s, t))
+    lines = [f"vertex {v};" for v in range(n)]
+    for name, s, t in arrows:
+        lines.append(f"loop {name} at {s};" if s == t
+                     else f"arrow {name}: {s} -> {t};")
+        if s == t:
+            lines.append(f"rel {name}^{draw(st.integers(2, 3))};")
+    paths = [seq for k in (2, 3) for seq in itertools.product(arrows, repeat=k)
+             if all(seq[i][2] == seq[i + 1][1] for i in range(k - 1))]
+    coupling = [p for p in paths if sum(s != t for _, s, t in p) >= 2]
+    for _ in range(draw(st.integers(1, 2))):
+        pool = (coupling if coupling and draw(st.integers(0, 3)) < 3
+                else paths)
+        if not pool:
+            break
+        first = draw(st.sampled_from(pool))
+        parallel = [p for p in paths if p != first
+                    and (p[0][1], p[-1][2]) == (first[0][1], first[-1][2])]
+        chosen = [first] + ([draw(st.sampled_from(parallel))]
+                            if parallel and draw(st.booleans()) else [])
+        terms = [("-" if draw(st.booleans()) else "+")
+                 + "*".join(a for a, _, _ in reversed(p)) for p in chosen]
+        lines.append("rel " + " ".join(terms).lstrip("+") + ";")
+    dims = tuple(2 - draw(st.integers(0, 1)) for _ in range(n))
+    return "quiver R {\n  " + "\n  ".join(lines) + "\n}", dims
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(presentations(), st.sampled_from([2, 3]))
+def test_random_presentations_agree_with_odometer(spec, q):
+    # loops-only presentations are the named families' path, tested above
+    text, dim_tuple = spec
+    pres = parse_quiver_spec(text)
+    assume(_classify_relations(pres) is None)
+    dims = _dims(pres, dim_tuple)
+    while not _small(pres, dims, q, limit=2048):
+        dims = {x: max(d - 1, 0) for x, d in dims.items()}
+    field = GF(q)
+    slow = count_rep_points(pres, field, dims, strategy="odometer")
+    assert count_rep_points(pres, field, dims) == slow, text
+    assert count_rep_points(pres, field, dims, strategy="layered") == slow
