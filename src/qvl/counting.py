@@ -9,31 +9,30 @@ of being walked pointwise.
 Loop loci are stratified by Jordan type when every loop vertex has exactly
 one loop, every loop has a power relation, and every loop-only relation is a
 nonzero multiple of a power of its loop.  The locus is then the union of the
-conjugacy classes of the nilpotent Jordan matrices J_lam whose parts are at
-most the smallest power, and the class of J_lam has |GL_d(q)| / |C(lam)|
-points (Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).  Counts
-sum over strata: a stratum adds its orbit size times q^(dimension of the
-fiber at J_lam), which simultaneous conjugation leaves unchanged.  Walks that
-must visit every point stream each orbit, closing J_lam under elementary
-conjugations.  Other presentations filter all q^(loop coordinates) loop
-matrices.
+conjugacy classes of the nilpotent Jordan matrices J_lam with parts at most
+the smallest power, and the class of J_lam has |GL_d(q)| / |C(lam)| points
+(Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).  Every count
+sums over one source of weighted loop points: J_lam weighted by its orbit
+size, or where the locus is not stratified every loop matrix a filter over
+all q^(loop coordinates) of them accepts, with weight 1.  What a count sums
+(a linear fiber's dimension, dim Hom, dim of a cocycle space, the number of
+injective homomorphisms) is unchanged by conjugating the loop vertices, so
+J_lam stands for its orbit.  Walks that must visit every point stream each
+orbit instead, closing J_lam under elementary conjugations.
 
 Each point splits into base matrices and linear ones.  The base is every
 loop plus a set of non-loop arrows: relations that use only base arrows are
 checked on each base point, and every other relation must have exactly one
 non-base arrow in each term, so that it is linear in the non-base arrows
 once the base is fixed.  The loops-only base is taken whenever it qualifies
-(every named family).  Otherwise, for relations such as b*a or b*a - d*c,
-the base adds the qualifying set of non-loop arrows from the relations
-with the fewest matrix entries at the given dimensions ({a} for b*a,
-{a, c} for b*a - d*c).  The set of all of them always qualifies, so no
-presentation falls back to the ambient odometer, which
-stays as ``strategy="odometer"`` and as the test oracle.  Base points are
-the loop locus (strata, orbits or filter; only loop-only relations shape
-it) crossed with every assignment of the base non-loop arrows that
-satisfies the base relations.  Conjugating a loop vertex carries each
-fiber bijectively onto the fiber over the conjugate, so counts still add
-orbit size times q^(fiber dimension) per base point over J_lam.
+(every named family); otherwise the qualifying set of non-loop arrows from
+the relations with the fewest matrix entries is added ({a} for b*a, {a, c}
+for b*a - d*c).  The set of all of them always qualifies, so nothing falls
+back to the ambient odometer, which stays as ``strategy="odometer"`` and as
+the test oracle.  Base points are the loop points crossed with every
+assignment of the base non-loop arrows that satisfies the base relations.
+Hom, mono and ext counts sum over pairs of points above pairs of weighted
+loop points, whatever the non-loop blocks.
 
 The enumeration order is fixed and stratum-major: strata in loop declaration
 order with partitions largest part first, each orbit breadth-first from
@@ -41,9 +40,10 @@ J_lam, then the base non-loop arrows over each loop point in
 itertools.product order, then the linear fiber over each base point (arrows
 in declaration order, matrix entries row-major, field elements ascending),
 so identical queries give identical traversals.  The budget counts the
-steps actually taken: one per stratum or pair of strata counted, one per
-point visited, and with base non-loop arrows q^(base coordinates) planned
-per loop point or stratum and one taken per base point tried.
+steps actually taken: one per filter candidate, per base point tried, per
+loop point or point walked, per pair of points counted, per vector of a Hom
+space a mono count walks, and per stratum of a rep count without base
+arrows (a pair count's strata take none).
 
 Point counts over finite fields are evidence about the geometry over an
 algebraically closed field, never proof; only reducibility witnesses and
@@ -86,16 +86,18 @@ def default_budget() -> int:
 
 
 class _Meter:
-    """Counts explicit enumeration steps against the budget.
+    """Counts explicit enumeration steps against the budget, by default
+    ``default_budget()``.
 
-    Every walk plans its steps with ``precheck`` before taking them with
+    Every walk given no meter runs under a fresh default one.  Every walk
+    plans its steps with ``precheck`` before taking them with
     ``tick``, so ``planned`` is the number of steps the run has planned so
     far and an error can say how far the run got."""
 
     __slots__ = ("budget", "used", "planned")
 
-    def __init__(self, budget: int):
-        self.budget = budget
+    def __init__(self, budget: int | None = None):
+        self.budget = budget if budget is not None else default_budget()
         self.used = 0
         self.planned = 0
 
@@ -140,7 +142,7 @@ class EnumerationTask:
     sub_dims: Optional[Mapping] = None     # ext
     ambient: Optional[int] = None          # custom
     predicate: Optional[Callable[[tuple], bool]] = None  # custom
-    budget: Optional[int] = None
+    budget: Optional[int] = None           # None: default_budget()
 
     def __post_init__(self):
         if self.kind not in ("rep", "hom", "mono", "ext", "custom"):
@@ -161,9 +163,6 @@ class EnumerationTask:
         if self.kind == "ext" and (self.quo_dims is None
                                    or self.sub_dims is None):
             raise ValueError("ext tasks need quo_dims and sub_dims")
-
-    def resolved_budget(self) -> int:
-        return self.budget if self.budget is not None else default_budget()
 
 
 def rep_ambient_dim(pres: BoundQuiver, dims: Mapping) -> int:
@@ -208,13 +207,12 @@ def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
                              meter: _Meter | None = None
                              ) -> Iterator[Representation]:
     """Walk the full ambient coordinate space and keep the valid points."""
+    meter = meter or _Meter()
     shapes = _rep_shapes(pres, dims, arrow_order)
     total = sum(r * c for r, c in shapes.values())
-    if meter is not None:
-        meter.precheck(field.p ** total)
+    meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
-        if meter is not None:
-            meter.tick()
+        meter.tick()
         mats = split_blocks(field, shapes, values)
         rep = Representation(pres, field, dims, mats)
         if rep.is_valid():
@@ -325,15 +323,14 @@ def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
                              meter: _Meter | None):
     """Every loop assignment that satisfies the loop-only relations, found
     by testing all q^(loop coordinates) of them."""
+    meter = meter or _Meter()
     quiver = pres.quiver
     loop_shapes = {a: (dims.get(quiver.source(a), 0),) * 2
                    for a in quiver.loops()}
     total = sum(r * c for r, c in loop_shapes.values())
-    if meter is not None:
-        meter.precheck(field.p ** total)
+    meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
-        if meter is not None:
-            meter.tick()
+        meter.tick()
         loop_mats = split_blocks(field, loop_shapes, values)
         if _relations_vanish(field, dims, loop_mats, loop_rels):
             yield loop_mats
@@ -496,13 +493,13 @@ def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
                            meter: _Meter | None):
     """Every point of the loop locus once, in the fixed order: the orbits
     of the Jordan strata where the locus is stratified, else the filter."""
+    meter = meter or _Meter()
     strata = _loop_strata(pres, field, dims, loop_rels)
     if strata is None:
         yield from _filter_loop_assignments(pres, field, dims, loop_rels,
                                             meter)
         return
-    if meter is not None:
-        meter.precheck(sum(weight for _, weight in strata))
+    meter.precheck(sum(weight for _, weight in strata))
     orbits = {}
     for types, _ in strata:
         # keep only the orbits this stratum uses
@@ -510,20 +507,30 @@ def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
                   for lam in set(types.values())}
         for mats in itertools.product(*(orbits[lam]
                                         for lam in types.values())):
-            if meter is not None:
-                meter.tick()
+            meter.tick()
             yield dict(zip(types, mats))
 
 
-def layered_applicable(pres: BoundQuiver) -> bool:
-    """Always true: the base made of every arrow that occurs in a relation
-    makes every relation a base relation, so the layered walk applies to
-    every presentation.  Kept for callers that still ask."""
-    return True
+def _weighted_loops(pres: BoundQuiver, field, dims, loop_rels,
+                    meter: _Meter, stratum_steps: bool = False):
+    """(loop matrices, number of loop points they stand for) over the loop
+    locus: the Jordan representative of each stratum, weighted by its orbit
+    size, where the locus is stratified, else every loop point the filter
+    accepts, with weight 1.  The filter takes one step per candidate; with
+    ``stratum_steps`` each stratum takes one, all planned up front."""
+    strata = _loop_strata(pres, field, dims, loop_rels)
+    if strata is None:
+        for loop_mats in _filter_loop_assignments(pres, field, dims,
+                                                  loop_rels, meter):
+            yield loop_mats, 1
+        return
+    for types, weight in (_metered(strata, meter) if stratum_steps
+                          else strata):
+        yield _jordan_loops(field, types), weight
 
 
 def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
-                 meter: _Meter | None):
+                 meter: _Meter):
     """The loop matrices extended by every assignment of the base arrows
     that satisfies ``base_rels``: one step planned per candidate, taken in
     itertools.product order (arrows in declaration order, entries
@@ -535,37 +542,38 @@ def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
     shapes = {a: shape for a, shape in _rep_shapes(pres, dims).items()
               if a in base}
     total = sum(r * c for r, c in shapes.values())
-    if meter is not None:
-        meter.precheck(field.p ** total)
+    meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
-        if meter is not None:
-            meter.tick()
-        mats = dict(loop_mats)
-        mats.update(split_blocks(field, shapes, values))
+        meter.tick()
+        mats = {**loop_mats, **split_blocks(field, shapes, values)}
         if _relations_vanish(field, dims, mats, base_rels):
             yield mats
 
 
+def _points_over(pres: BoundQuiver, field, dims, loop_mats, split,
+                 meter: _Meter) -> Iterator[Representation]:
+    """Every point with the given loop matrices (``split`` as returned by
+    ``_choose_base``): the linear fiber over each base point above them."""
+    base, _, base_rels, linear_rels = split
+    for base_mats in _base_points(pres, field, dims, loop_mats, base,
+                                  base_rels, meter):
+        arrow_slots, _, system = _linear_system_for_arrows(
+            pres, field, dims, base_mats, linear_rels)
+        shapes = {a: (r, c) for a, r, c in arrow_slots}
+        for blocks in _walk_fiber(field, shapes, system.kernel_basis(),
+                                  meter):
+            yield Representation(pres, field, dims, {**base_mats, **blocks})
+
+
 def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                              dims: Mapping, meter: _Meter) -> int:
-    """Sum of q^(free linear coordinates) over the base points: the loop
-    locus, one Jordan representative per stratum weighted by its orbit size
-    where it is stratified, else every loop point the filter accepts,
-    crossed with the base-arrow assignments that satisfy the base
-    relations.  Conjugating a loop vertex carries each fiber bijectively
-    onto the fiber over the conjugate loop point, so the representative
-    stands for its whole orbit."""
+    """Sum of weight * q^(free linear coordinates) over the base points
+    above each weighted loop point.  Without base arrows a stratum takes
+    one step; with them its base points do."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
-    strata = _loop_strata(pres, field, dims, loop_rels)
-    if strata is None:
-        loci = ((loop_mats, 1) for loop_mats in _filter_loop_assignments(
-            pres, field, dims, loop_rels, meter))
-    else:
-        # with base arrows a stratum costs its base points, else one step
-        loci = ((_jordan_loops(field, types), weight) for types, weight
-                in (strata if base else _metered(strata, meter)))
     count = 0
-    for loop_mats, weight in loci:
+    for loop_mats, weight in _weighted_loops(pres, field, dims, loop_rels,
+                                             meter, stratum_steps=not base):
         for base_mats in _base_points(pres, field, dims, loop_mats, base,
                                       base_rels, meter):
             _, total, system = _linear_system_for_arrows(
@@ -577,23 +585,11 @@ def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
 def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                             dims: Mapping, meter: _Meter | None = None
                             ) -> Iterator[Representation]:
-    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
-    for loop_mats in _iter_loop_assignments(pres, field, dims, loop_rels,
+    meter = meter or _Meter()
+    split = _choose_base(pres, dims)
+    for loop_mats in _iter_loop_assignments(pres, field, dims, split[1],
                                             meter):
-        for base_mats in _base_points(pres, field, dims, loop_mats, base,
-                                      base_rels, meter):
-            arrow_slots, total, system = _linear_system_for_arrows(
-                pres, field, dims, base_mats, linear_rels)
-            shapes = {a: (r, c) for a, r, c in arrow_slots}
-            kernel = system.kernel_basis()
-            if meter is not None:
-                meter.precheck(field.p ** len(kernel))
-            for values in _span(field, kernel, total):
-                if meter is not None:
-                    meter.tick()
-                mats = dict(base_mats)
-                mats.update(split_blocks(field, shapes, values))
-                yield Representation(pres, field, dims, mats)
+        yield from _points_over(pres, field, dims, loop_mats, split, meter)
 
 
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -615,13 +611,10 @@ def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      budget: int | None = None,
                      strategy: str = "auto") -> int:
     """Exact number of valid points; ``strategy`` as in iter_rep_points."""
-    meter = _Meter(budget if budget is not None else default_budget())
-    if strategy == "odometer":
-        return sum(1 for _ in iter_rep_points_odometer(pres, field, dims,
-                                                       meter=meter))
-    if strategy not in ("auto", "layered"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return count_rep_points_layered(pres, field, dims, meter)
+    meter = _Meter(budget)
+    if strategy in ("auto", "layered"):
+        return count_rep_points_layered(pres, field, dims, meter)
+    return sum(1 for _ in iter_rep_points(pres, field, dims, meter, strategy))
 
 
 # --- hom / mono / ext points ---------------------------------------------
@@ -646,23 +639,28 @@ def _span(field: PrimeField, kernel: Sequence[Sequence[int]],
     return walk(0, [0] * size)
 
 
+def _walk_fiber(field: PrimeField, shapes: Mapping, kernel, meter: _Meter):
+    """Every element of the span of ``kernel``, cut into blocks of the given
+    shapes, in ``_span`` order, with one step planned and taken per
+    element."""
+    meter.precheck(field.p ** len(kernel))
+    for vec in _span(field, kernel, sum(r * c for r, c in shapes.values())):
+        meter.tick()
+        yield split_blocks(field, shapes, vec)
+
+
 def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
                       second_dims, fiber, meter: _Meter | None):
     """(x, y, blocks) for every point x of the first variety, every point y
     of the second and every element of the linear fiber over (x, y), in
     that nesting order; ``fiber(x, y)`` gives the fiber's block shapes and
     kernel basis.  The second variety is listed once, the first streamed."""
+    meter = meter or _Meter()
     seconds = list(iter_rep_points(pres, field, second_dims, meter=meter))
     for x in iter_rep_points(pres, field, first_dims, meter=meter):
         for y in seconds:
-            shapes, kernel = fiber(x, y)
-            if meter is not None:
-                meter.precheck(field.p ** len(kernel))
-            for vec in _span(field, kernel,
-                             sum(r * c for r, c in shapes.values())):
-                if meter is not None:
-                    meter.tick()
-                yield x, y, split_blocks(field, shapes, vec)
+            for blocks in _walk_fiber(field, *fiber(x, y), meter):
+                yield x, y, blocks
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -675,55 +673,51 @@ def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
 
 def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
                      meter: _Meter) -> Iterator[tuple]:
-    """Stream of (point, number of points it stands for) over the variety.
-
-    When no non-loop arrow has a nonempty block every point is a loop
-    assignment, so a stratified locus gives one Jordan representative per
-    stratum with its orbit size; otherwise every point comes once."""
-    quiver = pres.quiver
-    split = _classify_relations(pres)
-    strata = None
-    if split is not None and not any(
-            dims.get(s, 0) * dims.get(t, 0)
-            for a, s, t in quiver.arrows if not quiver.is_loop(a)):
-        strata = _loop_strata(pres, field, dims, split[0])
-    if strata is None:
-        for rep in iter_rep_points(pres, field, dims, meter=meter):
-            yield rep, 1
-        return
-    for types, weight in _metered(strata, meter):
-        mats = {a: Matrix.zeros(field, dims.get(t, 0), dims.get(s, 0))
-                for a, s, t in quiver.arrows}
-        mats.update(_jordan_loops(field, types))
-        yield Representation(pres, field, dims, mats), weight
+    """Stream of (point, number of points it stands for): every point above
+    each weighted loop point.  Conjugating the loop vertices carries the
+    points above J_lam bijectively onto isomorphic points above each of its
+    conjugates.  Strata take no steps here."""
+    split = _choose_base(pres, dims)
+    for loop_mats, weight in _weighted_loops(pres, field, dims, split[1],
+                                             meter):
+        for rep in _points_over(pres, field, dims, loop_mats, split, meter):
+            yield rep, weight
 
 
 def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
-                 second_dims, fiber, budget: int | None) -> int:
-    """Sum of q^(dimension of the fiber) over all pairs of points, the
-    dimension read from the kernel basis that ``fiber(x, y)`` returns.
+                 second_dims, per_pair, budget: int | None) -> int:
+    """Sum of ``per_pair(x, y, meter)`` over all pairs of points.
 
-    The fiber dimension is invariant under conjugating x and y separately,
-    so a pair of strata counts once, weighted by both orbit sizes.  The
-    second factor is listed once and the first streamed, so only one
-    variety's points are held at a time; each first point plans one step
-    per second point."""
-    meter = _Meter(budget if budget is not None else default_budget())
+    Every summed quantity is invariant under replacing x and y by
+    isomorphic points, so each pair of weighted points counts once,
+    weighted by both weights.  The second factor is listed once and the
+    first streamed, so only one variety's points are held at a time; each
+    first point plans one step per second point."""
+    meter = _Meter(budget)
     seconds = list(_weighted_points(pres, field, second_dims, meter))
     total = 0
     for x, wx in _weighted_points(pres, field, first_dims, meter):
         meter.precheck(len(seconds))
         for y, wy in seconds:
             meter.tick()
-            total += wx * wy * field.p ** len(fiber(x, y)[1])
+            total += wx * wy * per_pair(x, y, meter)
     return total
+
+
+def _injective_homs(x: Representation, y: Representation,
+                    meter: _Meter) -> int:
+    """Number of homomorphisms x -> y whose vertex maps all have full
+    column rank, found by walking the Hom space."""
+    return sum(all(maps[v].rank() == x.dims[v] for v in maps)
+               for maps in _walk_fiber(x.field, *hom_kernel(x, y), meter))
 
 
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs (each linear
     homomorphism space is counted exactly, not walked)."""
-    return _count_pairs(pres, field, source_dims, target_dims, hom_kernel,
+    return _count_pairs(pres, field, source_dims, target_dims,
+                        lambda x, y, _: field.p ** len(hom_kernel(x, y)[1]),
                         budget)
 
 
@@ -742,9 +736,9 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
 
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
-    meter = _Meter(budget if budget is not None else default_budget())
-    return sum(1 for _ in iter_mono_points(pres, field, source_dims,
-                                           target_dims, meter=meter))
+    """Number of injective homomorphisms over all source/target pairs."""
+    return _count_pairs(pres, field, source_dims, target_dims,
+                        _injective_homs, budget)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
@@ -758,14 +752,15 @@ def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_kernel,
-                        budget)
+    return _count_pairs(
+        pres, field, quo_dims, sub_dims,
+        lambda x, y, _: field.p ** len(cocycle_kernel(x, y)[1]), budget)
 
 
 def count_custom_points(field: PrimeField, ambient: int,
                         predicate: Callable[[tuple], bool],
                         budget: int | None = None) -> int:
-    meter = _Meter(budget if budget is not None else default_budget())
+    meter = _Meter(budget)
     meter.precheck(field.p ** ambient)
     count = 0
     for values in itertools.product(field.elements(), repeat=ambient):
@@ -777,7 +772,7 @@ def count_custom_points(field: PrimeField, ambient: int,
 
 def count_points(task: EnumerationTask) -> int:
     """Exact point count of the task's variety over its finite field."""
-    budget = task.resolved_budget()
+    budget = task.budget
     if task.kind == "rep":
         return count_rep_points(task.pres, task.field, task.dims,
                                 budget=budget)
@@ -827,7 +822,7 @@ def hom_counterexample_census(n: int, q: int,
     if n < 1:
         raise FamilyParameterError(f"the census needs n >= 1, got {n}")
     field = PrimeField(q)
-    meter = _Meter(budget if budget is not None else default_budget())
+    meter = _Meter(budget)
     meter.precheck(q ** (n + 1))
     points = []
     for values in itertools.product(field.elements(), repeat=n + 1):
@@ -940,7 +935,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         raise FamilyParameterError(
             f"l must be 2 (first family) or m (corner family), got {l}")
     field = PrimeField(q)
-    meter = _Meter(budget if budget is not None else default_budget())
+    meter = _Meter(budget)
 
     source_dims = {0: 1, 1: 1}
     target_dims = {0: 1, 1: l}

@@ -11,13 +11,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qvl.counting import (BudgetExceededError, _choose_base,
-                          _classify_relations, count_rep_points,
-                          iter_rep_points, rep_ambient_dim)
+                          _classify_relations, count_ext_points,
+                          count_hom_points, count_mono_points,
+                          count_rep_points, iter_hom_points, iter_rep_points,
+                          rep_ambient_dim)
 from qvl.dsl import parse_quiver_spec
+from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF
 from qvl.quiver import BoundQuiver, Quiver, Relation
+from qvl.reps import hom_basis, is_monomorphism
 
 PATH2 = """quiver P2 {
   vertex 0; vertex 1; vertex 2;
@@ -80,6 +84,14 @@ def _dims(pres, dim_tuple):
 
 def _small(pres, dims, q, limit=4096):
     return q ** rep_ambient_dim(pres, dims) <= limit
+
+
+def _shrink(pres, dims, q, limit):
+    """``dims`` lowered by one at every vertex until the ambient space has
+    at most ``limit`` points."""
+    while not _small(pres, dims, q, limit):
+        dims = {x: max(d - 1, 0) for x, d in dims.items()}
+    return dims
 
 
 class TestAgainstOdometer:
@@ -243,10 +255,22 @@ def test_random_presentations_agree_with_odometer(spec, q):
     text, dim_tuple = spec
     pres = parse_quiver_spec(text)
     assume(_classify_relations(pres) is None)
-    dims = _dims(pres, dim_tuple)
-    while not _small(pres, dims, q, limit=2048):
-        dims = {x: max(d - 1, 0) for x, d in dims.items()}
+    dims = _shrink(pres, _dims(pres, dim_tuple), q, 2048)
     field = GF(q)
     slow = count_rep_points(pres, field, dims, strategy="odometer")
     assert count_rep_points(pres, field, dims) == slow, text
     assert count_rep_points(pres, field, dims, strategy="layered") == slow
+    # pair counts over the drawn dims and their reverse, each cut to at
+    # most 32 ambient points
+    first = _shrink(pres, dims, q, 32)
+    second = _shrink(pres, _dims(pres, reversed(dim_tuple)), q, 32)
+    firsts = list(iter_rep_points(pres, field, first, strategy="odometer"))
+    seconds = list(iter_rep_points(pres, field, second, strategy="odometer"))
+    pairs = list(itertools.product(firsts, seconds))
+    assert count_hom_points(pres, field, first, second) \
+        == sum(q ** len(hom_basis(x, y)) for x, y in pairs), text
+    assert count_ext_points(pres, field, first, second) \
+        == sum(q ** len(cocycle_space_basis(x, y)) for x, y in pairs), text
+    assert count_mono_points(pres, field, first, second) \
+        == sum(is_monomorphism(t.morphism)
+               for t in iter_hom_points(pres, field, first, second)), text

@@ -11,7 +11,7 @@ from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           default_budget, hom_counterexample_census,
                           iter_hom_points, iter_mono_points, iter_rep_points,
                           iter_rep_points_odometer, jordan_types,
-                          layered_applicable, leading_coefficient_probe,
+                          leading_coefficient_probe,
                           mono_reducibility_witness, nilpotent_orbit_size,
                           product_count_check)
 from qvl.extensions import cocycle_space_basis
@@ -59,7 +59,6 @@ class TestRepCounts:
             (family_b(2, 2), {0: 1, 1: 1}),
         ]
         for pres, dims in cases:
-            assert layered_applicable(pres)
             fast = count_rep_points(pres, F2, dims, strategy="layered")
             slow = count_rep_points(pres, F2, dims, strategy="odometer")
             assert fast == slow
@@ -80,7 +79,6 @@ class TestRepCounts:
         q = base.quiver
         mixed = Relation([(1, q.path(["e0", "a1"])), (1, q.path(["a2", "e1"]))])
         pres = BoundQuiver(q, list(base.relations) + [mixed], 4)
-        assert layered_applicable(pres)
         for dims in ({0: 1, 1: 1}, {0: 2, 1: 1}, {0: 1, 1: 2}):
             fast = {r.key() for r in iter_rep_points(pres, F2, dims,
                                                      strategy="layered")}
