@@ -60,7 +60,8 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .extensions import ExtensionTriple, cocycle_kernel
 from .families import FamilyParameterError, family_a, family_a_prime, family_b
-from .linalg import Matrix, PrimeField, sandwich_system, split_blocks
+from .linalg import (Matrix, PrimeField, Subspace, sandwich_system,
+                     split_blocks)
 from .quiver import BoundQuiver
 from .reps import (HomTriple, Morphism, Representation, hom_kernel,
                    is_monomorphism, path_product)
@@ -140,21 +141,13 @@ class EnumerationTask:
     target_dims: Optional[Mapping] = None  # hom / mono
     quo_dims: Optional[Mapping] = None     # ext
     sub_dims: Optional[Mapping] = None     # ext
-    ambient: Optional[int] = None          # custom
-    predicate: Optional[Callable[[tuple], bool]] = None  # custom
     budget: Optional[int] = None           # None: default_budget()
 
     def __post_init__(self):
-        if self.kind not in ("rep", "hom", "mono", "ext", "custom"):
+        if self.kind not in ("rep", "hom", "mono", "ext"):
             raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.ambient is None or self.predicate is None \
-                    or self.field is None:
-                raise ValueError(
-                    "custom tasks need field, ambient, and predicate")
-        else:
-            if self.pres is None or self.field is None:
-                raise ValueError("variety tasks need pres and field")
+        if self.pres is None or self.field is None:
+            raise ValueError("variety tasks need pres and field")
         if self.kind == "rep" and self.dims is None:
             raise ValueError("rep tasks need dims")
         if self.kind in ("hom", "mono") and (
@@ -172,8 +165,6 @@ def rep_ambient_dim(pres: BoundQuiver, dims: Mapping) -> int:
 
 def ambient_dimension(task: EnumerationTask) -> int:
     """Coordinate count of the affine space the variety naturally sits in."""
-    if task.kind == "custom":
-        return task.ambient
     if task.kind == "rep":
         return rep_ambient_dim(task.pres, task.dims)
     if task.kind in ("hom", "mono"):
@@ -757,19 +748,6 @@ def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
         lambda x, y, _: field.p ** len(cocycle_kernel(x, y)[1]), budget)
 
 
-def count_custom_points(field: PrimeField, ambient: int,
-                        predicate: Callable[[tuple], bool],
-                        budget: int | None = None) -> int:
-    meter = _Meter(budget)
-    meter.precheck(field.p ** ambient)
-    count = 0
-    for values in itertools.product(field.elements(), repeat=ambient):
-        meter.tick()
-        if predicate(values):
-            count += 1
-    return count
-
-
 def count_points(task: EnumerationTask) -> int:
     """Exact point count of the task's variety over its finite field."""
     budget = task.budget
@@ -782,11 +760,8 @@ def count_points(task: EnumerationTask) -> int:
     if task.kind == "mono":
         return count_mono_points(task.pres, task.field, task.source_dims,
                                  task.target_dims, budget=budget)
-    if task.kind == "ext":
-        return count_ext_points(task.pres, task.field, task.quo_dims,
-                                task.sub_dims, budget=budget)
-    return count_custom_points(task.field, task.ambient, task.predicate,
-                               budget=budget)
+    return count_ext_points(task.pres, task.field, task.quo_dims,
+                            task.sub_dims, budget=budget)
 
 
 # --- the two explicit reducibility checks --------------------------------
@@ -903,14 +878,12 @@ class WitnessReport:
 
 
 def _column_space(field, mat: Matrix):
-    from .quiver import Subspace
     cols = [tuple(mat[i, j] for i in range(mat.nrows))
             for j in range(mat.ncols)]
     return Subspace(field, mat.nrows, cols)
 
 
 def _kernel_space(field, mat: Matrix):
-    from .quiver import Subspace
     return Subspace(field, mat.ncols, mat.kernel_basis())
 
 

@@ -1,4 +1,4 @@
-"""Exact scalar fields (F_p and Q) and dense matrix algebra.
+"""Exact scalar fields (F_p and Q), dense matrix algebra and sparse spans.
 
 Scalars are plain Python values: ints in ``[0, p)`` for a prime field,
 ``fractions.Fraction`` for the rationals.  A field object mediates all
@@ -179,16 +179,6 @@ class Matrix:
                     f"expected {nrows}x{ncols} data, got "
                     f"{len(rows)}x{[len(r) for r in rows]}")
             self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[Scalar]],
-                  ncols: int | None = None) -> "Matrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            return cls(field, 0, ncols)
-        return cls(field, nrows, len(rows[0]), rows)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -403,6 +393,87 @@ def vstack(*mats: Matrix) -> Matrix:
 def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """[[a, b], [c, d]] with shape checks; blocks may have zero dimensions."""
     return vstack(hstack(a, b), hstack(c, d))
+
+
+class Subspace:
+    """Span of vectors over a field, kept as its reduced row echelon form.
+
+    Rows are sparse, ``{pivot column: {column: entry}}``: a row's pivot is
+    its first nonzero column, its entry there is 1, and every pivot column
+    is zero in every other row.  That is the unique RREF of the span, so
+    equal spans compare equal.  Vectors are dense sequences or
+    ``{column: entry}`` mappings.
+    """
+
+    def __init__(self, field: Field, ambient_dim: int,
+                 vectors: Iterable[Sequence | Mapping] = ()):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self._rows: dict[int, dict[int, Scalar]] = {}
+        for vec in vectors:
+            self._insert(self._reduce(vec))
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vec: Sequence | Mapping) -> dict:
+        """The vector minus its part in the span, as a sparse vector that
+        is zero at every pivot.  Subtracting one row leaves the other
+        pivot columns alone, so one pass over the vector's entries at
+        pivot columns clears them all."""
+        f = self.field
+        zero = f.zero
+        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        v = {}
+        for j, x in items:
+            x = f.coerce(x)
+            if x != zero:
+                v[j] = x
+        for pc, x in [(j, x) for j, x in v.items() if j in self._rows]:
+            _subtract_multiple(f, v, x, self._rows[pc])
+        return v
+
+    def _insert(self, v: dict):
+        """Add a reduced vector as a new row and clear its pivot from the
+        others; a single-entry row takes its pivot with no arithmetic."""
+        if not v:
+            return
+        f = self.field
+        pc = min(v)
+        lead = v.pop(pc)
+        if lead != f.one:
+            inv = f.inv(lead)
+            v = {j: f.mul(inv, x) for j, x in v.items()}
+        for row in self._rows.values():
+            c = row.pop(pc, None)
+            if c is not None:
+                _subtract_multiple(f, row, c, v)
+        v[pc] = f.one
+        self._rows[pc] = v
+
+    def contains(self, vec: Sequence | Mapping) -> bool:
+        return not self._reduce(vec)
+
+    def __eq__(self, other):
+        return (isinstance(other, Subspace) and other.field == self.field
+                and other.ambient_dim == self.ambient_dim
+                and other._rows == self._rows)
+
+    def __le__(self, other: "Subspace") -> bool:
+        return all(other.contains(row) for row in self._rows.values())
+
+
+def _subtract_multiple(field: Field, v: dict, c: Scalar, row: Mapping):
+    """v -= c * row in place, for sparse vectors; zero entries are
+    dropped."""
+    zero = field.zero
+    for j, y in row.items():
+        z = field.sub(v.get(j, zero), field.mul(c, y))
+        if z == zero:
+            del v[j]
+        else:
+            v[j] = z
 
 
 # --- linear fibers: kernels of sums of sandwiched unknown blocks --------

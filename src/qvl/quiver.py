@@ -2,9 +2,13 @@
 
 The path algebra is handled through its length truncations kQ/J^N (J the
 arrow ideal): every ideal computation is a finite-dimensional linear algebra
-problem in the path basis of a truncation.  A presentation's truncation
-bound N certifies that all paths of length N fall into the relation ideal,
-so the truncated picture loses nothing.
+problem in the path basis of a truncation.  An ideal is spanned by the
+products p*rel*q of its relations with paths, each built by concatenating
+arrow sequences; most of them are single paths.  Spans are kept as sparse
+reduced row echelon forms (``linalg.Subspace``), so a single-path product
+costs no arithmetic.  A presentation's truncation bound N certifies that all
+paths of length N fall into the relation ideal, so the truncated picture
+loses nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .linalg import Field, Matrix, QQ
+from .linalg import Field, QQ, Subspace
 
 Vertex = Union[int, str]
 
@@ -366,48 +370,9 @@ class PathBasis:
             v[self.index[path]] = field.coerce(c)
         return tuple(v)
 
-
-class Subspace:
-    """Row space in RREF over a field, with membership tests."""
-
-    def __init__(self, field: Field, ambient_dim: int,
-                 vectors: Iterable[Sequence] = ()):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        rows = [list(v) for v in vectors]
-        if rows:
-            m = Matrix(field, len(rows), ambient_dim, rows)
-            red, pivots = m.rref()
-            self.rows = tuple(red.rows[i] for i in range(len(pivots)))
-            self.pivots = pivots
-        else:
-            self.rows = ()
-            self.pivots = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: Sequence) -> tuple:
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc] != f.zero:
-                factor = v[pc]
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, vec: Sequence) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and other.field == self.field
-                and other.ambient_dim == self.ambient_dim
-                and other.rows == self.rows)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.rows)
+    def sparse(self, coeffs: Mapping[Path, Fraction | int]) -> dict:
+        """A path -> coefficient mapping as a {column: coefficient} vector."""
+        return {self.index[path]: c for path, c in coeffs.items()}
 
 
 # --- bound quiver presentations ----------------------------------------
@@ -442,12 +407,10 @@ class BoundQuiver:
         n = self.truncation_bound
         span = ideal_subspace(self, bound=n + 1)
         basis = self.path_basis(n + 1)
-        for path in self.quiver.paths_up_to(n):
+        for path in basis.paths:
             if path.length != n:
                 continue
-            vec = basis.vector(
-                AlgebraElement.from_path(self.quiver, n + 1, path), QQ)
-            if not span.contains(vec):
+            if not span.contains({basis.index[path]: 1}):
                 raise QuiverError(
                     f"path {path} of length {n} is not in the relation ideal; "
                     f"{n} is not a valid truncation bound")
@@ -474,40 +437,34 @@ class BoundQuiver:
                 f"N={self.truncation_bound})")
 
 
-def _ideal_rows(pres: BoundQuiver, relations: Sequence[Relation], bound: int,
-                field: Field, require_padding: bool | None = None
-                ) -> list[tuple]:
-    """Vectors spanning the two-sided ideal of the given relations in
-    kQ/J^bound.  With require_padding True only products p*rel*q with a
-    nontrivial p or q are taken (the span of I*J + J*I); with False only
-    the bare relations; with None everything."""
+def _ideal_rows(pres: BoundQuiver, relations: Sequence[Relation],
+                bound: int) -> list[tuple[bool, dict[Path, Fraction]]]:
+    """One (padded, {path: coefficient}) pair for every nonzero product
+    p*rel*q in kQ/J^bound, p and q paths; padded says p or q is
+    nontrivial, so the padded products span I*J + J*I.  A product is
+    built by concatenating arrow sequences and keeps its terms of length
+    < bound; its terms are distinct paths with the same endpoints.
+    Relation terms have length >= 2, so p and q are shorter than
+    bound - 2."""
     quiver = pres.quiver
-    basis = PathBasis(quiver, bound)
-    all_paths = quiver.paths_up_to(bound - 1)
+    paths = quiver.paths_up_to(bound - 3)
     rows = []
     for rel in relations:
-        elem = AlgebraElement.from_relation(quiver, bound, rel)
-        min_len = min(p.length for _, p in rel.terms)
-        for left in all_paths:
-            if left.source != rel.target:
-                continue
-            if left.length + min_len >= bound:
-                continue
-            for right in all_paths:
-                if right.target != rel.source:
+        room = bound - min(p.length for _, p in rel.terms)
+        lefts = [p for p in paths
+                 if p.source == rel.target and p.length < room]
+        rights = [p for p in paths
+                  if p.target == rel.source and p.length < room]
+        for left in lefts:
+            for right in rights:
+                pad = left.length + right.length
+                if pad >= room:
                     continue
-                if left.length + min_len + right.length >= bound:
-                    continue
-                if require_padding is True and left.is_trivial() \
-                        and right.is_trivial():
-                    continue
-                if require_padding is False and not (
-                        left.is_trivial() and right.is_trivial()):
-                    continue
-                prod = AlgebraElement.from_path(quiver, bound, left) * elem \
-                    * AlgebraElement.from_path(quiver, bound, right)
-                if not prod.is_zero():
-                    rows.append(basis.vector(prod, field))
+                rows.append((pad > 0, {
+                    Path(left.arrows + p.arrows + right.arrows,
+                         source=right.source, target=left.target,
+                         degree=left.degree + p.degree + right.degree): c
+                    for c, p in rel.terms if pad + p.length < bound}))
     return rows
 
 
@@ -518,9 +475,9 @@ def ideal_subspace(pres: BoundQuiver, relations: Sequence[Relation] | None = Non
     relations and truncation bound, coefficients over Q."""
     rels = pres.relations if relations is None else tuple(relations)
     n = bound or pres.truncation_bound
-    rows = _ideal_rows(pres, rels, n, field)
-    ambient = PathBasis(pres.quiver, n).dim
-    return Subspace(field, ambient, rows)
+    basis = PathBasis(pres.quiver, n)
+    return Subspace(field, basis.dim, (basis.sparse(terms) for _, terms
+                                       in _ideal_rows(pres, rels, n)))
 
 
 def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
@@ -531,9 +488,7 @@ def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
     """
     bound = max(elem.bound, pres.truncation_bound)
     span = ideal_subspace(pres, bound=bound, field=field)
-    basis = PathBasis(pres.quiver, bound)
-    lifted = AlgebraElement(pres.quiver, bound, elem.coeffs)
-    return span.contains(basis.vector(lifted, field))
+    return span.contains(PathBasis(pres.quiver, bound).sparse(elem.coeffs))
 
 
 def loop_nilpotency_index(pres: BoundQuiver, loop: str,
@@ -545,20 +500,11 @@ def loop_nilpotency_index(pres: BoundQuiver, loop: str,
     span = ideal_subspace(pres, bound=n + 1, field=field)
     basis = pres.path_basis(n + 1)
     for m in range(1, n + 1):
-        elem = AlgebraElement.from_path(
-            pres.quiver, n + 1, power(pres.quiver, loop, m))
-        if span.contains(basis.vector(elem, field)):
+        if span.contains({basis.index[power(pres.quiver, loop, m)]: 1}):
             return m
     raise QuiverError(
         f"no power of {loop!r} up to {n} lies in the ideal; "
         "the truncation bound is inconsistent")
-
-
-def _generates_same_ideal(pres: BoundQuiver, relations: Sequence[Relation],
-                          bound: int, field: Field) -> bool:
-    ours = ideal_subspace(pres, relations=relations, bound=bound, field=field)
-    full = ideal_subspace(pres, bound=bound, field=field)
-    return ours == full
 
 
 def is_minimal_relation_set(relations: Sequence[Relation], pres: BoundQuiver,
@@ -567,21 +513,24 @@ def is_minimal_relation_set(relations: Sequence[Relation], pres: BoundQuiver,
     single relation strictly shrinks it.
 
     Computed in kQ/J^(N+1): one step beyond the truncation bound, where the
-    comparison is insensitive to further enlarging the bound.
+    comparison is insensitive to further enlarging the bound.  Each
+    relation's products are built once and shared by all the spans.
     """
     rels = tuple(relations)
     bound = pres.truncation_bound + 1
-    if not _generates_same_ideal(pres, rels, bound, field):
+    basis = PathBasis(pres.quiver, bound)
+    products = [[basis.sparse(terms) for _, terms
+                 in _ideal_rows(pres, (rel,), bound)] for rel in rels]
+
+    def span(groups) -> Subspace:
+        return Subspace(field, basis.dim, (v for g in groups for v in g))
+
+    full = span(products)
+    if full != ideal_subspace(pres, bound=bound, field=field):
         raise QuiverError(
             "the given relations do not generate the presentation's ideal")
-    full_dim = ideal_subspace(pres, relations=rels, bound=bound,
-                              field=field).dim
-    for i in range(len(rels)):
-        rest = rels[:i] + rels[i + 1:]
-        sub = ideal_subspace(pres, relations=rest, bound=bound, field=field)
-        if sub.dim == full_dim:
-            return False
-    return True
+    return all(span(products[:i] + products[i + 1:]).dim < full.dim
+               for i in range(len(rels)))
 
 
 def is_normalized_relation_set(relations: Sequence[Relation],
@@ -626,22 +575,14 @@ def ext2_dimension(pres: BoundQuiver, relations: Sequence[Relation],
 
     bound = pres.truncation_bound + 1
     basis = PathBasis(pres.quiver, bound)
-    block = [i for i, p in enumerate(basis.paths)
-             if p.source == x and p.target == y]
-    block_pos = {full: i for i, full in enumerate(block)}
-
-    def restrict(rows):
-        out = []
-        for row in rows:
-            if any(row[i] != field.zero for i in block):
-                out.append(tuple(row[i] for i in block))
-        return out
-
-    ideal_rows = restrict(_ideal_rows(pres, rels, bound, field))
-    padded_rows = restrict(_ideal_rows(pres, rels, bound, field,
-                                       require_padding=True))
-    dim_ideal = Subspace(field, len(block), ideal_rows).dim
-    dim_radical = Subspace(field, len(block), padded_rows).dim
+    corner = []
+    for padded, terms in _ideal_rows(pres, rels, bound):
+        path = next(iter(terms))
+        if path.source == x and path.target == y:
+            corner.append((padded, basis.sparse(terms)))
+    dim_ideal = Subspace(field, basis.dim, (v for _, v in corner)).dim
+    dim_radical = Subspace(field, basis.dim,
+                           (v for padded, v in corner if padded)).dim
     return count, dim_ideal - dim_radical
 
 

@@ -18,10 +18,6 @@ from .quiver import BoundQuiver, Path, QuiverError, Relation, Vertex
 DimVector = Mapping[Vertex, int]
 
 
-def dims_leq(e: DimVector, d: DimVector) -> bool:
-    return all(e.get(x, 0) <= d.get(x, 0) for x in set(e) | set(d))
-
-
 def dims_add(a: DimVector, b: DimVector) -> dict:
     return {x: a.get(x, 0) + b.get(x, 0) for x in set(a) | set(b)}
 

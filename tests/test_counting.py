@@ -252,19 +252,11 @@ class TestTasksAndBudget:
                                target_dims={0: 1, 1: 2})
         assert ambient_dimension(task) == (1 + 1 + 1) + (1 + 4 + 2) + (1 + 2)
 
-    def test_custom_task(self):
-        task = EnumerationTask(kind="custom", field=F3, ambient=2,
-                               predicate=lambda v: (v[0] * v[1]) % 3 == 0)
-        assert count_points(task) == 2 * 3 - 1
-
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             EnumerationTask(kind="nope")
         with pytest.raises(ValueError):
             EnumerationTask(kind="rep", pres=family_lambda(2), field=F2)
-        with pytest.raises(ValueError):
-            EnumerationTask(kind="custom", ambient=2,
-                            predicate=lambda v: True)
 
     def test_budget_rejects_big_odometer(self):
         with pytest.raises(BudgetExceededError,
@@ -470,32 +462,41 @@ class TestProductCheck:
         assert bool(product_count_check(2, 2, (1, 1), 2))
 
 
+def _hom_task(pres, q):
+    return EnumerationTask(kind="hom", pres=pres, field=GF(q),
+                           source_dims={0: 0, 1: 1},
+                           target_dims={0: 1, 1: 1})
+
+
 class TestProbe:
     def test_affine_space_exact(self):
+        # rep(A'(3,1,1)) at dims (1, 1) is the affine space of 3 arrows
         def task(q):
-            return EnumerationTask(kind="custom", field=GF(q), ambient=3,
-                                   predicate=lambda v: True)
+            return EnumerationTask(kind="rep", pres=family_a_prime(3, 1, 1),
+                                   field=GF(q), dims={0: 1, 1: 1})
         report = leading_coefficient_probe(task, [2, 3, 5])
+        assert report.counts == {2: 8, 3: 27, 5: 125}
         assert report.degree == 3
         assert report.looks_affine
         assert all(c == 1 for c in report.coefficients.values())
 
     def test_census_shape_flagged(self):
+        # Hom triples of A'(2,2,2) from dims (0, 1) to (1, 1): the two
+        # target arrows and the map f at vertex 1, with a_i f = 0
         def task(q):
-            return EnumerationTask(
-                kind="custom", field=GF(q), ambient=3,
-                predicate=lambda v: all((a * v[0]) % q == 0
-                                        for a in v[1:]))
+            return _hom_task(family_a_prime(2, 2, 2), q)
         report = leading_coefficient_probe(task, [2, 3, 5])
+        assert report.counts == {2: 5, 3: 11, 5: 29}
         assert report.degree == 2
         assert not report.looks_affine
         assert "inconclusive" in report.note
 
     def test_union_of_two_lines(self):
+        # the same with one arrow: a f = 0, a union of two lines
         def task(q):
-            return EnumerationTask(kind="custom", field=GF(q), ambient=2,
-                                   predicate=lambda v: v[0] * v[1] % q == 0)
+            return _hom_task(family_a_prime(1, 2, 2), q)
         report = leading_coefficient_probe(task, [2, 3, 5])
+        assert report.counts == {2: 3, 3: 5, 5: 9}
         assert report.degree == 1
         from fractions import Fraction
         assert report.coefficients[5] == Fraction(9, 5)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvl.linalg import (GF, Matrix, QQ, block2x2, hstack,
+from qvl.linalg import (GF, Matrix, QQ, Subspace, block2x2, hstack,
                         random_invertible, random_matrix, random_nilpotent,
                         vstack)
 
@@ -131,6 +131,54 @@ class TestRankKernel:
         again = Matrix(F5, 5, 7, [list(r) for r in m.rows])
         assert m.kernel_basis() == again.kernel_basis()
         assert m.rref() == again.rref()
+
+
+@st.composite
+def row_spaces(draw):
+    """A field, two matrices A and B of the same width (B spanning A's row
+    space half the time) and a vector, all sparse enough to have zero rows,
+    zero columns and rank drops; empty shapes included."""
+    field = draw(st.sampled_from([F2, F5, QQ]))
+    entries = [0, 0, 0, 1, 2, 3] + ([-1, Fraction(1, 2), Fraction(-2, 3)]
+                                    if field == QQ else [])
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+
+    def matrix(n):
+        return Matrix(field, n, ncols,
+                      [[draw(st.sampled_from(entries)) for _ in range(ncols)]
+                       for _ in range(n)])
+    a = matrix(nrows)
+    if draw(st.booleans()):
+        g = random_invertible(field, nrows, random.Random(draw(
+            st.integers(0, 10**6))))
+        b = vstack(g @ a, Matrix.zeros(field, 1, ncols))
+    else:
+        b = matrix(draw(st.integers(0, 5)))
+    return field, a, b, matrix(1).rows[0]
+
+
+class TestSubspace:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(row_spaces())
+    def test_agrees_with_dense_rref(self, case):
+        field, a, b, v = case
+        n = a.ncols
+        span_a, span_b = Subspace(field, n, a.rows), Subspace(field, n, b.rows)
+        assert span_a.dim == a.rank()
+        assert span_a.contains(v) == (vstack(
+            a, Matrix(field, 1, n, [v])).rank() == a.rank())
+        assert (span_a == span_b) == (span_a <= span_b and span_b <= span_a)
+        assert (span_a <= span_b) == (vstack(a, b).rank() == b.rank())
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+        assert Subspace(field, n, sparse) == span_a
+
+    def test_monomial_rows_and_equal_spans(self):
+        span = Subspace(QQ, 4, [{3: 2}, {1: 1, 3: 5}, {0: Fraction(1, 2)}])
+        assert span.dim == 3
+        assert span.contains((0, 7, 0, 1)) and not span.contains({2: 1})
+        assert span == Subspace(QQ, 4, [(0, 1, 0, 0), (1, 0, 0, 0),
+                                        (0, 0, 0, 1)])
+        assert Subspace(F2, 0) == Subspace(F2, 0, [()])
 
 
 class TestInverse:
