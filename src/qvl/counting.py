@@ -819,10 +819,10 @@ def hom_counterexample_census(n: int, q: int,
     image = set()
     for triple in iter_hom_points(pres, field, source_dims, target_dims,
                                   meter=meter):
-        key = triple.key()
-        if key in seen:
+        size = len(seen)
+        seen.add(triple.key())
+        if len(seen) == size:
             raise AssertionError("duplicate homomorphism point")
-        seen.add(key)
         b = triple.morphism.maps[1][0, 0]
         avec = tuple(triple.target.mats[f"a{i}"][0, 0]
                      for i in range(1, n + 1))

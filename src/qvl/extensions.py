@@ -20,7 +20,7 @@ from .linalg import (Field, Matrix, hstack, sandwich_system, split_blocks,
                      vstack)
 from .quiver import BoundQuiver, Relation, Vertex
 from .reps import (HomTriple, Morphism, Representation, dims_add,
-                   is_monomorphism, gl_action, path_product,
+                   is_monomorphism, gl_action, path_product, same_data,
                    standard_complement)
 
 ArrowBlocks = Mapping[str, Matrix]
@@ -39,7 +39,7 @@ def zero_blocks(pres: BoundQuiver, field: Field, sub_dims, quo_dims) -> dict:
 
 def _check_block_shapes(quo: Representation, sub: Representation,
                         blocks: ArrowBlocks):
-    if quo.pres != sub.pres or quo.field != sub.field:
+    if not same_data(quo, sub):
         raise ValueError("representations live over different data")
     for a, (r, c) in block_shapes(quo.pres, sub.dims, quo.dims).items():
         if a not in blocks:
@@ -86,7 +86,7 @@ def cocycle_kernel(quo: Representation, sub: Representation
     """Block shapes and the kernel basis of the cocycle system: one equation
     per relation, one term c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l)
     per relation term and arrow position j, as in cocycle_value."""
-    if quo.pres != sub.pres or quo.field != sub.field:
+    if not same_data(quo, sub):
         raise ValueError("representations live over different data")
     field = quo.field
     quiver = quo.pres.quiver
@@ -128,9 +128,9 @@ class ExtensionTriple:
         self.blocks = dict(blocks)
 
     def key(self) -> tuple:
-        arrows = self.quo.pres.quiver.arrow_names()
+        arrows = self.quo.pres.quiver.arrows
         return (self.quo.key(), self.sub.key(),
-                tuple(self.blocks[a] for a in arrows))
+                tuple(self.blocks[a] for a, _, _ in arrows))
 
     def __eq__(self, other):
         return isinstance(other, ExtensionTriple) and other.key() == self.key()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -62,6 +63,10 @@ class PrimeField:
             return self.coerce(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
+    def reduce(self, x: int) -> int:
+        """Normal form of an integer combination of field elements."""
+        return x % self.p
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -112,6 +117,11 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    def reduce(self, x: Fraction) -> Fraction:
+        """Normal form of a combination of field elements: Fractions are
+        already normal."""
+        return x
+
     def add(self, a, b):
         return a + b
 
@@ -159,6 +169,14 @@ class Matrix:
 
     Zero-by-n and n-by-zero matrices are legal and behave as empty maps;
     products with them produce zero matrices of the right shape.
+
+    Every entry is a field element in normal form: an int in ``[0, p)`` or
+    a ``Fraction``.  ``Matrix(...)`` establishes this for outside data (user
+    input, serialized matrices, family builders): it validates the shape
+    and coerces every entry.  Results of field arithmetic hold field
+    elements already, so the kernels here build them with ``_trusted``,
+    which does neither; the one normalization they apply is
+    ``field.reduce`` on each computed entry.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -181,14 +199,28 @@ class Matrix:
             self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
 
     @classmethod
+    def _trusted(cls, field: Field, nrows: int, ncols: int,
+                 rows: tuple) -> "Matrix":
+        """A matrix on ``rows``, a tuple of ``nrows`` tuples of ``ncols``
+        field elements in normal form, taken as they are."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols)
+        return cls._trusted(field, nrows, ncols,
+                            ((field.zero,) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, n, n,
-                   [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._trusted(field, n, n, tuple(
+            tuple([one if i == j else zero for j in range(n)])
+            for i in range(n)))
 
     @classmethod
     def column(cls, field: Field, entries: Sequence[Scalar]) -> "Matrix":
@@ -203,11 +235,13 @@ class Matrix:
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.field == self.field
-                and other.shape == self.shape and other.rows == self.rows)
+        return self is other or (
+            isinstance(other, Matrix) and other.rows == self.rows
+            and other.nrows == self.nrows and other.ncols == self.ncols
+            and (other.field is self.field or other.field == self.field))
 
     def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self.rows))
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
@@ -219,50 +253,39 @@ class Matrix:
         z = self.field.zero
         return all(x == z for row in self.rows for x in row)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        add = self.field.add
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, self.nrows, self.ncols, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[neg(a) for a in row] for row in self.rows])
+        return Matrix._trusted(self.field, self.nrows, self.ncols, tuple(
+            tuple(map(self.field.neg, row)) for row in self.rows))
 
     def scale(self, c: Scalar) -> "Matrix":
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[mul(c, a) for a in row] for row in self.rows])
+        reduce = self.field.reduce
+        return Matrix._trusted(self.field, self.nrows, self.ncols, tuple(
+            tuple([reduce(c * a) for a in row]) for row in self.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        f = self.field
+        if other.field is not f and other.field != f:
             raise ValueError("matrix product over mismatched fields")
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.shape} @ {other.shape}")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, self.nrows, other.ncols, out)
+        reduce, zero = f.reduce, f.zero
+        cols = tuple(zip(*other.rows)) if other.nrows else ((),) * other.ncols
+        return Matrix._trusted(f, self.nrows, other.ncols, tuple(
+            tuple([reduce(sum(map(mul, row, col), zero)) for col in cols])
+            for row in self.rows))
 
     def __pow__(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -275,26 +298,21 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      list(zip(*self.rows)) if self.nrows else
-                      [[] for _ in range(self.ncols)])
+        return Matrix._trusted(self.field, self.ncols, self.nrows,
+                               tuple(zip(*self.rows)) if self.nrows else
+                               ((),) * self.ncols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        f = self.field
-        add, mul = f.add, f.mul
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, v in zip(row, vec):
-                acc = add(acc, mul(a, v))
-            out.append(acc)
-        return tuple(out)
+        reduce, zero = self.field.reduce, self.field.zero
+        return tuple([reduce(sum(map(mul, row, vec), zero))
+                      for row in self.rows])
 
     def _check_same_shape(self, other: "Matrix"):
-        if self.field != other.field or self.shape != other.shape:
+        if (other.field is not self.field and other.field != self.field) \
+                or self.shape != other.shape:
             raise ValueError(
                 f"shape/field mismatch: {self.shape} vs {other.shape}")
 
@@ -307,31 +325,30 @@ class Matrix:
         the result is deterministic for identical input.
         """
         f = self.field
-        rows = [list(r) for r in self.rows]
-        zero = f.zero
+        reduce, zero = f.reduce, f.zero
+        nrows = self.nrows
+        rows = list(self.rows)
         pivots: list[int] = []
         r = 0
         for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != zero:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, nrows)
+                              if rows[i][c] != zero), None)
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != zero:
-                    factor = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(rows[i], rows[r])]
+            top = rows[r] = tuple([reduce(inv * x) for x in rows[r]])
+            for i in range(nrows):
+                factor = rows[i][c]
+                if i != r and factor != zero:
+                    rows[i] = tuple([reduce(x - factor * y)
+                                     for x, y in zip(rows[i], top)])
             pivots.append(c)
             r += 1
-            if r == self.nrows:
+            if r == nrows:
                 break
-        return Matrix(f, self.nrows, self.ncols, rows), tuple(pivots)
+        return (Matrix._trusted(f, nrows, self.ncols, tuple(rows)),
+                tuple(pivots))
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -363,7 +380,8 @@ class Matrix:
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, n, n, [row[n:] for row in red.rows])
+        return Matrix._trusted(self.field, n, n,
+                               tuple(row[n:] for row in red.rows))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -376,8 +394,8 @@ def hstack(*mats: Matrix) -> Matrix:
     if any(m.nrows != nrows or m.field != field for m in mats):
         raise ValueError("hstack: row counts or fields differ")
     ncols = sum(m.ncols for m in mats)
-    rows = [sum((tuple(m.rows[i]) for m in mats), ()) for i in range(nrows)]
-    return Matrix(field, nrows, ncols, rows)
+    rows = tuple(sum((m.rows[i] for m in mats), ()) for i in range(nrows))
+    return Matrix._trusted(field, nrows, ncols, rows)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -386,8 +404,8 @@ def vstack(*mats: Matrix) -> Matrix:
     field, ncols = mats[0].field, mats[0].ncols
     if any(m.ncols != ncols or m.field != field for m in mats):
         raise ValueError("vstack: column counts or fields differ")
-    rows = [row for m in mats for row in m.rows]
-    return Matrix(field, len(rows), ncols, rows)
+    rows = tuple(row for m in mats for row in m.rows)
+    return Matrix._trusted(field, len(rows), ncols, rows)
 
 
 def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
@@ -467,9 +485,9 @@ class Subspace:
 def _subtract_multiple(field: Field, v: dict, c: Scalar, row: Mapping):
     """v -= c * row in place, for sparse vectors; zero entries are
     dropped."""
-    zero = field.zero
+    reduce, zero = field.reduce, field.zero
     for j, y in row.items():
-        z = field.sub(v.get(j, zero), field.mul(c, y))
+        z = reduce(v.get(j, zero) - c * y)
         if z == zero:
             del v[j]
         else:
@@ -488,20 +506,22 @@ def sandwich_system(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
     block by block in the order of ``shapes`` and row-major inside a block.
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j) of
-    X_k.  Entries are summed as plain ints or Fractions, exact either way,
-    and reduced into the field once, when the Matrix is built.  Callers take
-    ``kernel_basis()`` or ``rank()`` of the result.
+    X_k.  Coefficients are field elements or ints.  Entries are summed
+    exactly, as ints or Fractions, and each is reduced once with
+    ``field.reduce``.  Callers take ``kernel_basis()`` or ``rank()`` of the
+    result.
     """
     offsets, total = {}, 0
     for k, (r, c) in shapes.items():
         offsets[k] = total
         total += r * c
+    reduce, zero = field.reduce, field.zero
     rows = []
     for terms in equations:
         if not terms:
             continue
         out_r, out_c = terms[0][2].nrows, terms[0][3].ncols
-        block = [[0] * total for _ in range(out_r * out_c)]
+        block = [[zero] * total for _ in range(out_r * out_c)]
         for coeff, k, left, right in terms:
             r, c = shapes[k]
             if (left.nrows, left.ncols, right.nrows, right.ncols) != \
@@ -522,17 +542,18 @@ def sandwich_system(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
                             for j, y in col:
                                 row[base + j] += cx * y
         rows.extend(block)
-    return Matrix(field, len(rows), total, rows)
+    return Matrix._trusted(field, len(rows), total,
+                           tuple([tuple(map(reduce, row)) for row in rows]))
 
 
 def split_blocks(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
                  vec: Sequence[Scalar]) -> dict:
     """Cut a vector of unknowns, ordered as in sandwich_system, into its
-    blocks."""
+    blocks; its entries are field elements in normal form."""
     out, pos = {}, 0
     for k, (r, c) in shapes.items():
-        out[k] = Matrix(field, r, c,
-                        [vec[pos + i * c:pos + (i + 1) * c] for i in range(r)])
+        out[k] = Matrix._trusted(field, r, c, tuple(
+            tuple(vec[pos + i * c:pos + (i + 1) * c]) for i in range(r)))
         pos += r * c
     return out
 

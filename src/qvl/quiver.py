@@ -8,7 +8,10 @@ arrow sequences; most of them are single paths.  Spans are kept as sparse
 reduced row echelon forms (``linalg.Subspace``), so a single-path product
 costs no arithmetic.  A presentation's truncation bound N certifies that all
 paths of length N fall into the relation ideal, so the truncated picture
-loses nothing.
+loses nothing.  N is certified over Q when the presentation is built and
+over any other field on the first ideal query over that field: a relation
+whose coefficients vanish in characteristic p can leave a path of length N
+outside the ideal there.
 """
 
 from __future__ import annotations
@@ -382,7 +385,9 @@ class BoundQuiver:
     """Quiver plus relation generators and a truncation bound N.
 
     N certifies that every path of length N lies in the relation ideal;
-    this is verified at construction by linear algebra in kQ/J^(N+1).
+    this is verified by linear algebra in kQ/J^(N+1), over Q at
+    construction (unless ``check`` is off) and over any field by the first
+    ``ideal_span`` for it.
     All values are immutable after construction.
     """
 
@@ -400,20 +405,32 @@ class BoundQuiver:
                 for a in p.arrows:
                     if not quiver.has_arrow(a):
                         raise QuiverError(f"relation uses unknown arrow {a!r}")
+        self._spans: dict = {}      # field -> ideal span, N checked over it
         if check:
-            self._check_truncation_bound()
+            self._spans[QQ] = self._check_truncation_bound(QQ)
 
-    def _check_truncation_bound(self):
+    def _check_truncation_bound(self, field: Field) -> Subspace:
+        """The relation ideal in kQ/J^(N+1) over the field, once every path
+        of length N is found in it."""
         n = self.truncation_bound
-        span = ideal_subspace(self, bound=n + 1)
+        span = ideal_subspace(self, bound=n + 1, field=field)
         basis = self.path_basis(n + 1)
         for path in basis.paths:
-            if path.length != n:
-                continue
-            if not span.contains({basis.index[path]: 1}):
+            if path.length == n and not span.contains({basis.index[path]: 1}):
                 raise QuiverError(
-                    f"path {path} of length {n} is not in the relation ideal; "
-                    f"{n} is not a valid truncation bound")
+                    f"N={n} is not a truncation bound over {field}: path "
+                    f"{path} of length {n} is not in the relation ideal")
+        return span
+
+    def ideal_span(self, field: Field = QQ) -> Subspace:
+        """The relation ideal in kQ/J^(N+1) over the field, the span every
+        ideal query works in.  It is built, and N checked over the field,
+        on the first call for that field; raises QuiverError when N is not
+        a truncation bound over the field."""
+        span = self._spans.get(field)
+        if span is None:
+            span = self._spans[field] = self._check_truncation_bound(field)
+        return span
 
     def path_basis(self, bound: int | None = None) -> PathBasis:
         return PathBasis(self.quiver, bound or self.truncation_bound)
@@ -484,11 +501,13 @@ def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
                      field: Field = QQ) -> bool:
     """True iff the element lies in the relation ideal of the presentation.
 
-    Valid for elements of kQ/J^N since the ideal contains J^N.
+    The ideal contains J^N, so paths of length N or more are dropped and
+    the rest is tested in kQ/J^(N+1).
     """
-    bound = max(elem.bound, pres.truncation_bound)
-    span = ideal_subspace(pres, bound=bound, field=field)
-    return span.contains(PathBasis(pres.quiver, bound).sparse(elem.coeffs))
+    n = pres.truncation_bound
+    basis = PathBasis(pres.quiver, n + 1)
+    return pres.ideal_span(field).contains(
+        {basis.index[p]: c for p, c in elem.coeffs.items() if p.length < n})
 
 
 def loop_nilpotency_index(pres: BoundQuiver, loop: str,
@@ -497,7 +516,7 @@ def loop_nilpotency_index(pres: BoundQuiver, loop: str,
     if not pres.quiver.is_loop(loop):
         raise QuiverError(f"{loop!r} is not a loop")
     n = pres.truncation_bound
-    span = ideal_subspace(pres, bound=n + 1, field=field)
+    span = pres.ideal_span(field)
     basis = pres.path_basis(n + 1)
     for m in range(1, n + 1):
         if span.contains({basis.index[power(pres.quiver, loop, m)]: 1}):
@@ -513,24 +532,37 @@ def is_minimal_relation_set(relations: Sequence[Relation], pres: BoundQuiver,
     single relation strictly shrinks it.
 
     Computed in kQ/J^(N+1): one step beyond the truncation bound, where the
-    comparison is insensitive to further enlarging the bound.  Each
-    relation's products are built once and shared by all the spans.
+    comparison is insensitive to further enlarging the bound.
     """
-    rels = tuple(relations)
+    return _is_minimal(pres, _relation_products(pres, relations), field)
+
+
+def _relation_products(pres: BoundQuiver, relations: Sequence[Relation]
+                       ) -> list[list[tuple[bool, Path, dict]]]:
+    """For each relation, its products in kQ/J^(N+1) as _ideal_rows gives
+    them: (padded, one of the product's paths, its sparse vector)."""
     bound = pres.truncation_bound + 1
     basis = PathBasis(pres.quiver, bound)
-    products = [[basis.sparse(terms) for _, terms
-                 in _ideal_rows(pres, (rel,), bound)] for rel in rels]
+    return [[(padded, next(iter(terms)), basis.sparse(terms))
+             for padded, terms in _ideal_rows(pres, (rel,), bound)]
+            for rel in relations]
+
+
+def _is_minimal(pres: BoundQuiver, products, field: Field) -> bool:
+    """is_minimal_relation_set on the relations' products; each relation's
+    products are built once and shared by all the spans."""
+    ideal = pres.ideal_span(field)
 
     def span(groups) -> Subspace:
-        return Subspace(field, basis.dim, (v for g in groups for v in g))
+        return Subspace(field, ideal.ambient_dim,
+                        (v for g in groups for _, _, v in g))
 
     full = span(products)
-    if full != ideal_subspace(pres, bound=bound, field=field):
+    if full != ideal:
         raise QuiverError(
             "the given relations do not generate the presentation's ideal")
     return all(span(products[:i] + products[i + 1:]).dim < full.dim
-               for i in range(len(rels)))
+               for i in range(len(products)))
 
 
 def is_normalized_relation_set(relations: Sequence[Relation],
@@ -569,19 +601,16 @@ def ext2_dimension(pres: BoundQuiver, relations: Sequence[Relation],
     if not is_weakly_triangular(pres.quiver):
         raise QuiverError("presentation is not weakly triangular")
     rels = tuple(relations)
-    if not is_minimal_relation_set(rels, pres, field=field):
+    products = _relation_products(pres, rels)
+    if not _is_minimal(pres, products, field):
         raise QuiverError("relation set is not a minimal generating set")
     count = sum(1 for rel in rels if rel.source == x and rel.target == y)
 
-    bound = pres.truncation_bound + 1
-    basis = PathBasis(pres.quiver, bound)
-    corner = []
-    for padded, terms in _ideal_rows(pres, rels, bound):
-        path = next(iter(terms))
-        if path.source == x and path.target == y:
-            corner.append((padded, basis.sparse(terms)))
-    dim_ideal = Subspace(field, basis.dim, (v for _, v in corner)).dim
-    dim_radical = Subspace(field, basis.dim,
+    corner = [(padded, v) for rows in products for padded, path, v in rows
+              if path.source == x and path.target == y]
+    dim = pres.ideal_span(field).ambient_dim
+    dim_ideal = Subspace(field, dim, (v for _, v in corner)).dim
+    dim_radical = Subspace(field, dim,
                            (v for padded, v in corner if padded)).dim
     return count, dim_ideal - dim_radical
 

@@ -18,6 +18,13 @@ from .quiver import BoundQuiver, Path, QuiverError, Relation, Vertex
 DimVector = Mapping[Vertex, int]
 
 
+def same_data(a, b) -> bool:
+    """Whether two representations live over the same presentation and
+    field; identical objects are not compared further."""
+    return ((a.pres is b.pres or a.pres == b.pres)
+            and (a.field is b.field or a.field == b.field))
+
+
 def dims_add(a: DimVector, b: DimVector) -> dict:
     return {x: a.get(x, 0) + b.get(x, 0) for x in set(a) | set(b)}
 
@@ -58,7 +65,7 @@ class Representation:
             if m.shape != expected:
                 raise ValueError(
                     f"arrow {arrow!r}: matrix shape {m.shape} != {expected}")
-            if m.field != field:
+            if m.field is not field and m.field != field:
                 raise ValueError(f"arrow {arrow!r}: field mismatch")
             store[arrow] = m
         self.mats = store
@@ -75,11 +82,10 @@ class Representation:
     def key(self) -> tuple:
         """Hashable canonical form, for set-based point comparisons."""
         return (tuple(sorted(self.dims.items(), key=lambda kv: str(kv[0]))),
-                tuple(self.mats[a] for a in self.pres.quiver.arrow_names()))
+                tuple(self.mats[a] for a, _, _ in self.pres.quiver.arrows))
 
     def __eq__(self, other):
-        return (isinstance(other, Representation)
-                and other.pres == self.pres and other.field == self.field
+        return (isinstance(other, Representation) and same_data(self, other)
                 and other.key() == self.key())
 
     def __hash__(self):
@@ -118,7 +124,7 @@ class Morphism:
 
     def __init__(self, source: Representation, target: Representation,
                  maps: Mapping[Vertex, Matrix]):
-        if source.pres != target.pres or source.field != target.field:
+        if not same_data(source, target):
             raise ValueError("morphism endpoints live over different data")
         self.source = source
         self.target = target
@@ -171,7 +177,8 @@ class HomTriple:
 
     def __init__(self, source: Representation, target: Representation,
                  morphism: Morphism):
-        if morphism.source != source or morphism.target != target:
+        if (morphism.source is not source and morphism.source != source) or \
+                (morphism.target is not target and morphism.target != target):
             raise ValueError("morphism endpoints do not match the triple")
         self.source = source
         self.target = target
@@ -192,7 +199,7 @@ def hom_kernel(source: Representation, target: Representation
     """Shapes of the vertex maps f_x and the kernel basis of the
     intertwining system target_a f_(s a) - f_(t a) source_a = 0, one
     equation per arrow, in the stacked entries of all vertex maps."""
-    if source.pres != target.pres or source.field != target.field:
+    if not same_data(source, target):
         raise ValueError("representations live over different data")
     field = source.field
     quiver = source.pres.quiver
@@ -247,7 +254,7 @@ def simple_module(pres: BoundQuiver, field: Field, x: Vertex) -> Representation:
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
     """Block-diagonal sum; equals the extension with zero blocks."""
-    if a.pres != b.pres or a.field != b.field:
+    if not same_data(a, b):
         raise ValueError("representations live over different data")
     quiver = a.pres.quiver
     dims = dims_add(a.dims, b.dims)

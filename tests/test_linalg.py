@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from qvl.linalg import (GF, Matrix, QQ, Subspace, block2x2, hstack,
                         random_invertible, random_matrix, random_nilpotent,
-                        vstack)
+                        sandwich_system, split_blocks, vstack)
 
 F2 = GF(2)
 F5 = GF(5)
+F7 = GF(7)
 
 
 class TestFields:
@@ -56,6 +57,16 @@ class TestMatrixBasics:
         assert m.shape == (2, 2)
         assert m == Matrix(F2, 2, 2, [[0, 1], [0, 0]])
         assert m != Matrix(F2, 2, 2, [[0, 0], [0, 0]])
+
+    def test_constructor_checks_shape_and_coerces(self):
+        with pytest.raises(ValueError):
+            Matrix(F5, 2, 2, [[1, 2]])
+        with pytest.raises(ValueError):
+            Matrix(F5, 1, 2, [[1, 2, 3]])
+        with pytest.raises(ValueError):
+            Matrix(F5, -1, 0)
+        assert Matrix(F5, 1, 3, [[7, -1, Fraction(1, 2)]]).rows == ((2, 4, 3),)
+        assert type(Matrix(QQ, 1, 1, [[2]])[0, 0]) is Fraction
 
     def test_zero_dimension_products(self):
         a = Matrix(F5, 3, 0)
@@ -207,3 +218,94 @@ class TestNilpotentGenerator:
     def test_order_honored(self, n, order, seed):
         m = random_nilpotent(F5, n, order, random.Random(seed))
         assert (m ** order).is_zero()
+
+
+def assert_entries(field, entries):
+    """Every entry is a field element in normal form."""
+    for x in entries:
+        if field == QQ:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < field.p
+
+
+def assert_normal(m: Matrix):
+    """m is what the coercing constructor builds on its rows."""
+    assert type(m.rows) is tuple
+    assert all(type(row) is tuple for row in m.rows)
+    assert m == Matrix(m.field, m.nrows, m.ncols, m.rows)
+    assert_entries(m.field, (x for row in m.rows for x in row))
+
+
+@st.composite
+def trusted_cases(draw):
+    """A field and matrices a (r x k), b (k x c) and a square s, with zero
+    rows, zero columns and empty shapes among them; entries are raw ints
+    or Fractions for the coercing constructor."""
+    field = draw(st.sampled_from([F2, F5, F7, QQ]))
+    entry = (st.fractions(min_value=-4, max_value=4, max_denominator=5)
+             if field == QQ else st.integers(-20, 20))
+    entry = st.one_of(st.just(0), entry)
+    size = st.integers(0, 4)
+    r, k, c, n = draw(size), draw(size), draw(size), draw(size)
+
+    def matrix(nrows, ncols):
+        return Matrix(field, nrows, ncols, [[draw(entry) for _ in range(ncols)]
+                                            for _ in range(nrows)])
+    return field, matrix(r, k), matrix(k, c), matrix(n, n)
+
+
+class TestTrustedResults:
+    """Results of field arithmetic skip the constructor's coercion; they
+    must still be exactly what it would build."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(trusted_cases())
+    def test_products_and_reductions(self, case):
+        field, a, b, s = case
+        prod = a @ b
+        assert_normal(prod)
+
+        def entry(i, j):
+            acc = field.zero
+            for t in range(a.ncols):
+                acc = field.add(acc, field.mul(a[i, t], b[t, j]))
+            return acc
+        assert prod.rows == tuple(tuple(entry(i, j) for j in range(b.ncols))
+                                  for i in range(a.nrows))
+        for m in (a, b, s):
+            red, pivots = m.rref()
+            assert_normal(red)
+            assert len(pivots) == m.rank()
+            for v in m.kernel_basis():
+                assert_entries(field, v)
+                assert all(x == field.zero for x in m.apply(v))
+        if s.is_invertible():
+            inv = s.inverse()
+            assert_normal(inv)
+            assert s @ inv == Matrix.identity(field, s.nrows)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                s.inverse()
+        for m in (Matrix.identity(field, s.nrows),
+                  Matrix.zeros(field, a.nrows, b.ncols), a + a, a - a, -a,
+                  a.scale(3), a.transpose(), hstack(a, a), vstack(b, b),
+                  s ** 2):
+            assert_normal(m)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(trusted_cases())
+    def test_sandwich_system_and_split_blocks(self, case):
+        field, a, b, _ = case
+        shapes = {"x": (a.ncols, b.nrows), "y": (a.ncols, b.nrows)}
+        c = field.coerce(3)
+        system = sandwich_system(field, shapes,
+                                 [[(c, "x", a, b), (-1, "y", a, b)]])
+        assert_normal(system)
+        assert system.shape == (a.nrows * b.ncols, 2 * a.ncols * b.nrows)
+        for vec in system.kernel_basis():
+            blocks = split_blocks(field, shapes, vec)
+            for block in (*blocks.values(),
+                          *split_blocks(field, shapes, list(vec)).values()):
+                assert_normal(block)
+            assert (a @ blocks["x"] @ b).scale(c) == a @ blocks["y"] @ b

@@ -259,6 +259,38 @@ class TestLoopNilpotency:
             loop_nilpotency_index(pres, "a1")
 
 
+class TestBoundOverField:
+    """N = 2 holds for the relation 2*e^2 over Q and F_3, but over F_2 the
+    relation is 0 and e^2 leaves the ideal."""
+
+    @staticmethod
+    def doubled_square():
+        q = one_loop_quiver()
+        return BoundQuiver(q, [Relation([(2, q.path(["e", "e"]))])], 2)
+
+    def test_rejected_over_f2(self):
+        pres = self.doubled_square()
+        with pytest.raises(QuiverError,
+                           match="N=2 is not a truncation bound over F2"):
+            loop_nilpotency_index(pres, "e", GF(2))
+        with pytest.raises(QuiverError, match="over F2"):
+            is_normalized_relation_set(pres.relations, pres, GF(2))
+        with pytest.raises(QuiverError, match="over F2"):
+            ideal_membership(pres.element({pres.quiver.path(["e"]): 1}),
+                             pres, GF(2))
+
+    def test_accepted_over_f3_and_q(self):
+        pres = self.doubled_square()
+        assert loop_nilpotency_index(pres, "e", GF(3)) == 2
+        assert loop_nilpotency_index(pres, "e") == 2
+        assert is_normalized_relation_set(pres.relations, pres, GF(3))
+
+    def test_counting_over_f2_is_unaffected(self):
+        from qvl.counting import count_rep_points
+        # over F_2 the relation vanishes: every 2 x 2 matrix is a point
+        assert count_rep_points(self.doubled_square(), GF(2), {0: 2}) == 16
+
+
 class TestMinimalRelationSets:
     @pytest.mark.parametrize("n,m,l", [(1, 2, 1), (1, 3, 2), (2, 3, 1)])
     def test_family_relations_minimal(self, n, m, l):
@@ -355,6 +387,21 @@ class TestExtSquared:
                            (1, q.path(["a2", "e1"]))])
         pres = BoundQuiver(q, list(base.relations) + [second], 4)
         assert ext2_dimension(pres, pres.relations, 1, 0) == (2, 2)
+
+    def test_products_built_once(self, monkeypatch):
+        import qvl.quiver
+        pres = family_a(3, 5, 2)
+        built = []
+        rows = qvl.quiver._ideal_rows
+
+        def counted(*args):
+            out = rows(*args)
+            built.extend(out)
+            return out
+        monkeypatch.setattr(qvl.quiver, "_ideal_rows", counted)
+        assert ext2_dimension(pres, pres.relations, 1, 0) == (1, 1)
+        assert len(built) == len(rows(pres, pres.relations,
+                                      pres.truncation_bound + 1))
 
     def test_zero_composite_on_a_chain(self):
         # loop-free three-vertex chain with the composite killed
