@@ -17,6 +17,7 @@ or the QVL_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -482,9 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; ``parse_args``
+    leaves it unchanged, so every call can share it."""
+    return build_parser()
+
+
 def run_command(argv) -> tuple[int, dict]:
     """Run one subcommand; returns (exit code, report envelope)."""
-    return _run(build_parser().parse_args(argv))
+    return _run(_parser().parse_args(argv))
 
 
 def _run(args) -> tuple[int, dict]:
@@ -516,7 +524,7 @@ def _error_report(command: str, kind: str, exc: Exception) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     code, report = _run(args)
     text = report.pop("_text", "")
     if args.json:

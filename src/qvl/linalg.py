@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -67,6 +68,44 @@ class PrimeField:
         """Normal form of an integer combination of field elements."""
         return x % self.p
 
+    def row_reduce(self, rows: Sequence[tuple], ncols: int
+                   ) -> tuple[tuple, tuple[int, ...]]:
+        """Gauss-Jordan elimination: the reduced row echelon form of
+        ``rows`` (a tuple of row tuples) and its pivot columns.  Each pivot
+        row is scaled by the inverse of its pivot, and each other row loses
+        its multiple of it, reduced mod p entry by entry."""
+        reduce, zero = self.reduce, self.zero
+        nrows = len(rows)
+        rows = list(rows)
+        pivots: list[int] = []
+        r = 0
+        for c in range(ncols):
+            pivot_row = next((i for i in range(r, nrows)
+                              if rows[i][c] != zero), None)
+            if pivot_row is None:
+                continue
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            inv = self.inv(rows[r][c])
+            top = rows[r] = tuple([reduce(inv * x) for x in rows[r]])
+            for i in range(nrows):
+                factor = rows[i][c]
+                if i != r and factor != zero:
+                    rows[i] = tuple([reduce(x - factor * y)
+                                     for x, y in zip(rows[i], top)])
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return tuple(rows), tuple(pivots)
+
+    def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
+        """The matrix of dot products of each row with each column, as a
+        tuple of row tuples, each entry reduced once."""
+        reduce, zero = self.reduce, self.zero
+        return tuple(
+            tuple([reduce(sum(map(mul, row, col), zero)) for col in cols])
+            for row in rows)
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -122,6 +161,70 @@ class RationalField:
         already normal."""
         return x
 
+    def row_reduce(self, rows: Sequence[tuple], ncols: int
+                   ) -> tuple[tuple, tuple[int, ...]]:
+        """Gauss-Jordan elimination on integer rows: the reduced row
+        echelon form of ``rows`` (a tuple of row tuples) and its pivot
+        columns.
+
+        Each row is scaled by the lcm of its denominators, and elimination
+        runs fraction-free (Bareiss, Math. Comp. 22, 1968): at pivot ``p``,
+        after previous pivot ``prev``, every other row becomes
+        ``(p * row - a * top) // prev``, where ``a`` is its entry in the
+        pivot column and ``top`` the pivot row.  By Sylvester's identity
+        every entry is then a minor of the scaled input, so each division
+        is exact, and every earlier pivot row ends with ``p`` at its pivot.
+        Each integer row is a nonzero multiple of the row that rational
+        elimination would hold, so the pivots are the same: the first
+        nonzero entry of each column in row order.  At the end every pivot
+        equals the last one, ``d``, and each entry is built once as
+        ``Fraction(x, d)``.
+        """
+        zero = self.zero
+        nrows = len(rows)
+        ints = [_cleared(row)[0] for row in rows]
+        pivots: list[int] = []
+        prev = 1
+        r = 0
+        for c in range(ncols):
+            pivot_row = next((i for i in range(r, nrows) if ints[i][c]), None)
+            if pivot_row is None:
+                continue
+            ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+            top = ints[r]
+            p = top[c]
+            for i in range(nrows):
+                if i != r:
+                    row, a = ints[i], ints[i][c]
+                    ints[i] = ([(p * x - a * y) // prev
+                                for x, y in zip(row, top)] if a else
+                               [p * x // prev for x in row])
+            prev = p
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return (tuple(tuple([Fraction(x, prev) if x else zero for x in row])
+                      for row in ints[:r])
+                + ((zero,) * ncols,) * (nrows - r), tuple(pivots))
+
+    def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
+        """The matrix of dot products of each row with each column, as a
+        tuple of row tuples.  Each row and each column is scaled by the lcm
+        of its denominators; the dot products are taken on integers and
+        each entry is built once as ``Fraction(n, da * db)``."""
+        zero = self.zero
+        right = [_cleared(col) for col in cols]
+        out = []
+        for row in rows:
+            a, da = _cleared(row)
+            out_row = []
+            for b, db in right:
+                n = sum(map(mul, a, b))
+                out_row.append(Fraction(n, da * db) if n else zero)
+            out.append(tuple(out_row))
+        return tuple(out)
+
     def add(self, a, b):
         return a + b
 
@@ -157,6 +260,14 @@ class RationalField:
 
 QQ = RationalField()
 
+
+def _cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(ints, den)`` with ``vec == ints / den``, where ``den`` is the lcm
+    of the denominators of the entries."""
+    den = lcm(*[x.denominator for x in vec])
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
 Field = Union[PrimeField, RationalField]
 
 
@@ -175,8 +286,9 @@ class Matrix:
     input, serialized matrices, family builders): it validates the shape
     and coerces every entry.  Results of field arithmetic hold field
     elements already, so the kernels here build them with ``_trusted``,
-    which does neither; the one normalization they apply is
-    ``field.reduce`` on each computed entry.
+    which does neither.  Products and row reduction run in the field's own
+    kernels, ``field.product`` and ``field.row_reduce``; elsewhere the one
+    normalization applied is ``field.reduce`` on each computed entry.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -281,11 +393,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.shape} @ {other.shape}")
-        reduce, zero = f.reduce, f.zero
         cols = tuple(zip(*other.rows)) if other.nrows else ((),) * other.ncols
-        return Matrix._trusted(f, self.nrows, other.ncols, tuple(
-            tuple([reduce(sum(map(mul, row, col), zero)) for col in cols])
-            for row in self.rows))
+        return Matrix._trusted(f, self.nrows, other.ncols,
+                               f.product(self.rows, cols))
 
     def __pow__(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -306,9 +416,7 @@ class Matrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        reduce, zero = self.field.reduce, self.field.zero
-        return tuple([reduce(sum(map(mul, row, vec), zero))
-                      for row in self.rows])
+        return tuple([x for x, in self.field.product(self.rows, (vec,))])
 
     def _check_same_shape(self, other: "Matrix"):
         if (other.field is not self.field and other.field != self.field) \
@@ -321,34 +429,17 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
-        Pivots are the first nonzero entry of each column in row order, so
-        the result is deterministic for identical input.
+        Each field eliminates in its own way (``field.row_reduce``): F_p on
+        reduced residues, Q fraction-free on integer rows.  Both give the
+        same matrix, because the RREF is unique: it depends only on the row
+        space.  Its pivot columns are the columns at which the rank of the
+        leading columns grows, and its row at pivot c is the one vector of
+        the row space that is 1 at c and 0 at every other pivot column.
+        Pivots are the first nonzero entry of each column in row order.
         """
         f = self.field
-        reduce, zero = f.reduce, f.zero
-        nrows = self.nrows
-        rows = list(self.rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = next((i for i in range(r, nrows)
-                              if rows[i][c] != zero), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = f.inv(rows[r][c])
-            top = rows[r] = tuple([reduce(inv * x) for x in rows[r]])
-            for i in range(nrows):
-                factor = rows[i][c]
-                if i != r and factor != zero:
-                    rows[i] = tuple([reduce(x - factor * y)
-                                     for x, y in zip(rows[i], top)])
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return (Matrix._trusted(f, nrows, self.ncols, tuple(rows)),
-                tuple(pivots))
+        rows, pivots = f.row_reduce(self.rows, self.ncols)
+        return Matrix._trusted(f, self.nrows, self.ncols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import qvl.cli
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
                      EXIT_SEMANTIC, main, run_command)
 from qvl.families import family_a, family_lambda
@@ -330,3 +331,45 @@ class TestMainEntry:
                             "--dim", "3", "--q", "2"])
         assert code == EXIT_OK
         assert report["result"]["count"] == 2 ** 6
+
+
+class TestParserReuse:
+    """One parser serves every call of a process; no call may leave
+    anything behind for the next."""
+
+    LAMBDA8 = ["count", "--family", "Lambda", "--m", "8", "--dim", "8",
+               "--q", "2"]
+
+    def test_flags_do_not_carry_over(self, monkeypatch):
+        monkeypatch.delenv("QVL_BUDGET", raising=False)
+        seen = []
+        inner = qvl.cli._run
+        monkeypatch.setattr(qvl.cli, "_run",
+                            lambda args: seen.append(args) or inner(args))
+        calls = [(self.LAMBDA8 + ["--json", "--budget", "5"], EXIT_BUDGET),
+                 (["classify", "--family", "Aprime", "--n", "1",
+                   "--m0", "2", "--m1", "2"], EXIT_OK),
+                 (self.LAMBDA8, EXIT_OK)]
+        assert [run(argv)[0] for argv, _ in calls] == [c for _, c in calls]
+        assert [(a.command, a.json, a.budget) for a in seen] == [
+            ("count", True, 5), ("classify", False, None),
+            ("count", False, None)]
+        for args, (argv, _) in zip(seen, calls):
+            assert vars(args) == vars(qvl.cli.build_parser().parse_args(argv))
+
+    def test_usage_error_then_valid_call(self, rep_files, lam2_file):
+        with pytest.raises(SystemExit) as exc:
+            run_command(["count", "--family", "Lambda", "--m", "2",
+                         "--dim", "2"])
+        assert exc.value.code == 2
+        code, report = run(["check", "--quiver", lam2_file,
+                            "--rep", rep_files["one"]])
+        assert code == EXIT_OK
+        assert report["result"]["valid"]
+
+    def test_bad_input_then_good_input(self):
+        code, report = run(["census-hom", "--n", "2", "--q", "4"])
+        assert code == EXIT_SEMANTIC
+        code, report = run(["census-hom", "--n", "2", "--q", "3"])
+        assert code == EXIT_OK
+        assert report["ok"]

@@ -12,13 +12,16 @@ import pytest
 
 from helpers import random_two_vertex_rep
 from qvl.counting import _span, iter_ext_points, iter_hom_points
-from qvl.extensions import block_shapes, cocycle_space_basis, is_cocycle
+from qvl.extensions import (block_shapes, build_extension,
+                            cocycle_space_basis, is_cocycle,
+                            splitting_from_mono)
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
-from qvl.linalg import (GF, Matrix, QQ, random_matrix, sandwich_system,
-                        split_blocks)
-from qvl.reps import hom_basis
-from qvl.serialize import blocks_to_json, morphism_to_json, rep_from_json
+from qvl.linalg import (GF, Matrix, QQ, random_invertible, random_matrix,
+                        sandwich_system, split_blocks)
+from qvl.reps import Morphism, Representation, hom_basis
+from qvl.serialize import (blocks_to_json, matrix_to_json, morphism_to_json,
+                           rep_from_json, rep_to_json)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -109,6 +112,57 @@ class TestPinnedBases:
         assert seen == {("Lambda(4)", "Fp", 5), ("Lambda(4)", "Q", None),
                         ("A(1,3,1)", "Fp", 3), ("B(1,3)", "Fp", 3),
                         ("A'comm(2)", "Fp", 3)}
+
+
+def _conjugated_jordan(sizes, rng) -> Representation:
+    n = sum(sizes)
+    rows = [[QQ.zero] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = QQ.one
+        start += size
+    g = random_invertible(QQ, n, rng)
+    return Representation(family_lambda(4), QQ, {0: n},
+                          {"e": g @ Matrix(QQ, n, n, rows) @ g.inverse()})
+
+
+def rational_answers(seed=8) -> dict:
+    """Hom and cocycle bases of a seeded Lambda(4) pair over Q, the sub of
+    Jordan type (3, 2) and the quotient of type (4, 1, 1), both conjugated;
+    and the split of a conjugated extension of the quotient by the sub."""
+    rng = random.Random(seed)
+    sub, quo = _conjugated_jordan((3, 2), rng), _conjugated_jordan((4, 1, 1),
+                                                                   rng)
+    cocycles = cocycle_space_basis(quo, sub)
+    blocks = {"e": Matrix.zeros(QQ, 5, 6)}
+    for fam in cocycles:
+        blocks["e"] += fam["e"].scale(rng.randint(-2, 2))
+    middle, _, _ = build_extension(quo, sub, blocks)
+    g = random_invertible(QQ, 11, rng)
+    moved = Representation(middle.pres, QQ, middle.dims,
+                           {"e": g @ middle.mats["e"] @ g.inverse()})
+    embedding = Matrix(QQ, 11, 5, [row[:5] for row in g.rows])
+    base_change, normal_blocks, quotient = splitting_from_mono(
+        Morphism(sub, moved, {0: embedding}))
+    return {
+        "sub": rep_to_json(sub), "quo": rep_to_json(quo),
+        "hom_basis": [morphism_to_json(m) for m in hom_basis(sub, quo)],
+        "cocycle_space_basis": [blocks_to_json(QQ, fam) for fam in cocycles],
+        "split": {"base_change": matrix_to_json(base_change[0]),
+                  "blocks": blocks_to_json(QQ, normal_blocks),
+                  "quotient": rep_to_json(quotient)}}
+
+
+class TestPinnedRational:
+    """The Q answers end to end, as computed when elimination and products
+    over Q still ran on Fractions: integer-row kernels must reproduce
+    them entry for entry."""
+
+    def test_answers_bit_identical(self):
+        pinned = json.loads((DATA / "pinned_rational.json").read_text())
+        assert rational_answers() == pinned
+        assert len(pinned["hom_basis"]) == 9
 
 
 def _flat(mats):

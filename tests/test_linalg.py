@@ -309,3 +309,117 @@ class TestTrustedResults:
                           *split_blocks(field, shapes, list(vec)).values()):
                 assert_normal(block)
             assert (a @ blocks["x"] @ b).scale(c) == a @ blocks["y"] @ b
+
+
+def gauss_jordan_oracle(rows, ncols):
+    """RREF and pivots by the textbook loop on Fractions, every operation
+    a QQ method."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = QQ.inv(rows[r][c])
+        rows[r] = [QQ.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][c]
+            if i != r:
+                rows[i] = [QQ.sub(x, QQ.mul(factor, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def product_oracle(a_rows, b_rows, ncols):
+    out = []
+    for row in a_rows:
+        out_row = []
+        for j in range(ncols):
+            acc = QQ.zero
+            for x, b_row in zip(row, b_rows):
+                acc = QQ.add(acc, QQ.mul(x, b_row[j]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+Q_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+@st.composite
+def q_matrix(draw, nrows=None, ncols=None):
+    """A Q matrix of up to 6 x 6, empty shapes included, whose rows are
+    sometimes multiples of one another or sums of two others."""
+    size = st.integers(0, 6)
+    r = draw(size) if nrows is None else nrows
+    c = draw(size) if ncols is None else ncols
+    rows = [[draw(Q_ENTRY) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        how = draw(st.sampled_from(["free", "free", "multiple", "sum"]))
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        if how == "multiple":
+            scalar = draw(Q_ENTRY)
+            rows[i] = [scalar * x for x in rows[j]]
+        elif how == "sum":
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+    return Matrix(QQ, r, c, rows)
+
+
+class TestRationalKernels:
+    """Over Q, elimination and products run on integer rows; the results
+    must be exactly those of Fraction arithmetic."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(q_matrix())
+    def test_rref_kernel_against_oracle(self, m):
+        red, pivots = m.rref()
+        oracle_red, oracle_pivots = gauss_jordan_oracle(m.rows, m.ncols)
+        assert (red.rows, pivots) == (oracle_red, oracle_pivots)
+        assert_normal(red)
+        assert m.rank() == len(pivots)
+        basis = []
+        for fc in (c for c in range(m.ncols) if c not in pivots):
+            v = [QQ.zero] * m.ncols
+            v[fc] = QQ.one
+            for i, pc in enumerate(pivots):
+                v[pc] = QQ.neg(oracle_red[i][fc])
+            basis.append(tuple(v))
+        assert m.kernel_basis() == basis
+        for v in basis:
+            assert_entries(QQ, v)
+            assert product_oracle(m.rows, [[x] for x in v], 1) == \
+                ((QQ.zero,),) * m.nrows
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 5).flatmap(
+        lambda n: q_matrix(nrows=n, ncols=n)))
+    def test_inverse_against_oracle(self, s):
+        n = s.nrows
+        aug = [row + tuple(QQ.one if i == j else QQ.zero for j in range(n))
+               for i, row in enumerate(s.rows)]
+        red, pivots = gauss_jordan_oracle(aug, 2 * n)
+        if pivots[:n] != tuple(range(n)):
+            with pytest.raises(ZeroDivisionError):
+                s.inverse()
+            return
+        inv = s.inverse()
+        assert inv.rows == tuple(row[n:] for row in red)
+        assert_normal(inv)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                     st.integers(0, 6)).flatmap(
+        lambda s: st.tuples(q_matrix(s[0], s[1]), q_matrix(s[1], s[2]))))
+    def test_product_against_oracle(self, pair):
+        a, b = pair
+        prod = a @ b
+        assert prod.shape == (a.nrows, b.ncols)
+        assert prod.rows == product_oracle(a.rows, b.rows, b.ncols)
+        assert_normal(prod)
