@@ -2,9 +2,10 @@
 
 Counts are exact: a point is counted only after its defining equations are
 checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
-blocks constrained linearly by relations) are kernels of systems built by
-``linalg.sandwich_system`` and are counted through their dimension instead
-of being walked pointwise.
+blocks constrained linearly by relations) are kernels of systems and are
+counted through their dimension instead of being walked pointwise.  Each
+walk compiles the layout of its systems once, as a ``linalg.SandwichPlan``,
+and applies it to every point.
 
 Loop loci are stratified by Jordan type when every loop vertex has exactly
 one loop, every loop has a power relation, and every loop-only relation is a
@@ -58,13 +59,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .extensions import ExtensionTriple, cocycle_kernel
+from .extensions import ExtensionTriple, cocycle_fiber
 from .families import FamilyParameterError, family_a, family_a_prime, family_b
-from .linalg import (Matrix, PrimeField, Subspace, sandwich_system,
-                     split_blocks)
+from .linalg import Matrix, PrimeField, SandwichPlan, Subspace, split_blocks
 from .quiver import BoundQuiver
-from .reps import (HomTriple, Morphism, Representation, hom_kernel,
-                   is_monomorphism, path_product)
+from .reps import (HomTriple, Morphism, Representation, hom_fiber,
+                   is_monomorphism, path_factors, path_product)
 
 DEFAULT_BUDGET = 10**8
 
@@ -268,32 +268,36 @@ def _choose_base(pres: BoundQuiver, dims: Mapping):
     return base, loop_rels, arrow_rels, linear_rels
 
 
-def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
-                              linear_rels):
-    """(arrow, rows, columns) of each arrow outside ``base_mats``, their
-    entry count, and the linear system those entries satisfy once the base
-    matrices (every loop, and any base arrows) are fixed: one term
-    c * base(prefix) @ X_a @ base(suffix) per relation term."""
+def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels
+                ) -> SandwichPlan:
+    """Layout of the linear system that the entries of the arrows outside
+    ``base`` (every loop is in it) satisfy once the base matrices are
+    fixed: one term c * base(prefix) @ X_a @ base(suffix) per term of each
+    linear relation, its sides the prefix and suffix arrows."""
     quiver = pres.quiver
-    shapes = {a: (dims.get(t, 0), dims.get(s, 0))
-              for a, s, t in quiver.arrows if a not in base_mats}
+    shapes = {a: (dims.get(t, 0), dims.get(s, 0)) for a, s, t in quiver.arrows
+              if not (a in base or quiver.is_loop(a))}
     equations = []
     for rel in linear_rels:
         terms = []
         for coeff, path in rel.terms:
-            j = next(i for i, a in enumerate(path.arrows)
-                     if a not in base_mats)
-            arrow = path.arrows[j]
-            terms.append((
-                field.coerce(coeff), arrow,
-                path_product(field, base_mats, path.arrows[:j],
-                             dims.get(quiver.target(arrow), 0)),
-                path_product(field, base_mats, path.arrows[j + 1:],
-                             dims.get(quiver.source(arrow), 0))))
-        equations.append(terms)
-    return ([(a, r, c) for a, (r, c) in shapes.items()],
-            sum(r * c for r, c in shapes.values()),
-            sandwich_system(field, shapes, equations))
+            j = next(i for i, a in enumerate(path.arrows) if a in shapes)
+            terms.append((field.coerce(coeff), path.arrows[j],
+                          path.arrows[:j] or None,
+                          path.arrows[j + 1:] or None))
+        equations.append(((dims.get(rel.target, 0), dims.get(rel.source, 0)),
+                          terms))
+    return SandwichPlan(field, shapes, equations)
+
+
+def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
+                              linear_rels):
+    """(arrow, rows, columns) of each arrow outside ``base_mats``, their
+    entry count, and the linear system of ``_arrow_plan`` at these base
+    matrices (every loop, and any base arrows)."""
+    plan = _arrow_plan(pres, field, dims, base_mats, linear_rels)
+    return ([(a, r, c) for a, (r, c) in plan.shapes.items()], plan.ncols,
+            plan.system(path_factors(plan, base_mats, base_mats)))
 
 
 def _relations_vanish(field, dims, mats, rels) -> bool:
@@ -541,19 +545,27 @@ def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
             yield mats
 
 
-def _points_over(pres: BoundQuiver, field, dims, loop_mats, split,
-                 meter: _Meter) -> Iterator[Representation]:
-    """Every point with the given loop matrices (``split`` as returned by
-    ``_choose_base``): the linear fiber over each base point above them."""
+def _points_over(pres: BoundQuiver, field, dims, split, loop_points,
+                 meter: _Meter) -> Iterator[tuple]:
+    """(point, weight) for every point above each (loop matrices, weight)
+    of ``loop_points`` (``split`` as returned by ``_choose_base``): the
+    linear fiber over each base point above them.  The arrow system's
+    layout is compiled once for the walk, and the points are built from
+    matrices of the planned shapes without re-validation."""
     base, _, base_rels, linear_rels = split
-    for base_mats in _base_points(pres, field, dims, loop_mats, base,
-                                  base_rels, meter):
-        arrow_slots, _, system = _linear_system_for_arrows(
-            pres, field, dims, base_mats, linear_rels)
-        shapes = {a: (r, c) for a, r, c in arrow_slots}
-        for blocks in _walk_fiber(field, shapes, system.kernel_basis(),
-                                  meter):
-            yield Representation(pres, field, dims, {**base_mats, **blocks})
+    plan = _arrow_plan(pres, field, dims, base, linear_rels)
+    full_dims = {x: dims.get(x, 0) for x in pres.quiver.vertices}
+    arrows = pres.quiver.arrow_names()
+    for loop_mats, weight in loop_points:
+        for base_mats in _base_points(pres, field, dims, loop_mats, base,
+                                      base_rels, meter):
+            system = plan.system(path_factors(plan, base_mats, base_mats))
+            for blocks in _walk_fiber(field, plan.shapes,
+                                      system.kernel_basis(), meter):
+                mats = {**base_mats, **blocks}
+                yield Representation._trusted(
+                    pres, field, full_dims, {a: mats[a] for a in arrows}), \
+                    weight
 
 
 def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
@@ -562,14 +574,14 @@ def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
     above each weighted loop point.  Without base arrows a stratum takes
     one step; with them its base points do."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
+    plan = _arrow_plan(pres, field, dims, base, linear_rels)
     count = 0
     for loop_mats, weight in _weighted_loops(pres, field, dims, loop_rels,
                                              meter, stratum_steps=not base):
         for base_mats in _base_points(pres, field, dims, loop_mats, base,
                                       base_rels, meter):
-            _, total, system = _linear_system_for_arrows(
-                pres, field, dims, base_mats, linear_rels)
-            count += weight * field.p ** (total - system.rank())
+            system = plan.system(path_factors(plan, base_mats, base_mats))
+            count += weight * field.p ** (plan.ncols - system.rank())
     return count
 
 
@@ -578,9 +590,10 @@ def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                             ) -> Iterator[Representation]:
     meter = meter or _Meter()
     split = _choose_base(pres, dims)
-    for loop_mats in _iter_loop_assignments(pres, field, dims, split[1],
-                                            meter):
-        yield from _points_over(pres, field, dims, loop_mats, split, meter)
+    loop_points = ((loop_mats, 1) for loop_mats in _iter_loop_assignments(
+        pres, field, dims, split[1], meter))
+    for rep, _ in _points_over(pres, field, dims, split, loop_points, meter):
+        yield rep
 
 
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -645,7 +658,8 @@ def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
     """(x, y, blocks) for every point x of the first variety, every point y
     of the second and every element of the linear fiber over (x, y), in
     that nesting order; ``fiber(x, y)`` gives the fiber's block shapes and
-    kernel basis.  The second variety is listed once, the first streamed."""
+    kernel basis at that pair.  The second variety is listed once, the
+    first streamed."""
     meter = meter or _Meter()
     seconds = list(iter_rep_points(pres, field, second_dims, meter=meter))
     for x in iter_rep_points(pres, field, first_dims, meter=meter):
@@ -657,8 +671,9 @@ def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                     target_dims, meter: _Meter | None = None
                     ) -> Iterator[HomTriple]:
+    fiber = hom_fiber(pres, field, source_dims, target_dims)
     for src, dst, maps in _iter_pair_fibers(pres, field, source_dims,
-                                            target_dims, hom_kernel, meter):
+                                            target_dims, fiber, meter):
         yield HomTriple(src, dst, Morphism(src, dst, maps))
 
 
@@ -669,10 +684,9 @@ def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
     points above J_lam bijectively onto isomorphic points above each of its
     conjugates.  Strata take no steps here."""
     split = _choose_base(pres, dims)
-    for loop_mats, weight in _weighted_loops(pres, field, dims, split[1],
-                                             meter):
-        for rep in _points_over(pres, field, dims, loop_mats, split, meter):
-            yield rep, weight
+    return _points_over(pres, field, dims, split,
+                        _weighted_loops(pres, field, dims, split[1], meter),
+                        meter)
 
 
 def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
@@ -695,20 +709,22 @@ def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
     return total
 
 
-def _injective_homs(x: Representation, y: Representation,
+def _injective_homs(x: Representation, shapes: Mapping, kernel,
                     meter: _Meter) -> int:
-    """Number of homomorphisms x -> y whose vertex maps all have full
-    column rank, found by walking the Hom space."""
+    """Number of homomorphisms out of x, in the Hom space with these vertex
+    map shapes and kernel basis, whose vertex maps all have full column
+    rank, found by walking the Hom space."""
     return sum(all(maps[v].rank() == x.dims[v] for v in maps)
-               for maps in _walk_fiber(x.field, *hom_kernel(x, y), meter))
+               for maps in _walk_fiber(x.field, shapes, kernel, meter))
 
 
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs (each linear
     homomorphism space is counted exactly, not walked)."""
+    fiber = hom_fiber(pres, field, source_dims, target_dims)
     return _count_pairs(pres, field, source_dims, target_dims,
-                        lambda x, y, _: field.p ** len(hom_kernel(x, y)[1]),
+                        lambda x, y, _: field.p ** len(fiber(x, y)[1]),
                         budget)
 
 
@@ -728,24 +744,28 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
     """Number of injective homomorphisms over all source/target pairs."""
-    return _count_pairs(pres, field, source_dims, target_dims,
-                        _injective_homs, budget)
+    fiber = hom_fiber(pres, field, source_dims, target_dims)
+    return _count_pairs(
+        pres, field, source_dims, target_dims,
+        lambda x, y, meter: _injective_homs(x, *fiber(x, y), meter), budget)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                     meter: _Meter | None = None):
     """Extension triples (quotient point, sub point, cocycle blocks)."""
+    fiber = cocycle_fiber(pres, field, quo_dims, sub_dims)
     for quo, sub, blocks in _iter_pair_fibers(pres, field, quo_dims, sub_dims,
-                                              cocycle_kernel, meter):
+                                              fiber, meter):
         yield ExtensionTriple(quo, sub, blocks, check=False)
 
 
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    return _count_pairs(
-        pres, field, quo_dims, sub_dims,
-        lambda x, y, _: field.p ** len(cocycle_kernel(x, y)[1]), budget)
+    fiber = cocycle_fiber(pres, field, quo_dims, sub_dims)
+    return _count_pairs(pres, field, quo_dims, sub_dims,
+                        lambda x, y, _: field.p ** len(fiber(x, y)[1]),
+                        budget)
 
 
 def count_points(task: EnumerationTask) -> int:
@@ -938,6 +958,9 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     # once, then walk its linearly constrained arrow rows and embedding
     # vectors with plain modular arithmetic.
     loop_rels, linear_rels = _classify_relations(pres)
+    plan = _arrow_plan(pres, field, target_dims, (), linear_rels)
+    if list(plan.shapes.values()) != [(1, l)] * n:
+        raise AssertionError("unexpected arrow block shapes")
     for loop_mats in _iter_loop_assignments(pres, field, target_dims,
                                             loop_rels, meter):
         if not loop_mats["e0"].is_zero():
@@ -957,14 +980,11 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         if not ws:
             continue
 
-        arrow_slots, total_slots, system = _linear_system_for_arrows(
-            pres, field, target_dims, loop_mats, linear_rels)
-        if [(r, c) for _, r, c in arrow_slots] != [(1, l)] * n:
-            raise AssertionError("unexpected arrow block shapes")
-        arrow_kernel = system.kernel_basis()
+        arrow_kernel = plan.system(
+            path_factors(plan, loop_mats, loop_mats)).kernel_basis()
         per_solution = len(ws) * len(nonzero)
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
-        for values in _span(field, arrow_kernel, total_slots):
+        for values in _span(field, arrow_kernel, plan.ncols):
             meter.tick(per_solution)
             arrow_rows = tuple(tuple(values[k * l:(k + 1) * l])
                                for k in range(n))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .linalg import (Field, Matrix, hstack, sandwich_system, split_blocks,
+from .linalg import (Field, Matrix, SandwichPlan, hstack, split_blocks,
                      vstack)
 from .quiver import BoundQuiver, Relation, Vertex
-from .reps import (HomTriple, Morphism, Representation, dims_add,
-                   is_monomorphism, gl_action, path_product, same_data,
+from .reps import (DimVector, HomTriple, Morphism, Representation, dims_add,
+                   is_monomorphism, gl_action, path_factors, same_data,
                    standard_complement)
 
 ArrowBlocks = Mapping[str, Matrix]
@@ -81,30 +81,40 @@ def is_cocycle(quo: Representation, sub: Representation,
                for rel in quo.pres.relations)
 
 
-def cocycle_kernel(quo: Representation, sub: Representation
-                   ) -> tuple[dict, list[tuple]]:
-    """Block shapes and the kernel basis of the cocycle system: one equation
-    per relation, one term c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l)
-    per relation term and arrow position j, as in cocycle_value."""
-    if not same_data(quo, sub):
-        raise ValueError("representations live over different data")
-    field = quo.field
-    quiver = quo.pres.quiver
-    shapes = block_shapes(quo.pres, sub.dims, quo.dims)
+def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
+                  sub_dims: DimVector):
+    """Cocycle spaces of pairs of points with these dims, from one compiled
+    layout: a function from (quo, sub) to the block shapes and the kernel
+    basis of the cocycle system, one equation per relation, one term
+    c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l) per relation term
+    and arrow position j, as in cocycle_value."""
     equations = []
-    for rel in quo.pres.relations:
+    for rel in pres.relations:
         terms = []
         for coeff, path in rel.terms:
             c = field.coerce(coeff)
             arrows = path.arrows
-            for j, a in enumerate(arrows):
-                terms.append((c, a,
-                              path_product(field, sub.mats, arrows[:j],
-                                           sub.dims[quiver.target(a)]),
-                              path_product(field, quo.mats, arrows[j + 1:],
-                                           quo.dims[quiver.source(a)])))
-        equations.append(terms)
-    return shapes, sandwich_system(field, shapes, equations).kernel_basis()
+            terms.extend((c, a, arrows[:j] or None, arrows[j + 1:] or None)
+                         for j, a in enumerate(arrows))
+        equations.append(((sub_dims.get(rel.target, 0),
+                           quo_dims.get(rel.source, 0)), terms))
+    plan = SandwichPlan(field, block_shapes(pres, sub_dims, quo_dims),
+                        equations)
+
+    def kernel(quo: Representation, sub: Representation
+               ) -> tuple[dict, list[tuple]]:
+        return plan.shapes, plan.system(
+            path_factors(plan, sub.mats, quo.mats)).kernel_basis()
+    return kernel
+
+
+def cocycle_kernel(quo: Representation, sub: Representation
+                   ) -> tuple[dict, list[tuple]]:
+    """Block shapes and the kernel basis of the cocycle system of one pair,
+    as in cocycle_fiber."""
+    if not same_data(quo, sub):
+        raise ValueError("representations live over different data")
+    return cocycle_fiber(quo.pres, quo.field, quo.dims, sub.dims)(quo, sub)
 
 
 def cocycle_space_basis(quo: Representation,

@@ -137,6 +137,7 @@ def family_lambda(m: int) -> BoundQuiver:
 
 def family_b(n: int, m: int) -> BoundQuiver:
     """The corner family: A(n, m, m-1)."""
+    _require(n >= 1, f"family B needs n >= 1, got {n}")
     _require(m >= 2, f"family B needs m >= 2, got {m}")
     return family_a(n, m, m - 1)
 

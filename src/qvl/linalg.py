@@ -9,6 +9,7 @@ and inverses reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -588,64 +589,133 @@ def _subtract_multiple(field: Field, v: dict, c: Scalar, row: Mapping):
 # --- linear fibers: kernels of sums of sandwiched unknown blocks --------
 
 
-def sandwich_system(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
-                    equations: Iterable[Sequence[tuple]]) -> Matrix:
-    """Matrix of the homogeneous system sum c * L @ X_k @ R = 0, one
-    equation per item, each a sequence of terms (c, k, L, R).
+class SandwichPlan:
+    """The layout of the homogeneous system sum c * L @ X_k @ R = 0, one
+    equation per item, compiled once and applied to many points.
 
     The unknowns are the entries of the blocks X_k with the given shapes,
     block by block in the order of ``shapes`` and row-major inside a block.
+    ``equations`` gives each equation as ((rows, cols), terms), the shape
+    of its value and its terms (c, k, left, right), with c a field element
+    or an int.  A side is None where it is an identity.  Any other side is
+    a label of the caller's for a factor that ``system`` is given at each
+    point; ``sides`` lists them as (label, is_left) pairs, term by term,
+    left before right.  Equations without terms give no rows.
+
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
-    c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j) of
-    X_k.  Coefficients are field elements or ints.  Entries are summed
-    exactly, as ints or Fractions, and each is reduced once with
-    ``field.reduce``.  Callers take ``kernel_basis()`` or ``rank()`` of the
-    result.
+    c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
+    of X_k.  With one identity side, the cells each entry of the other
+    factor adds to are fixed, and the plan lists them; with none, the term
+    keeps only where its rows and columns start, and ``system`` walks the
+    nonzero entries of both factors.  Terms without cells are dropped from
+    the walk, but their factors are still checked.
     """
-    offsets, total = {}, 0
-    for k, (r, c) in shapes.items():
-        offsets[k] = total
-        total += r * c
-    reduce, zero = field.reduce, field.zero
-    rows = []
-    for terms in equations:
-        if not terms:
-            continue
-        out_r, out_c = terms[0][2].nrows, terms[0][3].ncols
-        block = [[zero] * total for _ in range(out_r * out_c)]
-        for coeff, k, left, right in terms:
-            r, c = shapes[k]
-            if (left.nrows, left.ncols, right.nrows, right.ncols) != \
-                    (out_r, r, c, out_c):
-                raise ValueError(
-                    f"term on {k!r}: {left.shape} @ {(r, c)} @ "
-                    f"{right.shape} does not give {(out_r, out_c)}")
-            if not (block and r and c):
-                continue
-            right_cols = [[(j, y) for j, y in enumerate(col) if y]
-                          for col in zip(*right.rows)]
-            for u, left_row in enumerate(left.rows):
-                out_rows = block[u * out_c:(u + 1) * out_c]
-                for i, x in enumerate(left_row):
+
+    def __init__(self, field: Field,
+                 shapes: Mapping[Hashable, tuple[int, int]],
+                 equations: Iterable[tuple]):
+        self.field = field
+        self.shapes = dict(shapes)
+        offsets, total = {}, 0
+        for k, (r, c) in self.shapes.items():
+            offsets[k] = total
+            total += r * c
+        self.ncols = total
+        self.sides: list[tuple] = []
+        self._factor_shapes: list[tuple[int, int]] = []
+        self._terms: list[tuple] = []
+        nrows = 0
+        for (out_r, out_c), terms in equations:
+            for coeff, k, left, right in terms:
+                r, c = self.shapes[k]
+                if (left is None and out_r != r) or \
+                        (right is None and out_c != c):
+                    raise ValueError(
+                        f"term on {k!r}: an identity side cannot map "
+                        f"{(r, c)} to {(out_r, out_c)}")
+                first = len(self.sides)
+                if left is not None:
+                    self.sides.append((left, True))
+                    self._factor_shapes.append((out_r, r))
+                if right is not None:
+                    self.sides.append((right, False))
+                    self._factor_shapes.append((c, out_c))
+                if not (r * c and out_r * out_c):
+                    continue
+                # row (u, v), column (i, j) is at flat index
+                # start + u * du + v * total + i * c + j
+                start = nrows * total + offsets[k]
+                du, step = out_c * total, total + 1
+                if left is None and right is None:      # i = u, j = v
+                    cells = range(start, start + r * c * step, step)
+                elif right is None:         # L[u, i] adds at j = v
+                    cells = [range(s, s + c * step, step)
+                             for u in range(out_r) for i in range(r)
+                             for s in (start + u * du + i * c,)]
+                elif left is None:          # R[j, v] adds at i = u
+                    cells = [range(s, s + r * (du + c), du + c)
+                             for j in range(c) for v in range(out_c)
+                             for s in (start + v * total + j,)]
+                else:
+                    cells = (start, du, c)
+                self._terms.append((coeff, left is not None,
+                                    right is not None, first, cells))
+            if terms:
+                nrows += out_r * out_c
+        self.nrows = nrows
+
+    def system(self, factors: Sequence[Matrix]) -> Matrix:
+        """The system's matrix at one point, given one factor per entry of
+        ``sides``, in order; a factor of another shape than planned raises
+        ValueError.  Entries are summed exactly, as ints or Fractions, and
+        each is reduced once with ``field.reduce``.  Callers take
+        ``kernel_basis()`` or ``rank()`` of the result."""
+        got = [(m.nrows, m.ncols) for m in factors]
+        if got != self._factor_shapes:
+            raise ValueError(f"factor shapes {got} do not match the "
+                             f"planned {self._factor_shapes}")
+        field, total = self.field, self.ncols
+        flat = [field.zero] * (self.nrows * total)
+        for coeff, has_left, has_right, first, cells in self._terms:
+            if has_left and has_right:
+                start, du, c = cells
+                right_cols = [[(j, y) for j, y in enumerate(col) if y]
+                              for col in zip(*factors[first + 1].rows)]
+                for u, left_row in enumerate(factors[first].rows):
+                    for i, x in enumerate(left_row):
+                        if x:
+                            cx, base = coeff * x, start + u * du + i * c
+                            for col in right_cols:
+                                for j, y in col:
+                                    flat[base + j] += cx * y
+                                base += total
+            elif has_left or has_right:
+                for x, entry_cells in zip(itertools.chain.from_iterable(
+                        factors[first].rows), cells):
                     if x:
-                        cx, base = coeff * x, offsets[k] + i * c
-                        for row, col in zip(out_rows, right_cols):
-                            for j, y in col:
-                                row[base + j] += cx * y
-        rows.extend(block)
-    return Matrix._trusted(field, len(rows), total,
-                           tuple([tuple(map(reduce, row)) for row in rows]))
+                        cx = coeff * x
+                        for idx in entry_cells:
+                            flat[idx] += cx
+            else:
+                for idx in cells:
+                    flat[idx] += coeff
+        flat = tuple(map(field.reduce, flat))
+        return Matrix._trusted(field, self.nrows, total, tuple(
+            [flat[i:i + total] for i in range(0, len(flat), total)])
+            if total else ((),) * self.nrows)
 
 
 def split_blocks(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
                  vec: Sequence[Scalar]) -> dict:
-    """Cut a vector of unknowns, ordered as in sandwich_system, into its
+    """Cut a vector of unknowns, ordered as in SandwichPlan, into its
     blocks; its entries are field elements in normal form."""
     out, pos = {}, 0
     for k, (r, c) in shapes.items():
+        end = pos + r * c
         out[k] = Matrix._trusted(field, r, c, tuple(
-            tuple(vec[pos + i * c:pos + (i + 1) * c]) for i in range(r)))
-        pos += r * c
+            [tuple(vec[i:i + c]) for i in range(pos, end, c)]) if c else
+            ((),) * r)
+        pos = end
     return out
 
 

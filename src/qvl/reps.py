@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .linalg import (Field, Matrix, hstack, sandwich_system, split_blocks,
+from .linalg import (Field, Matrix, SandwichPlan, hstack, split_blocks,
                      vstack)
 from .quiver import BoundQuiver, Path, QuiverError, Relation, Vertex
 
@@ -39,6 +39,21 @@ def path_product(field: Field, mats: Mapping[str, Matrix], arrows,
     for arrow in arrows[1:]:
         result = result @ mats[arrow]
     return result
+
+
+def path_factors(plan: SandwichPlan, left_mats: Mapping[str, Matrix],
+                 right_mats: Mapping[str, Matrix]) -> list[Matrix]:
+    """The factors of a plan whose sides are arrow sequences, at one point:
+    the product of ``left_mats`` along each left side, and of
+    ``right_mats`` along each right side."""
+    out = []
+    for arrows, is_left in plan.sides:
+        mats = left_mats if is_left else right_mats
+        result = mats[arrows[0]]
+        for arrow in arrows[1:]:
+            result = result @ mats[arrow]
+        out.append(result)
+    return out
 
 
 class Representation:
@@ -69,6 +84,19 @@ class Representation:
                 raise ValueError(f"arrow {arrow!r}: field mismatch")
             store[arrow] = m
         self.mats = store
+
+    @classmethod
+    def _trusted(cls, pres: BoundQuiver, field: Field, dims: dict,
+                 mats: dict) -> "Representation":
+        """A representation on ``dims``, the dimension of every vertex, and
+        ``mats``, one matrix over ``field`` of the right shape per arrow in
+        ``pres.quiver.arrows`` order, taken as they are."""
+        rep = object.__new__(cls)
+        rep.pres = pres
+        rep.field = field
+        rep.dims = dims
+        rep.mats = mats
+        return rep
 
     @classmethod
     def zero(cls, pres: BoundQuiver, field: Field,
@@ -194,22 +222,36 @@ class HomTriple:
         return hash(self.key())
 
 
+def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
+              target_dims: DimVector):
+    """Hom spaces between points with these dims, from one compiled
+    layout: a function from (source, target) to the shapes of the vertex
+    maps f_x and the kernel basis of the intertwining system
+    target_a f_(s a) - f_(t a) source_a = 0, one equation per arrow, in the
+    stacked entries of all vertex maps."""
+    quiver = pres.quiver
+    shapes = {x: (target_dims.get(x, 0), source_dims.get(x, 0))
+              for x in quiver.vertices}
+    plan = SandwichPlan(field, shapes, [
+        ((shapes[t][0], shapes[s][1]), [(1, s, (a,), None),
+                                        (-1, t, None, (a,))])
+        for a, s, t in quiver.arrows])
+
+    def kernel(source: Representation, target: Representation
+               ) -> tuple[dict, list[tuple]]:
+        return plan.shapes, plan.system(
+            path_factors(plan, target.mats, source.mats)).kernel_basis()
+    return kernel
+
+
 def hom_kernel(source: Representation, target: Representation
                ) -> tuple[dict, list[tuple]]:
-    """Shapes of the vertex maps f_x and the kernel basis of the
-    intertwining system target_a f_(s a) - f_(t a) source_a = 0, one
-    equation per arrow, in the stacked entries of all vertex maps."""
+    """Shapes of the vertex maps and the kernel basis of the intertwining
+    system of one pair, as in hom_fiber."""
     if not same_data(source, target):
         raise ValueError("representations live over different data")
-    field = source.field
-    quiver = source.pres.quiver
-    shapes = {x: (target.dims[x], source.dims[x]) for x in quiver.vertices}
-    ids = {n: Matrix.identity(field, n)
-           for n in {*source.dims.values(), *target.dims.values()}}
-    equations = [[(1, s, target.mats[a], ids[source.dims[s]]),
-                  (-1, t, ids[target.dims[t]], source.mats[a])]
-                 for a, s, t in quiver.arrows]
-    return shapes, sandwich_system(field, shapes, equations).kernel_basis()
+    return hom_fiber(source.pres, source.field, source.dims,
+                     target.dims)(source, target)
 
 
 def hom_basis(source: Representation, target: Representation) -> list[Morphism]:

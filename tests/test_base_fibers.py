@@ -21,7 +21,7 @@ from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF
 from qvl.quiver import BoundQuiver, Quiver, Relation
-from qvl.reps import hom_basis, is_monomorphism
+from qvl.reps import Representation, hom_basis, is_monomorphism
 
 PATH2 = """quiver P2 {
   vertex 0; vertex 1; vertex 2;
@@ -117,6 +117,21 @@ class TestAgainstOdometer:
     def test_base_choice(self, pres, base, dim_list):
         dims = _dims(pres, dim_list[0])
         assert _choose_base(pres, dims)[0] == base
+
+    @pytest.mark.parametrize("pres,dims", [
+        *((pres, _dims(pres, dim_list[1])) for pres, _, dim_list in CASES),
+        (family_a_prime_commuting(2), {0: 1, 1: 2}),
+        (family_a_prime(2, 2, 2), {1: 1})], ids=[*IDS, "A'comm(2)", "A'"])
+    def test_walk_points_equal_validated_ones(self, pres, dims):
+        # the walk builds its points without re-validation
+        arrows = list(pres.quiver.arrow_names())
+        points = list(iter_rep_points(pres, GF(2), dims))
+        assert points
+        for rep in points:
+            built = Representation(pres, GF(2), dims, rep.mats)
+            assert rep == built and rep.key() == built.key()
+            assert rep.dims == built.dims
+            assert list(rep.mats) == list(built.mats) == arrows
 
     def test_base_follows_block_sizes(self):
         # b*a and c*b: {b} costs d1*d2 entries, {a, c} costs d0*d1 + d2*d3

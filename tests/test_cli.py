@@ -128,6 +128,18 @@ class TestExitCodes:
         assert code == EXIT_SEMANTIC
         assert report["error"]["type"] == "semantic"
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--family", "B", "--n", "0", "--m", "3", "--dim", "1,1",
+         "--q", "2"],
+        ["witness-mono", "--m", "3", "--l", "3", "--n", "0", "--q", "2"],
+        ["product-check", "--n", "0", "--m", "2", "--dim", "1,1",
+         "--q", "3"],
+    ])
+    def test_family_b_range_error_names_family_b(self, argv):
+        code, report = run(argv)
+        assert code == EXIT_SEMANTIC
+        assert "family B needs n >= 1" in report["error"]["message"]
+
     def test_missing_source(self, rep_files):
         code, report = run(["check", "--rep", rep_files["one"]])
         assert code == EXIT_SEMANTIC

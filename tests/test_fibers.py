@@ -1,5 +1,6 @@
-"""The shared linear-fiber builder (sandwich_system), the walk over a
-kernel's span, and the Hom/cocycle/arrow systems built on them."""
+"""The shared linear-fiber builder (SandwichPlan, checked against the
+per-call builder it replaced), the walk over a kernel's span, and the
+Hom/cocycle/arrow systems built on them."""
 
 import ast
 import itertools
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_two_vertex_rep
 from qvl.counting import _span, iter_ext_points, iter_hom_points
@@ -17,8 +19,8 @@ from qvl.extensions import (block_shapes, build_extension,
                             splitting_from_mono)
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
-from qvl.linalg import (GF, Matrix, QQ, random_invertible, random_matrix,
-                        sandwich_system, split_blocks)
+from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, random_invertible,
+                        random_matrix, split_blocks)
 from qvl.reps import Morphism, Representation, hom_basis
 from qvl.serialize import (blocks_to_json, matrix_to_json, morphism_to_json,
                            rep_from_json, rep_to_json)
@@ -30,7 +32,7 @@ F5 = GF(5)
 DATA = Path(__file__).resolve().parent / "data"
 
 # Hom and cocycle bases, and the hom/ext walks, as computed by the separate
-# hand-assembled linear systems that sandwich_system replaced.  The present
+# hand-assembled linear systems that the shared builder replaced.  The present
 # code must reproduce them bit for bit: same kernel basis, same order.
 PINNED = json.loads((DATA / "pinned_fibers.json").read_text())
 
@@ -38,11 +40,137 @@ FAMILIES = {"Lambda(4)": family_lambda(4), "A(1,3,1)": family_a(1, 3, 1),
             "B(1,3)": family_b(1, 3), "A'comm(2)": family_a_prime_commuting(2)}
 
 
+def sandwich_system_oracle(field, shapes, equations) -> Matrix:
+    """The per-call builder the plan replaced: the matrix of the system
+    sum c * L @ X_k @ R = 0, one equation per item, each a sequence of
+    terms (c, k, L, R) with identity sides given as identity matrices."""
+    offsets, total = {}, 0
+    for k, (r, c) in shapes.items():
+        offsets[k] = total
+        total += r * c
+    reduce, zero = field.reduce, field.zero
+    rows = []
+    for terms in equations:
+        if not terms:
+            continue
+        out_r, out_c = terms[0][2].nrows, terms[0][3].ncols
+        block = [[zero] * total for _ in range(out_r * out_c)]
+        for coeff, k, left, right in terms:
+            r, c = shapes[k]
+            if (left.nrows, left.ncols, right.nrows, right.ncols) != \
+                    (out_r, r, c, out_c):
+                raise ValueError(f"term on {k!r} does not fit")
+            if not (block and r and c):
+                continue
+            right_cols = [[(j, y) for j, y in enumerate(col) if y]
+                          for col in zip(*right.rows)]
+            for u, left_row in enumerate(left.rows):
+                out_rows = block[u * out_c:(u + 1) * out_c]
+                for i, x in enumerate(left_row):
+                    if x:
+                        cx, base = coeff * x, offsets[k] + i * c
+                        for row, col in zip(out_rows, right_cols):
+                            for j, y in col:
+                                row[base + j] += cx * y
+        rows.extend(block)
+    return Matrix._trusted(field, len(rows), total,
+                           tuple([tuple(map(reduce, row)) for row in rows]))
+
+
+def _oracle_equations(field, shapes, equations, factors):
+    """The plan's equations at one point, with explicit identity sides."""
+    factors = iter(factors)
+    out = []
+    for (out_r, out_c), terms in equations:
+        out.append([
+            (coeff, k,
+             Matrix.identity(field, out_r) if left is None else next(factors),
+             Matrix.identity(field, out_c) if right is None
+             else next(factors))
+            for coeff, k, left, right in terms])
+    return out
+
+
+def _typed(m: Matrix):
+    return [(type(x), x) for row in m.rows for x in row]
+
+
+@st.composite
+def sandwich_cases(draw):
+    """A field, block shapes, equations whose terms have identity or
+    given sides, and up to three points' factors, with zero rows, zero
+    columns and zero entries among them."""
+    field = draw(st.sampled_from([F2, F5, QQ]))
+    entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5)
+                      if field == QQ else st.integers(-9, 9))
+    size = st.integers(0, 3)
+    keys = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    shapes = {k: (draw(size), draw(size)) for k in keys}
+    equations = []
+    for _ in range(draw(st.integers(0, 3))):
+        # mostly a block's own rows and columns, so identity sides fit
+        out_r = draw(st.one_of(st.sampled_from([r for r, _ in
+                                                shapes.values()]), size))
+        out_c = draw(st.one_of(st.sampled_from([c for _, c in
+                                                shapes.values()]), size))
+        terms = []
+        for t in range(draw(st.integers(0, 3))):
+            k = draw(st.sampled_from(keys))
+            r, c = shapes[k]
+            left = f"L{t}" if out_r != r or draw(st.booleans()) else None
+            right = f"R{t}" if out_c != c or draw(st.booleans()) else None
+            terms.append((field.coerce(draw(entry)), k, left, right))
+        equations.append(((out_r, out_c), terms))
+
+    def point():
+        factors = []
+        for (out_r, out_c), terms in equations:
+            for _, k, left, right in terms:
+                r, c = shapes[k]
+                for side, (nrows, ncols) in ((left, (out_r, r)),
+                                             (right, (c, out_c))):
+                    if side is not None:
+                        factors.append(Matrix(field, nrows, ncols, [
+                            [draw(entry) for _ in range(ncols)]
+                            for _ in range(nrows)]))
+        return factors
+    return field, shapes, equations, [point() for _ in
+                                      range(draw(st.integers(1, 3)))]
+
+
 class TestSandwichSystem:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sandwich_cases())
+    def test_plan_matches_the_per_call_builder(self, case):
+        field, shapes, equations, points = case
+        plan = SandwichPlan(field, shapes, equations)
+        for factors in points:
+            system = plan.system(factors)
+            expected = sandwich_system_oracle(
+                field, shapes,
+                _oracle_equations(field, shapes, equations, factors))
+            fresh = SandwichPlan(field, shapes, equations).system(factors)
+            assert system.shape == expected.shape
+            assert _typed(system) == _typed(expected) == _typed(fresh)
+            assert system.rank() == expected.rank()
+            assert system.kernel_basis() == expected.kernel_basis()
+        factors = points[0]
+        if factors:
+            m = factors[0]
+            with pytest.raises(ValueError):
+                plan.system([Matrix.zeros(field, m.nrows + 1, m.ncols),
+                             *factors[1:]])
+            with pytest.raises(ValueError):
+                plan.system(factors[1:])
+
     @pytest.mark.parametrize("field", [F5, QQ])
     def test_system_applies_the_sum_of_products(self, field):
         rng = random.Random(7)
         shapes = {"x": (2, 3), "y": (3, 3)}
+        c1, c2 = field.coerce(2), field.coerce(-3)
+        plan = SandwichPlan(field, shapes, [((4, 2), [
+            (c1, "x", "l1", "r1"), (c2, "y", "l2", "r2"),
+            (c1, "y", "l2", "r2")])])
         for _ in range(10):
             blocks = {k: random_matrix(field, r, c, rng)
                       for k, (r, c) in shapes.items()}
@@ -50,9 +178,7 @@ class TestSandwichSystem:
                 random_matrix(field, 3, 2, rng)
             l2, r2 = random_matrix(field, 4, 3, rng), \
                 random_matrix(field, 3, 2, rng)
-            c1, c2 = field.coerce(2), field.coerce(-3)
-            system = sandwich_system(field, shapes, [
-                [(c1, "x", l1, r1), (c2, "y", l2, r2), (c1, "y", l2, r2)]])
+            system = plan.system([l1, r1, l2, r2, l2, r2])
             expected = ((l1 @ blocks["x"] @ r1).scale(c1)
                         + (l2 @ blocks["y"] @ r2).scale(c2)
                         + (l2 @ blocks["y"] @ r2).scale(c1))
@@ -69,14 +195,17 @@ class TestSandwichSystem:
         assert blocks["c"].rows == ((3, 4),)
 
     def test_no_equations_leaves_every_entry_free(self):
-        system = sandwich_system(F2, {"x": (2, 2)}, [[]])
+        system = SandwichPlan(F2, {"x": (2, 2)}, [((2, 2), [])]).system([])
         assert system.shape == (0, 4)
         assert len(system.kernel_basis()) == 4
 
     def test_mismatched_term_is_rejected(self):
         ident = Matrix.identity(F2, 2)
+        plan = SandwichPlan(F2, {"x": (2, 3)}, [((2, 2), [(1, "x", "L", "R")])])
         with pytest.raises(ValueError):
-            sandwich_system(F2, {"x": (2, 3)}, [[(1, "x", ident, ident)]])
+            plan.system([ident, ident])
+        with pytest.raises(ValueError):
+            SandwichPlan(F2, {"x": (2, 3)}, [((2, 2), [(1, "x", None, None)])])
 
 
 class TestSpan:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvl.linalg import (GF, Matrix, QQ, Subspace, block2x2, hstack,
-                        random_invertible, random_matrix, random_nilpotent,
-                        sandwich_system, split_blocks, vstack)
+from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, Subspace, block2x2,
+                        hstack, random_invertible, random_matrix,
+                        random_nilpotent, split_blocks, vstack)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -299,8 +299,8 @@ class TestTrustedResults:
         field, a, b, _ = case
         shapes = {"x": (a.ncols, b.nrows), "y": (a.ncols, b.nrows)}
         c = field.coerce(3)
-        system = sandwich_system(field, shapes,
-                                 [[(c, "x", a, b), (-1, "y", a, b)]])
+        system = SandwichPlan(field, shapes, [((a.nrows, b.ncols), [
+            (c, "x", "a", "b"), (-1, "y", "a", "b")])]).system([a, b, a, b])
         assert_normal(system)
         assert system.shape == (a.nrows * b.ncols, 2 * a.ncols * b.nrows)
         for vec in system.kernel_basis():
