@@ -5,7 +5,11 @@ checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
 blocks constrained linearly by relations) are kernels of systems and are
 counted through their dimension instead of being walked pointwise.  Each
 walk compiles the layout of its systems once, as a ``linalg.SandwichPlan``,
-and applies it to every point.
+and applies it to every point.  A walk over a linear fiber streams flat
+coordinate vectors in the plan's layout; ``Representation``, ``Morphism``
+and ``HomTriple`` objects are built only where a caller asks for one (the
+rep walk and the public hom, mono and ext iterators), and the census checks
+its points as int tuples.
 
 Loop loci are stratified by Jordan type when every loop vertex has exactly
 one loop, every loop has a power relation, and every loop-only relation is a
@@ -450,7 +454,8 @@ def _nilpotent_orbit(field, lam: Sequence[int]) -> list[Matrix]:
 
     Conjugation by the transvections I + E_ij and by diag(g, 1, .., 1), with
     g a primitive root, generates the action of GL_d(F_p); the closure is
-    checked against the orbit-size formula."""
+    checked against the orbit-size formula.  Every entry is reduced mod p
+    as it is computed, so the points are built without re-coercion."""
     p, d = field.p, sum(lam)
     g = _primitive_root(p) if d > 1 else 1
     g_inv = pow(g, -1, p)
@@ -480,7 +485,8 @@ def _nilpotent_orbit(field, lam: Sequence[int]) -> list[Matrix]:
         raise AssertionError(
             f"orbit of Jordan type {tuple(lam)} has {len(orbit)} points, "
             f"not {nilpotent_orbit_size(lam, p)}")
-    return [Matrix(field, d, d, [x[i * d:(i + 1) * d] for i in range(d)])
+    return [Matrix._trusted(field, d, d,
+                            tuple(x[i * d:(i + 1) * d] for i in range(d)))
             for x in orbit]
 
 
@@ -560,9 +566,9 @@ def _points_over(pres: BoundQuiver, field, dims, split, loop_points,
         for base_mats in _base_points(pres, field, dims, loop_mats, base,
                                       base_rels, meter):
             system = plan.system(path_factors(plan, base_mats, base_mats))
-            for blocks in _walk_fiber(field, plan.shapes,
-                                      system.kernel_basis(), meter):
-                mats = {**base_mats, **blocks}
+            for vec in _walk_fiber(field, plan.ncols, system.kernel_basis(),
+                                   meter):
+                mats = {**base_mats, **split_blocks(field, plan.shapes, vec)}
                 yield Representation._trusted(
                     pres, field, full_dims, {a: mats[a] for a in arrows}), \
                     weight
@@ -628,53 +634,58 @@ def _span(field: PrimeField, kernel: Sequence[Sequence[int]],
           size: int) -> Iterator[list]:
     """Every linear combination of the kernel vectors, as a list of ``size``
     entries, with coefficients in itertools.product order (the last one
-    varies fastest)."""
+    varies fastest).  Each vector is the previous one plus the kernel
+    vector whose coefficient steps up, and plus each vector whose
+    coefficient wraps from p - 1 to 0 (p times a vector is zero)."""
     p = field.p
-
-    def walk(i: int, acc: list):
-        if i == len(kernel):
-            yield acc
+    acc = [0] * size
+    coeffs = [0] * len(kernel)
+    while True:
+        yield acc
+        for i in reversed(range(len(kernel))):
+            acc = [(x + y) % p for x, y in zip(acc, kernel[i])]
+            coeffs[i] = (coeffs[i] + 1) % p
+            if coeffs[i]:
+                break
+        else:
             return
-        vec = kernel[i]
-        for _ in range(p):
-            yield from walk(i + 1, acc)
-            acc = [(x + y) % p for x, y in zip(acc, vec)]
-
-    return walk(0, [0] * size)
 
 
-def _walk_fiber(field: PrimeField, shapes: Mapping, kernel, meter: _Meter):
-    """Every element of the span of ``kernel``, cut into blocks of the given
-    shapes, in ``_span`` order, with one step planned and taken per
+def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter):
+    """Every element of the span of ``kernel``, as a list of ``size``
+    entries in ``_span`` order, with one step planned and taken per
     element."""
     meter.precheck(field.p ** len(kernel))
-    for vec in _span(field, kernel, sum(r * c for r, c in shapes.values())):
+    for vec in _span(field, kernel, size):
         meter.tick()
-        yield split_blocks(field, shapes, vec)
+        yield vec
 
 
 def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
-                      second_dims, fiber, meter: _Meter | None):
-    """(x, y, blocks) for every point x of the first variety, every point y
-    of the second and every element of the linear fiber over (x, y), in
-    that nesting order; ``fiber(x, y)`` gives the fiber's block shapes and
-    kernel basis at that pair.  The second variety is listed once, the
+                      second_dims, shapes, kernel, meter: _Meter | None):
+    """(x, y, vec) for every point x of the first variety, every point y
+    of the second and every element vec of the linear fiber over (x, y),
+    in that nesting order: a flat vector in the layout of the block
+    ``shapes``, in the span of ``kernel(x, y)`` (as hom_fiber and
+    cocycle_fiber give them).  The second variety is listed once, the
     first streamed."""
     meter = meter or _Meter()
+    size = sum(r * c for r, c in shapes.values())
     seconds = list(iter_rep_points(pres, field, second_dims, meter=meter))
     for x in iter_rep_points(pres, field, first_dims, meter=meter):
         for y in seconds:
-            for blocks in _walk_fiber(field, *fiber(x, y), meter):
-                yield x, y, blocks
+            for vec in _walk_fiber(field, size, kernel(x, y), meter):
+                yield x, y, vec
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                     target_dims, meter: _Meter | None = None
                     ) -> Iterator[HomTriple]:
-    fiber = hom_fiber(pres, field, source_dims, target_dims)
-    for src, dst, maps in _iter_pair_fibers(pres, field, source_dims,
-                                            target_dims, fiber, meter):
-        yield HomTriple(src, dst, Morphism(src, dst, maps))
+    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
+    for src, dst, vec in _iter_pair_fibers(pres, field, source_dims,
+                                           target_dims, shapes, kernel, meter):
+        yield HomTriple(src, dst, Morphism._trusted(
+            src, dst, split_blocks(field, shapes, vec)))
 
 
 def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
@@ -714,17 +725,20 @@ def _injective_homs(x: Representation, shapes: Mapping, kernel,
     """Number of homomorphisms out of x, in the Hom space with these vertex
     map shapes and kernel basis, whose vertex maps all have full column
     rank, found by walking the Hom space."""
-    return sum(all(maps[v].rank() == x.dims[v] for v in maps)
-               for maps in _walk_fiber(x.field, shapes, kernel, meter))
+    field = x.field
+    size = sum(r * c for r, c in shapes.values())
+    return sum(all(m.rank() == x.dims[v]
+                   for v, m in split_blocks(field, shapes, vec).items())
+               for vec in _walk_fiber(field, size, kernel, meter))
 
 
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs (each linear
     homomorphism space is counted exactly, not walked)."""
-    fiber = hom_fiber(pres, field, source_dims, target_dims)
+    _, kernel = hom_fiber(pres, field, source_dims, target_dims)
     return _count_pairs(pres, field, source_dims, target_dims,
-                        lambda x, y, _: field.p ** len(fiber(x, y)[1]),
+                        lambda x, y, _: field.p ** len(kernel(x, y)),
                         budget)
 
 
@@ -744,27 +758,29 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
     """Number of injective homomorphisms over all source/target pairs."""
-    fiber = hom_fiber(pres, field, source_dims, target_dims)
+    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
     return _count_pairs(
         pres, field, source_dims, target_dims,
-        lambda x, y, meter: _injective_homs(x, *fiber(x, y), meter), budget)
+        lambda x, y, meter: _injective_homs(x, shapes, kernel(x, y), meter),
+        budget)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                     meter: _Meter | None = None):
     """Extension triples (quotient point, sub point, cocycle blocks)."""
-    fiber = cocycle_fiber(pres, field, quo_dims, sub_dims)
-    for quo, sub, blocks in _iter_pair_fibers(pres, field, quo_dims, sub_dims,
-                                              fiber, meter):
-        yield ExtensionTriple(quo, sub, blocks, check=False)
+    shapes, kernel = cocycle_fiber(pres, field, quo_dims, sub_dims)
+    for quo, sub, vec in _iter_pair_fibers(pres, field, quo_dims, sub_dims,
+                                           shapes, kernel, meter):
+        yield ExtensionTriple(quo, sub, split_blocks(field, shapes, vec),
+                              check=False)
 
 
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    fiber = cocycle_fiber(pres, field, quo_dims, sub_dims)
+    _, kernel = cocycle_fiber(pres, field, quo_dims, sub_dims)
     return _count_pairs(pres, field, quo_dims, sub_dims,
-                        lambda x, y, _: field.p ** len(fiber(x, y)[1]),
+                        lambda x, y, _: field.p ** len(kernel(x, y)),
                         budget)
 
 
@@ -817,13 +833,14 @@ def hom_counterexample_census(n: int, q: int,
     if n < 1:
         raise FamilyParameterError(f"the census needs n >= 1, got {n}")
     field = PrimeField(q)
+    p = field.p
     meter = _Meter(budget)
     meter.precheck(q ** (n + 1))
     points = []
     for values in itertools.product(field.elements(), repeat=n + 1):
         meter.tick()
         b, avec = values[0], values[1:]
-        if all(field.mul(a, b) == field.zero for a in avec):
+        if not any(a * b % p for a in avec):
             points.append((b, avec))
     total = len(points)
     count_b_zero = sum(1 for b, _ in points if b == field.zero)
@@ -835,23 +852,43 @@ def hom_counterexample_census(n: int, q: int,
     pres = family_a_prime(n, 2, 2)
     source_dims = {0: 0, 1: 1}
     target_dims = {0: 1, 1: 1}
+    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
+    sizes = [r * c for r, c in shapes.values()]
+    b_at = sum(sizes[:pres.quiver.vertices.index(1)])
+    a_arrows = [f"a{i}" for i in range(1, n + 1)]
+    # Each triple is keyed by all its coordinates as ints: those of the
+    # source and the target, read once per run of vectors over a pair, and
+    # the vertex maps in the Hom plan's layout.  The source variety is one
+    # point, so each target is read once.
     seen = set()
     image = set()
-    for triple in iter_hom_points(pres, field, source_dims, target_dims,
-                                  meter=meter):
+    x = y = None
+    for src, dst, vec in _iter_pair_fibers(pres, field, source_dims,
+                                           target_dims, shapes, kernel,
+                                           meter):
+        if src is not x:
+            x, x_flat = src, _coordinates(src)
+        if dst is not y:
+            y, y_flat = dst, _coordinates(dst)
+            avec = tuple(dst.mats[a][0, 0] for a in a_arrows)
         size = len(seen)
-        seen.add(triple.key())
+        seen.add((x_flat, y_flat, tuple(vec)))
         if len(seen) == size:
             raise AssertionError("duplicate homomorphism point")
-        b = triple.morphism.maps[1][0, 0]
-        avec = tuple(triple.target.mats[f"a{i}"][0, 0]
-                     for i in range(1, n + 1))
-        if not all(field.mul(a, b) == field.zero for a in avec):
+        b = vec[b_at]
+        if any(a * b % p for a in avec):
             raise AssertionError("homomorphism point violates a_i b = 0")
         image.add((b, avec))
     bijective = len(seen) == total and image == set(points)
     return CensusResult(n, q, total, count_b_zero, count_a_zero, union_ok,
                         bijective)
+
+
+def _coordinates(rep: Representation) -> tuple:
+    """Every entry of every arrow matrix of ``rep``, arrows in quiver
+    order and entries row-major."""
+    return tuple(v for a, _, _ in rep.pres.quiver.arrows
+                 for row in rep.mats[a].rows for v in row)
 
 
 @dataclass

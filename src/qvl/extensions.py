@@ -84,7 +84,7 @@ def is_cocycle(quo: Representation, sub: Representation,
 def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
                   sub_dims: DimVector):
     """Cocycle spaces of pairs of points with these dims, from one compiled
-    layout: a function from (quo, sub) to the block shapes and the kernel
+    layout: the block shapes, and a function from (quo, sub) to the kernel
     basis of the cocycle system, one equation per relation, one term
     c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l) per relation term
     and arrow position j, as in cocycle_value."""
@@ -101,11 +101,10 @@ def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
     plan = SandwichPlan(field, block_shapes(pres, sub_dims, quo_dims),
                         equations)
 
-    def kernel(quo: Representation, sub: Representation
-               ) -> tuple[dict, list[tuple]]:
-        return plan.shapes, plan.system(
+    def kernel(quo: Representation, sub: Representation) -> list[tuple]:
+        return plan.system(
             path_factors(plan, sub.mats, quo.mats)).kernel_basis()
-    return kernel
+    return plan.shapes, kernel
 
 
 def cocycle_kernel(quo: Representation, sub: Representation
@@ -114,7 +113,8 @@ def cocycle_kernel(quo: Representation, sub: Representation
     as in cocycle_fiber."""
     if not same_data(quo, sub):
         raise ValueError("representations live over different data")
-    return cocycle_fiber(quo.pres, quo.field, quo.dims, sub.dims)(quo, sub)
+    shapes, kernel = cocycle_fiber(quo.pres, quo.field, quo.dims, sub.dims)
+    return shapes, kernel(quo, sub)
 
 
 def cocycle_space_basis(quo: Representation,

@@ -169,6 +169,19 @@ class Morphism:
             store[x] = m
         self.maps = store
 
+    @classmethod
+    def _trusted(cls, source: Representation, target: Representation,
+                 maps: dict) -> "Morphism":
+        """A morphism from ``source`` to ``target``, two points over the
+        same data, on ``maps``, one matrix of the right shape per vertex in
+        ``quiver.vertices`` order, taken as they are."""
+        mor = object.__new__(cls)
+        mor.source = source
+        mor.target = target
+        mor.field = source.field
+        mor.maps = maps
+        return mor
+
     def intertwines(self) -> bool:
         """Check target_a . f_(s a) == f_(t a) . source_a for every arrow."""
         for arrow, src, dst in self.source.pres.quiver.arrows:
@@ -225,8 +238,8 @@ class HomTriple:
 def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
               target_dims: DimVector):
     """Hom spaces between points with these dims, from one compiled
-    layout: a function from (source, target) to the shapes of the vertex
-    maps f_x and the kernel basis of the intertwining system
+    layout: the shapes of the vertex maps f_x, and a function from
+    (source, target) to the kernel basis of the intertwining system
     target_a f_(s a) - f_(t a) source_a = 0, one equation per arrow, in the
     stacked entries of all vertex maps."""
     quiver = pres.quiver
@@ -238,10 +251,10 @@ def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
         for a, s, t in quiver.arrows])
 
     def kernel(source: Representation, target: Representation
-               ) -> tuple[dict, list[tuple]]:
-        return plan.shapes, plan.system(
+               ) -> list[tuple]:
+        return plan.system(
             path_factors(plan, target.mats, source.mats)).kernel_basis()
-    return kernel
+    return plan.shapes, kernel
 
 
 def hom_kernel(source: Representation, target: Representation
@@ -250,8 +263,9 @@ def hom_kernel(source: Representation, target: Representation
     system of one pair, as in hom_fiber."""
     if not same_data(source, target):
         raise ValueError("representations live over different data")
-    return hom_fiber(source.pres, source.field, source.dims,
-                     target.dims)(source, target)
+    shapes, kernel = hom_fiber(source.pres, source.field, source.dims,
+                               target.dims)
+    return shapes, kernel(source, target)
 
 
 def hom_basis(source: Representation, target: Representation) -> list[Morphism]:

@@ -11,17 +11,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qvl.counting import (BudgetExceededError, _choose_base,
-                          _classify_relations, count_ext_points,
-                          count_hom_points, count_mono_points,
-                          count_rep_points, iter_hom_points, iter_rep_points,
+                          _classify_relations, _iter_pair_fibers,
+                          count_ext_points, count_hom_points,
+                          count_mono_points, count_rep_points,
+                          iter_ext_points, iter_hom_points, iter_rep_points,
                           rep_ambient_dim)
 from qvl.dsl import parse_quiver_spec
-from qvl.extensions import cocycle_space_basis
+from qvl.extensions import cocycle_fiber, cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF
+from qvl.linalg import GF, split_blocks
 from qvl.quiver import BoundQuiver, Quiver, Relation
-from qvl.reps import Representation, hom_basis, is_monomorphism
+from qvl.reps import (HomTriple, Morphism, Representation, hom_basis,
+                      hom_fiber, is_monomorphism)
 
 PATH2 = """quiver P2 {
   vertex 0; vertex 1; vertex 2;
@@ -132,6 +134,29 @@ class TestAgainstOdometer:
             assert rep == built and rep.key() == built.key()
             assert rep.dims == built.dims
             assert list(rep.mats) == list(built.mats) == arrows
+
+    @pytest.mark.parametrize("pres,source_dims,target_dims", [
+        (parse_quiver_spec(SQUARE), {0: 1, 1: 1, 2: 0, 3: 1},
+         {0: 1, 1: 1, 2: 1, 3: 1}),
+        (parse_quiver_spec(SANDWICH), {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 1}),
+        (family_a(1, 3, 1), {0: 1, 1: 1}, {0: 1, 1: 2})],
+        ids=["square", "sandwich", "A(1,3,1)"])
+    def test_walk_triples_equal_validated_ones(self, pres, source_dims,
+                                               target_dims):
+        # the walk builds its morphisms without re-validation
+        field = GF(2)
+        vertices = list(pres.quiver.vertices)
+        triples = list(iter_hom_points(pres, field, source_dims, target_dims))
+        assert len(triples) > len({t.target.key() for t in triples})
+        for t in triples:
+            src = Representation(pres, field, source_dims, t.source.mats)
+            dst = Representation(pres, field, target_dims, t.target.mats)
+            built = HomTriple(src, dst, Morphism(src, dst, t.morphism.maps))
+            assert t == built and t.key() == built.key()
+            assert t.morphism == built.morphism
+            assert list(t.morphism.maps) == list(built.morphism.maps) \
+                == vertices
+            assert t.morphism.field == field and t.morphism.intertwines()
 
     def test_base_follows_block_sizes(self):
         # b*a and c*b: {b} costs d1*d2 entries, {a, c} costs d0*d1 + d2*d3
@@ -289,3 +314,30 @@ def test_random_presentations_agree_with_odometer(spec, q):
     assert count_mono_points(pres, field, first, second) \
         == sum(is_monomorphism(t.morphism)
                for t in iter_hom_points(pres, field, first, second)), text
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(presentations(), st.sampled_from([2, 3]))
+def test_flat_pair_streams_cut_into_the_public_points(spec, q):
+    # the pair walk streams flat vectors; cut into blocks they give the
+    # public iterators' points, in their order
+    text, dim_tuple = spec
+    pres = parse_quiver_spec(text)
+    field = GF(q)
+    first = _shrink(pres, _dims(pres, dim_tuple), q, 16)
+    second = _shrink(pres, _dims(pres, reversed(dim_tuple)), q, 16)
+    vertices, arrows = pres.quiver.vertices, pres.quiver.arrow_names()
+    for (shapes, kernel), points, labels in (
+            (hom_fiber(pres, field, first, second),
+             iter_hom_points(pres, field, first, second), vertices),
+            (cocycle_fiber(pres, field, first, second),
+             iter_ext_points(pres, field, first, second), arrows)):
+        cut = []
+        for x, y, vec in _iter_pair_fibers(pres, field, first, second,
+                                           shapes, kernel, None):
+            assert len(vec) == sum(r * c for r, c in shapes.values())
+            blocks = split_blocks(field, shapes, vec)
+            cut.append((x.key(), y.key(), tuple(blocks[k] for k in labels)))
+        assert cut == [t.key() for t in points], text

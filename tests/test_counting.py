@@ -1,11 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qvl import counting
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           _classify_relations, _filter_loop_assignments,
-                          _iter_loop_assignments, _linear_system_for_arrows,
-                          _loop_strata, ambient_dimension,
+                          _iter_loop_assignments, _jordan_matrix,
+                          _linear_system_for_arrows, _loop_strata,
+                          _nilpotent_orbit, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, hom_counterexample_census,
@@ -187,6 +191,18 @@ class TestJordanStrata:
                                                   loop_rels, None))
         assert again == streamed
 
+    @pytest.mark.parametrize("lam,q", [((2, 1), 3), ((3,), 2), ((2, 2), 2),
+                                       ((2,), 5), ((1, 1), 7)])
+    def test_orbit_equals_coerced_construction(self, lam, q):
+        field = GF(q)
+        orbit = _nilpotent_orbit(field, lam)
+        coerced = [Matrix(field, m.nrows, m.ncols, [list(r) for r in m.rows])
+                   for m in orbit]
+        assert orbit == coerced
+        assert all(m.rows == c.rows for m, c in zip(orbit, coerced))
+        assert orbit[0] == _jordan_matrix(field, lam)
+        assert len(orbit) == nilpotent_orbit_size(lam, q)
+
     def test_budget_charges_visited_points(self):
         # 105 loop points, each with a one-point arrow fiber; the filter
         # would have planned all 3^9 loop matrices
@@ -349,6 +365,48 @@ class TestCensus:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             hom_counterexample_census(3, 5, budget=10)
+
+    @pytest.mark.parametrize("n,q,steps", [(3, 2, 36), (7, 3, 10940),
+                                           (4, 5, 4382)])
+    def test_meter(self, n, q, steps, monkeypatch):
+        meters = []
+
+        class Recording(_Meter):
+            def __init__(self, budget=None):
+                super().__init__(budget)
+                meters.append(self)
+
+        monkeypatch.setattr(counting, "_Meter", Recording)
+        hom_counterexample_census(n, q)
+        assert [(m.used, m.planned) for m in meters] == [(steps, steps)]
+
+    def test_duplicate_point_is_caught(self, monkeypatch):
+        walk = counting._iter_pair_fibers
+
+        def repeat_first(*args):
+            points = walk(*args)
+            first = next(points)
+            yield first
+            yield first[0], first[1], list(first[2])
+            yield from points
+
+        monkeypatch.setattr(counting, "_iter_pair_fibers", repeat_first)
+        with pytest.raises(AssertionError,
+                           match="^duplicate homomorphism point$"):
+            hom_counterexample_census(2, 3)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda q: st.tuples(
+        st.just(q), st.integers(1, max(n for n in range(1, 15)
+                                       if q ** (n + 1) <= 20000)))))
+    def test_closed_form(self, qn):
+        q, n = qn
+        res = hom_counterexample_census(n, q)
+        assert res.total == q ** n + q - 1
+        assert res.count_b_zero == q ** n
+        assert res.count_a_zero == q
+        assert res.union_verified
+        assert res.hom_bijection_verified
 
 
 class TestWitness:
