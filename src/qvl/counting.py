@@ -5,11 +5,13 @@ checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
 blocks constrained linearly by relations) are kernels of systems and are
 counted through their dimension instead of being walked pointwise.  Each
 walk compiles the layout of its systems once, as a ``linalg.SandwichPlan``,
-and applies it to every point.  A walk over a linear fiber streams flat
-coordinate vectors in the plan's layout; ``Representation``, ``Morphism``
-and ``HomTriple`` objects are built only where a caller asks for one (the
-rep walk and the public hom, mono and ext iterators), and the census checks
-its points as int tuples.
+and applies it to every point.  Walks stream flat points: a point of a
+variety is a tuple of its coordinates (every arrow's entries, arrows in
+declaration order, row-major), and a point of a linear fiber is a vector
+in the plan's layout.  The fiber systems take their factors from flat
+points.  ``Representation``, ``Morphism``, ``HomTriple`` and
+``ExtensionTriple`` objects are built only by the public iterators; the
+counts and the census read the flat points.
 
 Loop loci are stratified by Jordan type when every loop vertex has exactly
 one loop, every loop has a power relation, and every loop-only relation is a
@@ -57,6 +59,7 @@ count identities produced here are certificates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -67,8 +70,8 @@ from .extensions import ExtensionTriple, cocycle_fiber
 from .families import FamilyParameterError, family_a, family_a_prime, family_b
 from .linalg import Matrix, PrimeField, SandwichPlan, Subspace, split_blocks
 from .quiver import BoundQuiver
-from .reps import (HomTriple, Morphism, Representation, hom_fiber,
-                   is_monomorphism, path_factors, path_product)
+from .reps import (HomTriple, Morphism, Representation, flat_layout,
+                   flat_point, hom_fiber, is_monomorphism, path_product)
 
 DEFAULT_BUDGET = 10**8
 
@@ -272,12 +275,14 @@ def _choose_base(pres: BoundQuiver, dims: Mapping):
     return base, loop_rels, arrow_rels, linear_rels
 
 
-def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels
-                ) -> SandwichPlan:
+def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
     """Layout of the linear system that the entries of the arrows outside
     ``base`` (every loop is in it) satisfy once the base matrices are
     fixed: one term c * base(prefix) @ X_a @ base(suffix) per term of each
-    linear relation, its sides the prefix and suffix arrows."""
+    linear relation, its sides the prefix and suffix arrows.  Returns the
+    plan and a function from a base point, the entries of every loop and
+    then of the arrows in ``base`` (as ``flat_layout`` lays them out), to
+    the system there."""
     quiver = pres.quiver
     shapes = {a: (dims.get(t, 0), dims.get(s, 0)) for a, s, t in quiver.arrows
               if not (a in base or quiver.is_loop(a))}
@@ -291,7 +296,10 @@ def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels
                           path.arrows[j + 1:] or None))
         equations.append(((dims.get(rel.target, 0), dims.get(rel.source, 0)),
                           terms))
-    return SandwichPlan(field, shapes, equations)
+    plan = SandwichPlan(field, shapes, equations)
+    layout = flat_layout(pres, dims, [*quiver.loops(), *base])
+    factors = plan.flat_factors(layout, layout)
+    return plan, lambda point: plan.flat_system(factors(point, point))
 
 
 def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
@@ -299,9 +307,12 @@ def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
     """(arrow, rows, columns) of each arrow outside ``base_mats``, their
     entry count, and the linear system of ``_arrow_plan`` at these base
     matrices (every loop, and any base arrows)."""
-    plan = _arrow_plan(pres, field, dims, base_mats, linear_rels)
+    quiver = pres.quiver
+    base = [a for a in quiver.arrow_names()
+            if a in base_mats and not quiver.is_loop(a)]
+    plan, system = _arrow_plan(pres, field, dims, base, linear_rels)
     return ([(a, r, c) for a, (r, c) in plan.shapes.items()], plan.ncols,
-            plan.system(path_factors(plan, base_mats, base_mats)))
+            system(flat_point(base_mats, [*quiver.loops(), *base])))
 
 
 def _relations_vanish(field, dims, mats, rels) -> bool:
@@ -384,10 +395,6 @@ def _jordan_matrix(field, lam: Sequence[int]) -> Matrix:
             rows[i][i + 1] = 1
         start += part
     return Matrix(field, d, d, rows)
-
-
-def _jordan_loops(field, types: Mapping) -> dict:
-    return {a: _jordan_matrix(field, lam) for a, lam in types.items()}
 
 
 def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
@@ -527,18 +534,21 @@ def _weighted_loops(pres: BoundQuiver, field, dims, loop_rels,
         return
     for types, weight in (_metered(strata, meter) if stratum_steps
                           else strata):
-        yield _jordan_loops(field, types), weight
+        yield {a: _jordan_matrix(field, lam) for a, lam in types.items()}, \
+            weight
 
 
 def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
                  meter: _Meter):
     """The loop matrices extended by every assignment of the base arrows
-    that satisfies ``base_rels``: one step planned per candidate, taken in
+    that satisfies ``base_rels``, each as a flat base point (every loop,
+    then the arrows in ``base``): one step planned per candidate, taken in
     itertools.product order (arrows in declaration order, entries
     row-major).  Without base arrows the loop point is the only base point
     and costs nothing here."""
+    loops = flat_point(loop_mats, pres.quiver.loops())
     if not base:
-        yield loop_mats
+        yield loops
         return
     shapes = {a: shape for a, shape in _rep_shapes(pres, dims).items()
               if a in base}
@@ -548,30 +558,35 @@ def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
         meter.tick()
         mats = {**loop_mats, **split_blocks(field, shapes, values)}
         if _relations_vanish(field, dims, mats, base_rels):
-            yield mats
+            yield loops + values
 
 
-def _points_over(pres: BoundQuiver, field, dims, split, loop_points,
+def _points_over(pres: BoundQuiver, field, dims, loop_points,
                  meter: _Meter) -> Iterator[tuple]:
     """(point, weight) for every point above each (loop matrices, weight)
-    of ``loop_points`` (``split`` as returned by ``_choose_base``): the
-    linear fiber over each base point above them.  The arrow system's
-    layout is compiled once for the walk, and the points are built from
-    matrices of the planned shapes without re-validation."""
-    base, _, base_rels, linear_rels = split
-    plan = _arrow_plan(pres, field, dims, base, linear_rels)
-    full_dims = {x: dims.get(x, 0) for x in pres.quiver.vertices}
-    arrows = pres.quiver.arrow_names()
-    for loop_mats, weight in loop_points:
-        for base_mats in _base_points(pres, field, dims, loop_mats, base,
-                                      base_rels, meter):
-            system = plan.system(path_factors(plan, base_mats, base_mats))
-            for vec in _walk_fiber(field, plan.ncols, system.kernel_basis(),
-                                   meter):
-                mats = {**base_mats, **split_blocks(field, plan.shapes, vec)}
-                yield Representation._trusted(
-                    pres, field, full_dims, {a: mats[a] for a in arrows}), \
-                    weight
+    of ``loop_points(loop_rels)``, for the loop-only relations of
+    ``_choose_base``: the linear fiber over each base point above them.
+    A point is flat, as ``flat_layout`` lays it out: every arrow's entries,
+    arrows in declaration order, row-major.  The arrow system's layout is
+    compiled once for the walk."""
+    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
+    plan, system = _arrow_plan(pres, field, dims, base, linear_rels)
+    # each coordinate's place in the base point followed by the fiber vector
+    walked = flat_layout(pres, dims,
+                         [*pres.quiver.loops(), *base, *plan.shapes])
+    order = [i for a in pres.quiver.arrow_names()
+             for start, r, c in (walked[a],)
+             for i in range(start, start + r * c)]
+    if order == sorted(order):
+        order = None
+    for loop_mats, weight in loop_points(loop_rels):
+        for point in _base_points(pres, field, dims, loop_mats, base,
+                                  base_rels, meter):
+            for vec in _walk_fiber(field, plan.ncols,
+                                   system(point).kernel_basis(), meter):
+                full = point + tuple(vec)
+                yield (full if order is None
+                       else tuple([full[i] for i in order])), weight
 
 
 def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
@@ -580,26 +595,40 @@ def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
     above each weighted loop point.  Without base arrows a stratum takes
     one step; with them its base points do."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
-    plan = _arrow_plan(pres, field, dims, base, linear_rels)
+    plan, system = _arrow_plan(pres, field, dims, base, linear_rels)
     count = 0
     for loop_mats, weight in _weighted_loops(pres, field, dims, loop_rels,
                                              meter, stratum_steps=not base):
-        for base_mats in _base_points(pres, field, dims, loop_mats, base,
-                                      base_rels, meter):
-            system = plan.system(path_factors(plan, base_mats, base_mats))
-            count += weight * field.p ** (plan.ncols - system.rank())
+        for point in _base_points(pres, field, dims, loop_mats, base,
+                                  base_rels, meter):
+            count += weight * field.p ** (plan.ncols - system(point).rank())
     return count
+
+
+def _flat_points(pres: BoundQuiver, field: PrimeField, dims,
+                 meter: _Meter) -> Iterator[tuple]:
+    """Every point of the variety once, flat, in the walk's fixed order."""
+    for point, _ in _points_over(pres, field, dims, lambda loop_rels: zip(
+            _iter_loop_assignments(pres, field, dims, loop_rels, meter),
+            itertools.repeat(1)), meter):
+        yield point
+
+
+def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
+    """A function from a flat point with these dims to its
+    ``Representation``, built without re-validation."""
+    shapes = _rep_shapes(pres, dims)
+    full_dims = {x: dims.get(x, 0) for x in pres.quiver.vertices}
+    return lambda point: Representation._trusted(
+        pres, field, full_dims, split_blocks(field, shapes, point))
 
 
 def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                             dims: Mapping, meter: _Meter | None = None
                             ) -> Iterator[Representation]:
-    meter = meter or _Meter()
-    split = _choose_base(pres, dims)
-    loop_points = ((loop_mats, 1) for loop_mats in _iter_loop_assignments(
-        pres, field, dims, split[1], meter))
-    for rep, _ in _points_over(pres, field, dims, split, loop_points, meter):
-        yield rep
+    build = _rep_builder(pres, field, dims)
+    for point in _flat_points(pres, field, dims, meter or _Meter()):
+        yield build(point)
 
 
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -665,70 +694,91 @@ def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
                       second_dims, shapes, kernel, meter: _Meter | None):
     """(x, y, vec) for every point x of the first variety, every point y
     of the second and every element vec of the linear fiber over (x, y),
-    in that nesting order: a flat vector in the layout of the block
-    ``shapes``, in the span of ``kernel(x, y)`` (as hom_fiber and
-    cocycle_fiber give them).  The second variety is listed once, the
-    first streamed."""
+    in that nesting order.  x and y are flat points; vec is a flat vector
+    in the layout of the block ``shapes``, in the span of ``kernel(x, y)``
+    (as hom_fiber and cocycle_fiber give them).  The second variety is
+    listed once, the first streamed."""
     meter = meter or _Meter()
     size = sum(r * c for r, c in shapes.values())
-    seconds = list(iter_rep_points(pres, field, second_dims, meter=meter))
-    for x in iter_rep_points(pres, field, first_dims, meter=meter):
+    seconds = list(_flat_points(pres, field, second_dims, meter))
+    for x in _flat_points(pres, field, first_dims, meter):
         for y in seconds:
             for vec in _walk_fiber(field, size, kernel(x, y), meter):
                 yield x, y, vec
 
 
+def _iter_pair_points(pres: BoundQuiver, field: PrimeField, first_dims,
+                      second_dims, fiber, meter: _Meter | None):
+    """(x, y, blocks) for each (x, y, vec) of ``_iter_pair_fibers`` over
+    ``fiber`` (hom_fiber or cocycle_fiber): x and y built as
+    ``Representation``s, one object per distinct point, and vec cut into
+    its blocks."""
+    shapes, kernel = fiber(pres, field, first_dims, second_dims)
+    first = _rep_builder(pres, field, first_dims)
+    second = functools.cache(_rep_builder(pres, field, second_dims))
+    x = None
+    for fx, fy, vec in _iter_pair_fibers(pres, field, first_dims,
+                                         second_dims, shapes, kernel, meter):
+        if fx is not x:
+            x, src = fx, first(fx)
+        yield src, second(fy), split_blocks(field, shapes, vec)
+
+
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                     target_dims, meter: _Meter | None = None
                     ) -> Iterator[HomTriple]:
-    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
-    for src, dst, vec in _iter_pair_fibers(pres, field, source_dims,
-                                           target_dims, shapes, kernel, meter):
-        yield HomTriple(src, dst, Morphism._trusted(
-            src, dst, split_blocks(field, shapes, vec)))
-
-
-def _weighted_points(pres: BoundQuiver, field: PrimeField, dims,
-                     meter: _Meter) -> Iterator[tuple]:
-    """Stream of (point, number of points it stands for): every point above
-    each weighted loop point.  Conjugating the loop vertices carries the
-    points above J_lam bijectively onto isomorphic points above each of its
-    conjugates.  Strata take no steps here."""
-    split = _choose_base(pres, dims)
-    return _points_over(pres, field, dims, split,
-                        _weighted_loops(pres, field, dims, split[1], meter),
-                        meter)
+    for src, dst, maps in _iter_pair_points(pres, field, source_dims,
+                                            target_dims, hom_fiber, meter):
+        yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
 
 
 def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
-                 second_dims, per_pair, budget: int | None) -> int:
-    """Sum of ``per_pair(x, y, meter)`` over all pairs of points.
+                 second_dims, fiber, per_pair, budget: int | None) -> int:
+    """Sum of ``per_pair(shapes, kernel(x, y), meter)`` over all pairs of
+    flat points x, y, for the ``shapes`` and ``kernel`` of ``fiber``
+    (hom_fiber or cocycle_fiber).
 
-    Every summed quantity is invariant under replacing x and y by
-    isomorphic points, so each pair of weighted points counts once,
-    weighted by both weights.  The second factor is listed once and the
-    first streamed, so only one variety's points are held at a time; each
-    first point plans one step per second point."""
+    Each factor runs over the points above each weighted loop point, which
+    stand for their weight in points: conjugating the loop vertices
+    carries the points above J_lam bijectively onto isomorphic points above
+    each of its conjugates.  Every summed quantity is invariant under
+    replacing x and y by isomorphic points, so each pair of weighted points
+    counts once, weighted by both weights.  Strata take no steps here.  The
+    second factor is listed once and the first streamed, so only one
+    variety's points are held at a time; each first point plans one step
+    per second point."""
+    shapes, kernel = fiber(pres, field, first_dims, second_dims)
     meter = _Meter(budget)
-    seconds = list(_weighted_points(pres, field, second_dims, meter))
+
+    def weighted_points(dims):
+        return _points_over(pres, field, dims, lambda loop_rels:
+                            _weighted_loops(pres, field, dims, loop_rels,
+                                            meter), meter)
+
+    seconds = list(weighted_points(second_dims))
     total = 0
-    for x, wx in _weighted_points(pres, field, first_dims, meter):
+    for x, wx in weighted_points(first_dims):
         meter.precheck(len(seconds))
         for y, wy in seconds:
             meter.tick()
-            total += wx * wy * per_pair(x, y, meter)
+            total += wx * wy * per_pair(shapes, kernel(x, y), meter)
     return total
 
 
-def _injective_homs(x: Representation, shapes: Mapping, kernel,
+def _injective_homs(field: PrimeField, shapes: Mapping, kernel,
                     meter: _Meter) -> int:
-    """Number of homomorphisms out of x, in the Hom space with these vertex
-    map shapes and kernel basis, whose vertex maps all have full column
-    rank, found by walking the Hom space."""
-    field = x.field
-    size = sum(r * c for r, c in shapes.values())
-    return sum(all(m.rank() == x.dims[v]
-                   for v, m in split_blocks(field, shapes, vec).items())
+    """Number of homomorphisms, in the Hom space with these vertex map
+    shapes and kernel basis, whose vertex maps all have full column rank,
+    found by walking the Hom space.  Each map's rows are cut from the flat
+    vector and reduced with ``field.row_reduce``."""
+    maps, size = [], 0
+    for r, c in shapes.values():
+        if c:
+            maps.append((range(size, size + r * c, c), c))
+        size += r * c
+    row_reduce = field.row_reduce
+    return sum(all(len(row_reduce([vec[i:i + c] for i in rows], c)[1]) == c
+                   for rows, c in maps)
                for vec in _walk_fiber(field, size, kernel, meter))
 
 
@@ -736,10 +786,8 @@ def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs (each linear
     homomorphism space is counted exactly, not walked)."""
-    _, kernel = hom_fiber(pres, field, source_dims, target_dims)
-    return _count_pairs(pres, field, source_dims, target_dims,
-                        lambda x, y, _: field.p ** len(kernel(x, y)),
-                        budget)
+    return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
+                        lambda _, basis, __: field.p ** len(basis), budget)
 
 
 def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -758,30 +806,23 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
     """Number of injective homomorphisms over all source/target pairs."""
-    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
-    return _count_pairs(
-        pres, field, source_dims, target_dims,
-        lambda x, y, meter: _injective_homs(x, shapes, kernel(x, y), meter),
-        budget)
+    return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
+                        functools.partial(_injective_homs, field), budget)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                     meter: _Meter | None = None):
     """Extension triples (quotient point, sub point, cocycle blocks)."""
-    shapes, kernel = cocycle_fiber(pres, field, quo_dims, sub_dims)
-    for quo, sub, vec in _iter_pair_fibers(pres, field, quo_dims, sub_dims,
-                                           shapes, kernel, meter):
-        yield ExtensionTriple(quo, sub, split_blocks(field, shapes, vec),
-                              check=False)
+    for quo, sub, blocks in _iter_pair_points(pres, field, quo_dims,
+                                              sub_dims, cocycle_fiber, meter):
+        yield ExtensionTriple(quo, sub, blocks, check=False)
 
 
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    _, kernel = cocycle_fiber(pres, field, quo_dims, sub_dims)
-    return _count_pairs(pres, field, quo_dims, sub_dims,
-                        lambda x, y, _: field.p ** len(kernel(x, y)),
-                        budget)
+    return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_fiber,
+                        lambda _, basis, __: field.p ** len(basis), budget)
 
 
 def count_points(task: EnumerationTask) -> int:
@@ -855,24 +896,21 @@ def hom_counterexample_census(n: int, q: int,
     shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
     sizes = [r * c for r, c in shapes.values()]
     b_at = sum(sizes[:pres.quiver.vertices.index(1)])
-    a_arrows = [f"a{i}" for i in range(1, n + 1)]
-    # Each triple is keyed by all its coordinates as ints: those of the
-    # source and the target, read once per run of vectors over a pair, and
-    # the vertex maps in the Hom plan's layout.  The source variety is one
-    # point, so each target is read once.
+    layout = flat_layout(pres, target_dims)
+    a_at = [layout[f"a{i}"][0] for i in range(1, n + 1)]
+    # Each triple is keyed by all its coordinates as ints: the flat source
+    # and target points and the vertex maps in the Hom plan's layout.  The
+    # a_i are read once per run of vectors over a target.
     seen = set()
     image = set()
-    x = y = None
-    for src, dst, vec in _iter_pair_fibers(pres, field, source_dims,
-                                           target_dims, shapes, kernel,
-                                           meter):
-        if src is not x:
-            x, x_flat = src, _coordinates(src)
+    y = None
+    for x, dst, vec in _iter_pair_fibers(pres, field, source_dims,
+                                         target_dims, shapes, kernel, meter):
         if dst is not y:
-            y, y_flat = dst, _coordinates(dst)
-            avec = tuple(dst.mats[a][0, 0] for a in a_arrows)
+            y = dst
+            avec = tuple([y[k] for k in a_at])
         size = len(seen)
-        seen.add((x_flat, y_flat, tuple(vec)))
+        seen.add((x, y, tuple(vec)))
         if len(seen) == size:
             raise AssertionError("duplicate homomorphism point")
         b = vec[b_at]
@@ -882,13 +920,6 @@ def hom_counterexample_census(n: int, q: int,
     bijective = len(seen) == total and image == set(points)
     return CensusResult(n, q, total, count_b_zero, count_a_zero, union_ok,
                         bijective)
-
-
-def _coordinates(rep: Representation) -> tuple:
-    """Every entry of every arrow matrix of ``rep``, arrows in quiver
-    order and entries row-major."""
-    return tuple(v for a, _, _ in rep.pres.quiver.arrows
-                 for row in rep.mats[a].rows for v in row)
 
 
 @dataclass
@@ -932,16 +963,6 @@ class WitnessReport:
 
     def both_nonempty(self) -> bool:
         return self.count_full_rank > 0 and self.count_mu1 > 0
-
-
-def _column_space(field, mat: Matrix):
-    cols = [tuple(mat[i, j] for i in range(mat.nrows))
-            for j in range(mat.ncols)]
-    return Subspace(field, mat.nrows, cols)
-
-
-def _kernel_space(field, mat: Matrix):
-    return Subspace(field, mat.ncols, mat.kernel_basis())
 
 
 def mono_reducibility_witness(m: int, l: int, n: int, q: int,
@@ -995,7 +1016,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     # once, then walk its linearly constrained arrow rows and embedding
     # vectors with plain modular arithmetic.
     loop_rels, linear_rels = _classify_relations(pres)
-    plan = _arrow_plan(pres, field, target_dims, (), linear_rels)
+    plan, system = _arrow_plan(pres, field, target_dims, (), linear_rels)
     if list(plan.shapes.values()) != [(1, l)] * n:
         raise AssertionError("unexpected arrow block shapes")
     for loop_mats in _iter_loop_assignments(pres, field, target_dims,
@@ -1010,15 +1031,16 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         rank = loop.rank()
         in_u1 = rank == l - 1
         if in_u1:
-            if not (_kernel_space(field, loop) == _column_space(field, head)):
+            if Subspace(field, l, loop.kernel_basis()) != \
+                    Subspace(field, l, head_cols):
                 kernel_image_ok = False
         ws = [tuple(w) for w in _span(field, loop.kernel_basis(), l)
               if any(w)]
         if not ws:
             continue
 
-        arrow_kernel = plan.system(
-            path_factors(plan, loop_mats, loop_mats)).kernel_basis()
+        arrow_kernel = system(flat_point(loop_mats, pres.quiver.loops())
+                              ).kernel_basis()
         per_solution = len(ws) * len(nonzero)
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
         for values in _span(field, arrow_kernel, plan.ncols):

@@ -20,8 +20,8 @@ from .linalg import (Field, Matrix, SandwichPlan, hstack, split_blocks,
                      vstack)
 from .quiver import BoundQuiver, Relation, Vertex
 from .reps import (DimVector, HomTriple, Morphism, Representation, dims_add,
-                   is_monomorphism, gl_action, path_factors, same_data,
-                   standard_complement)
+                   flat_layout, flat_point, gl_action, is_monomorphism,
+                   same_data, standard_complement)
 
 ArrowBlocks = Mapping[str, Matrix]
 
@@ -84,8 +84,9 @@ def is_cocycle(quo: Representation, sub: Representation,
 def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
                   sub_dims: DimVector):
     """Cocycle spaces of pairs of points with these dims, from one compiled
-    layout: the block shapes, and a function from (quo, sub) to the kernel
-    basis of the cocycle system, one equation per relation, one term
+    layout: the block shapes, and a function from a quotient and a sub
+    flat point (as ``flat_layout`` lays them out) to the kernel basis of
+    the cocycle system, one equation per relation, one term
     c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l) per relation term
     and arrow position j, as in cocycle_value."""
     equations = []
@@ -100,10 +101,11 @@ def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
                            quo_dims.get(rel.source, 0)), terms))
     plan = SandwichPlan(field, block_shapes(pres, sub_dims, quo_dims),
                         equations)
+    factors = plan.flat_factors(flat_layout(pres, sub_dims),
+                                flat_layout(pres, quo_dims))
 
-    def kernel(quo: Representation, sub: Representation) -> list[tuple]:
-        return plan.system(
-            path_factors(plan, sub.mats, quo.mats)).kernel_basis()
+    def kernel(quo: tuple, sub: tuple) -> list[tuple]:
+        return plan.flat_system(factors(sub, quo)).kernel_basis()
     return plan.shapes, kernel
 
 
@@ -114,7 +116,9 @@ def cocycle_kernel(quo: Representation, sub: Representation
     if not same_data(quo, sub):
         raise ValueError("representations live over different data")
     shapes, kernel = cocycle_fiber(quo.pres, quo.field, quo.dims, sub.dims)
-    return shapes, kernel(quo, sub)
+    arrows = quo.pres.quiver.arrow_names()
+    return shapes, kernel(flat_point(quo.mats, arrows),
+                          flat_point(sub.mats, arrows))
 
 
 def cocycle_space_basis(quo: Representation,

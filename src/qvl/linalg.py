@@ -598,15 +598,21 @@ class SandwichPlan:
     ``equations`` gives each equation as ((rows, cols), terms), the shape
     of its value and its terms (c, k, left, right), with c a field element
     or an int.  A side is None where it is an identity.  Any other side is
-    a label of the caller's for a factor that ``system`` is given at each
-    point; ``sides`` lists them as (label, is_left) pairs, term by term,
-    left before right.  Equations without terms give no rows.
+    a label of the caller's for a factor given at each point; ``sides``
+    lists them as (label, is_left) pairs, term by term, left before right.
+    Equations without terms give no rows.
+
+    One loop, ``flat_system``, assembles the system from flat factors:
+    each factor's entries row-major, in a tuple.  ``system`` is its entry
+    point for ``Matrix`` factors, with their shapes checked.  Walks call
+    ``flat_system`` with the factors ``flat_factors`` cuts from their flat
+    points, whose shapes the compiled offsets guarantee.
 
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
     of X_k.  With one identity side, the cells each entry of the other
     factor adds to are fixed, and the plan lists them; with none, the term
-    keeps only where its rows and columns start, and ``system`` walks the
+    keeps only where its rows and columns start, and the assembly walks the
     nonzero entries of both factors.  Terms without cells are dropped from
     the walk, but their factors are still checked.
     """
@@ -657,7 +663,7 @@ class SandwichPlan:
                              for j in range(c) for v in range(out_c)
                              for s in (start + v * total + j,)]
                 else:
-                    cells = (start, du, c)
+                    cells = (start, du, r, c, out_c)
                 self._terms.append((coeff, left is not None,
                                     right is not None, first, cells))
             if terms:
@@ -667,31 +673,38 @@ class SandwichPlan:
     def system(self, factors: Sequence[Matrix]) -> Matrix:
         """The system's matrix at one point, given one factor per entry of
         ``sides``, in order; a factor of another shape than planned raises
-        ValueError.  Entries are summed exactly, as ints or Fractions, and
-        each is reduced once with ``field.reduce``.  Callers take
-        ``kernel_basis()`` or ``rank()`` of the result."""
+        ValueError."""
         got = [(m.nrows, m.ncols) for m in factors]
         if got != self._factor_shapes:
             raise ValueError(f"factor shapes {got} do not match the "
                              f"planned {self._factor_shapes}")
+        return self.flat_system([tuple(itertools.chain.from_iterable(m.rows))
+                                 for m in factors])
+
+    def flat_system(self, factors: Sequence[Sequence[Scalar]]) -> Matrix:
+        """The system's matrix at one point, given each factor of
+        ``sides``, in order, as its entries row-major; their shapes are not
+        checked.  Entries are summed exactly, as ints or Fractions, and
+        each is reduced once with ``field.reduce``.  Callers take
+        ``kernel_basis()`` or ``rank()`` of the result."""
         field, total = self.field, self.ncols
         flat = [field.zero] * (self.nrows * total)
         for coeff, has_left, has_right, first, cells in self._terms:
             if has_left and has_right:
-                start, du, c = cells
-                right_cols = [[(j, y) for j, y in enumerate(col) if y]
-                              for col in zip(*factors[first + 1].rows)]
-                for u, left_row in enumerate(factors[first].rows):
-                    for i, x in enumerate(left_row):
-                        if x:
-                            cx, base = coeff * x, start + u * du + i * c
-                            for col in right_cols:
-                                for j, y in col:
-                                    flat[base + j] += cx * y
-                                base += total
+                start, du, r, c, out_c = cells
+                right = factors[first + 1]
+                right_cols = [[(j, y) for j, y in enumerate(right[v::out_c])
+                               if y] for v in range(out_c)]
+                for idx, x in enumerate(factors[first]):
+                    if x:
+                        u, i = divmod(idx, r)
+                        cx, base = coeff * x, start + u * du + i * c
+                        for col in right_cols:
+                            for j, y in col:
+                                flat[base + j] += cx * y
+                            base += total
             elif has_left or has_right:
-                for x, entry_cells in zip(itertools.chain.from_iterable(
-                        factors[first].rows), cells):
+                for x, entry_cells in zip(factors[first], cells):
                     if x:
                         cx = coeff * x
                         for idx in entry_cells:
@@ -703,6 +716,38 @@ class SandwichPlan:
         return Matrix._trusted(field, self.nrows, total, tuple(
             [flat[i:i + total] for i in range(0, len(flat), total)])
             if total else ((),) * self.nrows)
+
+    def flat_factors(self, left: Mapping, right: Mapping):
+        """A function from a left and a right flat point to the factors of
+        ``flat_system``, for sides that are sequences of labels.  ``left``
+        and ``right`` give the (offset, rows, cols) of each label's matrix
+        in a left and a right point.  A one-label side is a slice of its
+        point; a longer side is the product of its labels' matrices, left
+        to right, each taken with ``field.product``."""
+        field = self.field
+        slices, products = [], []
+        for k, (labels, is_left) in enumerate(self.sides):
+            layout = left if is_left else right
+            start, r, c = layout[labels[0]]
+            slices.append((is_left, start, start + r * c))
+            if len(labels) > 1:
+                products.append((k, is_left, r, c,
+                                 [layout[a] for a in labels[1:]]))
+
+        def factors(left_point, right_point) -> list:
+            out = [(left_point if is_left else right_point)[a:b]
+                   for is_left, a, b in slices]
+            for k, is_left, r, c, rest in products:
+                point, flat = left_point if is_left else right_point, out[k]
+                for start, _, c2 in rest:
+                    flat = tuple(itertools.chain.from_iterable(field.product(
+                        [flat[i * c:(i + 1) * c] for i in range(r)],
+                        [point[start + j:start + c * c2:c2]
+                         for j in range(c2)])))
+                    c = c2
+                out[k] = flat
+            return out
+        return factors
 
 
 def split_blocks(field: Field, shapes: Mapping[Hashable, tuple[int, int]],

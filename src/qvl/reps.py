@@ -41,19 +41,23 @@ def path_product(field: Field, mats: Mapping[str, Matrix], arrows,
     return result
 
 
-def path_factors(plan: SandwichPlan, left_mats: Mapping[str, Matrix],
-                 right_mats: Mapping[str, Matrix]) -> list[Matrix]:
-    """The factors of a plan whose sides are arrow sequences, at one point:
-    the product of ``left_mats`` along each left side, and of
-    ``right_mats`` along each right side."""
-    out = []
-    for arrows, is_left in plan.sides:
-        mats = left_mats if is_left else right_mats
-        result = mats[arrows[0]]
-        for arrow in arrows[1:]:
-            result = result @ mats[arrow]
-        out.append(result)
-    return out
+def flat_layout(pres: BoundQuiver, dims: DimVector, arrows=None) -> dict:
+    """(offset, rows, columns) of each arrow's matrix in a flat point with
+    these dims: the entries of ``arrows`` (by default every arrow, in
+    declaration order), one arrow after another, each row-major."""
+    quiver = pres.quiver
+    layout, pos = {}, 0
+    for a in quiver.arrow_names() if arrows is None else arrows:
+        r, c = dims.get(quiver.target(a), 0), dims.get(quiver.source(a), 0)
+        layout[a] = (pos, r, c)
+        pos += r * c
+    return layout
+
+
+def flat_point(mats: Mapping[str, Matrix], arrows) -> tuple:
+    """The entries of the matrices of ``arrows``, in that order, each
+    row-major: the flat point of ``flat_layout``."""
+    return tuple([x for a in arrows for row in mats[a].rows for x in row])
 
 
 class Representation:
@@ -238,8 +242,9 @@ class HomTriple:
 def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
               target_dims: DimVector):
     """Hom spaces between points with these dims, from one compiled
-    layout: the shapes of the vertex maps f_x, and a function from
-    (source, target) to the kernel basis of the intertwining system
+    layout: the shapes of the vertex maps f_x, and a function from a
+    source and a target flat point (as ``flat_layout`` lays them out) to
+    the kernel basis of the intertwining system
     target_a f_(s a) - f_(t a) source_a = 0, one equation per arrow, in the
     stacked entries of all vertex maps."""
     quiver = pres.quiver
@@ -249,11 +254,11 @@ def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
         ((shapes[t][0], shapes[s][1]), [(1, s, (a,), None),
                                         (-1, t, None, (a,))])
         for a, s, t in quiver.arrows])
+    factors = plan.flat_factors(flat_layout(pres, target_dims),
+                                flat_layout(pres, source_dims))
 
-    def kernel(source: Representation, target: Representation
-               ) -> list[tuple]:
-        return plan.system(
-            path_factors(plan, target.mats, source.mats)).kernel_basis()
+    def kernel(source: tuple, target: tuple) -> list[tuple]:
+        return plan.flat_system(factors(target, source)).kernel_basis()
     return plan.shapes, kernel
 
 
@@ -265,7 +270,9 @@ def hom_kernel(source: Representation, target: Representation
         raise ValueError("representations live over different data")
     shapes, kernel = hom_fiber(source.pres, source.field, source.dims,
                                target.dims)
-    return shapes, kernel(source, target)
+    arrows = source.pres.quiver.arrow_names()
+    return shapes, kernel(flat_point(source.mats, arrows),
+                          flat_point(target.mats, arrows))
 
 
 def hom_basis(source: Representation, target: Representation) -> list[Morphism]:

@@ -5,6 +5,7 @@ every result here is checked against the ambient odometer or a closed form
 that shares no code with qvl."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,13 +18,14 @@ from qvl.counting import (BudgetExceededError, _choose_base,
                           iter_ext_points, iter_hom_points, iter_rep_points,
                           rep_ambient_dim)
 from qvl.dsl import parse_quiver_spec
-from qvl.extensions import cocycle_fiber, cocycle_space_basis
+from qvl.extensions import (block_shapes, cocycle_fiber, cocycle_kernel,
+                            cocycle_space_basis, cocycle_value)
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF, split_blocks
+from qvl.linalg import GF, QQ, Matrix, SandwichPlan, split_blocks
 from qvl.quiver import BoundQuiver, Quiver, Relation
-from qvl.reps import (HomTriple, Morphism, Representation, hom_basis,
-                      hom_fiber, is_monomorphism)
+from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
+                      hom_basis, hom_fiber, hom_kernel, is_monomorphism)
 
 PATH2 = """quiver P2 {
   vertex 0; vertex 1; vertex 2;
@@ -321,23 +323,124 @@ def test_random_presentations_agree_with_odometer(spec, q):
                                  HealthCheck.filter_too_much])
 @given(presentations(), st.sampled_from([2, 3]))
 def test_flat_pair_streams_cut_into_the_public_points(spec, q):
-    # the pair walk streams flat vectors; cut into blocks they give the
-    # public iterators' points, in their order
+    # the pair walk streams flat points and vectors; they are the flat
+    # coordinates of the public iterators' points, in their order
     text, dim_tuple = spec
     pres = parse_quiver_spec(text)
     field = GF(q)
     first = _shrink(pres, _dims(pres, dim_tuple), q, 16)
     second = _shrink(pres, _dims(pres, reversed(dim_tuple)), q, 16)
     vertices, arrows = pres.quiver.vertices, pres.quiver.arrow_names()
-    for (shapes, kernel), points, labels in (
+
+    def coordinates(rep):
+        return tuple(v for a in arrows for row in rep.mats[a].rows
+                     for v in row)
+
+    for (shapes, kernel), points, labels, ends in (
             (hom_fiber(pres, field, first, second),
-             iter_hom_points(pres, field, first, second), vertices),
+             iter_hom_points(pres, field, first, second), vertices,
+             lambda t: (t.source, t.target)),
             (cocycle_fiber(pres, field, first, second),
-             iter_ext_points(pres, field, first, second), arrows)):
+             iter_ext_points(pres, field, first, second), arrows,
+             lambda t: (t.quo, t.sub))):
         cut = []
         for x, y, vec in _iter_pair_fibers(pres, field, first, second,
                                            shapes, kernel, None):
             assert len(vec) == sum(r * c for r, c in shapes.values())
             blocks = split_blocks(field, shapes, vec)
-            cut.append((x.key(), y.key(), tuple(blocks[k] for k in labels)))
-        assert cut == [t.key() for t in points], text
+            cut.append((x, y, tuple(blocks[k] for k in labels)))
+        assert cut == [(*map(coordinates, ends(t)), t.key()[2])
+                       for t in points], text
+
+
+# --- flat kernels against kernels built from matrix objects ---------------
+
+
+def _entries(mat):
+    return [x for row in mat.rows for x in row]
+
+
+def _typed(vectors):
+    return [[(type(x), x) for x in v] for v in vectors]
+
+
+def _residual_kernel(field, shapes, residual):
+    """Kernel basis of the linear map whose column k is ``residual`` of the
+    k-th unit block family, computed with matrix objects."""
+    ncols = sum(r * c for r, c in shapes.values())
+    columns = []
+    for k in range(ncols):
+        unit = [field.zero] * ncols
+        unit[k] = field.one
+        columns.append(residual(split_blocks(field, shapes, unit)))
+    nrows = len(residual(split_blocks(field, shapes, [field.zero] * ncols)))
+    return Matrix(field, nrows, ncols,
+                  [[col[i] for col in columns] for i in range(nrows)]
+                  ).kernel_basis()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.sampled_from([2, 3, 0]), st.data())
+def test_flat_kernels_equal_object_built_kernels(spec, q, data):
+    # any matrices will do: the systems are defined off the variety too
+    text, _ = spec
+    pres = parse_quiver_spec(text)
+    field = GF(q) if q else QQ
+    rng = data.draw(st.randoms(use_true_random=False))
+    arrows = pres.quiver.arrow_names()
+
+    def entry():
+        return (rng.randrange(q) if q else
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    def point():
+        dims = {x: data.draw(st.sampled_from([2, 1, 0]))
+                for x in pres.quiver.vertices}
+        layout = flat_layout(pres, dims)
+        mats = {a: Matrix(field, r, c, [[entry() for _ in range(c)]
+                                        for _ in range(r)])
+                for a, (_, r, c) in layout.items()}
+        rep = Representation(pres, field, dims, mats)
+        return rep, tuple(x for a in arrows for x in _entries(rep.mats[a]))
+
+    (x, x_flat), (y, y_flat) = point(), point()
+
+    shapes, kernel = hom_fiber(pres, field, x.dims, y.dims)
+    hom = _residual_kernel(field, shapes, lambda f: [
+        v for a, s, t in pres.quiver.arrows
+        for v in _entries(y.mats[a] @ f[s] - f[t] @ x.mats[a])])
+    assert _typed(kernel(x_flat, y_flat)) == _typed(hom_kernel(x, y)[1]) \
+        == _typed(hom), text
+
+    shapes, kernel = cocycle_fiber(pres, field, x.dims, y.dims)
+    cocycles = _residual_kernel(field, shapes, lambda blocks: [
+        v for rel in pres.relations
+        for v in _entries(cocycle_value(x, y, blocks, rel))])
+    assert _typed(kernel(x_flat, y_flat)) \
+        == _typed(cocycle_kernel(x, y)[1]) == _typed(cocycles), text
+
+    # the cocycle layout, whose sides include products of two arrows: the
+    # factors cut from flat points are the matrix products, and both
+    # entry points assemble the same system
+    plan = SandwichPlan(field, block_shapes(pres, y.dims, x.dims), [
+        ((y.dims[rel.target], x.dims[rel.source]),
+         [(field.coerce(c), a, path.arrows[:j] or None,
+           path.arrows[j + 1:] or None)
+          for c, path in rel.terms for j, a in enumerate(path.arrows)])
+        for rel in pres.relations])
+    factors = []
+    for labels, is_left in plan.sides:
+        mats = (y if is_left else x).mats
+        product = mats[labels[0]]
+        for a in labels[1:]:
+            product = product @ mats[a]
+        factors.append(product)
+    flat = plan.flat_factors(flat_layout(pres, y.dims),
+                             flat_layout(pres, x.dims))(y_flat, x_flat)
+    assert [[(type(v), v) for v in f] for f in flat] \
+        == [[(type(v), v) for v in _entries(m)] for m in factors]
+    system = plan.system(factors)
+    assert system == plan.flat_system(flat)
+    assert _typed(system.rows) == _typed(plan.flat_system(flat).rows)
+    assert system.kernel_basis() == cocycles

@@ -145,6 +145,62 @@ class TestExitCodes:
         assert code == EXIT_SEMANTIC
 
 
+# Every subcommand with each bad input it takes: a non-prime q, malformed
+# dims, an out-of-range family parameter and, for the file subcommands, a
+# file that is not JSON.  "{quiver}", "{rep}" and "{bad}" stand for a
+# Lambda(2) DSL file, a valid representation file and a malformed one.
+BAD_FAMILY = "--family Lambda --m 0"
+SWEEP = {
+    "check": {"family": f"check {BAD_FAMILY} --rep {{rep}}",
+              "json": "check --quiver {quiver} --rep {bad}"},
+    "hom": {"family": f"hom {BAD_FAMILY} --source {{rep}} --target {{rep}}",
+            "json": "hom --quiver {quiver} --source {rep} --target {bad}"},
+    "cocycles": {
+        "family": f"cocycles {BAD_FAMILY} --quo {{rep}} --sub {{rep}}",
+        "json": "cocycles --quiver {quiver} --quo {rep} --sub {bad}"},
+    "extend": {
+        "family": f"extend {BAD_FAMILY} --quo {{rep}} --sub {{rep}} "
+                  "--blocks {rep}",
+        "json": "extend --quiver {quiver} --quo {rep} --sub {rep} "
+                "--blocks {bad}"},
+    "split": {
+        "family": f"split {BAD_FAMILY} --sub {{rep}} --middle {{rep}} "
+                  "--map {rep}",
+        "json": "split --quiver {quiver} --sub {rep} --middle {rep} "
+                "--map {bad}"},
+    "count": {"q": "count --family Lambda --m 2 --dim 2 --q 4",
+              "dims": "count --family Lambda --m 2 --dim x --q 3",
+              "family": f"count {BAD_FAMILY} --dim 2 --q 3"},
+    "census-hom": {"q": "census-hom --n 2 --q 4",
+                   "family": "census-hom --n 0 --q 3"},
+    "witness-mono": {"q": "witness-mono --m 3 --l 2 --n 1 --q 4",
+                     "family": "witness-mono --m 1 --l 2 --n 1 --q 3"},
+    "product-check": {"q": "product-check --n 2 --m 2 --dim 1,1 --q 4",
+                      "dims": "product-check --n 2 --m 2 --dim 1,x --q 3",
+                      "family": "product-check --n 2 --m 1 --dim 1,1 --q 3"},
+    "ext2": {"family": f"ext2 {BAD_FAMILY} --x 0 --y 0"},
+    "classify": {"family": f"classify {BAD_FAMILY}"},
+    "probe": {"q": "probe --family Lambda --m 2 --dim 2 --q 3,4",
+              "dims": "probe --family Lambda --m 2 --dim 2,2 --q 3",
+              "family": f"probe {BAD_FAMILY} --dim 2 --q 3"},
+}
+
+
+def test_sweep_covers_every_subcommand():
+    assert set(SWEEP) == set(qvl.cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=f"{command}-{case}")
+    for command, cases in SWEEP.items() for case, argv in cases.items()])
+def test_bad_input_sweep_is_semantic(argv, lam2_file, rep_files, tmp_path):
+    bad = tmp_path / "malformed.json"
+    bad.write_text("{not json")
+    code, report = run(argv.format(quiver=lam2_file, rep=rep_files["one"],
+                                   bad=bad).split())
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+
+
 class TestCount:
     def test_rep_count(self):
         code, report = run(["count", "--family", "Lambda", "--m", "2",

@@ -145,6 +145,18 @@ class TestJordanStrata:
                      for lam in jordan_types(d, d)]
             assert sum(sizes) == q ** (d * d - d)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda q: st.tuples(
+        st.just(q), st.integers(0, max(d for d in range(8)
+                                       if q ** (d * d) <= 10 ** 5)),
+        st.integers(0, 2))))
+    def test_nilpotent_count_closed_form(self, case):
+        # Fine-Herstein: q^(d^2 - d) nilpotent d x d matrices over F_q,
+        # and for m >= d every one of them satisfies e^m = 0
+        q, d, extra = case
+        assert count_rep_points(family_lambda(max(d, 1) + extra), GF(q),
+                                {0: d}) == q ** (d * d - d)
+
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("pres,dim_list", NAMED_CASES,
                              ids=[p.name for p, _ in NAMED_CASES])
@@ -518,6 +530,19 @@ class TestProductCheck:
 
     def test_bool_protocol(self):
         assert bool(product_count_check(2, 2, (1, 1), 2))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2),
+                     st.integers(0, 2), st.sampled_from([2, 3, 5]))
+           .filter(lambda c: c[4] ** (c[2] ** 2 + c[3] ** 2) <= 10 ** 5))
+    def test_product_identity_closed_form(self, case):
+        # B(n, m): the arrows a2..an are free once a1 and the loops are
+        # fixed, so the full count is the B(1, m) count times q^((n-1) d e)
+        n, m, d, e, q = case
+        res = product_count_check(n, m, (d, e), q)
+        assert res.free_factor == q ** ((n - 1) * d * e)
+        assert res.count_full == res.count_core * q ** ((n - 1) * d * e)
+        assert res.ok
 
 
 def _hom_task(pres, q):
