@@ -8,7 +8,7 @@ walk compiles the layout of its systems once, as a ``linalg.SandwichPlan``,
 and applies it to every point.  Walks stream flat points: a point of a
 variety is a tuple of its coordinates (every arrow's entries, arrows in
 declaration order, row-major), and a point of a linear fiber is a vector
-in the plan's layout.  The fiber systems take their factors from flat
+in the plan's layout.  The fiber systems are assembled straight from flat
 points.  ``Representation``, ``Morphism``, ``HomTriple`` and
 ``ExtensionTriple`` objects are built only by the public iterators; the
 counts and the census read the flat points.
@@ -282,7 +282,7 @@ def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
     linear relation, its sides the prefix and suffix arrows.  Returns the
     plan and a function from a base point, the entries of every loop and
     then of the arrows in ``base`` (as ``flat_layout`` lays them out), to
-    the system there."""
+    the kernel basis of the system there."""
     quiver = pres.quiver
     shapes = {a: (dims.get(t, 0), dims.get(s, 0)) for a, s, t in quiver.arrows
               if not (a in base or quiver.is_loop(a))}
@@ -298,21 +298,21 @@ def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
                           terms))
     plan = SandwichPlan(field, shapes, equations)
     layout = flat_layout(pres, dims, [*quiver.loops(), *base])
-    factors = plan.flat_factors(layout, layout)
-    return plan, lambda point: plan.flat_system(factors(point, point))
+    kernel = plan.flat_kernel(layout, layout)
+    return plan, lambda point: kernel(point, point)
 
 
 def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
                               linear_rels):
     """(arrow, rows, columns) of each arrow outside ``base_mats``, their
-    entry count, and the linear system of ``_arrow_plan`` at these base
-    matrices (every loop, and any base arrows)."""
+    entry count, and the kernel basis of the system of ``_arrow_plan`` at
+    these base matrices (every loop, and any base arrows)."""
     quiver = pres.quiver
     base = [a for a in quiver.arrow_names()
             if a in base_mats and not quiver.is_loop(a)]
-    plan, system = _arrow_plan(pres, field, dims, base, linear_rels)
+    plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
     return ([(a, r, c) for a, (r, c) in plan.shapes.items()], plan.ncols,
-            system(flat_point(base_mats, [*quiver.loops(), *base])))
+            kernel(flat_point(base_mats, [*quiver.loops(), *base])))
 
 
 def _relations_vanish(field, dims, mats, rels) -> bool:
@@ -570,7 +570,7 @@ def _points_over(pres: BoundQuiver, field, dims, loop_points,
     arrows in declaration order, row-major.  The arrow system's layout is
     compiled once for the walk."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
-    plan, system = _arrow_plan(pres, field, dims, base, linear_rels)
+    plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
     # each coordinate's place in the base point followed by the fiber vector
     walked = flat_layout(pres, dims,
                          [*pres.quiver.loops(), *base, *plan.shapes])
@@ -582,8 +582,7 @@ def _points_over(pres: BoundQuiver, field, dims, loop_points,
     for loop_mats, weight in loop_points(loop_rels):
         for point in _base_points(pres, field, dims, loop_mats, base,
                                   base_rels, meter):
-            for vec in _walk_fiber(field, plan.ncols,
-                                   system(point).kernel_basis(), meter):
+            for vec in _walk_fiber(field, plan.ncols, kernel(point), meter):
                 full = point + tuple(vec)
                 yield (full if order is None
                        else tuple([full[i] for i in order])), weight
@@ -595,13 +594,13 @@ def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
     above each weighted loop point.  Without base arrows a stratum takes
     one step; with them its base points do."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
-    plan, system = _arrow_plan(pres, field, dims, base, linear_rels)
+    plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
     count = 0
     for loop_mats, weight in _weighted_loops(pres, field, dims, loop_rels,
                                              meter, stratum_steps=not base):
         for point in _base_points(pres, field, dims, loop_mats, base,
                                   base_rels, meter):
-            count += weight * field.p ** (plan.ncols - system(point).rank())
+            count += weight * field.p ** len(kernel(point))
     return count
 
 
@@ -770,14 +769,13 @@ def _injective_homs(field: PrimeField, shapes: Mapping, kernel,
     """Number of homomorphisms, in the Hom space with these vertex map
     shapes and kernel basis, whose vertex maps all have full column rank,
     found by walking the Hom space.  Each map's rows are cut from the flat
-    vector and reduced with ``field.row_reduce``."""
+    vector; its columns are independent when ``field.kernel`` is empty."""
     maps, size = [], 0
     for r, c in shapes.values():
         if c:
             maps.append((range(size, size + r * c, c), c))
         size += r * c
-    row_reduce = field.row_reduce
-    return sum(all(len(row_reduce([vec[i:i + c] for i in rows], c)[1]) == c
+    return sum(all(not field.kernel([vec[i:i + c] for i in rows], c)
                    for rows, c in maps)
                for vec in _walk_fiber(field, size, kernel, meter))
 
@@ -1016,7 +1014,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     # once, then walk its linearly constrained arrow rows and embedding
     # vectors with plain modular arithmetic.
     loop_rels, linear_rels = _classify_relations(pres)
-    plan, system = _arrow_plan(pres, field, target_dims, (), linear_rels)
+    plan, kernel = _arrow_plan(pres, field, target_dims, (), linear_rels)
     if list(plan.shapes.values()) != [(1, l)] * n:
         raise AssertionError("unexpected arrow block shapes")
     for loop_mats in _iter_loop_assignments(pres, field, target_dims,
@@ -1028,19 +1026,17 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
             raise AssertionError("target loop power is not zero")
         head = loop ** (l - 1)
         head_cols = [tuple(head[i, j] for i in range(l)) for j in range(l)]
-        rank = loop.rank()
-        in_u1 = rank == l - 1
+        loop_kernel = loop.kernel_basis()
+        in_u1 = len(loop_kernel) == 1       # rank l - 1
         if in_u1:
-            if Subspace(field, l, loop.kernel_basis()) != \
+            if Subspace(field, l, loop_kernel) != \
                     Subspace(field, l, head_cols):
                 kernel_image_ok = False
-        ws = [tuple(w) for w in _span(field, loop.kernel_basis(), l)
-              if any(w)]
+        ws = [tuple(w) for w in _span(field, loop_kernel, l) if any(w)]
         if not ws:
             continue
 
-        arrow_kernel = system(flat_point(loop_mats, pres.quiver.loops())
-                              ).kernel_basis()
+        arrow_kernel = kernel(flat_point(loop_mats, pres.quiver.loops()))
         per_solution = len(ws) * len(nonzero)
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
         for values in _span(field, arrow_kernel, plan.ncols):

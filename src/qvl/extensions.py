@@ -101,12 +101,9 @@ def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
                            quo_dims.get(rel.source, 0)), terms))
     plan = SandwichPlan(field, block_shapes(pres, sub_dims, quo_dims),
                         equations)
-    factors = plan.flat_factors(flat_layout(pres, sub_dims),
-                                flat_layout(pres, quo_dims))
-
-    def kernel(quo: tuple, sub: tuple) -> list[tuple]:
-        return plan.flat_system(factors(sub, quo)).kernel_basis()
-    return plan.shapes, kernel
+    kernel = plan.flat_kernel(flat_layout(pres, sub_dims),
+                              flat_layout(pres, quo_dims))
+    return plan.shapes, lambda quo, sub: kernel(sub, quo)
 
 
 def cocycle_kernel(quo: Representation, sub: Representation

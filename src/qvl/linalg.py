@@ -99,6 +99,43 @@ class PrimeField:
                 break
         return tuple(rows), tuple(pivots)
 
+    def kernel(self, rows: Sequence[Sequence[int]], ncols: int
+               ) -> list[tuple]:
+        """Basis of {v : row . v = 0 for every row}, as ``_read_kernel``
+        reads it off the reduced row echelon form of ``rows``, whose
+        entries may be any ints.
+
+        The form is built one row at a time: each row loses its multiple
+        of every reduced row at that row's pivot, is reduced mod p once,
+        and if a nonzero entry is left, it is scaled to 1 at the first one
+        and cleared from the other reduced rows.  Once every column is a
+        pivot the kernel is zero, and the remaining rows are not read."""
+        p = self.p
+        reduced: dict[int, list] = {}
+        for row in rows:
+            if not any(row):
+                continue
+            for c, top in reduced.items():
+                a = row[c] % p
+                if a:
+                    row = [x - a * y for x, y in zip(row, top)]
+            row = [x % p for x in row]
+            if not any(row):
+                continue
+            lead = next(j for j, x in enumerate(row) if x)
+            if row[lead] != 1:
+                inv = pow(row[lead], -1, p)
+                row = [x * inv % p for x in row]
+            for c, top in reduced.items():
+                a = top[lead]
+                if a:
+                    reduced[c] = [(x - a * y) % p for x, y in zip(top, row)]
+            reduced[lead] = row
+            if len(reduced) == ncols:
+                return []
+        pivots = sorted(reduced)
+        return _read_kernel(self, [reduced[c] for c in pivots], pivots, ncols)
+
     def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
         """The matrix of dot products of each row with each column, as a
         tuple of row tuples, each entry reduced once."""
@@ -209,6 +246,13 @@ class RationalField:
                       for row in ints[:r])
                 + ((zero,) * ncols,) * (nrows - r), tuple(pivots))
 
+    def kernel(self, rows: Sequence[Sequence[Fraction]], ncols: int
+               ) -> list[tuple]:
+        """Basis of {v : row . v = 0 for every row}, as ``_read_kernel``
+        reads it off ``row_reduce``."""
+        red, pivots = self.row_reduce(rows, ncols)
+        return _read_kernel(self, red, pivots, ncols)
+
     def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
         """The matrix of dot products of each row with each column, as a
         tuple of row tuples.  Each row and each column is scaled by the lcm
@@ -269,6 +313,25 @@ def _cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
+def _read_kernel(field, red: Sequence, pivots: Sequence[int],
+                 ncols: int) -> list[tuple]:
+    """The kernel basis of a reduced row echelon form, given its nonzero
+    rows and their pivot columns: one vector per free column, 1 there, 0 at
+    every other free column, and minus that column of each row at the
+    row's pivot."""
+    zero, one, neg = field.zero, field.one, field.neg
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            v = [zero] * ncols
+            v[fc] = one
+            for row, pc in zip(red, pivots):
+                v[pc] = neg(row[fc])
+            basis.append(tuple(v))
+    return basis
+
+
 Field = Union[PrimeField, RationalField]
 
 
@@ -287,9 +350,10 @@ class Matrix:
     input, serialized matrices, family builders): it validates the shape
     and coerces every entry.  Results of field arithmetic hold field
     elements already, so the kernels here build them with ``_trusted``,
-    which does neither.  Products and row reduction run in the field's own
-    kernels, ``field.product`` and ``field.row_reduce``; elsewhere the one
-    normalization applied is ``field.reduce`` on each computed entry.
+    which does neither.  Products, row reduction and kernel bases run in
+    the field's own routines, ``field.product``, ``field.row_reduce`` and
+    ``field.kernel``; elsewhere the one normalization applied is
+    ``field.reduce`` on each computed entry.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -446,23 +510,13 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[tuple]:
-        """Deterministic basis of the right kernel {v : Mv = 0}.
+        """Deterministic basis of the right kernel {v : Mv = 0}, from
+        ``field.kernel``.
 
         Each free column yields one basis vector whose free coordinate is 1
         and whose remaining free coordinates are 0.
         """
-        f = self.field
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(red.rows[i][fc])
-            basis.append(tuple(v))
-        return basis
+        return self.field.kernel(self.rows, self.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -602,19 +656,20 @@ class SandwichPlan:
     lists them as (label, is_left) pairs, term by term, left before right.
     Equations without terms give no rows.
 
-    One loop, ``flat_system``, assembles the system from flat factors:
-    each factor's entries row-major, in a tuple.  ``system`` is its entry
-    point for ``Matrix`` factors, with their shapes checked.  Walks call
-    ``flat_system`` with the factors ``flat_factors`` cuts from their flat
-    points, whose shapes the compiled offsets guarantee.
+    ``flat_kernel`` compiles, once per pair of point layouts, a function
+    from a left and a right flat point to the kernel basis of the system
+    there, ``field.kernel`` of its rows.  ``system`` is the entry point for
+    ``Matrix`` factors, with their shapes checked, and runs the same
+    assembly.
 
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
     of X_k.  With one identity side, the cells each entry of the other
     factor adds to are fixed, and the plan lists them; with none, the term
     keeps only where its rows and columns start, and the assembly walks the
-    nonzero entries of both factors.  Terms without cells are dropped from
-    the walk, but their factors are still checked.
+    nonzero entries of both factors.  Terms without cells are dropped: the
+    assembly never reads their factors, and only ``system`` checks their
+    shapes.
     """
 
     def __init__(self, field: Field,
@@ -664,8 +719,8 @@ class SandwichPlan:
                              for s in (start + v * total + j,)]
                 else:
                     cells = (start, du, r, c, out_c)
-                self._terms.append((coeff, left is not None,
-                                    right is not None, first, cells))
+                self._terms.append(
+                    (coeff, tuple(range(first, len(self.sides))), cells))
             if terms:
                 nrows += out_r * out_c
         self.nrows = nrows
@@ -678,76 +733,109 @@ class SandwichPlan:
         if got != self._factor_shapes:
             raise ValueError(f"factor shapes {got} do not match the "
                              f"planned {self._factor_shapes}")
-        return self.flat_system([tuple(itertools.chain.from_iterable(m.rows))
-                                 for m in factors])
+        point, sources = [], []
+        for m in factors:
+            sources.append((True, [(len(point), m.nrows, m.ncols)]))
+            point.extend(itertools.chain.from_iterable(m.rows))
+        reduce = self.field.reduce
+        return Matrix._trusted(self.field, self.nrows, self.ncols, tuple(
+            tuple(map(reduce, row))
+            for row in self._compile(sources)(point, point)))
 
-    def flat_system(self, factors: Sequence[Sequence[Scalar]]) -> Matrix:
-        """The system's matrix at one point, given each factor of
-        ``sides``, in order, as its entries row-major; their shapes are not
-        checked.  Entries are summed exactly, as ints or Fractions, and
-        each is reduced once with ``field.reduce``.  Callers take
-        ``kernel_basis()`` or ``rank()`` of the result."""
+    def flat_kernel(self, left: Mapping, right: Mapping):
+        """A function from a left and a right flat point to the kernel
+        basis of the system, for sides that are sequences of labels.
+        ``left`` and ``right`` give the (offset, rows, cols) of each
+        label's matrix in a left and a right point.  A side's factor is its
+        labels' matrices multiplied left to right."""
+        field, ncols = self.field, self.ncols
+        rows = self._compile([
+            (is_left, [(left if is_left else right)[a] for a in labels])
+            for labels, is_left in self.sides])
+        return lambda left_point, right_point: field.kernel(
+            rows(left_point, right_point), ncols)
+
+    def _compile(self, sources: Sequence[tuple]):
+        """A function from a left and a right point to the system's rows,
+        where side k's factor is given by ``sources[k]``, (is_left,
+        segments): the product of the matrices at the (offset, rows, cols)
+        segments of the left or right point.
+
+        A term with one identity side whose factor is one matrix is a
+        gather: each entry of that matrix adds ``c * entry`` to its cells,
+        read straight from the point.  Every other factor is built per
+        call, a slice or a left-to-right ``field.product``, and its term
+        walks its cells.  Terms with no sides add their constant to a
+        compiled start.  Rows are returned as lists of exact sums, ints or
+        Fractions, not reduced."""
         field, total = self.field, self.ncols
-        flat = [field.zero] * (self.nrows * total)
-        for coeff, has_left, has_right, first, cells in self._terms:
-            if has_left and has_right:
-                start, du, r, c, out_c = cells
-                right = factors[first + 1]
+        start = [field.zero] * (self.nrows * total)
+        gathers: tuple[list, list] = ([], [])    # right point, left point
+        walked = []
+        for coeff, sides, cells in self._terms:
+            if not sides:
+                for idx in cells:
+                    start[idx] += coeff
+            elif len(sides) == 1 and len(sources[sides[0]][1]) == 1:
+                is_left, [(at, r, c)] = sources[sides[0]]
+                gathers[is_left].extend(zip(
+                    range(at, at + r * c), itertools.repeat(coeff),
+                    map(tuple, cells)))
+            else:
+                walked.append((coeff, [sources[k] for k in sides], cells))
+        row_starts = range(0, len(start), total) if total else \
+            [0] * self.nrows
+
+        def rows(left_point, right_point) -> list[list]:
+            flat = start.copy()
+            for point, entries in ((right_point, gathers[0]),
+                                   (left_point, gathers[1])):
+                for i, coeff, cells in entries:
+                    x = point[i]
+                    if x:
+                        cx = coeff * x
+                        for idx in cells:
+                            flat[idx] += cx
+            for coeff, term_sources, cells in walked:
+                factors = [_side_factor(field, left_point if is_left
+                                        else right_point, segments)
+                           for is_left, segments in term_sources]
+                if len(factors) == 1:
+                    for x, entry_cells in zip(factors[0], cells):
+                        if x:
+                            cx = coeff * x
+                            for idx in entry_cells:
+                                flat[idx] += cx
+                    continue
+                at, du, r, c, out_c = cells
+                left, right = factors
                 right_cols = [[(j, y) for j, y in enumerate(right[v::out_c])
                                if y] for v in range(out_c)]
-                for idx, x in enumerate(factors[first]):
+                for idx, x in enumerate(left):
                     if x:
                         u, i = divmod(idx, r)
-                        cx, base = coeff * x, start + u * du + i * c
+                        cx, base = coeff * x, at + u * du + i * c
                         for col in right_cols:
                             for j, y in col:
                                 flat[base + j] += cx * y
                             base += total
-            elif has_left or has_right:
-                for x, entry_cells in zip(factors[first], cells):
-                    if x:
-                        cx = coeff * x
-                        for idx in entry_cells:
-                            flat[idx] += cx
-            else:
-                for idx in cells:
-                    flat[idx] += coeff
-        flat = tuple(map(field.reduce, flat))
-        return Matrix._trusted(field, self.nrows, total, tuple(
-            [flat[i:i + total] for i in range(0, len(flat), total)])
-            if total else ((),) * self.nrows)
+            return [flat[i:i + total] for i in row_starts]
+        return rows
 
-    def flat_factors(self, left: Mapping, right: Mapping):
-        """A function from a left and a right flat point to the factors of
-        ``flat_system``, for sides that are sequences of labels.  ``left``
-        and ``right`` give the (offset, rows, cols) of each label's matrix
-        in a left and a right point.  A one-label side is a slice of its
-        point; a longer side is the product of its labels' matrices, left
-        to right, each taken with ``field.product``."""
-        field = self.field
-        slices, products = [], []
-        for k, (labels, is_left) in enumerate(self.sides):
-            layout = left if is_left else right
-            start, r, c = layout[labels[0]]
-            slices.append((is_left, start, start + r * c))
-            if len(labels) > 1:
-                products.append((k, is_left, r, c,
-                                 [layout[a] for a in labels[1:]]))
 
-        def factors(left_point, right_point) -> list:
-            out = [(left_point if is_left else right_point)[a:b]
-                   for is_left, a, b in slices]
-            for k, is_left, r, c, rest in products:
-                point, flat = left_point if is_left else right_point, out[k]
-                for start, _, c2 in rest:
-                    flat = tuple(itertools.chain.from_iterable(field.product(
-                        [flat[i * c:(i + 1) * c] for i in range(r)],
-                        [point[start + j:start + c * c2:c2]
-                         for j in range(c2)])))
-                    c = c2
-                out[k] = flat
-            return out
-        return factors
+def _side_factor(field: Field, point: Sequence, segments: Sequence[tuple]
+                 ) -> Sequence:
+    """The product, left to right, of the matrices at the (offset, rows,
+    cols) ``segments`` of a flat point, row-major: a slice for one matrix,
+    ``field.product`` for each further one."""
+    at, r, c = segments[0]
+    flat = point[at:at + r * c]
+    for at, _, c2 in segments[1:]:
+        flat = tuple(itertools.chain.from_iterable(field.product(
+            [flat[i * c:(i + 1) * c] for i in range(r)],
+            [point[at + j:at + c * c2:c2] for j in range(c2)])))
+        c = c2
+    return flat
 
 
 def split_blocks(field: Field, shapes: Mapping[Hashable, tuple[int, int]],

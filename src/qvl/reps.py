@@ -254,12 +254,9 @@ def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
         ((shapes[t][0], shapes[s][1]), [(1, s, (a,), None),
                                         (-1, t, None, (a,))])
         for a, s, t in quiver.arrows])
-    factors = plan.flat_factors(flat_layout(pres, target_dims),
-                                flat_layout(pres, source_dims))
-
-    def kernel(source: tuple, target: tuple) -> list[tuple]:
-        return plan.flat_system(factors(target, source)).kernel_basis()
-    return plan.shapes, kernel
+    kernel = plan.flat_kernel(flat_layout(pres, target_dims),
+                              flat_layout(pres, source_dims))
+    return plan.shapes, lambda source, target: kernel(target, source)
 
 
 def hom_kernel(source: Representation, target: Representation

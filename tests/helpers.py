@@ -50,9 +50,8 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
                 ok = False
         if not ok:
             continue
-        arrow_slots, total, system = _linear_system_for_arrows(
+        arrow_slots, total, kernel = _linear_system_for_arrows(
             pres, field, dims, loop_mats, linear_rels)
-        kernel = system.kernel_basis()
         values = [field.zero] * total
         for vec in kernel:
             c = field.coerce(rng.randrange(field.p)) if hasattr(field, "p") \

@@ -22,7 +22,7 @@ from qvl.extensions import (block_shapes, cocycle_fiber, cocycle_kernel,
                             cocycle_space_basis, cocycle_value)
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF, QQ, Matrix, SandwichPlan, split_blocks
+from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor, split_blocks
 from qvl.quiver import BoundQuiver, Quiver, Relation
 from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
                       hom_basis, hom_fiber, hom_kernel, is_monomorphism)
@@ -421,7 +421,7 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
         == _typed(cocycle_kernel(x, y)[1]) == _typed(cocycles), text
 
     # the cocycle layout, whose sides include products of two arrows: the
-    # factors cut from flat points are the matrix products, and both
+    # factors built from flat points are the matrix products, and both
     # entry points assemble the same system
     plan = SandwichPlan(field, block_shapes(pres, y.dims, x.dims), [
         ((y.dims[rel.target], x.dims[rel.source]),
@@ -436,11 +436,42 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
         for a in labels[1:]:
             product = product @ mats[a]
         factors.append(product)
-    flat = plan.flat_factors(flat_layout(pres, y.dims),
-                             flat_layout(pres, x.dims))(y_flat, x_flat)
-    assert [[(type(v), v) for v in f] for f in flat] \
-        == [[(type(v), v) for v in _entries(m)] for m in factors]
-    system = plan.system(factors)
-    assert system == plan.flat_system(flat)
-    assert _typed(system.rows) == _typed(plan.flat_system(flat).rows)
-    assert system.kernel_basis() == cocycles
+    layouts = flat_layout(pres, y.dims), flat_layout(pres, x.dims)
+    flat = [_side_factor(field, y_flat if is_left else x_flat,
+                         [layouts[not is_left][a] for a in labels])
+            for labels, is_left in plan.sides]
+    assert _typed(flat) == _typed(map(_entries, factors))
+    assert _typed(plan.flat_kernel(*layouts)(y_flat, x_flat)) \
+        == _typed(plan.system(factors).kernel_basis()) == _typed(cocycles)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_census_hom_kernels_gather_one_column_systems(q):
+    # the census's layout: the source is zero at vertex 0, so f_1 is the
+    # one unknown, f_0 has no entries and each equation has one column;
+    # the gathered kernel of every pair is the kernel of the system that
+    # the checked entry point builds from the points' matrices
+    pres, field = family_a_prime(4, 2, 2), GF(q)
+    source_dims, target_dims = {0: 0, 1: 1}, {0: 1, 1: 1}
+    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
+    assert shapes == {0: (1, 0), 1: (1, 1)}
+    plan = SandwichPlan(field, shapes, [
+        ((target_dims[t], source_dims[s]), [(1, s, (a,), None),
+                                            (-1, t, None, (a,))])
+        for a, s, t in pres.quiver.arrows])
+    assert (plan.nrows, plan.ncols) == (5, 1)
+    arrows = pres.quiver.arrow_names()
+    sources = list(iter_rep_points(pres, field, source_dims))
+    targets = list(iter_rep_points(pres, field, target_dims))
+    assert (len(sources), len(targets)) == (1, q ** 4)
+    free = 0
+    for x, y in itertools.product(sources, targets):
+        factors = [(y if is_left else x).mats[labels[0]]
+                   for labels, is_left in plan.sides]
+        expected = plan.system(factors).kernel_basis()
+        got = kernel(*(tuple(v for a in arrows for row in rep.mats[a].rows
+                             for v in row) for rep in (x, y)))
+        assert got == expected
+        free += len(got)
+    # the loops vanish in dimension 1; b is free only where every a_i does
+    assert free == 1

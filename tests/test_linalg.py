@@ -423,3 +423,46 @@ class TestRationalKernels:
         assert prod.shape == (a.nrows, b.ncols)
         assert prod.rows == product_oracle(a.rows, b.rows, b.ncols)
         assert_normal(prod)
+
+
+@st.composite
+def kernel_systems(draw):
+    """(field, rows, ncols) for ``field.kernel``: empty shapes, zero rows,
+    ints of either sign beyond [0, p) over F_p, and systems whose leading
+    rows already have full column rank."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 0]))
+    field = GF(q) if q else QQ
+    ncols = draw(st.integers(0, 5))
+    entry = (st.integers(-3 * q, 3 * q) if q else
+             st.fractions(-4, 4, max_denominator=4) | st.integers(-4, 4))
+    row = st.just([0] * ncols) | st.lists(entry, min_size=ncols,
+                                          max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        # a unit lower triangular block, in any row order, comes first
+        block = [[draw(entry) if j < i else 1 + q * draw(st.integers(-2, 2))
+                  if j == i else 0 for j in range(ncols)]
+                 for i in range(ncols)]
+        rows = draw(st.permutations(block)) + rows
+    return field, rows, ncols
+
+
+class TestFieldKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_kernel_is_read_off_row_reduce(self, case):
+        field, rows, ncols = case
+        red, pivots = field.row_reduce(
+            [tuple(map(field.coerce, row)) for row in rows], ncols)
+        expected = []
+        for fc in range(ncols):
+            if fc not in pivots:
+                v = [field.zero] * ncols
+                v[fc] = field.one
+                for row, pc in zip(red, pivots):
+                    v[pc] = field.neg(row[fc])
+                expected.append(tuple(v))
+        basis = field.kernel(rows, ncols)
+        assert [[(type(x), x) for x in v] for v in basis] == \
+            [[(type(x), x) for x in v] for v in expected]
+        assert Matrix(field, len(rows), ncols, rows).kernel_basis() == basis
