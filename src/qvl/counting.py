@@ -769,14 +769,14 @@ def _injective_homs(field: PrimeField, shapes: Mapping, kernel,
     """Number of homomorphisms, in the Hom space with these vertex map
     shapes and kernel basis, whose vertex maps all have full column rank,
     found by walking the Hom space.  Each map's rows are cut from the flat
-    vector; its columns are independent when ``field.kernel`` is empty."""
+    vector; its columns are independent when each is a pivot."""
     maps, size = [], 0
     for r, c in shapes.values():
         if c:
             maps.append((range(size, size + r * c, c), c))
         size += r * c
-    return sum(all(not field.kernel([vec[i:i + c] for i in rows], c)
-                   for rows, c in maps)
+    return sum(all(len(field.row_reduce([vec[i:i + c] for i in rows],
+                                        c)[1]) == c for rows, c in maps)
                for vec in _walk_fiber(field, size, kernel, meter))
 
 

@@ -69,50 +69,23 @@ class PrimeField:
         """Normal form of an integer combination of field elements."""
         return x % self.p
 
-    def row_reduce(self, rows: Sequence[tuple], ncols: int
+    def row_reduce(self, rows: Sequence[Sequence[int]], ncols: int
                    ) -> tuple[tuple, tuple[int, ...]]:
         """Gauss-Jordan elimination: the reduced row echelon form of
-        ``rows`` (a tuple of row tuples) and its pivot columns.  Each pivot
-        row is scaled by the inverse of its pivot, and each other row loses
-        its multiple of it, reduced mod p entry by entry."""
-        reduce, zero = self.reduce, self.zero
-        nrows = len(rows)
-        rows = list(rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = next((i for i in range(r, nrows)
-                              if rows[i][c] != zero), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = self.inv(rows[r][c])
-            top = rows[r] = tuple([reduce(inv * x) for x in rows[r]])
-            for i in range(nrows):
-                factor = rows[i][c]
-                if i != r and factor != zero:
-                    rows[i] = tuple([reduce(x - factor * y)
-                                     for x, y in zip(rows[i], top)])
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return tuple(rows), tuple(pivots)
-
-    def kernel(self, rows: Sequence[Sequence[int]], ncols: int
-               ) -> list[tuple]:
-        """Basis of {v : row . v = 0 for every row}, as ``_read_kernel``
-        reads it off the reduced row echelon form of ``rows``, whose
-        entries may be any ints.
+        ``rows``, whose entries may be any ints, as a tuple of row tuples,
+        and its pivot columns.
 
         The form is built one row at a time: each row loses its multiple
         of every reduced row at that row's pivot, is reduced mod p once,
         and if a nonzero entry is left, it is scaled to 1 at the first one
         and cleared from the other reduced rows.  Once every column is a
-        pivot the kernel is zero, and the remaining rows are not read."""
+        pivot the remaining rows are not read: the form is the identity
+        followed by zero rows."""
         p = self.p
         reduced: dict[int, list] = {}
         for row in rows:
+            if len(reduced) == ncols:
+                break
             if not any(row):
                 continue
             for c, top in reduced.items():
@@ -131,10 +104,9 @@ class PrimeField:
                 if a:
                     reduced[c] = [(x - a * y) % p for x, y in zip(top, row)]
             reduced[lead] = row
-            if len(reduced) == ncols:
-                return []
-        pivots = sorted(reduced)
-        return _read_kernel(self, [reduced[c] for c in pivots], pivots, ncols)
+        pivots = tuple(sorted(reduced))
+        return (tuple([tuple(reduced[c]) for c in pivots])
+                + ((0,) * ncols,) * (len(rows) - len(pivots)), pivots)
 
     def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
         """The matrix of dot products of each row with each column, as a
@@ -246,13 +218,6 @@ class RationalField:
                       for row in ints[:r])
                 + ((zero,) * ncols,) * (nrows - r), tuple(pivots))
 
-    def kernel(self, rows: Sequence[Sequence[Fraction]], ncols: int
-               ) -> list[tuple]:
-        """Basis of {v : row . v = 0 for every row}, as ``_read_kernel``
-        reads it off ``row_reduce``."""
-        red, pivots = self.row_reduce(rows, ncols)
-        return _read_kernel(self, red, pivots, ncols)
-
     def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
         """The matrix of dot products of each row with each column, as a
         tuple of row tuples.  Each row and each column is scaled by the lcm
@@ -313,12 +278,13 @@ def _cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
-def _read_kernel(field, red: Sequence, pivots: Sequence[int],
-                 ncols: int) -> list[tuple]:
-    """The kernel basis of a reduced row echelon form, given its nonzero
-    rows and their pivot columns: one vector per free column, 1 there, 0 at
-    every other free column, and minus that column of each row at the
-    row's pivot."""
+def kernel_basis(field: Field, rows: Sequence[Sequence], ncols: int
+                 ) -> list[tuple]:
+    """Basis of {v : row . v = 0 for every row}, read off the reduced row
+    echelon form that ``field.row_reduce`` gives: one vector per free
+    column, 1 there, 0 at every other free column, and minus that column
+    of each nonzero row at the row's pivot."""
+    red, pivots = field.row_reduce(rows, ncols)
     zero, one, neg = field.zero, field.one, field.neg
     pivot_set = set(pivots)
     basis = []
@@ -350,10 +316,9 @@ class Matrix:
     input, serialized matrices, family builders): it validates the shape
     and coerces every entry.  Results of field arithmetic hold field
     elements already, so the kernels here build them with ``_trusted``,
-    which does neither.  Products, row reduction and kernel bases run in
-    the field's own routines, ``field.product``, ``field.row_reduce`` and
-    ``field.kernel``; elsewhere the one normalization applied is
-    ``field.reduce`` on each computed entry.
+    which does neither.  Products and row reduction run in the field's
+    own routines, ``field.product`` and ``field.row_reduce``; elsewhere the
+    one normalization applied is ``field.reduce`` on each computed entry.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -494,8 +459,8 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
-        Each field eliminates in its own way (``field.row_reduce``): F_p on
-        reduced residues, Q fraction-free on integer rows.  Both give the
+        Each field eliminates in its own way (``field.row_reduce``): F_p one
+        row at a time, Q fraction-free on integer rows.  Both give the
         same matrix, because the RREF is unique: it depends only on the row
         space.  Its pivot columns are the columns at which the rank of the
         leading columns grows, and its row at pivot c is the one vector of
@@ -510,13 +475,13 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[tuple]:
-        """Deterministic basis of the right kernel {v : Mv = 0}, from
-        ``field.kernel``.
+        """Deterministic basis of the right kernel {v : Mv = 0}, from the
+        module's ``kernel_basis``.
 
         Each free column yields one basis vector whose free coordinate is 1
         and whose remaining free coordinates are 0.
         """
-        return self.field.kernel(self.rows, self.ncols)
+        return kernel_basis(self.field, self.rows, self.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -658,7 +623,7 @@ class SandwichPlan:
 
     ``flat_kernel`` compiles, once per pair of point layouts, a function
     from a left and a right flat point to the kernel basis of the system
-    there, ``field.kernel`` of its rows.  ``system`` is the entry point for
+    there, ``kernel_basis`` of its rows.  ``system`` is the entry point for
     ``Matrix`` factors, with their shapes checked, and runs the same
     assembly.
 
@@ -752,8 +717,8 @@ class SandwichPlan:
         rows = self._compile([
             (is_left, [(left if is_left else right)[a] for a in labels])
             for labels, is_left in self.sides])
-        return lambda left_point, right_point: field.kernel(
-            rows(left_point, right_point), ncols)
+        return lambda left_point, right_point: kernel_basis(
+            field, rows(left_point, right_point), ncols)
 
     def _compile(self, sources: Sequence[tuple]):
         """A function from a left and a right point to the system's rows,
@@ -761,25 +726,36 @@ class SandwichPlan:
         segments): the product of the matrices at the (offset, rows, cols)
         segments of the left or right point.
 
-        A term with one identity side whose factor is one matrix is a
-        gather: each entry of that matrix adds ``c * entry`` to its cells,
-        read straight from the point.  Every other factor is built per
-        call, a slice or a left-to-right ``field.product``, and its term
-        walks its cells.  Terms with no sides add their constant to a
-        compiled start.  Rows are returned as lists of exact sums, ints or
-        Fractions, not reduced."""
+        A term with one identity side is a gather: each entry of its factor
+        adds ``c * entry`` to its cells.  A factor that is one matrix is
+        read straight from the point; a product is built once per call, by
+        ``_side_factor``, and read from there.  A term with two sides
+        builds both factors per call and walks their nonzero entries.
+        Terms with no sides add their constant to a compiled start.  Rows
+        are returned as lists of exact sums, ints or Fractions, not
+        reduced."""
         field, total = self.field, self.ncols
         start = [field.zero] * (self.nrows * total)
-        gathers: tuple[list, list] = ([], [])    # right point, left point
+        # (index, coeff, cells) entries read from the right point, the
+        # left point and then each product factor, in the order of products
+        gathers: list[list] = [[], []]
+        products: dict[tuple, int] = {}
         walked = []
         for coeff, sides, cells in self._terms:
             if not sides:
                 for idx in cells:
                     start[idx] += coeff
-            elif len(sides) == 1 and len(sources[sides[0]][1]) == 1:
-                is_left, [(at, r, c)] = sources[sides[0]]
-                gathers[is_left].extend(zip(
-                    range(at, at + r * c), itertools.repeat(coeff),
+            elif len(sides) == 1:
+                is_left, segments = sources[sides[0]]
+                source, at = is_left, segments[0][0]
+                if len(segments) > 1:
+                    key = (is_left, tuple(segments))
+                    if key not in products:
+                        products[key] = len(gathers)
+                        gathers.append([])
+                    source, at = products[key], 0
+                gathers[source].extend(zip(
+                    itertools.count(at), itertools.repeat(coeff),
                     map(tuple, cells)))
             else:
                 walked.append((coeff, [sources[k] for k in sides], cells))
@@ -788,8 +764,11 @@ class SandwichPlan:
 
         def rows(left_point, right_point) -> list[list]:
             flat = start.copy()
-            for point, entries in ((right_point, gathers[0]),
-                                   (left_point, gathers[1])):
+            points = [right_point, left_point]
+            points += [_side_factor(field, left_point if is_left
+                                    else right_point, segments)
+                       for is_left, segments in products]
+            for point, entries in zip(points, gathers):
                 for i, coeff, cells in entries:
                     x = point[i]
                     if x:
@@ -797,18 +776,10 @@ class SandwichPlan:
                         for idx in cells:
                             flat[idx] += cx
             for coeff, term_sources, cells in walked:
-                factors = [_side_factor(field, left_point if is_left
-                                        else right_point, segments)
-                           for is_left, segments in term_sources]
-                if len(factors) == 1:
-                    for x, entry_cells in zip(factors[0], cells):
-                        if x:
-                            cx = coeff * x
-                            for idx in entry_cells:
-                                flat[idx] += cx
-                    continue
+                left, right = [_side_factor(field, left_point if is_left
+                                            else right_point, segments)
+                               for is_left, segments in term_sources]
                 at, du, r, c, out_c = cells
-                left, right = factors
                 right_cols = [[(j, y) for j, y in enumerate(right[v::out_c])
                                if y] for v in range(out_c)]
                 for idx, x in enumerate(left):

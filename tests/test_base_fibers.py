@@ -447,31 +447,25 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_census_hom_kernels_gather_one_column_systems(q):
-    # the census's layout: the source is zero at vertex 0, so f_1 is the
-    # one unknown, f_0 has no entries and each equation has one column;
-    # the gathered kernel of every pair is the kernel of the system that
-    # the checked entry point builds from the points' matrices
+    # the census's layout: the source is zero at vertex 0, so f_1 = b is
+    # the one unknown, f_0 has no entries and each equation has one
+    # column: e1 gives b x_e1 = y_e1 b and each a_i gives y_ai b = 0.  The
+    # loops vanish in dimension 1, so the kernel is spanned by b = 1 where
+    # every a_i of the target is 0 and is zero elsewhere.
     pres, field = family_a_prime(4, 2, 2), GF(q)
     source_dims, target_dims = {0: 0, 1: 1}, {0: 1, 1: 1}
     shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
     assert shapes == {0: (1, 0), 1: (1, 1)}
-    plan = SandwichPlan(field, shapes, [
-        ((target_dims[t], source_dims[s]), [(1, s, (a,), None),
-                                            (-1, t, None, (a,))])
-        for a, s, t in pres.quiver.arrows])
-    assert (plan.nrows, plan.ncols) == (5, 1)
     arrows = pres.quiver.arrow_names()
     sources = list(iter_rep_points(pres, field, source_dims))
     targets = list(iter_rep_points(pres, field, target_dims))
     assert (len(sources), len(targets)) == (1, q ** 4)
     free = 0
     for x, y in itertools.product(sources, targets):
-        factors = [(y if is_left else x).mats[labels[0]]
-                   for labels, is_left in plan.sides]
-        expected = plan.system(factors).kernel_basis()
         got = kernel(*(tuple(v for a in arrows for row in rep.mats[a].rows
                              for v in row) for rep in (x, y)))
-        assert got == expected
+        b_free = all(y.mats[f"a{i}"].is_zero() for i in range(1, 5))
+        assert got == ([(1,)] if b_free else [])
         free += len(got)
     # the loops vanish in dimension 1; b is free only where every a_i does
     assert free == 1

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, Subspace, block2x2,
-                        hstack, random_invertible, random_matrix,
-                        random_nilpotent, split_blocks, vstack)
+                        hstack, kernel_basis, random_invertible,
+                        random_matrix, random_nilpotent, split_blocks,
+                        vstack)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -311,9 +312,9 @@ class TestTrustedResults:
             assert (a @ blocks["x"] @ b).scale(c) == a @ blocks["y"] @ b
 
 
-def gauss_jordan_oracle(rows, ncols):
-    """RREF and pivots by the textbook loop on Fractions, every operation
-    a QQ method."""
+def gauss_jordan_oracle(rows, ncols, field=QQ):
+    """RREF and pivots by the textbook loop on field elements, every
+    operation a method of ``field``."""
     rows = [list(row) for row in rows]
     pivots = []
     for c in range(ncols):
@@ -323,12 +324,12 @@ def gauss_jordan_oracle(rows, ncols):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = QQ.inv(rows[r][c])
-        rows[r] = [QQ.mul(inv, x) for x in rows[r]]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
         for i in range(len(rows)):
             factor = rows[i][c]
             if i != r:
-                rows[i] = [QQ.sub(x, QQ.mul(factor, y))
+                rows[i] = [field.sub(x, field.mul(factor, y))
                            for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return tuple(tuple(row) for row in rows), tuple(pivots)
@@ -427,7 +428,7 @@ class TestRationalKernels:
 
 @st.composite
 def kernel_systems(draw):
-    """(field, rows, ncols) for ``field.kernel``: empty shapes, zero rows,
+    """(field, rows, ncols) for ``kernel_basis``: empty shapes, zero rows,
     ints of either sign beyond [0, p) over F_p, and systems whose leading
     rows already have full column rank."""
     q = draw(st.sampled_from([2, 3, 5, 7, 0]))
@@ -447,13 +448,18 @@ def kernel_systems(draw):
     return field, rows, ncols
 
 
-class TestFieldKernel:
+class TestKernelBasis:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kernel_systems())
-    def test_kernel_is_read_off_row_reduce(self, case):
+    def test_row_reduce_and_kernel_against_oracle(self, case):
+        # row_reduce takes the unreduced rows, the oracle their field
+        # elements; both give the RREF, and the basis read off it
         field, rows, ncols = case
-        red, pivots = field.row_reduce(
-            [tuple(map(field.coerce, row)) for row in rows], ncols)
+        red, pivots = gauss_jordan_oracle(
+            [tuple(map(field.coerce, row)) for row in rows], ncols, field)
+        typed = lambda m: [[(type(x), x) for x in v] for v in m]
+        got, got_pivots = field.row_reduce(rows, ncols)
+        assert (typed(got), got_pivots) == (typed(red), pivots)
         expected = []
         for fc in range(ncols):
             if fc not in pivots:
@@ -462,7 +468,6 @@ class TestFieldKernel:
                 for row, pc in zip(red, pivots):
                     v[pc] = field.neg(row[fc])
                 expected.append(tuple(v))
-        basis = field.kernel(rows, ncols)
-        assert [[(type(x), x) for x in v] for v in basis] == \
-            [[(type(x), x) for x in v] for v in expected]
-        assert Matrix(field, len(rows), ncols, rows).kernel_basis() == basis
+        assert typed(kernel_basis(field, rows, ncols)) == typed(expected)
+        assert typed(Matrix(field, len(rows), ncols, rows).kernel_basis()) \
+            == typed(expected)
