@@ -5,27 +5,30 @@ checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
 blocks constrained linearly by relations) are kernels of systems and are
 counted through their dimension instead of being walked pointwise.  Each
 walk compiles the layout of its systems once, as a ``linalg.SandwichPlan``,
-and applies it to every point.  Walks stream flat points: a point of a
-variety is a tuple of its coordinates (every arrow's entries, arrows in
-declaration order, row-major), and a point of a linear fiber is a vector
-in the plan's layout.  The fiber systems are assembled straight from flat
-points.  ``Representation``, ``Morphism``, ``HomTriple`` and
-``ExtensionTriple`` objects are built only by the public iterators; the
-counts and the census read the flat points.
+and applies it to every point.  Walks stream flat points from the loop
+locus up: a point of a variety is a tuple of its coordinates (every
+arrow's entries, arrows in declaration order, row-major), a loop point the
+entries of the loops alone, and a point of a linear fiber a vector in the
+plan's layout.  The fiber systems are assembled straight from flat points.
+``Representation``, ``Morphism``, ``HomTriple`` and ``ExtensionTriple``
+objects are built only by the public iterators; the counts, the census and
+the witness read the flat points.
 
 Loop loci are stratified by Jordan type when every loop vertex has exactly
 one loop, every loop has a power relation, and every loop-only relation is a
 nonzero multiple of a power of its loop.  The locus is then the union of the
 conjugacy classes of the nilpotent Jordan matrices J_lam with parts at most
 the smallest power, and the class of J_lam has |GL_d(q)| / |C(lam)| points
-(Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).  Every count
-sums over one source of weighted loop points: J_lam weighted by its orbit
-size, or where the locus is not stratified every loop matrix a filter over
-all q^(loop coordinates) of them accepts, with weight 1.  What a count sums
-(a linear fiber's dimension, dim Hom, dim of a cocycle space, the number of
-injective homomorphisms) is unchanged by conjugating the loop vertices, so
-J_lam stands for its orbit.  Walks that must visit every point stream each
-orbit instead, closing J_lam under elementary conjugations.
+(Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).  Every walk
+takes its loop points, each with the number of loop points it stands for,
+from one source, ``_loop_points``.  Where the locus is not stratified, that
+is every loop point a filter over all q^(loop coordinates) of them accepts,
+with weight 1.  Where it is, a count takes J_lam weighted by its orbit
+size: what a count sums (a linear fiber's dimension, dim Hom, dim of a
+cocycle space, the number of injective homomorphisms) is unchanged by
+conjugating the loop vertices, so J_lam stands for its orbit.  Walks that
+must visit every point (the public iterators, the census and the witness)
+take each orbit instead, closing J_lam under elementary conjugations.
 
 Each point splits into base matrices and linear ones.  The base is every
 loop plus a set of non-loop arrows: relations that use only base arrows are
@@ -71,7 +74,7 @@ from .families import FamilyParameterError, family_a, family_a_prime, family_b
 from .linalg import Matrix, PrimeField, SandwichPlan, Subspace, split_blocks
 from .quiver import BoundQuiver
 from .reps import (HomTriple, Morphism, Representation, flat_layout,
-                   flat_point, hom_fiber, is_monomorphism, path_product)
+                   hom_fiber, is_monomorphism, path_product)
 
 DEFAULT_BUDGET = 10**8
 
@@ -155,6 +158,9 @@ class EnumerationTask:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.pres is None or self.field is None:
             raise ValueError("variety tasks need pres and field")
+        if not isinstance(self.field, PrimeField):
+            raise ValueError("points are counted over a prime field F_p, "
+                             f"not {self.field!r}")
         if self.kind == "rep" and self.dims is None:
             raise ValueError("rep tasks need dims")
         if self.kind in ("hom", "mono") and (
@@ -302,19 +308,6 @@ def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
     return plan, lambda point: kernel(point, point)
 
 
-def _linear_system_for_arrows(pres: BoundQuiver, field, dims, base_mats,
-                              linear_rels):
-    """(arrow, rows, columns) of each arrow outside ``base_mats``, their
-    entry count, and the kernel basis of the system of ``_arrow_plan`` at
-    these base matrices (every loop, and any base arrows)."""
-    quiver = pres.quiver
-    base = [a for a in quiver.arrow_names()
-            if a in base_mats and not quiver.is_loop(a)]
-    plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
-    return ([(a, r, c) for a, (r, c) in plan.shapes.items()], plan.ncols,
-            kernel(flat_point(base_mats, [*quiver.loops(), *base])))
-
-
 def _relations_vanish(field, dims, mats, rels) -> bool:
     """Whether every relation in ``rels`` evaluates to zero on ``mats``."""
     for rel in rels:
@@ -330,10 +323,10 @@ def _relations_vanish(field, dims, mats, rels) -> bool:
 
 
 def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
-                             meter: _Meter | None):
-    """Every loop assignment that satisfies the loop-only relations, found
-    by testing all q^(loop coordinates) of them."""
-    meter = meter or _Meter()
+                             meter: _Meter):
+    """Every flat loop point (the entries of every loop, loops in
+    declaration order, row-major) that satisfies the loop-only relations,
+    found by testing all q^(loop coordinates) of them, one step each."""
     quiver = pres.quiver
     loop_shapes = {a: (dims.get(quiver.source(a), 0),) * 2
                    for a in quiver.loops()}
@@ -343,7 +336,7 @@ def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
         meter.tick()
         loop_mats = split_blocks(field, loop_shapes, values)
         if _relations_vanish(field, dims, loop_mats, loop_rels):
-            yield loop_mats
+            yield values
 
 
 # --- Jordan-type strata of the loop locus ---------------------------------
@@ -385,16 +378,17 @@ def nilpotent_orbit_size(lam: Sequence[int], q: int) -> int:
     return gl_order(sum(parts), q) // centralizer
 
 
-def _jordan_matrix(field, lam: Sequence[int]) -> Matrix:
-    """Nilpotent Jordan matrix with blocks lam, ones above the diagonal."""
+def _jordan_point(lam: Sequence[int]) -> tuple:
+    """Entries of the nilpotent Jordan matrix with blocks lam, ones above
+    the diagonal, row-major."""
     d = sum(lam)
-    rows = [[0] * d for _ in range(d)]
+    point = [0] * (d * d)
     start = 0
     for part in lam:
         for i in range(start, start + part - 1):
-            rows[i][i + 1] = 1
+            point[i * d + i + 1] = 1
         start += part
-    return Matrix(field, d, d, rows)
+    return tuple(point)
 
 
 def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
@@ -423,8 +417,9 @@ def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
 
 
 def _loop_strata(pres: BoundQuiver, field, dims, loop_rels):
-    """Jordan strata of the loop locus as ({loop: partition}, orbit size)
-    pairs in the fixed order, or None when the locus is not stratified."""
+    """Jordan strata of the loop locus as (partition of each loop, orbit
+    size) pairs in the fixed order, or None when the locus is not
+    stratified."""
     powers = _loop_powers(pres, field, loop_rels)
     if powers is None:
         return None
@@ -437,7 +432,7 @@ def _loop_strata(pres: BoundQuiver, field, dims, loop_rels):
         weight = 1
         for _, size in combo:
             weight *= size
-        strata.append((dict(zip(powers, (lam for lam, _ in combo))), weight))
+        strata.append((tuple(lam for lam, _ in combo), weight))
     return strata
 
 
@@ -456,17 +451,18 @@ def _primitive_root(p: int) -> int:
                 if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
 
 
-def _nilpotent_orbit(field, lam: Sequence[int]) -> list[Matrix]:
-    """The conjugacy class of J_lam, breadth-first from J_lam.
+def _nilpotent_orbit(field, lam: Sequence[int]) -> list[tuple]:
+    """The conjugacy class of J_lam, breadth-first from J_lam, each matrix
+    as its entries row-major.
 
     Conjugation by the transvections I + E_ij and by diag(g, 1, .., 1), with
     g a primitive root, generates the action of GL_d(F_p); the closure is
     checked against the orbit-size formula.  Every entry is reduced mod p
-    as it is computed, so the points are built without re-coercion."""
+    as it is computed, so the entries are field elements in normal form."""
     p, d = field.p, sum(lam)
     g = _primitive_root(p) if d > 1 else 1
     g_inv = pow(g, -1, p)
-    start = tuple(x for row in _jordan_matrix(field, lam).rows for x in row)
+    start = _jordan_point(lam)
     seen = {start}
     orbit = [start]
     for x in orbit:
@@ -492,66 +488,56 @@ def _nilpotent_orbit(field, lam: Sequence[int]) -> list[Matrix]:
         raise AssertionError(
             f"orbit of Jordan type {tuple(lam)} has {len(orbit)} points, "
             f"not {nilpotent_orbit_size(lam, p)}")
-    return [Matrix._trusted(field, d, d,
-                            tuple(x[i * d:(i + 1) * d] for i in range(d)))
-            for x in orbit]
+    return orbit
 
 
-def _iter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
-                           meter: _Meter | None):
-    """Every point of the loop locus once, in the fixed order: the orbits
-    of the Jordan strata where the locus is stratified, else the filter."""
-    meter = meter or _Meter()
+def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
+                 orbits: bool, stratum_steps: bool = False):
+    """(flat loop point, number of loop points it stands for) over the loop
+    locus, in the fixed order.  Where the locus is not stratified, every
+    loop point the filter accepts, with weight 1.  Where it is, with
+    ``orbits`` every point of each stratum once, with weight 1 and one step
+    each, all planned up front; else the Jordan point of each stratum,
+    weighted by its orbit size, with one step each when ``stratum_steps``
+    is set, all planned up front."""
     strata = _loop_strata(pres, field, dims, loop_rels)
     if strata is None:
-        yield from _filter_loop_assignments(pres, field, dims, loop_rels,
-                                            meter)
+        for point in _filter_loop_assignments(pres, field, dims, loop_rels,
+                                              meter):
+            yield point, 1
+        return
+    if not orbits:
+        for lams, weight in (_metered(strata, meter) if stratum_steps
+                             else strata):
+            yield tuple(itertools.chain.from_iterable(
+                map(_jordan_point, lams))), weight
         return
     meter.precheck(sum(weight for _, weight in strata))
-    orbits = {}
-    for types, _ in strata:
+    cache = {}
+    for lams, _ in strata:
         # keep only the orbits this stratum uses
-        orbits = {lam: orbits.get(lam) or _nilpotent_orbit(field, lam)
-                  for lam in set(types.values())}
-        for mats in itertools.product(*(orbits[lam]
-                                        for lam in types.values())):
+        cache = {lam: cache.get(lam) or _nilpotent_orbit(field, lam)
+                 for lam in set(lams)}
+        for combo in itertools.product(*(cache[lam] for lam in lams)):
             meter.tick()
-            yield dict(zip(types, mats))
+            yield tuple(itertools.chain.from_iterable(combo)), 1
 
 
-def _weighted_loops(pres: BoundQuiver, field, dims, loop_rels,
-                    meter: _Meter, stratum_steps: bool = False):
-    """(loop matrices, number of loop points they stand for) over the loop
-    locus: the Jordan representative of each stratum, weighted by its orbit
-    size, where the locus is stratified, else every loop point the filter
-    accepts, with weight 1.  The filter takes one step per candidate; with
-    ``stratum_steps`` each stratum takes one, all planned up front."""
-    strata = _loop_strata(pres, field, dims, loop_rels)
-    if strata is None:
-        for loop_mats in _filter_loop_assignments(pres, field, dims,
-                                                  loop_rels, meter):
-            yield loop_mats, 1
-        return
-    for types, weight in (_metered(strata, meter) if stratum_steps
-                          else strata):
-        yield {a: _jordan_matrix(field, lam) for a, lam in types.items()}, \
-            weight
-
-
-def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
-                 meter: _Meter):
-    """The loop matrices extended by every assignment of the base arrows
-    that satisfies ``base_rels``, each as a flat base point (every loop,
-    then the arrows in ``base``): one step planned per candidate, taken in
-    itertools.product order (arrows in declaration order, entries
-    row-major).  Without base arrows the loop point is the only base point
-    and costs nothing here."""
-    loops = flat_point(loop_mats, pres.quiver.loops())
+def _base_points(pres: BoundQuiver, field, dims, loops: tuple, base,
+                 base_rels, meter: _Meter):
+    """The flat loop point ``loops`` extended by every assignment of the
+    base arrows that satisfies ``base_rels``, each as a flat base point
+    (every loop, then the arrows in ``base``): one step planned per
+    candidate, taken in itertools.product order (arrows in declaration
+    order, entries row-major).  Without base arrows the loop point is the
+    only base point and costs nothing here."""
     if not base:
         yield loops
         return
-    shapes = {a: shape for a, shape in _rep_shapes(pres, dims).items()
-              if a in base}
+    shapes = _rep_shapes(pres, dims)
+    loop_mats = split_blocks(field, {a: shapes[a]
+                                     for a in pres.quiver.loops()}, loops)
+    shapes = {a: shape for a, shape in shapes.items() if a in base}
     total = sum(r * c for r, c in shapes.values())
     meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
@@ -561,14 +547,14 @@ def _base_points(pres: BoundQuiver, field, dims, loop_mats, base, base_rels,
             yield loops + values
 
 
-def _points_over(pres: BoundQuiver, field, dims, loop_points,
-                 meter: _Meter) -> Iterator[tuple]:
-    """(point, weight) for every point above each (loop matrices, weight)
-    of ``loop_points(loop_rels)``, for the loop-only relations of
-    ``_choose_base``: the linear fiber over each base point above them.
-    A point is flat, as ``flat_layout`` lays it out: every arrow's entries,
-    arrows in declaration order, row-major.  The arrow system's layout is
-    compiled once for the walk."""
+def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
+                 orbits: bool) -> Iterator[tuple]:
+    """(point, weight) for every point above each weighted loop point of
+    ``_loop_points`` (with ``orbits`` every point of the variety once, with
+    weight 1): the linear fiber over each base point above them.  A point
+    is flat, as ``flat_layout`` lays it out: every arrow's entries, arrows
+    in declaration order, row-major.  The arrow system's layout is compiled
+    once for the walk."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
     # each coordinate's place in the base point followed by the fiber vector
@@ -579,9 +565,10 @@ def _points_over(pres: BoundQuiver, field, dims, loop_points,
              for i in range(start, start + r * c)]
     if order == sorted(order):
         order = None
-    for loop_mats, weight in loop_points(loop_rels):
-        for point in _base_points(pres, field, dims, loop_mats, base,
-                                  base_rels, meter):
+    for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
+                                      orbits):
+        for point in _base_points(pres, field, dims, loops, base, base_rels,
+                                  meter):
             for vec in _walk_fiber(field, plan.ncols, kernel(point), meter):
                 full = point + tuple(vec)
                 yield (full if order is None
@@ -596,21 +583,12 @@ def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
     count = 0
-    for loop_mats, weight in _weighted_loops(pres, field, dims, loop_rels,
-                                             meter, stratum_steps=not base):
-        for point in _base_points(pres, field, dims, loop_mats, base,
-                                  base_rels, meter):
+    for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
+                                      orbits=False, stratum_steps=not base):
+        for point in _base_points(pres, field, dims, loops, base, base_rels,
+                                  meter):
             count += weight * field.p ** len(kernel(point))
     return count
-
-
-def _flat_points(pres: BoundQuiver, field: PrimeField, dims,
-                 meter: _Meter) -> Iterator[tuple]:
-    """Every point of the variety once, flat, in the walk's fixed order."""
-    for point, _ in _points_over(pres, field, dims, lambda loop_rels: zip(
-            _iter_loop_assignments(pres, field, dims, loop_rels, meter),
-            itertools.repeat(1)), meter):
-        yield point
 
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
@@ -626,7 +604,8 @@ def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
                             dims: Mapping, meter: _Meter | None = None
                             ) -> Iterator[Representation]:
     build = _rep_builder(pres, field, dims)
-    for point in _flat_points(pres, field, dims, meter or _Meter()):
+    for point, _ in _points_over(pres, field, dims, meter or _Meter(),
+                                 orbits=True):
         yield build(point)
 
 
@@ -699,8 +678,9 @@ def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
     listed once, the first streamed."""
     meter = meter or _Meter()
     size = sum(r * c for r, c in shapes.values())
-    seconds = list(_flat_points(pres, field, second_dims, meter))
-    for x in _flat_points(pres, field, first_dims, meter):
+    seconds = [y for y, _ in _points_over(pres, field, second_dims, meter,
+                                          orbits=True)]
+    for x, _ in _points_over(pres, field, first_dims, meter, orbits=True):
         for y in seconds:
             for vec in _walk_fiber(field, size, kernel(x, y), meter):
                 yield x, y, vec
@@ -748,15 +728,10 @@ def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
     per second point."""
     shapes, kernel = fiber(pres, field, first_dims, second_dims)
     meter = _Meter(budget)
-
-    def weighted_points(dims):
-        return _points_over(pres, field, dims, lambda loop_rels:
-                            _weighted_loops(pres, field, dims, loop_rels,
-                                            meter), meter)
-
-    seconds = list(weighted_points(second_dims))
+    seconds = list(_points_over(pres, field, second_dims, meter,
+                                orbits=False))
     total = 0
-    for x, wx in weighted_points(first_dims):
+    for x, wx in _points_over(pres, field, first_dims, meter, orbits=False):
         meter.precheck(len(seconds))
         for y, wy in seconds:
             meter.tick()
@@ -1017,11 +992,14 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     plan, kernel = _arrow_plan(pres, field, target_dims, (), linear_rels)
     if list(plan.shapes.values()) != [(1, l)] * n:
         raise AssertionError("unexpected arrow block shapes")
-    for loop_mats in _iter_loop_assignments(pres, field, target_dims,
-                                            loop_rels, meter):
-        if not loop_mats["e0"].is_zero():
+    layout = flat_layout(pres, target_dims, pres.quiver.loops())
+    e0, e1 = layout["e0"][0], layout["e1"][0]
+    for loops, _ in _loop_points(pres, field, target_dims, loop_rels, meter,
+                                 orbits=True):
+        if loops[e0]:
             raise AssertionError("target loop at vertex 0 not forced to zero")
-        loop = loop_mats["e1"]
+        loop = Matrix._trusted(field, l, l, tuple(
+            loops[i:i + l] for i in range(e1, e1 + l * l, l)))
         if not (loop ** m).is_zero():
             raise AssertionError("target loop power is not zero")
         head = loop ** (l - 1)
@@ -1036,7 +1014,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         if not ws:
             continue
 
-        arrow_kernel = kernel(flat_point(loop_mats, pres.quiver.loops()))
+        arrow_kernel = kernel(loops)
         per_solution = len(ws) * len(nonzero)
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
         for values in _span(field, arrow_kernel, plan.ncols):

@@ -617,15 +617,14 @@ class SandwichPlan:
     ``equations`` gives each equation as ((rows, cols), terms), the shape
     of its value and its terms (c, k, left, right), with c a field element
     or an int.  A side is None where it is an identity.  Any other side is
-    a label of the caller's for a factor given at each point; ``sides``
-    lists them as (label, is_left) pairs, term by term, left before right.
-    Equations without terms give no rows.
+    a sequence of the caller's labels, and its factor at each point is the
+    product of their matrices, left to right; ``sides`` lists them as
+    (labels, is_left) pairs, term by term, left before right.  Equations
+    without terms give no rows.
 
     ``flat_kernel`` compiles, once per pair of point layouts, a function
     from a left and a right flat point to the kernel basis of the system
-    there, ``kernel_basis`` of its rows.  ``system`` is the entry point for
-    ``Matrix`` factors, with their shapes checked, and runs the same
-    assembly.
+    there, ``kernel_basis`` of its rows.
 
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
@@ -633,8 +632,7 @@ class SandwichPlan:
     factor adds to are fixed, and the plan lists them; with none, the term
     keeps only where its rows and columns start, and the assembly walks the
     nonzero entries of both factors.  Terms without cells are dropped: the
-    assembly never reads their factors, and only ``system`` checks their
-    shapes.
+    assembly never reads their factors.
     """
 
     def __init__(self, field: Field,
@@ -648,7 +646,6 @@ class SandwichPlan:
             total += r * c
         self.ncols = total
         self.sides: list[tuple] = []
-        self._factor_shapes: list[tuple[int, int]] = []
         self._terms: list[tuple] = []
         nrows = 0
         for (out_r, out_c), terms in equations:
@@ -662,10 +659,8 @@ class SandwichPlan:
                 first = len(self.sides)
                 if left is not None:
                     self.sides.append((left, True))
-                    self._factor_shapes.append((out_r, r))
                 if right is not None:
                     self.sides.append((right, False))
-                    self._factor_shapes.append((c, out_c))
                 if not (r * c and out_r * out_c):
                     continue
                 # row (u, v), column (i, j) is at flat index
@@ -690,29 +685,11 @@ class SandwichPlan:
                 nrows += out_r * out_c
         self.nrows = nrows
 
-    def system(self, factors: Sequence[Matrix]) -> Matrix:
-        """The system's matrix at one point, given one factor per entry of
-        ``sides``, in order; a factor of another shape than planned raises
-        ValueError."""
-        got = [(m.nrows, m.ncols) for m in factors]
-        if got != self._factor_shapes:
-            raise ValueError(f"factor shapes {got} do not match the "
-                             f"planned {self._factor_shapes}")
-        point, sources = [], []
-        for m in factors:
-            sources.append((True, [(len(point), m.nrows, m.ncols)]))
-            point.extend(itertools.chain.from_iterable(m.rows))
-        reduce = self.field.reduce
-        return Matrix._trusted(self.field, self.nrows, self.ncols, tuple(
-            tuple(map(reduce, row))
-            for row in self._compile(sources)(point, point)))
-
     def flat_kernel(self, left: Mapping, right: Mapping):
         """A function from a left and a right flat point to the kernel
-        basis of the system, for sides that are sequences of labels.
-        ``left`` and ``right`` give the (offset, rows, cols) of each
-        label's matrix in a left and a right point.  A side's factor is its
-        labels' matrices multiplied left to right."""
+        basis of the system.  ``left`` and ``right`` give the (offset,
+        rows, cols) of each label's matrix in a left and a right point; a
+        left side reads the left point and a right side the right one."""
         field, ncols = self.field, self.ncols
         rows = self._compile([
             (is_left, [(left if is_left else right)[a] for a in labels])

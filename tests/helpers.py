@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from qvl.extensions import cocycle_space_basis, zero_blocks
 from qvl.families import family_lambda
-from qvl.linalg import Matrix, random_invertible, random_nilpotent
-from qvl.reps import Representation
+from qvl.linalg import (Matrix, random_invertible, random_nilpotent,
+                        split_blocks)
+from qvl.reps import Representation, flat_point
 
 
 def random_lambda_rep(m, field, dim, rng) -> Representation:
@@ -21,7 +22,7 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
     """Seeded valid point for any of the two-vertex families: nilpotent
     loops first, then a uniformly random solution of the induced linear
     arrow constraints."""
-    from qvl.counting import _classify_relations, _linear_system_for_arrows
+    from qvl.counting import _arrow_plan, _classify_relations
     split = _classify_relations(pres)
     assert split is not None
     loop_rels, linear_rels = split
@@ -50,10 +51,9 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
                 ok = False
         if not ok:
             continue
-        arrow_slots, total, kernel = _linear_system_for_arrows(
-            pres, field, dims, loop_mats, linear_rels)
-        values = [field.zero] * total
-        for vec in kernel:
+        plan, kernel = _arrow_plan(pres, field, dims, (), linear_rels)
+        values = [field.zero] * plan.ncols
+        for vec in kernel(flat_point(loop_mats, quiver.loops())):
             c = field.coerce(rng.randrange(field.p)) if hasattr(field, "p") \
                 else field.coerce(rng.randint(-3, 3))
             if c != field.zero:
@@ -61,7 +61,7 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
                           for x, v in zip(values, vec)]
         mats = dict(loop_mats)
         pos = 0
-        for a, r, c in arrow_slots:
+        for a, (r, c) in plan.shapes.items():
             k = r * c
             chunk = values[pos:pos + k]
             pos += k
@@ -90,3 +90,24 @@ def random_cocycle(quo, sub, rng):
 
 def random_gl(field, dims, rng):
     return {x: random_invertible(field, n, rng) for x, n in dims.items()}
+
+
+def typed(vectors):
+    """Each vector's entries with their types, so that 1 and Fraction(1)
+    differ."""
+    return [[(type(x), x) for x in v] for v in vectors]
+
+
+def residual_kernel(field, shapes, residual):
+    """Kernel basis of the linear map whose column k is ``residual`` of the
+    k-th unit block family, computed with matrix objects."""
+    ncols = sum(r * c for r, c in shapes.values())
+    columns = []
+    for k in range(ncols):
+        unit = [field.zero] * ncols
+        unit[k] = field.one
+        columns.append(residual(split_blocks(field, shapes, unit)))
+    nrows = len(residual(split_blocks(field, shapes, [field.zero] * ncols)))
+    return Matrix(field, nrows, ncols,
+                  [[col[i] for col in columns] for i in range(nrows)]
+                  ).kernel_basis()

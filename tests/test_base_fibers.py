@@ -11,12 +11,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qvl.counting import (BudgetExceededError, _choose_base,
-                          _classify_relations, _iter_pair_fibers,
+from qvl.counting import (BudgetExceededError, _Meter, _choose_base,
+                          _classify_relations, _filter_loop_assignments,
+                          _iter_pair_fibers, _loop_points,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_rep_points,
                           rep_ambient_dim)
+from helpers import residual_kernel, typed
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import (block_shapes, cocycle_fiber, cocycle_kernel,
                             cocycle_space_basis, cocycle_value)
@@ -353,30 +355,52 @@ def test_flat_pair_streams_cut_into_the_public_points(spec, q):
                        for t in points], text
 
 
+@st.composite
+def loop_loci(draw):
+    """A presentation with loops, from ``presentations()``, a named family
+    or ``CASES`` (the two-cycle's loop has no power relation, so only the
+    filter finds its locus), and dims with at most 729 candidate loop
+    points over F_3."""
+    if draw(st.booleans()):
+        text, dim_tuple = draw(presentations().filter(
+            lambda spec: "loop" in spec[0]))
+        pres = parse_quiver_spec(text)
+        dims = _dims(pres, dim_tuple)
+    else:
+        pres = draw(st.sampled_from(NAMED + [pres for pres, _, _ in CASES]))
+        dims = {x: draw(st.integers(0, 3)) for x in pres.quiver.vertices}
+    quiver = pres.quiver
+    while 3 ** sum(dims[quiver.source(a)] ** 2 for a in quiver.loops()) > 729:
+        dims = {x: max(d - 1, 0) for x, d in dims.items()}
+    return pres, dims
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(loop_loci(), st.sampled_from([2, 3]))
+def test_loop_points_equal_the_filtered_locus(case, q):
+    # the filter scans all q^(loop coordinates) candidates: the oracle
+    pres, dims = case
+    field = GF(q)
+    loop_rels = _choose_base(pres, dims)[1]
+    streamed = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
+                                 orbits=True))
+    points = [point for point, _ in streamed]
+    assert {weight for _, weight in streamed} <= {1}
+    assert len(set(points)) == len(points)
+    assert set(points) == set(_filter_loop_assignments(pres, field, dims,
+                                                       loop_rels, _Meter()))
+    weighted = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
+                                 orbits=False))
+    assert sum(weight for _, weight in weighted) == len(points)
+    assert {point for point, _ in weighted} <= set(points)
+
+
 # --- flat kernels against kernels built from matrix objects ---------------
 
 
 def _entries(mat):
     return [x for row in mat.rows for x in row]
-
-
-def _typed(vectors):
-    return [[(type(x), x) for x in v] for v in vectors]
-
-
-def _residual_kernel(field, shapes, residual):
-    """Kernel basis of the linear map whose column k is ``residual`` of the
-    k-th unit block family, computed with matrix objects."""
-    ncols = sum(r * c for r, c in shapes.values())
-    columns = []
-    for k in range(ncols):
-        unit = [field.zero] * ncols
-        unit[k] = field.one
-        columns.append(residual(split_blocks(field, shapes, unit)))
-    nrows = len(residual(split_blocks(field, shapes, [field.zero] * ncols)))
-    return Matrix(field, nrows, ncols,
-                  [[col[i] for col in columns] for i in range(nrows)]
-                  ).kernel_basis()
 
 
 @settings(max_examples=40, derandomize=True, deadline=None,
@@ -407,22 +431,22 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
     (x, x_flat), (y, y_flat) = point(), point()
 
     shapes, kernel = hom_fiber(pres, field, x.dims, y.dims)
-    hom = _residual_kernel(field, shapes, lambda f: [
+    hom = residual_kernel(field, shapes, lambda f: [
         v for a, s, t in pres.quiver.arrows
         for v in _entries(y.mats[a] @ f[s] - f[t] @ x.mats[a])])
-    assert _typed(kernel(x_flat, y_flat)) == _typed(hom_kernel(x, y)[1]) \
-        == _typed(hom), text
+    assert typed(kernel(x_flat, y_flat)) == typed(hom_kernel(x, y)[1]) \
+        == typed(hom), text
 
     shapes, kernel = cocycle_fiber(pres, field, x.dims, y.dims)
-    cocycles = _residual_kernel(field, shapes, lambda blocks: [
+    cocycles = residual_kernel(field, shapes, lambda blocks: [
         v for rel in pres.relations
         for v in _entries(cocycle_value(x, y, blocks, rel))])
-    assert _typed(kernel(x_flat, y_flat)) \
-        == _typed(cocycle_kernel(x, y)[1]) == _typed(cocycles), text
+    assert typed(kernel(x_flat, y_flat)) \
+        == typed(cocycle_kernel(x, y)[1]) == typed(cocycles), text
 
     # the cocycle layout, whose sides include products of two arrows: the
-    # factors built from flat points are the matrix products, and both
-    # entry points assemble the same system
+    # factors built from flat points are the matrix products, and the
+    # plan's kernel is the cocycle space
     plan = SandwichPlan(field, block_shapes(pres, y.dims, x.dims), [
         ((y.dims[rel.target], x.dims[rel.source]),
          [(field.coerce(c), a, path.arrows[:j] or None,
@@ -440,9 +464,9 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
     flat = [_side_factor(field, y_flat if is_left else x_flat,
                          [layouts[not is_left][a] for a in labels])
             for labels, is_left in plan.sides]
-    assert _typed(flat) == _typed(map(_entries, factors))
-    assert _typed(plan.flat_kernel(*layouts)(y_flat, x_flat)) \
-        == _typed(plan.system(factors).kernel_basis()) == _typed(cocycles)
+    assert typed(flat) == typed(map(_entries, factors))
+    assert typed(plan.flat_kernel(*layouts)(y_flat, x_flat)) \
+        == typed(cocycles)
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from qvl import counting
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
-                          _classify_relations, _filter_loop_assignments,
-                          _iter_loop_assignments, _jordan_matrix,
-                          _linear_system_for_arrows, _loop_strata,
-                          _nilpotent_orbit, ambient_dimension,
+                          _arrow_plan, _classify_relations,
+                          _filter_loop_assignments, _jordan_point,
+                          _loop_points, _loop_strata, _nilpotent_orbit,
+                          ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, hom_counterexample_census,
@@ -21,7 +21,7 @@ from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF, Matrix
+from qvl.linalg import GF, QQ, Matrix
 from qvl.quiver import BoundQuiver, Quiver
 from qvl.reps import hom_basis, is_monomorphism
 
@@ -111,18 +111,10 @@ class TestRepCounts:
 def _filter_walk_count(pres, field, dims):
     """Rep count by filtering every loop assignment (no strata)."""
     loop_rels, linear_rels = _classify_relations(pres)
-    total = 0
-    for loop_mats in _filter_loop_assignments(pres, field, dims, loop_rels,
-                                              None):
-        _, _, kernel = _linear_system_for_arrows(pres, field, dims,
-                                                 loop_mats, linear_rels)
-        total += field.p ** len(kernel)
-    return total
-
-
-def _loop_keys(stream):
-    return [tuple((a, m.rows) for a, m in sorted(mats.items()))
-            for mats in stream]
+    _, kernel = _arrow_plan(pres, field, dims, (), linear_rels)
+    return sum(field.p ** len(kernel(loops))
+               for loops in _filter_loop_assignments(pres, field, dims,
+                                                     loop_rels, _Meter()))
 
 
 NAMED_CASES = [
@@ -193,26 +185,34 @@ class TestJordanStrata:
     def test_streamed_locus_equals_filtered_locus(self, pres, dims, q):
         field = GF(q)
         loop_rels, _ = _classify_relations(pres)
-        streamed = _loop_keys(_iter_loop_assignments(pres, field, dims,
-                                                     loop_rels, None))
-        filtered = _loop_keys(_filter_loop_assignments(pres, field, dims,
-                                                       loop_rels, None))
+
+        def stream():
+            points = list(_loop_points(pres, field, dims, loop_rels,
+                                       _Meter(), orbits=True))
+            assert {weight for _, weight in points} == {1}
+            return [point for point, _ in points]
+
+        streamed = stream()
+        filtered = list(_filter_loop_assignments(pres, field, dims,
+                                                 loop_rels, _Meter()))
         assert len(set(streamed)) == len(streamed)
         assert set(streamed) == set(filtered)
-        again = _loop_keys(_iter_loop_assignments(pres, field, dims,
-                                                  loop_rels, None))
-        assert again == streamed
+        assert stream() == streamed
 
     @pytest.mark.parametrize("lam,q", [((2, 1), 3), ((3,), 2), ((2, 2), 2),
                                        ((2,), 5), ((1, 1), 7)])
     def test_orbit_equals_coerced_construction(self, lam, q):
-        field = GF(q)
+        field, d = GF(q), sum(lam)
         orbit = _nilpotent_orbit(field, lam)
-        coerced = [Matrix(field, m.nrows, m.ncols, [list(r) for r in m.rows])
-                   for m in orbit]
+        coerced = [tuple(x for row in Matrix(field, d, d, [
+            list(point[i:i + d]) for i in range(0, d * d, d)]).rows
+            for x in row) for point in orbit]
         assert orbit == coerced
-        assert all(m.rows == c.rows for m, c in zip(orbit, coerced))
-        assert orbit[0] == _jordan_matrix(field, lam)
+        assert all(type(x) is int for point in orbit for x in point)
+        ends = list(itertools.accumulate(lam))
+        assert orbit[0] == _jordan_point(lam) == tuple(
+            int(j == i + 1 and j not in ends) for i in range(d)
+            for j in range(d))
         assert len(orbit) == nilpotent_orbit_size(lam, q)
 
     def test_budget_charges_visited_points(self):
@@ -285,6 +285,10 @@ class TestTasksAndBudget:
             EnumerationTask(kind="nope")
         with pytest.raises(ValueError):
             EnumerationTask(kind="rep", pres=family_lambda(2), field=F2)
+        # points are counted over F_p only
+        with pytest.raises(ValueError, match="prime field"):
+            EnumerationTask(kind="rep", pres=family_lambda(2), field=QQ,
+                            dims={0: 2})
 
     def test_budget_rejects_big_odometer(self):
         with pytest.raises(BudgetExceededError,

@@ -300,11 +300,15 @@ class TestTrustedResults:
         field, a, b, _ = case
         shapes = {"x": (a.ncols, b.nrows), "y": (a.ncols, b.nrows)}
         c = field.coerce(3)
-        system = SandwichPlan(field, shapes, [((a.nrows, b.ncols), [
-            (c, "x", "a", "b"), (-1, "y", "a", "b")])]).system([a, b, a, b])
-        assert_normal(system)
-        assert system.shape == (a.nrows * b.ncols, 2 * a.ncols * b.nrows)
-        for vec in system.kernel_basis():
+        plan = SandwichPlan(field, shapes, [((a.nrows, b.ncols), [
+            (c, "x", ("a",), ("b",)), (-1, "y", ("a",), ("b",))])])
+        assert (plan.nrows, plan.ncols) == \
+            (a.nrows * b.ncols, 2 * a.ncols * b.nrows)
+        layout = {"a": (0, a.nrows, a.ncols),
+                  "b": (a.nrows * a.ncols, b.nrows, b.ncols)}
+        point = tuple(x for m in (a, b) for row in m.rows for x in row)
+        for vec in plan.flat_kernel(layout, layout)(point, point):
+            assert_entries(field, vec)
             blocks = split_blocks(field, shapes, vec)
             for block in (*blocks.values(),
                           *split_blocks(field, shapes, list(vec)).values()):
