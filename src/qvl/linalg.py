@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -174,8 +174,8 @@ class RationalField:
     def row_reduce(self, rows: Sequence[tuple], ncols: int
                    ) -> tuple[tuple, tuple[int, ...]]:
         """Gauss-Jordan elimination on integer rows: the reduced row
-        echelon form of ``rows`` (a tuple of row tuples) and its pivot
-        columns.
+        echelon form of ``rows``, of ints or Fractions, as a tuple of row
+        tuples, and its pivot columns.
 
         Each row is scaled by the lcm of its denominators, and elimination
         runs fraction-free (Bareiss, Math. Comp. 22, 1968): at pivot ``p``,
@@ -525,20 +525,24 @@ def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
 
 
 class Subspace:
-    """Span of vectors over a field, kept as its reduced row echelon form.
+    """Span of vectors over a field, kept in a normal form of its reduced
+    row echelon form.
 
-    Rows are sparse, ``{pivot column: {column: entry}}``: a row's pivot is
-    its first nonzero column, its entry there is 1, and every pivot column
-    is zero in every other row.  That is the unique RREF of the span, so
-    equal spans compare equal.  Vectors are dense sequences or
-    ``{column: entry}`` mappings.
+    Rows are sparse int vectors, ``{pivot column: {column: entry}}``: a
+    row's pivot is its first nonzero column, and every pivot column is
+    zero in every other row.  Over F_p a row is 1 at its pivot, the RREF
+    row itself.  Over Q it is the RREF row's primitive integer multiple:
+    coprime entries and a positive pivot entry.  Either form is unique to
+    the span, so equal spans compare equal.  Vectors are dense sequences or
+    ``{column: entry}`` dicts.
     """
 
     def __init__(self, field: Field, ambient_dim: int,
-                 vectors: Iterable[Sequence | Mapping] = ()):
+                 vectors: Iterable[Sequence | dict] = ()):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, dict[int, Scalar]] = {}
+        self._p = field.characteristic
+        self._rows: dict[int, dict[int, int]] = {}
         for vec in vectors:
             self._insert(self._reduce(vec))
 
@@ -546,42 +550,44 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence | Mapping) -> dict:
-        """The vector minus its part in the span, as a sparse vector that
-        is zero at every pivot.  Subtracting one row leaves the other
-        pivot columns alone, so one pass over the vector's entries at
-        pivot columns clears them all."""
-        f = self.field
-        zero = f.zero
-        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-        v = {}
-        for j, x in items:
-            x = f.coerce(x)
-            if x != zero:
-                v[j] = x
-        for pc, x in [(j, x) for j, x in v.items() if j in self._rows]:
-            _subtract_multiple(f, v, x, self._rows[pc])
+    def _reduce(self, vec: Sequence | dict) -> dict:
+        """A nonzero multiple of the vector minus its part in the span, as
+        a sparse int vector that is zero at every pivot.  Over Q the vector
+        is first scaled to integers by the lcm of its denominators, and
+        each row is removed by cross-multiplication (``_eliminate``).
+        Subtracting one row leaves the other pivot columns alone, so one
+        pass over the vector's entries at pivot columns clears them all."""
+        p, coerce = self._p, self.field.coerce
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        if p:
+            v = {j: x for j, x in ((j, coerce(x)) for j, x in items) if x}
+        else:
+            v = {j: x if isinstance(x, (int, Fraction)) else coerce(x)
+                 for j, x in items}
+            den = lcm(*[x.denominator for x in v.values()])
+            v = {j: x.numerator * (den // x.denominator)
+                 for j, x in v.items() if x}
+        rows = self._rows
+        for pc in [j for j in v if j in rows]:
+            row = rows[pc]
+            _eliminate(v, v[pc], row, row[pc], p)
         return v
 
     def _insert(self, v: dict):
-        """Add a reduced vector as a new row and clear its pivot from the
-        others; a single-entry row takes its pivot with no arithmetic."""
+        """Add a reduced vector as a new row, in normal form, and clear its
+        pivot from the others."""
         if not v:
             return
-        f = self.field
+        p, rows = self._p, self._rows
         pc = min(v)
-        lead = v.pop(pc)
-        if lead != f.one:
-            inv = f.inv(lead)
-            v = {j: f.mul(inv, x) for j, x in v.items()}
-        for row in self._rows.values():
-            c = row.pop(pc, None)
-            if c is not None:
-                _subtract_multiple(f, row, c, v)
-        v[pc] = f.one
-        self._rows[pc] = v
+        v = _normalized(v, pc, p)
+        for rc, row in rows.items():
+            if pc in row:
+                _eliminate(row, row[pc], v, v[pc], p)
+                rows[rc] = _normalized(row, rc, p)
+        rows[pc] = v
 
-    def contains(self, vec: Sequence | Mapping) -> bool:
+    def contains(self, vec: Sequence | dict) -> bool:
         return not self._reduce(vec)
 
     def __eq__(self, other):
@@ -593,16 +599,34 @@ class Subspace:
         return all(other.contains(row) for row in self._rows.values())
 
 
-def _subtract_multiple(field: Field, v: dict, c: Scalar, row: Mapping):
-    """v -= c * row in place, for sparse vectors; zero entries are
+def _normalized(v: dict, pc: int, p: int) -> dict:
+    """A sparse int vector with pivot ``pc`` in ``Subspace`` normal form:
+    1 at the pivot over F_p; over Q coprime entries, positive there."""
+    if p:
+        s = pow(v[pc], -1, p)
+        return v if s == 1 else {j: x * s % p for j, x in v.items()}
+    g = gcd(*v.values())
+    if v[pc] < 0:
+        g = -g
+    return v if g == 1 else {j: x // g for j, x in v.items()}
+
+
+def _eliminate(v: dict, a: int, row: dict, lead: int, p: int):
+    """v = lead * v - a * row in place, for sparse int vectors, where ``a``
+    is v's entry at the row's pivot and ``lead`` the row's own, so that
+    entry cancels; entries mod p when p is nonzero.  Zero entries are
     dropped."""
-    reduce, zero = field.reduce, field.zero
+    if lead != 1:
+        for j in v:
+            v[j] *= lead
     for j, y in row.items():
-        z = reduce(v.get(j, zero) - c * y)
-        if z == zero:
-            del v[j]
-        else:
+        z = v.get(j, 0) - a * y
+        if p:
+            z %= p
+        if z:
             v[j] = z
+        else:
+            del v[j]
 
 
 # --- linear fibers: kernels of sums of sandwiched unknown blocks --------
@@ -689,36 +713,59 @@ class SandwichPlan:
         """A function from a left and a right flat point to the kernel
         basis of the system.  ``left`` and ``right`` give the (offset,
         rows, cols) of each label's matrix in a left and a right point; a
-        left side reads the left point and a right side the right one."""
+        left side reads the left point and a right side the right one.
+        Over Q both points are first cleared to integers over one common
+        denominator, and the int rows go straight to ``field.row_reduce``.
+        """
         field, ncols = self.field, self.ncols
         rows = self._compile([
             (is_left, [(left if is_left else right)[a] for a in labels])
             for labels, is_left in self.sides])
-        return lambda left_point, right_point: kernel_basis(
-            field, rows(left_point, right_point), ncols)
+        if field.characteristic:
+            return lambda left_point, right_point: kernel_basis(
+                field, rows(left_point, right_point), ncols)
+
+        def kernel(left_point, right_point):
+            ints, d = _cleared([*left_point, *right_point])
+            n = len(left_point)
+            return kernel_basis(field, rows(ints[:n], ints[n:], d), ncols)
+        return kernel
 
     def _compile(self, sources: Sequence[tuple]):
-        """A function from a left and a right point to the system's rows,
-        where side k's factor is given by ``sources[k]``, (is_left,
-        segments): the product of the matrices at the (offset, rows, cols)
-        segments of the left or right point.
+        """A function ``rows(left_point, right_point, d=1)`` to the
+        system's rows, where side k's factor is given by ``sources[k]``,
+        (is_left, segments): the product of the matrices at the (offset,
+        rows, cols) segments of the left or right point.
 
         A term with one identity side is a gather: each entry of its factor
         adds ``c * entry`` to its cells.  A factor that is one matrix is
         read straight from the point; a product is built once per call, by
         ``_side_factor``, and read from there.  A term with two sides
         builds both factors per call and walks their nonzero entries.
-        Terms with no sides add their constant to a compiled start.  Rows
-        are returned as lists of exact sums, ints or Fractions, not
-        reduced."""
+        Terms with no sides add their constant to a compiled start.
+
+        Rows are lists of ints, not reduced: over F_p the system's own.
+        Over Q the coefficients are cleared once, by the lcm of their
+        denominators, and the points are d times the true ones, as ints; a
+        term that reads k matrices then adds d^k times its share, on ints
+        (``_int_product``).  Scaling each term by d^(D - k), D the largest
+        such k, makes every row the true row times one positive integer."""
         field, total = self.field, self.ncols
-        start = [field.zero] * (self.nrows * total)
+        product = field.product if field.characteristic else _int_product
+        den = lcm(*[coeff.denominator for coeff, _, _ in self._terms])
+        start = [0] * (self.nrows * total)
         # (index, coeff, cells) entries read from the right point, the
-        # left point and then each product factor, in the order of products
+        # left point and then each product factor, in the order of
+        # products, and the number of matrices each of these sources reads
         gathers: list[list] = [[], []]
+        degrees = [1, 1]
         products: dict[tuple, int] = {}
         walked = []
+        top = 0
         for coeff, sides, cells in self._terms:
+            coeff = coeff.numerator * (den // coeff.denominator)
+            degree = sum(len(sources[k][1]) for k in sides)
+            top = max(top, degree)
             if not sides:
                 for idx in cells:
                     start[idx] += coeff
@@ -730,21 +777,28 @@ class SandwichPlan:
                     if key not in products:
                         products[key] = len(gathers)
                         gathers.append([])
+                        degrees.append(degree)
                     source, at = products[key], 0
                 gathers[source].extend(zip(
                     itertools.count(at), itertools.repeat(coeff),
                     map(tuple, cells)))
             else:
-                walked.append((coeff, [sources[k] for k in sides], cells))
+                walked.append((coeff, degree, [sources[k] for k in sides],
+                               cells))
+        constant = any(start)
         row_starts = range(0, len(start), total) if total else \
             [0] * self.nrows
 
-        def rows(left_point, right_point) -> list[list]:
-            flat = start.copy()
+        def rows(left_point, right_point, d=1) -> list[list]:
+            flat = [x * d ** top for x in start] if constant and d != 1 \
+                else start.copy()
             points = [right_point, left_point]
-            points += [_side_factor(field, left_point if is_left
+            points += [_side_factor(product, left_point if is_left
                                     else right_point, segments)
                        for is_left, segments in products]
+            if d != 1:
+                points = [[x * d ** (top - k) for x in point] if k < top
+                          else point for point, k in zip(points, degrees)]
             for point, entries in zip(points, gathers):
                 for i, coeff, cells in entries:
                     x = point[i]
@@ -752,10 +806,11 @@ class SandwichPlan:
                         cx = coeff * x
                         for idx in cells:
                             flat[idx] += cx
-            for coeff, term_sources, cells in walked:
-                left, right = [_side_factor(field, left_point if is_left
+            for coeff, degree, term_sources, cells in walked:
+                left, right = [_side_factor(product, left_point if is_left
                                             else right_point, segments)
                                for is_left, segments in term_sources]
+                coeff *= d ** (top - degree)
                 at, du, r, c, out_c = cells
                 right_cols = [[(j, y) for j, y in enumerate(right[v::out_c])
                                if y] for v in range(out_c)]
@@ -771,19 +826,28 @@ class SandwichPlan:
         return rows
 
 
-def _side_factor(field: Field, point: Sequence, segments: Sequence[tuple]
+def _side_factor(product, point: Sequence, segments: Sequence[tuple]
                  ) -> Sequence:
     """The product, left to right, of the matrices at the (offset, rows,
     cols) ``segments`` of a flat point, row-major: a slice for one matrix,
-    ``field.product`` for each further one."""
+    ``product`` (``field.product`` or ``_int_product``) for each further
+    one."""
     at, r, c = segments[0]
     flat = point[at:at + r * c]
     for at, _, c2 in segments[1:]:
-        flat = tuple(itertools.chain.from_iterable(field.product(
+        flat = tuple(itertools.chain.from_iterable(product(
             [flat[i * c:(i + 1) * c] for i in range(r)],
             [point[at + j:at + c * c2:c2] for j in range(c2)])))
         c = c2
     return flat
+
+
+def _int_product(rows: Sequence[Sequence[int]],
+                 cols: Sequence[Sequence[int]]) -> tuple:
+    """``field.product`` over the integers: exact dot products, with no
+    reduction."""
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols])
+                 for row in rows)
 
 
 def split_blocks(field: Field, shapes: Mapping[Hashable, tuple[int, int]],

@@ -32,9 +32,14 @@ def field_from_json(data) -> Field:
     if not isinstance(data, Mapping) or "type" not in data:
         raise SerializationError("field must be an object with a 'type'")
     if data["type"] == "Fp":
-        if "p" not in data:
-            raise SerializationError("Fp field needs 'p'")
-        return PrimeField(int(data["p"]))
+        p = data.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise SerializationError(
+                f"Fp field needs an integer 'p', got {p!r}")
+        try:
+            return PrimeField(p)
+        except ValueError as exc:
+            raise SerializationError(str(exc)) from None
     if data["type"] == "Q":
         return QQ
     raise SerializationError(f"unknown field type {data['type']!r}")
@@ -47,13 +52,18 @@ def _entry_to_json(field: Field, value):
 
 
 def _entry_from_json(field: Field, value):
+    """An entry read from JSON.  A boolean is no entry: JSON ``true`` would
+    otherwise read as 1."""
     if isinstance(field, PrimeField):
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise SerializationError(
                 f"prime field entries must be integers, got {value!r}")
         return field.coerce(value)
-    if isinstance(value, (int, str)):
-        return field.coerce(Fraction(value))
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise SerializationError(
         f"rational entries must be ints or 'a/b' strings, got {value!r}")
 

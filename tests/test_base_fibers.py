@@ -461,7 +461,7 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
             product = product @ mats[a]
         factors.append(product)
     layouts = flat_layout(pres, y.dims), flat_layout(pres, x.dims)
-    flat = [_side_factor(field, y_flat if is_left else x_flat,
+    flat = [_side_factor(field.product, y_flat if is_left else x_flat,
                          [layouts[not is_left][a] for a in labels])
             for labels, is_left in plan.sides]
     assert typed(flat) == typed(map(_entries, factors))

@@ -185,6 +185,29 @@ SWEEP = {
               "family": f"probe {BAD_FAMILY} --dim 2 --q 3"},
 }
 
+# Files that are JSON but no representation: a Q entry that is no rational,
+# a boolean entry (JSON true must not read as 1) and an F_p field whose p is
+# no prime integer.  Each goes where a file subcommand reads a
+# representation, and every other file is valid: "{blocks}" and "{map}"
+# stand for zero blocks and the identity map of the "{rep}" point.
+MALFORMED_REPS = {
+    "zero_denominator": ({"type": "Q"}, "1/0"),
+    "text_entry": ({"type": "Q"}, "abc"),
+    "bool_entry": ({"type": "Q"}, True),
+    "bool_entry_fp": ({"type": "Fp", "p": 2}, True),
+    "nonprime_p": ({"type": "Fp", "p": 4}, 0),
+    "text_p": ({"type": "Fp", "p": "x"}, 0),
+}
+for _command, _argv in {
+        "check": "check --family Lambda --m 2 --rep {%s}",
+        "hom": "hom --family Lambda --m 2 --source {%s} --target {rep}",
+        "cocycles": "cocycles --family Lambda --m 2 --quo {%s} --sub {rep}",
+        "extend": "extend --family Lambda --m 2 --quo {%s} --sub {rep} "
+                  "--blocks {blocks}",
+        "split": "split --family Lambda --m 2 --sub {rep} --middle {%s} "
+                 "--map {map}"}.items():
+    SWEEP[_command].update({name: _argv % name for name in MALFORMED_REPS})
+
 
 def test_sweep_covers_every_subcommand():
     assert set(SWEEP) == set(qvl.cli._HANDLERS)
@@ -196,8 +219,17 @@ def test_sweep_covers_every_subcommand():
 def test_bad_input_sweep_is_semantic(argv, lam2_file, rep_files, tmp_path):
     bad = tmp_path / "malformed.json"
     bad.write_text("{not json")
+    files = {"blocks": tmp_path / "blocks.json", "map": tmp_path / "map.json"}
+    files["blocks"].write_text(json.dumps(
+        {"field": {"type": "Fp", "p": 2}, "blocks": {"e": [[0]]}}))
+    files["map"].write_text(json.dumps(
+        {"field": {"type": "Fp", "p": 2}, "maps": {"0": [[1]]}}))
+    for name, (field, entry) in MALFORMED_REPS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(
+            {"field": field, "dims": {"0": 1}, "mats": {"e": [[entry]]}}))
     code, report = run(argv.format(quiver=lam2_file, rep=rep_files["one"],
-                                   bad=bad).split())
+                                   bad=bad, **files).split())
     assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
 
 

@@ -5,8 +5,10 @@ Hom/cocycle/arrow systems built on them."""
 import ast
 import itertools
 import json
+import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -187,6 +189,62 @@ class TestSandwichSystem:
                 for x in row])
             assert typed(_flat_kernel(plan, [l1, r1, l2, r2, l2, r2])) \
                 == typed(expected)
+
+    def test_integer_q_assembly(self):
+        # one equation mixes a product side of three matrices, a one-matrix
+        # side, a two-sided term and a term with no sides, so the terms
+        # read 3, 1, 2 and 0 matrices; the coefficients are not integral,
+        # and the left and right points have different denominators
+        shapes = {"x": (2, 2), "y": (3, 1)}
+        coeffs = [Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(5, 4)]
+        plan = SandwichPlan(QQ, shapes, [((2, 2), [
+            (coeffs[0], "x", ("a", "b", "e"), None),
+            (coeffs[1], "x", None, ("c",)),
+            (coeffs[2], "y", ("a",), ("d",)),
+            (coeffs[3], "x", None, None)])])
+        rng = random.Random(3)
+
+        def matrix(nrows, ncols, dens):
+            return Matrix(QQ, nrows, ncols, [
+                [Fraction(rng.randint(-4, 4), rng.choice(dens))
+                 for _ in range(ncols)] for _ in range(nrows)])
+
+        mats = {"a": matrix(2, 3, (1, 2, 3)), "b": matrix(3, 2, (1, 2, 3)),
+                "e": matrix(2, 2, (1, 2, 3)), "c": matrix(2, 2, (1, 5, 7)),
+                "d": matrix(1, 2, (1, 5, 7))}
+        layouts, points = ({}, {}), ([], [])
+        for label, m in mats.items():
+            side = label in "cd"
+            layouts[side][label] = (len(points[side]), m.nrows, m.ncols)
+            points[side].extend(x for row in m.rows for x in row)
+        i2 = Matrix.identity(QQ, 2)
+        a, b, e, c, d = mats.values()
+        expected = sandwich_system_oracle(QQ, shapes, [[
+            (coeffs[0], "x", a @ b @ e, i2), (coeffs[1], "x", i2, c),
+            (coeffs[2], "y", a, d), (coeffs[3], "x", i2, i2)]])
+        kernel = plan.flat_kernel(*layouts)(*points)
+        assert kernel and typed(kernel) == typed(expected.kernel_basis()) \
+            == typed(residual_kernel(QQ, shapes, lambda blocks: [
+                x for row in ((a @ b @ e @ blocks["x"]).scale(coeffs[0])
+                              + (blocks["x"] @ c).scale(coeffs[1])
+                              + (a @ blocks["y"] @ d).scale(coeffs[2])
+                              + blocks["x"].scale(coeffs[3])).rows
+                for x in row]))
+
+        # the compiled rows take the points as ints over one denominator
+        # and return ints: the true rows times 12 d^3, 12 the coefficients'
+        # common denominator and 3 the most matrices a term reads
+        left_den, right_den = [math.lcm(*[x.denominator for x in p])
+                               for p in points]
+        assert min(left_den, right_den) > 1 == math.gcd(left_den, right_den)
+        den = left_den * right_den
+        rows = plan._compile([
+            (is_left, [layouts[not is_left][label] for label in labels])
+            for labels, is_left in plan.sides])(
+            *[[int(x * den) for x in p] for p in points], den)
+        assert {type(x) for row in rows for x in row} == {int}
+        assert rows == [[12 * den ** 3 * x for x in row]
+                        for row in expected.rows]
 
     def test_split_blocks_inverts_flattening(self):
         shapes = {"a": (2, 1), "b": (0, 3), "c": (1, 2)}

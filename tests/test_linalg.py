@@ -169,6 +169,39 @@ def row_spaces(draw):
     return field, a, b, matrix(1).rows[0]
 
 
+@st.composite
+def span_cases(draw):
+    """(field, n, a, b, w, order): two families of vectors in dimension n,
+    a vector w and a reordering of a.  Over Q the entries mix ints and
+    fractions of different denominators.  Each family holds zero vectors
+    and combinations of earlier vectors, b also combinations of a's."""
+    q = draw(st.sampled_from([0, 0, 2, 5]))
+    field = GF(q) if q else QQ
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-q, q) if q else (
+        st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=9))
+
+    def family(earlier):
+        vectors = []
+        for _ in range(draw(st.integers(0, 5))):
+            pool = earlier + vectors
+            how = draw(st.sampled_from(["free", "zero", "combination"]))
+            if how == "combination" and pool:
+                x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                s, t = draw(entry), draw(entry)
+                vectors.append([s * u + t * v for u, v in zip(x, y)])
+            elif how == "zero":
+                vectors.append([0] * n)
+            else:
+                vectors.append([draw(entry) for _ in range(n)])
+        return vectors
+
+    a = family([])
+    b = family(a)
+    w = draw(st.sampled_from(family(a) or [[0] * n]))
+    return field, n, a, b, w, draw(st.permutations(range(len(a))))
+
+
 class TestSubspace:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(row_spaces())
@@ -183,6 +216,29 @@ class TestSubspace:
         assert (span_a <= span_b) == (vstack(a, b).rank() == b.rank())
         sparse = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
         assert Subspace(field, n, sparse) == span_a
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(span_cases())
+    def test_normal_form_against_oracle(self, case):
+        # the rows are unique to the span: over Q the primitive integer
+        # multiples of the RREF rows, over F_p the RREF rows
+        field, n, a, b, w, order = case
+
+        def rank(vectors):
+            rows = [tuple(map(field.coerce, v)) for v in vectors]
+            return len(gauss_jordan_oracle(rows, n, field)[1])
+
+        def sparse(vectors):
+            return [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+        span = Subspace(field, n, a)
+        assert span == Subspace(field, n, sparse([a[i] for i in order]))
+        assert span.dim == rank(a)
+        assert span.contains(w) == (rank(a + [w]) == rank(a))
+        other = Subspace(field, n, sparse(b))
+        assert (span <= other) == (rank(a + b) == rank(b))
+        assert (other <= span) == (rank(a + b) == rank(a))
+        assert (span == other) == (rank(a) == rank(b) == rank(a + b))
 
     def test_monomial_rows_and_equal_spans(self):
         span = Subspace(QQ, 4, [{3: 2}, {1: 1, 3: 5}, {0: Fraction(1, 2)}])
