@@ -80,7 +80,9 @@ def _descriptor(args) -> FamilyDescriptor:
 
 def _parse_dim_values(text: str, vertices) -> list[int]:
     """One nonnegative integer per vertex, from a comma separated list."""
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    if "" in parts:
+        raise CliSemanticError(f"empty dimension entry in {text!r}")
     if len(parts) != len(vertices):
         raise CliSemanticError(
             f"expected {len(vertices)} dimensions (vertex order "

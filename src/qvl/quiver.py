@@ -8,10 +8,11 @@ arrow sequences; most of them are single paths.  Spans are kept as sparse
 reduced row echelon forms (``linalg.Subspace``), so a single-path product
 costs no arithmetic.  A presentation's truncation bound N certifies that all
 paths of length N fall into the relation ideal, so the truncated picture
-loses nothing.  N is certified over Q when the presentation is built and
-over any other field on the first ideal query over that field: a relation
-whose coefficients vanish in characteristic p can leave a path of length N
-outside the ideal there.
+loses nothing.  N is certified once per process for each distinct
+presentation and field: over Q when the first presentation of its value is
+built, and over any other field on the first ideal query over that field.
+A relation whose coefficients vanish in characteristic p can leave a path
+of length N outside the ideal there.
 """
 
 from __future__ import annotations
@@ -387,7 +388,10 @@ class BoundQuiver:
     N certifies that every path of length N lies in the relation ideal;
     this is verified by linear algebra in kQ/J^(N+1), over Q at
     construction (unless ``check`` is off) and over any field by the first
-    ``ideal_span`` for it.
+    ``ideal_span`` for it.  A check is made once per process for each
+    distinct presentation value and field: equal presentations (same
+    quiver, relations and N, whatever their names) share one checked span,
+    and a failed check is not stored, so it fails again on every build.
     All values are immutable after construction.
     """
 
@@ -405,9 +409,9 @@ class BoundQuiver:
                 for a in p.arrows:
                     if not quiver.has_arrow(a):
                         raise QuiverError(f"relation uses unknown arrow {a!r}")
-        self._spans: dict = {}      # field -> ideal span, N checked over it
+        self._hash = hash((quiver, self.relations, truncation_bound))
         if check:
-            self._spans[QQ] = self._check_truncation_bound(QQ)
+            self.ideal_span(QQ)
 
     def _check_truncation_bound(self, field: Field) -> Subspace:
         """The relation ideal in kQ/J^(N+1) over the field, once every path
@@ -425,11 +429,13 @@ class BoundQuiver:
     def ideal_span(self, field: Field = QQ) -> Subspace:
         """The relation ideal in kQ/J^(N+1) over the field, the span every
         ideal query works in.  It is built, and N checked over the field,
-        on the first call for that field; raises QuiverError when N is not
-        a truncation bound over the field."""
-        span = self._spans.get(field)
+        on the first call in the process for an equal presentation and that
+        field; raises QuiverError, on every call, when N is not a truncation
+        bound over the field."""
+        key = (self, field)
+        span = _SPANS.get(key)
         if span is None:
-            span = self._spans[field] = self._check_truncation_bound(field)
+            span = _SPANS[key] = self._check_truncation_bound(field)
         return span
 
     def path_basis(self, bound: int | None = None) -> PathBasis:
@@ -447,11 +453,16 @@ class BoundQuiver:
                 and other.truncation_bound == self.truncation_bound)
 
     def __hash__(self):
-        return hash((self.quiver, self.relations, self.truncation_bound))
+        return self._hash
 
     def __repr__(self):
         return (f"BoundQuiver({self.name!r}, {len(self.relations)} relations, "
                 f"N={self.truncation_bound})")
+
+
+# (presentation, field) -> the presentation's ideal span over the field,
+# for every value whose N was checked over that field in this process.
+_SPANS: dict[tuple[BoundQuiver, Field], Subspace] = {}
 
 
 def _ideal_rows(pres: BoundQuiver, relations: Sequence[Relation],

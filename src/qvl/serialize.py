@@ -48,7 +48,7 @@ def field_from_json(data) -> Field:
 def _entry_to_json(field: Field, value):
     if isinstance(field, PrimeField):
         return int(value)
-    return str(Fraction(value))
+    return str(value)
 
 
 def _entry_from_json(field: Field, value):

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -6,8 +11,9 @@ import pytest
 import qvl.cli
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
                      EXIT_SEMANTIC, main, run_command)
+from qvl.dsl import print_quiver_spec
 from qvl.families import family_a, family_lambda
-from qvl.linalg import GF, Matrix
+from qvl.linalg import GF, QQ, Matrix
 from qvl.reps import Representation
 from qvl.serialize import blocks_to_json, rep_to_json
 
@@ -170,6 +176,10 @@ SWEEP = {
                 "--map {bad}"},
     "count": {"q": "count --family Lambda --m 2 --dim 2 --q 4",
               "dims": "count --family Lambda --m 2 --dim x --q 3",
+              "empty_dim": "count --family A --n 1 --m 3 --l 1 --dim 1,,1 "
+                           "--q 2",
+              "trailing_comma": "count --family A --n 1 --m 3 --l 1 "
+                                "--dim 1,1, --q 2",
               "family": f"count {BAD_FAMILY} --dim 2 --q 3"},
     "census-hom": {"q": "census-hom --n 2 --q 4",
                    "family": "census-hom --n 0 --q 3"},
@@ -473,3 +483,57 @@ class TestParserReuse:
         code, report = run(["census-hom", "--n", "2", "--q", "3"])
         assert code == EXIT_OK
         assert report["ok"]
+
+
+# Each command's report, run in one process after any other queries, must
+# equal its report in a fresh process: presentations, spans and parsers are
+# shared per process, answers are not.  The DSL file spells out A(1,3,1),
+# so it and the family share one presentation value.
+FRESH_RUN = """
+import json, sys
+from qvl.cli import run_command
+print(json.dumps(run_command(sys.argv[1:])))
+"""
+QUERIES = [
+    "count --quiver {a131} --dim 1,1 --q 3",
+    "ext2 --family A --n 1 --m 3 --l 1 --x 1 --y 0",
+    "classify --family A --n 1 --m 4 --l 2",
+    "hom --quiver {lam2} --source {q_two} --target {q_two}",
+    "hom --family Lambda --m 2 --source {f5_two} --target {f5_one}",
+    "cocycles --quiver {lam2} --quo {q_two} --sub {q_one}",
+    "cocycles --family Lambda --m 2 --quo {f5_one} --sub {f5_two}",
+    "witness-mono --m 2 --l 2 --n 1 --q 2",
+    "census-hom --n 2 --q 3",
+]
+
+
+def _comparable(code, report) -> tuple:
+    report = json.loads(json.dumps(report))
+    report.pop("_text", None)
+    report.pop("elapsed_seconds", None)
+    return code, report
+
+
+def test_reports_carry_no_state_across_queries(tmp_path, lam2_file):
+    files = {"lam2": lam2_file, "a131": tmp_path / "a131.qv"}
+    files["a131"].write_text(print_quiver_spec(family_a(1, 3, 1)))
+    pres = family_lambda(2)
+    for field, name, a in [(QQ, "q", Fraction(-1, 6)), (GF(5), "f5", 3)]:
+        points = {"one": Representation(pres, field, {0: 1},
+                                        {"e": Matrix(field, 1, 1, [[0]])}),
+                  "two": Representation(pres, field, {0: 2}, {
+                      "e": Matrix(field, 2, 2, [[0, a], [0, 0]])})}
+        for size, rep in points.items():
+            files[f"{name}_{size}"] = tmp_path / f"{name}_{size}.json"
+            files[f"{name}_{size}"].write_text(json.dumps(rep_to_json(rep)))
+    argvs = [query.format(**files).split() for query in QUERIES]
+    src = str(Path(qvl.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [_comparable(*json.loads(subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *argv], env=env, check=True,
+        capture_output=True, text=True).stdout)) for argv in argvs]
+    assert all(code == EXIT_OK for code, _ in fresh)
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for i in order:
+            assert _comparable(*run(argvs[i])) == fresh[i], QUERIES[i]

@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qvl.dsl
+import qvl.quiver
+from qvl.cli import EXIT_SEMANTIC, run_command
+from qvl.dsl import parse_quiver_spec, print_quiver_spec
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, QQ
@@ -289,6 +293,86 @@ class TestBoundOverField:
         from qvl.counting import count_rep_points
         # over F_2 the relation vanishes: every 2 x 2 matrix is a point
         assert count_rep_points(self.doubled_square(), GF(2), {0: 2}) == 16
+
+
+class TestSpanTable:
+    """N is checked once per process for each presentation value and field;
+    a failed check is never stored."""
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(qvl.quiver, "_SPANS", table)
+        return table
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+        inner = BoundQuiver._check_truncation_bound
+
+        def counted(pres, field):
+            seen.append(field)
+            return inner(pres, field)
+
+        monkeypatch.setattr(BoundQuiver, "_check_truncation_bound", counted)
+        return seen
+
+    def test_equal_presentations_share_one_check(self, spans, checks):
+        pres = family_a(1, 4, 2)
+        reparsed = parse_quiver_spec(print_quiver_spec(pres))
+        renamed = BoundQuiver(pres.quiver, pres.relations,
+                              pres.truncation_bound, name="renamed")
+        assert reparsed == pres == renamed
+        assert renamed.name != pres.name
+        assert checks == [QQ]
+        assert (reparsed.ideal_span() is renamed.ideal_span()
+                is pres.ideal_span())
+        assert list(spans) == [(pres, QQ)]
+
+    def test_wrong_bound_fails_on_every_build(self, spans):
+        q = one_loop_quiver()
+        for _ in range(2):
+            with pytest.raises(QuiverError, match="N=2 is not a truncation"):
+                BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
+        assert spans == {}
+
+    def test_wrong_dsl_bound_exits_4_on_every_run(self, tmp_path,
+                                                   monkeypatch):
+        # the DSL derives a bound that always holds over Q, so lower it
+        path = tmp_path / "lam2.qv"
+        path.write_text("quiver L2 { vertex 0; loop e at 0; rel e^2; }\n")
+        derive = qvl.dsl.derive_truncation_bound
+        monkeypatch.setattr(qvl.dsl, "derive_truncation_bound",
+                            lambda quiver, rels: derive(quiver, rels) - 1)
+        for _ in range(2):
+            code, report = run_command(["count", "--quiver", str(path),
+                                        "--dim", "1", "--q", "2"])
+            error = report["error"]
+            assert (code, error["type"]) == (EXIT_SEMANTIC, "semantic")
+            assert "N=1 is not a truncation bound" in error["message"]
+
+    def test_prime_fields_are_separate_entries(self, spans, checks):
+        pres = lambda_pres(2)
+        f2, f3 = pres.ideal_span(GF(2)), pres.ideal_span(GF(3))
+        assert (f2.field, f3.field) == (GF(2), GF(3))
+        assert pres.ideal_span(GF(2)) is f2
+        assert set(spans) == {(pres, QQ), (pres, GF(2)), (pres, GF(3))}
+        assert checks == [QQ, GF(2), GF(3)]
+
+    def test_failed_prime_field_check_is_not_stored(self, spans, checks):
+        pres = TestBoundOverField.doubled_square()
+        for _ in range(2):
+            with pytest.raises(QuiverError, match="over F2"):
+                pres.ideal_span(GF(2))
+        assert list(spans) == [(pres, QQ)]
+        assert checks == [QQ, GF(2), GF(2)]
+
+    def test_unchecked_build_stores_nothing_until_queried(self, spans):
+        q = one_loop_quiver()
+        pres = BoundQuiver(q, [monomial_relation(q, "e", 2)], 2, check=False)
+        assert spans == {}
+        assert loop_nilpotency_index(pres, "e") == 2
+        assert list(spans) == [(pres, QQ)]
 
 
 class TestMinimalRelationSets:

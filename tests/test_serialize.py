@@ -46,6 +46,14 @@ class TestMatrixCoding:
         assert data == [["1/2", "-1"], ["3", "-5/7"]]
         assert matrix_from_json(QQ, data, 2, 2) == m
 
+    def test_rational_entry_text(self):
+        entries = (Fraction(0), Fraction(-3), Fraction(7, 2), Fraction(-1, 6),
+                   4)     # a plain int entry, as trusted Q rows may hold
+        m = Matrix._trusted(QQ, 1, 5, (entries,))
+        assert json.dumps(matrix_to_json(m)) == \
+            '[["0", "-3", "7/2", "-1/6", "4"]]'
+        assert matrix_to_json(m) == [[str(Fraction(x)) for x in entries]]
+
     def test_rational_accepts_plain_ints(self):
         m = matrix_from_json(QQ, [[1, 2]], 1, 2)
         assert m[0, 0] == 1
