@@ -945,9 +945,10 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     by l, and certify its reducibility.
 
     l = 2 selects the crossing relation of degree-one order 1; l = m selects
-    the corner family.  Every point is visited as (target point, kernel
-    vector, unit scalar); the upstairs arrow coordinates are then uniquely
-    determined, so the walk is a bijective parameterization of the variety.
+    the corner family.  A point is (target point, kernel vector, unit
+    scalar), which fixes the upstairs arrow coordinates.  Both open sets
+    are unions of the classes of q - 1 points that differ only in the
+    scalar, so the walk visits each class once; the budget counts points.
     """
     if m < 2:
         raise FamilyParameterError(f"the witness needs m >= 2, got {m}")
@@ -978,8 +979,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         raise AssertionError("source variety is not the full mu space")
 
     p = field.p
-    nonzero = [c for c in field.elements() if c != field.zero]
-    inverses = {lam: field.inv(lam) for lam in nonzero}
+    units = p - 1
     total = count_u1 = count_u2 = count_both = 0
     sample_u1 = sample_u2 = None
     implication_ok = True
@@ -1015,7 +1015,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
             continue
 
         arrow_kernel = kernel(loops)
-        per_solution = len(ws) * len(nonzero)
+        per_solution = len(ws) * units
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
         for values in _span(field, arrow_kernel, plan.ncols):
             meter.tick(per_solution)
@@ -1028,30 +1028,28 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
             for w in ws:
                 dots = [sum(a * b for a, b in zip(row, w)) % p
                         for row in arrow_rows]
-                for lam in nonzero:
-                    lam_inv = inverses[lam]
-                    mu = tuple((d * lam_inv) % p for d in dots)
-                    in_u2 = mu[0] != 0
-                    total += 1
-                    if in_u1:
-                        count_u1 += 1
-                        if in_u2:
-                            implication_ok = False
+                # mu = dots / lam for a unit lam, so mu_1 != 0 iff dots_1 != 0,
+                # and U1 reads only the loop: both are constant on the class
+                in_u2 = dots[0] != 0
+                total += units
+                if in_u1:
+                    count_u1 += units
                     if in_u2:
-                        count_u2 += 1
-                    if in_u1 and in_u2:
-                        count_both += 1
-                    if (in_u1 and sample_u1 is None) or \
-                            (in_u2 and sample_u2 is None):
-                        point = WitnessPoint(
-                            mu=mu, lam=lam,
-                            loop_mat=tuple(loop.rows),
-                            arrow_rows=arrow_rows,
-                            emb_col=w)
-                        if in_u1 and sample_u1 is None:
-                            sample_u1 = point
-                        if in_u2 and sample_u2 is None:
-                            sample_u2 = point
+                        implication_ok = False
+                        count_both += units
+                if in_u2:
+                    count_u2 += units
+                if (in_u1 and sample_u1 is None) or \
+                        (in_u2 and sample_u2 is None):
+                    point = WitnessPoint(     # lam = 1, first in walk order
+                        mu=tuple(dots), lam=field.one,
+                        loop_mat=tuple(loop.rows),
+                        arrow_rows=arrow_rows,
+                        emb_col=w)
+                    if in_u1 and sample_u1 is None:
+                        sample_u1 = point
+                    if in_u2 and sample_u2 is None:
+                        sample_u2 = point
 
     samples_ok = all(
         _verify_witness_point(pres, field, m, l, n, pt)

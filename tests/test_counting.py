@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -461,20 +462,48 @@ class TestWitness:
             counts[3] += u1 and u2
         return tuple(counts)
 
-    @pytest.mark.parametrize("m,l,n,q", [(2, 2, 1, 2), (3, 2, 1, 2)])
+    # at q > 2 each class of the walk holds several unit scalars, so these
+    # also check the class multiplicity
+    @pytest.mark.parametrize("m,l,n,q", [(2, 2, 1, 2), (3, 2, 1, 2),
+                                         (2, 2, 1, 3)])
     def test_against_raw_oracle(self, m, l, n, q):
         rep = mono_reducibility_witness(m, l, n, q)
         assert (rep.total, rep.count_full_rank, rep.count_mu1,
                 rep.count_intersection) == self._oracle(m, l, n, q)
 
-    def test_against_machinery_enumeration(self):
-        rep = mono_reducibility_witness(2, 2, 1, 2)
-        pres = family_a(1, 2, 1)
-        pts = list(iter_mono_points(pres, F2, {0: 1, 1: 1}, {0: 1, 1: 2}))
-        assert len(pts) == rep.total
-        u1 = sum(1 for t in pts if t.target.mats["e1"].rank() == 1)
-        u2 = sum(1 for t in pts if not t.source.mats["a1"].is_zero())
-        assert (u1, u2) == (rep.count_full_rank, rep.count_mu1)
+    @pytest.mark.parametrize("m,l,q", [(2, 2, 2), (2, 2, 3), (3, 3, 3)])
+    def test_against_machinery_enumeration(self, m, l, q):
+        rep = mono_reducibility_witness(m, l, 1, q)
+        pres = family_a(1, m, 1) if l == 2 else family_b(1, m)
+        flags = [(t.target.mats["e1"].rank() == l - 1,
+                  not t.source.mats["a1"].is_zero())
+                 for t in iter_mono_points(pres, GF(q), {0: 1, 1: 1},
+                                           {0: 1, 1: l})]
+        assert (len(flags), sum(u1 for u1, _ in flags),
+                sum(u2 for _, u2 in flags),
+                sum(u1 and u2 for u1, u2 in flags)) == \
+            (rep.total, rep.count_full_rank, rep.count_mu1,
+             rep.count_intersection)
+
+    # whole reports, samples included, so the scalar a sample carries is
+    # pinned too; (3, 2, 1, 7) is the benchmark's reference instance
+    @pytest.mark.parametrize("args,expected", [
+        ((3, 2, 1, 7),
+         (3, 2, 1, 7, "A(1,3,1)", 26208, 12096, 12096, 0,
+          ((0,), 1, ((0, 1), (0, 0)), ((0, 0),), (1, 0)),
+          ((1,), 1, ((0, 0), (0, 0)), ((0, 1),), (0, 1)),
+          True, True, True)),
+        ((3, 3, 1, 2),
+         (3, 3, 1, 2, "A(1,3,2)", 728, 168, 280, 0,
+          ((0,), 1, ((0, 1, 0), (0, 0, 1), (0, 0, 0)), ((0, 0, 0),),
+           (1, 0, 0)),
+          ((1,), 1, ((0, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 1),),
+           (0, 0, 1)),
+          True, True, True)),
+    ])
+    def test_full_report_pinned(self, args, expected):
+        assert dataclasses.astuple(mono_reducibility_witness(*args)) \
+            == expected
 
     def test_sample_points_verified(self):
         rep = mono_reducibility_witness(3, 3, 1, 2)
