@@ -22,10 +22,10 @@ import json
 import sys
 import time
 
-from .counting import (BudgetExceededError, EnumerationTask, ambient_dimension,
-                       count_points, default_budget, hom_counterexample_census,
-                       leading_coefficient_probe, mono_reducibility_witness,
-                       product_count_check)
+from .counting import (TASK_DIMS, BudgetExceededError, EnumerationTask,
+                       ambient_dimension, count_points, default_budget,
+                       hom_counterexample_census, leading_coefficient_probe,
+                       mono_reducibility_witness, product_count_check)
 from .dsl import DslSemanticError, DslSyntaxError, parse_quiver_spec
 from .extensions import build_extension, cocycle_space_basis, splitting_from_mono
 from .families import (FAMILY_KINDS, FamilyDescriptor, FamilyParameterError,
@@ -34,8 +34,8 @@ from .linalg import PrimeField
 from .quiver import QuiverError, ext2_dimension
 from .reps import hom_basis
 from .serialize import (SerializationError, blocks_from_json, blocks_to_json,
-                        matrix_to_json, morphism_from_json, morphism_to_json,
-                        rep_from_json, rep_to_json)
+                        field_from_json, matrix_to_json, morphism_from_json,
+                        morphism_to_json, rep_from_json, rep_to_json)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,6 +71,26 @@ def _load_pres(args):
     if getattr(args, "family", None):
         return build_family(_descriptor(args))
     raise CliSemanticError("provide --quiver FILE or --family KIND")
+
+
+def _load_files(args, pres, *reps: str, data: str | None = None) -> list:
+    """The representation in the file of each argument in ``reps``, then,
+    when ``data`` names one more argument, the JSON of its file.  Every
+    file must be over one field; a JSON file that names no field is left
+    to its reader."""
+    loaded = [rep_from_json(pres, _load_json_file(getattr(args, name)))
+              for name in reps]
+    fields = [(name, rep.field) for name, rep in zip(reps, loaded)]
+    if data is not None:
+        loaded.append(_load_json_file(getattr(args, data)))
+        if isinstance(loaded[-1], dict) and "field" in loaded[-1]:
+            fields.append((data, field_from_json(loaded[-1]["field"])))
+    first, field = fields[0]
+    for name, other in fields[1:]:
+        if other != field:
+            raise CliSemanticError(
+                f"--{first} is over {field} but --{name} over {other}")
+    return loaded
 
 
 def _descriptor(args) -> FamilyDescriptor:
@@ -161,8 +181,7 @@ def _cmd_check(args):
 
 def _cmd_hom(args):
     pres = _load_pres(args)
-    src = rep_from_json(pres, _load_json_file(args.source))
-    dst = rep_from_json(pres, _load_json_file(args.target))
+    src, dst = _load_files(args, pres, "source", "target")
     basis = hom_basis(src, dst)
     result = {"dim": len(basis),
               "basis": [morphism_to_json(m) for m in basis]}
@@ -171,8 +190,7 @@ def _cmd_hom(args):
 
 def _cmd_cocycles(args):
     pres = _load_pres(args)
-    quo = rep_from_json(pres, _load_json_file(args.quo))
-    sub = rep_from_json(pres, _load_json_file(args.sub))
+    quo, sub = _load_files(args, pres, "quo", "sub")
     basis = cocycle_space_basis(quo, sub)
     result = {"dim": len(basis),
               "basis": [blocks_to_json(quo.field, fam) for fam in basis]}
@@ -181,10 +199,8 @@ def _cmd_cocycles(args):
 
 def _cmd_extend(args):
     pres = _load_pres(args)
-    quo = rep_from_json(pres, _load_json_file(args.quo))
-    sub = rep_from_json(pres, _load_json_file(args.sub))
-    blocks = blocks_from_json(pres, sub.dims, quo.dims,
-                              _load_json_file(args.blocks))
+    quo, sub, data = _load_files(args, pres, "quo", "sub", data="blocks")
+    blocks = blocks_from_json(pres, sub.dims, quo.dims, data)
     middle, incl, proj = build_extension(quo, sub, blocks)
     result = {"middle": rep_to_json(middle),
               "inclusion": morphism_to_json(incl),
@@ -196,9 +212,8 @@ def _cmd_extend(args):
 
 def _cmd_split(args):
     pres = _load_pres(args)
-    sub = rep_from_json(pres, _load_json_file(args.sub))
-    middle = rep_from_json(pres, _load_json_file(args.middle))
-    mor = morphism_from_json(sub, middle, _load_json_file(args.map))
+    sub, middle, data = _load_files(args, pres, "sub", "middle", data="map")
+    mor = morphism_from_json(sub, middle, data)
     g, blocks, quo = splitting_from_mono(mor)
     result = {
         "base_change": {str(x): matrix_to_json(g[x]) for x in g},
@@ -211,30 +226,20 @@ def _cmd_split(args):
 
 
 def _make_task(args, pres, field) -> EnumerationTask:
-    kind = args.kind
+    """The task of ``--kind``, each of its dims fields read from its flag:
+    ``dims`` from --dim, ``source_dims`` from --source-dim, and so on."""
     budget = _budget(args)
-    if kind == "rep":
-        if args.dim is None:
-            raise CliSemanticError("rep counting needs --dim")
-        return EnumerationTask(kind="rep", pres=pres, field=field,
-                               dims=_parse_dims(pres, args.dim),
-                               budget=budget)
-    if kind in ("hom", "mono"):
-        if args.source_dim is None or args.target_dim is None:
-            raise CliSemanticError(
-                f"{kind} counting needs --source-dim and --target-dim")
-        return EnumerationTask(kind=kind, pres=pres, field=field,
-                               source_dims=_parse_dims(pres, args.source_dim),
-                               target_dims=_parse_dims(pres, args.target_dim),
-                               budget=budget)
-    if kind == "ext":
-        if args.quo_dim is None or args.sub_dim is None:
-            raise CliSemanticError("ext counting needs --quo-dim and --sub-dim")
-        return EnumerationTask(kind="ext", pres=pres, field=field,
-                               quo_dims=_parse_dims(pres, args.quo_dim),
-                               sub_dims=_parse_dims(pres, args.sub_dim),
-                               budget=budget)
-    raise CliSemanticError(f"unknown variety kind {kind!r}")
+    names = TASK_DIMS[args.kind]
+    texts = [getattr(args, name[:-1]) for name in names]
+    if None in texts:
+        raise CliSemanticError(
+            f"{args.kind} counting needs "
+            + " and ".join("--" + name[:-1].replace("_", "-")
+                           for name in names))
+    return EnumerationTask(kind=args.kind, pres=pres, field=field,
+                           budget=budget,
+                           **{name: _parse_dims(pres, text)
+                              for name, text in zip(names, texts)})
 
 
 def _cmd_count(args):
@@ -387,8 +392,7 @@ def _add_quiver_source(parser: argparse.ArgumentParser, family_only=False):
 
 
 def _add_dims_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--kind", choices=("rep", "hom", "mono", "ext"),
-                        default="rep")
+    parser.add_argument("--kind", choices=tuple(TASK_DIMS), default="rep")
     parser.add_argument("--dim", help="dimension vector, comma separated")
     parser.add_argument("--source-dim", dest="source_dim")
     parser.add_argument("--target-dim", dest="target_dim")

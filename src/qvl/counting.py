@@ -38,7 +38,7 @@ once the base is fixed.  The loops-only base is taken whenever it qualifies
 (every named family); otherwise the qualifying set of non-loop arrows from
 the relations with the fewest matrix entries is added ({a} for b*a, {a, c}
 for b*a - d*c).  The set of all of them always qualifies, so nothing falls
-back to the ambient odometer, which stays as ``strategy="odometer"`` and as
+back to the ambient odometer, ``iter_rep_points_odometer``, which stays as
 the test oracle.  Base points are the loop points crossed with every
 assignment of the base non-loop arrows that satisfies the base relations.
 Hom, mono and ext counts sum over pairs of points above pairs of weighted
@@ -69,7 +69,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .extensions import ExtensionTriple, cocycle_fiber
+from .extensions import (ExtensionTriple, block_shapes, cocycle_fiber,
+                         linearized_equations)
 from .families import FamilyParameterError, family_a, family_a_prime, family_b
 from .linalg import Matrix, PrimeField, SandwichPlan, Subspace, split_blocks
 from .quiver import BoundQuiver
@@ -139,6 +140,15 @@ def _metered(items: Sequence, meter: _Meter):
 # --- task descriptions ---------------------------------------------------
 
 
+# The EnumerationTask fields that hold each kind's dimension vectors, one
+# per factor variety, in factor order: the order the kind's count function
+# takes them in.
+TASK_DIMS = {"rep": ("dims",),
+             "hom": ("source_dims", "target_dims"),
+             "mono": ("source_dims", "target_dims"),
+             "ext": ("quo_dims", "sub_dims")}
+
+
 @dataclass
 class EnumerationTask:
     """One counting job: a variety kind, its data, and a step budget."""
@@ -154,21 +164,20 @@ class EnumerationTask:
     budget: Optional[int] = None           # None: default_budget()
 
     def __post_init__(self):
-        if self.kind not in ("rep", "hom", "mono", "ext"):
+        if self.kind not in TASK_DIMS:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.pres is None or self.field is None:
             raise ValueError("variety tasks need pres and field")
         if not isinstance(self.field, PrimeField):
             raise ValueError("points are counted over a prime field F_p, "
                              f"not {self.field!r}")
-        if self.kind == "rep" and self.dims is None:
-            raise ValueError("rep tasks need dims")
-        if self.kind in ("hom", "mono") and (
-                self.source_dims is None or self.target_dims is None):
-            raise ValueError("hom/mono tasks need source_dims and target_dims")
-        if self.kind == "ext" and (self.quo_dims is None
-                                   or self.sub_dims is None):
-            raise ValueError("ext tasks need quo_dims and sub_dims")
+        if None in self.factors():
+            raise ValueError(f"{self.kind} tasks need "
+                             + " and ".join(TASK_DIMS[self.kind]))
+
+    def factors(self) -> tuple:
+        """The dimension vector of each factor variety, in factor order."""
+        return tuple(getattr(self, name) for name in TASK_DIMS[self.kind])
 
 
 def rep_ambient_dim(pres: BoundQuiver, dims: Mapping) -> int:
@@ -177,18 +186,18 @@ def rep_ambient_dim(pres: BoundQuiver, dims: Mapping) -> int:
 
 
 def ambient_dimension(task: EnumerationTask) -> int:
-    """Coordinate count of the affine space the variety naturally sits in."""
-    if task.kind == "rep":
-        return rep_ambient_dim(task.pres, task.dims)
-    if task.kind in ("hom", "mono"):
-        maps_dim = sum(task.target_dims.get(x, 0) * task.source_dims.get(x, 0)
-                       for x in task.pres.quiver.vertices)
-        return (rep_ambient_dim(task.pres, task.source_dims)
-                + rep_ambient_dim(task.pres, task.target_dims) + maps_dim)
-    blocks_dim = sum(task.sub_dims.get(t, 0) * task.quo_dims.get(s, 0)
-                     for _, s, t in task.pres.quiver.arrows)
-    return (rep_ambient_dim(task.pres, task.quo_dims)
-            + rep_ambient_dim(task.pres, task.sub_dims) + blocks_dim)
+    """Coordinate count of the affine space the variety naturally sits in:
+    every factor's arrows, then a pair's vertex maps or arrow blocks."""
+    pres, factors = task.pres, task.factors()
+    dim = sum(rep_ambient_dim(pres, dims) for dims in factors)
+    if task.kind in ("hom", "mono"):    # a map f_x per vertex
+        source, target = factors
+        dim += sum(target.get(x, 0) * source.get(x, 0)
+                   for x in pres.quiver.vertices)
+    elif task.kind == "ext":            # a block per arrow
+        quo, sub = factors
+        dim += sum(r * c for r, c in block_shapes(pres, sub, quo).values())
+    return dim
 
 
 # --- representation points ----------------------------------------------
@@ -284,25 +293,15 @@ def _choose_base(pres: BoundQuiver, dims: Mapping):
 def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
     """Layout of the linear system that the entries of the arrows outside
     ``base`` (every loop is in it) satisfy once the base matrices are
-    fixed: one term c * base(prefix) @ X_a @ base(suffix) per term of each
-    linear relation, its sides the prefix and suffix arrows.  Returns the
+    fixed: the linear relations, linearized in those arrows.  Returns the
     plan and a function from a base point, the entries of every loop and
     then of the arrows in ``base`` (as ``flat_layout`` lays them out), to
     the kernel basis of the system there."""
     quiver = pres.quiver
     shapes = {a: (dims.get(t, 0), dims.get(s, 0)) for a, s, t in quiver.arrows
               if not (a in base or quiver.is_loop(a))}
-    equations = []
-    for rel in linear_rels:
-        terms = []
-        for coeff, path in rel.terms:
-            j = next(i for i, a in enumerate(path.arrows) if a in shapes)
-            terms.append((field.coerce(coeff), path.arrows[j],
-                          path.arrows[:j] or None,
-                          path.arrows[j + 1:] or None))
-        equations.append(((dims.get(rel.target, 0), dims.get(rel.source, 0)),
-                          terms))
-    plan = SandwichPlan(field, shapes, equations)
+    plan = SandwichPlan(field, shapes, linearized_equations(
+        field, linear_rels, shapes, dims, dims))
     layout = flat_layout(pres, dims, [*quiver.loops(), *base])
     kernel = plan.flat_kernel(layout, layout)
     return plan, lambda point: kernel(point, point)
@@ -547,48 +546,48 @@ def _base_points(pres: BoundQuiver, field, dims, loops: tuple, base,
             yield loops + values
 
 
-def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
-                 orbits: bool) -> Iterator[tuple]:
-    """(point, weight) for every point above each weighted loop point of
-    ``_loop_points`` (with ``orbits`` every point of the variety once, with
-    weight 1): the linear fiber over each base point above them.  A point
-    is flat, as ``flat_layout`` lays it out: every arrow's entries, arrows
-    in declaration order, row-major.  The arrow system's layout is compiled
-    once for the walk."""
+def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
+            stratum_steps: bool = False):
+    """The walk of the variety with these dims: the arrows in the order a
+    walked point lays them out (every loop, the base arrows, then the rest
+    in declaration order), and a stream of (flat base point, weight, kernel
+    basis of the linear fiber there) over the base points above each
+    weighted loop point of ``_loop_points``.  The arrow system's layout is
+    compiled once for the walk.  With ``stratum_steps`` each stratum takes
+    one step when there are no base arrows; else its base points do."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
+
+    def stream():
+        for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
+                                          orbits, stratum_steps and not base):
+            for point in _base_points(pres, field, dims, loops, base,
+                                      base_rels, meter):
+                yield point, weight, kernel(point)
+
+    return [*pres.quiver.loops(), *base, *plan.shapes], stream()
+
+
+def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
+                 orbits: bool) -> Iterator[tuple]:
+    """(point, weight) for every point of the linear fiber over each base
+    point of ``_fibers`` (with ``orbits`` every point of the variety once,
+    with weight 1).  A point is flat, as ``flat_layout`` lays it out: every
+    arrow's entries, arrows in declaration order, row-major."""
+    walked, fibers = _fibers(pres, field, dims, meter, orbits)
     # each coordinate's place in the base point followed by the fiber vector
-    walked = flat_layout(pres, dims,
-                         [*pres.quiver.loops(), *base, *plan.shapes])
+    layout = flat_layout(pres, dims, walked)
     order = [i for a in pres.quiver.arrow_names()
-             for start, r, c in (walked[a],)
+             for start, r, c in (layout[a],)
              for i in range(start, start + r * c)]
     if order == sorted(order):
         order = None
-    for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
-                                      orbits):
-        for point in _base_points(pres, field, dims, loops, base, base_rels,
-                                  meter):
-            for vec in _walk_fiber(field, plan.ncols, kernel(point), meter):
-                full = point + tuple(vec)
-                yield (full if order is None
-                       else tuple([full[i] for i in order])), weight
-
-
-def count_rep_points_layered(pres: BoundQuiver, field: PrimeField,
-                             dims: Mapping, meter: _Meter) -> int:
-    """Sum of weight * q^(free linear coordinates) over the base points
-    above each weighted loop point.  Without base arrows a stratum takes
-    one step; with them its base points do."""
-    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
-    plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
-    count = 0
-    for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
-                                      orbits=False, stratum_steps=not base):
-        for point in _base_points(pres, field, dims, loops, base, base_rels,
-                                  meter):
-            count += weight * field.p ** len(kernel(point))
-    return count
+    size = rep_ambient_dim(pres, dims)
+    for point, weight, basis in fibers:
+        for vec in _walk_fiber(field, size - len(point), basis, meter):
+            full = point + tuple(vec)
+            yield (full if order is None
+                   else tuple([full[i] for i in order])), weight
 
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
@@ -600,38 +599,26 @@ def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
         pres, field, full_dims, split_blocks(field, shapes, point))
 
 
-def iter_rep_points_layered(pres: BoundQuiver, field: PrimeField,
-                            dims: Mapping, meter: _Meter | None = None
-                            ) -> Iterator[Representation]:
+def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
+                    meter: _Meter | None = None) -> Iterator[Representation]:
+    """Deterministic, duplicate-free stream of all variety points: every
+    point of the linear fiber over each base point, above every point of
+    the loop locus.  ``iter_rep_points_odometer`` gives the same points."""
     build = _rep_builder(pres, field, dims)
     for point, _ in _points_over(pres, field, dims, meter or _Meter(),
                                  orbits=True):
         yield build(point)
 
 
-def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
-                    meter: _Meter | None = None,
-                    strategy: str = "auto") -> Iterator[Representation]:
-    """Deterministic, duplicate-free stream of all variety points.
-
-    ``strategy`` is "odometer", "layered", or "auto" (the same as
-    "layered"); both strategies produce the same point set.
-    """
-    if strategy == "odometer":
-        return iter_rep_points_odometer(pres, field, dims, meter=meter)
-    if strategy not in ("auto", "layered"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return iter_rep_points_layered(pres, field, dims, meter=meter)
-
-
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
-                     budget: int | None = None,
-                     strategy: str = "auto") -> int:
-    """Exact number of valid points; ``strategy`` as in iter_rep_points."""
-    meter = _Meter(budget)
-    if strategy in ("auto", "layered"):
-        return count_rep_points_layered(pres, field, dims, meter)
-    return sum(1 for _ in iter_rep_points(pres, field, dims, meter, strategy))
+                     budget: int | None = None) -> int:
+    """Exact number of valid points: the sum of weight * q^(free linear
+    coordinates) over the base points above each weighted loop point.
+    Without base arrows a stratum takes one step; with them its base
+    points do."""
+    _, fibers = _fibers(pres, field, dims, _Meter(budget), orbits=False,
+                        stratum_steps=True)
+    return sum(weight * field.p ** len(basis) for _, weight, basis in fibers)
 
 
 # --- hom / mono / ext points ---------------------------------------------
@@ -798,20 +785,14 @@ def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                         lambda _, basis, __: field.p ** len(basis), budget)
 
 
+_COUNTS = {"rep": count_rep_points, "hom": count_hom_points,
+           "mono": count_mono_points, "ext": count_ext_points}
+
+
 def count_points(task: EnumerationTask) -> int:
     """Exact point count of the task's variety over its finite field."""
-    budget = task.budget
-    if task.kind == "rep":
-        return count_rep_points(task.pres, task.field, task.dims,
-                                budget=budget)
-    if task.kind == "hom":
-        return count_hom_points(task.pres, task.field, task.source_dims,
-                                task.target_dims, budget=budget)
-    if task.kind == "mono":
-        return count_mono_points(task.pres, task.field, task.source_dims,
-                                 task.target_dims, budget=budget)
-    return count_ext_points(task.pres, task.field, task.quo_dims,
-                            task.sub_dims, budget=budget)
+    return _COUNTS[task.kind](task.pres, task.field, *task.factors(),
+                              budget=task.budget)
 
 
 # --- the two explicit reducibility checks --------------------------------
@@ -985,17 +966,15 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     implication_ok = True
     kernel_image_ok = True
 
-    # Drive the layered enumeration directly: analyze each loop assignment
-    # once, then walk its linearly constrained arrow rows and embedding
-    # vectors with plain modular arithmetic.
-    loop_rels, linear_rels = _classify_relations(pres)
-    plan, kernel = _arrow_plan(pres, field, target_dims, (), linear_rels)
-    if list(plan.shapes.values()) != [(1, l)] * n:
-        raise AssertionError("unexpected arrow block shapes")
+    # Take the target walk's layers directly: analyze each loop point once,
+    # then walk its linearly constrained arrow rows (each 1 x l) and
+    # embedding vectors with plain modular arithmetic.
+    walked, fibers = _fibers(pres, field, target_dims, meter, orbits=True)
+    if walked != list(pres.quiver.arrow_names()):
+        raise AssertionError("the walk's base is not the loops alone")
     layout = flat_layout(pres, target_dims, pres.quiver.loops())
     e0, e1 = layout["e0"][0], layout["e1"][0]
-    for loops, _ in _loop_points(pres, field, target_dims, loop_rels, meter,
-                                 orbits=True):
+    for loops, _, arrow_kernel in fibers:
         if loops[e0]:
             raise AssertionError("target loop at vertex 0 not forced to zero")
         loop = Matrix._trusted(field, l, l, tuple(
@@ -1014,10 +993,9 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
         if not ws:
             continue
 
-        arrow_kernel = kernel(loops)
         per_solution = len(ws) * units
         meter.precheck(field.p ** len(arrow_kernel) * per_solution)
-        for values in _span(field, arrow_kernel, plan.ncols):
+        for values in _span(field, arrow_kernel, n * l):
             meter.tick(per_solution)
             arrow_rows = tuple(tuple(values[k * l:(k + 1) * l])
                                for k in range(n))

@@ -81,26 +81,39 @@ def is_cocycle(quo: Representation, sub: Representation,
                for rel in quo.pres.relations)
 
 
-def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
-                  sub_dims: DimVector):
-    """Cocycle spaces of pairs of points with these dims, from one compiled
-    layout: the block shapes, and a function from a quotient and a sub
-    flat point (as ``flat_layout`` lays them out) to the kernel basis of
-    the cocycle system, one equation per relation, one term
-    c * sub(a_1..a_(j-1)) block_(a_j) quo(a_(j+1)..a_l) per relation term
-    and arrow position j, as in cocycle_value."""
+def linearized_equations(field: Field, relations, unknowns,
+                          left_dims: DimVector, right_dims: DimVector
+                          ) -> list[tuple]:
+    """The relations linearized in the arrows of ``unknowns``, as
+    ``SandwichPlan`` equations: one per relation, of shape left_dims at its
+    target by right_dims at its source, with one term
+    c * left(a_1..a_(j-1)) X_(a_j) right(a_(j+1)..a_l) per term
+    c * a_1..a_l of the relation and position j with a_j unknown.  The
+    arrow blocks of a walk take the arrows outside the base as unknowns,
+    one per term; a cocycle takes every arrow."""
     equations = []
-    for rel in pres.relations:
+    for rel in relations:
         terms = []
         for coeff, path in rel.terms:
             c = field.coerce(coeff)
             arrows = path.arrows
             terms.extend((c, a, arrows[:j] or None, arrows[j + 1:] or None)
-                         for j, a in enumerate(arrows))
-        equations.append(((sub_dims.get(rel.target, 0),
-                           quo_dims.get(rel.source, 0)), terms))
-    plan = SandwichPlan(field, block_shapes(pres, sub_dims, quo_dims),
-                        equations)
+                         for j, a in enumerate(arrows) if a in unknowns)
+        equations.append(((left_dims.get(rel.target, 0),
+                           right_dims.get(rel.source, 0)), terms))
+    return equations
+
+
+def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
+                  sub_dims: DimVector):
+    """Cocycle spaces of pairs of points with these dims, from one compiled
+    layout: the block shapes, and a function from a quotient and a sub
+    flat point (as ``flat_layout`` lays them out) to the kernel basis of
+    the cocycle system: the relations linearized in every arrow's block,
+    as in cocycle_value."""
+    shapes = block_shapes(pres, sub_dims, quo_dims)
+    plan = SandwichPlan(field, shapes, linearized_equations(
+        field, pres.relations, shapes, sub_dims, quo_dims))
     kernel = plan.flat_kernel(flat_layout(pres, sub_dims),
                               flat_layout(pres, quo_dims))
     return plan.shapes, lambda quo, sub: kernel(sub, quo)

@@ -19,7 +19,16 @@ from .quiver import (BoundQuiver, Quiver, QuiverError, Relation,
                      monomial_relation)
 from .reps import HomTriple, Morphism, Representation
 
-FAMILY_KINDS = ("A", "Aprime", "AprimeCommuting", "Lambda", "B")
+# kind -> (name in messages, ((parameter, least value), ...)), the
+# parameters in the order the kind's builder takes them
+FAMILY_PARAMS = {
+    "A": ("family A", (("n", 1), ("m", 2), ("l", 1))),
+    "Aprime": ("family A'", (("n", 0), ("m0", 1), ("m1", 1))),
+    "AprimeCommuting": ("the commuting family", (("m", 2),)),
+    "Lambda": ("family Lambda", (("m", 1),)),
+    "B": ("family B", (("n", 1), ("m", 2))),
+}
+FAMILY_KINDS = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -51,9 +60,14 @@ class FamilyParameterError(QuiverError):
     pass
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise FamilyParameterError(msg)
+def _check(kind: str, *values):
+    """Raise unless each parameter of the family ``kind`` is given and at
+    least its least value."""
+    name, params = FAMILY_PARAMS[kind]
+    for (param, least), value in zip(params, values):
+        if value is None or value < least:
+            raise FamilyParameterError(
+                f"{name} needs {param} >= {least}, got {value}")
 
 
 def two_vertex_quiver(n: int, with_loop0: bool = True,
@@ -79,9 +93,7 @@ def crossing_relation(quiver: Quiver, l: int) -> Relation:
 
 def family_a(n: int, m: int, l: int) -> BoundQuiver:
     """Two loops of order m plus the degree-one crossing relation."""
-    _require(n >= 1, f"family A needs n >= 1, got {n}")
-    _require(m >= 2, f"family A needs m >= 2, got {m}")
-    _require(l >= 1, f"family A needs l >= 1, got {l}")
+    _check("A", n, m, l)
     quiver = two_vertex_quiver(n)
     rels = [monomial_relation(quiver, "e0", m),
             monomial_relation(quiver, "e1", m),
@@ -95,9 +107,7 @@ def family_a_prime(n: int, m0: int, m1: int) -> BoundQuiver:
     An order-1 loop is the zero arrow of the algebra, so it is dropped from
     the quiver instead of imposing a length-1 relation.
     """
-    _require(n >= 0, f"family A' needs n >= 0, got {n}")
-    _require(m0 >= 1 and m1 >= 1,
-             f"family A' needs m0, m1 >= 1, got {m0}, {m1}")
+    _check("Aprime", n, m0, m1)
     quiver = two_vertex_quiver(n, with_loop0=m0 >= 2, with_loop1=m1 >= 2)
     rels = []
     if m0 >= 2:
@@ -111,7 +121,7 @@ def family_a_prime(n: int, m0: int, m1: int) -> BoundQuiver:
 def family_a_prime_commuting(m: int) -> BoundQuiver:
     """One arrow, two order-m loops, and the commuting relation
     e0*a1 - a1*e1."""
-    _require(m >= 2, f"the commuting family needs m >= 2, got {m}")
+    _check("AprimeCommuting", m)
     quiver = two_vertex_quiver(1)
     comm = Relation([(1, quiver.path(["e0", "a1"])),
                      (-1, quiver.path(["a1", "e1"]))])
@@ -126,7 +136,7 @@ def family_lambda(m: int) -> BoundQuiver:
 
     For m = 1 the loop disappears (the algebra is the ground field).
     """
-    _require(m >= 1, f"family Lambda needs m >= 1, got {m}")
+    _check("Lambda", m)
     if m == 1:
         quiver = Quiver([0], [], name="Lambda(1)")
         return BoundQuiver(quiver, [], 1, name="Lambda(1)")
@@ -137,23 +147,27 @@ def family_lambda(m: int) -> BoundQuiver:
 
 def family_b(n: int, m: int) -> BoundQuiver:
     """The corner family: A(n, m, m-1)."""
-    _require(n >= 1, f"family B needs n >= 1, got {n}")
-    _require(m >= 2, f"family B needs m >= 2, got {m}")
+    _check("B", n, m)
     return family_a(n, m, m - 1)
 
 
+_BUILDERS = {"A": family_a, "Aprime": family_a_prime,
+             "AprimeCommuting": family_a_prime_commuting,
+             "Lambda": family_lambda, "B": family_b}
+
+
+def _parameters(desc: FamilyDescriptor) -> list:
+    """The descriptor's parameters in builder order, each checked."""
+    if desc.kind not in FAMILY_PARAMS:
+        raise FamilyParameterError(f"unknown family kind {desc.kind!r}")
+    values = [getattr(desc, param) for param, _ in FAMILY_PARAMS[desc.kind][1]]
+    _check(desc.kind, *values)
+    return values
+
+
 def build_family(desc: FamilyDescriptor) -> BoundQuiver:
-    if desc.kind == "A":
-        return family_a(desc.n, desc.m, desc.l)
-    if desc.kind == "Aprime":
-        return family_a_prime(desc.n, desc.m0, desc.m1)
-    if desc.kind == "AprimeCommuting":
-        return family_a_prime_commuting(desc.m)
-    if desc.kind == "Lambda":
-        return family_lambda(desc.m)
-    if desc.kind == "B":
-        return family_b(desc.n, desc.m)
-    raise FamilyParameterError(f"unknown family kind {desc.kind!r}")
+    params = _parameters(desc)
+    return _BUILDERS[desc.kind](*params)
 
 
 def is_geometrically_irreducible_family(desc: FamilyDescriptor) -> bool:
@@ -163,28 +177,8 @@ def is_geometrically_irreducible_family(desc: FamilyDescriptor) -> bool:
     the loop-only families and the one-vertex family always are, and B is
     the l = m - 1 member of A.
     """
-    if desc.kind == "A":
-        _require(desc.n is not None and desc.n >= 1, "A: n >= 1 required")
-        _require(desc.m is not None and desc.m >= 2, "A: m >= 2 required")
-        _require(desc.l is not None and desc.l >= 1, "A: l >= 1 required")
-        return desc.l == 1 or desc.l == desc.m - 1
-    if desc.kind == "Aprime":
-        _require(desc.n is not None and desc.n >= 0, "A': n >= 0 required")
-        _require(desc.m0 is not None and desc.m0 >= 1, "A': m0 >= 1 required")
-        _require(desc.m1 is not None and desc.m1 >= 1, "A': m1 >= 1 required")
-        return True
-    if desc.kind == "B":
-        _require(desc.n is not None and desc.n >= 1, "B: n >= 1 required")
-        _require(desc.m is not None and desc.m >= 2, "B: m >= 2 required")
-        return True
-    if desc.kind == "Lambda":
-        _require(desc.m is not None and desc.m >= 1, "Lambda: m >= 1 required")
-        return True
-    if desc.kind == "AprimeCommuting":
-        _require(desc.m is not None and desc.m >= 2,
-                 "commuting family: m >= 2 required")
-        return True
-    raise FamilyParameterError(f"unknown family kind {desc.kind!r}")
+    _parameters(desc)
+    return desc.kind != "A" or desc.l in (1, desc.m - 1)
 
 
 # --- conversion maps ----------------------------------------------------

@@ -95,7 +95,8 @@ def _dims_from_json(pres: BoundQuiver, data) -> dict:
     for key, value in data.items():
         if key not in lookup:
             raise SerializationError(f"unknown vertex {key!r} in dims")
-        if not isinstance(value, int) or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < 0:
             raise SerializationError(
                 f"dimension at {key!r} must be a nonnegative integer")
         dims[lookup[key]] = value
@@ -143,8 +144,10 @@ def morphism_to_json(mor: Morphism) -> dict:
 
 def morphism_from_json(source: Representation, target: Representation,
                        data) -> Morphism:
-    if not isinstance(data, Mapping) or "maps" not in data:
-        raise SerializationError("morphism must be an object with 'maps'")
+    if not isinstance(data, Mapping) or \
+            not isinstance(data.get("maps"), Mapping):
+        raise SerializationError("morphism must be an object with a 'maps' "
+                                 "object")
     field = field_from_json(data.get("field", field_to_json(source.field)))
     if field != source.field:
         raise SerializationError("morphism field differs from the endpoints")
@@ -171,13 +174,16 @@ def blocks_to_json(field: Field, blocks: Mapping[str, Matrix]) -> dict:
 
 def blocks_from_json(pres: BoundQuiver, sub_dims: Mapping, quo_dims: Mapping,
                      data) -> dict[str, Matrix]:
-    if not isinstance(data, Mapping) or "blocks" not in data:
-        raise SerializationError("blocks must be an object with 'blocks'")
+    if not isinstance(data, Mapping) or "field" not in data or \
+            not isinstance(data.get("blocks"), Mapping):
+        raise SerializationError("blocks must be an object with a 'field' "
+                                 "and a 'blocks' object")
     field = field_from_json(data["field"])
+    blocks = data["blocks"]
     out = {}
     for a, s, t in pres.quiver.arrows:
-        if a not in data["blocks"]:
+        if a not in blocks:
             raise SerializationError(f"missing block for arrow {a!r}")
-        out[a] = matrix_from_json(field, data["blocks"][a],
+        out[a] = matrix_from_json(field, blocks[a],
                                   sub_dims.get(t, 0), quo_dims.get(s, 0))
     return out

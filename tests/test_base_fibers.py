@@ -17,7 +17,7 @@ from qvl.counting import (BudgetExceededError, _Meter, _choose_base,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_rep_points,
-                          rep_ambient_dim)
+                          iter_rep_points_odometer, rep_ambient_dim)
 from helpers import residual_kernel, typed
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import (block_shapes, cocycle_fiber, cocycle_kernel,
@@ -110,14 +110,12 @@ class TestAgainstOdometer:
             dims = _dims(pres, dim_tuple)
             if not _small(pres, dims, q):
                 continue
-            slow = [r.key() for r in iter_rep_points(pres, field, dims,
-                                                     strategy="odometer")]
+            slow = [r.key() for r in iter_rep_points_odometer(pres, field,
+                                                              dims)]
             fast = [r.key() for r in iter_rep_points(pres, field, dims)]
             assert len(set(fast)) == len(fast), dim_tuple
             assert set(fast) == set(slow), dim_tuple
             assert count_rep_points(pres, field, dims) == len(slow)
-            assert count_rep_points(pres, field, dims,
-                                    strategy="layered") == len(slow)
 
     @pytest.mark.parametrize("pres,base,dim_list", CASES, ids=IDS)
     def test_base_choice(self, pres, base, dim_list):
@@ -301,15 +299,14 @@ def test_random_presentations_agree_with_odometer(spec, q):
     assume(_classify_relations(pres) is None)
     dims = _shrink(pres, _dims(pres, dim_tuple), q, 2048)
     field = GF(q)
-    slow = count_rep_points(pres, field, dims, strategy="odometer")
+    slow = sum(1 for _ in iter_rep_points_odometer(pres, field, dims))
     assert count_rep_points(pres, field, dims) == slow, text
-    assert count_rep_points(pres, field, dims, strategy="layered") == slow
     # pair counts over the drawn dims and their reverse, each cut to at
     # most 32 ambient points
     first = _shrink(pres, dims, q, 32)
     second = _shrink(pres, _dims(pres, reversed(dim_tuple)), q, 32)
-    firsts = list(iter_rep_points(pres, field, first, strategy="odometer"))
-    seconds = list(iter_rep_points(pres, field, second, strategy="odometer"))
+    firsts = list(iter_rep_points_odometer(pres, field, first))
+    seconds = list(iter_rep_points_odometer(pres, field, second))
     pairs = list(itertools.product(firsts, seconds))
     assert count_hom_points(pres, field, first, second) \
         == sum(q ** len(hom_basis(x, y)) for x, y in pairs), text

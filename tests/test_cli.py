@@ -12,7 +12,7 @@ import qvl.cli
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
                      EXIT_SEMANTIC, main, run_command)
 from qvl.dsl import print_quiver_spec
-from qvl.families import family_a, family_lambda
+from qvl.families import FAMILY_KINDS, family_a, family_lambda
 from qvl.linalg import GF, QQ, Matrix
 from qvl.reps import Representation
 from qvl.serialize import blocks_to_json, rep_to_json
@@ -219,6 +219,24 @@ for _command, _argv in {
     SWEEP[_command].update({name: _argv % name for name in MALFORMED_REPS})
 
 
+# Files of the wrong shape where a file subcommand reads maps, blocks or
+# dims: a list of maps, blocks without a field, blocks that are no object,
+# and a boolean dimension (JSON true must not read as dimension 1).
+MALFORMED_FILES = {
+    "maps_list": {"field": {"type": "Fp", "p": 2}, "maps": [1]},
+    "blocks_no_field": {"blocks": {"e": [[0]]}},
+    "blocks_scalar": {"field": {"type": "Fp", "p": 2}, "blocks": 1},
+    "bool_dim": {"field": {"type": "Fp", "p": 2}, "dims": {"0": True},
+                 "mats": {"e": [[0]]}},
+}
+SWEEP["split"]["maps_list"] = ("split --family Lambda --m 2 --sub {rep} "
+                               "--middle {rep} --map {maps_list}")
+for _name in ("blocks_no_field", "blocks_scalar"):
+    SWEEP["extend"][_name] = ("extend --family Lambda --m 2 --quo {rep} "
+                              "--sub {rep} --blocks {%s}" % _name)
+SWEEP["check"]["bool_dim"] = "check --family Lambda --m 2 --rep {bool_dim}"
+
+
 def test_sweep_covers_every_subcommand():
     assert set(SWEEP) == set(qvl.cli._HANDLERS)
 
@@ -238,6 +256,9 @@ def test_bad_input_sweep_is_semantic(argv, lam2_file, rep_files, tmp_path):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(
             {"field": field, "dims": {"0": 1}, "mats": {"e": [[entry]]}}))
+    for name, data in MALFORMED_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
     code, report = run(argv.format(quiver=lam2_file, rep=rep_files["one"],
                                    bad=bad, **files).split())
     assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
@@ -345,6 +366,62 @@ class TestMathCommands:
         assert code == EXIT_OK
         # f embeds the 1-dim zero module into a square-zero 2x2 point
         assert report["result"]["count"] > 0
+
+
+# Every parameter of each family kind, with a value in range; dropping any
+# one of them must exit 4, not raise.
+FAMILY_FLAGS = {"A": {"n": 1, "m": 3, "l": 1},
+                "Aprime": {"n": 1, "m0": 2, "m1": 2},
+                "AprimeCommuting": {"m": 2}, "Lambda": {"m": 2},
+                "B": {"n": 1, "m": 2}}
+
+
+def test_family_flags_cover_every_kind():
+    assert tuple(FAMILY_FLAGS) == FAMILY_KINDS
+
+
+@pytest.mark.parametrize("kind,dropped", [
+    (kind, param) for kind, flags in FAMILY_FLAGS.items() for param in flags])
+def test_missing_family_parameter_is_semantic(kind, dropped):
+    flags = [token for param, value in FAMILY_FLAGS[kind].items()
+             if param != dropped for token in (f"--{param}", str(value))]
+    code, report = run(["count", "--family", kind, *flags, "--dim", "1",
+                        "--q", "2"])
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    assert f"needs {dropped} >= " in report["error"]["message"]
+
+
+# Each file subcommand given files over two fields: "{r5}" and "{r7}" are
+# Lambda(2) points over F_5 and F_7, "{b7}" zero blocks and "{m7}" an
+# identity map over F_7.
+MIXED_FIELDS = {
+    "hom": "hom --source {r5} --target {r7}",
+    "cocycles": "cocycles --quo {r5} --sub {r7}",
+    "extend-reps": "extend --quo {r5} --sub {r7} --blocks {b7}",
+    "extend-blocks": "extend --quo {r5} --sub {r5} --blocks {b7}",
+    "split-reps": "split --sub {r5} --middle {r7} --map {m7}",
+    "split-map": "split --sub {r5} --middle {r5} --map {m7}",
+}
+
+
+@pytest.mark.parametrize("case", MIXED_FIELDS)
+def test_files_over_different_fields_are_semantic(case, tmp_path):
+    files = {}
+    for name, data in {
+            "r5": rep_to_json(Representation.zero(family_lambda(2), GF(5),
+                                                  {0: 1})),
+            "r7": rep_to_json(Representation.zero(family_lambda(2), GF(7),
+                                                  {0: 1})),
+            "b7": {"field": {"type": "Fp", "p": 7}, "blocks": {"e": [[0]]}},
+            "m7": {"field": {"type": "Fp", "p": 7},
+                   "maps": {"0": [[1]]}}}.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    command, *rest = MIXED_FIELDS[case].format(**files).split()
+    code, report = run([command, "--family", "Lambda", "--m", "2", *rest])
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    assert "F5" in report["error"]["message"]
+    assert "F7" in report["error"]["message"]
 
 
 class TestFileCommands:

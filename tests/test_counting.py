@@ -64,17 +64,15 @@ class TestRepCounts:
             (family_b(2, 2), {0: 1, 1: 1}),
         ]
         for pres, dims in cases:
-            fast = count_rep_points(pres, F2, dims, strategy="layered")
-            slow = count_rep_points(pres, F2, dims, strategy="odometer")
+            fast = count_rep_points(pres, F2, dims)
+            slow = sum(1 for _ in iter_rep_points_odometer(pres, F2, dims))
             assert fast == slow
 
     def test_layered_points_equal_odometer_points(self):
         pres = family_a_prime_commuting(2)
         dims = {0: 1, 1: 2}
-        fast = {r.key() for r in iter_rep_points(pres, F3, dims,
-                                                 strategy="layered")}
-        slow = {r.key() for r in iter_rep_points(pres, F3, dims,
-                                                 strategy="odometer")}
+        fast = {r.key() for r in iter_rep_points(pres, F3, dims)}
+        slow = {r.key() for r in iter_rep_points_odometer(pres, F3, dims)}
         assert fast == slow
 
     def test_layered_handles_relation_mixing_two_arrows(self):
@@ -85,10 +83,9 @@ class TestRepCounts:
         mixed = Relation([(1, q.path(["e0", "a1"])), (1, q.path(["a2", "e1"]))])
         pres = BoundQuiver(q, list(base.relations) + [mixed], 4)
         for dims in ({0: 1, 1: 1}, {0: 2, 1: 1}, {0: 1, 1: 2}):
-            fast = {r.key() for r in iter_rep_points(pres, F2, dims,
-                                                     strategy="layered")}
-            slow = {r.key() for r in iter_rep_points(pres, F2, dims,
-                                                     strategy="odometer")}
+            fast = {r.key() for r in iter_rep_points(pres, F2, dims)}
+            slow = {r.key() for r in iter_rep_points_odometer(pres, F2,
+                                                              dims)}
             assert fast == slow
 
     def test_permuted_arrow_order_same_count(self):
@@ -160,17 +157,15 @@ class TestJordanStrata:
             assert _loop_strata(pres, field, dims, loop_rels) is not None
             stratified = count_rep_points(pres, field, dims)
             assert stratified == _filter_walk_count(pres, field, dims)
-            assert stratified == count_rep_points(pres, field, dims,
-                                                  strategy="odometer")
+            assert stratified == sum(
+                1 for _ in iter_rep_points_odometer(pres, field, dims))
 
     @pytest.mark.parametrize("m,a,b,q", [(2, 2, 2, 3), (2, 1, 3, 2),
                                          (3, 2, 3, 2), (3, 3, 2, 2)])
     def test_hom_and_ext_pairs_equal_pairwise_walk(self, m, a, b, q):
         pres, field = family_lambda(m), GF(q)
-        firsts = list(iter_rep_points(pres, field, {0: a},
-                                      strategy="odometer"))
-        seconds = list(iter_rep_points(pres, field, {0: b},
-                                       strategy="odometer"))
+        firsts = list(iter_rep_points_odometer(pres, field, {0: a}))
+        seconds = list(iter_rep_points_odometer(pres, field, {0: b}))
         hom = sum(q ** len(hom_basis(x, y)) for x in firsts for y in seconds)
         ext = sum(q ** len(cocycle_space_basis(x, y))
                   for x in firsts for y in seconds)
@@ -294,8 +289,8 @@ class TestTasksAndBudget:
     def test_budget_rejects_big_odometer(self):
         with pytest.raises(BudgetExceededError,
                            match="stopped after 0 of 512 planned steps"):
-            count_rep_points(family_lambda(3), F2, {0: 3}, budget=100,
-                             strategy="odometer")
+            list(iter_rep_points_odometer(family_lambda(3), F2, {0: 3},
+                                          meter=_Meter(100)))
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("QVL_BUDGET", "7")

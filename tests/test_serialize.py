@@ -155,3 +155,32 @@ class TestMorphismAndBlocks:
             blocks_from_json(pres, {0: 1, 1: 1}, {0: 1, 1: 1},
                              {"field": {"type": "Fp", "p": 5},
                               "blocks": {"a1": [[0]]}})
+
+
+class TestMalformedShapes:
+    """JSON of the wrong shape raises SerializationError, never a bare
+    AttributeError, KeyError or TypeError."""
+
+    def test_maps_not_an_object(self):
+        pres = family_lambda(2)
+        one = Representation(pres, F2, {0: 1}, {"e": Matrix(F2, 1, 1, [[0]])})
+        with pytest.raises(SerializationError, match="'maps' object"):
+            morphism_from_json(one, one, {"field": {"type": "Fp", "p": 2},
+                                          "maps": [1]})
+
+    def test_blocks_without_field(self):
+        with pytest.raises(SerializationError, match="'field'"):
+            blocks_from_json(family_lambda(2), {0: 1}, {0: 1},
+                             {"blocks": {"e": [[0]]}})
+
+    def test_blocks_not_an_object(self):
+        with pytest.raises(SerializationError, match="'blocks' object"):
+            blocks_from_json(family_lambda(2), {0: 1}, {0: 1},
+                             {"field": {"type": "Fp", "p": 2}, "blocks": 1})
+
+    def test_boolean_dim_rejected(self):
+        # JSON true must not read as dimension 1
+        with pytest.raises(SerializationError, match="nonnegative integer"):
+            rep_from_json(family_lambda(2),
+                          {"field": {"type": "Fp", "p": 2},
+                           "dims": {"0": True}, "mats": {"e": [[0]]}})
