@@ -41,8 +41,12 @@ for b*a - d*c).  The set of all of them always qualifies, so nothing falls
 back to the ambient odometer, ``iter_rep_points_odometer``, which stays as
 the test oracle.  Base points are the loop points crossed with every
 assignment of the base non-loop arrows that satisfies the base relations.
-Hom, mono and ext counts sum over pairs of points above pairs of weighted
-loop points, whatever the non-loop blocks.
+Counts take rank strata instead where no base arrow has a loop or another
+base arrow at an endpoint and no base relation reads one: GL at the ends
+of a base arrow fixes the rest of the base and carries the fiber over a
+base point onto the fiber over its image, so a d_t x d_s base arrow takes
+[I_r 0; 0 0] weighted by R(d_t, d_s, r), its matrices of rank r.  Hom, mono
+and ext counts sum over pairs of points above weighted base points.
 
 The enumeration order is fixed and stratum-major: strata in loop declaration
 order with partitions largest part first, each orbit breadth-first from
@@ -52,8 +56,8 @@ in declaration order, matrix entries row-major, field elements ascending),
 so identical queries give identical traversals.  The budget counts the
 steps actually taken: one per filter candidate, per base point tried, per
 loop point or point walked, per pair of points counted, per vector of a Hom
-space a mono count walks, and per stratum of a rep count without base
-arrows (a pair count's strata take none).
+space a mono count walks, and per stratum of a rep count (a Jordan type per
+loop and a rank per base arrow; a pair count's strata take none).
 
 Point counts over finite fields are evidence about the geometry over an
 algebraically closed field, never proof; only reducibility witnesses and
@@ -64,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -360,6 +365,13 @@ def gl_order(d: int, q: int) -> int:
     return out
 
 
+def rank_count(m: int, n: int, r: int, q: int) -> int:
+    """R(m, n, r), the number of m x n matrices of rank r over F_q:
+    prod_(i<r) (q^m - q^i)(q^n - q^i) / (q^r - q^i)."""
+    return math.prod((q ** m - q ** i) * (q ** n - q ** i)
+                     for i in range(r)) // gl_order(r, q)
+
+
 def nilpotent_orbit_size(lam: Sequence[int], q: int) -> int:
     """Number of nilpotent matrices of Jordan type lam over F_q.
 
@@ -416,22 +428,39 @@ def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
 
 
 def _loop_strata(pres: BoundQuiver, field, dims, loop_rels):
-    """Jordan strata of the loop locus as (partition of each loop, orbit
-    size) pairs in the fixed order, or None when the locus is not
-    stratified."""
+    """Each loop's Jordan strata as (partition, orbit size) pairs in the
+    fixed order, or None when the locus is not stratified."""
     powers = _loop_powers(pres, field, loop_rels)
     if powers is None:
         return None
+    return [[(lam, nilpotent_orbit_size(lam, field.p))
+             for lam in jordan_types(dims.get(pres.quiver.source(a), 0), k)]
+            for a, k in powers.items()]
+
+
+def _rank_strata(pres: BoundQuiver, field, dims, base, base_rels):
+    """The rank strata of each arrow in ``base``, as a list of (flat
+    [I_r 0; 0 0], R(d_t, d_s, r)) pairs for r = 0, 1, .., or None when
+    the base does not qualify for them (see the module docstring)."""
     quiver = pres.quiver
-    choices = [[(lam, nilpotent_orbit_size(lam, field.p))
-                for lam in jordan_types(dims.get(quiver.source(a), 0), k)]
-               for a, k in powers.items()]
-    strata = []
-    for combo in itertools.product(*choices):
-        weight = 1
-        for _, size in combo:
-            weight *= size
-        strata.append((tuple(lam for lam, _ in combo), weight))
+    ends = [v for a in base for v in (quiver.target(a), quiver.source(a))]
+    if base_rels or len(set(ends)) < len(ends) or any(
+            quiver.loops_at(v) for v in ends):
+        return None
+    sizes = [dims.get(v, 0) for v in ends]
+    return [[(tuple(int(i == j < r) for i in range(t) for j in range(s)),
+              rank_count(t, s, r, field.p)) for r in range(min(t, s) + 1)]
+            for t, s in zip(sizes[::2], sizes[1::2])]
+
+
+def _strata(choices) -> list:
+    """(the points concatenated, the weights multiplied) for each way to
+    take one (flat point, weight) pair from every list in ``choices``, in
+    itertools.product order."""
+    strata = [((), 1)]
+    for pairs in choices:
+        strata = [(point + p, weight * w) for point, weight in strata
+                  for p, w in pairs]
     return strata
 
 
@@ -491,35 +520,36 @@ def _nilpotent_orbit(field, lam: Sequence[int]) -> list[tuple]:
 
 
 def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
-                 orbits: bool, stratum_steps: bool = False):
+                 orbits: bool, stratum_steps: bool = False, ranks=()):
     """(flat loop point, number of loop points it stands for) over the loop
     locus, in the fixed order.  Where the locus is not stratified, every
     loop point the filter accepts, with weight 1.  Where it is, with
     ``orbits`` every point of each stratum once, with weight 1 and one step
     each, all planned up front; else the Jordan point of each stratum,
     weighted by its orbit size, with one step each when ``stratum_steps``
-    is set, all planned up front."""
-    strata = _loop_strata(pres, field, dims, loop_rels)
-    if strata is None:
+    is set, all planned up front.  Without ``orbits`` each loop point is
+    extended by each rank stratum of ``ranks``, the weights multiplied."""
+    choices = _loop_strata(pres, field, dims, loop_rels)
+    if choices is None:
         for point in _filter_loop_assignments(pres, field, dims, loop_rels,
                                               meter):
-            yield point, 1
+            yield from ((point + tail, w) for tail, w in _strata(ranks))
         return
     if not orbits:
-        for lams, weight in (_metered(strata, meter) if stratum_steps
-                             else strata):
-            yield tuple(itertools.chain.from_iterable(
-                map(_jordan_point, lams))), weight
+        strata = _strata([[(_jordan_point(lam), size) for lam, size in c]
+                          for c in choices] + list(ranks))
+        yield from _metered(strata, meter) if stratum_steps else strata
         return
-    meter.precheck(sum(weight for _, weight in strata))
+    meter.precheck(math.prod(sum(size for _, size in c) for c in choices))
     cache = {}
-    for lams, _ in strata:
+    for combo in itertools.product(*choices):
+        lams = [lam for lam, _ in combo]
         # keep only the orbits this stratum uses
         cache = {lam: cache.get(lam) or _nilpotent_orbit(field, lam)
                  for lam in set(lams)}
-        for combo in itertools.product(*(cache[lam] for lam in lams)):
+        for points in itertools.product(*(cache[lam] for lam in lams)):
             meter.tick()
-            yield tuple(itertools.chain.from_iterable(combo)), 1
+            yield tuple(itertools.chain.from_iterable(points)), 1
 
 
 def _base_points(pres: BoundQuiver, field, dims, loops: tuple, base,
@@ -552,17 +582,21 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     walked point lays them out (every loop, the base arrows, then the rest
     in declaration order), and a stream of (flat base point, weight, kernel
     basis of the linear fiber there) over the base points above each
-    weighted loop point of ``_loop_points``.  The arrow system's layout is
-    compiled once for the walk.  With ``stratum_steps`` each stratum takes
-    one step when there are no base arrows; else its base points do."""
+    weighted loop point of ``_loop_points``, or one per rank stratum for a
+    count that has them.  The arrow system's layout is compiled once for
+    the walk.  With ``stratum_steps`` each stratum takes one step; else the
+    base points do."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
+    ranks = None if orbits else _rank_strata(pres, field, dims, base,
+                                             base_rels)
 
     def stream():
         for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
-                                          orbits, stratum_steps and not base):
-            for point in _base_points(pres, field, dims, loops, base,
-                                      base_rels, meter):
+                                          orbits, stratum_steps and
+                                          ranks is not None, ranks or ()):
+            for point in ((loops,) if ranks is not None else _base_points(
+                    pres, field, dims, loops, base, base_rels, meter)):
                 yield point, weight, kernel(point)
 
     return [*pres.quiver.loops(), *base, *plan.shapes], stream()
@@ -592,11 +626,25 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
     """A function from a flat point with these dims to its
-    ``Representation``, built without re-validation."""
-    shapes = _rep_shapes(pres, dims)
+    ``Representation``, built without re-validation.  An arrow's matrix is
+    cut only where its entries differ from the previous point's, as the
+    walks stream the points above each loop point together."""
     full_dims = {x: dims.get(x, 0) for x in pres.quiver.vertices}
-    return lambda point: Representation._trusted(
-        pres, field, full_dims, split_blocks(field, shapes, point))
+    layout = flat_layout(pres, dims)
+    last = {a: (None, None) for a in layout}    # entries, matrix
+
+    def build(point):
+        mats = {}
+        for a, (start, r, c) in layout.items():
+            entries = point[start:start + r * c]
+            seen, mat = last[a]
+            if entries != seen:
+                mat = split_blocks(field, {a: (r, c)}, entries)[a]
+                last[a] = entries, mat
+            mats[a] = mat
+        return Representation._trusted(pres, field, full_dims, mats)
+
+    return build
 
 
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -613,9 +661,9 @@ def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      budget: int | None = None) -> int:
     """Exact number of valid points: the sum of weight * q^(free linear
-    coordinates) over the base points above each weighted loop point.
-    Without base arrows a stratum takes one step; with them its base
-    points do."""
+    coordinates) over the weighted base points of ``_fibers``.  A stratum
+    takes one step, or, where the base arrows have no rank strata, each
+    base point above it does."""
     _, fibers = _fibers(pres, field, dims, _Meter(budget), orbits=False,
                         stratum_steps=True)
     return sum(weight * field.p ** len(basis) for _, weight, basis in fibers)
@@ -1153,21 +1201,13 @@ def leading_coefficient_probe(task_for_q: Callable[[int], EnumerationTask],
     """
     if not qs:
         raise ValueError("at least one field size is required")
-    counts = {}
-    for q in sorted(qs):
-        counts[q] = count_points(task_for_q(q))
+    counts = {q: count_points(task_for_q(q)) for q in sorted(qs)}
     usable = {q: c for q, c in counts.items() if c > 0}
     if not usable:
         return ProbeReport(counts, None, {}, False,
                            "all counts are zero; no degree fit possible")
-    qs_sorted = sorted(usable)
-    if len(qs_sorted) == 1:
-        q0 = qs_sorted[0]
-        degree = _nearest_degree(1, 1, q0, usable[q0])
-    else:
-        q1, q2 = qs_sorted[-2], qs_sorted[-1]
-        degree = _nearest_degree(q1, usable[q1], q2, usable[q2])
-    degree = max(degree, 0)
+    (q1, c1), (q2, c2) = [(1, 1), *sorted(usable.items())][-2:]
+    degree = max(_nearest_degree(q1, c1, q2, c2), 0)
     coefficients = {q: Fraction(c, q ** degree) for q, c in counts.items()}
     looks_affine = all(c == 1 for c in coefficients.values())
     note = ("counts match q^D exactly; consistent with an affine space "

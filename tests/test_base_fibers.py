@@ -218,14 +218,26 @@ def test_closed_form_matches_hand_values():
 
 
 def test_budget_covers_exactly_the_base_walk():
-    # base {a}: 2^9 base points, each counted through its linear fiber
+    # base {a} has no loop or other base arrow at its ends: one step per
+    # rank of a, 0 to 3, each counted through its linear fiber
     pres = parse_quiver_spec(PATH2)
     dims = _dims(pres, (3, 3, 3))
-    assert count_rep_points(pres, GF(2), dims, budget=512) \
+    assert count_rep_points(pres, GF(2), dims, budget=4) \
         == _path_zero_count(3, 3, 3, 2)
     with pytest.raises(BudgetExceededError,
-                       match="stopped after 0 of 512 planned steps"):
-        count_rep_points(pres, GF(2), dims, budget=511)
+                       match="stopped after 0 of 4 planned steps"):
+        count_rep_points(pres, GF(2), dims, budget=3)
+
+
+def test_budget_covers_the_product_walk_of_a_looped_base():
+    # base {a} ends at the loop e: 2^2 assignments of a above each of the
+    # two Jordan strata of e, planned per stratum
+    pres = parse_quiver_spec(SANDWICH)
+    dims = _dims(pres, (1, 2, 1))
+    assert count_rep_points(pres, GF(2), dims, budget=8) == 52
+    with pytest.raises(BudgetExceededError,
+                       match="stopped after 4 of 8 planned steps"):
+        count_rep_points(pres, GF(2), dims, budget=7)
 
 
 def test_cli_count_on_dsl_file(tmp_path):
