@@ -41,6 +41,9 @@ for b*a - d*c).  The set of all of them always qualifies, so nothing falls
 back to the ambient odometer, ``iter_rep_points_odometer``, which stays as
 the test oracle.  Base points are the loop points crossed with every
 assignment of the base non-loop arrows that satisfies the base relations.
+The loop filter and this base walk are one assignment walk,
+``_assignments``: the filter extends the empty point by the loops, the base
+walk a loop point by the base arrows.
 Counts take rank strata instead where no base arrow has a loop or another
 base arrow at an endpoint and no base relation reads one: GL at the ends
 of a base arrow fixes the rest of the base and carries the fiber over a
@@ -78,7 +81,7 @@ from .extensions import (ExtensionTriple, block_shapes, cocycle_fiber,
                          linearized_equations)
 from .families import FamilyParameterError, family_a, family_a_prime, family_b
 from .linalg import Matrix, PrimeField, SandwichPlan, Subspace, split_blocks
-from .quiver import BoundQuiver
+from .quiver import BoundQuiver, loop_power
 from .reps import (HomTriple, Morphism, Representation, flat_layout,
                    hom_fiber, is_monomorphism, path_product)
 
@@ -208,26 +211,13 @@ def ambient_dimension(task: EnumerationTask) -> int:
 # --- representation points ----------------------------------------------
 
 
-def _rep_shapes(pres: BoundQuiver, dims: Mapping,
-                arrow_order: Sequence[str] | None = None) -> dict:
-    """Shape of each arrow matrix, in enumeration order."""
-    order = arrow_order or pres.quiver.arrow_names()
-    if sorted(order) != sorted(pres.quiver.arrow_names()):
-        raise ValueError("arrow_order must be a permutation of the arrows")
-    quiver = pres.quiver
-    return {a: (dims.get(quiver.target(a), 0), dims.get(quiver.source(a), 0))
-            for a in order}
-
-
 def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
-                             dims: Mapping,
-                             arrow_order: Sequence[str] | None = None,
-                             meter: _Meter | None = None
+                             dims: Mapping, meter: _Meter | None = None
                              ) -> Iterator[Representation]:
     """Walk the full ambient coordinate space and keep the valid points."""
     meter = meter or _Meter()
-    shapes = _rep_shapes(pres, dims, arrow_order)
-    total = sum(r * c for r, c in shapes.values())
+    shapes = {a: (r, c) for a, (_, r, c) in flat_layout(pres, dims).items()}
+    total = rep_ambient_dim(pres, dims)
     meter.precheck(field.p ** total)
     for values in itertools.product(field.elements(), repeat=total):
         meter.tick()
@@ -279,11 +269,11 @@ def _choose_base(pres: BoundQuiver, dims: Mapping):
                 for a in p.arrows}
         bearing = [a for a in quiver.arrow_names()
                    if a in used and not quiver.is_loop(a)]
-        shapes = _rep_shapes(pres, dims)
+        layout = flat_layout(pres, dims)
         base = min((subset for r in range(1, len(bearing) + 1)
                     for subset in itertools.combinations(bearing, r)
                     if _classify_relations(pres, subset) is not None),
-                   key=lambda subset: sum(shapes[a][0] * shapes[a][1]
+                   key=lambda subset: sum(layout[a][1] * layout[a][2]
                                           for a in subset))
         split = _classify_relations(pres, base)
     base_rels, linear_rels = split
@@ -302,14 +292,39 @@ def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
     plan and a function from a base point, the entries of every loop and
     then of the arrows in ``base`` (as ``flat_layout`` lays them out), to
     the kernel basis of the system there."""
-    quiver = pres.quiver
-    shapes = {a: (dims.get(t, 0), dims.get(s, 0)) for a, s, t in quiver.arrows
-              if not (a in base or quiver.is_loop(a))}
+    walked = [*pres.quiver.loops(), *base]
+    shapes = {a: (r, c) for a, (_, r, c) in flat_layout(pres, dims).items()
+              if a not in walked}
     plan = SandwichPlan(field, shapes, linearized_equations(
         field, linear_rels, shapes, dims, dims))
-    layout = flat_layout(pres, dims, [*quiver.loops(), *base])
+    layout = flat_layout(pres, dims, walked)
     kernel = plan.flat_kernel(layout, layout)
     return plan, lambda point: kernel(point, point)
+
+
+def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
+                 rels, meter: _Meter):
+    """The flat point ``point``, the entries of every loop outside
+    ``arrows``, extended by every assignment of ``arrows`` on which
+    ``rels`` vanish (the loop filter extends () by the loops, the base walk
+    a loop point by the base arrows): one step planned per candidate, taken
+    in itertools.product order (arrows in the order given, entries
+    row-major).  Without arrows ``point`` is its only extension and costs
+    nothing."""
+    if not arrows:
+        yield point
+        return
+    fixed = [a for a in pres.quiver.loops() if a not in arrows]
+    shapes = {a: (r, c) for a, (_, r, c)
+              in flat_layout(pres, dims, [*fixed, *arrows]).items()}
+    mats = split_blocks(field, {a: shapes.pop(a) for a in fixed}, point)
+    total = sum(r * c for r, c in shapes.values())
+    meter.precheck(field.p ** total)
+    for values in itertools.product(field.elements(), repeat=total):
+        meter.tick()
+        mats.update(split_blocks(field, shapes, values))
+        if _relations_vanish(field, dims, mats, rels):
+            yield point + values
 
 
 def _relations_vanish(field, dims, mats, rels) -> bool:
@@ -324,23 +339,6 @@ def _relations_vanish(field, dims, mats, rels) -> bool:
         if acc is not None and not acc.is_zero():
             return False
     return True
-
-
-def _filter_loop_assignments(pres: BoundQuiver, field, dims, loop_rels,
-                             meter: _Meter):
-    """Every flat loop point (the entries of every loop, loops in
-    declaration order, row-major) that satisfies the loop-only relations,
-    found by testing all q^(loop coordinates) of them, one step each."""
-    quiver = pres.quiver
-    loop_shapes = {a: (dims.get(quiver.source(a), 0),) * 2
-                   for a in quiver.loops()}
-    total = sum(r * c for r, c in loop_shapes.values())
-    meter.precheck(field.p ** total)
-    for values in itertools.product(field.elements(), repeat=total):
-        meter.tick()
-        loop_mats = split_blocks(field, loop_shapes, values)
-        if _relations_vanish(field, dims, loop_mats, loop_rels):
-            yield values
 
 
 # --- Jordan-type strata of the loop locus ---------------------------------
@@ -415,13 +413,11 @@ def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
         return None
     powers = {}
     for rel in loop_rels:
-        if not rel.is_monomial():
+        power = loop_power(rel, field)
+        if power is None:
             return None
-        coeff, path = rel.terms[0]
-        if len(set(path.arrows)) != 1 or field.coerce(coeff) == field.zero:
-            return None
-        loop = path.arrows[0]
-        powers[loop] = min(powers.get(loop, path.length), path.length)
+        loop, k = power
+        powers[loop] = min(powers.get(loop, k), k)
     if set(powers) != set(loops):
         return None
     return {a: powers[a] for a in loops}
@@ -531,8 +527,8 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
     extended by each rank stratum of ``ranks``, the weights multiplied."""
     choices = _loop_strata(pres, field, dims, loop_rels)
     if choices is None:
-        for point in _filter_loop_assignments(pres, field, dims, loop_rels,
-                                              meter):
+        for point in _assignments(pres, field, dims, (), pres.quiver.loops(),
+                                  loop_rels, meter):
             yield from ((point + tail, w) for tail, w in _strata(ranks))
         return
     if not orbits:
@@ -550,30 +546,6 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
         for points in itertools.product(*(cache[lam] for lam in lams)):
             meter.tick()
             yield tuple(itertools.chain.from_iterable(points)), 1
-
-
-def _base_points(pres: BoundQuiver, field, dims, loops: tuple, base,
-                 base_rels, meter: _Meter):
-    """The flat loop point ``loops`` extended by every assignment of the
-    base arrows that satisfies ``base_rels``, each as a flat base point
-    (every loop, then the arrows in ``base``): one step planned per
-    candidate, taken in itertools.product order (arrows in declaration
-    order, entries row-major).  Without base arrows the loop point is the
-    only base point and costs nothing here."""
-    if not base:
-        yield loops
-        return
-    shapes = _rep_shapes(pres, dims)
-    loop_mats = split_blocks(field, {a: shapes[a]
-                                     for a in pres.quiver.loops()}, loops)
-    shapes = {a: shape for a, shape in shapes.items() if a in base}
-    total = sum(r * c for r, c in shapes.values())
-    meter.precheck(field.p ** total)
-    for values in itertools.product(field.elements(), repeat=total):
-        meter.tick()
-        mats = {**loop_mats, **split_blocks(field, shapes, values)}
-        if _relations_vanish(field, dims, mats, base_rels):
-            yield loops + values
 
 
 def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
@@ -595,7 +567,7 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
         for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
                                           orbits, stratum_steps and
                                           ranks is not None, ranks or ()):
-            for point in ((loops,) if ranks is not None else _base_points(
+            for point in ((loops,) if ranks is not None else _assignments(
                     pres, field, dims, loops, base, base_rels, meter)):
                 yield point, weight, kernel(point)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver import (BoundQuiver, Path, Quiver, QuiverError, Relation,
-                     is_weakly_triangular)
+                     is_weakly_triangular, loop_power)
 
 
 class DslError(ValueError):
@@ -284,14 +284,8 @@ def derive_truncation_bound(quiver: Quiver,
             "cannot derive a truncation bound: the quiver has an oriented "
             "cycle of positive degree", 1, 1)
     orders = {}
-    for rel in relations:
-        if rel.is_monomial():
-            path = rel.paths()[0]
-            arrows = set(path.arrows)
-            if len(arrows) == 1:
-                (a,) = arrows
-                if quiver.is_loop(a):
-                    orders[a] = min(orders.get(a, path.length), path.length)
+    for a, k in filter(None, map(loop_power, relations)):
+        orders[a] = min(orders.get(a, k), k)
     loop_sum = 0
     for x in quiver.vertices:
         loops = quiver.loops_at(x)

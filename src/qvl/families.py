@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .extensions import ExtensionTriple, cocycle_value
-from .linalg import Field, Matrix
-from .quiver import (BoundQuiver, Quiver, QuiverError, Relation,
+from .linalg import Matrix
+from .quiver import (BoundQuiver, Quiver, QuiverError, Relation, loop_power,
                      monomial_relation)
 from .reps import HomTriple, Morphism, Representation
 
@@ -190,48 +190,56 @@ def _require_valid(rep: Representation):
 
 
 def _order_of(pres: BoundQuiver, prefix: str) -> int:
-    for rel in pres.relations:
-        if rel.is_monomial():
-            path = rel.paths()[0]
-            if set(path.arrows) == {prefix}:
-                return path.length
+    for power in map(loop_power, pres.relations):
+        if power and power[0] == prefix:
+            return power[1]
     raise ValueError(f"presentation has no power relation for {prefix!r}")
+
+
+def _twist(rep: Representation, target, variety: str) -> Representation:
+    """Negate the e1 matrix of a valid point, landing in the presentation
+    ``target`` builds from the order of e0."""
+    _require_valid(rep)
+    mats = dict(rep.mats)
+    mats["e1"] = -rep.mats["e1"]
+    out = Representation(target(_order_of(rep.pres, "e0")), rep.field,
+                         rep.dims, mats)
+    if not out.is_valid():
+        raise AssertionError(f"twist did not land in the {variety} variety")
+    return out
 
 
 def twist_iso(rep: Representation) -> Representation:
     """Negate the e1 matrix: carries points of the commuting family to the
     l = 1 member of family A (and back; over F_2 it is the identity)."""
-    _require_valid(rep)
-    m = _order_of(rep.pres, "e0")
-    target = family_a(1, m, 1)
-    mats = dict(rep.mats)
-    mats["e1"] = -rep.mats["e1"]
-    out = Representation(target, rep.field, rep.dims, mats)
-    if not out.is_valid():
-        raise AssertionError("twist did not land in the target variety")
-    return out
+    return _twist(rep, lambda m: family_a(1, m, 1), "target")
 
 
 def twist_iso_inverse(rep: Representation) -> Representation:
     """Inverse direction of the twist, into the commuting family."""
+    return _twist(rep, family_a_prime_commuting, "commuting")
+
+
+def _read_one_arrow(rep: Representation):
+    """The Lambda(m) points that the loops of a valid point with one arrow
+    a1: 1 -> 0 give at vertex 1 and at vertex 0, with m the order of e0,
+    and the matrix of a1."""
     _require_valid(rep)
-    m = _order_of(rep.pres, "e0")
-    target = family_a_prime_commuting(m)
-    mats = dict(rep.mats)
-    mats["e1"] = -rep.mats["e1"]
-    out = Representation(target, rep.field, rep.dims, mats)
-    if not out.is_valid():
-        raise AssertionError("twist did not land in the commuting variety")
+    pres = family_lambda(_order_of(rep.pres, "e0"))
+    at1, at0 = (Representation(pres, rep.field, {0: mat.nrows}, {"e": mat})
+                for mat in (rep.mats["e1"], rep.mats["e0"]))
+    return at1, at0, rep.mats["a1"]
+
+
+def _one_arrow_rep(pres: BoundQuiver, at1: Representation,
+                   at0: Representation, a1: Matrix) -> Representation:
+    """Inverse of ``_read_one_arrow``: the point of ``pres`` with these
+    loops at vertices 1 and 0 and this a1, checked valid."""
+    out = Representation(pres, at1.field, {0: at0.dims[0], 1: at1.dims[0]},
+                         {"e0": at0.mats["e"], "e1": at1.mats["e"],
+                          "a1": a1})
+    _require_valid(out)
     return out
-
-
-def _lambda_rep(m: int, field: Field, mat: Matrix) -> Representation:
-    pres = family_lambda(m)
-    if m == 1:
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("square matrix required")
-        return Representation(pres, field, {0: mat.nrows}, {})
-    return Representation(pres, field, {0: mat.nrows}, {"e": mat})
 
 
 def hom_triple_from_commuting_rep(rep: Representation) -> HomTriple:
@@ -242,12 +250,8 @@ def hom_triple_from_commuting_rep(rep: Representation) -> HomTriple:
     the target, and the arrow matrix the homomorphism between them; the
     commuting relation is exactly the intertwining condition.
     """
-    _require_valid(rep)
-    m = _order_of(rep.pres, "e0")
-    field = rep.field
-    src = _lambda_rep(m, field, rep.mats["e1"])
-    dst = _lambda_rep(m, field, rep.mats["e0"])
-    mor = Morphism(src, dst, {0: rep.mats["a1"]})
+    src, dst, a1 = _read_one_arrow(rep)
+    mor = Morphism(src, dst, {0: a1})
     if not mor.intertwines():
         raise AssertionError("commuting relation failed to intertwine")
     return HomTriple(src, dst, mor)
@@ -257,18 +261,8 @@ def commuting_rep_from_hom_triple(triple: HomTriple, m: int) -> Representation:
     """Reassemble a commuting-family representation from a triple."""
     if not triple.morphism.intertwines():
         raise ValueError("the triple's map is not a homomorphism")
-    pres = family_a_prime_commuting(m)
-    field = triple.source.field
-    e = triple.source.dims[0]
-    d = triple.target.dims[0]
-    mats = {
-        "e0": triple.target.mats["e"],
-        "e1": triple.source.mats["e"],
-        "a1": triple.morphism.maps[0],
-    }
-    out = Representation(pres, field, {0: d, 1: e}, mats)
-    _require_valid(out)
-    return out
+    return _one_arrow_rep(family_a_prime_commuting(m), triple.source,
+                          triple.target, triple.morphism.maps[0])
 
 
 def ext_triple_from_corner_rep(rep: Representation) -> ExtensionTriple:
@@ -279,33 +273,18 @@ def ext_triple_from_corner_rep(rep: Representation) -> ExtensionTriple:
     the arrow matrix the single cocycle block; the crossing relation of
     B(1, m) is exactly the cocycle equation of the loop power.
     """
-    _require_valid(rep)
-    m = _order_of(rep.pres, "e0")
-    field = rep.field
-    quo = _lambda_rep(m, field, rep.mats["e1"])
-    sub = _lambda_rep(m, field, rep.mats["e0"])
-    return ExtensionTriple(quo, sub, {"e": rep.mats["a1"]})
+    quo, sub, a1 = _read_one_arrow(rep)
+    return ExtensionTriple(quo, sub, {"e": a1})
 
 
 def corner_rep_from_ext_triple(triple: ExtensionTriple, m: int) -> Representation:
     """Reassemble a B(1, m) representation from an extension triple."""
     pres = family_b(1, m)
-    field = triple.quo.field
-    e = triple.quo.dims[0]
-    d = triple.sub.dims[0]
-    lam = family_lambda(m)
-    for rel in lam.relations:
+    for rel in family_lambda(m).relations:
         if not cocycle_value(triple.quo, triple.sub, triple.blocks,
                              rel).is_zero():
             raise ValueError("blocks are not a cocycle")
-    mats = {
-        "e0": triple.sub.mats["e"],
-        "e1": triple.quo.mats["e"],
-        "a1": triple.blocks["e"],
-    }
-    out = Representation(pres, field, {0: d, 1: e}, mats)
-    _require_valid(out)
-    return out
+    return _one_arrow_rep(pres, triple.quo, triple.sub, triple.blocks["e"])
 
 
 def split_corner_rep(rep: Representation

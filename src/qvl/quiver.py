@@ -254,6 +254,18 @@ def monomial_relation(quiver: Quiver, arrow: str, k: int) -> Relation:
     return Relation([(1, power(quiver, arrow, k))])
 
 
+def loop_power(rel: Relation, field: Field = QQ):
+    """(loop, k) when ``rel`` is c * loop^k with c nonzero in ``field``, else
+    None.  A relation's paths compose and have length at least 2, so a path
+    that repeats one arrow repeats a loop."""
+    if not rel.is_monomial():
+        return None
+    coeff, path = rel.terms[0]
+    if len(set(path.arrows)) != 1 or field.coerce(coeff) == field.zero:
+        return None
+    return path.arrows[0], path.length
+
+
 def degree(obj: Union[Path, Relation]) -> int:
     """Degree of a path or relation (loops count 0, other arrows 1)."""
     return obj.degree

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qvl.counting import (BudgetExceededError, _Meter, _choose_base,
-                          _classify_relations, _filter_loop_assignments,
+from qvl.counting import (BudgetExceededError, _Meter, _assignments,
+                          _choose_base, _classify_relations,
                           _iter_pair_fibers, _loop_points,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
@@ -397,8 +397,9 @@ def test_loop_points_equal_the_filtered_locus(case, q):
     points = [point for point, _ in streamed]
     assert {weight for _, weight in streamed} <= {1}
     assert len(set(points)) == len(points)
-    assert set(points) == set(_filter_loop_assignments(pres, field, dims,
-                                                       loop_rels, _Meter()))
+    assert set(points) == set(_assignments(pres, field, dims, (),
+                                           pres.quiver.loops(), loop_rels,
+                                           _Meter()))
     weighted = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
                                  orbits=False))
     assert sum(weight for _, weight in weighted) == len(points)

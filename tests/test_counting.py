@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from qvl import counting
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
-                          _arrow_plan, _classify_relations,
-                          _filter_loop_assignments, _jordan_point,
-                          _loop_points, _loop_strata, _nilpotent_orbit,
-                          ambient_dimension,
+                          _arrow_plan, _assignments, _classify_relations,
+                          _jordan_point, _loop_points, _loop_strata,
+                          _nilpotent_orbit, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, hom_counterexample_census,
@@ -88,19 +87,6 @@ class TestRepCounts:
                                                               dims)}
             assert fast == slow
 
-    def test_permuted_arrow_order_same_count(self):
-        pres = family_a(1, 2, 1)
-        dims = {0: 1, 1: 2}
-        orders = [("e0", "e1", "a1"), ("a1", "e1", "e0"), ("e1", "a1", "e0")]
-        counts = set()
-        for order in orders:
-            pts = list(iter_rep_points_odometer(pres, F2, dims,
-                                                arrow_order=order))
-            keys = {p.key() for p in pts}
-            assert len(keys) == len(pts)  # duplicate-free
-            counts.add(len(pts))
-        assert len(counts) == 1
-
     def test_every_point_is_valid(self):
         for rep in iter_rep_points(family_b(1, 2), F2, {0: 1, 1: 2}):
             assert rep.is_valid()
@@ -111,8 +97,9 @@ def _filter_walk_count(pres, field, dims):
     loop_rels, linear_rels = _classify_relations(pres)
     _, kernel = _arrow_plan(pres, field, dims, (), linear_rels)
     return sum(field.p ** len(kernel(loops))
-               for loops in _filter_loop_assignments(pres, field, dims,
-                                                     loop_rels, _Meter()))
+               for loops in _assignments(pres, field, dims, (),
+                                         pres.quiver.loops(), loop_rels,
+                                         _Meter()))
 
 
 NAMED_CASES = [
@@ -189,8 +176,9 @@ class TestJordanStrata:
             return [point for point, _ in points]
 
         streamed = stream()
-        filtered = list(_filter_loop_assignments(pres, field, dims,
-                                                 loop_rels, _Meter()))
+        filtered = list(_assignments(pres, field, dims, (),
+                                     pres.quiver.loops(), loop_rels,
+                                     _Meter()))
         assert len(set(streamed)) == len(streamed)
         assert set(streamed) == set(filtered)
         assert stream() == streamed
