@@ -4,8 +4,10 @@ Modules by concern: linalg (exact fields and matrices), quiver
 (presentations and ideal computations), reps (representations and
 morphisms), extensions (cocycles and extension assembly), families (the
 built-in algebra families and their variety maps), counting (point
-enumeration over finite fields), dsl (the text format), serialize (JSON
-interchange), cli (command line).
+enumeration over finite fields and the degree probe: evidence),
+certificates (the census, the reducibility witness and the product
+identity), dsl (the text format), serialize (JSON interchange), cli
+(command line).
 """
 
 from .linalg import GF, Matrix, PrimeField, QQ, RationalField
@@ -25,8 +27,9 @@ from .families import (FamilyDescriptor, FamilyParameterError, build_family,
                        family_b, family_lambda,
                        is_geometrically_irreducible_family)
 from .counting import (BudgetExceededError, EnumerationTask, count_points,
-                       hom_counterexample_census, leading_coefficient_probe,
-                       mono_reducibility_witness, product_count_check)
+                       leading_coefficient_probe)
+from .certificates import (hom_counterexample_census,
+                           mono_reducibility_witness, product_count_check)
 from .dsl import (DslSemanticError, DslSyntaxError,
                   derive_truncation_bound, parse_quiver_spec,
                   print_quiver_spec)

@@ -17,15 +17,17 @@ or the QVL_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 import time
 
+from .certificates import (hom_counterexample_census,
+                           mono_reducibility_witness, product_count_check)
 from .counting import (TASK_DIMS, BudgetExceededError, EnumerationTask,
                        ambient_dimension, count_points, default_budget,
-                       hom_counterexample_census, leading_coefficient_probe,
-                       mono_reducibility_witness, product_count_check)
+                       leading_coefficient_probe)
 from .dsl import DslSemanticError, DslSyntaxError, parse_quiver_spec
 from .extensions import build_extension, cocycle_space_basis, splitting_from_mono
 from .families import (FAMILY_KINDS, FamilyDescriptor, FamilyParameterError,
@@ -90,7 +92,19 @@ def _load_files(args, pres, *reps: str, data: str | None = None) -> list:
         if other != field:
             raise CliSemanticError(
                 f"--{first} is over {field} but --{name} over {other}")
+    _coerce_relations(pres, field)
     return loaded
+
+
+def _coerce_relations(pres, field) -> None:
+    """Coerce every relation coefficient into ``field``: a coefficient
+    whose denominator vanishes there is bad input, not a failed check."""
+    for rel in pres.relations:
+        for coeff, _ in rel.terms:
+            try:
+                field.coerce(coeff)
+            except ZeroDivisionError as exc:
+                raise CliSemanticError(f"relation {rel}: {exc}") from exc
 
 
 def _descriptor(args) -> FamilyDescriptor:
@@ -168,7 +182,7 @@ def _parse_q_list(text: str) -> list[int]:
 
 def _cmd_check(args):
     pres = _load_pres(args)
-    rep = rep_from_json(pres, _load_json_file(args.rep))
+    rep, = _load_files(args, pres, "rep")
     failures = [str(rel) for rel in pres.relations
                 if not rep.evaluate_relation(rel).is_zero()]
     valid = not failures
@@ -229,6 +243,7 @@ def _make_task(args, pres, field) -> EnumerationTask:
     """The task of ``--kind``, each of its dims fields read from its flag:
     ``dims`` from --dim, ``source_dims`` from --source-dim, and so on."""
     budget = _budget(args)
+    _coerce_relations(pres, field)
     names = TASK_DIMS[args.kind]
     texts = [getattr(args, name[:-1]) for name in names]
     if None in texts:
@@ -257,13 +272,8 @@ def _cmd_census_hom(args):
                                     budget=_budget(args))
     ok = res.identity_holds() and res.union_verified \
         and res.hom_bijection_verified
-    result = {
-        "n": res.n, "q": res.q, "total": res.total,
-        "count_b_zero": res.count_b_zero, "count_a_zero": res.count_a_zero,
-        "identity_holds": res.identity_holds(),
-        "union_verified": res.union_verified,
-        "hom_bijection_verified": res.hom_bijection_verified,
-    }
+    result = {**dataclasses.asdict(res),
+              "identity_holds": res.identity_holds()}
     text = (f"total {res.total} = q^n + q - 1 "
             f"({'holds' if ok else 'FAILS'}); "
             f"b=0 part {res.count_b_zero}, a=0 part {res.count_a_zero}")
@@ -285,20 +295,11 @@ def _cmd_witness_mono(args):
     ok = (rep.both_nonempty() and rep.disjoint()
           and rep.implication_verified and rep.kernel_image_match_verified
           and rep.samples_verified)
-    result = {
-        "family": rep.family, "m": rep.m, "l": rep.l, "n": rep.n, "q": rep.q,
-        "total": rep.total,
-        "count_full_rank": rep.count_full_rank,
-        "count_mu1": rep.count_mu1,
-        "count_intersection": rep.count_intersection,
-        "disjoint": rep.disjoint(),
-        "both_nonempty": rep.both_nonempty(),
-        "implication_verified": rep.implication_verified,
-        "kernel_image_match_verified": rep.kernel_image_match_verified,
-        "samples_verified": rep.samples_verified,
-        "sample_full_rank": _witness_point_json(rep.sample_full_rank),
-        "sample_mu1": _witness_point_json(rep.sample_mu1),
-    }
+    result = {**dataclasses.asdict(rep),
+              "disjoint": rep.disjoint(),
+              "both_nonempty": rep.both_nonempty(),
+              "sample_full_rank": _witness_point_json(rep.sample_full_rank),
+              "sample_mu1": _witness_point_json(rep.sample_mu1)}
     text = (f"{rep.family}: |U1| = {rep.count_full_rank}, "
             f"|U2| = {rep.count_mu1}, |U1 n U2| = {rep.count_intersection} "
             f"-> {'reducibility witnessed' if ok else 'WITNESS FAILED'}")
@@ -309,9 +310,7 @@ def _cmd_product_check(args):
     d, e = _parse_dim_values(args.dim, (0, 1))
     res = product_count_check(args.n, args.m, (d, e), _field(args).p,
                               budget=_budget(args))
-    result = {"n": res.n, "m": res.m, "d": res.d, "e": res.e, "q": res.q,
-              "count_full": res.count_full, "count_core": res.count_core,
-              "free_factor": res.free_factor, "holds": res.ok}
+    result = {**dataclasses.asdict(res), "holds": res.ok}
     text = (f"{res.count_full} "
             f"{'==' if res.ok else '!='} {res.count_core} * {res.free_factor}")
     return res.ok, result, text

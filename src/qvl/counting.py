@@ -62,9 +62,7 @@ loop point or point walked, per pair of points counted, per vector of a Hom
 space a mono count walks, and per stratum of a rep count (a Jordan type per
 loop and a rank per base arrow; a pair count's strata take none).
 
-Point counts over finite fields are evidence about the geometry over an
-algebraically closed field, never proof; only reducibility witnesses and
-count identities produced here are certificates.
+Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
 
 from __future__ import annotations
@@ -79,11 +77,10 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .extensions import (ExtensionTriple, block_shapes, cocycle_fiber,
                          linearized_equations)
-from .families import FamilyParameterError, family_a, family_a_prime, family_b
-from .linalg import Matrix, PrimeField, SandwichPlan, Subspace, split_blocks
+from .linalg import PrimeField, SandwichPlan, split_blocks
 from .quiver import BoundQuiver, loop_power
 from .reps import (HomTriple, Morphism, Representation, flat_layout,
-                   hom_fiber, is_monomorphism, path_product)
+                   hom_fiber, path_product)
 
 DEFAULT_BUDGET = 10**8
 
@@ -815,322 +812,7 @@ def count_points(task: EnumerationTask) -> int:
                               budget=task.budget)
 
 
-# --- the two explicit reducibility checks --------------------------------
-
-
-@dataclass
-class CensusResult:
-    """Exact census of the split-or-vanish variety a_i b = 0."""
-
-    n: int
-    q: int
-    total: int
-    count_b_zero: int
-    count_a_zero: int
-    union_verified: bool
-    hom_bijection_verified: bool
-
-    def identity_holds(self) -> bool:
-        return self.total == self.q ** self.n + self.q - 1
-
-
-def hom_counterexample_census(n: int, q: int,
-                              budget: int | None = None) -> CensusResult:
-    """Census of {(b, a_1..a_n) : a_i b = 0} and its match with the
-    homomorphism variety it models.
-
-    The variety is the union of the hyperplane b = 0 and the line a = 0,
-    which is exactly why the ambient homomorphism variety splits into two
-    components.  Both the union structure and the bijection with the
-    two-vertex homomorphism variety (source concentrated at vertex 1,
-    target one-dimensional at both vertices) are verified point by point.
-    """
-    if n < 1:
-        raise FamilyParameterError(f"the census needs n >= 1, got {n}")
-    field = PrimeField(q)
-    p = field.p
-    meter = _Meter(budget)
-    meter.precheck(q ** (n + 1))
-    points = []
-    for values in itertools.product(field.elements(), repeat=n + 1):
-        meter.tick()
-        b, avec = values[0], values[1:]
-        if not any(a * b % p for a in avec):
-            points.append((b, avec))
-    total = len(points)
-    count_b_zero = sum(1 for b, _ in points if b == field.zero)
-    count_a_zero = sum(1 for _, avec in points
-                       if all(a == field.zero for a in avec))
-    union_ok = all(b == field.zero or all(a == field.zero for a in avec)
-                   for b, avec in points)
-
-    pres = family_a_prime(n, 2, 2)
-    source_dims = {0: 0, 1: 1}
-    target_dims = {0: 1, 1: 1}
-    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
-    sizes = [r * c for r, c in shapes.values()]
-    b_at = sum(sizes[:pres.quiver.vertices.index(1)])
-    layout = flat_layout(pres, target_dims)
-    a_at = [layout[f"a{i}"][0] for i in range(1, n + 1)]
-    # Each triple is keyed by all its coordinates as ints: the flat source
-    # and target points and the vertex maps in the Hom plan's layout.  The
-    # a_i are read once per run of vectors over a target.
-    seen = set()
-    image = set()
-    y = None
-    for x, dst, vec in _iter_pair_fibers(pres, field, source_dims,
-                                         target_dims, shapes, kernel, meter):
-        if dst is not y:
-            y = dst
-            avec = tuple([y[k] for k in a_at])
-        size = len(seen)
-        seen.add((x, y, tuple(vec)))
-        if len(seen) == size:
-            raise AssertionError("duplicate homomorphism point")
-        b = vec[b_at]
-        if any(a * b % p for a in avec):
-            raise AssertionError("homomorphism point violates a_i b = 0")
-        image.add((b, avec))
-    bijective = len(seen) == total and image == set(points)
-    return CensusResult(n, q, total, count_b_zero, count_a_zero, union_ok,
-                        bijective)
-
-
-@dataclass
-class WitnessPoint:
-    """One explicit point of the monomorphism variety, in the coordinates
-    (mu, lambda, U, V rows, w column)."""
-
-    mu: tuple
-    lam: int
-    loop_mat: tuple          # U, rows as tuples
-    arrow_rows: tuple        # V_1..V_n, each a row tuple
-    emb_col: tuple           # w, entries of the column
-
-
-@dataclass
-class WitnessReport:
-    """Disjoint nonempty open sets in a monomorphism variety.
-
-    open_full_rank collects points whose big loop matrix has rank l - 1;
-    open_mu1 those with a nonzero first arrow coordinate upstairs.  Their
-    disjointness is the reducibility certificate.
-    """
-
-    m: int
-    l: int
-    n: int
-    q: int
-    family: str
-    total: int
-    count_full_rank: int
-    count_mu1: int
-    count_intersection: int
-    sample_full_rank: Optional[WitnessPoint]
-    sample_mu1: Optional[WitnessPoint]
-    implication_verified: bool
-    kernel_image_match_verified: bool
-    samples_verified: bool
-
-    def disjoint(self) -> bool:
-        return self.count_intersection == 0
-
-    def both_nonempty(self) -> bool:
-        return self.count_full_rank > 0 and self.count_mu1 > 0
-
-
-def mono_reducibility_witness(m: int, l: int, n: int, q: int,
-                              budget: int | None = None) -> WitnessReport:
-    """Exhaustively enumerate the monomorphism variety with source of
-    dimension (1, 1) and target of dimension (1, l) over the family fixed
-    by l, and certify its reducibility.
-
-    l = 2 selects the crossing relation of degree-one order 1; l = m selects
-    the corner family.  A point is (target point, kernel vector, unit
-    scalar), which fixes the upstairs arrow coordinates.  Both open sets
-    are unions of the classes of q - 1 points that differ only in the
-    scalar, so the walk visits each class once; the budget counts points.
-    """
-    if m < 2:
-        raise FamilyParameterError(f"the witness needs m >= 2, got {m}")
-    if l == 2:
-        pres = family_a(n, m, 1)
-    elif l == m:
-        pres = family_b(n, m)
-    else:
-        raise FamilyParameterError(
-            f"l must be 2 (first family) or m (corner family), got {l}")
-    field = PrimeField(q)
-    meter = _Meter(budget)
-
-    source_dims = {0: 1, 1: 1}
-    target_dims = {0: 1, 1: l}
-
-    # The stratified walk below assumes the loops vanish on every source
-    # point and on the vertex-0 coordinate of every target point; both are
-    # forced by x^m = 0 having only the zero root in a field.  Verify the
-    # source side exhaustively rather than assuming it.
-    source_pts = list(iter_rep_points(pres, field, source_dims, meter=meter))
-    mu_seen = set()
-    for rep in source_pts:
-        if not (rep.mats["e0"].is_zero() and rep.mats["e1"].is_zero()):
-            raise AssertionError("source loops are not forced to zero")
-        mu_seen.add(tuple(rep.mats[f"a{i}"][0, 0] for i in range(1, n + 1)))
-    if len(mu_seen) != q ** n or len(source_pts) != q ** n:
-        raise AssertionError("source variety is not the full mu space")
-
-    p = field.p
-    units = p - 1
-    total = count_u1 = count_u2 = count_both = 0
-    sample_u1 = sample_u2 = None
-    implication_ok = True
-    kernel_image_ok = True
-
-    # Take the target walk's layers directly: analyze each loop point once,
-    # then walk its linearly constrained arrow rows (each 1 x l) and
-    # embedding vectors with plain modular arithmetic.
-    walked, fibers = _fibers(pres, field, target_dims, meter, orbits=True)
-    if walked != list(pres.quiver.arrow_names()):
-        raise AssertionError("the walk's base is not the loops alone")
-    layout = flat_layout(pres, target_dims, pres.quiver.loops())
-    e0, e1 = layout["e0"][0], layout["e1"][0]
-    for loops, _, arrow_kernel in fibers:
-        if loops[e0]:
-            raise AssertionError("target loop at vertex 0 not forced to zero")
-        loop = Matrix._trusted(field, l, l, tuple(
-            loops[i:i + l] for i in range(e1, e1 + l * l, l)))
-        if not (loop ** m).is_zero():
-            raise AssertionError("target loop power is not zero")
-        head = loop ** (l - 1)
-        head_cols = [tuple(head[i, j] for i in range(l)) for j in range(l)]
-        loop_kernel = loop.kernel_basis()
-        in_u1 = len(loop_kernel) == 1       # rank l - 1
-        if in_u1:
-            if Subspace(field, l, loop_kernel) != \
-                    Subspace(field, l, head_cols):
-                kernel_image_ok = False
-        ws = [tuple(w) for w in _span(field, loop_kernel, l) if any(w)]
-        if not ws:
-            continue
-
-        per_solution = len(ws) * units
-        meter.precheck(field.p ** len(arrow_kernel) * per_solution)
-        for values in _span(field, arrow_kernel, n * l):
-            meter.tick(per_solution)
-            arrow_rows = tuple(tuple(values[k * l:(k + 1) * l])
-                               for k in range(n))
-            # re-check the defining constraint on the first arrow row
-            if any(sum(a * b for a, b in zip(arrow_rows[0], col)) % p
-                   for col in head_cols):
-                raise AssertionError("arrow solution violates its relation")
-            for w in ws:
-                dots = [sum(a * b for a, b in zip(row, w)) % p
-                        for row in arrow_rows]
-                # mu = dots / lam for a unit lam, so mu_1 != 0 iff dots_1 != 0,
-                # and U1 reads only the loop: both are constant on the class
-                in_u2 = dots[0] != 0
-                total += units
-                if in_u1:
-                    count_u1 += units
-                    if in_u2:
-                        implication_ok = False
-                        count_both += units
-                if in_u2:
-                    count_u2 += units
-                if (in_u1 and sample_u1 is None) or \
-                        (in_u2 and sample_u2 is None):
-                    point = WitnessPoint(     # lam = 1, first in walk order
-                        mu=tuple(dots), lam=field.one,
-                        loop_mat=tuple(loop.rows),
-                        arrow_rows=arrow_rows,
-                        emb_col=w)
-                    if in_u1 and sample_u1 is None:
-                        sample_u1 = point
-                    if in_u2 and sample_u2 is None:
-                        sample_u2 = point
-
-    samples_ok = all(
-        _verify_witness_point(pres, field, m, l, n, pt)
-        for pt in (sample_u1, sample_u2) if pt is not None)
-    return WitnessReport(
-        m=m, l=l, n=n, q=q, family=pres.name, total=total,
-        count_full_rank=count_u1, count_mu1=count_u2,
-        count_intersection=count_both,
-        sample_full_rank=sample_u1, sample_mu1=sample_u2,
-        implication_verified=implication_ok,
-        kernel_image_match_verified=kernel_image_ok,
-        samples_verified=samples_ok)
-
-
-def _verify_witness_point(pres: BoundQuiver, field, m: int, l: int, n: int,
-                          pt: WitnessPoint) -> bool:
-    """Rebuild the point as an honest triple and re-check every defining
-    condition: validity of both representations, the intertwining of the
-    vertex maps, injectivity, and the explicit equation set."""
-    zero1 = Matrix.zeros(field, 1, 1)
-    src_mats = {"e0": zero1, "e1": zero1}
-    for i in range(1, n + 1):
-        src_mats[f"a{i}"] = Matrix(field, 1, 1, [[pt.mu[i - 1]]])
-    src = Representation(pres, field, {0: 1, 1: 1}, src_mats)
-    loop = Matrix(field, l, l, pt.loop_mat)
-    dst_mats = {"e0": zero1, "e1": loop}
-    for i in range(1, n + 1):
-        dst_mats[f"a{i}"] = Matrix(field, 1, l, [pt.arrow_rows[i - 1]])
-    dst = Representation(pres, field, {0: 1, 1: l}, dst_mats)
-    w = Matrix.column(field, pt.emb_col)
-    mor = Morphism(src, dst, {0: Matrix(field, 1, 1, [[pt.lam]]), 1: w})
-    if not (src.is_valid() and dst.is_valid()):
-        return False
-    if not mor.intertwines() or not is_monomorphism(mor):
-        return False
-    # explicit equation set of the displayed system
-    if not (dst_mats["a1"] @ (loop ** (l - 1))).is_zero():
-        return False
-    if not (loop ** l).is_zero():
-        return False
-    if not (loop @ w).is_zero():
-        return False
-    for i in range(1, n + 1):
-        lhs = field.mul(pt.lam, pt.mu[i - 1])
-        rhs = (dst_mats[f"a{i}"] @ w)[0, 0]
-        if lhs != rhs:
-            return False
-    return pt.lam != field.zero and not w.is_zero()
-
-
-# --- product identity and degree probe -----------------------------------
-
-
-@dataclass
-class ProductCheckResult:
-    n: int
-    m: int
-    d: int
-    e: int
-    q: int
-    count_full: int
-    count_core: int
-    free_factor: int
-
-    @property
-    def ok(self) -> bool:
-        return self.count_full == self.count_core * self.free_factor
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def product_count_check(n: int, m: int, dims: tuple[int, int], q: int,
-                        budget: int | None = None) -> ProductCheckResult:
-    """Check #points(B_n) = #points(B_1) * q^((n-1) d e) by enumeration."""
-    d, e = dims
-    field = PrimeField(q)
-    full = count_rep_points(family_b(n, m), field, {0: d, 1: e},
-                            budget=budget)
-    core = count_rep_points(family_b(1, m), field, {0: d, 1: e},
-                            budget=budget)
-    return ProductCheckResult(n, m, d, e, q, full, core,
-                              q ** ((n - 1) * d * e))
+# --- degree probe -------------------------------------------------------
 
 
 @dataclass

@@ -12,10 +12,11 @@ import hashlib
 
 import pytest
 
+from qvl.certificates import (hom_counterexample_census,
+                              mono_reducibility_witness)
 from qvl.counting import (BudgetExceededError, _Meter, count_hom_points,
                           count_mono_points, count_rep_points,
-                          hom_counterexample_census, iter_rep_points,
-                          mono_reducibility_witness)
+                          iter_rep_points)
 from qvl.dsl import parse_quiver_spec
 from qvl.families import family_a
 from qvl.linalg import GF

@@ -368,6 +368,39 @@ class TestMathCommands:
         assert report["result"]["count"] > 0
 
 
+# The full result of each certificate command: every field of its result
+# dataclass, plus the verdicts its methods compute.
+CERTIFICATE_REPORTS = {
+    "census-hom --n 3 --q 3": {
+        "n": 3, "q": 3, "total": 29, "count_b_zero": 27, "count_a_zero": 3,
+        "identity_holds": True, "union_verified": True,
+        "hom_bijection_verified": True},
+    "witness-mono --m 3 --l 2 --n 1 --q 3": {
+        "family": "A(1,3,1)", "m": 3, "l": 2, "n": 1, "q": 3, "total": 240,
+        "count_full_rank": 96, "count_mu1": 96, "count_intersection": 0,
+        "disjoint": True, "both_nonempty": True,
+        "implication_verified": True, "kernel_image_match_verified": True,
+        "samples_verified": True,
+        "sample_full_rank": {"mu": [0], "lambda": 1,
+                             "loop_matrix": [[0, 1], [0, 0]],
+                             "arrow_rows": [[0, 0]],
+                             "embedding_column": [1, 0]},
+        "sample_mu1": {"mu": [1], "lambda": 1,
+                       "loop_matrix": [[0, 0], [0, 0]],
+                       "arrow_rows": [[0, 1]], "embedding_column": [0, 1]}},
+    "product-check --n 3 --m 2 --dim 2,2 --q 3": {
+        "n": 3, "m": 2, "d": 2, "e": 2, "q": 3, "count_full": 5255361,
+        "count_core": 801, "free_factor": 6561, "holds": True},
+}
+
+
+@pytest.mark.parametrize("query", CERTIFICATE_REPORTS)
+def test_certificate_report_pinned(query):
+    code, report = run(query.split())
+    assert code == EXIT_OK
+    assert report["result"] == CERTIFICATE_REPORTS[query]
+
+
 # Every parameter of each family kind, with a value in range; dropping any
 # one of them must exit 4, not raise.
 FAMILY_FLAGS = {"A": {"n": 1, "m": 3, "l": 1},
@@ -422,6 +455,52 @@ def test_files_over_different_fields_are_semantic(case, tmp_path):
     assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
     assert "F5" in report["error"]["message"]
     assert "F7" in report["error"]["message"]
+
+
+# Each command that reads relations, on a presentation whose coefficient
+# 1/3 has no value in F_3: "{r3}", "{b3}" and "{m3}" are a point, zero
+# blocks and an identity map over F_3.  Over F_2 the same file counts.
+THIRDS = "quiver F { vertex 0; loop e at 0; rel 1/3*e^2; }\n"
+OVER_F3 = {
+    "count": "count --dim 1 --q 3",
+    "probe": "probe --dim 1 --q 2,3",
+    "check": "check --rep {r3}",
+    "hom": "hom --source {r3} --target {r3}",
+    "cocycles": "cocycles --quo {r3} --sub {r3}",
+    "extend": "extend --quo {r3} --sub {r3} --blocks {b3}",
+    "split": "split --sub {r3} --middle {r3} --map {m3}",
+}
+
+
+@pytest.fixture
+def thirds_file(tmp_path):
+    path = tmp_path / "thirds.qv"
+    path.write_text(THIRDS)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", OVER_F3)
+def test_vanishing_denominator_is_semantic(case, thirds_file, tmp_path):
+    files = {}
+    for name, data in {
+            "r3": {"field": {"type": "Fp", "p": 3}, "dims": {"0": 1},
+                   "mats": {"e": [[0]]}},
+            "b3": {"field": {"type": "Fp", "p": 3}, "blocks": {"e": [[0]]}},
+            "m3": {"field": {"type": "Fp", "p": 3},
+                   "maps": {"0": [[1]]}}}.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    command, *rest = OVER_F3[case].format(**files).split()
+    code, report = run([command, "--quiver", thirds_file, *rest])
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    assert "denominator 3 vanishes in F_3" in report["error"]["message"]
+
+
+def test_vanishing_denominator_elsewhere_counts(thirds_file):
+    code, report = run(["count", "--quiver", thirds_file, "--dim", "1",
+                        "--q", "2"])
+    assert code == EXIT_OK
+    assert report["result"]["count"] == 1
 
 
 class TestFileCommands:

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvl import counting
+from qvl import certificates, counting
+from qvl.certificates import (hom_counterexample_census,
+                              mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           _arrow_plan, _assignments, _classify_relations,
                           _jordan_point, _loop_points, _loop_strata,
                           _nilpotent_orbit, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
-                          default_budget, hom_counterexample_census,
-                          iter_hom_points, iter_mono_points, iter_rep_points,
-                          iter_rep_points_odometer, jordan_types,
-                          leading_coefficient_probe,
-                          mono_reducibility_witness, nilpotent_orbit_size,
-                          product_count_check)
+                          default_budget, iter_hom_points, iter_mono_points,
+                          iter_rep_points, iter_rep_points_odometer,
+                          jordan_types, leading_coefficient_probe,
+                          nilpotent_orbit_size)
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
@@ -376,7 +376,7 @@ class TestCensus:
                 super().__init__(budget)
                 meters.append(self)
 
-        monkeypatch.setattr(counting, "_Meter", Recording)
+        monkeypatch.setattr(certificates, "_Meter", Recording)
         hom_counterexample_census(n, q)
         assert [(m.used, m.planned) for m in meters] == [(steps, steps)]
 
@@ -390,7 +390,7 @@ class TestCensus:
             yield first[0], first[1], list(first[2])
             yield from points
 
-        monkeypatch.setattr(counting, "_iter_pair_fibers", repeat_first)
+        monkeypatch.setattr(certificates, "_iter_pair_fibers", repeat_first)
         with pytest.raises(AssertionError,
                            match="^duplicate homomorphism point$"):
             hom_counterexample_census(2, 3)
@@ -507,7 +507,7 @@ class TestWitness:
 
     def test_known_points_of_each_open_set(self):
         # one hand-built member of each open set re-verifies in full
-        from qvl.counting import WitnessPoint, _verify_witness_point
+        from qvl.certificates import WitnessPoint, _verify_witness_point
         pres = family_a(1, 2, 1)
         full_rank = WitnessPoint(mu=(0,), lam=1,
                                  loop_mat=((0, 1), (0, 0)),
