@@ -3,7 +3,9 @@
 Modules by concern: linalg (exact fields and matrices), quiver
 (presentations and ideal computations), reps (representations and
 morphisms), extensions (cocycles and extension assembly), families (the
-built-in algebra families and their variety maps), counting (point
+built-in algebra families and their variety maps), strata (Jordan and
+rank strata as one table; a count whose rows fix the base point takes one
+step per row, planned before a row is listed), counting (point
 enumeration over finite fields and the degree probe: evidence),
 certificates (the census, the reducibility witness and the product
 identity), dsl (the text format), serialize (JSON interchange), cli

@@ -14,21 +14,17 @@ plan's layout.  The fiber systems are assembled straight from flat points.
 objects are built only by the public iterators; the counts, the census and
 the witness read the flat points.
 
-Loop loci are stratified by Jordan type when every loop vertex has exactly
-one loop, every loop has a power relation, and every loop-only relation is a
-nonzero multiple of a power of its loop.  The locus is then the union of the
-conjugacy classes of the nilpotent Jordan matrices J_lam with parts at most
-the smallest power, and the class of J_lam has |GL_d(q)| / |C(lam)| points
-(Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).  Every walk
-takes its loop points, each with the number of loop points it stands for,
-from one source, ``_loop_points``.  Where the locus is not stratified, that
-is every loop point a filter over all q^(loop coordinates) of them accepts,
-with weight 1.  Where it is, a count takes J_lam weighted by its orbit
-size: what a count sums (a linear fiber's dimension, dim Hom, dim of a
-cocycle space, the number of injective homomorphisms) is unchanged by
-conjugating the loop vertices, so J_lam stands for its orbit.  Walks that
-must visit every point (the public iterators, the census and the witness)
-take each orbit instead, closing J_lam under elementary conjugations.
+Every walk takes its loop points, each with the number of loop points it
+stands for, from one source, ``_loop_points``.  Where the loop locus is not
+stratified by Jordan type (``qvl.strata``), that is every loop point a
+filter over all q^(loop coordinates) of them accepts, with weight 1.  Where
+it is, a count takes the Jordan matrix J_lam of each row of the stratum
+table weighted by its orbit size: what a count sums (a linear fiber's
+dimension, dim Hom, dim of a cocycle space, the number of injective
+homomorphisms) is unchanged by conjugating the loop vertices, so J_lam
+stands for its orbit.  Walks that must visit every point (the public
+iterators, the census and the witness) take each orbit instead, closing
+J_lam under elementary conjugations.
 
 Each point splits into base matrices and linear ones.  The base is every
 loop plus a set of non-loop arrows: relations that use only base arrows are
@@ -44,12 +40,10 @@ assignment of the base non-loop arrows that satisfies the base relations.
 The loop filter and this base walk are one assignment walk,
 ``_assignments``: the filter extends the empty point by the loops, the base
 walk a loop point by the base arrows.
-Counts take rank strata instead where no base arrow has a loop or another
-base arrow at an endpoint and no base relation reads one: GL at the ends
-of a base arrow fixes the rest of the base and carries the fiber over a
-base point onto the fiber over its image, so a d_t x d_s base arrow takes
-[I_r 0; 0 0] weighted by R(d_t, d_s, r), its matrices of rank r.  Hom, mono
-and ext counts sum over pairs of points above weighted base points.
+Counts take the rank rows of the table instead where the base arrows have
+them: GL at the ends of a base arrow carries the fiber over a base point
+onto the fiber over its image.  Hom, mono and ext counts sum over pairs of
+points above weighted base points.
 
 The enumeration order is fixed and stratum-major: strata in loop declaration
 order with partitions largest part first, each orbit breadth-first from
@@ -58,9 +52,11 @@ itertools.product order, then the linear fiber over each base point (arrows
 in declaration order, matrix entries row-major, field elements ascending),
 so identical queries give identical traversals.  The budget counts the
 steps actually taken: one per filter candidate, per base point tried, per
-loop point or point walked, per pair of points counted, per vector of a Hom
-space a mono count walks, and per stratum of a rep count (a Jordan type per
-loop and a rank per base arrow; a pair count's strata take none).
+loop point or point walked, per pair of points counted, and per vector of a
+Hom space a mono count walks.  A count (rep, hom, mono or ext) whose rows
+fix the whole base point takes one step per row of each factor's stratum
+table, planned from the row count before any partition or orbit size is
+computed.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -69,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,9 +73,10 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 from .extensions import (ExtensionTriple, block_shapes, cocycle_fiber,
                          linearized_equations)
 from .linalg import PrimeField, SandwichPlan, split_blocks
-from .quiver import BoundQuiver, loop_power
-from .reps import (HomTriple, Morphism, Representation, flat_layout,
-                   hom_fiber, path_product)
+from .quiver import BoundQuiver
+from .reps import (HomTriple, Morphism, Representation, evaluate_relation,
+                   flat_layout, hom_fiber)
+from .strata import StratumTable
 
 DEFAULT_BUDGET = 10**8
 
@@ -132,14 +128,6 @@ class _Meter:
         if planned > self.budget - self.used:
             self._stop(self.planned + planned)
         self.planned += planned
-
-
-def _metered(items: Sequence, meter: _Meter):
-    """Plan one step per item, then take it as each item is used."""
-    meter.precheck(len(items))
-    for item in items:
-        meter.tick()
-        yield item
 
 
 # --- task descriptions ---------------------------------------------------
@@ -320,252 +308,56 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
     for values in itertools.product(field.elements(), repeat=total):
         meter.tick()
         mats.update(split_blocks(field, shapes, values))
-        if _relations_vanish(field, dims, mats, rels):
+        if all(evaluate_relation(field, dims, mats, rel).is_zero()
+               for rel in rels):
             yield point + values
 
 
-def _relations_vanish(field, dims, mats, rels) -> bool:
-    """Whether every relation in ``rels`` evaluates to zero on ``mats``."""
-    for rel in rels:
-        acc = None
-        for coeff, path in rel.terms:
-            term = path_product(field, mats, path.arrows,
-                                dims.get(path.source, 0)
-                                ).scale(field.coerce(coeff))
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            return False
-    return True
-
-
-# --- Jordan-type strata of the loop locus ---------------------------------
-
-
-def jordan_types(d: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of d into parts of size at most max_part, in lexicographic
-    order from the largest part down."""
-    if d == 0:
-        yield ()
-        return
-    for first in range(min(d, max_part), 0, -1):
-        for rest in jordan_types(d - first, first):
-            yield (first,) + rest
-
-
-def gl_order(d: int, q: int) -> int:
-    """|GL_d(F_q)|."""
-    out = 1
-    for i in range(d):
-        out *= q ** d - q ** i
-    return out
-
-
-def rank_count(m: int, n: int, r: int, q: int) -> int:
-    """R(m, n, r), the number of m x n matrices of rank r over F_q:
-    prod_(i<r) (q^m - q^i)(q^n - q^i) / (q^r - q^i)."""
-    return math.prod((q ** m - q ** i) * (q ** n - q ** i)
-                     for i in range(r)) // gl_order(r, q)
-
-
-def nilpotent_orbit_size(lam: Sequence[int], q: int) -> int:
-    """Number of nilpotent matrices of Jordan type lam over F_q.
-
-    The centralizer of J_lam has order
-    q^(sum_i lam'_i^2 - sum_i m_i^2) * prod_i |GL_(m_i)(q)|, with lam' the
-    conjugate partition and m_i the multiplicity of the part i."""
-    parts = list(lam)
-    conjugate = [sum(1 for part in parts if part > i)
-                 for i in range(max(parts, default=0))]
-    mults = [parts.count(i) for i in set(parts)]
-    centralizer = q ** (sum(c * c for c in conjugate)
-                        - sum(m * m for m in mults))
-    for m in mults:
-        centralizer *= gl_order(m, q)
-    return gl_order(sum(parts), q) // centralizer
-
-
-def _jordan_point(lam: Sequence[int]) -> tuple:
-    """Entries of the nilpotent Jordan matrix with blocks lam, ones above
-    the diagonal, row-major."""
-    d = sum(lam)
-    point = [0] * (d * d)
-    start = 0
-    for part in lam:
-        for i in range(start, start + part - 1):
-            point[i * d + i + 1] = 1
-        start += part
-    return tuple(point)
-
-
-def _loop_powers(pres: BoundQuiver, field, loop_rels) -> Optional[dict]:
-    """Smallest power relation of each loop, or None when the loop locus is
-    not a union of Jordan strata.
-
-    That needs exactly one loop at every loop vertex, at least one power
-    relation on every loop, and every loop-only relation a single term that
-    is a nonzero multiple of a loop power."""
-    quiver = pres.quiver
-    loops = quiver.loops()
-    if any(len(quiver.loops_at(quiver.source(a))) != 1 for a in loops):
-        return None
-    powers = {}
-    for rel in loop_rels:
-        power = loop_power(rel, field)
-        if power is None:
-            return None
-        loop, k = power
-        powers[loop] = min(powers.get(loop, k), k)
-    if set(powers) != set(loops):
-        return None
-    return {a: powers[a] for a in loops}
-
-
-def _loop_strata(pres: BoundQuiver, field, dims, loop_rels):
-    """Each loop's Jordan strata as (partition, orbit size) pairs in the
-    fixed order, or None when the locus is not stratified."""
-    powers = _loop_powers(pres, field, loop_rels)
-    if powers is None:
-        return None
-    return [[(lam, nilpotent_orbit_size(lam, field.p))
-             for lam in jordan_types(dims.get(pres.quiver.source(a), 0), k)]
-            for a, k in powers.items()]
-
-
-def _rank_strata(pres: BoundQuiver, field, dims, base, base_rels):
-    """The rank strata of each arrow in ``base``, as a list of (flat
-    [I_r 0; 0 0], R(d_t, d_s, r)) pairs for r = 0, 1, .., or None when
-    the base does not qualify for them (see the module docstring)."""
-    quiver = pres.quiver
-    ends = [v for a in base for v in (quiver.target(a), quiver.source(a))]
-    if base_rels or len(set(ends)) < len(ends) or any(
-            quiver.loops_at(v) for v in ends):
-        return None
-    sizes = [dims.get(v, 0) for v in ends]
-    return [[(tuple(int(i == j < r) for i in range(t) for j in range(s)),
-              rank_count(t, s, r, field.p)) for r in range(min(t, s) + 1)]
-            for t, s in zip(sizes[::2], sizes[1::2])]
-
-
-def _strata(choices) -> list:
-    """(the points concatenated, the weights multiplied) for each way to
-    take one (flat point, weight) pair from every list in ``choices``, in
-    itertools.product order."""
-    strata = [((), 1)]
-    for pairs in choices:
-        strata = [(point + p, weight * w) for point, weight in strata
-                  for p, w in pairs]
-    return strata
-
-
-def _primitive_root(p: int) -> int:
-    """Least generator of the multiplicative group of F_p."""
-    rest, primes, f = p - 1, [], 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
-    return next(g for g in range(1, p)
-                if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
-
-
-def _nilpotent_orbit(field, lam: Sequence[int]) -> list[tuple]:
-    """The conjugacy class of J_lam, breadth-first from J_lam, each matrix
-    as its entries row-major.
-
-    Conjugation by the transvections I + E_ij and by diag(g, 1, .., 1), with
-    g a primitive root, generates the action of GL_d(F_p); the closure is
-    checked against the orbit-size formula.  Every entry is reduced mod p
-    as it is computed, so the entries are field elements in normal form."""
-    p, d = field.p, sum(lam)
-    g = _primitive_root(p) if d > 1 else 1
-    g_inv = pow(g, -1, p)
-    start = _jordan_point(lam)
-    seen = {start}
-    orbit = [start]
-    for x in orbit:
-        for i, j in itertools.permutations(range(d), 2):
-            y = list(x)
-            for k in range(d):    # (I + E_ij) X: row i += row j
-                y[i * d + k] = (y[i * d + k] + y[j * d + k]) % p
-            for k in range(d):    # ... (I - E_ij): column j -= column i
-                y[k * d + j] = (y[k * d + j] - y[k * d + i]) % p
-            y = tuple(y)
-            if y not in seen:
-                seen.add(y)
-                orbit.append(y)
-        if g != 1:
-            y = [v * g % p if k < d else v for k, v in enumerate(x)]
-            for k in range(0, d * d, d):
-                y[k] = y[k] * g_inv % p
-            y = tuple(y)
-            if y not in seen:
-                seen.add(y)
-                orbit.append(y)
-    if len(orbit) != nilpotent_orbit_size(lam, p):
-        raise AssertionError(
-            f"orbit of Jordan type {tuple(lam)} has {len(orbit)} points, "
-            f"not {nilpotent_orbit_size(lam, p)}")
-    return orbit
-
-
 def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
-                 orbits: bool, stratum_steps: bool = False, ranks=()):
-    """(flat loop point, number of loop points it stands for) over the loop
-    locus, in the fixed order.  Where the locus is not stratified, every
-    loop point the filter accepts, with weight 1.  Where it is, with
-    ``orbits`` every point of each stratum once, with weight 1 and one step
-    each, all planned up front; else the Jordan point of each stratum,
-    weighted by its orbit size, with one step each when ``stratum_steps``
-    is set, all planned up front.  Without ``orbits`` each loop point is
-    extended by each rank stratum of ``ranks``, the weights multiplied."""
-    choices = _loop_strata(pres, field, dims, loop_rels)
-    if choices is None:
+                 orbits: bool, table: StratumTable):
+    """(flat loop point, number of points it stands for) over the loop
+    locus, each extended by the rank rows of ``table`` where it has them,
+    in the fixed order: every loop point the filter accepts where the locus
+    is not stratified; else with ``orbits`` every point of each stratum
+    once; else each row of ``table``.  Orbit points, and rows that fix the
+    whole base point, take one step each, all planned up front."""
+    if table.loops is None:
         for point in _assignments(pres, field, dims, (), pres.quiver.loops(),
                                   loop_rels, meter):
-            yield from ((point + tail, w) for tail, w in _strata(ranks))
-        return
-    if not orbits:
-        strata = _strata([[(_jordan_point(lam), size) for lam, size in c]
-                          for c in choices] + list(ranks))
-        yield from _metered(strata, meter) if stratum_steps else strata
-        return
-    meter.precheck(math.prod(sum(size for _, size in c) for c in choices))
-    cache = {}
-    for combo in itertools.product(*choices):
-        lams = [lam for lam, _ in combo]
-        # keep only the orbits this stratum uses
-        cache = {lam: cache.get(lam) or _nilpotent_orbit(field, lam)
-                 for lam in set(lams)}
-        for points in itertools.product(*(cache[lam] for lam in lams)):
+            yield from ((point + tail, w) for tail, w in table.rows())
+    elif orbits:
+        meter.precheck(table.size())
+        for point in table.orbit_points():
             meter.tick()
-            yield tuple(itertools.chain.from_iterable(points)), 1
+            yield point, 1
+    elif table.arrows is None:
+        yield from table.rows()
+    else:
+        meter.precheck(table.row_count())
+        for row in table.rows():
+            meter.tick()
+            yield row
 
 
-def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
-            stratum_steps: bool = False):
+def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool):
     """The walk of the variety with these dims: the arrows in the order a
     walked point lays them out (every loop, the base arrows, then the rest
     in declaration order), and a stream of (flat base point, weight, kernel
     basis of the linear fiber there) over the base points above each
-    weighted loop point of ``_loop_points``, or one per rank stratum for a
-    count that has them.  The arrow system's layout is compiled once for
-    the walk.  With ``stratum_steps`` each stratum takes one step; else the
-    base points do."""
+    weighted loop point of ``_loop_points``, which already hold the base
+    arrows where a count has rank strata for them.  The strata and the
+    arrow system's layout are set up once for the walk."""
     base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
     plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
-    ranks = None if orbits else _rank_strata(pres, field, dims, base,
-                                             base_rels)
+    table = StratumTable(pres, field, dims, loop_rels,
+                         None if orbits else base, base_rels)
 
     def stream():
         for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
-                                          orbits, stratum_steps and
-                                          ranks is not None, ranks or ()):
-            for point in ((loops,) if ranks is not None else _assignments(
-                    pres, field, dims, loops, base, base_rels, meter)):
+                                          orbits, table):
+            for point in ((loops,) if table.arrows is not None else
+                          _assignments(pres, field, dims, loops, base,
+                                       base_rels, meter)):
                 yield point, weight, kernel(point)
 
     return [*pres.quiver.loops(), *base, *plan.shapes], stream()
@@ -630,11 +422,8 @@ def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      budget: int | None = None) -> int:
     """Exact number of valid points: the sum of weight * q^(free linear
-    coordinates) over the weighted base points of ``_fibers``.  A stratum
-    takes one step, or, where the base arrows have no rank strata, each
-    base point above it does."""
-    _, fibers = _fibers(pres, field, dims, _Meter(budget), orbits=False,
-                        stratum_steps=True)
+    coordinates) over the weighted base points of ``_fibers``."""
+    _, fibers = _fibers(pres, field, dims, _Meter(budget), orbits=False)
     return sum(weight * field.p ** len(basis) for _, weight, basis in fibers)
 
 

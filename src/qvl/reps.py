@@ -41,6 +41,18 @@ def path_product(field: Field, mats: Mapping[str, Matrix], arrows,
     return result
 
 
+def evaluate_relation(field: Field, dims: DimVector,
+                      mats: Mapping[str, Matrix], rel: Relation) -> Matrix:
+    """The value of ``rel`` at the arrow matrices ``mats`` with these dims:
+    the path product of each term, scaled by its coefficient, summed."""
+    acc = None
+    for coeff, path in rel.terms:
+        term = path_product(field, mats, path.arrows,
+                            dims.get(path.source, 0)).scale(coeff)
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def flat_layout(pres: BoundQuiver, dims: DimVector, arrows=None) -> dict:
     """(offset, rows, columns) of each arrow's matrix in a flat point with
     these dims: the entries of ``arrows`` (by default every arrow, in
@@ -137,11 +149,7 @@ class Representation:
                             self.dims[path.source])
 
     def evaluate_relation(self, rel: Relation) -> Matrix:
-        acc = Matrix.zeros(self.field, self.dims[rel.target],
-                           self.dims[rel.source])
-        for coeff, path in rel.terms:
-            acc = acc + self.evaluate_path(path).scale(self.field.coerce(coeff))
-        return acc
+        return evaluate_relation(self.field, self.dims, self.mats, rel)
 
     def is_valid(self) -> bool:
         """Membership in the representation variety: every generating

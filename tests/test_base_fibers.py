@@ -28,6 +28,7 @@ from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor, split_blocks
 from qvl.quiver import BoundQuiver, Quiver, Relation
 from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
                       hom_basis, hom_fiber, hom_kernel, is_monomorphism)
+from qvl.strata import StratumTable
 
 PATH2 = """quiver P2 {
   vertex 0; vertex 1; vertex 2;
@@ -392,8 +393,9 @@ def test_loop_points_equal_the_filtered_locus(case, q):
     pres, dims = case
     field = GF(q)
     loop_rels = _choose_base(pres, dims)[1]
+    table = StratumTable(pres, field, dims, loop_rels)
     streamed = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
-                                 orbits=True))
+                                 orbits=True, table=table))
     points = [point for point, _ in streamed]
     assert {weight for _, weight in streamed} <= {1}
     assert len(set(points)) == len(points)
@@ -401,7 +403,7 @@ def test_loop_points_equal_the_filtered_locus(case, q):
                                            pres.quiver.loops(), loop_rels,
                                            _Meter()))
     weighted = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
-                                 orbits=False))
+                                 orbits=False, table=table))
     assert sum(weight for _, weight in weighted) == len(points)
     assert {point for point, _ in weighted} <= set(points)
 

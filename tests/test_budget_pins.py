@@ -80,9 +80,9 @@ PINNED = {
     "iter-base": [_stop(0, 9), _stop(0, 9), _stop(2, 27), _stop(30, 45),
                   _stop(100, 108), _stop(299, 315)]
     + [(441, "41c601dde2e77d8f")] * 2,
-    "mono": [_stop(0, 3), _stop(3, 12), _stop(3, 12), _stop(24, 45),
-             _stop(92, 108), _stop(298, 312), 240, 240],
-    "hom": [_stop(0, 3), _stop(3, 12), _stop(3, 12), _stop(26, 39)]
+    "mono": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(27, 48),
+             _stop(95, 111), _stop(300, 306), 240, 240],
+    "hom": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(29, 42)]
     + [621] * 4,
     "witness": [_stop(1, 4), _stop(1, 4), _stop(4, 13), _stop(30, 37),
                 _stop(96, 109)] + [WITNESS] * 3,

@@ -10,20 +10,20 @@ from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           _arrow_plan, _assignments, _classify_relations,
-                          _jordan_point, _loop_points, _loop_strata,
-                          _nilpotent_orbit, ambient_dimension,
+                          _loop_points, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, iter_hom_points, iter_mono_points,
                           iter_rep_points, iter_rep_points_odometer,
-                          jordan_types, leading_coefficient_probe,
-                          nilpotent_orbit_size)
+                          leading_coefficient_probe)
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, QQ, Matrix
 from qvl.quiver import BoundQuiver, Quiver
 from qvl.reps import hom_basis, is_monomorphism
+from qvl.strata import (StratumTable, _jordan_point, _nilpotent_orbit,
+                        jordan_types, nilpotent_orbit_size)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -141,7 +141,8 @@ class TestJordanStrata:
         field = GF(q)
         loop_rels, _ = _classify_relations(pres)
         for dims in dim_list:
-            assert _loop_strata(pres, field, dims, loop_rels) is not None
+            assert StratumTable(pres, field, dims,
+                                loop_rels).loops is not None
             stratified = count_rep_points(pres, field, dims)
             assert stratified == _filter_walk_count(pres, field, dims)
             assert stratified == sum(
@@ -170,8 +171,9 @@ class TestJordanStrata:
         loop_rels, _ = _classify_relations(pres)
 
         def stream():
-            points = list(_loop_points(pres, field, dims, loop_rels,
-                                       _Meter(), orbits=True))
+            points = list(_loop_points(
+                pres, field, dims, loop_rels, _Meter(), orbits=True,
+                table=StratumTable(pres, field, dims, loop_rels)))
             assert {weight for _, weight in points} == {1}
             return [point for point, _ in points]
 

@@ -79,7 +79,7 @@ def test_pair_counts_match_brute_force(name, first, second):
 
 
 def test_mono_count_sums_over_strata_under_budget():
-    # The witness's reference case.  The count takes 18193 steps; walking
+    # The witness's reference case.  The count takes 18196 steps; walking
     # every hom point instead took 48119 and stopped at this budget.
     pres = family_a(1, 3, 1)
     source, target = {0: 1, 1: 1}, {0: 1, 1: 2}

@@ -3,16 +3,17 @@ with them: a brute-force rank census of all matrices, the ambient odometer,
 and the point-by-point hom, mono and ext walks."""
 
 import itertools
+import math
 
 import pytest
 
-from qvl.counting import (_choose_base, _rank_strata, count_ext_points,
-                          count_hom_points, count_mono_points,
-                          count_rep_points, iter_ext_points, iter_hom_points,
-                          iter_mono_points, iter_rep_points_odometer,
-                          rank_count, rep_ambient_dim)
+from qvl.counting import (_choose_base, count_ext_points, count_hom_points,
+                          count_mono_points, count_rep_points,
+                          iter_ext_points, iter_hom_points, iter_mono_points,
+                          iter_rep_points_odometer, rep_ambient_dim)
 from qvl.dsl import parse_quiver_spec
 from qvl.linalg import GF
+from qvl.strata import StratumTable, rank_count
 
 PATH = """quiver P2 {
   vertex 0; vertex 1; vertex 2;
@@ -97,13 +98,17 @@ def test_which_bases_have_rank_strata(name):
     text, ranked = CASES[name]
     pres = parse_quiver_spec(text)
     dims = {x: 2 for x in pres.quiver.vertices}
-    base, _, base_rels, _ = _choose_base(pres, dims)
+    base, loop_rels, base_rels, _ = _choose_base(pres, dims)
     assert base
-    strata = _rank_strata(pres, GF(2), dims, base, base_rels)
-    assert (strata is not None) == ranked
-    if ranked:    # ranks 0, 1, 2 of each 2 x 2 base arrow
-        assert [[w for _, w in ranks] for ranks in strata] \
-            == [[1, 9, 6]] * len(base)
+    table = StratumTable(pres, GF(2), dims, loop_rels, base, base_rels)
+    assert (table.arrows is not None) == ranked
+    if ranked:    # each loop row, then ranks 0, 1, 2 of each 2 x 2 arrow
+        loops = [w for _, w in StratumTable(pres, GF(2), dims,
+                                            loop_rels).rows()]
+        weights = [w for _, w in table.rows()]
+        assert weights == [math.prod(ws) for ws in itertools.product(
+            loops, *[[1, 9, 6]] * len(base))]
+        assert table.row_count() == len(weights)
 
 
 def _dim_tuples(pres, q, limit):

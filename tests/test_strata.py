@@ -1,0 +1,59 @@
+"""The stratum table and its line to the walks.
+
+``qvl.strata`` holds the stratum math (Jordan types, orbit sizes, rank
+counts, orbits) and one table of strata; ``qvl.counting`` reads the table
+and defines none of it.  A count plans its rows from the row count, so a
+small budget stops it before any partition is listed."""
+
+import pytest
+
+import qvl.counting as counting
+import qvl.strata as strata
+from qvl.counting import (BudgetExceededError, count_ext_points,
+                          count_hom_points, count_mono_points,
+                          count_rep_points)
+from qvl.families import family_lambda
+from qvl.linalg import GF
+
+MOVED = {"_loop_strata", "_rank_strata", "_strata", "_loop_powers",
+         "jordan_types", "gl_order", "rank_count", "nilpotent_orbit_size",
+         "_jordan_point", "_nilpotent_orbit", "_primitive_root"}
+
+
+def _modules(module) -> dict:
+    """Each name bound in ``module`` -> the module its value was defined
+    in, for values that say so."""
+    return {name: getattr(value, "__module__", None)
+            for name, value in vars(module).items()}
+
+
+def test_strata_bind_nothing_from_the_walks_or_the_checks():
+    assert {name: home for name, home in _modules(strata).items()
+            if home in ("qvl.counting", "qvl.families",
+                        "qvl.certificates")} == {}
+
+
+def test_counting_defines_none_of_the_stratum_math():
+    assert MOVED & set(vars(counting)) == set()
+
+
+def test_partition_count_equals_the_listed_partitions():
+    for d in range(12):
+        for k in range(d + 2):
+            assert strata.partition_count(d, k) \
+                == len(list(strata.jordan_types(d, k))), (d, k)
+
+
+@pytest.mark.parametrize("count", [count_rep_points, count_hom_points,
+                                   count_mono_points, count_ext_points])
+def test_counts_plan_their_rows_before_listing_any(count, monkeypatch):
+    # Lambda(45) at dim 45 has p(45) = 89134 Jordan types
+    def unlisted(*_):
+        raise AssertionError("a partition was listed before the plan")
+
+    monkeypatch.setattr(strata, "jordan_types", unlisted)
+    dims = ({0: 45},) * (1 if count is count_rep_points else 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        count(family_lambda(45), GF(2), *dims, budget=1000)
+    assert str(exc.value) == ("stopped after 0 of 89134 planned steps: "
+                              "the budget is 1000")
