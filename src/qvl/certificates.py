@@ -152,9 +152,23 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
 
     l = 2 selects the crossing relation of degree-one order 1; l = m selects
     the corner family.  A point is (target point, kernel vector, unit
-    scalar), which fixes the upstairs arrow coordinates.  Both open sets
-    are unions of the classes of q - 1 points that differ only in the
-    scalar, so the walk visits each class once; the budget counts points.
+    scalar), which fixes the upstairs arrow coordinates.
+
+    Every flag added up is invariant under conjugation by g at vertex 1:
+    U1 reads only the rank of the loop, which g keeps; the check that the
+    loop's kernel is the image of its (l - 1)-th power moves with g; and
+    (a, w) -> (a g^-1, g w) carries the arrow rows and the kernel vectors
+    above a loop point onto those above its conjugate, keeping every a.w.
+    So the Jordan point of each stratum checks its whole orbit point by
+    point, and stands for it weighted by the orbit size, as in the counts.
+    Above a stratum the arrow solutions form the span K of the fiber
+    kernel, of dimension k.  mu = (a_i . w) / lam for a unit lam, so for
+    each w the flag mu_1 != 0 is the linear functional v -> a_1(v) . w on
+    K, constant on the q - 1 scalars of a class: it holds on q^k - q^(k-1)
+    solutions when it is nonzero on a basis vector of K, and on none
+    otherwise.  The walk plans one step per stratum up front, then one per
+    w above each stratum.  The samples are the points that a walk over
+    every point finds first, with lam = 1.
     """
     if m < 2:
         raise FamilyParameterError(f"the witness needs m >= 2, got {m}")
@@ -191,15 +205,25 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     implication_ok = True
     kernel_image_ok = True
 
-    # Take the target walk's layers directly: analyze each loop point once,
-    # then walk its linearly constrained arrow rows (each 1 x l) and
-    # embedding vectors with plain modular arithmetic.
-    walked, fibers = _fibers(pres, field, target_dims, meter, orbits=True)
+    def dot(a, w):
+        return sum(x * y for x, y in zip(a, w)) % p
+
+    def witness_point(loop, values, w):    # lam = 1
+        arrow_rows = tuple(tuple(values[k * l:(k + 1) * l])
+                           for k in range(n))
+        return WitnessPoint(mu=tuple(dot(row, w) for row in arrow_rows),
+                            lam=field.one, loop_mat=tuple(loop.rows),
+                            arrow_rows=arrow_rows, emb_col=w)
+
+    # Take the target walk's strata directly: analyze each Jordan point
+    # once, then read its arrow solutions (rows of 1 x l) through their
+    # kernel basis, with plain modular arithmetic.
+    walked, fibers = _fibers(pres, field, target_dims, meter, orbits=False)
     if walked != list(pres.quiver.arrow_names()):
         raise AssertionError("the walk's base is not the loops alone")
     layout = flat_layout(pres, target_dims, pres.quiver.loops())
     e0, e1 = layout["e0"][0], layout["e1"][0]
-    for loops, _, arrow_kernel in fibers:
+    for loops, weight, arrow_kernel in fibers:
         if loops[e0]:
             raise AssertionError("target loop at vertex 0 not forced to zero")
         loop = Matrix._trusted(field, l, l, tuple(
@@ -215,44 +239,37 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
                     Subspace(field, l, head_cols):
                 kernel_image_ok = False
         ws = [tuple(w) for w in _span(field, loop_kernel, l) if any(w)]
-        if not ws:
-            continue
+        # re-check the defining constraint on the first arrow row of each
+        # basis vector; linearity covers every solution
+        firsts = [v[:l] for v in arrow_kernel]
+        if any(dot(a, col) for a in firsts for col in head_cols):
+            raise AssertionError("arrow solution violates its relation")
 
-        per_solution = len(ws) * units
-        meter.precheck(field.p ** len(arrow_kernel) * per_solution)
-        for values in _span(field, arrow_kernel, n * l):
-            meter.tick(per_solution)
-            arrow_rows = tuple(tuple(values[k * l:(k + 1) * l])
-                               for k in range(n))
-            # re-check the defining constraint on the first arrow row
-            if any(sum(a * b for a, b in zip(arrow_rows[0], col)) % p
-                   for col in head_cols):
-                raise AssertionError("arrow solution violates its relation")
-            for w in ws:
-                dots = [sum(a * b for a, b in zip(row, w)) % p
-                        for row in arrow_rows]
-                # mu = dots / lam for a unit lam, so mu_1 != 0 iff dots_1 != 0,
-                # and U1 reads only the loop: both are constant on the class
-                in_u2 = dots[0] != 0
-                total += units
-                if in_u1:
-                    count_u1 += units
-                    if in_u2:
-                        implication_ok = False
-                        count_both += units
-                if in_u2:
-                    count_u2 += units
-                if (in_u1 and sample_u1 is None) or \
-                        (in_u2 and sample_u2 is None):
-                    point = WitnessPoint(     # lam = 1, first in walk order
-                        mu=tuple(dots), lam=field.one,
-                        loop_mat=tuple(loop.rows),
-                        arrow_rows=arrow_rows,
-                        emb_col=w)
-                    if in_u1 and sample_u1 is None:
-                        sample_u1 = point
-                    if in_u2 and sample_u2 is None:
-                        sample_u2 = point
+        solutions = p ** len(arrow_kernel)
+        cls = units * weight
+        last_read = -1
+        meter.precheck(len(ws))
+        for w in ws:
+            meter.tick()
+            read = max((j for j, a in enumerate(firsts) if dot(a, w)),
+                       default=-1)
+            hits = solutions - solutions // p if read >= 0 else 0
+            total += solutions * cls
+            count_u2 += hits * cls
+            if in_u1:
+                count_u1 += solutions * cls
+                count_both += hits * cls
+                implication_ok = implication_ok and not hits
+                if sample_u1 is None:     # the zero solution comes first
+                    sample_u1 = witness_point(loop, (0,) * (n * l), w)
+            last_read = max(last_read, read)
+        if sample_u2 is None and last_read >= 0:
+            # The solutions before basis vector j in _span order combine
+            # only later basis vectors, so the first one that any w reads is
+            # the last basis vector some w reads on.
+            values = arrow_kernel[last_read]
+            sample_u2 = witness_point(
+                loop, values, next(w for w in ws if dot(values[:l], w)))
 
     samples_ok = all(
         _verify_witness_point(pres, field, m, l, n, pt)

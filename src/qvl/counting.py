@@ -22,9 +22,9 @@ it is, a count takes the Jordan matrix J_lam of each row of the stratum
 table weighted by its orbit size: what a count sums (a linear fiber's
 dimension, dim Hom, dim of a cocycle space, the number of injective
 homomorphisms) is unchanged by conjugating the loop vertices, so J_lam
-stands for its orbit.  Walks that must visit every point (the public
-iterators, the census and the witness) take each orbit instead, closing
-J_lam under elementary conjugations.
+stands for its orbit; the witness reads the rows the same way.  Walks
+that must visit every point (the public iterators and the census) take
+each orbit instead, closing J_lam under elementary conjugations.
 
 Each point splits into base matrices and linear ones.  The base is every
 loop plus a set of non-loop arrows: relations that use only base arrows are

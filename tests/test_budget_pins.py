@@ -84,8 +84,7 @@ PINNED = {
              _stop(95, 111), _stop(300, 306), 240, 240],
     "hom": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(29, 42)]
     + [621] * 4,
-    "witness": [_stop(1, 4), _stop(1, 4), _stop(4, 13), _stop(30, 37),
-                _stop(96, 109)] + [WITNESS] * 3,
+    "witness": [_stop(1, 4), _stop(1, 4), _stop(8, 16)] + [WITNESS] * 5,
     "census": [_stop(0, 243)] * 5 + [_stop(244, 325)]
     + [(4, 3, 83, 81, 3, True, True)] * 2,
 }

@@ -456,10 +456,16 @@ class TestWitness:
         assert (rep.total, rep.count_full_rank, rep.count_mu1,
                 rep.count_intersection) == self._oracle(m, l, n, q)
 
-    @pytest.mark.parametrize("m,l,q", [(2, 2, 2), (2, 2, 3), (3, 3, 3)])
-    def test_against_machinery_enumeration(self, m, l, q):
-        rep = mono_reducibility_witness(m, l, 1, q)
-        pres = family_a(1, m, 1) if l == 2 else family_b(1, m)
+    # the point walk visits every monomorphism, so it also checks that one
+    # Jordan point and one functional per w stand for all the points above
+    @pytest.mark.parametrize("m,l,n,q", [
+        pytest.param(m, l, n, q, id="-".join(map(str, (m, l, q)))
+                     + (f"-n{n}" if n > 1 else ""))
+        for m, l, n, q in [(2, 2, 1, 2), (2, 2, 1, 3), (3, 3, 1, 3),
+                           (2, 2, 2, 3), (3, 3, 2, 2), (2, 2, 1, 5)]])
+    def test_against_machinery_enumeration(self, m, l, n, q):
+        rep = mono_reducibility_witness(m, l, n, q)
+        pres = family_a(n, m, 1) if l == 2 else family_b(n, m)
         flags = [(t.target.mats["e1"].rank() == l - 1,
                   not t.source.mats["a1"].is_zero())
                  for t in iter_mono_points(pres, GF(q), {0: 1, 1: 1},
@@ -485,9 +491,32 @@ class TestWitness:
           ((1,), 1, ((0, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 1),),
            (0, 0, 1)),
           True, True, True)),
+        ((3, 3, 1, 5),
+         (3, 3, 1, 5, "A(1,3,2)", 14942000, 5952000, 7192000, 0,
+          ((0,), 1, ((0, 1, 0), (0, 0, 1), (0, 0, 0)), ((0, 0, 0),),
+           (1, 0, 0)),
+          ((1,), 1, ((0, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 1),),
+           (0, 0, 1)),
+          True, True, True)),
+        ((3, 3, 2, 3),
+         (3, 3, 2, 3, "A(2,3,2)", 1857492, 606528, 833976, 0,
+          ((0, 0), 1, ((0, 1, 0), (0, 0, 1), (0, 0, 0)),
+           ((0, 0, 0), (0, 0, 0)), (1, 0, 0)),
+          ((1, 0), 1, ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+           ((0, 0, 1), (0, 0, 0)), (0, 0, 1)),
+          True, True, True)),
     ])
     def test_full_report_pinned(self, args, expected):
         assert dataclasses.astuple(mono_reducibility_witness(*args)) \
+            == expected
+
+    @pytest.mark.parametrize("m,n,q,expected", [(4, 1, 3, 158047200),
+                                                (3, 2, 3, 1857492)])
+    def test_total_equals_the_mono_count(self, m, n, q, expected):
+        # the corner family, l = m: source (1, 1), target (1, m)
+        count = count_mono_points(family_b(n, m), GF(q), {0: 1, 1: 1},
+                                  {0: 1, 1: m})
+        assert count == mono_reducibility_witness(m, m, n, q).total \
             == expected
 
     def test_sample_points_verified(self):

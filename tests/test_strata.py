@@ -3,12 +3,14 @@
 ``qvl.strata`` holds the stratum math (Jordan types, orbit sizes, rank
 counts, orbits) and one table of strata; ``qvl.counting`` reads the table
 and defines none of it.  A count plans its rows from the row count, so a
-small budget stops it before any partition is listed."""
+small budget stops it before any partition is listed; so does the
+witness, which takes its target's rows the same way."""
 
 import pytest
 
 import qvl.counting as counting
 import qvl.strata as strata
+from qvl.certificates import mono_reducibility_witness
 from qvl.counting import (BudgetExceededError, count_ext_points,
                           count_hom_points, count_mono_points,
                           count_rep_points)
@@ -56,4 +58,22 @@ def test_counts_plan_their_rows_before_listing_any(count, monkeypatch):
     with pytest.raises(BudgetExceededError) as exc:
         count(family_lambda(45), GF(2), *dims, budget=1000)
     assert str(exc.value) == ("stopped after 0 of 89134 planned steps: "
+                              "the budget is 1000")
+
+
+def test_witness_plans_its_target_rows_before_listing_any(monkeypatch):
+    # the three steps of the source walk at dims (1, 1), then one per
+    # target row: the target's loop at vertex 1 has the 89134 Jordan types
+    # of 45, and none may be listed before the plan
+    listed = strata.jordan_types
+
+    def source_only(d, max_part):
+        if d > 1:
+            raise AssertionError("a partition was listed before the plan")
+        return listed(d, max_part)
+
+    monkeypatch.setattr(strata, "jordan_types", source_only)
+    with pytest.raises(BudgetExceededError) as exc:
+        mono_reducibility_witness(45, 45, 1, 2, budget=1000)
+    assert str(exc.value) == ("stopped after 3 of 89137 planned steps: "
                               "the budget is 1000")
