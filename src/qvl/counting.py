@@ -42,8 +42,9 @@ The loop filter and this base walk are one assignment walk,
 walk a loop point by the base arrows.
 Counts take the rank rows of the table instead where the base arrows have
 them: GL at the ends of a base arrow carries the fiber over a base point
-onto the fiber over its image.  Hom, mono and ext counts sum over pairs of
-points above weighted base points.
+onto the fiber over its image.  Hom, mono and ext counts and walks take
+their pairs of points from one loop, ``_pairs``; mono is hom with one
+injectivity test, ``_injective``.
 
 The enumeration order is fixed and stratum-major: strata in loop declaration
 order with partitions largest part first, each orbit breadth-first from
@@ -52,11 +53,10 @@ itertools.product order, then the linear fiber over each base point (arrows
 in declaration order, matrix entries row-major, field elements ascending),
 so identical queries give identical traversals.  The budget counts the
 steps actually taken: one per filter candidate, per base point tried, per
-loop point or point walked, per pair of points counted, and per vector of a
-Hom space a mono count walks.  A count (rep, hom, mono or ext) whose rows
-fix the whole base point takes one step per row of each factor's stratum
-table, planned from the row count before any partition or orbit size is
-computed.
+loop point or point walked, per pair of points, and per vector of a Hom
+space a mono count walks.  A count (rep, hom, mono or ext) whose rows fix
+the whole base point takes one step per row of each factor's stratum table,
+planned from the row count before any partition or orbit size is computed.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -461,39 +461,81 @@ def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter):
         yield vec
 
 
+def _pairs(pres: BoundQuiver, field: PrimeField, first_dims, second_dims,
+           kernel, meter: _Meter, orbits: bool):
+    """(x, y, wx * wy, kernel(x, y)) for each (x, wx) of the first variety's
+    ``_points_over`` and (y, wy) of the second's, listed once before the
+    first is streamed; each x plans one step per y, each pair takes one."""
+    seconds = list(_points_over(pres, field, second_dims, meter, orbits))
+    for x, wx in _points_over(pres, field, first_dims, meter, orbits):
+        meter.precheck(len(seconds))
+        for y, wy in seconds:
+            meter.tick()
+            yield x, y, wx * wy, kernel(x, y)
+
+
 def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
                       second_dims, shapes, kernel, meter: _Meter | None):
-    """(x, y, vec) for every point x of the first variety, every point y
-    of the second and every element vec of the linear fiber over (x, y),
-    in that nesting order.  x and y are flat points; vec is a flat vector
-    in the layout of the block ``shapes``, in the span of ``kernel(x, y)``
-    (as hom_fiber and cocycle_fiber give them).  The second variety is
-    listed once, the first streamed."""
+    """(x, y, vec) for each pair (x, y) of ``_pairs`` and every vec in the
+    span of ``kernel(x, y)``: a flat vector in the layout of the block
+    ``shapes`` (as hom_fiber and cocycle_fiber give them)."""
     meter = meter or _Meter()
     size = sum(r * c for r, c in shapes.values())
-    seconds = [y for y, _ in _points_over(pres, field, second_dims, meter,
-                                          orbits=True)]
-    for x, _ in _points_over(pres, field, first_dims, meter, orbits=True):
-        for y in seconds:
-            for vec in _walk_fiber(field, size, kernel(x, y), meter):
-                yield x, y, vec
+    for x, y, _, basis in _pairs(pres, field, first_dims, second_dims,
+                                 kernel, meter, orbits=True):
+        for vec in _walk_fiber(field, size, basis, meter):
+            yield x, y, vec
+
+
+def _injective(field: PrimeField, shapes: Mapping):
+    """The test that a flat Hom vector with these vertex map ``shapes`` has
+    full column rank at every vertex: every column of every map a pivot."""
+    maps, size = [], 0
+    for r, c in shapes.values():
+        if c:
+            maps.append((range(size, size + r * c, c), c))
+        size += r * c
+    return lambda vec: all(len(field.row_reduce([vec[i:i + c] for i in rows],
+                                                c)[1]) == c
+                           for rows, c in maps)
 
 
 def _iter_pair_points(pres: BoundQuiver, field: PrimeField, first_dims,
-                      second_dims, fiber, meter: _Meter | None):
+                      second_dims, fiber, meter: _Meter | None, test=None):
     """(x, y, blocks) for each (x, y, vec) of ``_iter_pair_fibers`` over
-    ``fiber`` (hom_fiber or cocycle_fiber): x and y built as
-    ``Representation``s, one object per distinct point, and vec cut into
-    its blocks."""
+    ``fiber`` whose vec passes ``test(field, shapes)``, if given: x and y
+    as ``Representation``s, one per distinct point, vec cut into blocks."""
     shapes, kernel = fiber(pres, field, first_dims, second_dims)
+    keep = test and test(field, shapes)
     first = _rep_builder(pres, field, first_dims)
     second = functools.cache(_rep_builder(pres, field, second_dims))
     x = None
     for fx, fy, vec in _iter_pair_fibers(pres, field, first_dims,
                                          second_dims, shapes, kernel, meter):
+        if keep and not keep(vec):
+            continue
         if fx is not x:
             x, src = fx, first(fx)
         yield src, second(fy), split_blocks(field, shapes, vec)
+
+
+def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
+                 second_dims, fiber, budget: int | None, test=None) -> int:
+    """Sum over the weighted pairs of ``_pairs`` of the size of the linear
+    fiber of ``fiber`` (hom_fiber or cocycle_fiber) over each: q^dim, or
+    the number of its vectors that ``test(field, shapes)`` passes, walked.
+    Conjugating the loop vertices carries the points above J_lam onto
+    isomorphic points above its conjugates and keeps each size, so each
+    pair of weighted points stands for its weight."""
+    shapes, kernel = fiber(pres, field, first_dims, second_dims)
+    keep = test and test(field, shapes)
+    size = sum(r * c for r, c in shapes.values())
+    meter = _Meter(budget)
+    pairs = _pairs(pres, field, first_dims, second_dims, kernel, meter,
+                   orbits=False)
+    return sum(w * (sum(map(keep, _walk_fiber(field, size, basis, meter)))
+                    if keep else field.p ** len(basis))
+               for _, _, w, basis in pairs)
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -504,76 +546,29 @@ def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
         yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
 
 
-def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
-                 second_dims, fiber, per_pair, budget: int | None) -> int:
-    """Sum of ``per_pair(shapes, kernel(x, y), meter)`` over all pairs of
-    flat points x, y, for the ``shapes`` and ``kernel`` of ``fiber``
-    (hom_fiber or cocycle_fiber).
-
-    Each factor runs over the points above each weighted loop point, which
-    stand for their weight in points: conjugating the loop vertices
-    carries the points above J_lam bijectively onto isomorphic points above
-    each of its conjugates.  Every summed quantity is invariant under
-    replacing x and y by isomorphic points, so each pair of weighted points
-    counts once, weighted by both weights.  Strata take no steps here.  The
-    second factor is listed once and the first streamed, so only one
-    variety's points are held at a time; each first point plans one step
-    per second point."""
-    shapes, kernel = fiber(pres, field, first_dims, second_dims)
-    meter = _Meter(budget)
-    seconds = list(_points_over(pres, field, second_dims, meter,
-                                orbits=False))
-    total = 0
-    for x, wx in _points_over(pres, field, first_dims, meter, orbits=False):
-        meter.precheck(len(seconds))
-        for y, wy in seconds:
-            meter.tick()
-            total += wx * wy * per_pair(shapes, kernel(x, y), meter)
-    return total
-
-
-def _injective_homs(field: PrimeField, shapes: Mapping, kernel,
-                    meter: _Meter) -> int:
-    """Number of homomorphisms, in the Hom space with these vertex map
-    shapes and kernel basis, whose vertex maps all have full column rank,
-    found by walking the Hom space.  Each map's rows are cut from the flat
-    vector; its columns are independent when each is a pivot."""
-    maps, size = [], 0
-    for r, c in shapes.values():
-        if c:
-            maps.append((range(size, size + r * c, c), c))
-        size += r * c
-    return sum(all(len(field.row_reduce([vec[i:i + c] for i in rows],
-                                        c)[1]) == c for rows, c in maps)
-               for vec in _walk_fiber(field, size, kernel, meter))
-
-
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
-    """Sum of q^dim Hom over all source/target point pairs (each linear
-    homomorphism space is counted exactly, not walked)."""
+    """Sum of q^dim Hom over all source/target point pairs."""
     return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
-                        lambda _, basis, __: field.p ** len(basis), budget)
+                        budget)
 
 
 def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, meter: _Meter | None = None
                      ) -> Iterator[HomTriple]:
-    """Monomorphism triples: hom points filtered on injectivity at every
-    vertex.  Enumerating the homomorphism space instead of the raw map
-    coordinates prunes the search massively."""
-    for triple in iter_hom_points(pres, field, source_dims, target_dims,
-                                  meter=meter):
-        if all(triple.morphism.maps[x].rank() == triple.source.dims[x]
-               for x in pres.quiver.vertices):
-            yield triple
+    """Monomorphism triples: the hom points whose Hom vector passes
+    ``_injective``, tested before a triple is built."""
+    for src, dst, maps in _iter_pair_points(pres, field, source_dims,
+                                            target_dims, hom_fiber, meter,
+                                            _injective):
+        yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
 
 
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
     """Number of injective homomorphisms over all source/target pairs."""
     return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
-                        functools.partial(_injective_homs, field), budget)
+                        budget, _injective)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
@@ -588,7 +583,7 @@ def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
     return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_fiber,
-                        lambda _, basis, __: field.p ** len(basis), budget)
+                        budget)
 
 
 _COUNTS = {"rep": count_rep_points, "hom": count_hom_points,

@@ -230,6 +230,8 @@ class _Parser:
         coeff = Fraction(1)
         if tok.kind == "number":
             self.advance()
+            if not int(tok.text.partition("/")[2] or 1):
+                raise DslSyntaxError("zero denominator", tok.line, tok.col)
             coeff = Fraction(tok.text)
             self.expect("punct", "*")
         start = self.peek()

@@ -103,6 +103,23 @@ def _dims_from_json(pres: BoundQuiver, data) -> dict:
     return dims
 
 
+def _arrow_matrices(pres: BoundQuiver, field: Field, data: Mapping,
+                    name: str, noun: str, rows: Mapping, cols: Mapping
+                    ) -> dict[str, Matrix]:
+    """One matrix per arrow s -> t, rows[t] x cols[s], from the JSON object
+    ``name``; a key that names no arrow is rejected."""
+    mats = {}
+    for a, s, t in pres.quiver.arrows:
+        if a not in data:
+            raise SerializationError(f"missing {noun} for arrow {a!r}")
+        mats[a] = matrix_from_json(field, data[a], rows.get(t, 0),
+                                   cols.get(s, 0))
+    extra = set(data) - set(pres.quiver.arrow_names())
+    if extra:
+        raise SerializationError(f"unknown arrows in {name}: {sorted(extra)}")
+    return mats
+
+
 def rep_to_json(rep: Representation) -> dict:
     return {
         "field": field_to_json(rep.field),
@@ -120,18 +137,10 @@ def rep_from_json(pres: BoundQuiver, data) -> Representation:
             raise SerializationError(f"representation is missing {key!r}")
     field = field_from_json(data["field"])
     dims = _dims_from_json(pres, data["dims"])
-    mats_data = data["mats"]
-    if not isinstance(mats_data, Mapping):
+    if not isinstance(data["mats"], Mapping):
         raise SerializationError("'mats' must be an object")
-    mats = {}
-    for a, s, t in pres.quiver.arrows:
-        if a not in mats_data:
-            raise SerializationError(f"missing matrix for arrow {a!r}")
-        mats[a] = matrix_from_json(field, mats_data[a], dims[t], dims[s])
-    extra = set(mats_data) - set(pres.quiver.arrow_names())
-    if extra:
-        raise SerializationError(f"unknown arrows in mats: {sorted(extra)}")
-    return Representation(pres, field, dims, mats)
+    return Representation(pres, field, dims, _arrow_matrices(
+        pres, field, data["mats"], "mats", "matrix", dims, dims))
 
 
 def morphism_to_json(mor: Morphism) -> dict:
@@ -178,12 +187,6 @@ def blocks_from_json(pres: BoundQuiver, sub_dims: Mapping, quo_dims: Mapping,
             not isinstance(data.get("blocks"), Mapping):
         raise SerializationError("blocks must be an object with a 'field' "
                                  "and a 'blocks' object")
-    field = field_from_json(data["field"])
-    blocks = data["blocks"]
-    out = {}
-    for a, s, t in pres.quiver.arrows:
-        if a not in blocks:
-            raise SerializationError(f"missing block for arrow {a!r}")
-        out[a] = matrix_from_json(field, blocks[a],
-                                  sub_dims.get(t, 0), quo_dims.get(s, 0))
-    return out
+    return _arrow_matrices(pres, field_from_json(data["field"]),
+                           data["blocks"], "blocks", "block", sub_dims,
+                           quo_dims)

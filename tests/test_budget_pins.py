@@ -16,7 +16,7 @@ from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness)
 from qvl.counting import (BudgetExceededError, _Meter, count_hom_points,
                           count_mono_points, count_rep_points,
-                          iter_rep_points)
+                          iter_hom_points, iter_rep_points)
 from qvl.dsl import parse_quiver_spec
 from qvl.families import family_a
 from qvl.linalg import GF
@@ -31,14 +31,25 @@ A131 = family_a(1, 3, 1)
 F3 = GF(3)
 
 
+def _digest(points):
+    return len(points), hashlib.sha256(repr(points).encode()).hexdigest()[:16]
+
+
 def _walked(pres, dims):
     def walk(budget):
-        points = [tuple(m.rows for m in rep.mats.values())
-                  for rep in iter_rep_points(pres, F3, dims,
-                                             meter=_Meter(budget))]
-        return len(points), hashlib.sha256(
-            repr(points).encode()).hexdigest()[:16]
+        return _digest([tuple(m.rows for m in rep.mats.values())
+                        for rep in iter_rep_points(pres, F3, dims,
+                                                   meter=_Meter(budget))])
     return walk
+
+
+def _walked_homs(budget):
+    return _digest([tuple(m.rows for m in (*t.source.mats.values(),
+                                           *t.target.mats.values(),
+                                           *t.morphism.maps.values()))
+                    for t in iter_hom_points(A131, F3, {0: 1, 1: 1},
+                                             {0: 1, 1: 2},
+                                             meter=_Meter(budget))])
 
 
 WALKS = {
@@ -52,6 +63,7 @@ WALKS = {
                                         {0: 1, 1: 2}, budget=b),
     "hom": lambda b: count_hom_points(A131, F3, {0: 1, 1: 1}, {0: 1, 1: 2},
                                       budget=b),
+    "iter-hom": _walked_homs,
     "witness": lambda b: dataclasses.astuple(
         mono_reducibility_witness(3, 2, 1, 3, budget=b)),
     "census": lambda b: dataclasses.astuple(
@@ -84,6 +96,9 @@ PINNED = {
              _stop(95, 111), _stop(300, 306), 240, 240],
     "hom": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(29, 42)]
     + [621] * 4,
+    "iter-hom": [_stop(0, 9), _stop(0, 9), _stop(9, 18), _stop(29, 33),
+                 _stop(95, 133), _stop(285, 322)]
+    + [(621, "de7c4263561f105c")] * 2,
     "witness": [_stop(1, 4), _stop(1, 4), _stop(8, 16)] + [WITNESS] * 5,
     "census": [_stop(0, 243)] * 5 + [_stop(244, 325)]
     + [(4, 3, 83, 81, 3, True, True)] * 2,

@@ -503,6 +503,16 @@ def test_vanishing_denominator_elsewhere_counts(thirds_file):
     assert report["result"]["count"] == 1
 
 
+def test_zero_denominator_is_syntax(tmp_path):
+    # 1/0 is no coefficient in any field: a syntax error, not exit 1
+    path = tmp_path / "zero.qv"
+    path.write_text("quiver F { vertex 0; loop e at 0; rel 1/0*e^2; }\n")
+    code, report = run(["count", "--quiver", str(path), "--dim", "1",
+                        "--q", "3"])
+    assert (code, report["error"]["type"]) == (EXIT_PARSE, "syntax")
+    assert "zero denominator" in report["error"]["message"]
+
+
 class TestFileCommands:
     def test_hom(self, lam2_file, rep_files):
         code, report = run(["hom", "--quiver", lam2_file,

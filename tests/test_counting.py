@@ -16,6 +16,7 @@ from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           default_budget, iter_hom_points, iter_mono_points,
                           iter_rep_points, iter_rep_points_odometer,
                           leading_coefficient_probe)
+from qvl.dsl import parse_quiver_spec
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
@@ -232,6 +233,30 @@ class TestHomMonoExtCounts:
         for t in pts:
             assert is_monomorphism(t.morphism)
 
+    @pytest.mark.parametrize("pres,q,source,target", [
+        (family_lambda(2), 3, {0: 1}, {0: 2}),
+        (family_a(1, 3, 1), 3, {0: 1, 1: 1}, {0: 1, 1: 2}),
+        # a vertex map with no columns, then one with no rows
+        (family_a(1, 3, 1), 2, {0: 0, 1: 1}, {0: 1, 1: 2}),
+        (family_b(1, 3), 2, {0: 1, 1: 0}, {0: 2, 1: 1}),
+        # the square b*a - d*c, walked over its base arrows a and c
+        (parse_quiver_spec("quiver Square { vertex 0; vertex 1; vertex 2; "
+                           "vertex 3; arrow a: 0 -> 1; arrow b: 1 -> 3; "
+                           "arrow c: 0 -> 2; arrow d: 2 -> 3; "
+                           "rel b*a - d*c; }"),
+         2, {0: 1, 1: 0, 2: 1, 3: 1}, {0: 1, 1: 1, 2: 1, 3: 1})],
+        ids=["Lambda2", "A131", "no-columns", "no-rows", "square"])
+    def test_mono_iterator_is_filtered_hom_iterator(self, pres, q, source,
+                                                    target):
+        field = GF(q)
+        monos = [t.key() for t in iter_mono_points(pres, field, source,
+                                                   target)]
+        homs = [t.key() for t in iter_hom_points(pres, field, source, target)
+                if is_monomorphism(t.morphism)]
+        assert monos == homs
+        assert len(monos) == count_mono_points(pres, field, source, target)
+        assert monos
+
     def test_mono_empty_when_source_too_big(self):
         lam = family_lambda(2)
         assert count_mono_points(lam, F2, {0: 2}, {0: 1}) == 0
@@ -368,8 +393,10 @@ class TestCensus:
         with pytest.raises(BudgetExceededError):
             hom_counterexample_census(3, 5, budget=10)
 
-    @pytest.mark.parametrize("n,q,steps", [(3, 2, 36), (4, 3, 410),
-                                           (7, 3, 10940), (4, 5, 4382)])
+    # one step per census candidate, per point walked on either side, per
+    # (source, target) pair and per Hom vector
+    @pytest.mark.parametrize("n,q,steps", [(3, 2, 44), (4, 3, 491),
+                                           (7, 3, 13127), (4, 5, 5007)])
     def test_meter(self, n, q, steps, monkeypatch):
         meters = []
 

@@ -124,6 +124,17 @@ class TestErrors:
         with pytest.raises(DslSyntaxError):
             parse_quiver_spec("quiver X { vertex 0; loop e at 0; rel e@2; }")
 
+    def test_zero_denominator(self):
+        with pytest.raises(DslSyntaxError, match="zero denominator") as exc:
+            parse_quiver_spec("quiver X { vertex 0; loop e at 0;\n"
+                              "  rel e^3; rel e^2 - 2/00*e^3; }")
+        assert (exc.value.line, exc.value.col) == (2, 22)
+
+    def test_zero_numerator_parses(self):
+        pres = parse_quiver_spec("quiver X { vertex 0; loop e at 0; "
+                                 "rel e^2 + 0/5*e^3; }")
+        assert len(pres.relations) == 1
+
     def test_unknown_arrow(self):
         with pytest.raises(DslSemanticError):
             parse_quiver_spec("quiver X { vertex 0; loop e at 0; "

@@ -157,6 +157,21 @@ class TestMorphismAndBlocks:
                               "blocks": {"a1": [[0]]}})
 
 
+    def test_blocks_unknown_arrow(self):
+        # the same check as for a representation's mats
+        with pytest.raises(SerializationError,
+                           match=r"unknown arrows in blocks: \['zz'\]"):
+            blocks_from_json(family_lambda(2), {0: 1}, {0: 1},
+                             {"field": {"type": "Fp", "p": 5},
+                              "blocks": {"e": [[0]], "zz": [[1]]}})
+        with pytest.raises(SerializationError,
+                           match=r"unknown arrows in mats: \['zz'\]"):
+            rep_from_json(family_lambda(2),
+                          {"field": {"type": "Fp", "p": 5},
+                           "dims": {"0": 1},
+                           "mats": {"e": [[0]], "zz": [[1]]}})
+
+
 class TestMalformedShapes:
     """JSON of the wrong shape raises SerializationError, never a bare
     AttributeError, KeyError or TypeError."""
