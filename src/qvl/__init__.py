@@ -26,7 +26,7 @@ from .extensions import (ExtensionTriple, build_extension, cocycle_space_basis,
                          mono_triple_from_extension, splitting_from_mono)
 from .families import (FamilyDescriptor, FamilyParameterError, build_family,
                        family_a, family_a_prime, family_a_prime_commuting,
-                       family_b, family_lambda,
+                       family_b, family_lambda, hom_quiver,
                        is_geometrically_irreducible_family)
 from .counting import (BudgetExceededError, EnumerationTask, count_points,
                        leading_coefficient_probe)

@@ -4,8 +4,9 @@ Point counts over finite fields are evidence about the geometry over an
 algebraically closed field, never proof; only reducibility witnesses and
 count identities produced here are certificates.  Each check builds its
 family and reads the walks of ``qvl.counting``: the census of the
-split-or-vanish variety a_i b = 0, the reducibility witness in a
-monomorphism variety, and the product identity of the corner families.
+split-or-vanish variety a_i b = 0 against the representations of
+``hom_quiver(A'(n,2,2))``, the reducibility witness in a monomorphism
+variety, and the product identity of the corner families.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import (_Meter, _fibers, _iter_pair_fibers, _span,
+from .counting import (_Meter, _fibers, _points_over, _span,
                        count_rep_points, iter_rep_points)
-from .families import FamilyParameterError, family_a, family_a_prime, family_b
+from .families import (FamilyParameterError, family_a, family_a_prime,
+                       family_b, hom_quiver)
 from .linalg import Matrix, PrimeField, Subspace
 from .quiver import BoundQuiver
-from .reps import (Morphism, Representation, flat_layout, hom_fiber,
-                   is_monomorphism)
+from .reps import Morphism, Representation, flat_layout, is_monomorphism
 
 
 @dataclass
@@ -49,6 +50,12 @@ def hom_counterexample_census(n: int, q: int,
     components.  Both the union structure and the bijection with the
     two-vertex homomorphism variety (source concentrated at vertex 1,
     target one-dimensional at both vertices) are verified point by point.
+
+    The Hom triples are walked as the representations of the doubled
+    quiver ``hom_quiver(A'(n,2,2))`` with the vertex maps f0, f1 as base:
+    b is the entry of f1, the a_i the target's arrows, and above each of
+    the q values of b the a_i form one linear fiber, so the walk solves q
+    systems for its q^n + q - 1 points.
     """
     if n < 1:
         raise FamilyParameterError(f"the census needs n >= 1, got {n}")
@@ -69,30 +76,20 @@ def hom_counterexample_census(n: int, q: int,
     union_ok = all(b == field.zero or all(a == field.zero for a in avec)
                    for b, avec in points)
 
-    pres = family_a_prime(n, 2, 2)
-    source_dims = {0: 0, 1: 1}
-    target_dims = {0: 1, 1: 1}
-    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
-    sizes = [r * c for r, c in shapes.values()]
-    b_at = sum(sizes[:pres.quiver.vertices.index(1)])
-    layout = flat_layout(pres, target_dims)
-    a_at = [layout[f"a{i}"][0] for i in range(1, n + 1)]
-    # Each triple is keyed by all its coordinates as ints: the flat source
-    # and target points and the vertex maps in the Hom plan's layout.  The
-    # a_i are read once per run of vectors over a target.
+    pres = hom_quiver(family_a_prime(n, 2, 2))
+    dims = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
+    layout = flat_layout(pres, dims)
+    b_at = layout["f1"][0]
+    a_at = [layout[f"t_a{i}"][0] for i in range(1, n + 1)]
     seen = set()
     image = set()
-    y = None
-    for x, dst, vec in _iter_pair_fibers(pres, field, source_dims,
-                                         target_dims, shapes, kernel, meter):
-        if dst is not y:
-            y = dst
-            avec = tuple([y[k] for k in a_at])
-        size = len(seen)
-        seen.add((x, y, tuple(vec)))
-        if len(seen) == size:
+    for point, _ in _points_over(pres, field, dims, meter, orbits=True,
+                                 base=("f0", "f1")):
+        if point in seen:
             raise AssertionError("duplicate homomorphism point")
-        b = vec[b_at]
+        seen.add(point)
+        b = point[b_at]
+        avec = tuple([point[k] for k in a_at])
         if any(a * b % p for a in avec):
             raise AssertionError("homomorphism point violates a_i b = 0")
         image.add((b, avec))

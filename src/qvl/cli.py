@@ -168,12 +168,15 @@ def _budget(args) -> int:
 
 
 def _parse_q_list(text: str) -> list[int]:
-    """Comma separated prime field sizes."""
+    """Comma separated distinct prime field sizes."""
     try:
         qs = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise CliSemanticError(
             f"--q must list integers separated by commas: {text!r}") from exc
+    for i, q in enumerate(qs):
+        if q in qs[:i]:
+            raise CliSemanticError(f"--q lists the field size {q} twice")
     return [_prime_field(q).p for q in qs]
 
 

@@ -235,19 +235,23 @@ def _classify_relations(pres: BoundQuiver, base: Sequence[str] = ()):
     return base_rels, linear_rels
 
 
-def _choose_base(pres: BoundQuiver, dims: Mapping):
+def _choose_base(pres: BoundQuiver, dims: Mapping, base=None):
     """(base arrows, loop-only relations, other base relations, linear
     relations) for the walk.
 
-    The loops-only base is taken whenever it qualifies (every named family).
-    Otherwise every qualifying set of non-loop arrows that occur in
-    relations is tried, and the one with the fewest matrix entries at
-    ``dims`` wins; ties go to fewer arrows, then to the earlier arrows in
-    declaration order.  The set of all of them always qualifies, since every
-    relation then becomes a base relation.  The search classifies 2^k sets
-    for k such arrows."""
-    base = ()
-    split = _classify_relations(pres)
+    A given ``base`` of non-loop arrows is only checked: ValueError unless
+    it qualifies.  Otherwise the loops-only base is taken whenever it
+    qualifies (every named family).  Failing that, every qualifying set of
+    non-loop arrows that occur in relations is tried, and the one with the
+    fewest matrix entries at ``dims`` wins; ties go to fewer arrows, then
+    to the earlier arrows in declaration order.  The set of all of them
+    always qualifies, since every relation then becomes a base relation.
+    The search classifies 2^k sets for k such arrows."""
+    split = _classify_relations(pres, base or ())
+    if split is None and base is not None:
+        raise ValueError(f"the arrows {tuple(base)} are not a base: some "
+                         "relation is not linear above them")
+    base = base or ()
     if split is None:
         quiver = pres.quiver
         used = {a for rel in pres.relations for p in rel.paths()
@@ -339,15 +343,17 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
             yield row
 
 
-def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool):
+def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
+            base=None):
     """The walk of the variety with these dims: the arrows in the order a
     walked point lays them out (every loop, the base arrows, then the rest
     in declaration order), and a stream of (flat base point, weight, kernel
     basis of the linear fiber there) over the base points above each
     weighted loop point of ``_loop_points``, which already hold the base
     arrows where a count has rank strata for them.  The strata and the
-    arrow system's layout are set up once for the walk."""
-    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims)
+    arrow system's layout are set up once for the walk.  A given ``base``
+    is walked in place of the one ``_choose_base`` would search for."""
+    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims, base)
     plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
     table = StratumTable(pres, field, dims, loop_rels,
                          None if orbits else base, base_rels)
@@ -364,12 +370,12 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool):
 
 
 def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
-                 orbits: bool) -> Iterator[tuple]:
+                 orbits: bool, base=None) -> Iterator[tuple]:
     """(point, weight) for every point of the linear fiber over each base
     point of ``_fibers`` (with ``orbits`` every point of the variety once,
     with weight 1).  A point is flat, as ``flat_layout`` lays it out: every
     arrow's entries, arrows in declaration order, row-major."""
-    walked, fibers = _fibers(pres, field, dims, meter, orbits)
+    walked, fibers = _fibers(pres, field, dims, meter, orbits, base)
     # each coordinate's place in the base point followed by the fiber vector
     layout = flat_layout(pres, dims, walked)
     order = [i for a in pres.quiver.arrow_names()

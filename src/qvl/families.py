@@ -6,6 +6,8 @@ single loop e).  The conversion maps identify representations of the
 commuting two-loop family with homomorphism triples over the one-loop
 algebra, and representations of the corner family B with extension triples;
 both are exact bijections on point sets and are inverted here explicitly.
+``hom_quiver`` doubles any presentation so that its representations are
+the Hom triples of the original.
 """
 
 from __future__ import annotations
@@ -149,6 +151,32 @@ def family_b(n: int, m: int) -> BoundQuiver:
     """The corner family: A(n, m, m-1)."""
     _check("B", n, m)
     return family_a(n, m, m - 1)
+
+
+def hom_quiver(pres: BoundQuiver) -> BoundQuiver:
+    """The doubled presentation whose representations are the Hom triples
+    of ``pres``: a source copy (vertices s<v>, arrows s_<a>) and a target
+    copy (t<v>, t_<a>) of the quiver, an arrow f<v>: s<v> -> t<v> for each
+    vertex, the relations of ``pres`` on both copies, and f_t*s_a - t_a*f_s
+    for each arrow a: s -> t, which says the maps f intertwine.
+
+    Its truncation bound is 2N, taken unchecked: a path crosses from the
+    source copy to the target copy at most once, so any path of length 2N
+    holds N consecutive arrows of one copy, a path in that copy's ideal."""
+    quiver = pres.quiver
+    arrows = [(f"{side}_{a}", f"{side}{s}", f"{side}{t}")
+              for side in "st" for a, s, t in quiver.arrows]
+    arrows += [(f"f{v}", f"s{v}", f"t{v}") for v in quiver.vertices]
+    doubled = Quiver([f"{side}{v}" for side in "st" for v in quiver.vertices],
+                     arrows, name=f"Hom({quiver.name})")
+    rels = [Relation((c, doubled.path([f"{side}_{a}" for a in p.arrows]))
+                     for c, p in rel.terms)
+            for side in "st" for rel in pres.relations]
+    rels += [Relation([(1, doubled.path([f"f{t}", f"s_{a}"])),
+                       (-1, doubled.path([f"t_{a}", f"f{s}"]))])
+             for a, s, t in quiver.arrows]
+    return BoundQuiver(doubled, rels, 2 * pres.truncation_bound,
+                       name=f"Hom({pres.name})", check=False)
 
 
 _BUILDERS = {"A": family_a, "Aprime": family_a_prime,

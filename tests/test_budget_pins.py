@@ -100,7 +100,7 @@ PINNED = {
                  _stop(95, 133), _stop(285, 322)]
     + [(621, "de7c4263561f105c")] * 2,
     "witness": [_stop(1, 4), _stop(1, 4), _stop(8, 16)] + [WITNESS] * 5,
-    "census": [_stop(0, 243)] * 5 + [_stop(244, 325)]
+    "census": [_stop(0, 243)] * 5 + [_stop(245, 328)]
     + [(4, 3, 83, 81, 3, True, True)] * 2,
 }
 

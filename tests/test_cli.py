@@ -118,6 +118,8 @@ class TestExitCodes:
          "--dim", "2", "--q", "2,x"],
         ["probe", "--family", "Lambda", "--m", "2", "--kind", "rep",
          "--dim", "x", "--q", "2,3"],
+        ["probe", "--family", "Lambda", "--m", "2", "--kind", "rep",
+         "--dim", "2", "--q", "3,3"],
         ["product-check", "--n", "3", "--m", "2", "--dim", "1,1",
          "--q", "4"],
         ["product-check", "--n", "3", "--m", "2", "--dim", "1,x",

@@ -9,8 +9,9 @@ from qvl import certificates, counting
 from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
-                          _arrow_plan, _assignments, _classify_relations,
-                          _loop_points, ambient_dimension,
+                          _arrow_plan, _assignments, _choose_base,
+                          _classify_relations, _loop_points, _points_over,
+                          ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, iter_hom_points, iter_mono_points,
@@ -19,7 +20,7 @@ from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
-                          family_b, family_lambda)
+                          family_b, family_lambda, hom_quiver)
 from qvl.linalg import GF, QQ, Matrix
 from qvl.quiver import BoundQuiver, Quiver
 from qvl.reps import hom_basis, is_monomorphism
@@ -393,10 +394,11 @@ class TestCensus:
         with pytest.raises(BudgetExceededError):
             hom_counterexample_census(3, 5, budget=10)
 
-    # one step per census candidate, per point walked on either side, per
-    # (source, target) pair and per Hom vector
-    @pytest.mark.parametrize("n,q,steps", [(3, 2, 44), (4, 3, 491),
-                                           (7, 3, 13127), (4, 5, 5007)])
+    # one step per census candidate, then on the doubled quiver one per
+    # loop point, per value of b and per Hom triple:
+    # q^(n+1) + 1 + q + (q^n + q - 1)
+    @pytest.mark.parametrize("n,q,steps", [(3, 2, 28), (4, 3, 330),
+                                           (7, 3, 8754), (4, 5, 3760)])
     def test_meter(self, n, q, steps, monkeypatch):
         meters = []
 
@@ -410,19 +412,49 @@ class TestCensus:
         assert [(m.used, m.planned) for m in meters] == [(steps, steps)]
 
     def test_duplicate_point_is_caught(self, monkeypatch):
-        walk = counting._iter_pair_fibers
+        walk = counting._points_over
 
-        def repeat_first(*args):
-            points = walk(*args)
+        def repeat_first(*args, **kwargs):
+            points = walk(*args, **kwargs)
             first = next(points)
             yield first
-            yield first[0], first[1], list(first[2])
+            yield first
             yield from points
 
-        monkeypatch.setattr(certificates, "_iter_pair_fibers", repeat_first)
+        monkeypatch.setattr(certificates, "_points_over", repeat_first)
         with pytest.raises(AssertionError,
                            match="^duplicate homomorphism point$"):
             hom_counterexample_census(2, 3)
+
+    # the census walks the doubled quiver with the maps f0, f1 as base
+    CENSUS_DIMS = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_census_base_is_the_searched_one(self, n):
+        pres = hom_quiver(family_a_prime(n, 2, 2))
+        assert _choose_base(pres, self.CENSUS_DIMS)[0] == ("f0", "f1")
+
+    def test_census_base_ties_at_n1(self):
+        # the search ties and takes the earlier arrows; both bases walk the
+        # same points with the same steps
+        pres = hom_quiver(family_a_prime(1, 2, 2))
+        assert _choose_base(pres, self.CENSUS_DIMS)[0] == ("s_a1", "t_a1")
+        walks = []
+        for base in (None, ("f0", "f1")):
+            meter = _Meter()
+            points = {point for point, _ in _points_over(
+                pres, F3, self.CENSUS_DIMS, meter, orbits=True, base=base)}
+            walks.append((points, meter.used, meter.planned))
+        assert walks[0] == walks[1]
+        assert len(walks[0][0]) == 3 + 3 - 1
+
+    def test_census_base_must_qualify(self):
+        pres = hom_quiver(family_a_prime(1, 2, 2))
+        with pytest.raises(ValueError, match="not a base"):
+            _choose_base(pres, self.CENSUS_DIMS, ("t_a1",))
+        with pytest.raises(ValueError, match="not a base"):
+            next(_points_over(pres, F3, self.CENSUS_DIMS, _Meter(),
+                              orbits=True, base=("t_a1",)))
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda q: st.tuples(

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import random_two_vertex_rep
 from qvl.counting import (count_ext_points, count_hom_points,
-                          count_rep_points, iter_rep_points)
+                          count_rep_points, iter_hom_points, iter_rep_points)
 from qvl.extensions import cocycle_value
 from qvl.families import (FamilyDescriptor, FamilyParameterError,
                           assemble_corner_rep, build_family,
@@ -12,10 +12,11 @@ from qvl.families import (FamilyDescriptor, FamilyParameterError,
                           corner_rep_from_ext_triple,
                           ext_triple_from_corner_rep, family_a,
                           family_a_prime, family_a_prime_commuting, family_b,
-                          family_lambda, hom_triple_from_commuting_rep,
+                          family_lambda, hom_quiver,
+                          hom_triple_from_commuting_rep,
                           is_geometrically_irreducible_family,
                           split_corner_rep, twist_iso, twist_iso_inverse)
-from qvl.linalg import GF, Matrix, random_matrix, random_nilpotent
+from qvl.linalg import GF, QQ, Matrix, random_matrix, random_nilpotent
 from qvl.quiver import (Relation, is_simple_loop_extension,
                         is_weakly_triangular, monomial_relation)
 from qvl.reps import Representation
@@ -198,6 +199,74 @@ class TestHomCorrespondence:
             assert triple.morphism.intertwines()
             back = commuting_rep_from_hom_triple(triple, 2)
             assert back == rep
+
+
+def _doubled_dims(source, target):
+    return {**{f"s{v}": d for v, d in source.items()},
+            **{f"t{v}": d for v, d in target.items()}}
+
+
+# (presentation, source dims, target dims, q, number of Hom triples)
+HOM_CASES = {
+    "Lambda2": (family_lambda(2), {0: 2}, {0: 3}, 3, 31833),
+    "A131": (family_a(1, 3, 1), {0: 1, 1: 1}, {0: 1, 1: 2}, 3, 621),
+    "A131-zero": (family_a(1, 3, 1), {0: 0, 1: 1}, {0: 1, 1: 2}, 2, 22),
+    "B13": (family_b(1, 3), {0: 1, 1: 0}, {0: 2, 1: 1}, 2, 40),
+    "Aprime222": (family_a_prime(2, 2, 2), {0: 1, 1: 1}, {0: 1, 1: 2}, 2,
+                  512),
+    "Acomm2": (family_a_prime_commuting(2), {0: 1, 1: 1}, {0: 1, 1: 1}, 3,
+               33),
+}
+
+
+class TestHomQuiver:
+    def test_doubled_presentation(self):
+        pres = hom_quiver(family_lambda(2))
+        assert pres.quiver.vertices == ("s0", "t0")
+        assert pres.quiver.arrow_names() == ("s_e", "t_e", "f0")
+        assert [str(r) for r in pres.relations] == \
+            ["s_e*s_e", "t_e*t_e", "f0*s_e + -1*t_e*f0"]
+        assert pres.truncation_bound == 4
+
+    @pytest.mark.parametrize("case", list(HOM_CASES))
+    def test_counts_hom_triples(self, case):
+        pres, source, target, q, triples = HOM_CASES[case]
+        F = GF(q)
+        assert count_hom_points(pres, F, source, target) == triples
+        assert count_rep_points(hom_quiver(pres), F,
+                                _doubled_dims(source, target)) == triples
+
+    @pytest.mark.parametrize("case", ["A131", "Acomm2"])
+    def test_points_are_hom_triples(self, case):
+        pres, source, target, q, triples = HOM_CASES[case]
+        F = GF(q)
+        arrows = pres.quiver.arrow_names()
+
+        def key(src, dst, maps):
+            return (tuple(src[a].rows for a in arrows),
+                    tuple(dst[a].rows for a in arrows),
+                    tuple(maps[v].rows for v in pres.quiver.vertices))
+
+        doubled = set()
+        for rep in iter_rep_points(hom_quiver(pres), F,
+                                   _doubled_dims(source, target)):
+            doubled.add(key({a: rep.mats[f"s_{a}"] for a in arrows},
+                            {a: rep.mats[f"t_{a}"] for a in arrows},
+                            {v: rep.mats[f"f{v}"]
+                             for v in pres.quiver.vertices}))
+        homs = {key(t.source.mats, t.target.mats, t.morphism.maps)
+                for t in iter_hom_points(pres, F, source, target)}
+        assert len(doubled) == len(homs) == triples
+        assert doubled == homs
+
+    @pytest.mark.parametrize("pres", [family_lambda(2), family_a(1, 3, 1),
+                                      family_a_prime(2, 2, 2)],
+                             ids=["Lambda2", "A131", "Aprime222"])
+    def test_doubled_bound_holds(self, pres):
+        # built unchecked; the first span over Q checks the bound 2N
+        doubled = hom_quiver(pres)
+        assert doubled.truncation_bound == 2 * pres.truncation_bound
+        doubled.ideal_span(QQ)
 
 
 class TestExtCorrespondence:
