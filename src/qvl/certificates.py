@@ -51,11 +51,16 @@ def hom_counterexample_census(n: int, q: int,
     two-vertex homomorphism variety (source concentrated at vertex 1,
     target one-dimensional at both vertices) are verified point by point.
 
-    The Hom triples are walked as the representations of the doubled
-    quiver ``hom_quiver(A'(n,2,2))`` with the vertex maps f0, f1 as base:
-    b is the entry of f1, the a_i the target's arrows, and above each of
-    the q values of b the a_i form one linear fiber, so the walk solves q
-    systems for its q^n + q - 1 points.
+    The odometer over (b, a_1..a_n) makes one b-major pass: it tests
+    a_i b = 0 on every tuple and tallies the b = 0 part, the a = 0 part
+    and the union as it goes.  The Hom triples are walked as the
+    representations of the doubled quiver ``hom_quiver(A'(n,2,2))`` with
+    the vertex maps f0, f1 as base: b is the entry of f1, the a_i the
+    target's arrows (one slice of the flat point), and above each of the
+    q values of b the a_i form one linear fiber, so the walk solves q
+    systems for its q^n + q - 1 points.  A duplicate shows as a set of
+    points smaller than the number walked, and each point's (b, a) takes
+    its candidate out of the census set, which must end empty.
     """
     if n < 1:
         raise FamilyParameterError(f"the census needs n >= 1, got {n}")
@@ -63,37 +68,46 @@ def hom_counterexample_census(n: int, q: int,
     p = field.p
     meter = _Meter(budget)
     meter.precheck(q ** (n + 1))
-    points = []
-    for values in itertools.product(field.elements(), repeat=n + 1):
-        meter.tick()
-        b, avec = values[0], values[1:]
-        if not any(a * b % p for a in avec):
-            points.append((b, avec))
+    points = set()
+    count_b_zero = count_a_zero = 0
+    union_ok = True
+    for b in field.elements():
+        b_zero = b == field.zero
+        for avec in itertools.product(field.elements(), repeat=n):
+            meter.tick()
+            if not any(a * b % p for a in avec):
+                points.add((b, avec))
+                a_zero = not any(avec)
+                count_b_zero += b_zero
+                count_a_zero += a_zero
+                union_ok = union_ok and (b_zero or a_zero)
     total = len(points)
-    count_b_zero = sum(1 for b, _ in points if b == field.zero)
-    count_a_zero = sum(1 for _, avec in points
-                       if all(a == field.zero for a in avec))
-    union_ok = all(b == field.zero or all(a == field.zero for a in avec)
-                   for b, avec in points)
 
     pres = hom_quiver(family_a_prime(n, 2, 2))
     dims = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
     layout = flat_layout(pres, dims)
     b_at = layout["f1"][0]
-    a_at = [layout[f"t_a{i}"][0] for i in range(1, n + 1)]
+    a_from, a_to = layout["t_a1"][0], layout[f"t_a{n}"][0] + 1
+    # each image takes its candidate out of ``points``: the walk is a
+    # bijection onto them when no image misses and none is left over
     seen = set()
-    image = set()
+    walked = 0
+    bijective = True
     for point, _ in _points_over(pres, field, dims, meter, orbits=True,
                                  base=("f0", "f1")):
-        if point in seen:
-            raise AssertionError("duplicate homomorphism point")
+        walked += 1
         seen.add(point)
         b = point[b_at]
-        avec = tuple([point[k] for k in a_at])
+        avec = point[a_from:a_to]
         if any(a * b % p for a in avec):
             raise AssertionError("homomorphism point violates a_i b = 0")
-        image.add((b, avec))
-    bijective = len(seen) == total and image == set(points)
+        try:
+            points.remove((b, avec))
+        except KeyError:
+            bijective = False
+    if len(seen) != walked:
+        raise AssertionError("duplicate homomorphism point")
+    bijective = bijective and not points
     return CensusResult(n, q, total, count_b_zero, count_a_zero, union_ok,
                         bijective)
 

@@ -43,8 +43,13 @@ walk a loop point by the base arrows.
 Counts take the rank rows of the table instead where the base arrows have
 them: GL at the ends of a base arrow carries the fiber over a base point
 onto the fiber over its image.  Hom, mono and ext counts and walks take
-their pairs of points from one loop, ``_pairs``; mono is hom with one
-injectivity test, ``_injective``.
+their pairs of points from one loop, ``_pairs``.  The mono iterator is
+hom with one injectivity test, ``_injective``; the mono count takes each
+pair's Moebius sum over the subspace lattice where it has fewer terms
+than the Hom space has vectors, and walks the vectors with ``_injective``
+elsewhere (``_mono_counter``).  A span is walked at one vector add per
+element (``_span``), and a variety's points are spanned straight from each
+base point lifted to the flat layout.
 
 The enumeration order is fixed and stratum-major: strata in loop declaration
 order with partitions largest part first, each orbit breadth-first from
@@ -53,10 +58,11 @@ itertools.product order, then the linear fiber over each base point (arrows
 in declaration order, matrix entries row-major, field elements ascending),
 so identical queries give identical traversals.  The budget counts the
 steps actually taken: one per filter candidate, per base point tried, per
-loop point or point walked, per pair of points, and per vector of a Hom
-space a mono count walks.  A count (rep, hom, mono or ext) whose rows fix
-the whole base point takes one step per row of each factor's stratum table,
-planned from the row count before any partition or orbit size is computed.
+loop point or point walked, per pair of points, and per term of a mono
+count's Moebius sum or vector of a Hom space it walks.  A count (rep, hom,
+mono or ext) whose rows fix the whole base point takes one step per row of
+each factor's stratum table, planned from the row count before any
+partition or orbit size is computed.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -65,6 +71,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +84,7 @@ from .linalg import PrimeField, SandwichPlan, split_blocks
 from .quiver import BoundQuiver
 from .reps import (HomTriple, Morphism, Representation, evaluate_relation,
                    flat_layout, hom_fiber)
-from .strata import StratumTable
+from .strata import StratumTable, subspace_count, subspaces
 
 DEFAULT_BUDGET = 10**8
 
@@ -374,21 +382,28 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
     """(point, weight) for every point of the linear fiber over each base
     point of ``_fibers`` (with ``orbits`` every point of the variety once,
     with weight 1).  A point is flat, as ``flat_layout`` lays it out: every
-    arrow's entries, arrows in declaration order, row-major."""
+    arrow's entries, arrows in declaration order, row-major.  Each base
+    point and kernel vector is lifted once to that layout, so the fiber is
+    spanned straight from the lifted base point."""
     walked, fibers = _fibers(pres, field, dims, meter, orbits, base)
-    # each coordinate's place in the base point followed by the fiber vector
-    layout = flat_layout(pres, dims, walked)
-    order = [i for a in pres.quiver.arrow_names()
-             for start, r, c in (layout[a],)
-             for i in range(start, start + r * c)]
-    if order == sorted(order):
-        order = None
-    size = rep_ambient_dim(pres, dims)
+    # the place of each coordinate of the base point, then of the fiber
+    # vector, in the flat point
+    layout = flat_layout(pres, dims)
+    places = [i for a in walked for start, r, c in (layout[a],)
+              for i in range(start, start + r * c)]
+
+    def lift(vec, at):
+        full = [0] * len(places)
+        for i, x in zip(at, vec):
+            full[i] = x
+        return full
+
     for point, weight, basis in fibers:
-        for vec in _walk_fiber(field, size - len(point), basis, meter):
-            full = point + tuple(vec)
-            yield (full if order is None
-                   else tuple([full[i] for i in order])), weight
+        at = places[len(point):]
+        for full in _walk_fiber(field, len(places),
+                                [lift(vec, at) for vec in basis], meter,
+                                lift(point, places)):
+            yield tuple(full), weight
 
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
@@ -436,33 +451,40 @@ def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 # --- hom / mono / ext points ---------------------------------------------
 
 
-def _span(field: PrimeField, kernel: Sequence[Sequence[int]],
-          size: int) -> Iterator[list]:
-    """Every linear combination of the kernel vectors, as a list of ``size``
-    entries, with coefficients in itertools.product order (the last one
-    varies fastest).  Each vector is the previous one plus the kernel
-    vector whose coefficient steps up, and plus each vector whose
-    coefficient wraps from p - 1 to 0 (p times a vector is zero)."""
+def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
+          start: Optional[list] = None) -> Iterator[list]:
+    """``start`` (zero by default) plus every linear combination of the
+    kernel vectors, as a list of ``size`` entries, with coefficients in
+    itertools.product order (the last one varies fastest).  Where kernel[i]
+    steps up, every later coefficient wraps from p - 1 to 0, and p times a
+    vector is zero: so each vector is the previous one plus the step
+    kernel[i] + kernel[i + 1] + ... + kernel[-1], computed once per i."""
     p = field.p
-    acc = [0] * size
-    coeffs = [0] * len(kernel)
+    steps, tail = [], [0] * size    # steps[j]: the step of kernel[-1 - j]
+    for vec in reversed(kernel):
+        tail = [(x + y) % p for x, y in zip(tail, vec)]
+        steps.append(tail)
+    acc = start or [0] * size
+    coeffs = [0] * len(kernel)      # coeffs[j]: of kernel[-1 - j]
     while True:
         yield acc
-        for i in reversed(range(len(kernel))):
-            acc = [(x + y) % p for x, y in zip(acc, kernel[i])]
-            coeffs[i] = (coeffs[i] + 1) % p
-            if coeffs[i]:
-                break
-        else:
+        j = 0
+        while j < len(coeffs) and coeffs[j] == p - 1:
+            coeffs[j] = 0
+            j += 1
+        if j == len(coeffs):
             return
+        coeffs[j] += 1
+        acc = [(x + y) % p for x, y in zip(acc, steps[j])]
 
 
-def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter):
-    """Every element of the span of ``kernel``, as a list of ``size``
-    entries in ``_span`` order, with one step planned and taken per
-    element."""
+def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter,
+                start: Optional[list] = None):
+    """Every element of ``start`` plus the span of ``kernel``, as a list of
+    ``size`` entries in ``_span`` order, with one step planned and taken
+    per element."""
     meter.precheck(field.p ** len(kernel))
-    for vec in _span(field, kernel, size):
+    for vec in _span(field, kernel, size, start):
         meter.tick()
         yield vec
 
@@ -506,6 +528,59 @@ def _injective(field: PrimeField, shapes: Mapping):
                            for rows, c in maps)
 
 
+def _mono_counter(field: PrimeField, shapes: Mapping):
+    """The function (Hom kernel basis, meter) -> the number of vectors in
+    its span that are injective at every vertex map of these ``shapes``.
+
+    By Moebius inversion on the subspace lattice (Stanley, EC1 3.10:
+    mu(0, U) = (-1)^k q^(k(k-1)/2) for dim U = k) that number is the sum,
+    over the choices of a subspace U_v of F_q^(c_v) for each map of c_v
+    columns, of prod_v mu(0, U_v) * q^(dim of the span vanishing on every
+    U_v): one rank per term.  The T = prod_v (subspaces of F_q^(c_v)) terms
+    are counted in closed form; a basis of dimension d takes them, T steps
+    planned before any subspace is listed, where T < q^d, and otherwise
+    walks its q^d vectors with ``_injective``."""
+    p = field.p
+    injective = _injective(field, shapes)
+    size = sum(r * c for r, c in shapes.values())
+    maps, pos = [], 0
+    for r, c in shapes.values():
+        if c:
+            maps.append((pos, r, c))
+        pos += r * c
+    terms = math.prod(subspace_count(c, p) for _, _, c in maps)
+    lattices = None    # (mu, basis) of every subspace of each map's columns
+
+    def count(basis, meter):
+        nonlocal lattices
+        d = len(basis)
+        if terms >= p ** d:
+            return sum(map(injective, _walk_fiber(field, size, basis, meter)))
+        meter.precheck(terms)
+        if lattices is None:
+            lattices = [[((-1) ** k * p ** (k * (k - 1) // 2), us)
+                         for us in subspaces(p, c) for k in (len(us),)]
+                        for _, _, c in maps]
+        # for each map and subspace: mu, and the functionals phi -> row a of
+        # phi_v times u, for each u of the subspace's basis, read on basis
+        choices = []
+        for (pos, r, c), lattice in zip(maps, lattices):
+            rows = [[vec[at:at + c] for vec in basis]
+                    for at in range(pos, pos + r * c, c)]
+            choices.append([(mu, [[sum(map(operator.mul, x, u)) for x in row]
+                                  for u in us for row in rows])
+                            for mu, us in lattice])
+        total = 0
+        for choice in itertools.product(*choices):
+            meter.tick()
+            rank = len(field.row_reduce(
+                [f for _, fs in choice for f in fs], d)[1])
+            total += math.prod(mu for mu, _ in choice) * p ** (d - rank)
+        return total
+
+    return count
+
+
 def _iter_pair_points(pres: BoundQuiver, field: PrimeField, first_dims,
                       second_dims, fiber, meter: _Meter | None, test=None):
     """(x, y, blocks) for each (x, y, vec) of ``_iter_pair_fibers`` over
@@ -526,22 +601,21 @@ def _iter_pair_points(pres: BoundQuiver, field: PrimeField, first_dims,
 
 
 def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
-                 second_dims, fiber, budget: int | None, test=None) -> int:
+                 second_dims, fiber, budget: int | None,
+                 counter=None) -> int:
     """Sum over the weighted pairs of ``_pairs`` of the size of the linear
     fiber of ``fiber`` (hom_fiber or cocycle_fiber) over each: q^dim, or
-    the number of its vectors that ``test(field, shapes)`` passes, walked.
-    Conjugating the loop vertices carries the points above J_lam onto
-    isomorphic points above its conjugates and keeps each size, so each
-    pair of weighted points stands for its weight."""
+    what ``counter(field, shapes)`` counts from the kernel basis and the
+    meter.  Conjugating the loop vertices carries the points above J_lam
+    onto isomorphic points above its conjugates and keeps each size, so
+    each pair of weighted points stands for its weight."""
     shapes, kernel = fiber(pres, field, first_dims, second_dims)
-    keep = test and test(field, shapes)
-    size = sum(r * c for r, c in shapes.values())
+    fiber_size = (counter(field, shapes) if counter
+                  else lambda basis, _: field.p ** len(basis))
     meter = _Meter(budget)
     pairs = _pairs(pres, field, first_dims, second_dims, kernel, meter,
                    orbits=False)
-    return sum(w * (sum(map(keep, _walk_fiber(field, size, basis, meter)))
-                    if keep else field.p ** len(basis))
-               for _, _, w, basis in pairs)
+    return sum(w * fiber_size(basis, meter) for _, _, w, basis in pairs)
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -572,9 +646,10 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
 
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
-    """Number of injective homomorphisms over all source/target pairs."""
+    """Number of injective homomorphisms over all source/target pairs,
+    each pair's by ``_mono_counter``."""
     return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
-                        budget, _injective)
+                        budget, _mono_counter)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,

@@ -13,11 +13,13 @@ arrow takes [I_r 0; 0 0] weighted by R(d_t, d_s, r), its matrices of rank r.
 ``StratumTable`` has one row per choice of a Jordan type for each loop and
 a rank for each base arrow, in itertools.product order.  A count whose rows
 fix the whole base point takes one step per row, planned from
-``row_count`` before any partition or orbit size is computed.
+``row_count`` before any partition or orbit size is computed.  The orbit
+sizes and |GL_d(q)| are pure functions of ints, kept once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, Optional, Sequence
@@ -46,6 +48,7 @@ def partition_count(d: int, max_part: int) -> int:
     return counts[d]
 
 
+@functools.cache
 def gl_order(d: int, q: int) -> int:
     """|GL_d(F_q)|."""
     out = 1
@@ -61,7 +64,31 @@ def rank_count(m: int, n: int, r: int, q: int) -> int:
                      for i in range(r)) // gl_order(r, q)
 
 
-def nilpotent_orbit_size(lam: Sequence[int], q: int) -> int:
+def subspace_count(c: int, q: int) -> int:
+    """The number of subspaces of F_q^c, found without listing any: the sum
+    over k of the Gaussian binomials prod_(i<k) (q^c - q^i) / |GL_k(q)|."""
+    return sum(math.prod(q ** c - q ** i for i in range(k)) // gl_order(k, q)
+               for k in range(c + 1))
+
+
+def subspaces(p: int, c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every subspace of F_p^c once, as the rows of its reduced echelon
+    basis: by dimension, then pivot columns in combinations order, then the
+    entries right of each pivot outside the pivot columns in
+    itertools.product order."""
+    for k in range(c + 1):
+        for pivots in itertools.combinations(range(c), k):
+            free = [(i, j) for i, lead in enumerate(pivots)
+                    for j in range(lead + 1, c) if j not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(j == lead) for j in range(c)] for lead in pivots]
+                for (i, j), x in zip(free, values):
+                    rows[i][j] = x
+                yield tuple(map(tuple, rows))
+
+
+@functools.cache
+def nilpotent_orbit_size(lam: tuple[int, ...], q: int) -> int:
     """Number of nilpotent matrices of Jordan type lam over F_q.
 
     The centralizer of J_lam has order

@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qvl.counting import (BudgetExceededError, _Meter, _assignments,
-                          _choose_base, _classify_relations,
-                          _iter_pair_fibers, _loop_points,
+                          _choose_base, _classify_relations, _fibers,
+                          _iter_pair_fibers, _loop_points, _points_over,
+                          _walk_fiber,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_rep_points,
@@ -23,7 +24,7 @@ from qvl.dsl import parse_quiver_spec
 from qvl.extensions import (block_shapes, cocycle_fiber, cocycle_kernel,
                             cocycle_space_basis, cocycle_value)
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
-                          family_b, family_lambda)
+                          family_b, family_lambda, hom_quiver)
 from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor, split_blocks
 from qvl.quiver import BoundQuiver, Quiver, Relation
 from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
@@ -505,3 +506,41 @@ def test_census_hom_kernels_gather_one_column_systems(q):
         free += len(got)
     # the loops vanish in dimension 1; b is free only where every a_i does
     assert free == 1
+
+
+def _concatenated(pres, field, dims, orbits, base):
+    """The points of ``_points_over`` built the way the walk once built
+    them: each base point followed by each vector of its fiber, put in the
+    flat layout by one reorder per point; and the meter's steps."""
+    meter = _Meter()
+    walked, fibers = _fibers(pres, field, dims, meter, orbits, base)
+    layout = flat_layout(pres, dims, walked)
+    order = [i for a in pres.quiver.arrow_names()
+             for start, r, c in (layout[a],)
+             for i in range(start, start + r * c)]
+    assert order != sorted(order)
+    size = rep_ambient_dim(pres, dims)
+    points = []
+    for point, weight, basis in fibers:
+        for vec in _walk_fiber(field, size - len(point), basis, meter):
+            full = point + tuple(vec)
+            points.append((tuple(full[i] for i in order), weight))
+    return points, (meter.used, meter.planned)
+
+
+@pytest.mark.parametrize("pres,dims,base", [
+    (parse_quiver_spec(SANDWICH), {0: 1, 1: 2, 2: 1}, None),
+    (parse_quiver_spec(SANDWICH), {0: 2, 1: 2, 2: 1}, None),
+    (hom_quiver(family_a_prime(3, 2, 2)),
+     {"s0": 0, "s1": 1, "t0": 1, "t1": 1}, ("f0", "f1")),
+    (hom_quiver(family_a_prime(3, 2, 2)),
+     {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, ("f0", "f1"))],
+    ids=["sandwich-121", "sandwich-221", "census-dims", "square-dims"])
+@pytest.mark.parametrize("orbits", [True, False])
+def test_lifted_points_equal_the_reordered_concatenation(pres, dims, base,
+                                                         orbits):
+    meter = _Meter()
+    lifted = list(_points_over(pres, GF(3), dims, meter, orbits, base))
+    assert (lifted, (meter.used, meter.planned)) \
+        == _concatenated(pres, GF(3), dims, orbits, base)
+    assert lifted

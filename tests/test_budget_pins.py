@@ -92,8 +92,8 @@ PINNED = {
     "iter-base": [_stop(0, 9), _stop(0, 9), _stop(2, 27), _stop(30, 45),
                   _stop(100, 108), _stop(299, 315)]
     + [(441, "41c601dde2e77d8f")] * 2,
-    "mono": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(27, 48),
-             _stop(95, 111), _stop(300, 306), 240, 240],
+    "mono": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(27, 42),
+             _stop(100, 111), 240, 240, 240],
     "hom": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(29, 42)]
     + [621] * 4,
     "iter-hom": [_stop(0, 9), _stop(0, 9), _stop(9, 18), _stop(29, 33),

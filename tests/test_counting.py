@@ -426,6 +426,26 @@ class TestCensus:
                            match="^duplicate homomorphism point$"):
             hom_counterexample_census(2, 3)
 
+    @pytest.mark.parametrize("change", ["drop", "repeat-image"])
+    def test_walk_off_the_candidates_fails_the_bijection(self, change,
+                                                         monkeypatch):
+        # the first point left out, or followed by a point that differs
+        # only in the source loop s_e1 (entry 0) and so has the same (b, a)
+        walk = counting._points_over
+
+        def changed(*args, **kwargs):
+            points = walk(*args, **kwargs)
+            point, weight = next(points)
+            if change == "repeat-image":
+                yield point, weight
+                yield (1,) + point[1:], weight
+            yield from points
+
+        monkeypatch.setattr(certificates, "_points_over", changed)
+        res = hom_counterexample_census(2, 3)
+        assert (res.total, res.union_verified) == (11, True)
+        assert not res.hom_bijection_verified
+
     # the census walks the doubled quiver with the maps f0, f1 as base
     CENSUS_DIMS = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
 

@@ -276,6 +276,23 @@ class TestSpan:
     def test_empty_kernel_gives_the_zero_vector(self):
         assert list(_span(F5, [], 3)) == [[0, 0, 0]]
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("k", range(4))
+    def test_start_plus_combinations_in_product_order(self, p, k):
+        rng = random.Random(10 * p + k)
+        kernel = [[rng.randrange(p) for _ in range(4)] for _ in range(k)]
+        start = [rng.randrange(p) for _ in range(4)]
+        expected = [[(start[i] + sum(c * v[i] for c, v in zip(coeffs, kernel)))
+                     % p for i in range(4)]
+                    for coeffs in itertools.product(range(p), repeat=k)]
+        assert list(_span(GF(p), kernel, 4, list(start))) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("k", range(4))
+    def test_size_zero(self, p, k):
+        assert list(_span(GF(p), [[]] * k, 0)) == [[]] * p ** k
+        assert list(_span(GF(p), [[]] * k, 0, [])) == [[]] * p ** k
+
 
 class TestPinnedBases:
     @pytest.mark.parametrize("index", range(len(PINNED["bases"])))

@@ -79,12 +79,14 @@ def test_pair_counts_match_brute_force(name, first, second):
 
 
 def test_mono_count_sums_over_strata_under_budget():
-    # The witness's reference case.  The count takes 18196 steps; walking
-    # every hom point instead took 48119 and stopped at this budget.
+    # The witness's reference case.  The count takes 2026 steps: 458 for
+    # the 392 weighted pairs, then min(T, 7^dim Hom) per pair, with T = 4
+    # terms of the Moebius sum.  Walking every Hom vector took 18196 steps,
+    # and walking every hom point 48119.
     pres = family_a(1, 3, 1)
     source, target = {0: 1, 1: 1}, {0: 1, 1: 2}
-    count = count_mono_points(pres, GF(7), source, target, budget=20000)
+    count = count_mono_points(pres, GF(7), source, target, budget=2026)
     assert count == 26208
     assert count == mono_reducibility_witness(3, 2, 1, 7).total
     with pytest.raises(BudgetExceededError):
-        count_mono_points(pres, GF(7), source, target, budget=18192)
+        count_mono_points(pres, GF(7), source, target, budget=2025)
