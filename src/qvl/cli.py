@@ -12,6 +12,12 @@ with ``--json``.  Exit codes are stable per error class:
 
 The enumeration budget defaults to 10**8 steps; override with ``--budget``
 or the QVL_BUDGET environment variable.
+
+Every subcommand is one entry of ``_COMMANDS``: its handler, its help and
+its argument specs.  A process builds only the parser of the subcommand it
+runs; the top-level ``--help``, an unknown command, and arguments that
+subcommand does not know build the full parser, so every usage message
+reads as the full parser writes it.
 """
 
 from __future__ import annotations
@@ -364,150 +370,130 @@ def _cmd_probe(args):
     return True, result, "\n".join(lines)
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "hom": _cmd_hom,
-    "cocycles": _cmd_cocycles,
-    "extend": _cmd_extend,
-    "split": _cmd_split,
-    "count": _cmd_count,
-    "census-hom": _cmd_census_hom,
-    "witness-mono": _cmd_witness_mono,
-    "product-check": _cmd_product_check,
-    "ext2": _cmd_ext2,
-    "classify": _cmd_classify,
-    "probe": _cmd_probe,
+# Argument specs, (flag, add_argument keywords), in the order of --help.
+_FAMILY = (("--family", {"choices": FAMILY_KINDS, "help": "built-in family"}),
+           *((flag, {"type": int})
+             for flag in ("--n", "--m", "--l", "--m0", "--m1")))
+_SOURCE = (("--quiver", {"metavar": "FILE",
+                         "help": "presentation in the quiver DSL"}), *_FAMILY)
+_DIMS = (("--kind", {"choices": tuple(TASK_DIMS), "default": "rep"}),
+         ("--dim", {"help": "dimension vector, comma separated"}),
+         *((flag, {}) for flag in ("--source-dim", "--target-dim",
+                                   "--quo-dim", "--sub-dim")))
+
+
+def _files(*flags):
+    return tuple((flag, {"required": True, "metavar": "FILE"})
+                 for flag in flags)
+
+
+def _ints(*flags):
+    return tuple((flag, {"type": int, "required": True}) for flag in flags)
+
+
+# The subcommands: name -> (handler, help, argument specs).
+_COMMANDS = {
+    "check": (_cmd_check, "validate a representation file",
+              _SOURCE + _files("--rep")),
+    "hom": (_cmd_hom, "basis of the homomorphism space",
+            _SOURCE + _files("--source", "--target")),
+    "cocycles": (_cmd_cocycles, "basis of the cocycle space of a pair",
+                 _SOURCE + _files("--quo", "--sub")),
+    "extend": (_cmd_extend, "assemble the extension of a cocycle",
+               _SOURCE + _files("--quo", "--sub", "--blocks")),
+    "split": (_cmd_split, "split a monomorphism into cocycle normal form",
+              _SOURCE + _files("--sub", "--middle", "--map")),
+    "count": (_cmd_count, "exact point count of a variety over F_q",
+              _SOURCE + _DIMS + _ints("--q")),
+    "census-hom": (_cmd_census_hom, "census of the split-or-vanish variety",
+                   _ints("--n", "--q")),
+    "witness-mono": (_cmd_witness_mono,
+                     "reducibility witness in a monomorphism variety",
+                     _ints("--m", "--l", "--n", "--q")),
+    "product-check": (_cmd_product_check,
+                      "product identity for the corner families",
+                      _ints("--n", "--m")
+                      + (("--dim", {"required": True, "help": "d,e"}),)
+                      + _ints("--q")),
+    "ext2": (_cmd_ext2, "relation count vs bimodule corner dimension",
+             _SOURCE + (("--x", {"required": True}),
+                        ("--y", {"required": True}))),
+    "classify": (_cmd_classify, "geometric irreducibility of a named family",
+                 _FAMILY),
+    "probe": (_cmd_probe,
+              "leading-coefficient fit of counts over several q",
+              _SOURCE + _DIMS + (("--q", {
+                  "dest": "q_list", "required": True,
+                  "help": "comma separated prime field sizes"}),)),
 }
 
 
-def _add_quiver_source(parser: argparse.ArgumentParser, family_only=False):
-    if not family_only:
-        parser.add_argument("--quiver", metavar="FILE",
-                            help="presentation in the quiver DSL")
-    parser.add_argument("--family", choices=FAMILY_KINDS,
-                        help="built-in family")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--l", type=int)
-    parser.add_argument("--m0", type=int)
-    parser.add_argument("--m1", type=int)
+def _add_specs(parser: argparse.ArgumentParser, specs) -> None:
+    for flag, kwargs in specs:
+        parser.add_argument(flag, **kwargs)
 
 
-def _add_dims_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--kind", choices=tuple(TASK_DIMS), default="rep")
-    parser.add_argument("--dim", help="dimension vector, comma separated")
-    parser.add_argument("--source-dim", dest="source_dim")
-    parser.add_argument("--target-dim", dest="target_dim")
-    parser.add_argument("--quo-dim", dest="quo_dim")
-    parser.add_argument("--sub-dim", dest="sub_dim")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qvl",
-        description="exact computations on bound quiver representation "
-                    "varieties over small exact fields")
+@functools.cache
+def _common() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
     common.add_argument("--budget", type=int, default=None,
                         help="enumeration step budget "
                              "(default 10^8, or QVL_BUDGET)")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand of the table under ``qvl``."""
+    parser = argparse.ArgumentParser(
+        prog="qvl",
+        description="exact computations on bound quiver representation "
+                    "varieties over small exact fields")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="validate a representation file")
-    _add_quiver_source(p)
-    p.add_argument("--rep", required=True, metavar="FILE")
-
-    p = sub.add_parser("hom", parents=[common],
-                       help="basis of the homomorphism space")
-    _add_quiver_source(p)
-    p.add_argument("--source", required=True, metavar="FILE")
-    p.add_argument("--target", required=True, metavar="FILE")
-
-    p = sub.add_parser("cocycles", parents=[common],
-                       help="basis of the cocycle space of a pair")
-    _add_quiver_source(p)
-    p.add_argument("--quo", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-
-    p = sub.add_parser("extend", parents=[common],
-                       help="assemble the extension of a cocycle")
-    _add_quiver_source(p)
-    p.add_argument("--quo", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-    p.add_argument("--blocks", required=True, metavar="FILE")
-
-    p = sub.add_parser("split", parents=[common],
-                       help="split a monomorphism into cocycle normal form")
-    _add_quiver_source(p)
-    p.add_argument("--sub", required=True, metavar="FILE")
-    p.add_argument("--middle", required=True, metavar="FILE")
-    p.add_argument("--map", required=True, metavar="FILE")
-
-    p = sub.add_parser("count", parents=[common],
-                       help="exact point count of a variety over F_q")
-    _add_quiver_source(p)
-    _add_dims_flags(p)
-    p.add_argument("--q", type=int, required=True)
-
-    p = sub.add_parser("census-hom", parents=[common],
-                       help="census of the split-or-vanish variety")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = sub.add_parser("witness-mono", parents=[common],
-                       help="reducibility witness in a monomorphism variety")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = sub.add_parser("product-check", parents=[common],
-                       help="product identity for the corner families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--dim", required=True, help="d,e")
-    p.add_argument("--q", type=int, required=True)
-
-    p = sub.add_parser("ext2", parents=[common],
-                       help="relation count vs bimodule corner dimension")
-    _add_quiver_source(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="geometric irreducibility of a named family")
-    _add_quiver_source(p, family_only=True)
-
-    p = sub.add_parser("probe", parents=[common],
-                       help="leading-coefficient fit of counts over several q")
-    _add_quiver_source(p)
-    _add_dims_flags(p)
-    p.add_argument("--q", dest="q_list", required=True,
-                   help="comma separated prime field sizes")
-
+    for name, (_, help_text, specs) in _COMMANDS.items():
+        _add_specs(sub.add_parser(name, parents=[_common()], help=help_text),
+                   specs)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use; ``parse_args``
-    leaves it unchanged, so every call can share it."""
-    return build_parser()
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, or the full one when ``command`` is
+    None, built on first use; ``parse_args`` leaves it unchanged, so every
+    call of the process can share it.  A subcommand's parser is the one
+    ``build_parser`` puts under that name, standing alone."""
+    if command is None:
+        return build_parser()
+    parser = argparse.ArgumentParser(prog=f"qvl {command}",
+                                     parents=[_common()])
+    _add_specs(parser, _COMMANDS[command][2])
+    parser.set_defaults(command=command)
+    return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse with the parser of the subcommand ``argv`` names.  An argv
+    that names none, or leaves arguments the subcommand does not know,
+    goes to the full parser, so its usage errors read as they always did."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _parser().parse_args(argv)
 
 
 def run_command(argv) -> tuple[int, dict]:
     """Run one subcommand; returns (exit code, report envelope)."""
-    return _run(_parser().parse_args(argv))
+    return _run(_parse(argv))
 
 
 def _run(args) -> tuple[int, dict]:
     command = args.command
     start = time.monotonic()
     try:
-        ok, result, text = _HANDLERS[command](args)
+        ok, result, text = _COMMANDS[command][0](args)
         report = {"command": command, "ok": ok, "result": result,
                   "elapsed_seconds": round(time.monotonic() - start, 3)}
         report["_text"] = text
@@ -532,7 +518,7 @@ def _error_report(command: str, kind: str, exc: Exception) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     code, report = _run(args)
     text = report.pop("_text", "")
     if args.json:

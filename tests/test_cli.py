@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -240,7 +241,12 @@ SWEEP["check"]["bool_dim"] = "check --family Lambda --m 2 --rep {bool_dim}"
 
 
 def test_sweep_covers_every_subcommand():
-    assert set(SWEEP) == set(qvl.cli._HANDLERS)
+    assert set(SWEEP) == set(qvl.cli._COMMANDS)
+
+
+def test_schema_names_every_subcommand():
+    enum = SCHEMA["properties"]["command"]["enum"]
+    assert enum == list(qvl.cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -651,6 +657,73 @@ class TestParserReuse:
         code, report = run(["census-hom", "--n", "2", "--q", "3"])
         assert code == EXIT_OK
         assert report["ok"]
+
+
+class TestCommandParsers:
+    """A query parses with the parser of its subcommand alone; what it
+    prints, exits with and parses to equals the full parser's."""
+
+    USAGE_ERRORS = {
+        "missing_flag": "count --family Lambda --m 2 --dim 2",
+        "unknown_flag": "count --bogus 1 --family Lambda --m 2 --dim 2 --q 2",
+        "bad_family": "count --family Nope --m 2 --dim 2 --q 2",
+        "bad_q": "count --family Lambda --m 2 --dim 2 --q x",
+        "stray_positional": "count --family Lambda --m 2 --dim 2 --q 2 x",
+        "json_first": "--json count --family Lambda --m 2 --dim 2 --q 2",
+        "no_arguments": "",
+        "unknown_command": "nosuch --q 2",
+    }
+
+    @staticmethod
+    def _exit(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", list(qvl.cli._COMMANDS))
+    def test_help_equals_the_full_parsers(self, command, capsys):
+        argv = [command, "--help"]
+        mine = self._exit(run_command, argv, capsys)
+        full = self._exit(qvl.cli.build_parser().parse_args, argv, capsys)
+        assert mine == full
+        assert mine[0] == 0 and mine[1].startswith(f"usage: qvl {command} ")
+
+    @pytest.mark.parametrize("case", list(USAGE_ERRORS))
+    def test_usage_errors_equal_the_full_parsers(self, case, capsys):
+        argv = self.USAGE_ERRORS[case].split()
+        mine = self._exit(run_command, argv, capsys)
+        full = self._exit(qvl.cli.build_parser().parse_args, argv, capsys)
+        assert mine == full
+        assert mine[0] == 2 and "error:" in mine[2]
+
+    def test_sweep_parses_as_the_full_parser_does(self):
+        names = ["quiver", "rep", "bad", "blocks", "map",
+                 *MALFORMED_REPS, *MALFORMED_FILES]
+        files = {name: f"{name}.json" for name in names}
+        parser = qvl.cli.build_parser()
+        for cases in SWEEP.values():
+            for argv in cases.values():
+                argv = argv.format(**files).split()
+                assert vars(qvl.cli._parse(argv)) == \
+                    vars(parser.parse_args(argv)), argv
+
+    def test_a_query_builds_only_its_parser(self, monkeypatch):
+        qvl.cli._parser.cache_clear()
+        qvl.cli._common.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(1)
+                            or init(self, *a, **k))
+        code, report = run(["count", "--family", "Lambda", "--m", "2",
+                            "--dim", "2", "--q", "2"])
+        assert (code, report["result"]["count"]) == (EXIT_OK, 4)
+        assert len(built) <= 2
 
 
 # Each command's report, run in one process after any other queries, must
