@@ -3,9 +3,10 @@
 Modules by concern: linalg (exact fields and matrices), quiver
 (presentations and ideal computations), reps (representations and
 morphisms), extensions (cocycles and extension assembly), families (the
-built-in algebra families and their variety maps), strata (Jordan and
-rank strata as one table; a count whose rows fix the base point takes one
-step per row, planned before a row is listed), counting (point
+built-in algebra families, their Hom and Ext quivers, and the paper's
+identifications as arrow maps), strata (Jordan and rank strata as one
+table; a count whose rows fix the base point takes one step per row,
+planned before a row is listed), counting (point
 enumeration over finite fields and the degree probe: evidence),
 certificates (the census, the reducibility witness and the product
 identity), dsl (the text format), serialize (JSON interchange), cli
@@ -15,19 +16,20 @@ identity), dsl (the text format), serialize (JSON interchange), cli
 from .linalg import GF, Matrix, PrimeField, QQ, RationalField
 from .quiver import (AlgebraElement, BoundQuiver, Path, Quiver, QuiverError,
                      Relation, decompose_by_support, degree, ext2_dimension,
-                     ideal_membership, ideal_subspace, is_minimal_relation_set,
-                     is_normalized_relation_set, is_simple_loop_extension,
-                     is_weakly_triangular, loop_nilpotency_index,
-                     monomial_relation, power)
+                     ideal_membership, ideal_subspace, is_isomorphism,
+                     is_minimal_relation_set, is_normalized_relation_set,
+                     is_simple_loop_extension, is_weakly_triangular,
+                     loop_nilpotency_index, monomial_relation, power)
 from .reps import (HomTriple, Morphism, Representation, cokernel, direct_sum,
-                   gl_action, hom_basis, is_monomorphism, simple_module)
+                   gl_action, hom_basis, is_monomorphism, relabel,
+                   simple_module)
 from .extensions import (ExtensionTriple, build_extension, cocycle_space_basis,
                          cocycle_value, extension_from_mono, is_cocycle,
                          mono_triple_from_extension, splitting_from_mono)
 from .families import (FamilyDescriptor, FamilyParameterError, build_family,
-                       family_a, family_a_prime, family_a_prime_commuting,
-                       family_b, family_lambda, hom_quiver,
-                       is_geometrically_irreducible_family)
+                       ext_quiver, family_a, family_a_prime,
+                       family_a_prime_commuting, family_b, family_lambda,
+                       hom_quiver, is_geometrically_irreducible_family)
 from .counting import (BudgetExceededError, EnumerationTask, count_points,
                        leading_coefficient_probe)
 from .certificates import (hom_counterexample_census,

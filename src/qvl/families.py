@@ -1,25 +1,22 @@
-"""Constructors for the named algebra families and their variety maps.
+"""Constructors for the named algebra families and the paper's
+identifications between them.
 
 All families live on the two-vertex quiver with loops e0 at vertex 0, e1 at
 vertex 1, and arrows a1..an from 1 to 0 (the one-vertex family keeps a
-single loop e).  The conversion maps identify representations of the
-commuting two-loop family with homomorphism triples over the one-loop
-algebra, and representations of the corner family B with extension triples;
-both are exact bijections on point sets and are inverted here explicitly.
-``hom_quiver`` doubles any presentation so that its representations are
-the Hom triples of the original.
+single loop e).  ``hom_quiver`` and ``ext_quiver`` double a presentation
+so that its points are the Hom or the extension triples of the original.
+The paper's identifications, of A'comm(m) and B(1, m) with those of
+Lambda(m) and of A'comm(m) with A(1, m, 1), are vertex and signed arrow
+maps that ``quiver.is_isomorphism`` proves and ``reps.relabel`` follows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .extensions import ExtensionTriple, cocycle_value
-from .linalg import Matrix
-from .quiver import (BoundQuiver, Quiver, QuiverError, Relation, loop_power,
+from .quiver import (BoundQuiver, Quiver, QuiverError, Relation,
                      monomial_relation)
-from .reps import HomTriple, Morphism, Representation
 
 # kind -> (name in messages, ((parameter, least value), ...)), the
 # parameters in the order the kind's builder takes them
@@ -153,30 +150,70 @@ def family_b(n: int, m: int) -> BoundQuiver:
     return family_a(n, m, m - 1)
 
 
+def _doubled(pres: BoundQuiver, sides, crossing, rels, name) -> BoundQuiver:
+    """Two copies of ``pres`` (vertices <side><v>, arrows <side>_<a>) joined
+    by the ``crossing`` arrows, with the relations of ``pres`` on both
+    copies and those ``rels`` builds on the doubled quiver.
+
+    Its truncation bound is 2N, taken unchecked: a path crosses from the
+    first copy to the second at most once, so any path of length 2N holds
+    N consecutive arrows of one copy, a path in that copy's ideal."""
+    quiver = pres.quiver
+    arrows = [(f"{side}_{a}", f"{side}{s}", f"{side}{t}")
+              for side in sides for a, s, t in quiver.arrows] + crossing
+    doubled = Quiver([f"{side}{v}" for side in sides for v in quiver.vertices],
+                     arrows, name=f"{name}({quiver.name})")
+    copies = [Relation((c, doubled.path([f"{side}_{a}" for a in p.arrows]))
+                       for c, p in rel.terms)
+              for side in sides for rel in pres.relations]
+    return BoundQuiver(doubled, copies + rels(doubled),
+                       2 * pres.truncation_bound, name=f"{name}({pres.name})",
+                       check=False)
+
+
 def hom_quiver(pres: BoundQuiver) -> BoundQuiver:
     """The doubled presentation whose representations are the Hom triples
     of ``pres``: a source copy (vertices s<v>, arrows s_<a>) and a target
     copy (t<v>, t_<a>) of the quiver, an arrow f<v>: s<v> -> t<v> for each
     vertex, the relations of ``pres`` on both copies, and f_t*s_a - t_a*f_s
-    for each arrow a: s -> t, which says the maps f intertwine.
-
-    Its truncation bound is 2N, taken unchecked: a path crosses from the
-    source copy to the target copy at most once, so any path of length 2N
-    holds N consecutive arrows of one copy, a path in that copy's ideal."""
+    for each arrow a: s -> t, which says the maps f intertwine."""
     quiver = pres.quiver
-    arrows = [(f"{side}_{a}", f"{side}{s}", f"{side}{t}")
-              for side in "st" for a, s, t in quiver.arrows]
-    arrows += [(f"f{v}", f"s{v}", f"t{v}") for v in quiver.vertices]
-    doubled = Quiver([f"{side}{v}" for side in "st" for v in quiver.vertices],
-                     arrows, name=f"Hom({quiver.name})")
-    rels = [Relation((c, doubled.path([f"{side}_{a}" for a in p.arrows]))
-                     for c, p in rel.terms)
-            for side in "st" for rel in pres.relations]
-    rels += [Relation([(1, doubled.path([f"f{t}", f"s_{a}"])),
-                       (-1, doubled.path([f"t_{a}", f"f{s}"]))])
-             for a, s, t in quiver.arrows]
-    return BoundQuiver(doubled, rels, 2 * pres.truncation_bound,
-                       name=f"Hom({pres.name})", check=False)
+    return _doubled(
+        pres, "st", [(f"f{v}", f"s{v}", f"t{v}") for v in quiver.vertices],
+        lambda doubled: [
+            Relation([(1, doubled.path([f"f{t}", f"s_{a}"])),
+                      (-1, doubled.path([f"t_{a}", f"f{s}"]))])
+            for a, s, t in quiver.arrows], "Hom")
+
+
+def ext_quiver(pres: BoundQuiver) -> BoundQuiver:
+    """The doubled presentation whose representations are the extension
+    triples of ``pres``: a quotient copy (vertices q<v>, arrows q_<a>) and
+    a sub copy (u<v>, u_<a>) of the quiver, an arrow c_<a>: q<s> -> u<t>
+    for each arrow a: s -> t, the relations of ``pres`` on both copies,
+    and for each relation its linearization, the sum over its terms
+    c * a_1..a_l and positions j of c * u(a_1..a_(j-1)) c_(a_j)
+    q(a_(j+1)..a_l), which is the cocycle equation."""
+    quiver = pres.quiver
+    return _doubled(
+        pres, "qu", [(f"c_{a}", f"q{s}", f"u{t}") for a, s, t in quiver.arrows],
+        lambda doubled: [
+            Relation((c, doubled.path([f"u_{a}" for a in p.arrows[:j]]
+                                      + [f"c_{p.arrows[j]}"]
+                                      + [f"q_{a}" for a in p.arrows[j + 1:]]))
+                     for c, p in rel.terms for j in range(p.length))
+            for rel in pres.relations], "Ext")
+
+
+# The paper's identifications as (vertex map, signed arrow map) pairs for
+# quiver.is_isomorphism and reps.relabel, the same for every m:
+# hom_quiver(Lambda(m)) -> A'comm(m), ext_quiver(Lambda(m)) -> B(1, m), and
+# the twist A'comm(m) -> A(1, m, 1), which is its own inverse.
+HOM_LAMBDA = ({"s0": 1, "t0": 0},
+              {"s_e": (1, "e1"), "t_e": (1, "e0"), "f0": (1, "a1")})
+EXT_LAMBDA = ({"q0": 1, "u0": 0},
+              {"q_e": (1, "e1"), "u_e": (1, "e0"), "c_e": (1, "a1")})
+TWIST = ({0: 0, 1: 1}, {"e0": (1, "e0"), "e1": (-1, "e1"), "a1": (1, "a1")})
 
 
 _BUILDERS = {"A": family_a, "Aprime": family_a_prime,
@@ -207,141 +244,3 @@ def is_geometrically_irreducible_family(desc: FamilyDescriptor) -> bool:
     """
     _parameters(desc)
     return desc.kind != "A" or desc.l in (1, desc.m - 1)
-
-
-# --- conversion maps ----------------------------------------------------
-
-
-def _require_valid(rep: Representation):
-    if not rep.is_valid():
-        raise ValueError("representation violates its defining relations")
-
-
-def _order_of(pres: BoundQuiver, prefix: str) -> int:
-    for power in map(loop_power, pres.relations):
-        if power and power[0] == prefix:
-            return power[1]
-    raise ValueError(f"presentation has no power relation for {prefix!r}")
-
-
-def _twist(rep: Representation, target, variety: str) -> Representation:
-    """Negate the e1 matrix of a valid point, landing in the presentation
-    ``target`` builds from the order of e0."""
-    _require_valid(rep)
-    mats = dict(rep.mats)
-    mats["e1"] = -rep.mats["e1"]
-    out = Representation(target(_order_of(rep.pres, "e0")), rep.field,
-                         rep.dims, mats)
-    if not out.is_valid():
-        raise AssertionError(f"twist did not land in the {variety} variety")
-    return out
-
-
-def twist_iso(rep: Representation) -> Representation:
-    """Negate the e1 matrix: carries points of the commuting family to the
-    l = 1 member of family A (and back; over F_2 it is the identity)."""
-    return _twist(rep, lambda m: family_a(1, m, 1), "target")
-
-
-def twist_iso_inverse(rep: Representation) -> Representation:
-    """Inverse direction of the twist, into the commuting family."""
-    return _twist(rep, family_a_prime_commuting, "commuting")
-
-
-def _read_one_arrow(rep: Representation):
-    """The Lambda(m) points that the loops of a valid point with one arrow
-    a1: 1 -> 0 give at vertex 1 and at vertex 0, with m the order of e0,
-    and the matrix of a1."""
-    _require_valid(rep)
-    pres = family_lambda(_order_of(rep.pres, "e0"))
-    at1, at0 = (Representation(pres, rep.field, {0: mat.nrows}, {"e": mat})
-                for mat in (rep.mats["e1"], rep.mats["e0"]))
-    return at1, at0, rep.mats["a1"]
-
-
-def _one_arrow_rep(pres: BoundQuiver, at1: Representation,
-                   at0: Representation, a1: Matrix) -> Representation:
-    """Inverse of ``_read_one_arrow``: the point of ``pres`` with these
-    loops at vertices 1 and 0 and this a1, checked valid."""
-    out = Representation(pres, at1.field, {0: at0.dims[0], 1: at1.dims[0]},
-                         {"e0": at0.mats["e"], "e1": at1.mats["e"],
-                          "a1": a1})
-    _require_valid(out)
-    return out
-
-
-def hom_triple_from_commuting_rep(rep: Representation) -> HomTriple:
-    """Read a representation of the commuting family as a homomorphism
-    triple over the one-loop algebra.
-
-    The loop at vertex 1 becomes the source module, the loop at vertex 0
-    the target, and the arrow matrix the homomorphism between them; the
-    commuting relation is exactly the intertwining condition.
-    """
-    src, dst, a1 = _read_one_arrow(rep)
-    mor = Morphism(src, dst, {0: a1})
-    if not mor.intertwines():
-        raise AssertionError("commuting relation failed to intertwine")
-    return HomTriple(src, dst, mor)
-
-
-def commuting_rep_from_hom_triple(triple: HomTriple, m: int) -> Representation:
-    """Reassemble a commuting-family representation from a triple."""
-    if not triple.morphism.intertwines():
-        raise ValueError("the triple's map is not a homomorphism")
-    return _one_arrow_rep(family_a_prime_commuting(m), triple.source,
-                          triple.target, triple.morphism.maps[0])
-
-
-def ext_triple_from_corner_rep(rep: Representation) -> ExtensionTriple:
-    """Read a representation of B(1, m) as an extension triple over the
-    one-loop algebra.
-
-    The loop at vertex 1 is the quotient, the loop at vertex 0 the sub, and
-    the arrow matrix the single cocycle block; the crossing relation of
-    B(1, m) is exactly the cocycle equation of the loop power.
-    """
-    quo, sub, a1 = _read_one_arrow(rep)
-    return ExtensionTriple(quo, sub, {"e": a1})
-
-
-def corner_rep_from_ext_triple(triple: ExtensionTriple, m: int) -> Representation:
-    """Reassemble a B(1, m) representation from an extension triple."""
-    pres = family_b(1, m)
-    for rel in family_lambda(m).relations:
-        if not cocycle_value(triple.quo, triple.sub, triple.blocks,
-                             rel).is_zero():
-            raise ValueError("blocks are not a cocycle")
-    return _one_arrow_rep(pres, triple.quo, triple.sub, triple.blocks["e"])
-
-
-def split_corner_rep(rep: Representation
-                     ) -> tuple[Representation, list[Matrix]]:
-    """Split a B(n, m) point into its B(1, m) core and the unconstrained
-    matrices of the arrows a2..an."""
-    _require_valid(rep)
-    m = _order_of(rep.pres, "e0")
-    n = sum(1 for a in rep.pres.quiver.arrow_names() if a.startswith("a"))
-    core_pres = family_b(1, m)
-    core = Representation(core_pres, rep.field, rep.dims,
-                          {"e0": rep.mats["e0"], "e1": rep.mats["e1"],
-                           "a1": rep.mats["a1"]})
-    _require_valid(core)
-    free = [rep.mats[f"a{i}"] for i in range(2, n + 1)]
-    return core, free
-
-
-def assemble_corner_rep(core: Representation,
-                        free: Sequence[Matrix]) -> Representation:
-    """Inverse of split_corner_rep."""
-    _require_valid(core)
-    m = _order_of(core.pres, "e0")
-    n = 1 + len(free)
-    pres = family_b(n, m)
-    mats = {"e0": core.mats["e0"], "e1": core.mats["e1"],
-            "a1": core.mats["a1"]}
-    for i, mat in enumerate(free, start=2):
-        mats[f"a{i}"] = mat
-    out = Representation(pres, core.field, core.dims, mats)
-    _require_valid(out)
-    return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .linalg import Field, QQ, Subspace
@@ -531,6 +532,46 @@ def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
     basis = PathBasis(pres.quiver, n + 1)
     return pres.ideal_span(field).contains(
         {basis.index[p]: c for p, c in elem.coeffs.items() if p.length < n})
+
+
+def _image(rel: Relation, pres: BoundQuiver,
+           arrows: Mapping) -> AlgebraElement:
+    """The relation with each arrow a replaced by sign * b, for
+    arrows[a] = (sign, b), as an element of ``pres``'s path algebra."""
+    return pres.element({
+        pres.quiver.path([arrows[a][1] for a in p.arrows]):
+            c * prod(arrows[a][0] for a in p.arrows) for c, p in rel.terms})
+
+
+def is_isomorphism(source: BoundQuiver, target: BoundQuiver,
+                   vertices: Mapping, arrows: Mapping,
+                   fields: Sequence[Field] = (QQ,)) -> bool:
+    """True iff the arrow map a -> sign * b, for arrows[a] = (sign, b),
+    induces an isomorphism of the two bound path algebras over each field:
+    every relation of ``source`` maps into the ideal of ``target`` and
+    every relation of ``target`` maps back into the ideal of ``source``.
+    Raises QuiverError unless ``vertices`` and ``arrows`` are bijections
+    and each arrow a: x -> y goes to an arrow vertices[x] -> vertices[y]."""
+    here, there = source.quiver, target.quiver
+    inverse = {b: (sign, a) for a, (sign, b) in arrows.items()}
+    if (set(vertices) != set(here.vertices)
+            or set(vertices.values()) != set(there.vertices)
+            or len(here.vertices) != len(there.vertices)
+            or set(arrows) != set(here.arrow_names())
+            or set(inverse) != set(there.arrow_names())
+            or len(inverse) != len(arrows)):
+        raise QuiverError("the vertex and arrow maps are not bijections")
+    for a, s, t in here.arrows:
+        sign, b = arrows[a]
+        if sign not in (1, -1) or (there.source(b), there.target(b)) \
+                != (vertices[s], vertices[t]):
+            raise QuiverError(f"arrow {a!r} does not go to +-{b!r} with "
+                              "matching endpoints")
+    return all(ideal_membership(_image(rel, to, amap), to, field)
+               for field in fields
+               for rels, to, amap in ((source.relations, target, arrows),
+                                      (target.relations, source, inverse))
+               for rel in rels)
 
 
 def loop_nilpotency_index(pres: BoundQuiver, loop: str,

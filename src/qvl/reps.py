@@ -159,6 +159,24 @@ class Representation:
                    for rel in self.pres.relations)
 
 
+def relabel(rep: Representation, pres: BoundQuiver, vertices: Mapping,
+            arrows: Mapping) -> Representation:
+    """The point of ``pres`` that ``rep`` gives along a vertex map and a
+    signed arrow map from ``pres`` into ``rep.pres``: dims[v] is
+    rep.dims[vertices[v]] and mats[a] is sign * rep.mats[b] for
+    arrows[a] = (sign, b).  Carries points along an isomorphism that
+    ``quiver.is_isomorphism`` proves, or onto a copy of ``pres`` inside a
+    larger presentation.  Raises ValueError unless the point is valid."""
+    out = Representation(pres, rep.field,
+                         {v: rep.dims[w] for v, w in vertices.items()},
+                         {a: rep.mats[b] if sign == 1 else -rep.mats[b]
+                          for a, (sign, b) in arrows.items()})
+    if not out.is_valid():
+        raise ValueError(f"the relabeled point violates the relations of "
+                         f"{pres.name}")
+    return out
+
+
 class Morphism:
     """Vertex-indexed collection of matrices between two representations."""
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from qvl.extensions import cocycle_space_basis, zero_blocks
+from qvl.extensions import ExtensionTriple, cocycle_space_basis, zero_blocks
 from qvl.families import family_lambda
 from qvl.linalg import (Matrix, random_invertible, random_nilpotent,
                         split_blocks)
-from qvl.reps import Representation, flat_point
+from qvl.reps import HomTriple, Morphism, Representation, flat_point, relabel
 
 
 def random_lambda_rep(m, field, dim, rng) -> Representation:
@@ -111,3 +111,34 @@ def residual_kernel(field, shapes, residual):
     return Matrix(field, nrows, ncols,
                   [[col[i] for col in columns] for i in range(nrows)]
                   ).kernel_basis()
+
+
+def inverse(vertices, arrows):
+    """The inverse of a (vertex map, signed arrow map) pair of bijections."""
+    return ({w: v for v, w in vertices.items()},
+            {b: (sign, a) for a, (sign, b) in arrows.items()})
+
+
+def copy_of(rep, pres, side):
+    """The point of ``pres`` on the ``side`` copy of a point of
+    hom_quiver(pres) or ext_quiver(pres)."""
+    return relabel(rep, pres, {v: f"{side}{v}" for v in pres.quiver.vertices},
+                   {a: (1, f"{side}_{a}") for a in pres.quiver.arrow_names()})
+
+
+def hom_triple_of(rep, pres) -> HomTriple:
+    """A point of hom_quiver(pres) split into (source, target, maps): the
+    two copies and the crossing matrices f<v>, checked to intertwine."""
+    source, target = copy_of(rep, pres, "s"), copy_of(rep, pres, "t")
+    morphism = Morphism(source, target, {
+        v: rep.mats[f"f{v}"] for v in pres.quiver.vertices})
+    assert morphism.intertwines()
+    return HomTriple(source, target, morphism)
+
+
+def ext_triple_of(rep, pres) -> ExtensionTriple:
+    """A point of ext_quiver(pres) split into (quo, sub, blocks): the two
+    copies and the crossing matrices c_<a>, checked to be a cocycle."""
+    return ExtensionTriple(copy_of(rep, pres, "q"), copy_of(rep, pres, "u"),
+                           {a: rep.mats[f"c_{a}"]
+                            for a in pres.quiver.arrow_names()})

@@ -11,8 +11,8 @@ from contextlib import contextmanager
 
 import jsonschema
 
-from helpers import random_cocycle, random_gl, random_lambda_rep, \
-    random_two_vertex_rep
+from helpers import ext_triple_of, hom_triple_of, inverse, random_cocycle, \
+    random_gl, random_lambda_rep, random_two_vertex_rep
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
                      EXIT_SEMANTIC, run_command)
 from qvl.certificates import (hom_counterexample_census,
@@ -23,17 +23,14 @@ from qvl.counting import (count_ext_points, count_hom_points,
 from qvl.dsl import parse_quiver_spec, print_quiver_spec
 from qvl.extensions import (ExtensionTriple, build_extension, cocycle_value,
                             mono_triple_from_extension, splitting_from_mono)
-from qvl.families import (FamilyDescriptor,
-                          commuting_rep_from_hom_triple,
-                          corner_rep_from_ext_triple,
-                          ext_triple_from_corner_rep, family_a,
-                          family_a_prime, family_a_prime_commuting, family_b,
-                          family_lambda, hom_triple_from_commuting_rep,
-                          is_geometrically_irreducible_family)
+from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, FamilyDescriptor,
+                          ext_quiver, family_a, family_a_prime,
+                          family_a_prime_commuting, family_b, family_lambda,
+                          hom_quiver, is_geometrically_irreducible_family)
 from qvl.linalg import GF, Matrix, QQ, random_matrix
-from qvl.quiver import (ext2_dimension, is_simple_loop_extension,
-                        is_weakly_triangular)
-from qvl.reps import gl_action, is_monomorphism
+from qvl.quiver import (ext2_dimension, is_isomorphism,
+                        is_simple_loop_extension, is_weakly_triangular)
+from qvl.reps import gl_action, is_monomorphism, relabel
 
 F5 = GF(5)
 
@@ -83,53 +80,51 @@ def test_criterion_1_cocycle_closed_form():
 DIM_GRID = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
+def _doubled_variety_correspondence(pres, lam, doubled, iso, split,
+                                    count, iterate):
+    """The two steps of criteria 2 and 3: ``iso`` proves ``doubled`` (the
+    Hom or Ext quiver of ``lam``) isomorphic to ``pres`` over Q and over
+    each F_q of the grid; then every point of ``pres`` on the grid,
+    relabeled onto ``doubled`` and split, is a triple of ``iterate``, the
+    images are distinct and they are all of them."""
+    fields = [GF(q) for q in (2, 3)]
+    assert is_isomorphism(doubled, pres, *iso, fields=[QQ, *fields])
+    back = inverse(*iso)
+    for field in fields:
+        for d, e in DIM_GRID:
+            rep_count = count_rep_points(pres, field, {0: d, 1: e})
+            assert rep_count == count(lam, field, {0: e}, {0: d}), \
+                (field, d, e)
+            images = set()
+            for rep in iter_rep_points(pres, field, {0: d, 1: e}):
+                point = relabel(rep, doubled, *iso)
+                images.add(split(point, lam).key())
+                assert relabel(point, pres, *back) == rep
+            assert len(images) == rep_count
+            assert images == {t.key() for t in iterate(
+                lam, field, {0: e}, {0: d})}
+
+
 def test_criterion_2_hom_variety_correspondence():
     with criterion(2, "commuting-family points match homomorphism triples "
-                      "(m=2, four dimension vectors, q in {2,3}, pointwise)",
+                      "(an isomorphism of presentations, then m=2, four "
+                      "dimension vectors, q in {2,3}, pointwise)",
                    limit_seconds=60.0):
-        pres = family_a_prime_commuting(2)
         lam = family_lambda(2)
-        for q in (2, 3):
-            field = GF(q)
-            for d, e in DIM_GRID:
-                rep_count = count_rep_points(pres, field, {0: d, 1: e})
-                hom_count = count_hom_points(lam, field, {0: e}, {0: d})
-                assert rep_count == hom_count, (q, d, e)
-                images = set()
-                for rep in iter_rep_points(pres, field, {0: d, 1: e}):
-                    triple = hom_triple_from_commuting_rep(rep)
-                    assert triple.morphism.intertwines()
-                    back = commuting_rep_from_hom_triple(triple, 2)
-                    assert back == rep
-                    images.add(triple.key())
-                assert len(images) == rep_count
-                target = {t.key() for t in iter_hom_points(
-                    lam, field, {0: e}, {0: d})}
-                assert images == target
+        _doubled_variety_correspondence(
+            family_a_prime_commuting(2), lam, hom_quiver(lam), HOM_LAMBDA,
+            hom_triple_of, count_hom_points, iter_hom_points)
 
 
 def test_criterion_3_ext_variety_correspondence():
     with criterion(3, "corner-family points match extension triples "
-                      "(m=2, four dimension vectors, q in {2,3}, pointwise)",
+                      "(an isomorphism of presentations, then m=2, four "
+                      "dimension vectors, q in {2,3}, pointwise)",
                    limit_seconds=60.0):
-        pres = family_b(1, 2)
         lam = family_lambda(2)
-        for q in (2, 3):
-            field = GF(q)
-            for d, e in DIM_GRID:
-                rep_count = count_rep_points(pres, field, {0: d, 1: e})
-                ext_count = count_ext_points(lam, field, {0: e}, {0: d})
-                assert rep_count == ext_count, (q, d, e)
-                images = set()
-                for rep in iter_rep_points(pres, field, {0: d, 1: e}):
-                    triple = ext_triple_from_corner_rep(rep)
-                    back = corner_rep_from_ext_triple(triple, 2)
-                    assert back == rep
-                    images.add(triple.key())
-                assert len(images) == rep_count
-                target = {t.key() for t in iter_ext_points(
-                    lam, field, {0: e}, {0: d})}
-                assert images == target
+        _doubled_variety_correspondence(
+            family_b(1, 2), lam, ext_quiver(lam), EXT_LAMBDA,
+            ext_triple_of, count_ext_points, iter_ext_points)
 
 
 def test_criterion_4_extension_round_trips():

@@ -2,27 +2,26 @@ import random
 
 import pytest
 
-from helpers import random_two_vertex_rep
+from helpers import (copy_of, ext_triple_of, hom_triple_of, inverse,
+                     random_two_vertex_rep)
 from qvl.counting import (count_ext_points, count_hom_points,
-                          count_rep_points, iter_hom_points, iter_rep_points)
+                          count_rep_points, iter_ext_points, iter_hom_points,
+                          iter_rep_points)
 from qvl.extensions import cocycle_value
-from qvl.families import (FamilyDescriptor, FamilyParameterError,
-                          assemble_corner_rep, build_family,
-                          commuting_rep_from_hom_triple,
-                          corner_rep_from_ext_triple,
-                          ext_triple_from_corner_rep, family_a,
-                          family_a_prime, family_a_prime_commuting, family_b,
-                          family_lambda, hom_quiver,
-                          hom_triple_from_commuting_rep,
-                          is_geometrically_irreducible_family,
-                          split_corner_rep, twist_iso, twist_iso_inverse)
+from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, TWIST, FamilyDescriptor,
+                          FamilyParameterError, build_family, ext_quiver,
+                          family_a, family_a_prime, family_a_prime_commuting,
+                          family_b, family_lambda, hom_quiver,
+                          is_geometrically_irreducible_family)
 from qvl.linalg import GF, QQ, Matrix, random_matrix, random_nilpotent
-from qvl.quiver import (Relation, is_simple_loop_extension,
-                        is_weakly_triangular, monomial_relation)
-from qvl.reps import Representation
+from qvl.quiver import (QuiverError, Relation, is_isomorphism,
+                        is_simple_loop_extension, is_weakly_triangular,
+                        monomial_relation)
+from qvl.reps import Representation, relabel
 
 F2 = GF(2)
 F3 = GF(3)
+F5 = GF(5)
 
 
 class TestConstructors:
@@ -108,11 +107,104 @@ class TestClassification:
                 FamilyDescriptor("Aprime", n=-1, m0=1, m1=1))
 
 
+class TestIsomorphisms:
+    """The paper's identifications, proven as isomorphisms of
+    presentations for every m tested, and the refusals that keep the
+    check honest."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_hom_quiver_of_lambda_is_the_commuting_family(self, m):
+        assert is_isomorphism(hom_quiver(family_lambda(m)),
+                              family_a_prime_commuting(m), *HOM_LAMBDA,
+                              fields=(QQ, F2, F3, F5))
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_ext_quiver_of_lambda_is_the_corner_family(self, m):
+        assert is_isomorphism(ext_quiver(family_lambda(m)), family_b(1, m),
+                              *EXT_LAMBDA, fields=(QQ, F2, F3, F5))
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_twist(self, m):
+        assert is_isomorphism(family_a_prime_commuting(m), family_a(1, m, 1),
+                              *TWIST, fields=(QQ, F3, F5))
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_unsigned_twist_holds_only_in_characteristic_two(self, m):
+        vertices, arrows = TWIST
+        unsigned = {a: (1, b) for a, (_, b) in arrows.items()}
+        source, target = family_a_prime_commuting(m), family_a(1, m, 1)
+        for field in (QQ, F3):
+            assert not is_isomorphism(source, target, vertices, unsigned,
+                                      fields=(field,))
+        assert not is_isomorphism(source, target, vertices, unsigned,
+                                  fields=(F2, F3))
+        assert is_isomorphism(source, target, vertices, unsigned,
+                              fields=(F2,))
+
+    @pytest.mark.parametrize("vertices,arrows", [
+        # not bijective: e0 and e1 both go to e0
+        ({0: 0, 1: 1}, {"e0": (1, "e0"), "e1": (1, "e0"), "a1": (1, "a1")}),
+        # not bijective: a vertex map that is not onto
+        ({0: 0, 1: 0}, {"e0": (1, "e0"), "e1": (1, "e1"), "a1": (1, "a1")}),
+        # endpoints: the vertices swapped, the arrows not
+        ({0: 1, 1: 0}, {"e0": (1, "e0"), "e1": (1, "e1"), "a1": (1, "a1")}),
+        # an arrow the target does not have
+        ({0: 0, 1: 1}, {"e0": (1, "e0"), "e1": (1, "e1"), "a1": (1, "a2")}),
+        # an arrow the source does not have
+        ({0: 0, 1: 1}, {"e0": (1, "e0"), "e1": (1, "e1"), "a1": (1, "a1"),
+                        "a2": (1, "a1")}),
+        # a sign other than +-1
+        ({0: 0, 1: 1}, {"e0": (1, "e0"), "e1": (2, "e1"), "a1": (1, "a1")}),
+    ], ids=["arrows-not-injective", "vertices-not-onto", "endpoints",
+            "unknown-target-arrow", "unknown-source-arrow", "sign"])
+    def test_bad_maps_raise(self, vertices, arrows):
+        with pytest.raises(QuiverError):
+            is_isomorphism(family_a_prime_commuting(2), family_a(1, 2, 1),
+                           vertices, arrows)
+
+    def test_many_to_one_maps_raise(self):
+        # onto every arrow of the target, but a1 and a2 both go to a1
+        with pytest.raises(QuiverError):
+            is_isomorphism(family_a(2, 2, 1), family_a(1, 2, 1),
+                           {0: 0, 1: 1},
+                           {"e0": (1, "e0"), "e1": (1, "e1"),
+                            "a1": (1, "a1"), "a2": (1, "a1")})
+        # two vertices with no arrows onto the one of Lambda(1)
+        with pytest.raises(QuiverError):
+            is_isomorphism(family_a_prime(0, 1, 1), family_lambda(1),
+                           {0: 0, 1: 0}, {})
+
+    def test_relabel_along_a_non_isomorphism_raises(self):
+        # the identity on arrow names, from A(1,2,1) to A'(1,2,2), is no
+        # isomorphism: a point of A'(1,2,2) can break the crossing relation
+        source, target = family_a(1, 2, 1), family_a_prime(1, 2, 2)
+        identity = ({0: 0, 1: 1}, {a: (1, a) for a in ("e0", "e1", "a1")})
+        assert not is_isomorphism(source, target, *identity)
+        assert not is_isomorphism(target, source, *identity)
+        rep = Representation(target, F3, {0: 2, 1: 2}, {
+            "e0": Matrix(F3, 2, 2, [[0, 1], [0, 0]]),
+            "e1": Matrix.zeros(F3, 2, 2),
+            "a1": Matrix.identity(F3, 2)})
+        assert rep.is_valid()
+        with pytest.raises(ValueError):
+            relabel(rep, source, *identity)
+
+    def test_relabel_keeps_the_dimension_of_an_arrowless_vertex(self):
+        lam = family_lambda(1)
+        doubled = hom_quiver(lam)
+        assert doubled.quiver.arrow_names() == ("f0",)
+        rep = Representation.zero(doubled, F2, {"s0": 2, "t0": 3})
+        assert copy_of(rep, lam, "s").dims == {0: 2}
+        assert copy_of(rep, lam, "t").dims == {0: 3}
+        triple = hom_triple_of(rep, lam)
+        assert triple.morphism.maps[0].shape == (3, 2)
+
+
 class TestTwist:
     def test_zero_point_fixed(self):
         pres = family_a_prime_commuting(2)
         rep = Representation.zero(pres, F3, {0: 2, 1: 2})
-        out = twist_iso(rep)
+        out = relabel(rep, family_a(1, 2, 1), *TWIST)
         assert out.pres.name == "A(1,2,1)"
         assert all(out.mats[a].is_zero() for a in out.mats)
 
@@ -123,7 +215,7 @@ class TestTwist:
             "e1": Matrix(F3, 1, 1, [[0]]),
             "a1": Matrix(F3, 1, 1, [[2]]),
         })
-        out = twist_iso(rep)
+        out = relabel(rep, family_a(1, 2, 1), *TWIST)
         assert out.mats["a1"][0, 0] == 2
 
     def test_invalid_rejected(self):
@@ -134,40 +226,34 @@ class TestTwist:
             "a1": Matrix(F3, 1, 1, [[0]]),
         })
         with pytest.raises(ValueError):
-            twist_iso(bad)
+            relabel(bad, family_a(1, 2, 1), *TWIST)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_f3(self, seed):
         rng = random.Random(seed)
         pres = family_a_prime_commuting(2)
         rep = random_two_vertex_rep(pres, F3, 2, 2, rng)
-        out = twist_iso(rep)
+        out = relabel(rep, family_a(1, 2, 1), *TWIST)
         assert out.is_valid()
-        back = twist_iso_inverse(out)
+        back = relabel(out, pres, *TWIST)
         assert back.mats == rep.mats
 
     def test_char_two_is_identity_on_matrices(self):
         rng = random.Random(3)
         pres = family_a_prime_commuting(2)
         rep = random_two_vertex_rep(pres, F2, 2, 2, rng)
-        out = twist_iso(rep)
+        out = relabel(rep, family_a(1, 2, 1), *TWIST)
         assert out.mats == rep.mats
 
     def test_bijection_on_point_sets(self):
         pres_c = family_a_prime_commuting(2)
         pres_a = family_a(1, 2, 1)
         dims = {0: 1, 1: 2}
-        src = [rep.key() for rep in iter_rep_points(pres_c, F3, dims)]
+        src = list(iter_rep_points(pres_c, F3, dims))
         dst = {rep.key() for rep in iter_rep_points(pres_a, F3, dims)}
-        image = {twist_iso(
-            _rep_from_key(pres_c, F3, dims, k)).key() for k in src}
+        image = {relabel(rep, pres_a, *TWIST).key() for rep in src}
         assert len(image) == len(src)
         assert image == dst
-
-
-def _rep_from_key(pres, field, dims, key):
-    mats = dict(zip(pres.quiver.arrow_names(), key[1]))
-    return Representation(pres, field, dims, mats)
 
 
 class TestHomCorrespondence:
@@ -179,8 +265,10 @@ class TestHomCorrespondence:
 
     def test_zero_rep_maps_to_zero_triple(self):
         pres = family_a_prime_commuting(2)
+        lam = family_lambda(2)
         rep = Representation.zero(pres, F2, {0: 2, 1: 1})
-        triple = hom_triple_from_commuting_rep(rep)
+        triple = hom_triple_of(relabel(rep, hom_quiver(lam), *HOM_LAMBDA),
+                               lam)
         assert triple.source.dims == {0: 1}
         assert triple.target.dims == {0: 2}
         assert triple.morphism.maps[0].is_zero()
@@ -194,10 +282,12 @@ class TestHomCorrespondence:
 
     def test_round_trip_every_point(self):
         pres = family_a_prime_commuting(2)
+        lam = family_lambda(2)
         for rep in iter_rep_points(pres, F3, {0: 2, 1: 1}):
-            triple = hom_triple_from_commuting_rep(rep)
+            doubled = relabel(rep, hom_quiver(lam), *HOM_LAMBDA)
+            triple = hom_triple_of(doubled, lam)
             assert triple.morphism.intertwines()
-            back = commuting_rep_from_hom_triple(triple, 2)
+            back = relabel(doubled, pres, *inverse(*HOM_LAMBDA))
             assert back == rep
 
 
@@ -240,22 +330,10 @@ class TestHomQuiver:
     def test_points_are_hom_triples(self, case):
         pres, source, target, q, triples = HOM_CASES[case]
         F = GF(q)
-        arrows = pres.quiver.arrow_names()
-
-        def key(src, dst, maps):
-            return (tuple(src[a].rows for a in arrows),
-                    tuple(dst[a].rows for a in arrows),
-                    tuple(maps[v].rows for v in pres.quiver.vertices))
-
-        doubled = set()
-        for rep in iter_rep_points(hom_quiver(pres), F,
-                                   _doubled_dims(source, target)):
-            doubled.add(key({a: rep.mats[f"s_{a}"] for a in arrows},
-                            {a: rep.mats[f"t_{a}"] for a in arrows},
-                            {v: rep.mats[f"f{v}"]
-                             for v in pres.quiver.vertices}))
-        homs = {key(t.source.mats, t.target.mats, t.morphism.maps)
-                for t in iter_hom_points(pres, F, source, target)}
+        doubled = {hom_triple_of(rep, pres).key()
+                   for rep in iter_rep_points(hom_quiver(pres), F,
+                                              _doubled_dims(source, target))}
+        homs = {t.key() for t in iter_hom_points(pres, F, source, target)}
         assert len(doubled) == len(homs) == triples
         assert doubled == homs
 
@@ -265,6 +343,63 @@ class TestHomQuiver:
     def test_doubled_bound_holds(self, pres):
         # built unchecked; the first span over Q checks the bound 2N
         doubled = hom_quiver(pres)
+        assert doubled.truncation_bound == 2 * pres.truncation_bound
+        doubled.ideal_span(QQ)
+
+
+def _ext_dims(quo, sub):
+    return {**{f"q{v}": d for v, d in quo.items()},
+            **{f"u{v}": d for v, d in sub.items()}}
+
+
+# (presentation, quotient dims, sub dims, q, number of extension triples)
+EXT_CASES = {
+    "Lambda2": (family_lambda(2), {0: 2}, {0: 2}, 3, 801),
+    "Lambda3": (family_lambda(3), {0: 1}, {0: 2}, 3, 81),
+    "A131": (family_a(1, 3, 1), {0: 1, 1: 1}, {0: 1, 1: 2}, 2, 192),
+    "B13": (family_b(1, 3), {0: 1, 1: 0}, {0: 2, 1: 1}, 2, 64),
+    "Acomm2": (family_a_prime_commuting(2), {0: 1, 1: 1}, {0: 1, 1: 1}, 3,
+               99),
+    "Aprime222": (family_a_prime(2, 2, 2), {0: 1, 1: 1}, {0: 1, 1: 1}, 2,
+                  256),
+    "A142": (family_a(1, 4, 2), {0: 1, 1: 2}, {0: 2, 1: 2}, 2, 950272),
+}
+
+
+class TestExtQuiver:
+    def test_doubled_presentation(self):
+        pres = ext_quiver(family_lambda(2))
+        assert pres.quiver.vertices == ("q0", "u0")
+        assert pres.quiver.arrow_names() == ("q_e", "u_e", "c_e")
+        assert [str(r) for r in pres.relations] == \
+            ["q_e*q_e", "u_e*u_e", "c_e*q_e + u_e*c_e"]
+        assert pres.truncation_bound == 4
+
+    @pytest.mark.parametrize("case", list(EXT_CASES))
+    def test_counts_ext_triples(self, case):
+        pres, quo, sub, q, triples = EXT_CASES[case]
+        F = GF(q)
+        assert count_ext_points(pres, F, quo, sub) == triples
+        assert count_rep_points(ext_quiver(pres), F,
+                                _ext_dims(quo, sub)) == triples
+
+    @pytest.mark.parametrize("case", ["A131", "Acomm2"])
+    def test_points_are_ext_triples(self, case):
+        pres, quo, sub, q, triples = EXT_CASES[case]
+        F = GF(q)
+        doubled = {ext_triple_of(rep, pres).key()
+                   for rep in iter_rep_points(ext_quiver(pres), F,
+                                              _ext_dims(quo, sub))}
+        exts = {t.key() for t in iter_ext_points(pres, F, quo, sub)}
+        assert len(doubled) == len(exts) == triples
+        assert doubled == exts
+
+    @pytest.mark.parametrize("pres", [family_lambda(2), family_a(1, 3, 1),
+                                      family_a_prime(2, 2, 2)],
+                             ids=["Lambda2", "A131", "Aprime222"])
+    def test_doubled_bound_holds(self, pres):
+        # built unchecked; the first span over Q checks the bound 2N
+        doubled = ext_quiver(pres)
         assert doubled.truncation_bound == 2 * pres.truncation_bound
         doubled.ideal_span(QQ)
 
@@ -297,15 +432,19 @@ class TestExtCorrespondence:
 
     def test_zero_blocks_correspond_to_zero_arrow(self):
         pres = family_b(1, 2)
+        lam = family_lambda(2)
         rep = Representation.zero(pres, F2, {0: 2, 1: 2})
-        triple = ext_triple_from_corner_rep(rep)
+        triple = ext_triple_of(relabel(rep, ext_quiver(lam), *EXT_LAMBDA),
+                               lam)
         assert triple.blocks["e"].is_zero()
 
     def test_round_trip_every_point(self):
         pres = family_b(1, 2)
+        lam = family_lambda(2)
         for rep in iter_rep_points(pres, F2, {0: 2, 1: 1}):
-            triple = ext_triple_from_corner_rep(rep)
-            back = corner_rep_from_ext_triple(triple, 2)
+            doubled = relabel(rep, ext_quiver(lam), *EXT_LAMBDA)
+            ext_triple_of(doubled, lam)    # checks the cocycle equation
+            back = relabel(doubled, pres, *inverse(*EXT_LAMBDA))
             assert back == rep
 
     @pytest.mark.parametrize("d,e", [(1, 1), (2, 1)])
@@ -318,19 +457,35 @@ class TestExtCorrespondence:
             == count_hom_points(family_lambda(3), F2, {0: e}, {0: d})
 
 
+def _split_core(rep, m):
+    """A B(n, m) point split by one relabeling into its B(1, m) core and
+    the matrices of the arrows a2..an, which no relation reads."""
+    core = family_b(1, m)
+    names = core.quiver.arrow_names()
+    return (relabel(rep, core, {0: 0, 1: 1}, {a: (1, a) for a in names}),
+            [rep.mats[a] for a in rep.pres.quiver.arrow_names()
+             if a not in names])
+
+
+def _assemble(pres, core, free):
+    """The point of ``pres`` with this core and these matrices of a2..an."""
+    return Representation(pres, core.field, core.dims, {
+        **core.mats, **{f"a{i}": mat for i, mat in enumerate(free, 2)}})
+
+
 class TestCornerSplit:
     def test_trivial_split(self):
         rng = random.Random(5)
         pres = family_b(1, 2)
         rep = random_two_vertex_rep(pres, F3, 2, 1, rng)
-        core, free = split_corner_rep(rep)
+        core, free = _split_core(rep, 2)
         assert free == []
-        assert assemble_corner_rep(core, free) == rep
+        assert _assemble(pres, core, free) == rep
 
     def test_zero_rep_splits_to_zeros(self):
         pres = family_b(3, 2)
         rep = Representation.zero(pres, F2, {0: 1, 1: 1})
-        core, free = split_corner_rep(rep)
+        core, free = _split_core(rep, 2)
         assert all(m.is_zero() for m in free)
         assert core.total_dim() == 2
 
@@ -339,10 +494,10 @@ class TestCornerSplit:
         rng = random.Random(seed)
         pres = family_b(3, 2)
         rep = random_two_vertex_rep(pres, F3, 2, 1, rng)
-        core, free = split_corner_rep(rep)
+        core, free = _split_core(rep, 2)
         assert core.is_valid()
         assert len(free) == 2
-        assert assemble_corner_rep(core, free) == rep
+        assert _assemble(pres, core, free) == rep
 
     def test_count_multiplicativity_f2(self):
         full = count_rep_points(family_b(3, 2), F2, {0: 1, 1: 1})
