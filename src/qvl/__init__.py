@@ -1,9 +1,9 @@
 """qvl: exact computations on bound quiver representation varieties.
 
 Modules by concern: linalg (exact fields and matrices), quiver
-(presentations and ideal computations), reps (representations and
-morphisms), extensions (cocycles and extension assembly), families (the
-built-in algebra families, their Hom and Ext quivers, and the paper's
+(presentations, their Hom and Ext quivers, and ideal computations), reps
+(representations and morphisms), extensions (cocycles and extension
+assembly), families (the built-in algebra families and the paper's
 identifications as arrow maps), strata (Jordan and rank strata as one
 table; a count whose rows fix the base point takes one step per row,
 planned before a row is listed), counting (point
@@ -16,7 +16,8 @@ identity), dsl (the text format), serialize (JSON interchange), cli
 from .linalg import GF, Matrix, PrimeField, QQ, RationalField
 from .quiver import (AlgebraElement, BoundQuiver, Path, Quiver, QuiverError,
                      Relation, decompose_by_support, degree, ext2_dimension,
-                     ideal_membership, ideal_subspace, is_isomorphism,
+                     ext_quiver, hom_quiver, ideal_membership,
+                     ideal_subspace, is_isomorphism,
                      is_minimal_relation_set, is_normalized_relation_set,
                      is_simple_loop_extension, is_weakly_triangular,
                      loop_nilpotency_index, monomial_relation, power)
@@ -27,9 +28,9 @@ from .extensions import (ExtensionTriple, build_extension, cocycle_space_basis,
                          cocycle_value, extension_from_mono, is_cocycle,
                          mono_triple_from_extension, splitting_from_mono)
 from .families import (FamilyDescriptor, FamilyParameterError, build_family,
-                       ext_quiver, family_a, family_a_prime,
-                       family_a_prime_commuting, family_b, family_lambda,
-                       hom_quiver, is_geometrically_irreducible_family)
+                       family_a, family_a_prime, family_a_prime_commuting,
+                       family_b, family_lambda,
+                       is_geometrically_irreducible_family)
 from .counting import (BudgetExceededError, EnumerationTask, count_points,
                        leading_coefficient_probe)
 from .certificates import (hom_counterexample_census,

@@ -18,9 +18,9 @@ from typing import Optional
 from .counting import (_Meter, _fibers, _points_over, _span,
                        count_rep_points, iter_rep_points)
 from .families import (FamilyParameterError, family_a, family_a_prime,
-                       family_b, hom_quiver)
+                       family_b)
 from .linalg import Matrix, PrimeField, Subspace
-from .quiver import BoundQuiver
+from .quiver import BoundQuiver, hom_quiver
 from .reps import Morphism, Representation, flat_layout, is_monomorphism
 
 
@@ -54,11 +54,11 @@ def hom_counterexample_census(n: int, q: int,
     The odometer over (b, a_1..a_n) makes one b-major pass: it tests
     a_i b = 0 on every tuple and tallies the b = 0 part, the a = 0 part
     and the union as it goes.  The Hom triples are walked as the
-    representations of the doubled quiver ``hom_quiver(A'(n,2,2))`` with
-    the vertex maps f0, f1 as base: b is the entry of f1, the a_i the
-    target's arrows (one slice of the flat point), and above each of the
-    q values of b the a_i form one linear fiber, so the walk solves q
-    systems for its q^n + q - 1 points.  A duplicate shows as a set of
+    representations of the doubled quiver ``hom_quiver(A'(n,2,2))``: b is
+    the entry of f1, the a_i the target's arrows (one slice of the flat
+    point).  For n >= 2 its tower walks f1 below the a_i, so above each of
+    the q values of b the a_i form one linear fiber, and the walk solves
+    q systems for its q^n + q - 1 points.  A duplicate shows as a set of
     points smaller than the number walked, and each point's (b, a) takes
     its candidate out of the census set, which must end empty.
     """
@@ -93,8 +93,7 @@ def hom_counterexample_census(n: int, q: int,
     seen = set()
     walked = 0
     bijective = True
-    for point, _ in _points_over(pres, field, dims, meter, orbits=True,
-                                 base=("f0", "f1")):
+    for point, _ in _points_over(pres, field, dims, meter, orbits=True):
         walked += 1
         seen.add(point)
         b = point[b_at]

@@ -1,15 +1,13 @@
 """Exhaustive point enumeration of representation-type varieties over F_q.
 
 Counts are exact: a point is counted only after its defining equations are
-checked, and linear fibers (homomorphism spaces, cocycle spaces, arrow
-blocks constrained linearly by relations) are kernels of systems and are
-counted through their dimension instead of being walked pointwise.  Each
-walk compiles the layout of its systems once, as a ``linalg.SandwichPlan``,
-and applies it to every point.  Walks stream flat points from the loop
-locus up: a point of a variety is a tuple of its coordinates (every
-arrow's entries, arrows in declaration order, row-major), a loop point the
-entries of the loops alone, and a point of a linear fiber a vector in the
-plan's layout.  The fiber systems are assembled straight from flat points.
+checked, and linear fibers are kernels of systems, counted through their
+dimension instead of being walked pointwise.  Each walk compiles the layout
+of its systems once, as a ``linalg.SandwichPlan``, and applies it to every
+point.  Walks stream flat points from the loop locus up: a point of a
+variety is a tuple of its coordinates (every arrow's entries, arrows in
+declaration order, row-major), a loop point the entries of the loops
+alone, and a point of a linear fiber a vector in the plan's layout.
 ``Representation``, ``Morphism``, ``HomTriple`` and ``ExtensionTriple``
 objects are built only by the public iterators; the counts, the census and
 the witness read the flat points.
@@ -19,50 +17,46 @@ stands for, from one source, ``_loop_points``.  Where the loop locus is not
 stratified by Jordan type (``qvl.strata``), that is every loop point a
 filter over all q^(loop coordinates) of them accepts, with weight 1.  Where
 it is, a count takes the Jordan matrix J_lam of each row of the stratum
-table weighted by its orbit size: what a count sums (a linear fiber's
-dimension, dim Hom, dim of a cocycle space, the number of injective
-homomorphisms) is unchanged by conjugating the loop vertices, so J_lam
-stands for its orbit; the witness reads the rows the same way.  Walks
-that must visit every point (the public iterators and the census) take
-each orbit instead, closing J_lam under elementary conjugations.
+table weighted by its orbit size, since GL at the vertices carries the
+points above J_lam onto those above its conjugates; the witness reads the
+rows the same way.  Walks that must visit every point (the public
+iterators and the census) take each orbit instead, closing J_lam under
+elementary conjugations.
 
-Each point splits into base matrices and linear ones.  The base is every
-loop plus a set of non-loop arrows: relations that use only base arrows are
-checked on each base point, and every other relation must have exactly one
-non-base arrow in each term, so that it is linear in the non-base arrows
-once the base is fixed.  The loops-only base is taken whenever it qualifies
-(every named family); otherwise the qualifying set of non-loop arrows from
-the relations with the fewest matrix entries is added ({a} for b*a, {a, c}
-for b*a - d*c).  The set of all of them always qualifies, so nothing falls
-back to the ambient odometer, ``iter_rep_points_odometer``, which stays as
-the test oracle.  Base points are the loop points crossed with every
-assignment of the base non-loop arrows that satisfies the base relations.
-The loop filter and this base walk are one assignment walk,
-``_assignments``: the filter extends the empty point by the loops, the base
-walk a loop point by the base arrows.
-Counts take the rank rows of the table instead where the base arrows have
-them: GL at the ends of a base arrow carries the fiber over a base point
-onto the fiber over its image.  Hom, mono and ext counts and walks take
-their pairs of points from one loop, ``_pairs``.  The mono iterator is
-hom with one injectivity test, ``_injective``; the mono count takes each
-pair's Moebius sum over the subspace lattice where it has fewer terms
-than the Hom space has vectors, and walks the vectors with ``_injective``
-elsewhere (``_mono_counter``).  A span is walked at one vector add per
-element (``_span``), and a variety's points are spanned straight from each
-base point lifted to the flat layout.
+Every walk is a tower of layers (``_layers``).  Layer 0 is every loop plus
+the non-loop arrows no linear layer takes, walked by one assignment walk
+(``_assignments``, which also filters the loops) and checked against the
+relations that read only them; counts take the rank rows of the table
+instead where those arrows have them.  Each relation of a later layer
+reads exactly one of its arrows in each term and otherwise only lower
+ones, so above the points below it the layer is a kernel.  The layers are
+peeled from the top by a rule that grows one layer per seed arrow, with no
+search over subsets: every named family has one linear layer above its
+loops, and b*a walks {a} below {b}.  Nothing falls back to the ambient
+odometer, ``iter_rep_points_odometer``, which stays as the test oracle.  A
+walk spans each middle layer's kernel, at one vector add per element
+(``_span``); a count adds weight * q^(dim of the last kernel), and a walk
+spans that too, straight from each point lifted to the flat layout.
 
-The enumeration order is fixed and stratum-major: strata in loop declaration
-order with partitions largest part first, each orbit breadth-first from
-J_lam, then the base non-loop arrows over each loop point in
-itertools.product order, then the linear fiber over each base point (arrows
-in declaration order, matrix entries row-major, field elements ascending),
-so identical queries give identical traversals.  The budget counts the
-steps actually taken: one per filter candidate, per base point tried, per
-loop point or point walked, per pair of points, and per term of a mono
-count's Moebius sum or vector of a Hom space it walks.  A count (rep, hom,
-mono or ext) whose rows fix the whole base point takes one step per row of
-each factor's stratum table, planned from the row count before any
-partition or orbit size is computed.
+Hom, mono and ext counts and walks are rep walks of ``hom_quiver`` and
+``ext_quiver``, whose points are the pairs of points with a Hom vector or
+a cocycle, with the crossing arrows as the last layer: its kernel is the
+Hom or cocycle space.  The mono iterator is hom with one injectivity test,
+``_injective``; the mono count takes the Moebius sum over the subspace
+lattice where it has fewer terms than the Hom space has vectors, and walks
+the vectors with ``_injective`` elsewhere (``_mono_counter``).
+
+The enumeration order is fixed and stratum-major: strata in loop
+declaration order with partitions largest part first, each orbit
+breadth-first from J_lam, then the layer-0 arrows over each loop point in
+itertools.product order, then each layer's kernel over the points below it
+(its span in ``_span`` order), so identical queries give identical
+traversals.  The budget counts the steps actually taken: one per filter
+candidate, per layer-0 point tried, per loop point, per element of a
+middle layer or point walked, and per term of a mono count's Moebius sum
+or vector of a Hom space it walks.  A count whose rows fix the whole
+layer-0 point takes one step per row of its stratum table, planned from
+the row count before any partition or orbit size is computed.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -76,14 +70,14 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
-from .extensions import (ExtensionTriple, block_shapes, cocycle_fiber,
-                         linearized_equations)
+from .extensions import ExtensionTriple, linearized_equations
 from .linalg import PrimeField, SandwichPlan, split_blocks
-from .quiver import BoundQuiver
+from .quiver import BoundQuiver, ext_quiver, hom_quiver
 from .reps import (HomTriple, Morphism, Representation, evaluate_relation,
-                   flat_layout, hom_fiber)
+                   flat_layout)
 from .strata import StratumTable, subspace_count, subspaces
 
 DEFAULT_BUDGET = 10**8
@@ -188,17 +182,12 @@ def rep_ambient_dim(pres: BoundQuiver, dims: Mapping) -> int:
 
 def ambient_dimension(task: EnumerationTask) -> int:
     """Coordinate count of the affine space the variety naturally sits in:
-    every factor's arrows, then a pair's vertex maps or arrow blocks."""
-    pres, factors = task.pres, task.factors()
-    dim = sum(rep_ambient_dim(pres, dims) for dims in factors)
-    if task.kind in ("hom", "mono"):    # a map f_x per vertex
-        source, target = factors
-        dim += sum(target.get(x, 0) * source.get(x, 0)
-                   for x in pres.quiver.vertices)
-    elif task.kind == "ext":            # a block per arrow
-        quo, sub = factors
-        dim += sum(r * c for r, c in block_shapes(pres, sub, quo).values())
-    return dim
+    the arrows' entries, for a pair kind those of its doubled presentation
+    (both points, then the vertex maps or the arrow blocks)."""
+    if task.kind == "rep":
+        return rep_ambient_dim(task.pres, task.dims)
+    doubled, dims, _ = _pair_walk(task.kind, task.pres, *task.factors())
+    return rep_ambient_dim(doubled, dims)
 
 
 # --- representation points ----------------------------------------------
@@ -220,80 +209,102 @@ def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
             yield rep
 
 
-def _classify_relations(pres: BoundQuiver, base: Sequence[str] = ()):
-    """Split relations into base and linear classes, for the base made of
-    every loop and the non-loop arrows in ``base``.
+def _grow(seed: str, arrows: Sequence[str], rels: Mapping, rank: Mapping,
+          reads: Mapping):
+    """The top layer grown from ``seed``, in the order of ``arrows``, or
+    None where it is not valid: every term of every relation it reads must
+    hold exactly one of its arrows.  ``rels`` maps each relation left to
+    each term's non-loop arrows, ``reads`` each arrow to the relations
+    reading it, and ``rank`` gives its (matrix entries, declaration index).
+    A term of a relation the seed reads with no layer arrow takes its arrow
+    of highest rank; then each other arrow joins in turn unless it puts two
+    layer arrows in a term or reads a relation it alone leaves open."""
+    def hits(rel):
+        return [sum(map(layer.__contains__, term)) for term in rels[rel]]
 
-    Returns (base_rels, linear_rels), where a base relation uses only base
-    arrows and every term of a linear one has exactly one non-base arrow, or
-    None when some relation fits neither class (a term with two or more
-    non-base arrows, or a mix of base-only terms and terms with one)."""
+    def fits(a):
+        for rel in reads[a]:
+            before = hits(rel)
+            after = [n + term.count(a) for n, term in zip(before, rels[rel])]
+            if max(after) > 1 or not (any(before) or min(after) == 1):
+                return False
+        return True
+
+    layer = {seed}
+    for rel in reads[seed]:
+        for term in rels[rel]:
+            if term and not any(map(layer.__contains__, term)):
+                layer.add(max(term, key=rank.__getitem__))
+    for a in arrows:
+        if a not in layer and fits(a):
+            layer.add(a)
+    if all(hits(rel) == [1] * len(rels[rel])
+           for rel in {rel for a in layer for rel in reads[a]}):
+        return [a for a in arrows if a in layer]
+    return None
+
+
+def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
+    """The tower of the walk with these dims: (layer-0 arrows, loop-only
+    relations, the other layer-0 relations, [(arrows, relations) of each
+    later layer, bottom up]).  Each relation of a later layer reads one of
+    its arrows in each term and otherwise only lower ones, so it is linear
+    in the layer once those are fixed; layer 0 is every loop plus the
+    arrows no layer takes, and its relations read nothing else.
+
+    The layers are peeled from the top.  The top is ``top`` if given;
+    otherwise each non-loop arrow a relation reads seeds a layer
+    (``_grow``), and the valid one with the most matrix entries at ``dims``
+    wins, ties going to fewer arrows below it, then to earlier ones in
+    declaration order; with none valid, the top is the arrows no relation
+    reads.  Each peel removes the layer and the relations it reads, and the
+    next is taken from the seeds left, so k non-loop arrows grow at most
+    k^2 candidates.  Layer 0 is the loops alone for every named family,
+    {a} for b*a and {a, c} for b*a - d*c."""
     quiver = pres.quiver
-    base_rels, linear_rels = [], []
-    for rel in pres.relations:
-        arrow_counts = {sum(0 if quiver.is_loop(a) or a in base else 1
-                            for a in p.arrows)
-                        for p in rel.paths()}
-        if arrow_counts == {0}:
-            base_rels.append(rel)
-        elif arrow_counts == {1}:
-            linear_rels.append(rel)
-        else:
-            return None
-    return base_rels, linear_rels
+    layout = flat_layout(pres, dims)
+    rank = {a: (r * c, i) for i, (a, (_, r, c)) in enumerate(layout.items())}
+    arrows = [a for a in layout if not quiver.is_loop(a)]
+    rels = {i: [[a for a in p.arrows if not quiver.is_loop(a)]
+                for p in rel.paths()] for i, rel in enumerate(pres.relations)}
+    loop_rels = [pres.relations[i] for i, terms in rels.items()
+                 if not any(terms)]
+    rels = {i: terms for i, terms in rels.items() if any(terms)}
+
+    def reading(layer):
+        return [i for i, terms in rels.items()
+                if any(a in layer for term in terms for a in term)]
+
+    def peel():
+        reads = {a: [] for a in arrows}
+        for i, terms in rels.items():
+            for a in {a for term in terms for a in term}:
+                reads[a].append(i)
+        grown = [layer for layer in (_grow(a, arrows, rels, rank, reads)
+                                     for a in arrows if reads[a]) if layer]
+        return min(grown, default=None, key=lambda layer: (
+            -sum(rank[a][0] for a in layer), len(arrows) - len(layer),
+            [i for i, a in enumerate(arrows) if a not in set(layer)]))
+
+    layer = list(top) or peel() or [a for a in arrows if not reading({a})]
+    layers = []
+    while layer:
+        made = reading(set(layer))
+        layers.append((layer, [pres.relations[i] for i in made]))
+        arrows = [a for a in arrows if a not in layer]
+        rels = {i: terms for i, terms in rels.items() if i not in made}
+        layer = peel()
+    return (tuple(arrows), loop_rels, [pres.relations[i] for i in rels],
+            layers[::-1])
 
 
-def _choose_base(pres: BoundQuiver, dims: Mapping, base=None):
-    """(base arrows, loop-only relations, other base relations, linear
-    relations) for the walk.
-
-    A given ``base`` of non-loop arrows is only checked: ValueError unless
-    it qualifies.  Otherwise the loops-only base is taken whenever it
-    qualifies (every named family).  Failing that, every qualifying set of
-    non-loop arrows that occur in relations is tried, and the one with the
-    fewest matrix entries at ``dims`` wins; ties go to fewer arrows, then
-    to the earlier arrows in declaration order.  The set of all of them
-    always qualifies, since every relation then becomes a base relation.
-    The search classifies 2^k sets for k such arrows."""
-    split = _classify_relations(pres, base or ())
-    if split is None and base is not None:
-        raise ValueError(f"the arrows {tuple(base)} are not a base: some "
-                         "relation is not linear above them")
-    base = base or ()
-    if split is None:
-        quiver = pres.quiver
-        used = {a for rel in pres.relations for p in rel.paths()
-                for a in p.arrows}
-        bearing = [a for a in quiver.arrow_names()
-                   if a in used and not quiver.is_loop(a)]
-        layout = flat_layout(pres, dims)
-        base = min((subset for r in range(1, len(bearing) + 1)
-                    for subset in itertools.combinations(bearing, r)
-                    if _classify_relations(pres, subset) is not None),
-                   key=lambda subset: sum(layout[a][1] * layout[a][2]
-                                          for a in subset))
-        split = _classify_relations(pres, base)
-    base_rels, linear_rels = split
-    loop_rels, arrow_rels = [], []
-    for rel in base_rels:
-        loops_only = all(pres.quiver.is_loop(a)
-                         for p in rel.paths() for a in p.arrows)
-        (loop_rels if loops_only else arrow_rels).append(rel)
-    return base, loop_rels, arrow_rels, linear_rels
-
-
-def _arrow_plan(pres: BoundQuiver, field, dims, base, linear_rels):
-    """Layout of the linear system that the entries of the arrows outside
-    ``base`` (every loop is in it) satisfy once the base matrices are
-    fixed: the linear relations, linearized in those arrows.  Returns the
-    plan and a function from a base point, the entries of every loop and
-    then of the arrows in ``base`` (as ``flat_layout`` lays them out), to
-    the kernel basis of the system there."""
-    walked = [*pres.quiver.loops(), *base]
-    shapes = {a: (r, c) for a, (_, r, c) in flat_layout(pres, dims).items()
-              if a not in walked}
+def _arrow_plan(pres: BoundQuiver, field, dims, walked, arrows, rels):
+    """The plan of ``rels`` linearized in ``arrows``, and a function from a
+    flat point of the arrows ``walked`` to the kernel basis there."""
+    shapes = {a: (r, c) for a, (_, r, c)
+              in flat_layout(pres, dims, arrows).items()}
     plan = SandwichPlan(field, shapes, linearized_equations(
-        field, linear_rels, shapes, dims, dims))
+        field, rels, shapes, dims, dims))
     layout = flat_layout(pres, dims, walked)
     kernel = plan.flat_kernel(layout, layout)
     return plan, lambda point: kernel(point, point)
@@ -303,8 +314,8 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
                  rels, meter: _Meter):
     """The flat point ``point``, the entries of every loop outside
     ``arrows``, extended by every assignment of ``arrows`` on which
-    ``rels`` vanish (the loop filter extends () by the loops, the base walk
-    a loop point by the base arrows): one step planned per candidate, taken
+    ``rels`` vanish (the loop filter extends () by the loops, the layer-0
+    walk a loop point by its arrows): one step planned per candidate, taken
     in itertools.product order (arrows in the order given, entries
     row-major).  Without arrows ``point`` is its only extension and costs
     nothing."""
@@ -332,7 +343,7 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
     in the fixed order: every loop point the filter accepts where the locus
     is not stratified; else with ``orbits`` every point of each stratum
     once; else each row of ``table``.  Orbit points, and rows that fix the
-    whole base point, take one step each, all planned up front."""
+    whole layer-0 point, take one step each, all planned up front."""
     if table.loops is None:
         for point in _assignments(pres, field, dims, (), pres.quiver.loops(),
                                   loop_rels, meter):
@@ -352,19 +363,31 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
 
 
 def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
-            base=None):
-    """The walk of the variety with these dims: the arrows in the order a
-    walked point lays them out (every loop, the base arrows, then the rest
-    in declaration order), and a stream of (flat base point, weight, kernel
-    basis of the linear fiber there) over the base points above each
-    weighted loop point of ``_loop_points``, which already hold the base
-    arrows where a count has rank strata for them.  The strata and the
-    arrow system's layout are set up once for the walk.  A given ``base``
-    is walked in place of the one ``_choose_base`` would search for."""
-    base, loop_rels, base_rels, linear_rels = _choose_base(pres, dims, base)
-    plan, kernel = _arrow_plan(pres, field, dims, base, linear_rels)
+            top: Iterable[str] = ()):
+    """The tower walk of ``_layers``, ``top`` its last layer if given: the
+    arrows in the order a walked point lays them out (every loop, layer 0,
+    then each later layer), and a stream of (flat point of every layer
+    below the last, weight, kernel basis of the last layer there), over the
+    weighted loop points of ``_loop_points`` (which hold the layer-0 arrows
+    where a count has rank strata for them) and each middle layer's span,
+    one step per element.  Strata and systems are set up once."""
+    base, loop_rels, base_rels, layers = _layers(pres, dims, top)
+    walked = [*pres.quiver.loops(), *base]
+    plans = []
+    for arrows, rels in layers or [((), ())]:
+        plan, kernel = _arrow_plan(pres, field, dims, walked, arrows, rels)
+        plans.append((plan.ncols, kernel))
+        walked += arrows
     table = StratumTable(pres, field, dims, loop_rels,
                          None if orbits else base, base_rels)
+
+    def above(point, weight, level):
+        size, kernel = plans[level]
+        if level + 1 == len(plans):
+            yield point, weight, kernel(point)
+            return
+        for vec in _walk_fiber(field, size, kernel(point), meter):
+            yield from above(point + tuple(vec), weight, level + 1)
 
     def stream():
         for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
@@ -372,22 +395,20 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
             for point in ((loops,) if table.arrows is not None else
                           _assignments(pres, field, dims, loops, base,
                                        base_rels, meter)):
-                yield point, weight, kernel(point)
+                yield from above(point, weight, 0)
 
-    return [*pres.quiver.loops(), *base, *plan.shapes], stream()
+    return walked, stream()
 
 
 def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
-                 orbits: bool, base=None) -> Iterator[tuple]:
-    """(point, weight) for every point of the linear fiber over each base
+                 orbits: bool, top: Iterable[str] = ()) -> Iterator[tuple]:
+    """(point, weight) for every point of the last layer's kernel over each
     point of ``_fibers`` (with ``orbits`` every point of the variety once,
-    with weight 1).  A point is flat, as ``flat_layout`` lays it out: every
-    arrow's entries, arrows in declaration order, row-major.  Each base
-    point and kernel vector is lifted once to that layout, so the fiber is
-    spanned straight from the lifted base point."""
-    walked, fibers = _fibers(pres, field, dims, meter, orbits, base)
-    # the place of each coordinate of the base point, then of the fiber
-    # vector, in the flat point
+    with weight 1), flat as ``flat_layout`` lays it out.  Each point below
+    the last layer and each kernel vector is lifted once to that layout, so
+    the kernel is spanned straight from the lifted point."""
+    walked, fibers = _fibers(pres, field, dims, meter, orbits, top)
+    # the place of each coordinate of a walked point in the flat point
     layout = flat_layout(pres, dims)
     places = [i for a in walked for start, r, c in (layout[a],)
               for i in range(start, start + r * c)]
@@ -431,21 +452,32 @@ def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
 
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                     meter: _Meter | None = None) -> Iterator[Representation]:
-    """Deterministic, duplicate-free stream of all variety points: every
-    point of the linear fiber over each base point, above every point of
-    the loop locus.  ``iter_rep_points_odometer`` gives the same points."""
+    """Deterministic, duplicate-free stream of all variety points, every
+    point of the tower walk.  ``iter_rep_points_odometer`` gives the same
+    points."""
     build = _rep_builder(pres, field, dims)
     for point, _ in _points_over(pres, field, dims, meter or _Meter(),
                                  orbits=True):
         yield build(point)
 
 
+def _count(pres: BoundQuiver, field: PrimeField, dims, budget: int | None,
+           top: Iterable[str] = (), counter=None) -> int:
+    """The sum over the points of ``_fibers`` of weight * the size of the
+    last layer's kernel: q^dim, or what ``counter(field, its shapes)``
+    counts from the kernel basis and the meter."""
+    meter = _Meter(budget)
+    _, fibers = _fibers(pres, field, dims, meter, orbits=False, top=top)
+    size = (counter(field, {a: (r, c) for a, (_, r, c)
+                            in flat_layout(pres, dims, top).items()})
+            if counter else lambda basis, _: field.p ** len(basis))
+    return sum(weight * size(basis, meter) for _, weight, basis in fibers)
+
+
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      budget: int | None = None) -> int:
-    """Exact number of valid points: the sum of weight * q^(free linear
-    coordinates) over the weighted base points of ``_fibers``."""
-    _, fibers = _fibers(pres, field, dims, _Meter(budget), orbits=False)
-    return sum(weight * field.p ** len(basis) for _, weight, basis in fibers)
+    """Exact number of valid points."""
+    return _count(pres, field, dims, budget)
 
 
 # --- hom / mono / ext points ---------------------------------------------
@@ -487,32 +519,6 @@ def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter,
     for vec in _span(field, kernel, size, start):
         meter.tick()
         yield vec
-
-
-def _pairs(pres: BoundQuiver, field: PrimeField, first_dims, second_dims,
-           kernel, meter: _Meter, orbits: bool):
-    """(x, y, wx * wy, kernel(x, y)) for each (x, wx) of the first variety's
-    ``_points_over`` and (y, wy) of the second's, listed once before the
-    first is streamed; each x plans one step per y, each pair takes one."""
-    seconds = list(_points_over(pres, field, second_dims, meter, orbits))
-    for x, wx in _points_over(pres, field, first_dims, meter, orbits):
-        meter.precheck(len(seconds))
-        for y, wy in seconds:
-            meter.tick()
-            yield x, y, wx * wy, kernel(x, y)
-
-
-def _iter_pair_fibers(pres: BoundQuiver, field: PrimeField, first_dims,
-                      second_dims, shapes, kernel, meter: _Meter | None):
-    """(x, y, vec) for each pair (x, y) of ``_pairs`` and every vec in the
-    span of ``kernel(x, y)``: a flat vector in the layout of the block
-    ``shapes`` (as hom_fiber and cocycle_fiber give them)."""
-    meter = meter or _Meter()
-    size = sum(r * c for r, c in shapes.values())
-    for x, y, _, basis in _pairs(pres, field, first_dims, second_dims,
-                                 kernel, meter, orbits=True):
-        for vec in _walk_fiber(field, size, basis, meter):
-            yield x, y, vec
 
 
 def _injective(field: PrimeField, shapes: Mapping):
@@ -581,56 +587,64 @@ def _mono_counter(field: PrimeField, shapes: Mapping):
     return count
 
 
-def _iter_pair_points(pres: BoundQuiver, field: PrimeField, first_dims,
-                      second_dims, fiber, meter: _Meter | None, test=None):
-    """(x, y, blocks) for each (x, y, vec) of ``_iter_pair_fibers`` over
-    ``fiber`` whose vec passes ``test(field, shapes)``, if given: x and y
-    as ``Representation``s, one per distinct point, vec cut into blocks."""
-    shapes, kernel = fiber(pres, field, first_dims, second_dims)
+@functools.lru_cache(maxsize=64)
+def _doubling(ext: bool, pres: BoundQuiver) -> BoundQuiver:
+    """``ext_quiver(pres)`` or ``hom_quiver(pres)``, kept for the last 64
+    presentation values: building it costs as much as a small pair count,
+    and a count's report reads it again for the ambient dimension."""
+    return ext_quiver(pres) if ext else hom_quiver(pres)
+
+
+def _pair_walk(kind: str, pres: BoundQuiver, first, second):
+    """(doubled presentation, its dims, {crossing arrow: the vertex or
+    arrow of ``pres`` it stands for}) of a pair kind, ``ext_quiver(pres)``
+    for ext and ``hom_quiver(pres)`` else, ``first`` on its first copy."""
+    quiver = pres.quiver
+    doubled = _doubling(kind == "ext", pres)
+    labels = quiver.arrow_names() if kind == "ext" else quiver.vertices
+    dims = dict(zip(doubled.quiver.vertices,
+                    [d.get(v, 0) for d in (first, second)
+                     for v in quiver.vertices]))
+    crossing = doubled.quiver.arrow_names()[2 * len(quiver.arrows):]
+    return doubled, dims, dict(zip(crossing, labels))
+
+
+def _pair_points(kind: str, pres: BoundQuiver, field: PrimeField, first,
+                 second, meter: _Meter | None, test=None):
+    """(first point, second point, blocks) for each point of the doubled
+    presentation of ``_pair_walk`` whose crossing vector passes ``test(field,
+    shapes)``, if given: its flat point cut into the copies' points, built
+    as points of ``pres``, and blocks keyed by the vertices or arrows."""
+    doubled, dims, crossing = _pair_walk(kind, pres, first, second)
+    shapes = {crossing[a]: (r, c) for a, (_, r, c)
+              in flat_layout(doubled, dims, crossing).items()}
     keep = test and test(field, shapes)
-    first = _rep_builder(pres, field, first_dims)
-    second = functools.cache(_rep_builder(pres, field, second_dims))
-    x = None
-    for fx, fy, vec in _iter_pair_fibers(pres, field, first_dims,
-                                         second_dims, shapes, kernel, meter):
-        if keep and not keep(vec):
-            continue
-        if fx is not x:
-            x, src = fx, first(fx)
-        yield src, second(fy), split_blocks(field, shapes, vec)
-
-
-def _count_pairs(pres: BoundQuiver, field: PrimeField, first_dims,
-                 second_dims, fiber, budget: int | None,
-                 counter=None) -> int:
-    """Sum over the weighted pairs of ``_pairs`` of the size of the linear
-    fiber of ``fiber`` (hom_fiber or cocycle_fiber) over each: q^dim, or
-    what ``counter(field, shapes)`` counts from the kernel basis and the
-    meter.  Conjugating the loop vertices carries the points above J_lam
-    onto isomorphic points above its conjugates and keeps each size, so
-    each pair of weighted points stands for its weight."""
-    shapes, kernel = fiber(pres, field, first_dims, second_dims)
-    fiber_size = (counter(field, shapes) if counter
-                  else lambda basis, _: field.p ** len(basis))
-    meter = _Meter(budget)
-    pairs = _pairs(pres, field, first_dims, second_dims, kernel, meter,
-                   orbits=False)
-    return sum(w * fiber_size(basis, meter) for _, _, w, basis in pairs)
+    x_end = rep_ambient_dim(pres, first)
+    y_end = x_end + rep_ambient_dim(pres, second)
+    build_x = _rep_builder(pres, field, first)
+    build_y = _rep_builder(pres, field, second)
+    for point, _ in _points_over(doubled, field, dims, meter or _Meter(),
+                                 orbits=True, top=crossing):
+        vec = point[y_end:]
+        if not keep or keep(vec):
+            yield (build_x(point[:x_end]), build_y(point[x_end:y_end]),
+                   split_blocks(field, shapes, vec))
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                     target_dims, meter: _Meter | None = None
                     ) -> Iterator[HomTriple]:
-    for src, dst, maps in _iter_pair_points(pres, field, source_dims,
-                                            target_dims, hom_fiber, meter):
+    for src, dst, maps in _pair_points("hom", pres, field, source_dims,
+                                       target_dims, meter):
         yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
 
 
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs."""
-    return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
-                        budget)
+    doubled, dims, crossing = _pair_walk("hom", pres, source_dims,
+                                         target_dims)
+    return _count(doubled, field, dims, budget, crossing)
 
 
 def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -638,33 +652,33 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      ) -> Iterator[HomTriple]:
     """Monomorphism triples: the hom points whose Hom vector passes
     ``_injective``, tested before a triple is built."""
-    for src, dst, maps in _iter_pair_points(pres, field, source_dims,
-                                            target_dims, hom_fiber, meter,
-                                            _injective):
+    for src, dst, maps in _pair_points("hom", pres, field, source_dims,
+                                       target_dims, meter, _injective):
         yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
 
 
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
     """Number of injective homomorphisms over all source/target pairs,
-    each pair's by ``_mono_counter``."""
-    return _count_pairs(pres, field, source_dims, target_dims, hom_fiber,
-                        budget, _mono_counter)
+    each Hom space's by ``_mono_counter``."""
+    doubled, dims, crossing = _pair_walk("hom", pres, source_dims,
+                                         target_dims)
+    return _count(doubled, field, dims, budget, crossing, _mono_counter)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                     meter: _Meter | None = None):
     """Extension triples (quotient point, sub point, cocycle blocks)."""
-    for quo, sub, blocks in _iter_pair_points(pres, field, quo_dims,
-                                              sub_dims, cocycle_fiber, meter):
+    for quo, sub, blocks in _pair_points("ext", pres, field, quo_dims,
+                                         sub_dims, meter):
         yield ExtensionTriple(quo, sub, blocks, check=False)
 
 
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    return _count_pairs(pres, field, quo_dims, sub_dims, cocycle_fiber,
-                        budget)
+    doubled, dims, crossing = _pair_walk("ext", pres, quo_dims, sub_dims)
+    return _count(doubled, field, dims, budget, crossing)
 
 
 _COUNTS = {"rep": count_rep_points, "hom": count_hom_points,

@@ -88,9 +88,9 @@ def linearized_equations(field: Field, relations, unknowns,
     ``SandwichPlan`` equations: one per relation, of shape left_dims at its
     target by right_dims at its source, with one term
     c * left(a_1..a_(j-1)) X_(a_j) right(a_(j+1)..a_l) per term
-    c * a_1..a_l of the relation and position j with a_j unknown.  The
-    arrow blocks of a walk take the arrows outside the base as unknowns,
-    one per term; a cocycle takes every arrow."""
+    c * a_1..a_l of the relation and position j with a_j unknown.  A layer
+    of a walk takes its arrows as unknowns, one per term; a cocycle takes
+    every arrow."""
     equations = []
     for rel in relations:
         terms = []
@@ -104,31 +104,22 @@ def linearized_equations(field: Field, relations, unknowns,
     return equations
 
 
-def cocycle_fiber(pres: BoundQuiver, field: Field, quo_dims: DimVector,
-                  sub_dims: DimVector):
-    """Cocycle spaces of pairs of points with these dims, from one compiled
-    layout: the block shapes, and a function from a quotient and a sub
-    flat point (as ``flat_layout`` lays them out) to the kernel basis of
-    the cocycle system: the relations linearized in every arrow's block,
-    as in cocycle_value."""
-    shapes = block_shapes(pres, sub_dims, quo_dims)
-    plan = SandwichPlan(field, shapes, linearized_equations(
-        field, pres.relations, shapes, sub_dims, quo_dims))
-    kernel = plan.flat_kernel(flat_layout(pres, sub_dims),
-                              flat_layout(pres, quo_dims))
-    return plan.shapes, lambda quo, sub: kernel(sub, quo)
-
-
 def cocycle_kernel(quo: Representation, sub: Representation
                    ) -> tuple[dict, list[tuple]]:
-    """Block shapes and the kernel basis of the cocycle system of one pair,
-    as in cocycle_fiber."""
+    """The block shapes, and the kernel basis of the cocycle system of the
+    pair: the relations linearized in every arrow's block, as in
+    cocycle_value, assembled from the two flat points."""
     if not same_data(quo, sub):
         raise ValueError("representations live over different data")
-    shapes, kernel = cocycle_fiber(quo.pres, quo.field, quo.dims, sub.dims)
-    arrows = quo.pres.quiver.arrow_names()
-    return shapes, kernel(flat_point(quo.mats, arrows),
-                          flat_point(sub.mats, arrows))
+    pres = quo.pres
+    shapes = block_shapes(pres, sub.dims, quo.dims)
+    plan = SandwichPlan(quo.field, shapes, linearized_equations(
+        quo.field, pres.relations, shapes, sub.dims, quo.dims))
+    kernel = plan.flat_kernel(flat_layout(pres, sub.dims),
+                              flat_layout(pres, quo.dims))
+    arrows = pres.quiver.arrow_names()
+    return plan.shapes, kernel(flat_point(sub.mats, arrows),
+                               flat_point(quo.mats, arrows))
 
 
 def cocycle_space_basis(quo: Representation,

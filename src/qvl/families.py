@@ -3,11 +3,11 @@ identifications between them.
 
 All families live on the two-vertex quiver with loops e0 at vertex 0, e1 at
 vertex 1, and arrows a1..an from 1 to 0 (the one-vertex family keeps a
-single loop e).  ``hom_quiver`` and ``ext_quiver`` double a presentation
-so that its points are the Hom or the extension triples of the original.
-The paper's identifications, of A'comm(m) and B(1, m) with those of
-Lambda(m) and of A'comm(m) with A(1, m, 1), are vertex and signed arrow
-maps that ``quiver.is_isomorphism`` proves and ``reps.relabel`` follows.
+single loop e).  The paper's identifications, of A'comm(m) and B(1, m)
+with the Hom and Ext quivers of Lambda(m) (``quiver.hom_quiver`` and
+``quiver.ext_quiver``) and of A'comm(m) with A(1, m, 1), are vertex and
+signed arrow maps that ``quiver.is_isomorphism`` proves and
+``reps.relabel`` follows.
 """
 
 from __future__ import annotations
@@ -148,61 +148,6 @@ def family_b(n: int, m: int) -> BoundQuiver:
     """The corner family: A(n, m, m-1)."""
     _check("B", n, m)
     return family_a(n, m, m - 1)
-
-
-def _doubled(pres: BoundQuiver, sides, crossing, rels, name) -> BoundQuiver:
-    """Two copies of ``pres`` (vertices <side><v>, arrows <side>_<a>) joined
-    by the ``crossing`` arrows, with the relations of ``pres`` on both
-    copies and those ``rels`` builds on the doubled quiver.
-
-    Its truncation bound is 2N, taken unchecked: a path crosses from the
-    first copy to the second at most once, so any path of length 2N holds
-    N consecutive arrows of one copy, a path in that copy's ideal."""
-    quiver = pres.quiver
-    arrows = [(f"{side}_{a}", f"{side}{s}", f"{side}{t}")
-              for side in sides for a, s, t in quiver.arrows] + crossing
-    doubled = Quiver([f"{side}{v}" for side in sides for v in quiver.vertices],
-                     arrows, name=f"{name}({quiver.name})")
-    copies = [Relation((c, doubled.path([f"{side}_{a}" for a in p.arrows]))
-                       for c, p in rel.terms)
-              for side in sides for rel in pres.relations]
-    return BoundQuiver(doubled, copies + rels(doubled),
-                       2 * pres.truncation_bound, name=f"{name}({pres.name})",
-                       check=False)
-
-
-def hom_quiver(pres: BoundQuiver) -> BoundQuiver:
-    """The doubled presentation whose representations are the Hom triples
-    of ``pres``: a source copy (vertices s<v>, arrows s_<a>) and a target
-    copy (t<v>, t_<a>) of the quiver, an arrow f<v>: s<v> -> t<v> for each
-    vertex, the relations of ``pres`` on both copies, and f_t*s_a - t_a*f_s
-    for each arrow a: s -> t, which says the maps f intertwine."""
-    quiver = pres.quiver
-    return _doubled(
-        pres, "st", [(f"f{v}", f"s{v}", f"t{v}") for v in quiver.vertices],
-        lambda doubled: [
-            Relation([(1, doubled.path([f"f{t}", f"s_{a}"])),
-                      (-1, doubled.path([f"t_{a}", f"f{s}"]))])
-            for a, s, t in quiver.arrows], "Hom")
-
-
-def ext_quiver(pres: BoundQuiver) -> BoundQuiver:
-    """The doubled presentation whose representations are the extension
-    triples of ``pres``: a quotient copy (vertices q<v>, arrows q_<a>) and
-    a sub copy (u<v>, u_<a>) of the quiver, an arrow c_<a>: q<s> -> u<t>
-    for each arrow a: s -> t, the relations of ``pres`` on both copies,
-    and for each relation its linearization, the sum over its terms
-    c * a_1..a_l and positions j of c * u(a_1..a_(j-1)) c_(a_j)
-    q(a_(j+1)..a_l), which is the cocycle equation."""
-    quiver = pres.quiver
-    return _doubled(
-        pres, "qu", [(f"c_{a}", f"q{s}", f"u{t}") for a, s, t in quiver.arrows],
-        lambda doubled: [
-            Relation((c, doubled.path([f"u_{a}" for a in p.arrows[:j]]
-                                      + [f"c_{p.arrows[j]}"]
-                                      + [f"q_{a}" for a in p.arrows[j + 1:]]))
-                     for c, p in rel.terms for j in range(p.length))
-            for rel in pres.relations], "Ext")
 
 
 # The paper's identifications as (vertex map, signed arrow map) pairs for

@@ -265,37 +265,26 @@ class HomTriple:
         return hash(self.key())
 
 
-def hom_fiber(pres: BoundQuiver, field: Field, source_dims: DimVector,
-              target_dims: DimVector):
-    """Hom spaces between points with these dims, from one compiled
-    layout: the shapes of the vertex maps f_x, and a function from a
-    source and a target flat point (as ``flat_layout`` lays them out) to
-    the kernel basis of the intertwining system
-    target_a f_(s a) - f_(t a) source_a = 0, one equation per arrow, in the
-    stacked entries of all vertex maps."""
-    quiver = pres.quiver
-    shapes = {x: (target_dims.get(x, 0), source_dims.get(x, 0))
+def hom_kernel(source: Representation, target: Representation
+               ) -> tuple[dict, list[tuple]]:
+    """The shapes of the vertex maps f_x, and the kernel basis of the
+    intertwining system target_a f_(s a) - f_(t a) source_a = 0 of the
+    pair, one equation per arrow, in the stacked entries of all vertex
+    maps, assembled from the two flat points."""
+    if not same_data(source, target):
+        raise ValueError("representations live over different data")
+    quiver = source.pres.quiver
+    shapes = {x: (target.dims.get(x, 0), source.dims.get(x, 0))
               for x in quiver.vertices}
-    plan = SandwichPlan(field, shapes, [
+    plan = SandwichPlan(source.field, shapes, [
         ((shapes[t][0], shapes[s][1]), [(1, s, (a,), None),
                                         (-1, t, None, (a,))])
         for a, s, t in quiver.arrows])
-    kernel = plan.flat_kernel(flat_layout(pres, target_dims),
-                              flat_layout(pres, source_dims))
-    return plan.shapes, lambda source, target: kernel(target, source)
-
-
-def hom_kernel(source: Representation, target: Representation
-               ) -> tuple[dict, list[tuple]]:
-    """Shapes of the vertex maps and the kernel basis of the intertwining
-    system of one pair, as in hom_fiber."""
-    if not same_data(source, target):
-        raise ValueError("representations live over different data")
-    shapes, kernel = hom_fiber(source.pres, source.field, source.dims,
-                               target.dims)
-    arrows = source.pres.quiver.arrow_names()
-    return shapes, kernel(flat_point(source.mats, arrows),
-                          flat_point(target.mats, arrows))
+    kernel = plan.flat_kernel(flat_layout(source.pres, target.dims),
+                              flat_layout(source.pres, source.dims))
+    arrows = quiver.arrow_names()
+    return plan.shapes, kernel(flat_point(target.mats, arrows),
+                               flat_point(source.mats, arrows))
 
 
 def hom_basis(source: Representation, target: Representation) -> list[Morphism]:

@@ -22,12 +22,12 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
     """Seeded valid point for any of the two-vertex families: nilpotent
     loops first, then a uniformly random solution of the induced linear
     arrow constraints."""
-    from qvl.counting import _arrow_plan, _classify_relations
-    split = _classify_relations(pres)
-    assert split is not None
-    loop_rels, linear_rels = split
+    from qvl.counting import _arrow_plan, _layers
     dims = {0: d0, 1: d1}
     quiver = pres.quiver
+    base, loop_rels, _, layers = _layers(pres, dims)
+    assert base == ()
+    [(arrows, linear_rels)] = layers or [((), ())]
     orders = {}
     for rel in loop_rels:
         path = rel.paths()[0]
@@ -51,7 +51,8 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
                 ok = False
         if not ok:
             continue
-        plan, kernel = _arrow_plan(pres, field, dims, (), linear_rels)
+        plan, kernel = _arrow_plan(pres, field, dims, quiver.loops(), arrows,
+                                   linear_rels)
         values = [field.zero] * plan.ncols
         for vec in kernel(flat_point(loop_mats, quiver.loops())):
             c = field.coerce(rng.randrange(field.p)) if hasattr(field, "p") \

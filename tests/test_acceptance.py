@@ -24,12 +24,13 @@ from qvl.dsl import parse_quiver_spec, print_quiver_spec
 from qvl.extensions import (ExtensionTriple, build_extension, cocycle_value,
                             mono_triple_from_extension, splitting_from_mono)
 from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, FamilyDescriptor,
-                          ext_quiver, family_a, family_a_prime,
-                          family_a_prime_commuting, family_b, family_lambda,
-                          hom_quiver, is_geometrically_irreducible_family)
+                          family_a, family_a_prime, family_a_prime_commuting,
+                          family_b, family_lambda,
+                          is_geometrically_irreducible_family)
 from qvl.linalg import GF, Matrix, QQ, random_matrix
-from qvl.quiver import (ext2_dimension, is_isomorphism,
-                        is_simple_loop_extension, is_weakly_triangular)
+from qvl.quiver import (ext2_dimension, ext_quiver, hom_quiver,
+                        is_isomorphism, is_simple_loop_extension,
+                        is_weakly_triangular)
 from qvl.reps import gl_action, is_monomorphism, relabel
 
 F5 = GF(5)

@@ -1,7 +1,7 @@
 """Presentations whose relations tie non-loop arrows to each other.
 
-Their counts and walks go over a base of loops plus some non-loop arrows;
-every result here is checked against the ambient odometer or a closed form
+Their counts and walks go over a tower whose layer 0 holds loops plus some
+non-loop arrows; every result here is checked against the ambient odometer or a closed form
 that shares no code with qvl."""
 
 import itertools
@@ -12,23 +12,22 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qvl.counting import (BudgetExceededError, _Meter, _assignments,
-                          _choose_base, _classify_relations, _fibers,
-                          _iter_pair_fibers, _loop_points, _points_over,
-                          _walk_fiber,
+                          _fibers, _layers, _loop_points, _pair_walk,
+                          _points_over, _walk_fiber,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_rep_points,
                           iter_rep_points_odometer, rep_ambient_dim)
 from helpers import residual_kernel, typed
 from qvl.dsl import parse_quiver_spec
-from qvl.extensions import (block_shapes, cocycle_fiber, cocycle_kernel,
+from qvl.extensions import (block_shapes, cocycle_kernel,
                             cocycle_space_basis, cocycle_value)
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
-                          family_b, family_lambda, hom_quiver)
-from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor, split_blocks
-from qvl.quiver import BoundQuiver, Quiver, Relation
+                          family_b, family_lambda)
+from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor
+from qvl.quiver import BoundQuiver, Quiver, Relation, hom_quiver
 from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
-                      hom_basis, hom_fiber, hom_kernel, is_monomorphism)
+                      hom_basis, hom_kernel, is_monomorphism)
 from qvl.strata import StratumTable
 
 PATH2 = """quiver P2 {
@@ -107,9 +106,9 @@ class TestAgainstOdometer:
     @pytest.mark.parametrize("pres,base,dim_list", CASES, ids=IDS)
     def test_counts_and_points(self, pres, base, dim_list, q):
         field = GF(q)
-        assert _classify_relations(pres) is None
         for dim_tuple in dim_list:
             dims = _dims(pres, dim_tuple)
+            assert _layers(pres, dims)[0]
             if not _small(pres, dims, q):
                 continue
             slow = [r.key() for r in iter_rep_points_odometer(pres, field,
@@ -122,7 +121,7 @@ class TestAgainstOdometer:
     @pytest.mark.parametrize("pres,base,dim_list", CASES, ids=IDS)
     def test_base_choice(self, pres, base, dim_list):
         dims = _dims(pres, dim_list[0])
-        assert _choose_base(pres, dims)[0] == base
+        assert _layers(pres, dims)[0] == base
 
     @pytest.mark.parametrize("pres,dims", [
         *((pres, _dims(pres, dim_list[1])) for pres, _, dim_list in CASES),
@@ -165,8 +164,8 @@ class TestAgainstOdometer:
     def test_base_follows_block_sizes(self):
         # b*a and c*b: {b} costs d1*d2 entries, {a, c} costs d0*d1 + d2*d3
         pres = parse_quiver_spec(PATH3_TWO)
-        assert _choose_base(pres, _dims(pres, (1, 3, 3, 1)))[0] == ("a", "c")
-        assert _choose_base(pres, _dims(pres, (3, 1, 1, 3)))[0] == ("b",)
+        assert _layers(pres, _dims(pres, (1, 3, 3, 1)))[0] == ("a", "c")
+        assert _layers(pres, _dims(pres, (3, 1, 1, 3)))[0] == ("b",)
 
 
 NAMED = [family_lambda(1), family_lambda(3), family_a(1, 2, 1),
@@ -177,10 +176,16 @@ NAMED = [family_lambda(1), family_lambda(3), family_a(1, 2, 1),
 
 @pytest.mark.parametrize("pres", NAMED, ids=[p.name for p in NAMED])
 def test_named_families_keep_loops_only_base(pres):
-    assert _classify_relations(pres) is not None
+    # one linear layer above the loops, holding every non-loop arrow, the
+    # relation-free ones (A'(2,2,3)'s) too
+    arrows = [a for a in pres.quiver.arrow_names()
+              if not pres.quiver.is_loop(a)]
     for d in range(3):
         dims = {x: d + i for i, x in enumerate(pres.quiver.vertices)}
-        assert _choose_base(pres, dims)[0] == ()
+        base, _, _, layers = _layers(pres, dims)
+        assert base == ()
+        assert [arrows for arrows, _ in layers] == ([arrows] if arrows
+                                                     else [])
 
 
 # --- closed form for the path with b*a = 0 ------------------------------
@@ -310,8 +315,9 @@ def test_random_presentations_agree_with_odometer(spec, q):
     # loops-only presentations are the named families' path, tested above
     text, dim_tuple = spec
     pres = parse_quiver_spec(text)
-    assume(_classify_relations(pres) is None)
     dims = _shrink(pres, _dims(pres, dim_tuple), q, 2048)
+    base, _, _, layers = _layers(pres, dims)
+    assume(base or len(layers) > 1)
     field = GF(q)
     slow = sum(1 for _ in iter_rep_points_odometer(pres, field, dims))
     assert count_rep_points(pres, field, dims) == slow, text
@@ -336,8 +342,9 @@ def test_random_presentations_agree_with_odometer(spec, q):
                                  HealthCheck.filter_too_much])
 @given(presentations(), st.sampled_from([2, 3]))
 def test_flat_pair_streams_cut_into_the_public_points(spec, q):
-    # the pair walk streams flat points and vectors; they are the flat
-    # coordinates of the public iterators' points, in their order
+    # the pair walks stream flat points of the doubled presentation; they
+    # are the flat coordinates of the public iterators' points, in their
+    # order: the first point, the second, then the crossing blocks
     text, dim_tuple = spec
     pres = parse_quiver_spec(text)
     field = GF(q)
@@ -345,25 +352,21 @@ def test_flat_pair_streams_cut_into_the_public_points(spec, q):
     second = _shrink(pres, _dims(pres, reversed(dim_tuple)), q, 16)
     vertices, arrows = pres.quiver.vertices, pres.quiver.arrow_names()
 
-    def coordinates(rep):
-        return tuple(v for a in arrows for row in rep.mats[a].rows
-                     for v in row)
+    def coordinates(mats, labels):
+        return tuple(v for a in labels for row in mats[a].rows for v in row)
 
-    for (shapes, kernel), points, labels, ends in (
-            (hom_fiber(pres, field, first, second),
-             iter_hom_points(pres, field, first, second), vertices,
-             lambda t: (t.source, t.target)),
-            (cocycle_fiber(pres, field, first, second),
-             iter_ext_points(pres, field, first, second), arrows,
-             lambda t: (t.quo, t.sub))):
-        cut = []
-        for x, y, vec in _iter_pair_fibers(pres, field, first, second,
-                                           shapes, kernel, None):
-            assert len(vec) == sum(r * c for r, c in shapes.values())
-            blocks = split_blocks(field, shapes, vec)
-            cut.append((x, y, tuple(blocks[k] for k in labels)))
-        assert cut == [(*map(coordinates, ends(t)), t.key()[2])
-                       for t in points], text
+    for kind, points, labels, parts in (
+            ("hom", iter_hom_points(pres, field, first, second), vertices,
+             lambda t: (t.source.mats, t.target.mats, t.morphism.maps)),
+            ("ext", iter_ext_points(pres, field, first, second), arrows,
+             lambda t: (t.quo.mats, t.sub.mats, t.blocks))):
+        doubled, dims, crossing = _pair_walk(kind, pres, first, second)
+        assert list(crossing.values()) == list(labels)
+        flat = [point for point, _ in _points_over(
+            doubled, field, dims, _Meter(), True, tuple(crossing))]
+        assert flat == [sum(map(coordinates, parts(t),
+                                (arrows, arrows, labels)), ())
+                        for t in points], text
 
 
 @st.composite
@@ -393,7 +396,7 @@ def test_loop_points_equal_the_filtered_locus(case, q):
     # the filter scans all q^(loop coordinates) candidates: the oracle
     pres, dims = case
     field = GF(q)
-    loop_rels = _choose_base(pres, dims)[1]
+    loop_rels = _layers(pres, dims)[1]
     table = StratumTable(pres, field, dims, loop_rels)
     streamed = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
                                  orbits=True, table=table))
@@ -443,19 +446,17 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
 
     (x, x_flat), (y, y_flat) = point(), point()
 
-    shapes, kernel = hom_fiber(pres, field, x.dims, y.dims)
+    shapes, kernel = hom_kernel(x, y)
     hom = residual_kernel(field, shapes, lambda f: [
         v for a, s, t in pres.quiver.arrows
         for v in _entries(y.mats[a] @ f[s] - f[t] @ x.mats[a])])
-    assert typed(kernel(x_flat, y_flat)) == typed(hom_kernel(x, y)[1]) \
-        == typed(hom), text
+    assert typed(kernel) == typed(hom), text
 
-    shapes, kernel = cocycle_fiber(pres, field, x.dims, y.dims)
+    shapes, kernel = cocycle_kernel(x, y)
     cocycles = residual_kernel(field, shapes, lambda blocks: [
         v for rel in pres.relations
         for v in _entries(cocycle_value(x, y, blocks, rel))])
-    assert typed(kernel(x_flat, y_flat)) \
-        == typed(cocycle_kernel(x, y)[1]) == typed(cocycles), text
+    assert typed(kernel) == typed(cocycles), text
 
     # the cocycle layout, whose sides include products of two arrows: the
     # factors built from flat points are the matrix products, and the
@@ -491,16 +492,13 @@ def test_census_hom_kernels_gather_one_column_systems(q):
     # every a_i of the target is 0 and is zero elsewhere.
     pres, field = family_a_prime(4, 2, 2), GF(q)
     source_dims, target_dims = {0: 0, 1: 1}, {0: 1, 1: 1}
-    shapes, kernel = hom_fiber(pres, field, source_dims, target_dims)
-    assert shapes == {0: (1, 0), 1: (1, 1)}
-    arrows = pres.quiver.arrow_names()
     sources = list(iter_rep_points(pres, field, source_dims))
     targets = list(iter_rep_points(pres, field, target_dims))
     assert (len(sources), len(targets)) == (1, q ** 4)
     free = 0
     for x, y in itertools.product(sources, targets):
-        got = kernel(*(tuple(v for a in arrows for row in rep.mats[a].rows
-                             for v in row) for rep in (x, y)))
+        shapes, got = hom_kernel(x, y)
+        assert shapes == {0: (1, 0), 1: (1, 1)}
         b_free = all(y.mats[f"a{i}"].is_zero() for i in range(1, 5))
         assert got == ([(1,)] if b_free else [])
         free += len(got)
@@ -508,12 +506,13 @@ def test_census_hom_kernels_gather_one_column_systems(q):
     assert free == 1
 
 
-def _concatenated(pres, field, dims, orbits, base):
+def _concatenated(pres, field, dims, orbits):
     """The points of ``_points_over`` built the way the walk once built
-    them: each base point followed by each vector of its fiber, put in the
-    flat layout by one reorder per point; and the meter's steps."""
+    them: each point below the last layer followed by each vector of its
+    kernel, put in the flat layout by one reorder per point; and the
+    meter's steps."""
     meter = _Meter()
-    walked, fibers = _fibers(pres, field, dims, meter, orbits, base)
+    walked, fibers = _fibers(pres, field, dims, meter, orbits)
     layout = flat_layout(pres, dims, walked)
     order = [i for a in pres.quiver.arrow_names()
              for start, r, c in (layout[a],)
@@ -528,19 +527,19 @@ def _concatenated(pres, field, dims, orbits, base):
     return points, (meter.used, meter.planned)
 
 
-@pytest.mark.parametrize("pres,dims,base", [
-    (parse_quiver_spec(SANDWICH), {0: 1, 1: 2, 2: 1}, None),
-    (parse_quiver_spec(SANDWICH), {0: 2, 1: 2, 2: 1}, None),
+@pytest.mark.parametrize("pres,dims", [
+    (parse_quiver_spec(SANDWICH), {0: 1, 1: 2, 2: 1}),
+    (parse_quiver_spec(SANDWICH), {0: 2, 1: 2, 2: 1}),
+    # three layers: the loops, then s_a1..s_a3 and f1, then the rest
     (hom_quiver(family_a_prime(3, 2, 2)),
-     {"s0": 0, "s1": 1, "t0": 1, "t1": 1}, ("f0", "f1")),
+     {"s0": 0, "s1": 1, "t0": 1, "t1": 1}),
     (hom_quiver(family_a_prime(3, 2, 2)),
-     {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, ("f0", "f1"))],
+     {"s0": 1, "s1": 1, "t0": 1, "t1": 1})],
     ids=["sandwich-121", "sandwich-221", "census-dims", "square-dims"])
 @pytest.mark.parametrize("orbits", [True, False])
-def test_lifted_points_equal_the_reordered_concatenation(pres, dims, base,
-                                                         orbits):
+def test_lifted_points_equal_the_reordered_concatenation(pres, dims, orbits):
     meter = _Meter()
-    lifted = list(_points_over(pres, GF(3), dims, meter, orbits, base))
+    lifted = list(_points_over(pres, GF(3), dims, meter, orbits))
     assert (lifted, (meter.used, meter.planned)) \
-        == _concatenated(pres, GF(3), dims, orbits, base)
+        == _concatenated(pres, GF(3), dims, orbits)
     assert lifted

@@ -92,13 +92,18 @@ PINNED = {
     "iter-base": [_stop(0, 9), _stop(0, 9), _stop(2, 27), _stop(30, 45),
                   _stop(100, 108), _stop(299, 315)]
     + [(441, "41c601dde2e77d8f")] * 2,
-    "mono": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(27, 42),
-             _stop(100, 111), 240, 240, 240],
-    "hom": [_stop(0, 2), _stop(1, 5), _stop(5, 14), _stop(29, 42)]
+    # the pair walks run on the doubled quiver hom_quiver(A(1,3,1)): one
+    # step per each of its 2 stratum rows (9 orbit points for iter-hom),
+    # per point of the middle layer s_a1, t_a1 above them (36 weighted
+    # pairs, 99 pairs), then per Hom vector for iter-hom (621) and per term
+    # of each pair's Moebius sum for mono
+    "mono": [_stop(0, 2), _stop(1, 11), _stop(7, 19), _stop(29, 35),
+             _stop(97, 116), 240, 240, 240],
+    "hom": [_stop(0, 2), _stop(1, 11), _stop(10, 11), _stop(11, 38)]
     + [621] * 4,
-    "iter-hom": [_stop(0, 9), _stop(0, 9), _stop(9, 18), _stop(29, 33),
-                 _stop(95, 133), _stop(285, 322)]
-    + [(621, "de7c4263561f105c")] * 2,
+    "iter-hom": [_stop(0, 9), _stop(0, 9), _stop(2, 27), _stop(22, 45),
+                 _stop(99, 111), _stop(297, 315)]
+    + [(621, "d6b90fe50f8b5231")] * 2,
     "witness": [_stop(1, 4), _stop(1, 4), _stop(8, 16)] + [WITNESS] * 5,
     "census": [_stop(0, 243)] * 5 + [_stop(245, 328)]
     + [(4, 3, 83, 81, 3, True, True)] * 2,

@@ -9,9 +9,8 @@ from qvl import certificates, counting
 from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
-                          _arrow_plan, _assignments, _choose_base,
-                          _classify_relations, _loop_points, _points_over,
-                          ambient_dimension,
+                          _arrow_plan, _assignments, _layers, _loop_points,
+                          _points_over, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, iter_hom_points, iter_mono_points,
@@ -20,12 +19,13 @@ from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
-                          family_b, family_lambda, hom_quiver)
+                          family_b, family_lambda)
 from qvl.linalg import GF, QQ, Matrix
-from qvl.quiver import BoundQuiver, Quiver
-from qvl.reps import hom_basis, is_monomorphism
+from qvl.quiver import BoundQuiver, Quiver, hom_quiver
+from qvl.reps import Morphism, hom_basis, is_monomorphism
 from qvl.strata import (StratumTable, _jordan_point, _nilpotent_orbit,
                         jordan_types, nilpotent_orbit_size)
+from test_base_fibers import SANDWICH, SQUARE
 
 F2 = GF(2)
 F3 = GF(3)
@@ -96,8 +96,10 @@ class TestRepCounts:
 
 def _filter_walk_count(pres, field, dims):
     """Rep count by filtering every loop assignment (no strata)."""
-    loop_rels, linear_rels = _classify_relations(pres)
-    _, kernel = _arrow_plan(pres, field, dims, (), linear_rels)
+    _, loop_rels, _, layers = _layers(pres, dims)
+    [(arrows, rels)] = layers or [((), ())]
+    _, kernel = _arrow_plan(pres, field, dims, pres.quiver.loops(), arrows,
+                            rels)
     return sum(field.p ** len(kernel(loops))
                for loops in _assignments(pres, field, dims, (),
                                          pres.quiver.loops(), loop_rels,
@@ -141,8 +143,8 @@ class TestJordanStrata:
                              ids=[p.name for p, _ in NAMED_CASES])
     def test_stratified_equals_filter_and_odometer(self, pres, dim_list, q):
         field = GF(q)
-        loop_rels, _ = _classify_relations(pres)
         for dims in dim_list:
+            loop_rels = _layers(pres, dims)[1]
             assert StratumTable(pres, field, dims,
                                 loop_rels).loops is not None
             stratified = count_rep_points(pres, field, dims)
@@ -150,17 +152,39 @@ class TestJordanStrata:
             assert stratified == sum(
                 1 for _ in iter_rep_points_odometer(pres, field, dims))
 
-    @pytest.mark.parametrize("m,a,b,q", [(2, 2, 2, 3), (2, 1, 3, 2),
-                                         (3, 2, 3, 2), (3, 3, 2, 2)])
-    def test_hom_and_ext_pairs_equal_pairwise_walk(self, m, a, b, q):
-        pres, field = family_lambda(m), GF(q)
-        firsts = list(iter_rep_points_odometer(pres, field, {0: a}))
-        seconds = list(iter_rep_points_odometer(pres, field, {0: b}))
-        hom = sum(q ** len(hom_basis(x, y)) for x in firsts for y in seconds)
-        ext = sum(q ** len(cocycle_space_basis(x, y))
-                  for x in firsts for y in seconds)
-        assert count_hom_points(pres, field, {0: a}, {0: b}) == hom
-        assert count_ext_points(pres, field, {0: a}, {0: b}) == ext
+    @pytest.mark.parametrize("pres,first,second,q", [
+        *((family_lambda(m), {0: a}, {0: b}, q)
+          for m, a, b, q in [(2, 2, 2, 3), (2, 1, 3, 2), (3, 2, 3, 2),
+                             (3, 3, 2, 2)]),
+        (family_a(1, 3, 1), {0: 1, 1: 1}, {0: 1, 1: 2}, 2),
+        (parse_quiver_spec(SANDWICH), {0: 1, 1: 1, 2: 1},
+         {0: 1, 1: 2, 2: 1}, 2),
+        (parse_quiver_spec(SQUARE), {0: 1, 1: 1, 2: 0, 3: 1},
+         {0: 1, 1: 1, 2: 1, 3: 1}, 2),
+        (family_a_prime_commuting(2), {0: 1, 1: 1}, {0: 2, 1: 1}, 2)],
+        ids=["2-2-2-3", "2-1-3-2", "3-2-3-2", "3-3-2-2", "A131", "sandwich",
+             "square", "A'comm2"])
+    def test_hom_and_ext_pairs_equal_pairwise_walk(self, pres, first, second,
+                                                   q):
+        # every pair of odometer points, each with its Hom and cocycle
+        # bases, and each vector of the Hom span tested by is_monomorphism
+        field = GF(q)
+        pairs = list(itertools.product(
+            iter_rep_points_odometer(pres, field, first),
+            iter_rep_points_odometer(pres, field, second)))
+        hom = ext = mono = 0
+        for x, y in pairs:
+            basis = hom_basis(x, y)
+            hom += q ** len(basis)
+            ext += q ** len(cocycle_space_basis(x, y))
+            for coeffs in itertools.product(range(q), repeat=len(basis)):
+                mono += is_monomorphism(Morphism(x, y, {
+                    v: sum((f.maps[v].scale(c) for c, f in zip(coeffs, basis)),
+                           Matrix.zeros(field, y.dims[v], x.dims[v]))
+                    for v in pres.quiver.vertices}))
+        assert count_hom_points(pres, field, first, second) == hom
+        assert count_ext_points(pres, field, first, second) == ext
+        assert count_mono_points(pres, field, first, second) == mono
 
     @pytest.mark.parametrize("pres,dims,q", [
         (family_lambda(2), {0: 3}, 3),
@@ -170,7 +194,7 @@ class TestJordanStrata:
     ])
     def test_streamed_locus_equals_filtered_locus(self, pres, dims, q):
         field = GF(q)
-        loop_rels, _ = _classify_relations(pres)
+        loop_rels = _layers(pres, dims)[1]
 
         def stream():
             points = list(_loop_points(
@@ -446,35 +470,54 @@ class TestCensus:
         assert (res.total, res.union_verified) == (11, True)
         assert not res.hom_bijection_verified
 
-    # the census walks the doubled quiver with the maps f0, f1 as base
+    # the census walks the doubled quiver at these dims, where f0 and the
+    # source's arrows s_ai have no entries
     CENSUS_DIMS = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_census_base_is_the_searched_one(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 4, 12])
+    def test_census_walks_the_map_below_the_target_arrows(self, n):
+        # layers (s_a1..s_an, f1), then (t_a1..t_an, f0): the value b of f1
+        # is walked first, and the a_i form one linear fiber above it
         pres = hom_quiver(family_a_prime(n, 2, 2))
-        assert _choose_base(pres, self.CENSUS_DIMS)[0] == ("f0", "f1")
+        base, _, _, layers = _layers(pres, self.CENSUS_DIMS)
+        assert base == ()
+        assert [arrows for arrows, _ in layers] == [
+            [*(f"s_a{i}" for i in range(1, n + 1)), "f1"],
+            [*(f"t_a{i}" for i in range(1, n + 1)), "f0"]]
 
     def test_census_base_ties_at_n1(self):
-        # the search ties and takes the earlier arrows; both bases walk the
-        # same points with the same steps
+        # every layer grown has one entry: the rule takes the one with the
+        # earlier arrows below it, f0 and f1 above s_a1 and t_a1; the tie
+        # it passes over walks the same points with the same steps
         pres = hom_quiver(family_a_prime(1, 2, 2))
-        assert _choose_base(pres, self.CENSUS_DIMS)[0] == ("s_a1", "t_a1")
+        base, _, _, layers = _layers(pres, self.CENSUS_DIMS)
+        assert base == ("s_a1", "t_a1")
+        assert [arrows for arrows, _ in layers] == [["f0", "f1"]]
         walks = []
-        for base in (None, ("f0", "f1")):
+        for top in ((), ("t_a1", "f0")):
             meter = _Meter()
             points = {point for point, _ in _points_over(
-                pres, F3, self.CENSUS_DIMS, meter, orbits=True, base=base)}
+                pres, F3, self.CENSUS_DIMS, meter, orbits=True, top=top)}
             walks.append((points, meter.used, meter.planned))
         assert walks[0] == walks[1]
         assert len(walks[0][0]) == 3 + 3 - 1
 
-    def test_census_base_must_qualify(self):
-        pres = hom_quiver(family_a_prime(1, 2, 2))
-        with pytest.raises(ValueError, match="not a base"):
-            _choose_base(pres, self.CENSUS_DIMS, ("t_a1",))
-        with pytest.raises(ValueError, match="not a base"):
-            next(_points_over(pres, F3, self.CENSUS_DIMS, _Meter(),
-                              orbits=True, base=("t_a1",)))
+    def test_layering_grows_polynomially_many_layers(self, monkeypatch):
+        # the doubled quiver of A'(12,2,2) has k = 26 non-loop arrows: a
+        # search over their subsets would classify 2^26 of them
+        grown = []
+        grow = counting._grow
+
+        def counted(*args):
+            grown.append(args[0])
+            return grow(*args)
+
+        monkeypatch.setattr(counting, "_grow", counted)
+        pres = hom_quiver(family_a_prime(12, 2, 2))
+        k = sum(not pres.quiver.is_loop(a) for a in pres.quiver.arrow_names())
+        assert k == 26
+        _layers(pres, self.CENSUS_DIMS)
+        assert 0 < len(grown) <= k * k
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda q: st.tuples(

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from qvl.counting import (_choose_base, count_ext_points, count_hom_points,
+from qvl.counting import (_layers, count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_mono_points,
                           iter_rep_points_odometer, rep_ambient_dim)
@@ -98,7 +98,7 @@ def test_which_bases_have_rank_strata(name):
     text, ranked = CASES[name]
     pres = parse_quiver_spec(text)
     dims = {x: 2 for x in pres.quiver.vertices}
-    base, loop_rels, base_rels, _ = _choose_base(pres, dims)
+    base, loop_rels, base_rels, _ = _layers(pres, dims)
     assert base
     table = StratumTable(pres, GF(2), dims, loop_rels, base, base_rels)
     assert (table.arrows is not None) == ranked

@@ -49,16 +49,17 @@ def test_partition_count_equals_the_listed_partitions():
 @pytest.mark.parametrize("count", [count_rep_points, count_hom_points,
                                    count_mono_points, count_ext_points])
 def test_counts_plan_their_rows_before_listing_any(count, monkeypatch):
-    # Lambda(45) at dim 45 has p(45) = 89134 Jordan types
+    # Lambda(45) at dim 45 has p(45) = 89134 Jordan types; a pair count's
+    # doubled quiver has a loop of dim 45 on each copy, so p(45)^2 rows
     def unlisted(*_):
         raise AssertionError("a partition was listed before the plan")
 
     monkeypatch.setattr(strata, "jordan_types", unlisted)
-    dims = ({0: 45},) * (1 if count is count_rep_points else 2)
+    factors = 1 if count is count_rep_points else 2
     with pytest.raises(BudgetExceededError) as exc:
-        count(family_lambda(45), GF(2), *dims, budget=1000)
-    assert str(exc.value) == ("stopped after 0 of 89134 planned steps: "
-                              "the budget is 1000")
+        count(family_lambda(45), GF(2), *({0: 45},) * factors, budget=1000)
+    assert str(exc.value) == (f"stopped after 0 of {89134 ** factors} "
+                              "planned steps: the budget is 1000")
 
 
 def test_witness_plans_its_target_rows_before_listing_any(monkeypatch):
