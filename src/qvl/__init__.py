@@ -5,12 +5,10 @@ Modules by concern: linalg (exact fields and matrices), quiver
 (representations and morphisms), extensions (cocycles and extension
 assembly), families (the built-in algebra families and the paper's
 identifications as arrow maps), strata (Jordan and rank strata as one
-table; a count whose rows fix the base point takes one step per row,
-planned before a row is listed), counting (point
-enumeration over finite fields and the degree probe: evidence),
-certificates (the census, the reducibility witness and the product
-identity), dsl (the text format), serialize (JSON interchange), cli
-(command line).
+table), counting (point enumeration over finite fields and the degree
+probe: evidence), certificates (the census, the reducibility witness and
+the product identity), dsl (the text format), serialize (JSON
+interchange), cli (command line).
 """
 
 from .linalg import GF, Matrix, PrimeField, QQ, RationalField

@@ -230,7 +230,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     # kernel basis, with plain modular arithmetic.
     walked, fibers = _fibers(pres, field, target_dims, meter, orbits=False)
     if walked != list(pres.quiver.arrow_names()):
-        raise AssertionError("the walk's base is not the loops alone")
+        raise AssertionError("the walk's layer 0 is not the loops alone")
     layout = flat_layout(pres, target_dims, pres.quiver.loops())
     e0, e1 = layout["e0"][0], layout["e1"][0]
     for loops, weight, arrow_kernel in fibers:

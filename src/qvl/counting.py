@@ -23,20 +23,15 @@ rows the same way.  Walks that must visit every point (the public
 iterators and the census) take each orbit instead, closing J_lam under
 elementary conjugations.
 
-Every walk is a tower of layers (``_layers``).  Layer 0 is every loop plus
-the non-loop arrows no linear layer takes, walked by one assignment walk
-(``_assignments``, which also filters the loops) and checked against the
-relations that read only them; counts take the rank rows of the table
-instead where those arrows have them.  Each relation of a later layer
-reads exactly one of its arrows in each term and otherwise only lower
-ones, so above the points below it the layer is a kernel.  The layers are
-peeled from the top by a rule that grows one layer per seed arrow, with no
-search over subsets: every named family has one linear layer above its
-loops, and b*a walks {a} below {b}.  Nothing falls back to the ambient
-odometer, ``iter_rep_points_odometer``, which stays as the test oracle.  A
-walk spans each middle layer's kernel, at one vector add per element
-(``_span``); a count adds weight * q^(dim of the last kernel), and a walk
-spans that too, straight from each point lifted to the flat layout.
+Every walk is a tower of layers (``_layers``), peeled from the top with
+no search over subsets.  Layer 0 is every loop plus the non-loop arrows no
+linear layer takes: one assignment walk (``_assignments``) filters a loop
+locus and walks those arrows, run by run, where a count has no rank rows
+for them.  Each relation of a later layer reads one of its arrows in each
+term and otherwise only lower ones, so above the points below it the
+layer is a kernel: a walk spans each middle kernel (``_span``), and a
+count adds weight * q^(dim of the last kernel).  The ambient odometer,
+``iter_rep_points_odometer``, stays as the test oracle.
 
 Hom, mono and ext counts and walks are rep walks of ``hom_quiver`` and
 ``ext_quiver``, whose points are the pairs of points with a Hom vector or
@@ -46,17 +41,14 @@ Hom or cocycle space.  The mono iterator is hom with one injectivity test,
 lattice where it has fewer terms than the Hom space has vectors, and walks
 the vectors with ``_injective`` elsewhere (``_mono_counter``).
 
-The enumeration order is fixed and stratum-major: strata in loop
-declaration order with partitions largest part first, each orbit
-breadth-first from J_lam, then the layer-0 arrows over each loop point in
-itertools.product order, then each layer's kernel over the points below it
-(its span in ``_span`` order), so identical queries give identical
-traversals.  The budget counts the steps actually taken: one per filter
-candidate, per layer-0 point tried, per loop point, per element of a
-middle layer or point walked, and per term of a mono count's Moebius sum
-or vector of a Hom space it walks.  A count whose rows fix the whole
-layer-0 point takes one step per row of its stratum table, planned from
-the row count before any partition or orbit size is computed.
+The enumeration order is fixed: strata in loop declaration order with
+partitions largest part first, each orbit breadth-first from J_lam, then
+the layer-0 arrows in itertools.product order, then each layer's kernel
+in ``_span`` order.  The budget counts the steps taken: one per filter
+candidate, layer-0 point tried, loop point, element of a middle layer,
+point walked, and term of a Moebius sum or Hom vector a mono count walks;
+a count whose rows fix the whole layer-0 point takes one per row, planned
+before any partition or orbit size is computed.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -101,13 +93,10 @@ def default_budget() -> int:
 
 
 class _Meter:
-    """Counts explicit enumeration steps against the budget, by default
-    ``default_budget()``.
-
-    Every walk given no meter runs under a fresh default one.  Every walk
-    plans its steps with ``precheck`` before taking them with
-    ``tick``, so ``planned`` is the number of steps the run has planned so
-    far and an error can say how far the run got."""
+    """Counts enumeration steps against the budget, by default
+    ``default_budget()``: every walk plans its steps with ``precheck``
+    before taking them with ``tick``, so an error can say how far the run
+    got.  A walk given no meter runs under a fresh default one."""
 
     __slots__ = ("budget", "used", "planned")
 
@@ -212,7 +201,7 @@ def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
 def _grow(seed: str, arrows: Sequence[str], rels: Mapping, rank: Mapping,
           reads: Mapping):
     """The top layer grown from ``seed``, in the order of ``arrows``, or
-    None where it is not valid: every term of every relation it reads must
+    [] where it is not valid: every term of every relation it reads must
     hold exactly one of its arrows.  ``rels`` maps each relation left to
     each term's non-loop arrows, ``reads`` each arrow to the relations
     reading it, and ``rank`` gives its (matrix entries, declaration index).
@@ -238,27 +227,25 @@ def _grow(seed: str, arrows: Sequence[str], rels: Mapping, rank: Mapping,
     for a in arrows:
         if a not in layer and fits(a):
             layer.add(a)
-    if all(hits(rel) == [1] * len(rels[rel])
-           for rel in {rel for a in layer for rel in reads[a]}):
-        return [a for a in arrows if a in layer]
-    return None
+    valid = all(hits(rel) == [1] * len(rels[rel])
+                for rel in {rel for a in layer for rel in reads[a]})
+    return [a for a in arrows if valid and a in layer]
 
 
 def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
     """The tower of the walk with these dims: (layer-0 arrows, loop-only
     relations, the other layer-0 relations, [(arrows, relations) of each
-    later layer, bottom up]).  Each relation of a later layer reads one of
-    its arrows in each term and otherwise only lower ones, so it is linear
-    in the layer once those are fixed; layer 0 is every loop plus the
-    arrows no layer takes, and its relations read nothing else.
+    later layer, bottom up]); layer 0 is every loop plus the arrows no
+    layer takes, and its relations read nothing else.
 
     The layers are peeled from the top.  The top is ``top`` if given;
     otherwise each non-loop arrow a relation reads seeds a layer
-    (``_grow``), and the valid one with the most matrix entries at ``dims``
-    wins, ties going to fewer arrows below it, then to earlier ones in
-    declaration order; with none valid, the top is the arrows no relation
-    reads.  Each peel removes the layer and the relations it reads, and the
-    next is taken from the seeds left, so k non-loop arrows grow at most
+    (``_grow``) among the arrows relations tie it to and those no relation
+    reads, and the valid one with the most matrix entries at ``dims`` in
+    each group of tied arrows joins the top, ties going to fewer arrows
+    below it, then to earlier ones in declaration order.  With none
+    valid, the top is the arrows no relation reads.  Each peel removes the
+    layer and the relations it reads, so k non-loop arrows grow at most
     k^2 candidates.  Layer 0 is the loops alone for every named family,
     {a} for b*a and {a, c} for b*a - d*c."""
     quiver = pres.quiver
@@ -276,15 +263,21 @@ def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
                 if any(a in layer for term in terms for a in term)]
 
     def peel():
-        reads = {a: [] for a in arrows}
-        for i, terms in rels.items():
-            for a in {a for term in terms for a in term}:
-                reads[a].append(i)
-        grown = [layer for layer in (_grow(a, arrows, rels, rank, reads)
-                                     for a in arrows if reads[a]) if layer]
-        return min(grown, default=None, key=lambda layer: (
-            -sum(rank[a][0] for a in layer), len(arrows) - len(layer),
-            [i for i, a in enumerate(arrows) if a not in set(layer)]))
+        reads = {a: [i for i, ts in rels.items() if any(a in t for t in ts)]
+                 for a in arrows}
+        group = {a: {a} for a in arrows}    # arrows tied by relations
+        for ts in rels.values():
+            tied = set().union(*(group[a] for t in ts for a in t))
+            group.update((a, tied) for a in tied)
+        top = set()
+        for tied in {id(g): g for g in group.values()}.values():
+            scope = [b for b in arrows if b in tied or not reads[b]]
+            grown = [_grow(a, scope, rels, rank, reads)
+                     for a in scope if a in tied and reads[a]]
+            top.update(min(grown, default=(), key=lambda layer: (
+                -sum(rank[a][0] for a in layer), len(arrows) - len(layer),
+                [i for i, a in enumerate(arrows) if a not in layer])))
+        return [a for a in arrows if a in top]
 
     layer = list(top) or peel() or [a for a in arrows if not reading({a})]
     layers = []
@@ -293,7 +286,7 @@ def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
         layers.append((layer, [pres.relations[i] for i in made]))
         arrows = [a for a in arrows if a not in layer]
         rels = {i: terms for i, terms in rels.items() if i not in made}
-        layer = peel()
+        layer = arrows and peel()
     return (tuple(arrows), loop_rels, [pres.relations[i] for i in rels],
             layers[::-1])
 
@@ -315,10 +308,13 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
     """The flat point ``point``, the entries of every loop outside
     ``arrows``, extended by every assignment of ``arrows`` on which
     ``rels`` vanish (the loop filter extends () by the loops, the layer-0
-    walk a loop point by its arrows): one step planned per candidate, taken
-    in itertools.product order (arrows in the order given, entries
-    row-major).  Without arrows ``point`` is its only extension and costs
-    nothing."""
+    walk a loop point by its arrows), in itertools.product order (arrows in
+    the order given, entries row-major).  ``arrows`` is cut into runs that
+    no relation reads across, each with entries and led by an arrow a
+    relation reads; each run is filtered alone, one step planned per
+    candidate, the later ones listed before the first is taken, and a point
+    joined from several runs takes one step more.  Without arrows ``point``
+    is its only extension and costs nothing."""
     if not arrows:
         yield point
         return
@@ -326,14 +322,34 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
     shapes = {a: (r, c) for a, (_, r, c)
               in flat_layout(pres, dims, [*fixed, *arrows]).items()}
     mats = split_blocks(field, {a: shapes.pop(a) for a in fixed}, point)
-    total = sum(r * c for r, c in shapes.values())
-    meter.precheck(field.p ** total)
-    for values in itertools.product(field.elements(), repeat=total):
-        meter.tick()
-        mats.update(split_blocks(field, shapes, values))
-        if all(evaluate_relation(field, dims, mats, rel).is_zero()
-               for rel in rels):
-            yield point + values
+    spans = [[i for i, a in enumerate(arrows)
+              if any(a in p.arrows for p in rel.paths())] or [0]
+             for rel in rels]
+    size = [r * c for r, c in map(shapes.get, arrows)]
+    cuts = [0, *(i for i in range(1, len(arrows))
+                 if size[i] and sum(size[:i]) and i in {s[0] for s in spans}
+                 and not any(s[0] < i <= s[-1] for s in spans)), len(arrows)]
+
+    def run(lo, hi):
+        sub = {a: shapes[a] for a in arrows[lo:hi]}
+        checks = [rel for rel, s in zip(rels, spans) if lo <= s[0] < hi]
+        meter.precheck(field.p ** sum(size[lo:hi]))
+        for values in itertools.product(field.elements(),
+                                        repeat=sum(size[lo:hi])):
+            meter.tick()
+            mats.update(split_blocks(field, sub, values))
+            if all(evaluate_relation(field, dims, mats, rel).is_zero()
+                   for rel in checks):
+                yield values
+
+    first, *later = [run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    later = [list(values) for values in later]
+    joined = math.prod(map(len, later)) if later else 0
+    for head in first:
+        meter.precheck(joined)
+        meter.tick(joined)
+        for tail in itertools.product(*later):
+            yield point + head + sum(tail, ())
 
 
 def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
@@ -365,12 +381,11 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
 def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
             top: Iterable[str] = ()):
     """The tower walk of ``_layers``, ``top`` its last layer if given: the
-    arrows in the order a walked point lays them out (every loop, layer 0,
-    then each later layer), and a stream of (flat point of every layer
-    below the last, weight, kernel basis of the last layer there), over the
-    weighted loop points of ``_loop_points`` (which hold the layer-0 arrows
-    where a count has rank strata for them) and each middle layer's span,
-    one step per element.  Strata and systems are set up once."""
+    arrows in the order a walked point lays them out (loops, layer 0, then
+    each later layer), and a stream of (flat point below the last layer,
+    weight, kernel basis of the last layer there) over the points of
+    ``_loop_points`` and layer 0 and each middle layer's span, one step per
+    element.  Strata and systems are set up once."""
     base, loop_rels, base_rels, layers = _layers(pres, dims, top)
     walked = [*pres.quiver.loops(), *base]
     plans = []
@@ -404,9 +419,8 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
                  orbits: bool, top: Iterable[str] = ()) -> Iterator[tuple]:
     """(point, weight) for every point of the last layer's kernel over each
     point of ``_fibers`` (with ``orbits`` every point of the variety once,
-    with weight 1), flat as ``flat_layout`` lays it out.  Each point below
-    the last layer and each kernel vector is lifted once to that layout, so
-    the kernel is spanned straight from the lifted point."""
+    with weight 1), flat as ``flat_layout`` lays it out, spanned straight
+    from each point and kernel vector lifted once to that layout."""
     walked, fibers = _fibers(pres, field, dims, meter, orbits, top)
     # the place of each coordinate of a walked point in the flat point
     layout = flat_layout(pres, dims)
@@ -436,6 +450,7 @@ def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
     layout = flat_layout(pres, dims)
     last = {a: (None, None) for a in layout}    # entries, matrix
 
+    @functools.lru_cache(maxsize=1)    # a pair walk repeats its points
     def build(point):
         mats = {}
         for a, (start, r, c) in layout.items():
@@ -461,7 +476,7 @@ def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
         yield build(point)
 
 
-def _count(pres: BoundQuiver, field: PrimeField, dims, budget: int | None,
+def _count(field: PrimeField, budget: int | None, pres: BoundQuiver, dims,
            top: Iterable[str] = (), counter=None) -> int:
     """The sum over the points of ``_fibers`` of weight * the size of the
     last layer's kernel: q^dim, or what ``counter(field, its shapes)``
@@ -477,7 +492,7 @@ def _count(pres: BoundQuiver, field: PrimeField, dims, budget: int | None,
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                      budget: int | None = None) -> int:
     """Exact number of valid points."""
-    return _count(pres, field, dims, budget)
+    return _count(field, budget, pres, dims)
 
 
 # --- hom / mono / ext points ---------------------------------------------
@@ -548,12 +563,11 @@ def _mono_counter(field: PrimeField, shapes: Mapping):
     walks its q^d vectors with ``_injective``."""
     p = field.p
     injective = _injective(field, shapes)
-    size = sum(r * c for r, c in shapes.values())
-    maps, pos = [], 0
+    maps, size = [], 0
     for r, c in shapes.values():
         if c:
-            maps.append((pos, r, c))
-        pos += r * c
+            maps.append((size, r, c))
+        size += r * c
     terms = math.prod(subspace_count(c, p) for _, _, c in maps)
     lattices = None    # (mu, basis) of every subspace of each map's columns
 
@@ -590,8 +604,7 @@ def _mono_counter(field: PrimeField, shapes: Mapping):
 @functools.lru_cache(maxsize=64)
 def _doubling(ext: bool, pres: BoundQuiver) -> BoundQuiver:
     """``ext_quiver(pres)`` or ``hom_quiver(pres)``, kept for the last 64
-    presentation values: building it costs as much as a small pair count,
-    and a count's report reads it again for the ambient dimension."""
+    presentation values, as a count and its report would each build it."""
     return ext_quiver(pres) if ext else hom_quiver(pres)
 
 
@@ -611,40 +624,38 @@ def _pair_walk(kind: str, pres: BoundQuiver, first, second):
 
 def _pair_points(kind: str, pres: BoundQuiver, field: PrimeField, first,
                  second, meter: _Meter | None, test=None):
-    """(first point, second point, blocks) for each point of the doubled
-    presentation of ``_pair_walk`` whose crossing vector passes ``test(field,
-    shapes)``, if given: its flat point cut into the copies' points, built
-    as points of ``pres``, and blocks keyed by the vertices or arrows."""
+    """The ``HomTriple`` (for ext ``ExtensionTriple``) of each point of the
+    doubled presentation of ``_pair_walk`` whose crossing vector passes
+    ``test(field, shapes)``, if given: its flat point cut into the points
+    of ``pres`` of both copies and the blocks, keyed by vertex or arrow."""
     doubled, dims, crossing = _pair_walk(kind, pres, first, second)
     shapes = {crossing[a]: (r, c) for a, (_, r, c)
               in flat_layout(doubled, dims, crossing).items()}
     keep = test and test(field, shapes)
     x_end = rep_ambient_dim(pres, first)
     y_end = x_end + rep_ambient_dim(pres, second)
-    build_x = _rep_builder(pres, field, first)
-    build_y = _rep_builder(pres, field, second)
+    build_x, build_y = (_rep_builder(pres, field, d) for d in (first, second))
     for point, _ in _points_over(doubled, field, dims, meter or _Meter(),
                                  orbits=True, top=crossing):
         vec = point[y_end:]
         if not keep or keep(vec):
-            yield (build_x(point[:x_end]), build_y(point[x_end:y_end]),
-                   split_blocks(field, shapes, vec))
+            x, y = build_x(point[:x_end]), build_y(point[x_end:y_end])
+            blocks = split_blocks(field, shapes, vec)
+            yield (ExtensionTriple(x, y, blocks, check=False) if kind == "ext"
+                   else HomTriple(x, y, Morphism._trusted(x, y, blocks)))
 
 
 def iter_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                     target_dims, meter: _Meter | None = None
                     ) -> Iterator[HomTriple]:
-    for src, dst, maps in _pair_points("hom", pres, field, source_dims,
-                                       target_dims, meter):
-        yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
+    return _pair_points("hom", pres, field, source_dims, target_dims, meter)
 
 
 def count_hom_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      target_dims, budget: int | None = None) -> int:
     """Sum of q^dim Hom over all source/target point pairs."""
-    doubled, dims, crossing = _pair_walk("hom", pres, source_dims,
-                                         target_dims)
-    return _count(doubled, field, dims, budget, crossing)
+    return _count(field, budget, *_pair_walk("hom", pres, source_dims,
+                                             target_dims))
 
 
 def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
@@ -652,33 +663,29 @@ def iter_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                      ) -> Iterator[HomTriple]:
     """Monomorphism triples: the hom points whose Hom vector passes
     ``_injective``, tested before a triple is built."""
-    for src, dst, maps in _pair_points("hom", pres, field, source_dims,
-                                       target_dims, meter, _injective):
-        yield HomTriple(src, dst, Morphism._trusted(src, dst, maps))
+    return _pair_points("hom", pres, field, source_dims, target_dims, meter,
+                        _injective)
 
 
 def count_mono_points(pres: BoundQuiver, field: PrimeField, source_dims,
                       target_dims, budget: int | None = None) -> int:
     """Number of injective homomorphisms over all source/target pairs,
     each Hom space's by ``_mono_counter``."""
-    doubled, dims, crossing = _pair_walk("hom", pres, source_dims,
-                                         target_dims)
-    return _count(doubled, field, dims, budget, crossing, _mono_counter)
+    return _count(field, budget, *_pair_walk("hom", pres, source_dims,
+                                             target_dims), _mono_counter)
 
 
 def iter_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                     meter: _Meter | None = None):
     """Extension triples (quotient point, sub point, cocycle blocks)."""
-    for quo, sub, blocks in _pair_points("ext", pres, field, quo_dims,
-                                         sub_dims, meter):
-        yield ExtensionTriple(quo, sub, blocks, check=False)
+    return _pair_points("ext", pres, field, quo_dims, sub_dims, meter)
 
 
 def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                      budget: int | None = None) -> int:
     """Sum of q^dim of the cocycle space over all quotient/sub pairs."""
-    doubled, dims, crossing = _pair_walk("ext", pres, quo_dims, sub_dims)
-    return _count(doubled, field, dims, budget, crossing)
+    return _count(field, budget, *_pair_walk("ext", pres, quo_dims,
+                                             sub_dims))
 
 
 _COUNTS = {"rep": count_rep_points, "hom": count_hom_points,

@@ -60,6 +60,28 @@ SANDWICH = """quiver Sandwich {
   rel b*e*a; rel e^2;
 }"""
 
+# two relation groups that read no arrow in common
+TWO_SQUARES = """quiver Squares {
+  vertex 0; vertex 1; vertex 2; vertex 3;
+  arrow a: 0 -> 1; arrow b: 1 -> 3; arrow c: 0 -> 2; arrow d: 2 -> 3;
+  arrow x: 0 -> 1; arrow y: 1 -> 3; arrow z: 0 -> 2; arrow w: 2 -> 3;
+  rel b*a - d*c; rel y*x - w*z;
+}"""
+
+# zero relations a4*a3, a3*a2 and a square a4*a1 - a0*a2 tied to them
+TWO_ZEROS_AND_SQUARE = """quiver ZerosSquare {
+  vertex 0; vertex 1; vertex 2; vertex 3;
+  arrow a0: 1 -> 3; arrow a1: 0 -> 2; arrow a2: 0 -> 1; arrow a3: 1 -> 2;
+  arrow a4: 2 -> 3;
+  rel a4*a3; rel a3*a2; rel a4*a1 - a0*a2;
+}"""
+
+LOOPED_PAIRS = """quiver LoopedPairs {
+  vertex 0; vertex 1; loop e0 at 0; loop e1 at 1;
+  arrow a1: 1 -> 0; arrow a2: 1 -> 0; arrow a3: 1 -> 0; arrow a4: 1 -> 0;
+  rel e0*a1 - a2*e1; rel e0*a3 - a4*e1; rel e0^2; rel e1^2;
+}"""
+
 
 def two_cycle() -> BoundQuiver:
     """Loop e0 at 0 and a 2-cycle 0 -> 1 -> 0 with b*a = e0^2 (the DSL
@@ -160,6 +182,68 @@ class TestAgainstOdometer:
             assert list(t.morphism.maps) == list(built.morphism.maps) \
                 == vertices
             assert t.morphism.field == field and t.morphism.intertwines()
+
+    def test_pair_walks_build_each_point_once(self):
+        # a run of triples over one pair of points shares its two objects
+        triples = list(iter_hom_points(family_a(1, 3, 1), GF(3), {0: 1, 1: 1},
+                                       {0: 1, 1: 2}))
+        for t, u in zip(triples, triples[1:]):
+            for x, y in ((t.source, u.source), (t.target, u.target)):
+                assert (x is y) == (x.key() == y.key())
+        assert len({id(t.target) for t in triples}) < len(triples)
+
+    @pytest.mark.parametrize("spec,base,top,dim_tuple", [
+        (TWO_SQUARES, ("a", "c", "x", "z"), ["b", "d", "y", "w"],
+         (1, 1, 1, 1)),
+        (LOOPED_PAIRS, (), ["a1", "a2", "a3", "a4"], (1, 1))],
+        ids=["two-squares", "looped-pairs"])
+    def test_independent_relations_share_one_layer(self, spec, base, top,
+                                                   dim_tuple):
+        # each group of arrows tied by relations grows its own candidates,
+        # and the groups' best ones form one linear layer, not one each
+        pres = parse_quiver_spec(spec)
+        dims = _dims(pres, dim_tuple)
+        layer0, _, _, layers = _layers(pres, dims)
+        assert (layer0, [arrows for arrows, _ in layers]) == (base, [top])
+        field = GF(2)
+        slow = {r.key() for r in iter_rep_points_odometer(pres, field, dims)}
+        assert {r.key() for r in iter_rep_points(pres, field, dims)} == slow
+        assert count_rep_points(pres, field, dims) == len(slow)
+
+    @pytest.mark.parametrize("spec,kind,dim_pair,layer0,middle,top", [
+        (PATH3_TWO, "hom", ((1, 3, 3, 1), (3, 1, 1, 3)),
+         ("s_a", "s_c", "t_b"), ["s_b", "t_a", "t_c"],
+         ["f0", "f1", "f2", "f3"]),
+        (PATH3_TWO, "ext", ((1, 3, 3, 1), (3, 1, 1, 3)),
+         ("q_a", "q_c", "u_b"), ["q_b", "u_a", "u_c"],
+         ["c_a", "c_b", "c_c"]),
+        (TWO_ZEROS_AND_SQUARE, "hom", ((0, 2, 0, 2), (1, 1, 2, 2)),
+         ("s_a2", "s_a4", "t_a2", "t_a4"),
+         ["s_a0", "s_a1", "s_a3", "t_a0", "t_a1", "t_a3"],
+         ["f0", "f1", "f2", "f3"])], ids=["path3-hom", "path3-ext", "zeros"])
+    def test_doubled_tower_joins_the_copies_towers(self, spec, kind, dim_pair,
+                                                   layer0, middle, top):
+        # below the crossing arrows each copy keeps the tower it has alone
+        # (b*a, c*b walks {a, c} below {b} at (1,3,3,1) and {b} below
+        # {a, c} at (3,1,1,3)), and no layer grown in one copy takes the
+        # other's arrows, such as one that alone closes a monomial relation
+        pres = parse_quiver_spec(spec)
+        doubled, dims, crossing = _pair_walk(
+            kind, pres, *(_dims(pres, d) for d in dim_pair))
+        base, _, _, layers = _layers(doubled, dims, crossing)
+        assert (base, [arrows for arrows, _ in layers]) == (layer0,
+                                                            [middle, top])
+
+    def test_doubled_copies_share_their_layers(self):
+        # below the vertex maps, the copies' squares are one layer, and
+        # layer 0 holds a and c of both copies
+        doubled, dims, crossing = _pair_walk(
+            "hom", parse_quiver_spec(SQUARE), {0: 1, 1: 1, 2: 1, 3: 1},
+            {0: 1, 1: 1, 2: 1, 3: 1})
+        layer0, _, _, layers = _layers(doubled, dims, crossing)
+        assert layer0 == ("s_a", "s_c", "t_a", "t_c")
+        assert [arrows for arrows, _ in layers] == [
+            ["s_b", "s_d", "t_b", "t_d"], list(crossing)]
 
     def test_base_follows_block_sizes(self):
         # b*a and c*b: {b} costs d1*d2 entries, {a, c} costs d0*d1 + d2*d3

@@ -29,6 +29,23 @@ SANDWICH = parse_quiver_spec("""quiver Sandwich {
 }""")
 A131 = family_a(1, 3, 1)
 F3 = GF(3)
+# a loop with a two-term relation: no Jordan strata, so the loops are
+# filtered, on a Hom quiver one copy at a time
+FILTERED = parse_quiver_spec(
+    "quiver F { vertex 0; loop e at 0; rel e^3; rel e^2 - e^3; }")
+# each copy of its Hom quiver keeps its own tower: a2, a4 below a0, a1, a3
+ZEROS = parse_quiver_spec("""quiver ZerosSquare {
+  vertex 0; vertex 1; vertex 2; vertex 3;
+  arrow a0: 1 -> 3; arrow a1: 0 -> 2; arrow a2: 0 -> 1; arrow a3: 1 -> 2;
+  arrow a4: 2 -> 3;
+  rel a4*a3; rel a3*a2; rel a4*a1 - a0*a2;
+}""")
+# two relation groups on disjoint arrows, counted as one linear layer
+LOOPED_PAIRS = parse_quiver_spec("""quiver LoopedPairs {
+  vertex 0; vertex 1; loop e0 at 0; loop e1 at 1;
+  arrow a1: 1 -> 0; arrow a2: 1 -> 0; arrow a3: 1 -> 0; arrow a4: 1 -> 0;
+  rel e0*a1 - a2*e1; rel e0*a3 - a4*e1; rel e0^2; rel e1^2;
+}""")
 
 
 def _digest(points):
@@ -64,6 +81,13 @@ WALKS = {
     "hom": lambda b: count_hom_points(A131, F3, {0: 1, 1: 1}, {0: 1, 1: 2},
                                       budget=b),
     "iter-hom": _walked_homs,
+    "hom-filter": lambda b: count_hom_points(FILTERED, F3, {0: 2}, {0: 2},
+                                             budget=b),
+    "rep-pairs": lambda b: count_rep_points(LOOPED_PAIRS, F3, {0: 5, 1: 5},
+                                            budget=b),
+    "hom-copies": lambda b: count_hom_points(
+        ZEROS, GF(2), {0: 0, 1: 2, 2: 0, 3: 2}, {0: 1, 1: 1, 2: 2, 3: 2},
+        budget=b),
     "witness": lambda b: dataclasses.astuple(
         mono_reducibility_witness(3, 2, 1, 3, budget=b)),
     "census": lambda b: dataclasses.astuple(
@@ -81,6 +105,8 @@ def _stop(used, planned):
 WITNESS = (3, 2, 1, 3, "A(1,3,1)", 240, 96, 96, 0,
            ((0,), 1, ((0, 1), (0, 0)), ((0, 0),), (1, 0)),
            ((1,), 1, ((0, 0), (0, 0)), ((0, 1),), (0, 1)), True, True, True)
+
+LOOPED_PAIRS_COUNT = 812346829025886766042905604771610131911980905521
 
 # walk -> outcome at each budget: a result, or the (used, planned) steps
 # of the error message
@@ -104,6 +130,18 @@ PINNED = {
     "iter-hom": [_stop(0, 9), _stop(0, 9), _stop(2, 27), _stop(22, 45),
                  _stop(99, 111), _stop(297, 315)]
     + [(621, "d6b90fe50f8b5231")] * 2,
+    # 3^4 candidates per copy's loop filter, the second listed first, then
+    # one step per joined pair of the 9 * 9 loop points: 243 steps, where
+    # one filter over both copies would plan 3^8
+    "hom-filter": [_stop(0, 81)] * 4 + [_stop(81, 162)] + [801] * 3,
+    # one step per stratum row, 3 Jordan types of 5 per loop, and no walk:
+    # the four arrows are one kernel above each row
+    "rep-pairs": [_stop(0, 9)] * 2 + [LOOPED_PAIRS_COUNT] * 6,
+    # one step per rank row of both copies' a2, a4 (1 * 1 * 2 * 3), then
+    # per element of the middle layer, both copies' a0, a1, a3 (2^10 above
+    # the first row): 1542 steps, where one layer grown across the copies
+    # walked 5249
+    "hom-copies": [_stop(0, 6)] * 2 + [_stop(1, 1030)] * 5 + [33392],
     "witness": [_stop(1, 4), _stop(1, 4), _stop(8, 16)] + [WITNESS] * 5,
     "census": [_stop(0, 243)] * 5 + [_stop(245, 328)]
     + [(4, 3, 83, 81, 3, True, True)] * 2,

@@ -227,6 +227,31 @@ class TestJordanStrata:
             for j in range(d))
         assert len(orbit) == nilpotent_orbit_size(lam, q)
 
+    def test_filter_walks_independent_loops_apart(self):
+        # the Hom quiver's loops s_e, t_e have two-term relations, so no
+        # strata: each copy's 3^4 loop matrices are filtered alone, then
+        # each of the 9 * 9 joined points takes one step, where one filter
+        # over both copies would try 3^8 = 6561 candidates
+        pres = parse_quiver_spec(
+            "quiver F { vertex 0; loop e at 0; rel e^3; rel e^2 - e^3; }")
+        doubled = hom_quiver(pres)
+        dims = {"s0": 2, "t0": 2}
+        loop_rels = _layers(doubled, dims)[1]
+        meter = _Meter()
+        points = list(_assignments(doubled, F3, dims, (), ["s_e", "t_e"],
+                                   loop_rels, meter))
+        # e^3 = 0 and e^2 = e^3 hold where e = [[a, b], [c, d]] squares to 0
+        copy = [(a, b, c, d)
+                for a, b, c, d in itertools.product(range(3), repeat=4)
+                if all(x % 3 == 0 for x in (a * a + b * c, b * (a + d),
+                                            c * (a + d), c * b + d * d))]
+        assert points == [x + y for x in copy for y in copy]
+        assert meter.used == meter.planned == 81 + 81 + 81
+        with pytest.raises(BudgetExceededError) as exc:
+            count_hom_points(pres, F3, {0: 3}, {0: 3}, budget=1)
+        assert str(exc.value) == ("stopped after 0 of 19683 planned steps: "
+                                  "the budget is 1")
+
     def test_budget_charges_visited_points(self):
         # 105 loop points, each with a one-point arrow fiber; the filter
         # would have planned all 3^9 loop matrices
