@@ -65,11 +65,11 @@ from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, Mapping, Optional,
                     Sequence)
 
-from .extensions import ExtensionTriple, linearized_equations
-from .linalg import PrimeField, SandwichPlan, split_blocks
-from .quiver import BoundQuiver, ext_quiver, hom_quiver
-from .reps import (HomTriple, Morphism, Representation, evaluate_relation,
-                   flat_layout)
+from .extensions import ExtensionTriple
+from .linalg import PrimeField, split_blocks
+from .quiver import BoundQuiver
+from .reps import (HomTriple, Morphism, Representation, _arrow_plan,
+                   _pair_walk, evaluate_relation, flat_layout)
 from .strata import StratumTable, subspace_count, subspaces
 
 DEFAULT_BUDGET = 10**8
@@ -234,9 +234,11 @@ def _grow(seed: str, arrows: Sequence[str], rels: Mapping, rank: Mapping,
 
 def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
     """The tower of the walk with these dims: (layer-0 arrows, loop-only
-    relations, the other layer-0 relations, [(arrows, relations) of each
-    later layer, bottom up]); layer 0 is every loop plus the arrows no
-    layer takes, and its relations read nothing else.
+    relations, the other layer-0 relations, ((arrows, relations) of each
+    later layer, bottom up)), all tuples; layer 0 is every loop plus the
+    arrows no layer takes, and its relations read nothing else.  A tower is
+    kept for the last 64 (presentation value, dims at its vertices, top),
+    as a repeated count or walk would grow it again.
 
     The layers are peeled from the top.  The top is ``top`` if given;
     otherwise each non-loop arrow a relation reads seeds a layer
@@ -248,8 +250,15 @@ def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
     layer and the relations it reads, so k non-loop arrows grow at most
     k^2 candidates.  Layer 0 is the loops alone for every named family,
     {a} for b*a and {a, c} for b*a - d*c."""
+    return _tower(pres, tuple(dims.get(v, 0) for v in pres.quiver.vertices),
+                  tuple(top))
+
+
+@functools.lru_cache(maxsize=64)
+def _tower(pres: BoundQuiver, dims: tuple, top: tuple):
+    """``_layers`` at the dims ``dims`` of the vertices, in their order."""
     quiver = pres.quiver
-    layout = flat_layout(pres, dims)
+    layout = flat_layout(pres, dict(zip(quiver.vertices, dims)))
     rank = {a: (r * c, i) for i, (a, (_, r, c)) in enumerate(layout.items())}
     arrows = [a for a in layout if not quiver.is_loop(a)]
     rels = {i: [[a for a in p.arrows if not quiver.is_loop(a)]
@@ -283,24 +292,12 @@ def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
     layers = []
     while layer:
         made = reading(set(layer))
-        layers.append((layer, [pres.relations[i] for i in made]))
+        layers.append((tuple(layer), tuple(pres.relations[i] for i in made)))
         arrows = [a for a in arrows if a not in layer]
         rels = {i: terms for i, terms in rels.items() if i not in made}
         layer = arrows and peel()
-    return (tuple(arrows), loop_rels, [pres.relations[i] for i in rels],
-            layers[::-1])
-
-
-def _arrow_plan(pres: BoundQuiver, field, dims, walked, arrows, rels):
-    """The plan of ``rels`` linearized in ``arrows``, and a function from a
-    flat point of the arrows ``walked`` to the kernel basis there."""
-    shapes = {a: (r, c) for a, (_, r, c)
-              in flat_layout(pres, dims, arrows).items()}
-    plan = SandwichPlan(field, shapes, linearized_equations(
-        field, rels, shapes, dims, dims))
-    layout = flat_layout(pres, dims, walked)
-    kernel = plan.flat_kernel(layout, layout)
-    return plan, lambda point: kernel(point, point)
+    return (tuple(arrows), tuple(loop_rels),
+            tuple(pres.relations[i] for i in rels), tuple(layers[::-1]))
 
 
 def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
@@ -599,27 +596,6 @@ def _mono_counter(field: PrimeField, shapes: Mapping):
         return total
 
     return count
-
-
-@functools.lru_cache(maxsize=64)
-def _doubling(ext: bool, pres: BoundQuiver) -> BoundQuiver:
-    """``ext_quiver(pres)`` or ``hom_quiver(pres)``, kept for the last 64
-    presentation values, as a count and its report would each build it."""
-    return ext_quiver(pres) if ext else hom_quiver(pres)
-
-
-def _pair_walk(kind: str, pres: BoundQuiver, first, second):
-    """(doubled presentation, its dims, {crossing arrow: the vertex or
-    arrow of ``pres`` it stands for}) of a pair kind, ``ext_quiver(pres)``
-    for ext and ``hom_quiver(pres)`` else, ``first`` on its first copy."""
-    quiver = pres.quiver
-    doubled = _doubling(kind == "ext", pres)
-    labels = quiver.arrow_names() if kind == "ext" else quiver.vertices
-    dims = dict(zip(doubled.quiver.vertices,
-                    [d.get(v, 0) for d in (first, second)
-                     for v in quiver.vertices]))
-    crossing = doubled.quiver.arrow_names()[2 * len(quiver.arrows):]
-    return doubled, dims, dict(zip(crossing, labels))
 
 
 def _pair_points(kind: str, pres: BoundQuiver, field: PrimeField, first,

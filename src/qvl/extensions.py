@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .linalg import (Field, Matrix, SandwichPlan, hstack, split_blocks,
-                     vstack)
+from .linalg import Field, Matrix, hstack, split_blocks, vstack
 from .quiver import BoundQuiver, Relation, Vertex
-from .reps import (DimVector, HomTriple, Morphism, Representation, dims_add,
-                   flat_layout, flat_point, gl_action, is_monomorphism,
-                   same_data, standard_complement)
+from .reps import (HomTriple, Morphism, Representation, _pair_kernel,
+                   dims_add, gl_action, is_monomorphism, same_data,
+                   standard_complement)
 
 ArrowBlocks = Mapping[str, Matrix]
 
@@ -81,45 +80,12 @@ def is_cocycle(quo: Representation, sub: Representation,
                for rel in quo.pres.relations)
 
 
-def linearized_equations(field: Field, relations, unknowns,
-                          left_dims: DimVector, right_dims: DimVector
-                          ) -> list[tuple]:
-    """The relations linearized in the arrows of ``unknowns``, as
-    ``SandwichPlan`` equations: one per relation, of shape left_dims at its
-    target by right_dims at its source, with one term
-    c * left(a_1..a_(j-1)) X_(a_j) right(a_(j+1)..a_l) per term
-    c * a_1..a_l of the relation and position j with a_j unknown.  A layer
-    of a walk takes its arrows as unknowns, one per term; a cocycle takes
-    every arrow."""
-    equations = []
-    for rel in relations:
-        terms = []
-        for coeff, path in rel.terms:
-            c = field.coerce(coeff)
-            arrows = path.arrows
-            terms.extend((c, a, arrows[:j] or None, arrows[j + 1:] or None)
-                         for j, a in enumerate(arrows) if a in unknowns)
-        equations.append(((left_dims.get(rel.target, 0),
-                           right_dims.get(rel.source, 0)), terms))
-    return equations
-
-
 def cocycle_kernel(quo: Representation, sub: Representation
                    ) -> tuple[dict, list[tuple]]:
     """The block shapes, and the kernel basis of the cocycle system of the
     pair: the relations linearized in every arrow's block, as in
-    cocycle_value, assembled from the two flat points."""
-    if not same_data(quo, sub):
-        raise ValueError("representations live over different data")
-    pres = quo.pres
-    shapes = block_shapes(pres, sub.dims, quo.dims)
-    plan = SandwichPlan(quo.field, shapes, linearized_equations(
-        quo.field, pres.relations, shapes, sub.dims, quo.dims))
-    kernel = plan.flat_kernel(flat_layout(pres, sub.dims),
-                              flat_layout(pres, quo.dims))
-    arrows = pres.quiver.arrow_names()
-    return plan.shapes, kernel(flat_point(sub.mats, arrows),
-                               flat_point(quo.mats, arrows))
+    cocycle_value, the crossing layer of ``ext_quiver``."""
+    return _pair_kernel("ext", quo, sub)
 
 
 def cocycle_space_basis(quo: Representation,

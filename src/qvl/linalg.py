@@ -642,13 +642,13 @@ class SandwichPlan:
     of its value and its terms (c, k, left, right), with c a field element
     or an int.  A side is None where it is an identity.  Any other side is
     a sequence of the caller's labels, and its factor at each point is the
-    product of their matrices, left to right; ``sides`` lists them as
-    (labels, is_left) pairs, term by term, left before right.  Equations
-    without terms give no rows.
+    product of their matrices, left to right; ``sides`` lists their label
+    tuples, term by term, left before right.  Equations without terms give
+    no rows.
 
-    ``flat_kernel`` compiles, once per pair of point layouts, a function
-    from a left and a right flat point to the kernel basis of the system
-    there, ``kernel_basis`` of its rows.
+    ``flat_kernel`` compiles, once per point layout, a function from a flat
+    point to the kernel basis of the system there, ``kernel_basis`` of its
+    rows.
 
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
@@ -681,10 +681,8 @@ class SandwichPlan:
                         f"term on {k!r}: an identity side cannot map "
                         f"{(r, c)} to {(out_r, out_c)}")
                 first = len(self.sides)
-                if left is not None:
-                    self.sides.append((left, True))
-                if right is not None:
-                    self.sides.append((right, False))
+                self.sides += [tuple(side) for side in (left, right)
+                               if side is not None]
                 if not (r * c and out_r * out_c):
                     continue
                 # row (u, v), column (i, j) is at flat index
@@ -709,33 +707,26 @@ class SandwichPlan:
                 nrows += out_r * out_c
         self.nrows = nrows
 
-    def flat_kernel(self, left: Mapping, right: Mapping):
-        """A function from a left and a right flat point to the kernel
-        basis of the system.  ``left`` and ``right`` give the (offset,
-        rows, cols) of each label's matrix in a left and a right point; a
-        left side reads the left point and a right side the right one.
-        Over Q both points are first cleared to integers over one common
-        denominator, and the int rows go straight to ``field.row_reduce``.
-        """
+    def flat_kernel(self, layout: Mapping):
+        """A function from a flat point to the kernel basis of the system
+        there.  ``layout`` gives the (offset, rows, cols) of each label's
+        matrix in the point.  Over Q the point is first cleared to integers
+        over one common denominator, and the int rows go straight to
+        ``field.row_reduce``."""
         field, ncols = self.field, self.ncols
-        rows = self._compile([
-            (is_left, [(left if is_left else right)[a] for a in labels])
-            for labels, is_left in self.sides])
+        rows = self._compile([[layout[a] for a in labels]
+                              for labels in self.sides])
         if field.characteristic:
-            return lambda left_point, right_point: kernel_basis(
-                field, rows(left_point, right_point), ncols)
+            return lambda point: kernel_basis(field, rows(point), ncols)
 
-        def kernel(left_point, right_point):
-            ints, d = _cleared([*left_point, *right_point])
-            n = len(left_point)
-            return kernel_basis(field, rows(ints[:n], ints[n:], d), ncols)
+        def kernel(point):
+            return kernel_basis(field, rows(*_cleared(point)), ncols)
         return kernel
 
-    def _compile(self, sources: Sequence[tuple]):
-        """A function ``rows(left_point, right_point, d=1)`` to the
-        system's rows, where side k's factor is given by ``sources[k]``,
-        (is_left, segments): the product of the matrices at the (offset,
-        rows, cols) segments of the left or right point.
+    def _compile(self, sources: Sequence[Sequence[tuple]]):
+        """A function ``rows(point, d=1)`` to the system's rows, where side
+        k's factor is the product of the matrices at the (offset, rows,
+        cols) segments ``sources[k]`` of the point.
 
         A term with one identity side is a gather: each entry of its factor
         adds ``c * entry`` to its cells.  A factor that is one matrix is
@@ -746,7 +737,7 @@ class SandwichPlan:
 
         Rows are lists of ints, not reduced: over F_p the system's own.
         Over Q the coefficients are cleared once, by the lcm of their
-        denominators, and the points are d times the true ones, as ints; a
+        denominators, and the point is d times the true one, as ints; a
         term that reads k matrices then adds d^k times its share, on ints
         (``_int_product``).  Scaling each term by d^(D - k), D the largest
         such k, makes every row the true row times one positive integer."""
@@ -754,31 +745,30 @@ class SandwichPlan:
         product = field.product if field.characteristic else _int_product
         den = lcm(*[coeff.denominator for coeff, _, _ in self._terms])
         start = [0] * (self.nrows * total)
-        # (index, coeff, cells) entries read from the right point, the
-        # left point and then each product factor, in the order of
-        # products, and the number of matrices each of these sources reads
-        gathers: list[list] = [[], []]
-        degrees = [1, 1]
+        # (index, coeff, cells) entries read from the point and then from
+        # each product factor, in the order of products, and the number of
+        # matrices each of these sources reads
+        gathers: list[list] = [[]]
+        degrees = [1]
         products: dict[tuple, int] = {}
         walked = []
         top = 0
         for coeff, sides, cells in self._terms:
             coeff = coeff.numerator * (den // coeff.denominator)
-            degree = sum(len(sources[k][1]) for k in sides)
+            degree = sum(len(sources[k]) for k in sides)
             top = max(top, degree)
             if not sides:
                 for idx in cells:
                     start[idx] += coeff
             elif len(sides) == 1:
-                is_left, segments = sources[sides[0]]
-                source, at = is_left, segments[0][0]
+                segments = tuple(sources[sides[0]])
+                source, at = 0, segments[0][0]
                 if len(segments) > 1:
-                    key = (is_left, tuple(segments))
-                    if key not in products:
-                        products[key] = len(gathers)
+                    if segments not in products:
+                        products[segments] = len(gathers)
                         gathers.append([])
                         degrees.append(degree)
-                    source, at = products[key], 0
+                    source, at = products[segments], 0
                 gathers[source].extend(zip(
                     itertools.count(at), itertools.repeat(coeff),
                     map(tuple, cells)))
@@ -789,27 +779,24 @@ class SandwichPlan:
         row_starts = range(0, len(start), total) if total else \
             [0] * self.nrows
 
-        def rows(left_point, right_point, d=1) -> list[list]:
+        def rows(point, d=1) -> list[list]:
             flat = [x * d ** top for x in start] if constant and d != 1 \
                 else start.copy()
-            points = [right_point, left_point]
-            points += [_side_factor(product, left_point if is_left
-                                    else right_point, segments)
-                       for is_left, segments in products]
+            factors = [point, *[_side_factor(product, point, segments)
+                                for segments in products]]
             if d != 1:
-                points = [[x * d ** (top - k) for x in point] if k < top
-                          else point for point, k in zip(points, degrees)]
-            for point, entries in zip(points, gathers):
+                factors = [[x * d ** (top - k) for x in factor] if k < top
+                           else factor for factor, k in zip(factors, degrees)]
+            for factor, entries in zip(factors, gathers):
                 for i, coeff, cells in entries:
-                    x = point[i]
+                    x = factor[i]
                     if x:
                         cx = coeff * x
                         for idx in cells:
                             flat[idx] += cx
             for coeff, degree, term_sources, cells in walked:
-                left, right = [_side_factor(product, left_point if is_left
-                                            else right_point, segments)
-                               for is_left, segments in term_sources]
+                left, right = [_side_factor(product, point, segments)
+                               for segments in term_sources]
                 coeff *= d ** (top - degree)
                 at, du, r, c, out_c = cells
                 right_cols = [[(j, y) for j, y in enumerate(right[v::out_c])

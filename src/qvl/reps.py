@@ -9,11 +9,13 @@ fresh values.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 from .linalg import (Field, Matrix, SandwichPlan, hstack, split_blocks,
                      vstack)
-from .quiver import BoundQuiver, Path, QuiverError, Relation, Vertex
+from .quiver import (BoundQuiver, Path, QuiverError, Relation, Vertex,
+                     ext_quiver, hom_quiver)
 
 DimVector = Mapping[Vertex, int]
 
@@ -70,6 +72,61 @@ def flat_point(mats: Mapping[str, Matrix], arrows) -> tuple:
     """The entries of the matrices of ``arrows``, in that order, each
     row-major: the flat point of ``flat_layout``."""
     return tuple([x for a in arrows for row in mats[a].rows for x in row])
+
+
+def linearized_equations(field: Field, relations, unknowns, dims: DimVector
+                         ) -> list[tuple]:
+    """The relations linearized in the arrows of ``unknowns``, as
+    ``SandwichPlan`` equations: one per relation, of shape dims at its
+    target by dims at its source, with one term
+    c * (a_1..a_(j-1)) X_(a_j) (a_(j+1)..a_l) per term c * a_1..a_l of the
+    relation and position j with a_j unknown.  A layer of a walk takes its
+    arrows as unknowns, one per term, as a Hom or cocycle system takes the
+    crossing arrows of its doubled presentation (``_pair_kernel``)."""
+    equations = []
+    for rel in relations:
+        terms = []
+        for coeff, path in rel.terms:
+            c = field.coerce(coeff)
+            arrows = path.arrows
+            terms.extend((c, a, arrows[:j] or None, arrows[j + 1:] or None)
+                         for j, a in enumerate(arrows) if a in unknowns)
+        equations.append(((dims.get(rel.target, 0), dims.get(rel.source, 0)),
+                          terms))
+    return equations
+
+
+def _arrow_plan(pres: BoundQuiver, field, dims, walked, arrows, rels):
+    """The plan of ``rels`` linearized in ``arrows``, and a function from a
+    flat point of the arrows ``walked`` to the kernel basis there: the
+    kernel of a layer above the points below it."""
+    shapes = {a: (r, c) for a, (_, r, c)
+              in flat_layout(pres, dims, arrows).items()}
+    plan = SandwichPlan(field, shapes, linearized_equations(
+        field, rels, shapes, dims))
+    return plan, plan.flat_kernel(flat_layout(pres, dims, walked))
+
+
+@functools.lru_cache(maxsize=64)
+def _doubling(ext: bool, pres: BoundQuiver) -> BoundQuiver:
+    """``ext_quiver(pres)`` or ``hom_quiver(pres)``, kept for the last 64
+    presentation values, as a count, its report and each Hom or cocycle
+    system would each build it."""
+    return ext_quiver(pres) if ext else hom_quiver(pres)
+
+
+def _pair_walk(kind: str, pres: BoundQuiver, first, second):
+    """(doubled presentation, its dims, {crossing arrow: the vertex or
+    arrow of ``pres`` it stands for}) of a pair kind, ``ext_quiver(pres)``
+    for ext and ``hom_quiver(pres)`` else, ``first`` on its first copy."""
+    quiver = pres.quiver
+    doubled = _doubling(kind == "ext", pres)
+    labels = quiver.arrow_names() if kind == "ext" else quiver.vertices
+    dims = dict(zip(doubled.quiver.vertices,
+                    [d.get(v, 0) for d in (first, second)
+                     for v in quiver.vertices]))
+    crossing = doubled.quiver.arrow_names()[2 * len(quiver.arrows):]
+    return doubled, dims, dict(zip(crossing, labels))
 
 
 class Representation:
@@ -265,26 +322,34 @@ class HomTriple:
         return hash(self.key())
 
 
+def _pair_kernel(kind: str, first: Representation, second: Representation
+                 ) -> tuple[dict, list[tuple]]:
+    """The shapes of the crossing arrows of ``_pair_walk``, keyed by the
+    vertex (hom) or arrow (ext) each stands for, and the kernel basis of
+    its crossing layer at ``first`` on the first copy and ``second`` on
+    the second: the crossing relations linearized in the crossing arrows,
+    at the two flat points laid one after the other."""
+    if not same_data(first, second):
+        raise ValueError("representations live over different data")
+    pres = first.pres
+    doubled, dims, crossing = _pair_walk(kind, pres, first.dims, second.dims)
+    arrows = pres.quiver.arrow_names()
+    plan, kernel = _arrow_plan(
+        doubled, first.field, dims,
+        doubled.quiver.arrow_names()[:2 * len(arrows)], crossing,
+        doubled.relations[2 * len(pres.relations):])
+    return ({crossing[a]: shape for a, shape in plan.shapes.items()},
+            kernel(flat_point(first.mats, arrows)
+                   + flat_point(second.mats, arrows)))
+
+
 def hom_kernel(source: Representation, target: Representation
                ) -> tuple[dict, list[tuple]]:
     """The shapes of the vertex maps f_x, and the kernel basis of the
-    intertwining system target_a f_(s a) - f_(t a) source_a = 0 of the
+    intertwining system f_(t a) source_a - target_a f_(s a) = 0 of the
     pair, one equation per arrow, in the stacked entries of all vertex
-    maps, assembled from the two flat points."""
-    if not same_data(source, target):
-        raise ValueError("representations live over different data")
-    quiver = source.pres.quiver
-    shapes = {x: (target.dims.get(x, 0), source.dims.get(x, 0))
-              for x in quiver.vertices}
-    plan = SandwichPlan(source.field, shapes, [
-        ((shapes[t][0], shapes[s][1]), [(1, s, (a,), None),
-                                        (-1, t, None, (a,))])
-        for a, s, t in quiver.arrows])
-    kernel = plan.flat_kernel(flat_layout(source.pres, target.dims),
-                              flat_layout(source.pres, source.dims))
-    arrows = quiver.arrow_names()
-    return plan.shapes, kernel(flat_point(target.mats, arrows),
-                               flat_point(source.mats, arrows))
+    maps: the crossing layer of ``hom_quiver``."""
+    return _pair_kernel("hom", source, target)
 
 
 def hom_basis(source: Representation, target: Representation) -> list[Morphism]:

@@ -22,7 +22,8 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
     """Seeded valid point for any of the two-vertex families: nilpotent
     loops first, then a uniformly random solution of the induced linear
     arrow constraints."""
-    from qvl.counting import _arrow_plan, _layers
+    from qvl.counting import _layers
+    from qvl.reps import _arrow_plan
     dims = {0: d0, 1: d1}
     quiver = pres.quiver
     base, loop_rels, _, layers = _layers(pres, dims)

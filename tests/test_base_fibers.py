@@ -12,9 +12,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qvl.counting import (BudgetExceededError, _Meter, _assignments,
-                          _fibers, _layers, _loop_points, _pair_walk,
-                          _points_over, _walk_fiber,
-                          count_ext_points, count_hom_points,
+                          _fibers, _layers, _loop_points, _points_over,
+                          _walk_fiber, count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_rep_points,
                           iter_rep_points_odometer, rep_ambient_dim)
@@ -26,8 +25,8 @@ from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor
 from qvl.quiver import BoundQuiver, Quiver, Relation, hom_quiver
-from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
-                      hom_basis, hom_kernel, is_monomorphism)
+from qvl.reps import (HomTriple, Morphism, Representation, _pair_walk,
+                      flat_layout, hom_basis, hom_kernel, is_monomorphism)
 from qvl.strata import StratumTable
 
 PATH2 = """quiver P2 {
@@ -204,7 +203,7 @@ class TestAgainstOdometer:
         pres = parse_quiver_spec(spec)
         dims = _dims(pres, dim_tuple)
         layer0, _, _, layers = _layers(pres, dims)
-        assert (layer0, [arrows for arrows, _ in layers]) == (base, [top])
+        assert (layer0, [list(arrows) for arrows, _ in layers]) == (base, [top])
         field = GF(2)
         slow = {r.key() for r in iter_rep_points_odometer(pres, field, dims)}
         assert {r.key() for r in iter_rep_points(pres, field, dims)} == slow
@@ -231,8 +230,8 @@ class TestAgainstOdometer:
         doubled, dims, crossing = _pair_walk(
             kind, pres, *(_dims(pres, d) for d in dim_pair))
         base, _, _, layers = _layers(doubled, dims, crossing)
-        assert (base, [arrows for arrows, _ in layers]) == (layer0,
-                                                            [middle, top])
+        assert (base, [list(arrows) for arrows, _ in layers]) == (
+            layer0, [middle, top])
 
     def test_doubled_copies_share_their_layers(self):
         # below the vertex maps, the copies' squares are one layer, and
@@ -242,7 +241,7 @@ class TestAgainstOdometer:
             {0: 1, 1: 1, 2: 1, 3: 1})
         layer0, _, _, layers = _layers(doubled, dims, crossing)
         assert layer0 == ("s_a", "s_c", "t_a", "t_c")
-        assert [arrows for arrows, _ in layers] == [
+        assert [list(arrows) for arrows, _ in layers] == [
             ["s_b", "s_d", "t_b", "t_d"], list(crossing)]
 
     def test_base_follows_block_sizes(self):
@@ -268,8 +267,8 @@ def test_named_families_keep_loops_only_base(pres):
         dims = {x: d + i for i, x in enumerate(pres.quiver.vertices)}
         base, _, _, layers = _layers(pres, dims)
         assert base == ()
-        assert [arrows for arrows, _ in layers] == ([arrows] if arrows
-                                                     else [])
+        assert [list(arrows) for arrows, _ in layers] == (
+            [arrows] if arrows else [])
 
 
 # --- closed form for the path with b*a = 0 ------------------------------
@@ -542,29 +541,34 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
         for v in _entries(cocycle_value(x, y, blocks, rel))])
     assert typed(kernel) == typed(cocycles), text
 
-    # the cocycle layout, whose sides include products of two arrows: the
-    # factors built from flat points are the matrix products, and the
-    # plan's kernel is the cocycle space
+    # the cocycle layout, whose sides include products of two arrows, on
+    # one flat point, the quotient's entries (labels ("q", a)) then the
+    # sub's (("u", a)): the factors built from it are the matrix products,
+    # and the plan's kernel is the cocycle space
     plan = SandwichPlan(field, block_shapes(pres, y.dims, x.dims), [
         ((y.dims[rel.target], x.dims[rel.source]),
-         [(field.coerce(c), a, path.arrows[:j] or None,
-           path.arrows[j + 1:] or None)
+         [(field.coerce(c), a,
+           tuple(("u", b) for b in path.arrows[:j]) or None,
+           tuple(("q", b) for b in path.arrows[j + 1:]) or None)
           for c, path in rel.terms for j, a in enumerate(path.arrows)])
         for rel in pres.relations])
+    reps = {"q": (x, 0), "u": (y, len(x_flat))}
+    layout = {(side, a): (shift + at, r, c)
+              for side, (rep, shift) in reps.items()
+              for a, (at, r, c) in flat_layout(pres, rep.dims).items()}
     factors = []
-    for labels, is_left in plan.sides:
-        mats = (y if is_left else x).mats
-        product = mats[labels[0]]
-        for a in labels[1:]:
-            product = product @ mats[a]
+    for labels in plan.sides:
+        product = None
+        for side, a in labels:
+            m = reps[side][0].mats[a]
+            product = m if product is None else product @ m
         factors.append(product)
-    layouts = flat_layout(pres, y.dims), flat_layout(pres, x.dims)
-    flat = [_side_factor(field.product, y_flat if is_left else x_flat,
-                         [layouts[not is_left][a] for a in labels])
-            for labels, is_left in plan.sides]
+    point = x_flat + y_flat
+    flat = [_side_factor(field.product, point,
+                         [layout[label] for label in labels])
+            for labels in plan.sides]
     assert typed(flat) == typed(map(_entries, factors))
-    assert typed(plan.flat_kernel(*layouts)(y_flat, x_flat)) \
-        == typed(cocycles)
+    assert typed(plan.flat_kernel(layout)(point)) == typed(cocycles)
 
 
 @pytest.mark.parametrize("q", [2, 3])

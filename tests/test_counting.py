@@ -9,7 +9,7 @@ from qvl import certificates, counting
 from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
-                          _arrow_plan, _assignments, _layers, _loop_points,
+                          _assignments, _layers, _loop_points,
                           _points_over, ambient_dimension,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
@@ -22,7 +22,7 @@ from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, QQ, Matrix
 from qvl.quiver import BoundQuiver, Quiver, hom_quiver
-from qvl.reps import Morphism, hom_basis, is_monomorphism
+from qvl.reps import Morphism, _arrow_plan, hom_basis, is_monomorphism
 from qvl.strata import (StratumTable, _jordan_point, _nilpotent_orbit,
                         jordan_types, nilpotent_orbit_size)
 from test_base_fibers import SANDWICH, SQUARE
@@ -506,7 +506,7 @@ class TestCensus:
         pres = hom_quiver(family_a_prime(n, 2, 2))
         base, _, _, layers = _layers(pres, self.CENSUS_DIMS)
         assert base == ()
-        assert [arrows for arrows, _ in layers] == [
+        assert [list(arrows) for arrows, _ in layers] == [
             [*(f"s_a{i}" for i in range(1, n + 1)), "f1"],
             [*(f"t_a{i}" for i in range(1, n + 1)), "f0"]]
 
@@ -517,7 +517,7 @@ class TestCensus:
         pres = hom_quiver(family_a_prime(1, 2, 2))
         base, _, _, layers = _layers(pres, self.CENSUS_DIMS)
         assert base == ("s_a1", "t_a1")
-        assert [arrows for arrows, _ in layers] == [["f0", "f1"]]
+        assert [list(arrows) for arrows, _ in layers] == [["f0", "f1"]]
         walks = []
         for top in ((), ("t_a1", "f0")):
             meter = _Meter()
@@ -538,11 +538,41 @@ class TestCensus:
             return grow(*args)
 
         monkeypatch.setattr(counting, "_grow", counted)
+        counting._tower.cache_clear()   # grow the tower, not read it back
         pres = hom_quiver(family_a_prime(12, 2, 2))
         k = sum(not pres.quiver.is_loop(a) for a in pres.quiver.arrow_names())
         assert k == 26
         _layers(pres, self.CENSUS_DIMS)
         assert 0 < len(grown) <= k * k
+
+    def test_repeated_walks_reuse_the_tower(self, monkeypatch):
+        # the tower is kept by presentation value, dims and top: a second
+        # count or walk of an equal presentation grows no layer, and
+        # counts, meters and orders its points as the first
+        grown = []
+        grow = counting._grow
+
+        def counted(*args):
+            grown.append(args[0])
+            return grow(*args)
+
+        monkeypatch.setattr(counting, "_grow", counted)
+        counting._tower.cache_clear()
+        runs = []
+        for _ in range(2):
+            before = len(grown)
+            pres = family_a_prime(3, 2, 2)
+            meter = _Meter()
+            walk = list(_points_over(hom_quiver(pres), F3, self.CENSUS_DIMS,
+                                     meter, orbits=True))
+            counts = (count_hom_points(pres, F3, {0: 0, 1: 1}, {0: 1, 1: 1}),
+                      count_rep_points(parse_quiver_spec(SQUARE), F3,
+                                       {0: 1, 1: 2, 2: 1, 3: 2}))
+            runs.append((walk, meter.used, meter.planned, counts,
+                         len(grown) - before))
+        assert runs[0][:4] == runs[1][:4]
+        assert runs[0][4] > 0 == runs[1][4]
+        assert counting._tower.cache_info().hits >= 3
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda q: st.tuples(

@@ -96,13 +96,12 @@ def _oracle_equations(field, shapes, equations, factors):
 def _flat_kernel(plan, factors):
     """The plan's kernel at one point, given one factor per entry of
     ``sides``, in order, each side one label: the factors are laid out one
-    after another in a single flat point, read as both the left and the
-    right point."""
+    after another in a single flat point."""
     layout, point = {}, []
-    for ((label,), _), m in zip(plan.sides, factors):
+    for (label,), m in zip(plan.sides, factors):
         layout[label] = (len(point), m.nrows, m.ncols)
         point.extend(x for row in m.rows for x in row)
-    return plan.flat_kernel(layout, layout)(point, point)
+    return plan.flat_kernel(layout)(point)
 
 
 @st.composite
@@ -194,7 +193,7 @@ class TestSandwichSystem:
         # one equation mixes a product side of three matrices, a one-matrix
         # side, a two-sided term and a term with no sides, so the terms
         # read 3, 1, 2 and 0 matrices; the coefficients are not integral,
-        # and the left and right points have different denominators
+        # and the two halves of the point have coprime denominators
         shapes = {"x": (2, 2), "y": (3, 1)}
         coeffs = [Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(5, 4)]
         plan = SandwichPlan(QQ, shapes, [((2, 2), [
@@ -212,17 +211,16 @@ class TestSandwichSystem:
         mats = {"a": matrix(2, 3, (1, 2, 3)), "b": matrix(3, 2, (1, 2, 3)),
                 "e": matrix(2, 2, (1, 2, 3)), "c": matrix(2, 2, (1, 5, 7)),
                 "d": matrix(1, 2, (1, 5, 7))}
-        layouts, points = ({}, {}), ([], [])
+        layout, point = {}, []
         for label, m in mats.items():
-            side = label in "cd"
-            layouts[side][label] = (len(points[side]), m.nrows, m.ncols)
-            points[side].extend(x for row in m.rows for x in row)
+            layout[label] = (len(point), m.nrows, m.ncols)
+            point.extend(x for row in m.rows for x in row)
         i2 = Matrix.identity(QQ, 2)
         a, b, e, c, d = mats.values()
         expected = sandwich_system_oracle(QQ, shapes, [[
             (coeffs[0], "x", a @ b @ e, i2), (coeffs[1], "x", i2, c),
             (coeffs[2], "y", a, d), (coeffs[3], "x", i2, i2)]])
-        kernel = plan.flat_kernel(*layouts)(*points)
+        kernel = plan.flat_kernel(layout)(point)
         assert kernel and typed(kernel) == typed(expected.kernel_basis()) \
             == typed(residual_kernel(QQ, shapes, lambda blocks: [
                 x for row in ((a @ b @ e @ blocks["x"]).scale(coeffs[0])
@@ -231,17 +229,17 @@ class TestSandwichSystem:
                               + blocks["x"].scale(coeffs[3])).rows
                 for x in row]))
 
-        # the compiled rows take the points as ints over one denominator
+        # the compiled rows take the point as ints over one denominator
         # and return ints: the true rows times 12 d^3, 12 the coefficients'
         # common denominator and 3 the most matrices a term reads
-        left_den, right_den = [math.lcm(*[x.denominator for x in p])
-                               for p in points]
-        assert min(left_den, right_den) > 1 == math.gcd(left_den, right_den)
-        den = left_den * right_den
-        rows = plan._compile([
-            (is_left, [layouts[not is_left][label] for label in labels])
-            for labels, is_left in plan.sides])(
-            *[[int(x * den) for x in p] for p in points], den)
+        half = layout["c"][0]
+        dens = [math.lcm(*[x.denominator for x in part])
+                for part in (point[:half], point[half:])]
+        assert min(dens) > 1 == math.gcd(*dens)
+        den = math.prod(dens)
+        rows = plan._compile([[layout[label] for label in labels]
+                              for labels in plan.sides])(
+            [int(x * den) for x in point], den)
         assert {type(x) for row in rows for x in row} == {int}
         assert rows == [[12 * den ** 3 * x for x in row]
                         for row in expected.rows]

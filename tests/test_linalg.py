@@ -363,7 +363,7 @@ class TestTrustedResults:
         layout = {"a": (0, a.nrows, a.ncols),
                   "b": (a.nrows * a.ncols, b.nrows, b.ncols)}
         point = tuple(x for m in (a, b) for row in m.rows for x in row)
-        for vec in plan.flat_kernel(layout, layout)(point, point):
+        for vec in plan.flat_kernel(layout)(point):
             assert_entries(field, vec)
             blocks = split_blocks(field, shapes, vec)
             for block in (*blocks.values(),

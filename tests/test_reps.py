@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_gl, random_lambda_rep, random_two_vertex_rep
+from qvl.extensions import cocycle_kernel, cocycle_space_basis
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
 from qvl.linalg import GF, Matrix, QQ
 from qvl.reps import (Morphism, Representation, cokernel, direct_sum,
-                      gl_action, hom_basis, is_monomorphism, simple_module)
+                      gl_action, hom_basis, hom_kernel, is_monomorphism,
+                      simple_module)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -125,6 +127,20 @@ class TestHomBasis:
         target = [endo[i, j] for i in range(3) for j in range(3)]
         stacked = Matrix(F5, len(vecs) + 1, 9, vecs + [target])
         assert stacked.rank() == Matrix(F5, len(vecs), 9, vecs).rank()
+
+    @pytest.mark.parametrize("other", [
+        Representation.zero(family_lambda(3), F2, {0: 1}),
+        Representation.zero(family_lambda(2), F3, {0: 1})],
+        ids=["presentation", "field"])
+    def test_pair_systems_reject_mixed_data(self, other):
+        # both points of a Hom or cocycle system lie on one doubled quiver
+        # over one field, in either order
+        pres, one, two = lambda2_reps()
+        for system in (hom_basis, hom_kernel, cocycle_space_basis,
+                       cocycle_kernel):
+            for pair in ((one, other), (other, two)):
+                with pytest.raises(ValueError):
+                    system(*pair)
 
 
 class TestMonomorphism:
