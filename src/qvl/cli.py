@@ -102,6 +102,24 @@ def _load_files(args, pres, *reps: str, data: str | None = None) -> list:
     return loaded
 
 
+def _failures(pres, rep):
+    """Each relation of ``pres`` that is nonzero at ``rep``, as text."""
+    return (str(rel) for rel in pres.relations
+            if not rep.evaluate_relation(rel).is_zero())
+
+
+def _require_points(args, pres, **reps) -> None:
+    """Raise unless the representation read from each named file is a
+    point of the variety, naming the file and its first nonzero relation:
+    a file off the variety is bad input, not a failed check."""
+    for name, rep in reps.items():
+        failure = next(_failures(pres, rep), None)
+        if failure is not None:
+            raise CliSemanticError(
+                f"--{name} {getattr(args, name)} is not a point of the "
+                f"variety: the relation {failure} is nonzero there")
+
+
 def _coerce_relations(pres, field) -> None:
     """Coerce every relation coefficient into ``field``: a coefficient
     whose denominator vanishes there is bad input, not a failed check."""
@@ -192,8 +210,7 @@ def _parse_q_list(text: str) -> list[int]:
 def _cmd_check(args):
     pres = _load_pres(args)
     rep, = _load_files(args, pres, "rep")
-    failures = [str(rel) for rel in pres.relations
-                if not rep.evaluate_relation(rel).is_zero()]
+    failures = list(_failures(pres, rep))
     valid = not failures
     result = {"valid": valid, "failing_relations": failures,
               "dims": {str(v): rep.dims[v] for v in pres.quiver.vertices}}
@@ -223,6 +240,7 @@ def _cmd_cocycles(args):
 def _cmd_extend(args):
     pres = _load_pres(args)
     quo, sub, data = _load_files(args, pres, "quo", "sub", data="blocks")
+    _require_points(args, pres, quo=quo, sub=sub)
     blocks = blocks_from_json(pres, sub.dims, quo.dims, data)
     middle, incl, proj = build_extension(quo, sub, blocks)
     result = {"middle": rep_to_json(middle),
@@ -236,6 +254,7 @@ def _cmd_extend(args):
 def _cmd_split(args):
     pres = _load_pres(args)
     sub, middle, data = _load_files(args, pres, "sub", "middle", data="map")
+    _require_points(args, pres, sub=sub, middle=middle)
     mor = morphism_from_json(sub, middle, data)
     g, blocks, quo = splitting_from_mono(mor)
     result = {

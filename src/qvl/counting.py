@@ -387,8 +387,8 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     walked = [*pres.quiver.loops(), *base]
     plans = []
     for arrows, rels in layers or [((), ())]:
-        plan, kernel = _arrow_plan(pres, field, dims, walked, arrows, rels)
-        plans.append((plan.ncols, kernel))
+        plan = _arrow_plan(pres, field, dims, walked, arrows, rels)
+        plans.append((plan.ncols, plan.kernel))
         walked += arrows
     table = StratumTable(pres, field, dims, loop_rels,
                          None if orbits else base, base_rels)

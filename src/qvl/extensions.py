@@ -126,9 +126,11 @@ def build_extension(quo: Representation, sub: Representation,
     """Middle term of the extension determined by a cocycle.
 
     Returns (middle, incl, proj) where incl embeds ``sub`` as the upper
-    block and proj maps onto ``quo``; the sequence is exact.  Raises if the
-    blocks fail the cocycle equations.  As a second line of defense the
-    assembled representation is re-checked for validity.
+    block and proj maps onto ``quo``; the sequence is exact.  Raises
+    ValueError if the blocks fail the cocycle equations.  The assembled
+    representation is re-checked for validity; its diagonal blocks are
+    ``sub`` and ``quo``, so a failure raises ValueError naming a side that
+    is not a point of the variety, and AssertionError if neither is.
     """
     _check_block_shapes(quo, sub, blocks)
     field = quo.field
@@ -144,6 +146,9 @@ def build_extension(quo: Representation, sub: Representation,
                          hstack(zero, quo.mats[a]))
     middle = Representation(pres, field, dims, mats)
     if not middle.is_valid():
+        for name, rep in (("quotient", quo), ("sub", sub)):
+            if not rep.is_valid():
+                raise ValueError(f"the {name} is not a point of the variety")
         raise AssertionError(
             "cocycle equations passed but the assembled representation is "
             "invalid; generating relations are inconsistent")

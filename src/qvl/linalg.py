@@ -633,35 +633,42 @@ def _eliminate(v: dict, a: int, row: dict, lead: int, p: int):
 
 
 class SandwichPlan:
-    """The layout of the homogeneous system sum c * L @ X_k @ R = 0, one
-    equation per item, compiled once and applied to many points.
+    """The homogeneous system sum c * L @ X_k @ R = 0, one equation per
+    item, compiled once against the layout of the flat points it reads.
 
     The unknowns are the entries of the blocks X_k with the given shapes,
     block by block in the order of ``shapes`` and row-major inside a block.
     ``equations`` gives each equation as ((rows, cols), terms), the shape
     of its value and its terms (c, k, left, right), with c a field element
-    or an int.  A side is None where it is an identity.  Any other side is
-    a sequence of the caller's labels, and its factor at each point is the
-    product of their matrices, left to right; ``sides`` lists their label
-    tuples, term by term, left before right.  Equations without terms give
-    no rows.
-
-    ``flat_kernel`` compiles, once per point layout, a function from a flat
-    point to the kernel basis of the system there, ``kernel_basis`` of its
-    rows.
+    or an int.  A side is None where it is an identity, and a term has at
+    least one other side: a sequence of labels, whose factor at a point is
+    the product of their matrices, left to right, each read at the
+    (offset, rows, cols) that ``layout`` gives it in the flat point.
+    Equations without terms give no rows.  ``kernel(point)`` is the kernel
+    basis of the system at a flat point, ``kernel_basis`` of its rows.
 
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
-    of X_k.  With one identity side, the cells each entry of the other
-    factor adds to are fixed, and the plan lists them; with none, the term
-    keeps only where its rows and columns start, and the assembly walks the
-    nonzero entries of both factors.  Terms without cells are dropped: the
-    assembly never reads their factors.
+    of X_k.  A term with one identity side is a gather: the cells each
+    entry of its factor adds ``c * entry`` to are fixed, and the plan lists
+    them.  A factor that is one matrix is read straight from the point; a
+    product is built once per point, by ``_side_factor``, and read from
+    there.  A term with two sides keeps only where its rows and columns
+    start, and the assembly builds both factors and walks their nonzero
+    entries.  Terms without cells are dropped: the assembly never reads
+    their factors.
+
+    Rows are lists of ints, not reduced: over F_p the system's own.  Over Q
+    the coefficients are cleared once, by the lcm of their denominators,
+    and the point is d times the true one, as ints; a term that reads k
+    matrices then adds d^k times its share, on ints (``_int_product``).
+    Scaling each term by d^(D - k), D the largest such k, makes every row
+    the true row times one positive integer.
     """
 
     def __init__(self, field: Field,
                  shapes: Mapping[Hashable, tuple[int, int]],
-                 equations: Iterable[tuple]):
+                 equations: Sequence[tuple], layout: Mapping):
         self.field = field
         self.shapes = dict(shapes)
         offsets, total = {}, 0
@@ -669,82 +676,9 @@ class SandwichPlan:
             offsets[k] = total
             total += r * c
         self.ncols = total
-        self.sides: list[tuple] = []
-        self._terms: list[tuple] = []
-        nrows = 0
-        for (out_r, out_c), terms in equations:
-            for coeff, k, left, right in terms:
-                r, c = self.shapes[k]
-                if (left is None and out_r != r) or \
-                        (right is None and out_c != c):
-                    raise ValueError(
-                        f"term on {k!r}: an identity side cannot map "
-                        f"{(r, c)} to {(out_r, out_c)}")
-                first = len(self.sides)
-                self.sides += [tuple(side) for side in (left, right)
-                               if side is not None]
-                if not (r * c and out_r * out_c):
-                    continue
-                # row (u, v), column (i, j) is at flat index
-                # start + u * du + v * total + i * c + j
-                start = nrows * total + offsets[k]
-                du, step = out_c * total, total + 1
-                if left is None and right is None:      # i = u, j = v
-                    cells = range(start, start + r * c * step, step)
-                elif right is None:         # L[u, i] adds at j = v
-                    cells = [range(s, s + c * step, step)
-                             for u in range(out_r) for i in range(r)
-                             for s in (start + u * du + i * c,)]
-                elif left is None:          # R[j, v] adds at i = u
-                    cells = [range(s, s + r * (du + c), du + c)
-                             for j in range(c) for v in range(out_c)
-                             for s in (start + v * total + j,)]
-                else:
-                    cells = (start, du, r, c, out_c)
-                self._terms.append(
-                    (coeff, tuple(range(first, len(self.sides))), cells))
-            if terms:
-                nrows += out_r * out_c
-        self.nrows = nrows
-
-    def flat_kernel(self, layout: Mapping):
-        """A function from a flat point to the kernel basis of the system
-        there.  ``layout`` gives the (offset, rows, cols) of each label's
-        matrix in the point.  Over Q the point is first cleared to integers
-        over one common denominator, and the int rows go straight to
-        ``field.row_reduce``."""
-        field, ncols = self.field, self.ncols
-        rows = self._compile([[layout[a] for a in labels]
-                              for labels in self.sides])
-        if field.characteristic:
-            return lambda point: kernel_basis(field, rows(point), ncols)
-
-        def kernel(point):
-            return kernel_basis(field, rows(*_cleared(point)), ncols)
-        return kernel
-
-    def _compile(self, sources: Sequence[Sequence[tuple]]):
-        """A function ``rows(point, d=1)`` to the system's rows, where side
-        k's factor is the product of the matrices at the (offset, rows,
-        cols) segments ``sources[k]`` of the point.
-
-        A term with one identity side is a gather: each entry of its factor
-        adds ``c * entry`` to its cells.  A factor that is one matrix is
-        read straight from the point; a product is built once per call, by
-        ``_side_factor``, and read from there.  A term with two sides
-        builds both factors per call and walks their nonzero entries.
-        Terms with no sides add their constant to a compiled start.
-
-        Rows are lists of ints, not reduced: over F_p the system's own.
-        Over Q the coefficients are cleared once, by the lcm of their
-        denominators, and the point is d times the true one, as ints; a
-        term that reads k matrices then adds d^k times its share, on ints
-        (``_int_product``).  Scaling each term by d^(D - k), D the largest
-        such k, makes every row the true row times one positive integer."""
-        field, total = self.field, self.ncols
         product = field.product if field.characteristic else _int_product
-        den = lcm(*[coeff.denominator for coeff, _, _ in self._terms])
-        start = [0] * (self.nrows * total)
+        den = lcm(*[coeff.denominator for _, terms in equations
+                    for coeff, *_ in terms])
         # (index, coeff, cells) entries read from the point and then from
         # each product factor, in the order of products, and the number of
         # matrices each of these sources reads
@@ -752,16 +686,41 @@ class SandwichPlan:
         degrees = [1]
         products: dict[tuple, int] = {}
         walked = []
-        top = 0
-        for coeff, sides, cells in self._terms:
-            coeff = coeff.numerator * (den // coeff.denominator)
-            degree = sum(len(sources[k]) for k in sides)
-            top = max(top, degree)
-            if not sides:
-                for idx in cells:
-                    start[idx] += coeff
-            elif len(sides) == 1:
-                segments = tuple(sources[sides[0]])
+        top = nrows = 0
+        for (out_r, out_c), terms in equations:
+            for coeff, k, left, right in terms:
+                r, c = self.shapes[k]
+                if left is None and right is None:
+                    raise ValueError(f"term on {k!r} has no side")
+                if (left is None and out_r != r) or \
+                        (right is None and out_c != c):
+                    raise ValueError(
+                        f"term on {k!r}: an identity side cannot map "
+                        f"{(r, c)} to {(out_r, out_c)}")
+                parts = [tuple([layout[a] for a in side])
+                         for side in (left, right) if side is not None]
+                if not (r * c and out_r * out_c):
+                    continue
+                coeff = coeff.numerator * (den // coeff.denominator)
+                degree = sum(map(len, parts))
+                top = max(top, degree)
+                # row (u, v), column (i, j) is at flat index
+                # start + u * du + v * total + i * c + j
+                start = nrows * total + offsets[k]
+                du, step = out_c * total, total + 1
+                if len(parts) == 2:
+                    walked.append((coeff, degree, parts,
+                                   (start, du, r, c, out_c)))
+                    continue
+                if right is None:           # L[u, i] adds at j = v
+                    cells = [range(s, s + c * step, step)
+                             for u in range(out_r) for i in range(r)
+                             for s in (start + u * du + i * c,)]
+                else:                       # R[j, v] adds at i = u
+                    cells = [range(s, s + r * (du + c), du + c)
+                             for j in range(c) for v in range(out_c)
+                             for s in (start + v * total + j,)]
+                segments, = parts
                 source, at = 0, segments[0][0]
                 if len(segments) > 1:
                     if segments not in products:
@@ -772,16 +731,14 @@ class SandwichPlan:
                 gathers[source].extend(zip(
                     itertools.count(at), itertools.repeat(coeff),
                     map(tuple, cells)))
-            else:
-                walked.append((coeff, degree, [sources[k] for k in sides],
-                               cells))
-        constant = any(start)
-        row_starts = range(0, len(start), total) if total else \
-            [0] * self.nrows
+            if terms:
+                nrows += out_r * out_c
+        self.nrows = nrows
+        row_starts = range(0, nrows * total, total) if total else \
+            [0] * nrows
 
         def rows(point, d=1) -> list[list]:
-            flat = [x * d ** top for x in start] if constant and d != 1 \
-                else start.copy()
+            flat = [0] * (nrows * total)
             factors = [point, *[_side_factor(product, point, segments)
                                 for segments in products]]
             if d != 1:
@@ -810,7 +767,15 @@ class SandwichPlan:
                                 flat[base + j] += cx * y
                             base += total
             return [flat[i:i + total] for i in row_starts]
-        return rows
+        self._rows = rows
+
+    def kernel(self, point: Sequence) -> list[tuple]:
+        """The kernel basis of the system at a flat point.  Over Q the point
+        is first cleared to integers over one common denominator, and the
+        int rows go straight to ``field.row_reduce``."""
+        field = self.field
+        return kernel_basis(field, self._rows(point) if field.characteristic
+                            else self._rows(*_cleared(point)), self.ncols)
 
 
 def _side_factor(product, point: Sequence, segments: Sequence[tuple]

@@ -96,15 +96,15 @@ def linearized_equations(field: Field, relations, unknowns, dims: DimVector
     return equations
 
 
-def _arrow_plan(pres: BoundQuiver, field, dims, walked, arrows, rels):
-    """The plan of ``rels`` linearized in ``arrows``, and a function from a
-    flat point of the arrows ``walked`` to the kernel basis there: the
-    kernel of a layer above the points below it."""
+def _arrow_plan(pres: BoundQuiver, field, dims, walked, arrows, rels
+                ) -> SandwichPlan:
+    """The plan of ``rels`` linearized in ``arrows``, read at a flat point
+    of the arrows ``walked``: the kernel of a layer above the points below
+    it."""
     shapes = {a: (r, c) for a, (_, r, c)
               in flat_layout(pres, dims, arrows).items()}
-    plan = SandwichPlan(field, shapes, linearized_equations(
-        field, rels, shapes, dims))
-    return plan, plan.flat_kernel(flat_layout(pres, dims, walked))
+    return SandwichPlan(field, shapes, linearized_equations(
+        field, rels, shapes, dims), flat_layout(pres, dims, walked))
 
 
 @functools.lru_cache(maxsize=64)
@@ -334,13 +334,13 @@ def _pair_kernel(kind: str, first: Representation, second: Representation
     pres = first.pres
     doubled, dims, crossing = _pair_walk(kind, pres, first.dims, second.dims)
     arrows = pres.quiver.arrow_names()
-    plan, kernel = _arrow_plan(
+    plan = _arrow_plan(
         doubled, first.field, dims,
         doubled.quiver.arrow_names()[:2 * len(arrows)], crossing,
         doubled.relations[2 * len(pres.relations):])
     return ({crossing[a]: shape for a, shape in plan.shapes.items()},
-            kernel(flat_point(first.mats, arrows)
-                   + flat_point(second.mats, arrows)))
+            plan.kernel(flat_point(first.mats, arrows)
+                        + flat_point(second.mats, arrows)))
 
 
 def hom_kernel(source: Representation, target: Representation

@@ -231,7 +231,8 @@ class StratumTable:
 
     def rows(self) -> Iterator[tuple]:
         """(flat point, weight) of each row: its Jordan matrices and
-        [I_r 0; 0 0]s concatenated, their orbit sizes and counts multiplied."""
+        [I_r 0; 0 0]s concatenated, their orbit sizes and counts multiplied,
+        built one row at a time."""
         p = self.field.p
         choices = [[(_jordan_point(lam), nilpotent_orbit_size(lam, p))
                     for lam in jordan_types(d, k)]
@@ -240,19 +241,17 @@ class StratumTable:
                             for j in range(s)), rank_count(t, s, r, p))
                      for r in range(min(t, s) + 1)]
                     for t, s in self.arrows or ()]
-        rows = [((), 1)]
-        for pairs in choices:
-            rows = [(point + x, weight * w) for point, weight in rows
-                    for x, w in pairs]
-        yield from rows
+        for row in itertools.product(*choices):
+            yield (tuple(itertools.chain.from_iterable(x for x, _ in row)),
+                   math.prod(w for _, w in row))
 
     def size(self) -> int:
-        """The number of points the rows stand for."""
+        """The number of points of the stratified loop locus, the points
+        that ``orbit_points`` lists."""
         p = self.field.p
-        return (math.prod(sum(nilpotent_orbit_size(lam, p)
-                              for lam in jordan_types(d, k))
-                          for d, k in self.loops or ())
-                * p ** sum(t * s for t, s in self.arrows or ()))
+        return math.prod(sum(nilpotent_orbit_size(lam, p)
+                             for lam in jordan_types(d, k))
+                         for d, k in self.loops or ())
 
     def orbit_points(self) -> Iterator[tuple]:
         """Every loop point of the stratified locus once, as a flat tuple:

@@ -52,10 +52,10 @@ def random_two_vertex_rep(pres, field, d0, d1, rng,
                 ok = False
         if not ok:
             continue
-        plan, kernel = _arrow_plan(pres, field, dims, quiver.loops(), arrows,
-                                   linear_rels)
+        plan = _arrow_plan(pres, field, dims, quiver.loops(), arrows,
+                           linear_rels)
         values = [field.zero] * plan.ncols
-        for vec in kernel(flat_point(loop_mats, quiver.loops())):
+        for vec in plan.kernel(flat_point(loop_mats, quiver.loops())):
             c = field.coerce(rng.randrange(field.p)) if hasattr(field, "p") \
                 else field.coerce(rng.randint(-3, 3))
             if c != field.zero:

@@ -24,9 +24,10 @@ from qvl.extensions import (block_shapes, cocycle_kernel,
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor
-from qvl.quiver import BoundQuiver, Quiver, Relation, hom_quiver
+from qvl.quiver import BoundQuiver, Quiver, Relation, ext_quiver, hom_quiver
 from qvl.reps import (HomTriple, Morphism, Representation, _pair_walk,
-                      flat_layout, hom_basis, hom_kernel, is_monomorphism)
+                      flat_layout, hom_basis, hom_kernel, is_monomorphism,
+                      linearized_equations)
 from qvl.strata import StratumTable
 
 PATH2 = """quiver P2 {
@@ -545,19 +546,23 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
     # one flat point, the quotient's entries (labels ("q", a)) then the
     # sub's (("u", a)): the factors built from it are the matrix products,
     # and the plan's kernel is the cocycle space
-    plan = SandwichPlan(field, block_shapes(pres, y.dims, x.dims), [
+    equations = [
         ((y.dims[rel.target], x.dims[rel.source]),
          [(field.coerce(c), a,
            tuple(("u", b) for b in path.arrows[:j]) or None,
            tuple(("q", b) for b in path.arrows[j + 1:]) or None)
           for c, path in rel.terms for j, a in enumerate(path.arrows)])
-        for rel in pres.relations])
+        for rel in pres.relations]
+    sides = [side for _, terms in equations for _, _, left, right in terms
+             for side in (left, right) if side is not None]
     reps = {"q": (x, 0), "u": (y, len(x_flat))}
     layout = {(side, a): (shift + at, r, c)
               for side, (rep, shift) in reps.items()
               for a, (at, r, c) in flat_layout(pres, rep.dims).items()}
+    plan = SandwichPlan(field, block_shapes(pres, y.dims, x.dims), equations,
+                        layout)
     factors = []
-    for labels in plan.sides:
+    for labels in sides:
         product = None
         for side, a in labels:
             m = reps[side][0].mats[a]
@@ -566,9 +571,31 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
     point = x_flat + y_flat
     flat = [_side_factor(field.product, point,
                          [layout[label] for label in labels])
-            for labels in plan.sides]
+            for labels in sides]
     assert typed(flat) == typed(map(_entries, factors))
-    assert typed(plan.flat_kernel(layout)(point)) == typed(cocycles)
+    assert typed(plan.kernel(point)) == typed(cocycles)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(presentations(), st.data())
+def test_linearized_terms_keep_a_side(spec, data):
+    # every relation path has length 2 or more, so each term linearized
+    # from it keeps a factor on at least one side, as SandwichPlan requires:
+    # in every layer of the tower and in the crossing layers of the Hom
+    # and Ext quivers
+    text, _ = spec
+    pres = parse_quiver_spec(text)
+    dims = {x: data.draw(st.sampled_from([2, 1, 0]))
+            for x in pres.quiver.vertices}
+    layers = [(arrows, rels, dims) for arrows, rels in _layers(pres, dims)[3]]
+    n_arrows, n_rels = len(pres.quiver.arrows), len(pres.relations)
+    for doubled in (hom_quiver(pres), ext_quiver(pres)):
+        layers.append((doubled.quiver.arrow_names()[2 * n_arrows:],
+                       doubled.relations[2 * n_rels:],
+                       dict.fromkeys(doubled.quiver.vertices, 1)))
+    for arrows, rels, at in layers:
+        for _, terms in linearized_equations(QQ, rels, set(arrows), at):
+            assert all(left or right for _, _, left, right in terms), text
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -224,13 +224,21 @@ for _command, _argv in {
 
 # Files of the wrong shape where a file subcommand reads maps, blocks or
 # dims: a list of maps, blocks without a field, blocks that are no object,
-# and a boolean dimension (JSON true must not read as dimension 1).
+# and a boolean dimension (JSON true must not read as dimension 1).  Then a
+# point off the variety, e = [[1]] with e^2 != 0, which extend must refuse
+# as its quotient and split as its middle term, under a dim-0 sub and the
+# 1 x 0 map.
 MALFORMED_FILES = {
     "maps_list": {"field": {"type": "Fp", "p": 2}, "maps": [1]},
     "blocks_no_field": {"blocks": {"e": [[0]]}},
     "blocks_scalar": {"field": {"type": "Fp", "p": 2}, "blocks": 1},
     "bool_dim": {"field": {"type": "Fp", "p": 2}, "dims": {"0": True},
                  "mats": {"e": [[0]]}},
+    "off_variety": {"field": {"type": "Fp", "p": 2}, "dims": {"0": 1},
+                    "mats": {"e": [[1]]}},
+    "dim_zero": {"field": {"type": "Fp", "p": 2}, "dims": {"0": 0},
+                 "mats": {"e": []}},
+    "map_1x0": {"field": {"type": "Fp", "p": 2}, "maps": {"0": [[]]}},
 }
 SWEEP["split"]["maps_list"] = ("split --family Lambda --m 2 --sub {rep} "
                                "--middle {rep} --map {maps_list}")
@@ -238,6 +246,12 @@ for _name in ("blocks_no_field", "blocks_scalar"):
     SWEEP["extend"][_name] = ("extend --family Lambda --m 2 --quo {rep} "
                               "--sub {rep} --blocks {%s}" % _name)
 SWEEP["check"]["bool_dim"] = "check --family Lambda --m 2 --rep {bool_dim}"
+SWEEP["extend"]["off_variety"] = ("extend --family Lambda --m 2 "
+                                  "--quo {off_variety} --sub {rep} "
+                                  "--blocks {blocks}")
+SWEEP["split"]["off_variety"] = ("split --family Lambda --m 2 "
+                                 "--sub {dim_zero} --middle {off_variety} "
+                                 "--map {map_1x0}")
 
 
 def test_sweep_covers_every_subcommand():

@@ -98,8 +98,8 @@ def _filter_walk_count(pres, field, dims):
     """Rep count by filtering every loop assignment (no strata)."""
     _, loop_rels, _, layers = _layers(pres, dims)
     [(arrows, rels)] = layers or [((), ())]
-    _, kernel = _arrow_plan(pres, field, dims, pres.quiver.loops(), arrows,
-                            rels)
+    kernel = _arrow_plan(pres, field, dims, pres.quiver.loops(), arrows,
+                         rels).kernel
     return sum(field.p ** len(kernel(loops))
                for loops in _assignments(pres, field, dims, (),
                                          pres.quiver.loops(), loop_rels,

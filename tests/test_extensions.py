@@ -189,6 +189,19 @@ class TestBuildExtension:
         with pytest.raises(ValueError):
             build_extension(quo, sub, bad)
 
+    @pytest.mark.parametrize("side", ["quotient", "sub"])
+    def test_points_off_the_variety_rejected(self, side):
+        # e = [[1]] has e^2 != 0; the zero block is a cocycle for the pair,
+        # so the cocycle check passes and the invalid middle is traced to
+        # its side, not reported as inconsistent relations
+        pres = family_lambda(2)
+        off = Representation(pres, F2, {0: 1}, {"e": Matrix(F2, 1, 1, [[1]])})
+        zero = Representation(pres, F2, {0: 1},
+                              {"e": Matrix(F2, 1, 1, [[0]])})
+        quo, sub = (off, zero) if side == "quotient" else (zero, off)
+        with pytest.raises(ValueError, match=f"the {side} is not a point"):
+            build_extension(quo, sub, {"e": Matrix(F2, 1, 1, [[0]])})
+
     def test_exactness_bookkeeping(self):
         rng = random.Random(3)
         pres = family_lambda(3)

@@ -93,22 +93,24 @@ def _oracle_equations(field, shapes, equations, factors):
     return out
 
 
-def _flat_kernel(plan, factors):
-    """The plan's kernel at one point, given one factor per entry of
-    ``sides``, in order, each side one label: the factors are laid out one
-    after another in a single flat point."""
+def _laid_out(equations, factors):
+    """The layout and the flat point of one factor per side of the
+    equations' terms, in order, left before right, each side one label:
+    the factors are laid out one after another in a single flat point."""
     layout, point = {}, []
-    for (label,), m in zip(plan.sides, factors):
+    sides = [side for _, terms in equations for _, _, left, right in terms
+             for side in (left, right) if side is not None]
+    for (label,), m in zip(sides, factors):
         layout[label] = (len(point), m.nrows, m.ncols)
         point.extend(x for row in m.rows for x in row)
-    return plan.flat_kernel(layout)(point)
+    return layout, point
 
 
 @st.composite
 def sandwich_cases(draw):
     """A field, block shapes, equations whose terms have identity or
-    given sides, and up to three points' factors, with zero rows, zero
-    columns and zero entries among them."""
+    given sides, at least one given, and up to three points' factors, with
+    zero rows, zero columns and zero entries among them."""
     field = draw(st.sampled_from([F2, F5, QQ]))
     entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5)
                       if field == QQ else st.integers(-9, 9))
@@ -129,7 +131,7 @@ def sandwich_cases(draw):
             at = f"{len(equations)}.{t}"
             left = (f"L{at}",) if out_r != r or draw(st.booleans()) else None
             right = (f"R{at}",) if out_c != c or draw(st.booleans()) \
-                else None
+                or left is None else None
             terms.append((field.coerce(draw(entry)), k, left, right))
         equations.append(((out_r, out_c), terms))
 
@@ -154,14 +156,16 @@ class TestSandwichSystem:
     @given(sandwich_cases())
     def test_plan_matches_the_per_call_builder(self, case):
         field, shapes, equations, points = case
-        plan = SandwichPlan(field, shapes, equations)
+        layout, _ = _laid_out(equations, points[0])
+        plan = SandwichPlan(field, shapes, equations, layout)
         for factors in points:
-            kernel = _flat_kernel(plan, factors)
+            _, point = _laid_out(equations, factors)
+            kernel = plan.kernel(point)
             expected = sandwich_system_oracle(
                 field, shapes,
                 _oracle_equations(field, shapes, equations, factors))
-            fresh = _flat_kernel(SandwichPlan(field, shapes, equations),
-                                 factors)
+            fresh = SandwichPlan(field, shapes, equations,
+                                 layout).kernel(point)
             assert (plan.nrows, plan.ncols) == expected.shape
             assert typed(kernel) == typed(expected.kernel_basis()) \
                 == typed(fresh)
@@ -172,10 +176,9 @@ class TestSandwichSystem:
         rng = random.Random(7)
         shapes = {"x": (2, 3), "y": (3, 3)}
         c1, c2 = field.coerce(2), field.coerce(-3)
-        plan = SandwichPlan(field, shapes, [((4, 2), [
+        equations = [((4, 2), [
             (c1, "x", ("l1",), ("r1",)), (c2, "y", ("l2",), ("r2",)),
-            (c1, "y", ("l2",), ("r2",))])])
-        assert (plan.nrows, plan.ncols) == (8, 15)
+            (c1, "y", ("l2",), ("r2",))])]
         for _ in range(10):
             l1, r1 = random_matrix(field, 4, 2, rng), \
                 random_matrix(field, 3, 2, rng)
@@ -186,21 +189,18 @@ class TestSandwichSystem:
                               + (l2 @ blocks["y"] @ r2).scale(c2)
                               + (l2 @ blocks["y"] @ r2).scale(c1)).rows
                 for x in row])
-            assert typed(_flat_kernel(plan, [l1, r1, l2, r2, l2, r2])) \
-                == typed(expected)
+            layout, point = _laid_out(equations, [l1, r1, l2, r2, l2, r2])
+            plan = SandwichPlan(field, shapes, equations, layout)
+            assert (plan.nrows, plan.ncols) == (8, 15)
+            assert typed(plan.kernel(point)) == typed(expected)
 
     def test_integer_q_assembly(self):
         # one equation mixes a product side of three matrices, a one-matrix
-        # side, a two-sided term and a term with no sides, so the terms
-        # read 3, 1, 2 and 0 matrices; the coefficients are not integral,
-        # and the two halves of the point have coprime denominators
+        # side and a two-sided term, so the terms read 3, 1 and 2
+        # matrices; the coefficients are not integral, and the two halves
+        # of the point have coprime denominators
         shapes = {"x": (2, 2), "y": (3, 1)}
-        coeffs = [Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(5, 4)]
-        plan = SandwichPlan(QQ, shapes, [((2, 2), [
-            (coeffs[0], "x", ("a", "b", "e"), None),
-            (coeffs[1], "x", None, ("c",)),
-            (coeffs[2], "y", ("a",), ("d",)),
-            (coeffs[3], "x", None, None)])])
+        coeffs = [Fraction(3, 2), Fraction(-1, 3), Fraction(2)]
         rng = random.Random(3)
 
         def matrix(nrows, ncols, dens):
@@ -215,33 +215,34 @@ class TestSandwichSystem:
         for label, m in mats.items():
             layout[label] = (len(point), m.nrows, m.ncols)
             point.extend(x for row in m.rows for x in row)
+        plan = SandwichPlan(QQ, shapes, [((2, 2), [
+            (coeffs[0], "x", ("a", "b", "e"), None),
+            (coeffs[1], "x", None, ("c",)),
+            (coeffs[2], "y", ("a",), ("d",))])], layout)
         i2 = Matrix.identity(QQ, 2)
         a, b, e, c, d = mats.values()
         expected = sandwich_system_oracle(QQ, shapes, [[
             (coeffs[0], "x", a @ b @ e, i2), (coeffs[1], "x", i2, c),
-            (coeffs[2], "y", a, d), (coeffs[3], "x", i2, i2)]])
-        kernel = plan.flat_kernel(layout)(point)
+            (coeffs[2], "y", a, d)]])
+        kernel = plan.kernel(point)
         assert kernel and typed(kernel) == typed(expected.kernel_basis()) \
             == typed(residual_kernel(QQ, shapes, lambda blocks: [
                 x for row in ((a @ b @ e @ blocks["x"]).scale(coeffs[0])
                               + (blocks["x"] @ c).scale(coeffs[1])
-                              + (a @ blocks["y"] @ d).scale(coeffs[2])
-                              + blocks["x"].scale(coeffs[3])).rows
+                              + (a @ blocks["y"] @ d).scale(coeffs[2])).rows
                 for x in row]))
 
         # the compiled rows take the point as ints over one denominator
-        # and return ints: the true rows times 12 d^3, 12 the coefficients'
+        # and return ints: the true rows times 6 d^3, 6 the coefficients'
         # common denominator and 3 the most matrices a term reads
         half = layout["c"][0]
         dens = [math.lcm(*[x.denominator for x in part])
                 for part in (point[:half], point[half:])]
         assert min(dens) > 1 == math.gcd(*dens)
         den = math.prod(dens)
-        rows = plan._compile([[layout[label] for label in labels]
-                              for labels in plan.sides])(
-            [int(x * den) for x in point], den)
+        rows = plan._rows([int(x * den) for x in point], den)
         assert {type(x) for row in rows for x in row} == {int}
-        assert rows == [[12 * den ** 3 * x for x in row]
+        assert rows == [[6 * den ** 3 * x for x in row]
                         for row in expected.rows]
 
     def test_split_blocks_inverts_flattening(self):
@@ -252,13 +253,18 @@ class TestSandwichSystem:
         assert blocks["c"].rows == ((3, 4),)
 
     def test_no_equations_leaves_every_entry_free(self):
-        plan = SandwichPlan(F2, {"x": (2, 2)}, [((2, 2), [])])
+        plan = SandwichPlan(F2, {"x": (2, 2)}, [((2, 2), [])], {})
         assert (plan.nrows, plan.ncols) == (0, 4)
-        assert len(_flat_kernel(plan, [])) == 4
+        assert len(plan.kernel(())) == 4
 
     def test_mismatched_term_is_rejected(self):
-        with pytest.raises(ValueError):
-            SandwichPlan(F2, {"x": (2, 3)}, [((2, 2), [(1, "x", None, None)])])
+        with pytest.raises(ValueError, match="identity side"):
+            SandwichPlan(F2, {"x": (2, 3)},
+                         [((2, 2), [(1, "x", ("a",), None)])],
+                         {"a": (0, 2, 2)})
+        with pytest.raises(ValueError, match="no side"):
+            SandwichPlan(F2, {"x": (2, 3)}, [((2, 3), [(1, "x", None, None)])],
+                         {})
 
 
 class TestSpan:

@@ -356,14 +356,14 @@ class TestTrustedResults:
         field, a, b, _ = case
         shapes = {"x": (a.ncols, b.nrows), "y": (a.ncols, b.nrows)}
         c = field.coerce(3)
-        plan = SandwichPlan(field, shapes, [((a.nrows, b.ncols), [
-            (c, "x", ("a",), ("b",)), (-1, "y", ("a",), ("b",))])])
-        assert (plan.nrows, plan.ncols) == \
-            (a.nrows * b.ncols, 2 * a.ncols * b.nrows)
         layout = {"a": (0, a.nrows, a.ncols),
                   "b": (a.nrows * a.ncols, b.nrows, b.ncols)}
+        plan = SandwichPlan(field, shapes, [((a.nrows, b.ncols), [
+            (c, "x", ("a",), ("b",)), (-1, "y", ("a",), ("b",))])], layout)
+        assert (plan.nrows, plan.ncols) == \
+            (a.nrows * b.ncols, 2 * a.ncols * b.nrows)
         point = tuple(x for m in (a, b) for row in m.rows for x in row)
-        for vec in plan.flat_kernel(layout)(point):
+        for vec in plan.kernel(point):
             assert_entries(field, vec)
             blocks = split_blocks(field, shapes, vec)
             for block in (*blocks.values(),

@@ -61,6 +61,24 @@ CASES = {"path": (PATH, True), "zigzag": (ZIGZAG, True),
          "square": (SQUARE, False), "loop-at-base": (LOOP_AT_BASE, False)}
 
 
+def test_rows_list_in_product_order():
+    # one row per Jordan type of the loop e, then per rank of the base
+    # arrow a, the rank varying fastest
+    pres = parse_quiver_spec(LOOP_AT_END)
+    dims = {0: 2, 1: 1, 2: 3}
+    base, loop_rels, base_rels, _ = _layers(pres, dims)
+    table = StratumTable(pres, GF(3), dims, loop_rels, base, base_rels)
+    assert table.arrows == [(1, 2)]
+    loops = [((0, 1, 0, 0, 0, 0, 0, 0, 0), 104),
+             ((0,) * 9, 1)]
+    ranks = [((0, 0), 1), ((1, 0), 8)]
+    assert list(table.rows()) == [
+        (sum((point for point, _ in row), ()),
+         math.prod(weight for _, weight in row))
+        for row in itertools.product(loops, ranks)]
+    assert table.row_count() == 4
+
+
 def _rank(rows, q):
     """Rank of a matrix over F_q by elimination on plain lists."""
     rows = [list(row) for row in rows]

@@ -6,6 +6,8 @@ and defines none of it.  A count plans its rows from the row count, so a
 small budget stops it before any partition is listed; so does the
 witness, which takes its target's rows the same way."""
 
+import tracemalloc
+
 import pytest
 
 import qvl.counting as counting
@@ -16,6 +18,7 @@ from qvl.counting import (BudgetExceededError, count_ext_points,
                           count_rep_points)
 from qvl.families import family_lambda
 from qvl.linalg import GF
+from qvl.quiver import hom_quiver
 
 MOVED = {"_loop_strata", "_rank_strata", "_strata", "_loop_powers",
          "jordan_types", "gl_order", "rank_count", "nilpotent_orbit_size",
@@ -78,3 +81,22 @@ def test_witness_plans_its_target_rows_before_listing_any(monkeypatch):
         mono_reducibility_witness(45, 45, 1, 2, budget=1000)
     assert str(exc.value) == ("stopped after 3 of 89137 planned steps: "
                               "the budget is 1000")
+
+
+def test_rows_stream_one_at_a_time():
+    # the hom table of Lambda(14) at 14 -> 14 has p(14)^2 = 18225 rows of
+    # 392 entries each; listing them all before the first cost 60 MB
+    pres = hom_quiver(family_lambda(14))
+    dims = dict.fromkeys(pres.quiver.vertices, 14)
+    _, loop_rels, _, _ = counting._layers(pres, dims)
+    table = strata.StratumTable(pres, GF(2), dims, loop_rels)
+    assert table.row_count() == 135 ** 2
+    tracemalloc.start()
+    try:
+        point, weight = next(table.rows())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert point == 2 * strata._jordan_point((14,))
+    assert weight == strata.nilpotent_orbit_size((14,), 2) ** 2
