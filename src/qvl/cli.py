@@ -222,6 +222,7 @@ def _cmd_check(args):
 def _cmd_hom(args):
     pres = _load_pres(args)
     src, dst = _load_files(args, pres, "source", "target")
+    _require_points(args, pres, source=src, target=dst)
     basis = hom_basis(src, dst)
     result = {"dim": len(basis),
               "basis": [morphism_to_json(m) for m in basis]}
@@ -231,6 +232,7 @@ def _cmd_hom(args):
 def _cmd_cocycles(args):
     pres = _load_pres(args)
     quo, sub = _load_files(args, pres, "quo", "sub")
+    _require_points(args, pres, quo=quo, sub=sub)
     basis = cocycle_space_basis(quo, sub)
     result = {"dim": len(basis),
               "basis": [blocks_to_json(quo.field, fam) for fam in basis]}

@@ -186,22 +186,23 @@ def splitting_from_mono(mor: Morphism,
     sub, middle = mor.source, mor.target
 
     g: dict[Vertex, Matrix] = {}
+    g_inv: dict[Vertex, Matrix] = {}
     for x in quiver.vertices:
         f = mor.maps[x]
         h = complement[x] if complement is not None else standard_complement(f)
         if h.shape != (middle.dims[x], middle.dims[x] - sub.dims[x]):
             raise ValueError(f"vertex {x!r}: complement has wrong shape")
-        gx = hstack(f, h)
-        if not gx.is_invertible():
-            raise ValueError(f"vertex {x!r}: [f, h] is singular")
-        g[x] = gx
+        g[x] = hstack(f, h)
+        try:
+            g_inv[x] = g[x].inverse()
+        except ZeroDivisionError:
+            raise ValueError(f"vertex {x!r}: [f, h] is singular") from None
 
-    conjugated = gl_action({x: g[x].inverse() for x in g}, middle)
     quo_dims = {x: middle.dims[x] - sub.dims[x] for x in quiver.vertices}
     blocks = {}
     quo_mats = {}
     for a, s, t in quiver.arrows:
-        m = conjugated.mats[a]
+        m = g_inv[t] @ middle.mats[a] @ g[s]
         d_t, d_s = sub.dims[t], sub.dims[s]
         lower_left = Matrix(field, quo_dims[t], d_s,
                             [row[:d_s] for row in m.rows[d_t:]])

@@ -2,9 +2,9 @@
 
 Scalars are plain Python values: ints in ``[0, p)`` for a prime field,
 ``fractions.Fraction`` for the rationals.  A field object mediates all
-arithmetic, so matrices never touch floating point.  Row reduction always
-picks the first nonzero entry in column order, which makes ranks, kernels
-and inverses reproducible bit for bit.
+arithmetic, so matrices never touch floating point.  Row reduction returns
+the reduced row echelon form, which is unique to the row space, so ranks,
+kernels and inverses are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -173,50 +173,24 @@ class RationalField:
 
     def row_reduce(self, rows: Sequence[tuple], ncols: int
                    ) -> tuple[tuple, tuple[int, ...]]:
-        """Gauss-Jordan elimination on integer rows: the reduced row
-        echelon form of ``rows``, of ints or Fractions, as a tuple of row
-        tuples, and its pivot columns.
+        """The reduced row echelon form of ``rows``, of ints or Fractions,
+        as a tuple of row tuples, and its pivot columns.
 
-        Each row is scaled by the lcm of its denominators, and elimination
-        runs fraction-free (Bareiss, Math. Comp. 22, 1968): at pivot ``p``,
-        after previous pivot ``prev``, every other row becomes
-        ``(p * row - a * top) // prev``, where ``a`` is its entry in the
-        pivot column and ``top`` the pivot row.  By Sylvester's identity
-        every entry is then a minor of the scaled input, so each division
-        is exact, and every earlier pivot row ends with ``p`` at its pivot.
-        Each integer row is a nonzero multiple of the row that rational
-        elimination would hold, so the pivots are the same: the first
-        nonzero entry of each column in row order.  At the end every pivot
-        equals the last one, ``d``, and each entry is built once as
-        ``Fraction(x, d)``.
-        """
+        The form is read off the span's ``Subspace``, whose rows are
+        primitive integer multiples of the RREF rows: each nonzero entry is
+        divided by its row's pivot entry, once, into a ``Fraction``."""
         zero = self.zero
-        nrows = len(rows)
-        ints = [_cleared(row)[0] for row in rows]
-        pivots: list[int] = []
-        prev = 1
-        r = 0
-        for c in range(ncols):
-            pivot_row = next((i for i in range(r, nrows) if ints[i][c]), None)
-            if pivot_row is None:
-                continue
-            ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
-            top = ints[r]
-            p = top[c]
-            for i in range(nrows):
-                if i != r:
-                    row, a = ints[i], ints[i][c]
-                    ints[i] = ([(p * x - a * y) // prev
-                                for x, y in zip(row, top)] if a else
-                               [p * x // prev for x in row])
-            prev = p
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return (tuple(tuple([Fraction(x, prev) if x else zero for x in row])
-                      for row in ints[:r])
-                + ((zero,) * ncols,) * (nrows - r), tuple(pivots))
+        span = Subspace(self, ncols, rows)._rows
+        pivots = tuple(sorted(span))
+        out = []
+        for pc in pivots:
+            row = span[pc]
+            dense = [zero] * ncols
+            for j, x in row.items():
+                dense[j] = Fraction(x, row[pc])
+            out.append(tuple(dense))
+        return (tuple(out) + ((zero,) * ncols,) * (len(rows) - len(pivots)),
+                pivots)
 
     def product(self, rows: Sequence[tuple], cols: Sequence[tuple]) -> tuple:
         """The matrix of dot products of each row with each column, as a
@@ -459,9 +433,10 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
-        Each field eliminates in its own way (``field.row_reduce``): F_p one
-        row at a time, Q fraction-free on integer rows.  Both give the
-        same matrix, because the RREF is unique: it depends only on the row
+        Each field reduces in its own way (``field.row_reduce``): F_p one
+        dense row at a time, Q by reading it off the span's ``Subspace``,
+        which keeps sparse primitive integer rows.  Both give the same
+        matrix, because the RREF is unique: it depends only on the row
         space.  Its pivot columns are the columns at which the rank of the
         leading columns grows, and its row at pivot c is the one vector of
         the row space that is 1 at c and 0 at every other pivot column.
@@ -772,7 +747,8 @@ class SandwichPlan:
     def kernel(self, point: Sequence) -> list[tuple]:
         """The kernel basis of the system at a flat point.  Over Q the point
         is first cleared to integers over one common denominator, and the
-        int rows go straight to ``field.row_reduce``."""
+        int rows go straight to ``field.row_reduce``, which spans them as
+        a ``Subspace`` on ints."""
         field = self.field
         return kernel_basis(field, self._rows(point) if field.characteristic
                             else self._rows(*_cleared(point)), self.ncols)

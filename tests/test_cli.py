@@ -225,9 +225,9 @@ for _command, _argv in {
 # Files of the wrong shape where a file subcommand reads maps, blocks or
 # dims: a list of maps, blocks without a field, blocks that are no object,
 # and a boolean dimension (JSON true must not read as dimension 1).  Then a
-# point off the variety, e = [[1]] with e^2 != 0, which extend must refuse
-# as its quotient and split as its middle term, under a dim-0 sub and the
-# 1 x 0 map.
+# point off the variety, e = [[1]] with e^2 != 0, which hom must refuse as
+# its source, cocycles and extend as their quotient, and split as its middle
+# term, under a dim-0 sub and the 1 x 0 map.
 MALFORMED_FILES = {
     "maps_list": {"field": {"type": "Fp", "p": 2}, "maps": [1]},
     "blocks_no_field": {"blocks": {"e": [[0]]}},
@@ -246,6 +246,10 @@ for _name in ("blocks_no_field", "blocks_scalar"):
     SWEEP["extend"][_name] = ("extend --family Lambda --m 2 --quo {rep} "
                               "--sub {rep} --blocks {%s}" % _name)
 SWEEP["check"]["bool_dim"] = "check --family Lambda --m 2 --rep {bool_dim}"
+SWEEP["hom"]["off_variety"] = ("hom --family Lambda --m 2 "
+                               "--source {off_variety} --target {rep}")
+SWEEP["cocycles"]["off_variety"] = ("cocycles --family Lambda --m 2 "
+                                    "--quo {off_variety} --sub {rep}")
 SWEEP["extend"]["off_variety"] = ("extend --family Lambda --m 2 "
                                   "--quo {off_variety} --sub {rep} "
                                   "--blocks {blocks}")

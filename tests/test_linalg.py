@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, Subspace, block2x2,
                         hstack, kernel_basis, random_invertible,
@@ -508,9 +509,35 @@ def kernel_systems(draw):
     return field, rows, ncols
 
 
+def _large_q_systems():
+    """Q systems beyond what ``kernel_systems`` draws: a dense 12 x 24 one
+    with denominators up to 9, a 20 x 20 product L R of rank 7, and sparse
+    int rows with entries beyond 10^6 and integer combinations of them, as
+    ``SandwichPlan`` passes after clearing denominators."""
+    rng = random.Random(0)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    dense = [[frac() for _ in range(24)] for _ in range(12)]
+    left = [[frac() for _ in range(7)] for _ in range(20)]
+    right = [[frac() for _ in range(20)] for _ in range(7)]
+    low_rank = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                for row in left]
+    ints = [[rng.randint(-10**12, 10**12) if rng.random() < 0.4 else 0
+             for _ in range(16)] for _ in range(6)]
+    for _ in range(4):
+        coeffs = [rng.randint(-5, 5) for _ in ints]
+        ints.append([sum(map(mul, coeffs, col)) for col in zip(*ints)])
+    return [(QQ, dense, 24), (QQ, low_rank, 20), (QQ, ints, 16)]
+
+
+LARGE_Q_SYSTEMS = _large_q_systems()
+
+
 class TestKernelBasis:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kernel_systems())
+    @example(LARGE_Q_SYSTEMS[0])
+    @example(LARGE_Q_SYSTEMS[1])
+    @example(LARGE_Q_SYSTEMS[2])
     def test_row_reduce_and_kernel_against_oracle(self, case):
         # row_reduce takes the unreduced rows, the oracle their field
         # elements; both give the RREF, and the basis read off it
