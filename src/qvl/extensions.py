@@ -19,8 +19,7 @@ from typing import Mapping
 from .linalg import Field, Matrix, hstack, split_blocks, vstack
 from .quiver import BoundQuiver, Relation, Vertex
 from .reps import (HomTriple, Morphism, Representation, _pair_kernel,
-                   dims_add, gl_action, is_monomorphism, same_data,
-                   standard_complement)
+                   _split, _triangular, gl_action, same_data)
 
 ArrowBlocks = Mapping[str, Matrix]
 
@@ -46,6 +45,8 @@ def _check_block_shapes(quo: Representation, sub: Representation,
         if blocks[a].shape != (r, c):
             raise ValueError(
                 f"arrow {a!r}: block shape {blocks[a].shape} != {(r, c)}")
+        if blocks[a].field is not quo.field and blocks[a].field != quo.field:
+            raise ValueError(f"arrow {a!r}: field mismatch")
 
 
 def cocycle_value(quo: Representation, sub: Representation,
@@ -125,27 +126,23 @@ def build_extension(quo: Representation, sub: Representation,
                     ) -> tuple[Representation, Morphism, Morphism]:
     """Middle term of the extension determined by a cocycle.
 
-    Returns (middle, incl, proj) where incl embeds ``sub`` as the upper
-    block and proj maps onto ``quo``; the sequence is exact.  Raises
-    ValueError if the blocks fail the cocycle equations.  The assembled
-    representation is re-checked for validity; its diagonal blocks are
-    ``sub`` and ``quo``, so a failure raises ValueError naming a side that
-    is not a point of the variety, and AssertionError if neither is.
+    Returns (middle, incl, proj): middle is [[sub, blocks], [0, quo]]
+    (``reps._triangular``), incl embeds ``sub`` as the upper block and proj
+    maps onto ``quo``; the sequence is exact.  A relation's value at the
+    middle is [[its value at sub, cocycle_value], [0, its value at quo]],
+    so one validity check proves both sides points and the blocks a
+    cocycle.  An invalid middle raises ValueError naming the first failed
+    cocycle equation, else a side off the variety; AssertionError if none.
     """
     _check_block_shapes(quo, sub, blocks)
     field = quo.field
     pres = quo.pres
-    for rel in pres.relations:
-        if not cocycle_value(quo, sub, blocks, rel).is_zero():
-            raise ValueError(f"blocks violate the cocycle equation of {rel}")
-    dims = dims_add(sub.dims, quo.dims)
-    mats = {}
-    for a, s, t in pres.quiver.arrows:
-        zero = Matrix.zeros(field, quo.dims[t], sub.dims[s])
-        mats[a] = vstack(hstack(sub.mats[a], blocks[a]),
-                         hstack(zero, quo.mats[a]))
-    middle = Representation(pres, field, dims, mats)
+    middle = _triangular(sub, quo, blocks)
     if not middle.is_valid():
+        for rel in pres.relations:
+            if not cocycle_value(quo, sub, blocks, rel).is_zero():
+                raise ValueError(
+                    f"blocks violate the cocycle equation of {rel}")
         for name, rep in (("quotient", quo), ("sub", sub)):
             if not rep.is_valid():
                 raise ValueError(f"the {name} is not a point of the variety")
@@ -160,9 +157,8 @@ def build_extension(quo: Representation, sub: Representation,
                               Matrix.zeros(field, e, d))
         proj_maps[x] = hstack(Matrix.zeros(field, e, d),
                               Matrix.identity(field, e))
-    incl = Morphism(sub, middle, incl_maps)
-    proj = Morphism(middle, quo, proj_maps)
-    return middle, incl, proj
+    return (middle, Morphism._trusted(sub, middle, incl_maps),
+            Morphism._trusted(middle, quo, proj_maps))
 
 
 def splitting_from_mono(mor: Morphism,
@@ -172,51 +168,13 @@ def splitting_from_mono(mor: Morphism,
     """Split a monomorphism sub -> middle into normal form.
 
     Returns (g, blocks, quo) with g_x = [f_x | h_x] invertible such that
-    conjugating the middle term by g^(-1) is block upper triangular: the
-    upper-left blocks recover the source, the upper-right blocks are a
-    cocycle, and the lower-right blocks define the quotient.  When no
-    complement h is supplied, unit vectors at the non-pivot rows of the
-    column-reduced f are used.
+    conjugating the middle term by g^(-1) gives ``build_extension``'s
+    [[sub, blocks], [0, quo]]; the blocks are a cocycle.  Without a
+    complement h it is ``standard_complement(f_x)``, and quo is the
+    cokernel's (both read ``reps._split``).  Raises ValueError if h lacks
+    a vertex, has the wrong shape there, or makes [f, h] singular.
     """
-    if not is_monomorphism(mor):
-        raise ValueError("splitting requires a monomorphism")
-    field = mor.field
-    pres = mor.source.pres
-    quiver = pres.quiver
-    sub, middle = mor.source, mor.target
-
-    g: dict[Vertex, Matrix] = {}
-    g_inv: dict[Vertex, Matrix] = {}
-    for x in quiver.vertices:
-        f = mor.maps[x]
-        h = complement[x] if complement is not None else standard_complement(f)
-        if h.shape != (middle.dims[x], middle.dims[x] - sub.dims[x]):
-            raise ValueError(f"vertex {x!r}: complement has wrong shape")
-        g[x] = hstack(f, h)
-        try:
-            g_inv[x] = g[x].inverse()
-        except ZeroDivisionError:
-            raise ValueError(f"vertex {x!r}: [f, h] is singular") from None
-
-    quo_dims = {x: middle.dims[x] - sub.dims[x] for x in quiver.vertices}
-    blocks = {}
-    quo_mats = {}
-    for a, s, t in quiver.arrows:
-        m = g_inv[t] @ middle.mats[a] @ g[s]
-        d_t, d_s = sub.dims[t], sub.dims[s]
-        lower_left = Matrix(field, quo_dims[t], d_s,
-                            [row[:d_s] for row in m.rows[d_t:]])
-        if not lower_left.is_zero():
-            raise AssertionError(
-                "image of the monomorphism is not closed under the arrows")
-        upper_left = Matrix(field, d_t, d_s, [row[:d_s] for row in m.rows[:d_t]])
-        if upper_left != sub.mats[a]:
-            raise AssertionError("conjugation did not reproduce the source")
-        blocks[a] = Matrix(field, d_t, quo_dims[s],
-                           [row[d_s:] for row in m.rows[:d_t]])
-        quo_mats[a] = Matrix(field, quo_dims[t], quo_dims[s],
-                             [row[d_s:] for row in m.rows[d_t:]])
-    quo = Representation(pres, field, quo_dims, quo_mats)
+    g, _, blocks, quo = _split(mor, complement, "splitting")
     return g, blocks, quo
 
 

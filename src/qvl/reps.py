@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Mapping
 
-from .linalg import (Field, Matrix, SandwichPlan, hstack, split_blocks,
-                     vstack)
+from .linalg import Field, Matrix, SandwichPlan, block2x2, hstack, split_blocks
 from .quiver import (BoundQuiver, Path, QuiverError, Relation, Vertex,
                      ext_quiver, hom_quiver)
 
@@ -253,6 +252,8 @@ class Morphism:
             if m.shape != expected:
                 raise ValueError(
                     f"vertex {x!r}: map shape {m.shape} != {expected}")
+            if m.field is not self.field and m.field != self.field:
+                raise ValueError(f"vertex {x!r}: field mismatch")
             store[x] = m
         self.maps = store
 
@@ -392,65 +393,102 @@ def simple_module(pres: BoundQuiver, field: Field, x: Vertex) -> Representation:
     return Representation.zero(pres, field, dims)
 
 
+def _triangular(sub: Representation, quo: Representation,
+                blocks: Mapping[str, Matrix]) -> Representation:
+    """The point [[sub_a, blocks[a]], [0, quo_a]] on the summed dims, for
+    blocks of checked shapes: an extension's middle term, or a direct sum."""
+    field = sub.field
+    mats = {a: block2x2(sub.mats[a], blocks[a],
+                        Matrix.zeros(field, quo.dims[t], sub.dims[s]),
+                        quo.mats[a])
+            for a, s, t in sub.pres.quiver.arrows}
+    return Representation(sub.pres, field, dims_add(sub.dims, quo.dims), mats)
+
+
 def direct_sum(a: Representation, b: Representation) -> Representation:
-    """Block-diagonal sum; equals the extension with zero blocks."""
+    """Block-diagonal sum: ``_triangular`` with zero blocks, so it equals
+    the extension of ``b`` by ``a`` with zero blocks."""
     if not same_data(a, b):
         raise ValueError("representations live over different data")
-    quiver = a.pres.quiver
-    dims = dims_add(a.dims, b.dims)
-    mats = {}
-    for arrow, src, dst in quiver.arrows:
-        za = Matrix.zeros(a.field, a.dims[dst], b.dims[src])
-        zb = Matrix.zeros(a.field, b.dims[dst], a.dims[src])
-        mats[arrow] = vstack(hstack(a.mats[arrow], za),
-                             hstack(zb, b.mats[arrow]))
-    return Representation(a.pres, a.field, dims, mats)
+    zero = {arrow: Matrix.zeros(a.field, a.dims[t], b.dims[s])
+            for arrow, s, t in a.pres.quiver.arrows}
+    return _triangular(a, b, zero)
+
+
+def _unit_columns(field: Field, n: int, pivots: tuple) -> Matrix:
+    """The unit columns e_i of k^n at the rows i off ``pivots``, in order."""
+    free = [i for i in range(n) if i not in pivots]
+    one, zero = field.one, field.zero
+    return Matrix._trusted(field, n, len(free), tuple(
+        tuple([one if i == j else zero for j in free]) for i in range(n)))
 
 
 def standard_complement(f: Matrix) -> Matrix:
-    """Unit columns at the non-pivot rows of the column-reduced input.
+    """Unit columns at the non-pivot rows of the column-reduced input: for
+    injective f they complete the image to the full space, the complement
+    of cokernels and splittings (``_split``)."""
+    return _unit_columns(f.field, f.nrows, f.transpose().rref()[1])
 
-    For injective f these complete the image to the full space, giving the
-    deterministic complement used for cokernels and splittings.
-    """
-    field = f.field
-    pivot_rows = f.transpose().rref()[1]
-    pivot_set = set(pivot_rows)
-    free_rows = [i for i in range(f.nrows) if i not in pivot_set]
-    cols = []
-    for i in free_rows:
-        col = [field.zero] * f.nrows
-        col[i] = field.one
-        cols.append(col)
-    return Matrix(field, f.nrows, len(free_rows),
-                  [[cols[j][i] for j in range(len(free_rows))]
-                   for i in range(f.nrows)])
+
+def _split(mor: Morphism, complement: Mapping[Vertex, Matrix] | None,
+           name: str) -> tuple[dict, dict, dict, Representation]:
+    """(g, g^(-1), blocks, quotient) of a monomorphism f: sub -> middle,
+    with g_x = [f_x | h_x] and g^(-1) middle g = [[sub, blocks], [0,
+    quotient]].  h is ``complement`` or else the standard one: the pivots
+    of the one row reduction of each f_x^T test injectivity (``name``
+    names the construction in that error) and give its free rows."""
+    if not mor.intertwines():
+        raise ValueError("not a homomorphism of representations")
+    sub, middle, field = mor.source, mor.target, mor.field
+    quiver = sub.pres.quiver
+    pivots = {}
+    for x in quiver.vertices:
+        pivots[x] = mor.maps[x].transpose().rref()[1]
+        if len(pivots[x]) != sub.dims[x]:
+            raise ValueError(f"{name} requires a monomorphism")
+    quo_dims = {x: middle.dims[x] - sub.dims[x] for x in quiver.vertices}
+    g, g_inv = {}, {}
+    for x in quiver.vertices:
+        if complement is None:
+            h = _unit_columns(field, middle.dims[x], pivots[x])
+        elif x not in complement:
+            raise ValueError(f"complement is missing vertex {x!r}")
+        else:
+            h = complement[x]
+        if h.shape != (middle.dims[x], quo_dims[x]):
+            raise ValueError(f"vertex {x!r}: complement has wrong shape")
+        g[x] = hstack(mor.maps[x], h)
+        try:
+            g_inv[x] = g[x].inverse()
+        except ZeroDivisionError:
+            raise ValueError(f"vertex {x!r}: [f, h] is singular") from None
+    blocks, quo_mats = {}, {}
+    for a, s, t in quiver.arrows:
+        m = g_inv[t] @ middle.mats[a] @ g[s]
+        d_t, d_s = sub.dims[t], sub.dims[s]
+        top, bottom = m.rows[:d_t], m.rows[d_t:]
+        if any(v for row in bottom for v in row[:d_s]):
+            raise AssertionError(
+                "image of the monomorphism is not closed under the arrows")
+        if tuple(row[:d_s] for row in top) != sub.mats[a].rows:
+            raise AssertionError("conjugation did not reproduce the source")
+        blocks[a] = Matrix._trusted(field, d_t, quo_dims[s],
+                                    tuple(row[d_s:] for row in top))
+        quo_mats[a] = Matrix._trusted(field, quo_dims[t], quo_dims[s],
+                                      tuple(row[d_s:] for row in bottom))
+    quotient = Representation._trusted(sub.pres, field, quo_dims, quo_mats)
+    return g, g_inv, blocks, quotient
 
 
 def cokernel(mor: Morphism) -> tuple[Representation, Morphism]:
     """Cokernel of a monomorphism, with the projection onto it.
 
-    The quotient is realized on the deterministic complement coordinates,
-    so building a quotient twice gives identical matrices.
+    The quotient is the splitting's on the standard complement
+    (``_split``), and the projection at x the last rows of g_x^(-1), so
+    building a quotient twice gives identical matrices.
     """
-    if not is_monomorphism(mor):
-        raise ValueError("cokernel requires a monomorphism")
-    field = mor.field
-    quiver = mor.source.pres.quiver
-    proj_maps = {}
-    incl = {}
-    dims = {}
-    for x in quiver.vertices:
-        f = mor.maps[x]
-        comp = standard_complement(f)
-        g = hstack(f, comp)
-        ginv = g.inverse()
-        k = comp.ncols
-        dims[x] = k
-        proj_maps[x] = Matrix(field, k, f.nrows, ginv.rows[f.ncols:])
-        incl[x] = comp
-    mats = {a: proj_maps[t] @ mor.target.mats[a] @ incl[s]
-            for a, s, t in quiver.arrows}
-    quotient = Representation(mor.source.pres, field, dims, mats)
-    proj = Morphism(mor.target, quotient, proj_maps)
-    return quotient, proj
+    _, g_inv, _, quotient = _split(mor, None, "cokernel")
+    return quotient, Morphism._trusted(mor.target, quotient, {
+        x: Matrix._trusted(mor.field, quotient.dims[x], m.ncols,
+                           m.rows[mor.source.dims[x]:])
+        for x, m in g_inv.items()})

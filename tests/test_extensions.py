@@ -1,18 +1,20 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import random_cocycle, random_gl, random_lambda_rep
-from qvl.extensions import (ExtensionTriple, build_extension,
+from qvl.extensions import (ExtensionTriple, block_shapes, build_extension,
                             cocycle_space_basis, cocycle_value,
                             extension_from_mono, is_cocycle,
                             mono_triple_from_extension, splitting_from_mono,
                             zero_blocks)
 from qvl.families import family_a, family_lambda
-from qvl.linalg import GF, Matrix, random_matrix
+from qvl.linalg import GF, Matrix, QQ, hstack, random_matrix, split_blocks
 from qvl.quiver import BoundQuiver, Quiver, Relation
-from qvl.reps import Morphism, Representation, gl_action, is_monomorphism
+from qvl.reps import (Morphism, Representation, cokernel, gl_action,
+                      is_monomorphism)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -202,6 +204,17 @@ class TestBuildExtension:
         with pytest.raises(ValueError, match=f"the {side} is not a point"):
             build_extension(quo, sub, {"e": Matrix(F2, 1, 1, [[0]])})
 
+    def test_blocks_over_another_field_rejected(self):
+        # a block over F_7 for a pair over F_5 fails where it comes in,
+        # also when the cocycle check is skipped
+        pres = family_lambda(2)
+        r = Representation(pres, F5, {0: 1}, {"e": Matrix(F5, 1, 1, [[0]])})
+        blocks = {"e": Matrix(GF(7), 1, 1, [[1]])}
+        for build in (lambda: ExtensionTriple(r, r, blocks, check=False),
+                      lambda: build_extension(r, r, blocks)):
+            with pytest.raises(ValueError, match="arrow 'e': field mismatch"):
+                build()
+
     def test_exactness_bookkeeping(self):
         rng = random.Random(3)
         pres = family_lambda(3)
@@ -232,6 +245,57 @@ class TestBuildExtension:
             ])
             middle_valid = (manual @ manual).is_zero()
             assert middle_valid == is_cocycle(quo, sub, blocks)
+
+        # build_extension checks only the middle term: it returns exactly on
+        # the cocycles and names a cocycle equation on every other family
+        def agree(quo, sub, families):
+            seen = set()
+            for blocks in families:
+                cocycle = is_cocycle(quo, sub, blocks)
+                seen.add(cocycle)
+                if cocycle:
+                    assert build_extension(quo, sub, blocks)[0].is_valid()
+                else:
+                    with pytest.raises(ValueError, match="blocks violate "
+                                       "the cocycle equation of "):
+                        build_extension(quo, sub, blocks)
+            assert seen == {True, False}
+
+        def every_family(quo, sub):
+            field = quo.field
+            shapes = block_shapes(quo.pres, sub.dims, quo.dims)
+            size = sum(r * c for r, c in shapes.values())
+            for vec in itertools.product(field.elements(), repeat=size):
+                yield split_blocks(field, shapes, vec)
+
+        agree(quo, sub, every_family(quo, sub))
+        # Lambda(3) at dims (2, 2) over F_3: n B n = 0 cuts out 27 of 81
+        F3 = GF(3)
+        n = Matrix(F3, 2, 2, [[0, 1], [0, 0]])
+        pair = [Representation(family_lambda(3), F3, {0: 2}, {"e": n})] * 2
+        agree(*pair, every_family(*pair))
+        # A(1,3,1) over F_2, whose crossing relation e0*a1 + a1*e1 mixes
+        # the loop and arrow blocks
+        pres = family_a(1, 3, 1)
+        quo = Representation(pres, F2, {0: 1, 1: 2}, {
+            "e0": Matrix(F2, 1, 1, [[0]]),
+            "e1": Matrix(F2, 2, 2, [[0, 1], [0, 0]]),
+            "a1": Matrix(F2, 1, 2, [[0, 1]])})
+        sub = Representation(pres, F2, {0: 2, 1: 1}, {
+            "e0": Matrix(F2, 2, 2, [[0, 1], [0, 0]]),
+            "e1": Matrix(F2, 1, 1, [[0]]),
+            "a1": Matrix(F2, 2, 1, [[1], [0]])})
+        assert quo.is_valid() and sub.is_valid()
+        agree(quo, sub, every_family(quo, sub))
+        # a pair over Q: random cocycles and random blocks
+        rng = random.Random(7)
+        h = Fraction(1, 2)
+        n = Matrix(QQ, 2, 2, [[h, -h * h], [1, -h]])
+        quo = Representation(family_lambda(2), QQ, {0: 2}, {"e": n})
+        sub = Representation(family_lambda(2), QQ, {0: 1},
+                             {"e": Matrix(QQ, 1, 1, [[0]])})
+        agree(quo, sub, [random_cocycle(quo, sub, rng) for _ in range(5)]
+              + [{"e": random_matrix(QQ, 1, 2, rng)} for _ in range(5)])
 
 
 class TestSplitting:
@@ -266,6 +330,13 @@ class TestSplitting:
         with pytest.raises(ValueError):
             splitting_from_mono(f, complement=bad_h)
 
+    def test_complement_missing_a_vertex_rejected(self):
+        pres = family_lambda(2)
+        one = Representation(pres, F2, {0: 1}, {"e": Matrix(F2, 1, 1, [[0]])})
+        ident = Morphism(one, one, {0: Matrix.identity(F2, 1)})
+        with pytest.raises(ValueError, match="complement is missing vertex 0"):
+            splitting_from_mono(ident, complement={})
+
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_under_base_change(self, seed):
         rng = random.Random(seed)
@@ -285,6 +356,11 @@ class TestSplitting:
         assert homt.morphism.maps[0] == (g2[0] @ Matrix(
             F5, d + e, d,
             [[1 if i == j else 0 for j in range(d)] for i in range(d + e)]))
+        # the cokernel is the splitting's quotient, projected by g2^(-1)
+        coker, proj = cokernel(homt.morphism)
+        assert coker == quo2
+        assert proj.maps[0] @ g2[0] == hstack(Matrix.zeros(F5, e, d),
+                                              Matrix.identity(F5, e))
 
 
 class TestConversionMaps:

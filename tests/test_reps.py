@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_gl, random_lambda_rep, random_two_vertex_rep
-from qvl.extensions import cocycle_kernel, cocycle_space_basis
+from qvl.extensions import (cocycle_kernel, cocycle_space_basis,
+                            splitting_from_mono)
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
-from qvl.linalg import GF, Matrix, QQ
+from qvl.linalg import GF, Matrix, QQ, hstack
 from qvl.reps import (Morphism, Representation, cokernel, direct_sum,
                       gl_action, hom_basis, hom_kernel, is_monomorphism,
                       simple_module)
@@ -165,6 +167,12 @@ class TestMonomorphism:
         with pytest.raises(ValueError):
             is_monomorphism(junk)
 
+    def test_map_over_another_field_rejected(self):
+        # fails where it comes in, not later in intertwines
+        pres, one, two = lambda2_reps()
+        with pytest.raises(ValueError, match="vertex 0: field mismatch"):
+            Morphism(one, one, {0: Matrix(GF(7), 1, 1, [[3]])})
+
     def test_composition(self):
         pres, one, two = lambda2_reps()
         into = hom_basis(one, two)[0]
@@ -260,9 +268,14 @@ class TestSimpleAndSums:
     def test_matches_zero_block_extension(self):
         from qvl.extensions import build_extension, zero_blocks
         pres, one, two = lambda2_reps()
-        blocks = zero_blocks(pres, F2, two.dims, one.dims)
-        middle, _, _ = build_extension(one, two, blocks)
-        assert middle == direct_sum(two, one)
+        h = Fraction(1, 2)
+        two_q = Representation(pres, QQ, {0: 2}, {
+            "e": Matrix(QQ, 2, 2, [[h, -h * h], [1, -h]])})
+        one_q = Representation.zero(pres, QQ, {0: 1})
+        for field, one, two in ((F2, one, two), (QQ, one_q, two_q)):
+            blocks = zero_blocks(pres, field, two.dims, one.dims)
+            middle, _, _ = build_extension(one, two, blocks)
+            assert middle == direct_sum(two, one)
 
 
 class TestCokernel:
@@ -302,9 +315,15 @@ class TestCokernel:
         quo, proj = cokernel(mor)
         assert proj.intertwines()
         assert quo.is_valid()
+        # the cokernel is the splitting's quotient, projected by g^(-1)
+        g, _, split_quo = splitting_from_mono(mor)
+        assert quo == split_quo
         for x in big.pres.quiver.vertices:
             assert (proj.maps[x] @ mor.maps[x]).is_zero()
             assert proj.maps[x].rank() == big.dims[x] - small.dims[x]
+            d, e = small.dims[x], big.dims[x] - small.dims[x]
+            assert proj.maps[x] @ g[x] == hstack(Matrix.zeros(F5, e, d),
+                                                 Matrix.identity(F5, e))
 
     def test_block_inclusion_recovers_quotient(self):
         from qvl.extensions import build_extension
