@@ -177,11 +177,9 @@ class _Parser:
         quiver = Quiver(vertices, arrows, name=name)
         relations = [self._build_relation(quiver, raw, tok)
                      for raw, tok in raw_relations]
-        bound = derive_truncation_bound(quiver, relations)
-        try:
-            return BoundQuiver(quiver, relations, bound, name=name)
-        except QuiverError as exc:
-            raise DslSemanticError(str(exc), 1, 1) from exc
+        return BoundQuiver(quiver, relations,
+                           derive_truncation_bound(quiver, relations),
+                           name=name)
 
     def _vertex_token(self) -> _Token:
         tok = self.peek()

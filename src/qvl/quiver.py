@@ -9,10 +9,10 @@ reduced row echelon forms (``linalg.Subspace``), so a single-path product
 costs no arithmetic.  A presentation's truncation bound N certifies that all
 paths of length N fall into the relation ideal, so the truncated picture
 loses nothing.  N is certified once per process for each distinct
-presentation and field: over Q when the first presentation of its value is
-built, and over any other field on the first ideal query over that field.
-A relation whose coefficients vanish in characteristic p can leave a path
-of length N outside the ideal there.
+presentation and field, on the first ideal query over that field; counts
+and walks never read N, so they never pay for the check.  A relation whose
+coefficients vanish in characteristic p can leave a path of length N
+outside the ideal there.
 """
 
 from __future__ import annotations
@@ -398,19 +398,18 @@ class PathBasis:
 class BoundQuiver:
     """Quiver plus relation generators and a truncation bound N.
 
-    N certifies that every path of length N lies in the relation ideal;
-    this is verified by linear algebra in kQ/J^(N+1), over Q at
-    construction (unless ``check`` is off) and over any field by the first
-    ``ideal_span`` for it.  A check is made once per process for each
-    distinct presentation value and field: equal presentations (same
-    quiver, relations and N, whatever their names) share one checked span,
-    and a failed check is not stored, so it fails again on every build.
-    All values are immutable after construction.
+    N certifies that every path of length N lies in the relation ideal.
+    Building a presentation checks nothing of N: the first ``ideal_span``
+    over a field verifies it there, by linear algebra in kQ/J^(N+1).  A
+    check is made once per process for each distinct presentation value
+    and field: equal presentations (same quiver, relations and N, whatever
+    their names) share one checked span, and a failed check is not stored,
+    so it fails again on every ideal query.  All values are immutable after
+    construction.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[Relation],
-                 truncation_bound: int, name: str | None = None,
-                 check: bool = True):
+                 truncation_bound: int, name: str | None = None):
         if truncation_bound < 1:
             raise QuiverError("truncation bound must be at least 1")
         self.quiver = quiver
@@ -423,8 +422,6 @@ class BoundQuiver:
                     if not quiver.has_arrow(a):
                         raise QuiverError(f"relation uses unknown arrow {a!r}")
         self._hash = hash((quiver, self.relations, truncation_bound))
-        if check:
-            self.ideal_span(QQ)
 
     def _check_truncation_bound(self, field: Field) -> Subspace:
         """The relation ideal in kQ/J^(N+1) over the field, once every path
@@ -579,9 +576,9 @@ def _doubled(pres: BoundQuiver, sides, crossing, rels, name) -> BoundQuiver:
     by the ``crossing`` arrows, with the relations of ``pres`` on both
     copies and those ``rels`` builds on the doubled quiver.
 
-    Its truncation bound is 2N, taken unchecked: a path crosses from the
-    first copy to the second at most once, so any path of length 2N holds
-    N consecutive arrows of one copy, a path in that copy's ideal."""
+    Its truncation bound is 2N: a path crosses from the first copy to the
+    second at most once, so any path of length 2N holds N consecutive
+    arrows of one copy, a path in that copy's ideal."""
     quiver = pres.quiver
     arrows = [(f"{side}_{a}", f"{side}{s}", f"{side}{t}")
               for side in sides for a, s, t in quiver.arrows] + crossing
@@ -591,8 +588,7 @@ def _doubled(pres: BoundQuiver, sides, crossing, rels, name) -> BoundQuiver:
                        for c, p in rel.terms)
               for side in sides for rel in pres.relations]
     return BoundQuiver(doubled, copies + rels(doubled),
-                       2 * pres.truncation_bound, name=f"{name}({pres.name})",
-                       check=False)
+                       2 * pres.truncation_bound, name=f"{name}({pres.name})")
 
 
 def hom_quiver(pres: BoundQuiver) -> BoundQuiver:
@@ -632,6 +628,8 @@ def ext_quiver(pres: BoundQuiver) -> BoundQuiver:
 def loop_nilpotency_index(pres: BoundQuiver, loop: str,
                           field: Field = QQ) -> int:
     """Minimal m >= 1 with loop^m in the relation ideal."""
+    if not pres.quiver.has_arrow(loop):
+        raise QuiverError(f"unknown arrow {loop!r}")
     if not pres.quiver.is_loop(loop):
         raise QuiverError(f"{loop!r} is not a loop")
     n = pres.truncation_bound
@@ -651,37 +649,31 @@ def is_minimal_relation_set(relations: Sequence[Relation], pres: BoundQuiver,
     single relation strictly shrinks it.
 
     Computed in kQ/J^(N+1): one step beyond the truncation bound, where the
-    comparison is insensitive to further enlarging the bound.
+    comparison is insensitive to further enlarging the bound, by one rank:
+    the set must be a basis of I/(IJ + JI) (``_products``).
     """
-    return _is_minimal(pres, _relation_products(pres, relations), field)
+    return _products(pres, tuple(relations), field)[0]
 
 
-def _relation_products(pres: BoundQuiver, relations: Sequence[Relation]
-                       ) -> list[list[tuple[bool, Path, dict]]]:
-    """For each relation, its products in kQ/J^(N+1) as _ideal_rows gives
-    them: (padded, one of the product's paths, its sparse vector)."""
+def _products(pres: BoundQuiver, relations: Sequence[Relation],
+              field: Field) -> tuple[bool, list[tuple[bool, Path, dict]]]:
+    """Whether the relations are minimal, and their products in kQ/J^(N+1)
+    as _ideal_rows gives them: (padded, one of the product's paths, its
+    sparse vector).  Raises QuiverError unless they span the ideal I.  J is
+    nilpotent there, so by Nakayama a relation can be dropped exactly when
+    it lies in the span of the others plus IJ + JI, which the padded
+    products span: the set is minimal iff dim I - dim(IJ + JI) is its size."""
+    ideal = pres.ideal_span(field)
     bound = pres.truncation_bound + 1
     basis = PathBasis(pres.quiver, bound)
-    return [[(padded, next(iter(terms)), basis.sparse(terms))
-             for padded, terms in _ideal_rows(pres, (rel,), bound)]
-            for rel in relations]
-
-
-def _is_minimal(pres: BoundQuiver, products, field: Field) -> bool:
-    """is_minimal_relation_set on the relations' products; each relation's
-    products are built once and shared by all the spans."""
-    ideal = pres.ideal_span(field)
-
-    def span(groups) -> Subspace:
-        return Subspace(field, ideal.ambient_dim,
-                        (v for g in groups for _, _, v in g))
-
-    full = span(products)
-    if full != ideal:
+    rows = [(padded, next(iter(terms)), basis.sparse(terms))
+            for padded, terms in _ideal_rows(pres, relations, bound)]
+    if Subspace(field, ideal.ambient_dim, (v for _, _, v in rows)) != ideal:
         raise QuiverError(
             "the given relations do not generate the presentation's ideal")
-    return all(span(products[:i] + products[i + 1:]).dim < full.dim
-               for i in range(len(products)))
+    radical = Subspace(field, ideal.ambient_dim,
+                       (v for padded, _, v in rows if padded))
+    return ideal.dim - radical.dim == len(relations), rows
 
 
 def is_normalized_relation_set(relations: Sequence[Relation],
@@ -710,22 +702,26 @@ def ext2_dimension(pres: BoundQuiver, relations: Sequence[Relation],
                    x: Vertex, y: Vertex,
                    field: Field = QQ) -> tuple[int, int]:
     """Relation count from x to y in a minimal generating set, paired with
-    the dimension of the corresponding corner of I/(IJ + JI).
+    the dimension of the corresponding corner of I/(IJ + JI), spanned by
+    the same products that decide minimality.
 
     The two numbers agree for weakly triangular presentations and x != y;
     a mismatch indicates a broken relation set and is reported as is.
     """
+    for v in (x, y):
+        if v not in pres.quiver.vertices:
+            raise QuiverError(f"unknown vertex {v!r}")
     if x == y:
         raise QuiverError("the relation-count formula requires x != y")
     if not is_weakly_triangular(pres.quiver):
         raise QuiverError("presentation is not weakly triangular")
     rels = tuple(relations)
-    products = _relation_products(pres, rels)
-    if not _is_minimal(pres, products, field):
+    minimal, rows = _products(pres, rels, field)
+    if not minimal:
         raise QuiverError("relation set is not a minimal generating set")
     count = sum(1 for rel in rels if rel.source == x and rel.target == y)
 
-    corner = [(padded, v) for rows in products for padded, path, v in rows
+    corner = [(padded, v) for padded, path, v in rows
               if path.source == x and path.target == y]
     dim = pres.ideal_span(field).ambient_dim
     dim_ideal = Subspace(field, dim, (v for _, v in corner)).dim

@@ -88,7 +88,7 @@ def two_cycle() -> BoundQuiver:
     needs a weakly triangular quiver, so it is built directly)."""
     q = Quiver([0, 1], [("e0", 0, 0), ("a", 0, 1), ("b", 1, 0)], name="C2")
     rel = Relation([(1, q.path(["b", "a"])), (-1, q.path(["e0", "e0"]))])
-    return BoundQuiver(q, [rel], 4, check=False)
+    return BoundQuiver(q, [rel], 4)
 
 
 CASES = [

@@ -13,9 +13,10 @@ from qvl.dsl import parse_quiver_spec
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, Matrix, QQ
-from qvl.quiver import (AlgebraElement, PathBasis, QuiverError,
+from qvl.quiver import (AlgebraElement, PathBasis, QuiverError, Relation,
                         ext2_dimension, ideal_subspace,
-                        is_minimal_relation_set, is_weakly_triangular)
+                        is_minimal_relation_set, is_weakly_triangular,
+                        loop_power, monomial_relation)
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -78,13 +79,35 @@ def oracle_ext2(pres, x, y, field):
                      corner))
 
 
+def relation_sets(pres):
+    """The presentation's relations, all but the first, and three sets
+    that generate its ideal but are not minimal: the relations plus a copy
+    of one, plus a padded product a*rel (redundant only modulo IJ + JI),
+    and plus the next power of a loop."""
+    quiver, rels = pres.quiver, pres.relations
+    sets = [rels, rels[1:]]
+    if rels:
+        sets.append(rels + rels[:1])
+    for rel in rels:
+        arrows = [a for a, s, _ in quiver.arrows if s == rel.target]
+        if arrows:
+            sets.append(rels + (Relation(
+                (c, quiver.compose(quiver.path([arrows[0]]), p))
+                for c, p in rel.terms),))
+            break
+    for loop, k in filter(None, map(loop_power, rels)):
+        sets.append(rels + (monomial_relation(quiver, loop, k + 1),))
+        break
+    return sets
+
+
 def check_against_oracle(pres, field):
     for bound in (pres.truncation_bound, pres.truncation_bound + 1):
         assert ideal_subspace(pres, bound=bound, field=field).dim == \
             dense_rank(field, PathBasis(pres.quiver, bound),
                        dense_products(pres, pres.relations, bound))
     rels = pres.relations
-    for given_rels in (rels, rels[1:]):
+    for given_rels in relation_sets(pres):
         expected = oracle_minimal(pres, given_rels, field)
         if expected is None:
             with pytest.raises(QuiverError):

@@ -154,9 +154,13 @@ class TestRelationNormalization:
 
 class TestIdealSubspace:
     def test_truncation_bound_validated(self):
+        # building checks nothing; every ideal query checks N again
         q = one_loop_quiver()
-        with pytest.raises(QuiverError):
-            BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
+        pres = BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
+        for _ in range(2):
+            with pytest.raises(QuiverError, match="N=2 is not a truncation"):
+                pres.ideal_span()
+        assert (pres, QQ) not in qvl.quiver._SPANS
 
     def test_one_loop_spans(self):
         assert ideal_subspace(lambda_pres(2, bound=2)).dim == 0
@@ -262,6 +266,10 @@ class TestLoopNilpotency:
         with pytest.raises(QuiverError):
             loop_nilpotency_index(pres, "a1")
 
+    def test_unknown_arrow_rejected(self):
+        with pytest.raises(QuiverError, match="unknown arrow 'zz'"):
+            loop_nilpotency_index(family_a(1, 3, 1), "zz")
+
 
 class TestBoundOverField:
     """N = 2 holds for the relation 2*e^2 over Q and F_3, but over F_2 the
@@ -324,52 +332,62 @@ class TestSpanTable:
                               pres.truncation_bound, name="renamed")
         assert reparsed == pres == renamed
         assert renamed.name != pres.name
-        assert checks == [QQ]
+        assert checks == [] and spans == {}
         assert (reparsed.ideal_span() is renamed.ideal_span()
                 is pres.ideal_span())
+        assert checks == [QQ]
         assert list(spans) == [(pres, QQ)]
 
-    def test_wrong_bound_fails_on_every_build(self, spans):
+    def test_wrong_bound_fails_on_every_query(self, spans):
         q = one_loop_quiver()
-        for _ in range(2):
-            with pytest.raises(QuiverError, match="N=2 is not a truncation"):
-                BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
+        pres = BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
+        for field in (QQ, GF(2)):
+            for _ in range(2):
+                with pytest.raises(QuiverError,
+                                   match="N=2 is not a truncation"):
+                    pres.ideal_span(field)
         assert spans == {}
 
     def test_wrong_dsl_bound_exits_4_on_every_run(self, tmp_path,
                                                    monkeypatch):
-        # the DSL derives a bound that always holds over Q, so lower it
-        path = tmp_path / "lam2.qv"
-        path.write_text("quiver L2 { vertex 0; loop e at 0; rel e^2; }\n")
+        # the DSL derives a bound that always holds over Q, so lower it:
+        # e0*a1 is a path of length 2 outside the ideal
+        path = tmp_path / "t.qv"
+        path.write_text("quiver T { vertex 0; vertex 1; loop e0 at 0; "
+                        "arrow a1: 1 -> 0; rel e0^2; }\n")
         derive = qvl.dsl.derive_truncation_bound
         monkeypatch.setattr(qvl.dsl, "derive_truncation_bound",
                             lambda quiver, rels: derive(quiver, rels) - 1)
         for _ in range(2):
-            code, report = run_command(["count", "--quiver", str(path),
-                                        "--dim", "1", "--q", "2"])
+            code, report = run_command(["ext2", "--quiver", str(path),
+                                        "--x", "1", "--y", "0"])
             error = report["error"]
             assert (code, error["type"]) == (EXIT_SEMANTIC, "semantic")
-            assert "N=1 is not a truncation bound" in error["message"]
+            assert "N=2 is not a truncation bound" in error["message"]
+        # a count never reads N
+        code, report = run_command(["count", "--quiver", str(path),
+                                    "--dim", "1,1", "--q", "2"])
+        assert (code, report["result"]["count"]) == (0, 2)
 
     def test_prime_fields_are_separate_entries(self, spans, checks):
         pres = lambda_pres(2)
         f2, f3 = pres.ideal_span(GF(2)), pres.ideal_span(GF(3))
         assert (f2.field, f3.field) == (GF(2), GF(3))
         assert pres.ideal_span(GF(2)) is f2
-        assert set(spans) == {(pres, QQ), (pres, GF(2)), (pres, GF(3))}
-        assert checks == [QQ, GF(2), GF(3)]
+        assert set(spans) == {(pres, GF(2)), (pres, GF(3))}
+        assert checks == [GF(2), GF(3)]
 
     def test_failed_prime_field_check_is_not_stored(self, spans, checks):
         pres = TestBoundOverField.doubled_square()
         for _ in range(2):
             with pytest.raises(QuiverError, match="over F2"):
                 pres.ideal_span(GF(2))
-        assert list(spans) == [(pres, QQ)]
-        assert checks == [QQ, GF(2), GF(2)]
+        assert spans == {}
+        assert checks == [GF(2), GF(2)]
 
     def test_unchecked_build_stores_nothing_until_queried(self, spans):
         q = one_loop_quiver()
-        pres = BoundQuiver(q, [monomial_relation(q, "e", 2)], 2, check=False)
+        pres = BoundQuiver(q, [monomial_relation(q, "e", 2)], 2)
         assert spans == {}
         assert loop_nilpotency_index(pres, "e") == 2
         assert list(spans) == [(pres, QQ)]
@@ -459,6 +477,12 @@ class TestExtSquared:
         with pytest.raises(QuiverError):
             ext2_dimension(pres, pres.relations, 0, 0)
 
+    @pytest.mark.parametrize("x", [7, "1"])
+    def test_unknown_vertex_rejected(self, x):
+        pres = family_a(1, 3, 1)
+        with pytest.raises(QuiverError, match=f"unknown vertex {x!r}"):
+            ext2_dimension(pres, pres.relations, x, 0)
+
     def test_other_direction_is_zero(self):
         pres = family_a(1, 3, 2)
         assert ext2_dimension(pres, pres.relations, 0, 1) == (0, 0)
@@ -475,6 +499,7 @@ class TestExtSquared:
     def test_products_built_once(self, monkeypatch):
         import qvl.quiver
         pres = family_a(3, 5, 2)
+        pres.ideal_span()
         built = []
         rows = qvl.quiver._ideal_rows
 
