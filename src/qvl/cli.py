@@ -40,7 +40,7 @@ from .families import (FAMILY_KINDS, FamilyDescriptor, FamilyParameterError,
                        build_family, is_geometrically_irreducible_family)
 from .linalg import PrimeField
 from .quiver import QuiverError, ext2_dimension
-from .reps import hom_basis
+from .reps import failed_relations, hom_basis
 from .serialize import (SerializationError, blocks_from_json, blocks_to_json,
                         field_from_json, matrix_to_json, morphism_from_json,
                         morphism_to_json, rep_from_json, rep_to_json)
@@ -104,8 +104,8 @@ def _load_files(args, pres, *reps: str, data: str | None = None) -> list:
 
 def _failures(pres, rep):
     """Each relation of ``pres`` that is nonzero at ``rep``, as text."""
-    return (str(rel) for rel in pres.relations
-            if not rep.evaluate_relation(rel).is_zero())
+    return (str(rel) for rel in failed_relations(rep.field, rep.dims,
+                                                 rep.mats, pres.relations))
 
 
 def _require_points(args, pres, **reps) -> None:

@@ -402,14 +402,22 @@ class Matrix:
                                f.product(self.rows, cols))
 
     def __pow__(self, k: int) -> "Matrix":
+        """self^k by repeated squaring, from self: about 2 log2(k)
+        products; the identity for k = 0."""
         if self.nrows != self.ncols:
             raise ValueError("matrix power needs a square matrix")
         if k < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = Matrix.identity(self.field, self.nrows)
-        for _ in range(k):
-            result = result @ self
-        return result
+        if k == 0:
+            return Matrix.identity(self.field, self.nrows)
+        result, square = None, self
+        while True:
+            if k & 1:
+                result = square if result is None else result @ square
+            k >>= 1
+            if not k:
+                return result
+            square = square @ square
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.field, self.ncols, self.nrows,

@@ -659,7 +659,9 @@ def _products(pres: BoundQuiver, relations: Sequence[Relation],
               field: Field) -> tuple[bool, list[tuple[bool, Path, dict]]]:
     """Whether the relations are minimal, and their products in kQ/J^(N+1)
     as _ideal_rows gives them: (padded, one of the product's paths, its
-    sparse vector).  Raises QuiverError unless they span the ideal I.  J is
+    sparse vector).  Raises QuiverError unless they span the ideal I; the
+    presentation's own relations give the very rows ``ideal_span`` was
+    built from, so only another set is spanned and compared with it.  J is
     nilpotent there, so by Nakayama a relation can be dropped exactly when
     it lies in the span of the others plus IJ + JI, which the padded
     products span: the set is minimal iff dim I - dim(IJ + JI) is its size."""
@@ -668,7 +670,8 @@ def _products(pres: BoundQuiver, relations: Sequence[Relation],
     basis = PathBasis(pres.quiver, bound)
     rows = [(padded, next(iter(terms)), basis.sparse(terms))
             for padded, terms in _ideal_rows(pres, relations, bound)]
-    if Subspace(field, ideal.ambient_dim, (v for _, _, v in rows)) != ideal:
+    if tuple(relations) != pres.relations and Subspace(
+            field, ideal.ambient_dim, (v for _, _, v in rows)) != ideal:
         raise QuiverError(
             "the given relations do not generate the presentation's ideal")
     radical = Subspace(field, ideal.ambient_dim,

@@ -10,9 +10,12 @@ fresh values.
 from __future__ import annotations
 
 import functools
+from math import lcm
+from operator import mul
 from typing import Mapping
 
-from .linalg import Field, Matrix, SandwichPlan, block2x2, hstack, split_blocks
+from .linalg import (Field, Matrix, SandwichPlan, _int_product, block2x2,
+                     hstack, split_blocks)
 from .quiver import (BoundQuiver, Path, QuiverError, Relation, Vertex,
                      ext_quiver, hom_quiver)
 
@@ -52,6 +55,68 @@ def evaluate_relation(field: Field, dims: DimVector,
                             dims.get(path.source, 0)).scale(coeff)
         acc = term if acc is None else acc + term
     return acc
+
+
+def failed_relations(field: Field, dims: DimVector,
+                     mats: Mapping[str, Matrix], relations):
+    """Each relation of ``relations`` that is nonzero at the arrow matrices
+    ``mats`` with these dims, in order: the one relation check of points.
+
+    Path products are taken on the matrices' rows with no ``Matrix`` in
+    between, a path as its first half times its second, so each subpath is
+    multiplied once per call and a loop power e^k takes about log2(k)
+    products.  Over F_p they are ``field.product`` and each coefficient is
+    ``field.coerce``d, so a denominator that vanishes in F_p raises
+    ZeroDivisionError, also where a relation has no entries at these dims.
+    Over Q, as in ``SandwichPlan``, every matrix is cleared once to ints
+    over one common denominator d and products are taken on ints; a
+    relation's terms, cleared by the lcm of their coefficients'
+    denominators and each scaled by d^(D - k) for a path of length k, D
+    the longest, sum to the true value times one positive integer."""
+    if field.characteristic:
+        product = field.product
+        products = {(a,): m.rows for a, m in mats.items()}
+    else:
+        product = _int_product
+        d = lcm(*[x.denominator for m in mats.values()
+                  for row in m.rows for x in row])
+        products = {(a,): tuple([tuple([x.numerator * (d // x.denominator)
+                                        for x in row]) for row in m.rows])
+                    for a, m in mats.items()}
+    columns = {}
+
+    def value(arrows: tuple) -> tuple:
+        """The rows of the product along ``arrows``."""
+        out = products.get(arrows)
+        if out is None:
+            half = len(arrows) // 2
+            out = products[arrows] = product(value(arrows[:half]),
+                                             transposed(arrows[half:]))
+        return out
+
+    def transposed(arrows: tuple) -> tuple:
+        out = columns.get(arrows)
+        if out is None:
+            out = columns[arrows] = (
+                tuple(zip(*value(arrows))) if mats[arrows[0]].nrows
+                else ((),) * mats[arrows[-1]].ncols)
+        return out
+
+    reduce = field.reduce
+    for rel in relations:
+        if field.characteristic:
+            coeffs = [field.coerce(c) for c, _ in rel.terms]
+        else:
+            den = lcm(*[c.denominator for c, _ in rel.terms])
+            top = max(p.length for _, p in rel.terms)
+            coeffs = [c.numerator * (den // c.denominator)
+                      * d ** (top - p.length) for c, p in rel.terms]
+        if not (dims.get(rel.target, 0) and dims.get(rel.source, 0)):
+            continue
+        values = [value(p.arrows) for _, p in rel.terms]
+        if any(reduce(sum(map(mul, coeffs, entries)))
+               for row in zip(*values) for entries in zip(*row)):
+            yield rel
 
 
 def flat_layout(pres: BoundQuiver, dims: DimVector, arrows=None) -> dict:
@@ -211,8 +276,8 @@ class Representation:
         """Membership in the representation variety: every generating
         relation evaluates to zero (generators suffice since evaluation is
         an algebra map)."""
-        return all(self.evaluate_relation(rel).is_zero()
-                   for rel in self.pres.relations)
+        return next(failed_relations(self.field, self.dims, self.mats,
+                                     self.pres.relations), None) is None
 
 
 def relabel(rep: Representation, pres: BoundQuiver, vertices: Mapping,

@@ -79,8 +79,8 @@ def matrix_from_json(field: Field, data, nrows: int, ncols: int) -> Matrix:
                                  for r in data):
         raise SerializationError(
             f"matrix data does not have shape {nrows}x{ncols}")
-    return Matrix(field, nrows, ncols,
-                  [[_entry_from_json(field, x) for x in row] for row in data])
+    return Matrix._trusted(field, nrows, ncols, tuple(
+        [tuple([_entry_from_json(field, x) for x in row]) for row in data]))
 
 
 def _vertex_map(pres: BoundQuiver) -> dict[str, Vertex]:

@@ -594,6 +594,73 @@ class TestFileCommands:
         assert report["error"]["type"] == "validation"
 
 
+# Lambda(2) files over Q with fractional entries: two points of dim 2, a
+# cocycle of the pair (a, b), a point of dim 1 with an embedding into a,
+# and the point e = [["1/2"]] off the variety with a zero point, zero
+# blocks, a dim-0 point and the 1 x 0 map to go with it.
+Q_FILES = {
+    "a": {"dims": {"0": 2}, "mats": {"e": [[0, "1/2"], [0, 0]]}},
+    "b": {"dims": {"0": 2}, "mats": {"e": [["1/2", "1/4"], ["-1", "-1/2"]]}},
+    "blocks": {"blocks": {"e": [["-1/2", "0"], ["1", "1"]]}},
+    "one": {"dims": {"0": 1}, "mats": {"e": [["0"]]}},
+    "map": {"maps": {"0": [["1/3"], ["0"]]}},
+    "off": {"dims": {"0": 1}, "mats": {"e": [["1/2"]]}},
+    "zero": {"dims": {"0": 1}, "mats": {"e": [["0"]]}},
+    "zero_blocks": {"blocks": {"e": [["0"]]}},
+    "dim_zero": {"dims": {"0": 0}, "mats": {"e": []}},
+    "map_1x0": {"maps": {"0": [[]]}},
+}
+
+
+@pytest.fixture
+def q_files(tmp_path):
+    paths = {}
+    for name, data in Q_FILES.items():
+        paths[name] = tmp_path / f"q-{name}.json"
+        paths[name].write_text(json.dumps({"field": {"type": "Q"}, **data}))
+    return paths
+
+
+@pytest.mark.parametrize("argv,result", [
+    ("hom --source {a} --target {b}", {"dim": 2}),
+    ("cocycles --quo {a} --sub {b}", {"dim": 2}),
+    ("extend --quo {a} --sub {b} --blocks {blocks}",
+     {"middle": {"field": {"type": "Q"}, "dims": {"0": 4}, "mats": {"e": [
+         ["1/2", "1/4", "-1/2", "0"], ["-1", "-1/2", "1", "1"],
+         ["0", "0", "0", "1/2"], ["0", "0", "0", "0"]]}}}),
+    ("split --sub {one} --middle {a} --map {map}",
+     {"quotient": {"field": {"type": "Q"}, "dims": {"0": 1},
+                   "mats": {"e": [["0"]]}}}),
+], ids=["hom", "cocycles", "extend", "split"])
+def test_rational_points_with_fractions(argv, result, q_files):
+    code, report = run(f"{argv} --family Lambda --m 2".format(
+        **q_files).split())
+    assert code == EXIT_OK
+    assert {k: report["result"][k] for k in result} == result
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("hom --source {off} --target {zero}", "source"),
+    ("cocycles --quo {off} --sub {zero}", "quo"),
+    ("extend --quo {off} --sub {zero} --blocks {zero_blocks}", "quo"),
+    ("split --sub {dim_zero} --middle {off} --map {map_1x0}", "middle"),
+], ids=["hom", "cocycles", "extend", "split"])
+def test_rational_point_off_the_variety_is_semantic(argv, flag, q_files):
+    code, report = run(f"{argv} --family Lambda --m 2".format(
+        **q_files).split())
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    assert report["error"]["message"] == (
+        f"--{flag} {q_files['off']} is not a point of the variety: the "
+        f"relation e*e is nonzero there")
+
+
+def test_check_names_the_relation_a_rational_point_fails(q_files):
+    code, report = run(["check", "--family", "Lambda", "--m", "2",
+                        "--rep", str(q_files["off"])])
+    assert code == EXIT_FAIL
+    assert report["result"]["failing_relations"] == ["e*e"]
+
+
 class TestMainEntry:
     def test_json_flag_prints_schema_valid_report(self, capsys):
         code = main(["count", "--family", "Lambda", "--m", "2", "--dim", "2",

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from test_base_fibers import presentations
 
+import qvl.quiver as quiver_module
 from qvl.dsl import parse_quiver_spec
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF, Matrix, QQ
+from qvl.linalg import GF, Matrix, QQ, Subspace
 from qvl.quiver import (AlgebraElement, PathBasis, QuiverError, Relation,
-                        ext2_dimension, ideal_subspace,
-                        is_minimal_relation_set, is_weakly_triangular,
-                        loop_power, monomial_relation)
+                        _ideal_rows, _products, ext2_dimension,
+                        ideal_subspace, is_minimal_relation_set,
+                        is_weakly_triangular, loop_power, monomial_relation)
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -149,3 +150,64 @@ def test_random_presentations_agree_with_dense_oracle(spec, field):
 ], ids=lambda v: getattr(v, "name", ""))
 def test_ext2_on_presentations_left_out_of_the_benchmark(pres, expected):
     assert ext2_dimension(pres, pres.relations, 1, 0) == expected
+
+
+class _CountedSubspace(Subspace):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+def _full_products(pres, relations, field):
+    """``_products`` with every set spanned and compared with the ideal,
+    as it was before the presentation's own relations skipped that."""
+    ideal = pres.ideal_span(field)
+    bound = pres.truncation_bound + 1
+    basis = PathBasis(pres.quiver, bound)
+    rows = [(padded, next(iter(terms)), basis.sparse(terms))
+            for padded, terms in _ideal_rows(pres, relations, bound)]
+    assert Subspace(field, ideal.ambient_dim,
+                    (v for _, _, v in rows)) == ideal
+    radical = Subspace(field, ideal.ambient_dim,
+                       (v for padded, _, v in rows if padded))
+    return ideal.dim - radical.dim == len(relations), rows
+
+
+def _counted_products(pres, relations, field):
+    """``_products``' result and the number of spans it builds, once
+    ``quiver.Subspace`` is ``_CountedSubspace``."""
+    _CountedSubspace.built = 0
+    return _products(pres, relations, field), _CountedSubspace.built
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("pres", [
+    family_lambda(3), family_a(1, 3, 1), family_a(1, 4, 2), family_b(1, 3),
+    family_a_prime(1, 3, 3),
+    parse_quiver_spec("quiver F { vertex 0; loop e at 0; rel e^3; "
+                      "rel e^2 - e^3; }"),
+], ids=lambda p: p.name)
+def test_own_relations_skip_the_generation_span(pres, field, monkeypatch):
+    """The presentation's own relations give the rows its ideal span was
+    built from: ``_products`` returns what the full comparison returns
+    and builds one span fewer.  The same set in another order is still
+    spanned and compared."""
+    rels = pres.relations
+    turned = rels[1:] + rels[:1]
+    expected = _full_products(pres, rels, field)
+    expected_turned = _full_products(pres, turned, field)
+    monkeypatch.setattr(quiver_module, "Subspace", _CountedSubspace)
+    assert _counted_products(pres, rels, field) == (expected, 1)
+    assert _counted_products(pres, list(rels), field) == (expected, 1)
+    if len(rels) > 1:
+        assert _counted_products(pres, turned, field) == (expected_turned, 2)
+
+
+def test_a_non_generating_set_is_still_refused():
+    pres = family_a(1, 3, 1)
+    for rels in (pres.relations[1:], pres.relations[:-1],
+                 pres.relations[1:] + pres.relations[1:2]):
+        with pytest.raises(QuiverError, match="do not generate"):
+            _products(pres, rels, QQ)

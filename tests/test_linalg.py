@@ -82,6 +82,24 @@ class TestMatrixBasics:
         assert n.transpose() == Matrix(F2, 2, 2, [[0, 0], [1, 0]])
         assert (n ** 0) == Matrix.identity(F2, 2)
 
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=str)
+    def test_power_by_squaring_matches_repeated_products(self, field):
+        rng = random.Random(f"pow:{field}")
+        for n in (0, 1, 3, 4):
+            m = random_matrix(field, n, n, rng)
+            naive = Matrix.identity(field, n)
+            for k in range(10):
+                assert m ** k == naive, (n, k)
+                naive = naive @ m
+
+    def test_power_errors(self):
+        with pytest.raises(ValueError, match="needs a square matrix"):
+            Matrix.zeros(F5, 2, 3) ** 2
+        with pytest.raises(ValueError, match="needs a square matrix"):
+            Matrix.zeros(F5, 2, 3) ** 0
+        with pytest.raises(ValueError, match="negative matrix powers"):
+            Matrix.identity(F5, 2) ** -1
+
     def test_blocks(self):
         a = Matrix.identity(F2, 1)
         z = Matrix.zeros(F2, 1, 1)

@@ -11,8 +11,8 @@ from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
 from qvl.linalg import GF, Matrix, QQ, hstack
 from qvl.reps import (Morphism, Representation, cokernel, direct_sum,
-                      gl_action, hom_basis, hom_kernel, is_monomorphism,
-                      simple_module)
+                      evaluate_relation, failed_relations, gl_action,
+                      hom_basis, hom_kernel, is_monomorphism, simple_module)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -69,6 +69,100 @@ class TestEvaluation:
         pres = family_lambda(2)
         with pytest.raises(ValueError):
             Representation(pres, F2, {0: 2}, {"e": Matrix(F2, 1, 1, [[0]])})
+
+
+# Presentations for the relation check: Fraction coefficients on terms of
+# mixed length, two relations one loop power apart (a locus with no Jordan
+# strata), a loop between two base arrows with a coefficient 5/7 that is 0
+# in F_5, and two named families.
+CHECK_SPECS = [
+    "quiver T { vertex 0; loop e at 0; rel 1/3*e^2 - 2*e^3; rel e^4; }",
+    "quiver F { vertex 0; loop e at 0; rel e^3; rel e^2 - e^3; }",
+    "quiver FP { vertex 0; vertex 1; vertex 2; arrow a: 0 -> 1; "
+    "loop e at 1; arrow b: 1 -> 2; rel b*e*a; rel e^3; rel e^2 - e^3; "
+    "rel 5/7*b*e^2*a; }",
+]
+
+
+def _check_presentations():
+    from qvl.dsl import parse_quiver_spec
+    return ([parse_quiver_spec(spec) for spec in CHECK_SPECS]
+            + [family_a(1, 3, 1), family_b(1, 3)])
+
+
+def _random_point(pres, field, rng):
+    """Seeded dims in 0..3 and matrices: a loop is nilpotent of a random
+    order (often a point, often not), any other arrow random or zero."""
+    from qvl.linalg import random_matrix, random_nilpotent
+    dims = {v: rng.randint(0, 3) for v in pres.quiver.vertices}
+    mats = {}
+    for a, s, t in pres.quiver.arrows:
+        if s == t and rng.random() < 0.7:
+            mats[a] = random_nilpotent(field, dims[s], rng.randint(1, 4), rng)
+        elif rng.random() < 0.5:
+            mats[a] = Matrix.zeros(field, dims[t], dims[s])
+        else:
+            mats[a] = random_matrix(field, dims[t], dims[s], rng)
+    return dims, mats
+
+
+class TestFailedRelations:
+    """``failed_relations`` against the value ``evaluate_relation`` builds,
+    relation by relation."""
+
+    @pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
+    @pytest.mark.parametrize("index", range(len(CHECK_SPECS) + 2))
+    def test_agrees_with_evaluation(self, index, field):
+        pres = _check_presentations()[index]
+        rng = random.Random(f"{index}:{field}")
+        seen = set()
+        for _ in range(120):
+            dims, mats = _random_point(pres, field, rng)
+            want = [rel for rel in pres.relations
+                    if not evaluate_relation(field, dims, mats, rel).is_zero()]
+            assert list(failed_relations(field, dims, mats,
+                                         pres.relations)) == want
+            rep = Representation(pres, field, dims, mats)
+            assert rep.is_valid() == (not want)
+            seen.add((len(want), 0 in dims.values()))
+        # points on and off the variety, with and without a dim-0 vertex
+        assert {n > 0 for n, _ in seen} == {False, True}
+        if len(pres.quiver.vertices) > 1:
+            assert {zero for _, zero in seen} == {False, True}
+
+    def test_order_follows_the_given_relations(self):
+        pres = _check_presentations()[1]
+        e = Matrix(QQ, 1, 1, [[Fraction(1, 2)]])
+        rels = pres.relations
+        assert list(failed_relations(QQ, {0: 1}, {"e": e}, rels)) == \
+            list(rels)
+        assert list(failed_relations(QQ, {0: 1}, {"e": e}, rels[::-1])) == \
+            list(rels[::-1])
+
+    def test_mixed_lengths_scale_exactly(self):
+        """1/3 e^2 - 2 e^3 vanishes at e = 1/6 over Q, and at no other
+        nonzero scalar; e = 1/6 needs the d^(D - k) scaling of the term of
+        length 2."""
+        mixed = _check_presentations()[0].relations[:1]
+        for x, ok in ((Fraction(1, 6), True), (Fraction(1, 3), False),
+                      (Fraction(-1, 6), False), (Fraction(0), True)):
+            e = Matrix(QQ, 1, 1, [[x]])
+            assert (not list(failed_relations(QQ, {0: 1}, {"e": e},
+                                              mixed))) is ok, x
+
+    def test_vanishing_denominator_raises(self):
+        """Over F_3 the coefficient 1/3 is no field element: the check
+        raises as evaluation does, at a point and at dim 0, and never reads
+        the relation as 0."""
+        pres = _check_presentations()[0]
+        for dim in (0, 1, 2):
+            mats = {"e": Matrix.zeros(F3, dim, dim)}
+            with pytest.raises(ZeroDivisionError):
+                list(failed_relations(F3, {0: dim}, mats, pres.relations))
+            with pytest.raises(ZeroDivisionError):
+                evaluate_relation(F3, {0: dim}, mats, pres.relations[0])
+            with pytest.raises(ZeroDivisionError):
+                Representation(pres, F3, {0: dim}, mats).is_valid()
 
 
 class TestHomBasis:

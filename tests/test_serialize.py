@@ -66,9 +66,25 @@ class TestMatrixCoding:
         assert matrix_to_json(tall) == [[], []]
         assert matrix_from_json(F2, [[], []], 2, 0) == tall
 
+    def test_entries_read_once_in_normal_form(self):
+        """Each entry is read by ``_entry_from_json`` alone and lands in
+        the field's normal form, as ``Matrix(...)`` would coerce it."""
+        data = [["2/4", -3, "6"], ["0", "-10/4", 7]]
+        m = matrix_from_json(QQ, data, 2, 3)
+        assert m.rows == Matrix(QQ, 2, 3, data).rows == (
+            (Fraction(1, 2), Fraction(-3), Fraction(6)),
+            (Fraction(0), Fraction(-5, 2), Fraction(7)))
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        m5 = matrix_from_json(F5, [[7, -1, 5]], 1, 3)
+        assert m5.rows == ((2, 4, 0),) and type(m5.rows) is tuple
+
     def test_shape_mismatch(self):
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="shape 2x2"):
             matrix_from_json(F2, [[1, 0]], 2, 2)
+        with pytest.raises(SerializationError, match="shape 1x2"):
+            matrix_from_json(F2, [[1]], 1, 2)
+        with pytest.raises(SerializationError, match="list of rows"):
+            matrix_from_json(F2, {"0": [1]}, 1, 1)
 
     def test_fp_rejects_strings(self):
         with pytest.raises(SerializationError):
