@@ -51,62 +51,65 @@ def hom_counterexample_census(n: int, q: int,
     two-vertex homomorphism variety (source concentrated at vertex 1,
     target one-dimensional at both vertices) are verified point by point.
 
-    The odometer over (b, a_1..a_n) makes one b-major pass: it tests
-    a_i b = 0 on every tuple and tallies the b = 0 part, the a = 0 part
-    and the union as it goes.  The Hom triples are walked as the
-    representations of the doubled quiver ``hom_quiver(A'(n,2,2))``: b is
-    the entry of f1, the a_i the target's arrows (one slice of the flat
-    point).  For n >= 2 its tower walks f1 below the a_i, so above each of
-    the q values of b the a_i form one linear fiber, and the walk solves
-    q systems for its q^n + q - 1 points.  A duplicate shows as a set of
-    points smaller than the number walked, and each point's (b, a) takes
-    its candidate out of the census set, which must end empty.
+    The odometer makes one b-major pass: (b, a) is a candidate when each
+    a_i lies in the annihilator of b; the b = 0 and a = 0 parts and their
+    union are read off the candidate set.  The Hom triples are walked on
+    ``hom_quiver(A'(n,2,2))``, b the entry of f1 and the a_i the target's
+    arrows; for n >= 2 its tower walks one linear fiber per value of b.
+    Each point's (b, a) is taken out of the candidate set, the one set the
+    census holds: when as many points as candidates empty it, the images
+    are distinct candidates and the walk is a bijection.  Only otherwise
+    does a second walk say why: a point off a_i b = 0 raises at once, a
+    repeated point once the walk ends, and else the bijection reads false.
     """
     if n < 1:
         raise FamilyParameterError(f"the census needs n >= 1, got {n}")
     field = PrimeField(q)
-    p = field.p
     meter = _Meter(budget)
     meter.precheck(q ** (n + 1))
+    elements = field.elements()
     points = set()
-    count_b_zero = count_a_zero = 0
-    union_ok = True
-    for b in field.elements():
-        b_zero = b == field.zero
-        for avec in itertools.product(field.elements(), repeat=n):
-            meter.tick()
-            if not any(a * b % p for a in avec):
-                points.add((b, avec))
-                a_zero = not any(avec)
-                count_b_zero += b_zero
-                count_a_zero += a_zero
-                union_ok = union_ok and (b_zero or a_zero)
+    for b in elements:
+        meter.tick(q ** n)
+        annihilator = {a for a in elements if a * b % q == 0}
+        before = len(points)
+        points.update(zip(itertools.repeat(b), filter(
+            annihilator.issuperset, itertools.product(elements, repeat=n))))
+        if b == 0:
+            count_b_zero = len(points) - before
     total = len(points)
+    a_zero = (0,) * n
+    count_a_zero = sum((b, a_zero) in points for b in elements)
+    # the candidates are the union of the two parts, which meet in the
+    # origin, exactly when the parts add up to all of them
+    union_ok = total == count_b_zero + count_a_zero - ((0, a_zero) in points)
 
     pres = hom_quiver(family_a_prime(n, 2, 2))
     dims = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
     layout = flat_layout(pres, dims)
     b_at = layout["f1"][0]
     a_from, a_to = layout["t_a1"][0], layout[f"t_a{n}"][0] + 1
-    # each image takes its candidate out of ``points``: the walk is a
-    # bijection onto them when no image misses and none is left over
-    seen = set()
     walked = 0
-    bijective = True
-    for point, _ in _points_over(pres, field, dims, meter, orbits=True):
-        walked += 1
-        seen.add(point)
-        b = point[b_at]
-        avec = point[a_from:a_to]
-        if any(a * b % p for a in avec):
-            raise AssertionError("homomorphism point violates a_i b = 0")
-        try:
-            points.remove((b, avec))
-        except KeyError:
-            bijective = False
-    if len(seen) != walked:
-        raise AssertionError("duplicate homomorphism point")
-    bijective = bijective and not points
+
+    def images():
+        nonlocal walked
+        for point, _ in _points_over(pres, field, dims, meter, orbits=True):
+            walked += 1
+            yield point[b_at], point[a_from:a_to]
+
+    points.difference_update(images())
+    bijective = walked == total and not points
+    if not bijective:
+        # the same walk again, so it yields ``walked`` points
+        seen = set()
+        for point, _ in _points_over(pres, field, dims, _Meter(budget),
+                                     orbits=True):
+            b = point[b_at]
+            if any(a * b % q for a in point[a_from:a_to]):
+                raise AssertionError("homomorphism point violates a_i b = 0")
+            seen.add(point)
+        if len(seen) != walked:
+            raise AssertionError("duplicate homomorphism point")
     return CensusResult(n, q, total, count_b_zero, count_a_zero, union_ok,
                         bijective)
 

@@ -257,9 +257,24 @@ def kernel_basis(field: Field, rows: Sequence[Sequence], ncols: int
     """Basis of {v : row . v = 0 for every row}, read off the reduced row
     echelon form that ``field.row_reduce`` gives: one vector per free
     column, 1 there, 0 at every other free column, and minus that column
-    of each nonzero row at the row's pivot."""
+    of each nonzero row at the row's pivot.  Over Q each such entry is
+    built once, as ``Fraction(-x, lead)``, from the primitive integer row
+    of the span's ``Subspace``, with x its entry and lead its pivot's."""
+    zero, one = field.zero, field.one
+    if not field.characteristic:
+        span = Subspace(field, ncols, rows)._rows
+        basis = []
+        for fc in range(ncols):
+            if fc not in span:
+                v = [zero] * ncols
+                v[fc] = one
+                for pc, row in span.items():
+                    if fc in row:
+                        v[pc] = Fraction(-row[fc], row[pc])
+                basis.append(tuple(v))
+        return basis
     red, pivots = field.row_reduce(rows, ncols)
-    zero, one, neg = field.zero, field.one, field.neg
+    neg = field.neg
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -597,8 +612,12 @@ def _normalized(v: dict, pc: int, p: int) -> dict:
 def _eliminate(v: dict, a: int, row: dict, lead: int, p: int):
     """v = lead * v - a * row in place, for sparse int vectors, where ``a``
     is v's entry at the row's pivot and ``lead`` the row's own, so that
-    entry cancels; entries mod p when p is nonzero.  Zero entries are
-    dropped."""
+    entry cancels; entries mod p when p is nonzero.  Over Q both factors
+    are first divided by gcd(a, lead), which keeps the entries smaller
+    and changes v only by a positive factor.  Zero entries are dropped."""
+    if not p:
+        g = gcd(a, lead)
+        a, lead = a // g, lead // g
     if lead != 1:
         for j in v:
             v[j] *= lead

@@ -22,7 +22,8 @@ from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
 from qvl.linalg import GF, QQ, Matrix
 from qvl.quiver import BoundQuiver, Quiver, hom_quiver
-from qvl.reps import Morphism, _arrow_plan, hom_basis, is_monomorphism
+from qvl.reps import (Morphism, _arrow_plan, flat_layout, hom_basis,
+                      is_monomorphism)
 from qvl.strata import (StratumTable, _jordan_point, _nilpotent_orbit,
                         jordan_types, nilpotent_orbit_size)
 from test_base_fibers import SANDWICH, SQUARE
@@ -494,6 +495,61 @@ class TestCensus:
         res = hom_counterexample_census(2, 3)
         assert (res.total, res.union_verified) == (11, True)
         assert not res.hom_bijection_verified
+
+    @pytest.mark.parametrize("change", ["extra", "instead", "after-repeat"])
+    def test_point_off_the_variety_is_caught(self, change, monkeypatch):
+        # the first point with b = a_1 = 1, so a_1 b != 0, after the first
+        # point, in its place (as many points as candidates, one left
+        # over), or after a repeat of it, which the walk meets before it
+        # can tell the repeat
+        walk = counting._points_over
+        layout = flat_layout(hom_quiver(family_a_prime(2, 2, 2)),
+                             self.CENSUS_DIMS)
+
+        def off_variety(*args, **kwargs):
+            points = walk(*args, **kwargs)
+            point, weight = next(points)
+            off = list(point)
+            off[layout["f1"][0]] = off[layout["t_a1"][0]] = 1
+            if change != "instead":
+                yield point, weight
+            if change == "after-repeat":
+                yield point, weight
+            yield tuple(off), weight
+            yield from points
+
+        monkeypatch.setattr(certificates, "_points_over", off_variety)
+        with pytest.raises(AssertionError,
+                           match="^homomorphism point violates a_i b = 0$"):
+            hom_counterexample_census(2, 3)
+
+    @pytest.mark.parametrize("change,walks", [(None, 1), ("drop", 2)])
+    def test_only_a_failed_census_walks_twice(self, change, walks,
+                                              monkeypatch):
+        # a passing census decides by count and emptiness in one walk;
+        # a failing one walks again to say why
+        calls = []
+        walk = counting._points_over
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            points = walk(*args, **kwargs)
+            if change == "drop":
+                next(points)
+            yield from points
+
+        monkeypatch.setattr(certificates, "_points_over", counted)
+        res = hom_counterexample_census(2, 3)
+        assert res.hom_bijection_verified == (change is None)
+        assert len(calls) == walks
+        assert len({id(meter) for meter in calls}) == walks
+
+    @pytest.mark.parametrize("n,q,result", [
+        (7, 3, (7, 3, 2189, 2187, 3, True, True)),
+        (12, 2, (12, 2, 4097, 4096, 2, True, True))])
+    def test_census_at_the_workload_sizes(self, n, q, result):
+        # the certify workload's census-hom --n 7 --q 3, and CI's n = 12
+        assert dataclasses.astuple(hom_counterexample_census(n, q)) == result
 
     # the census walks the doubled quiver at these dims, where f0 and the
     # source's arrows s_ai have no entries

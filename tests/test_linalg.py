@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -550,6 +551,50 @@ def _large_q_systems():
 LARGE_Q_SYSTEMS = _large_q_systems()
 
 
+@st.composite
+def shared_factor_systems(draw):
+    """Q systems of up to 6 x 6 whose rows share large factors: a drawn
+    row is a factor up to 10^6 times entries up to 10^6, over one
+    denominator, and a combined row the sum of multiples of two earlier
+    ones, so pivots and eliminated entries have large gcds."""
+    ncols = draw(st.integers(1, 6))
+    big = st.integers(1, 10**6)
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        if i and draw(st.booleans()):
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(big), draw(st.integers(-10**6, 10**6))
+            rows.append([s * u + t * v for u, v in zip(x, y)])
+            continue
+        factor, den = draw(big), draw(st.sampled_from([1, 1, 6, 10**6]))
+        rows.append([Fraction(factor * draw(st.integers(-10**6, 10**6)), den)
+                     if draw(st.booleans()) else 0 for _ in range(ncols)])
+    return rows
+
+
+def _check_against_oracle(field, rows, ncols):
+    """row_reduce takes the unreduced rows, the oracle their field
+    elements; both give the RREF, and the basis read off it.  Returns the
+    oracle's RREF and pivots."""
+    red, pivots = gauss_jordan_oracle(
+        [tuple(map(field.coerce, row)) for row in rows], ncols, field)
+    typed = lambda m: [[(type(x), x) for x in v] for v in m]
+    got, got_pivots = field.row_reduce(rows, ncols)
+    assert (typed(got), got_pivots) == (typed(red), pivots)
+    expected = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [field.zero] * ncols
+            v[fc] = field.one
+            for row, pc in zip(red, pivots):
+                v[pc] = field.neg(row[fc])
+            expected.append(tuple(v))
+    assert typed(kernel_basis(field, rows, ncols)) == typed(expected)
+    assert typed(Matrix(field, len(rows), ncols, rows).kernel_basis()) \
+        == typed(expected)
+    return red, pivots
+
+
 class TestKernelBasis:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kernel_systems())
@@ -557,22 +602,20 @@ class TestKernelBasis:
     @example(LARGE_Q_SYSTEMS[1])
     @example(LARGE_Q_SYSTEMS[2])
     def test_row_reduce_and_kernel_against_oracle(self, case):
-        # row_reduce takes the unreduced rows, the oracle their field
-        # elements; both give the RREF, and the basis read off it
-        field, rows, ncols = case
-        red, pivots = gauss_jordan_oracle(
-            [tuple(map(field.coerce, row)) for row in rows], ncols, field)
-        typed = lambda m: [[(type(x), x) for x in v] for v in m]
-        got, got_pivots = field.row_reduce(rows, ncols)
-        assert (typed(got), got_pivots) == (typed(red), pivots)
-        expected = []
-        for fc in range(ncols):
-            if fc not in pivots:
-                v = [field.zero] * ncols
-                v[fc] = field.one
-                for row, pc in zip(red, pivots):
-                    v[pc] = field.neg(row[fc])
-                expected.append(tuple(v))
-        assert typed(kernel_basis(field, rows, ncols)) == typed(expected)
-        assert typed(Matrix(field, len(rows), ncols, rows).kernel_basis()) \
-            == typed(expected)
+        _check_against_oracle(*case)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shared_factor_systems())
+    def test_large_shared_factors_against_oracle(self, rows):
+        # elimination divides out gcd(a, lead) before cross-multiplying:
+        # the Subspace rows stay the primitive RREF rows, and the RREF and
+        # kernel those of Fraction arithmetic
+        ncols = len(rows[0])
+        red, pivots = _check_against_oracle(QQ, rows, ncols)
+        primitive = {}
+        for row, pc in zip(red, pivots):
+            den = lcm(*[x.denominator for x in row])
+            ints = [x.numerator * (den // x.denominator) for x in row]
+            g = gcd(*ints)
+            primitive[pc] = {j: x // g for j, x in enumerate(ints) if x}
+        assert Subspace(QQ, ncols, rows)._rows == primitive
