@@ -93,7 +93,7 @@ def hom_counterexample_census(n: int, q: int,
 
     def images():
         nonlocal walked
-        for point, _ in _points_over(pres, field, dims, meter, orbits=True):
+        for point in _points_over(pres, field, dims, meter):
             walked += 1
             yield point[b_at], point[a_from:a_to]
 
@@ -102,8 +102,7 @@ def hom_counterexample_census(n: int, q: int,
     if not bijective:
         # the same walk again, so it yields ``walked`` points
         seen = set()
-        for point, _ in _points_over(pres, field, dims, _Meter(budget),
-                                     orbits=True):
+        for point in _points_over(pres, field, dims, _Meter(budget)):
             b = point[b_at]
             if any(a * b % q for a in point[a_from:a_to]):
                 raise AssertionError("homomorphism point violates a_i b = 0")
@@ -231,12 +230,12 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     # Take the target walk's strata directly: analyze each Jordan point
     # once, then read its arrow solutions (rows of 1 x l) through their
     # kernel basis, with plain modular arithmetic.
-    walked, fibers = _fibers(pres, field, target_dims, meter, orbits=False)
+    walked, weight, fibers = _fibers(pres, field, target_dims, meter, False)
     if walked != list(pres.quiver.arrow_names()):
         raise AssertionError("the walk's layer 0 is not the loops alone")
     layout = flat_layout(pres, target_dims, pres.quiver.loops())
     e0, e1 = layout["e0"][0], layout["e1"][0]
-    for loops, weight, arrow_kernel in fibers:
+    for loops, labels, arrow_kernel in fibers:
         if loops[e0]:
             raise AssertionError("target loop at vertex 0 not forced to zero")
         loop = Matrix._trusted(field, l, l, tuple(
@@ -259,7 +258,7 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
             raise AssertionError("arrow solution violates its relation")
 
         solutions = p ** len(arrow_kernel)
-        cls = units * weight
+        cls = units * weight(labels, p)
         last_read = -1
         meter.precheck(len(ws))
         for w in ws:

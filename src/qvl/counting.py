@@ -12,16 +12,16 @@ alone, and a point of a linear fiber a vector in the plan's layout.
 objects are built only by the public iterators; the counts, the census and
 the witness read the flat points.
 
-Every walk takes its loop points, each with the number of loop points it
-stands for, from one source, ``_loop_points``.  Where the loop locus is not
-stratified by Jordan type (``qvl.strata``), that is every loop point a
-filter over all q^(loop coordinates) of them accepts, with weight 1.  Where
+Every walk takes its loop points, each with the labels of the stratum
+table row it lies on, from one source, ``_loop_points``.  Where the loop
+locus is not stratified by Jordan type (``qvl.strata``), that is every
+loop point a filter over all q^(loop coordinates) of them accepts.  Where
 it is, a count takes the Jordan matrix J_lam of each row of the stratum
-table weighted by its orbit size, since GL at the vertices carries the
-points above J_lam onto those above its conjugates; the witness reads the
-rows the same way.  Walks that must visit every point (the public
-iterators and the census) take each orbit instead, closing J_lam under
-elementary conjugations.
+table, weighted by the table's ``weight`` of its labels, since GL at the
+vertices carries the points above J_lam onto those above its conjugates;
+the witness reads the rows the same way.  Walks that must visit every
+point (the public iterators and the census) take each orbit instead,
+closing J_lam under elementary conjugations, and read no weight.
 
 Every walk is a tower of layers (``_layers``), peeled from the top with
 no search over subsets.  Layer 0 is every loop plus the non-loop arrows no
@@ -30,8 +30,7 @@ locus and walks those arrows, run by run, where a count has no rank rows
 for them.  Each relation of a later layer reads one of its arrows in each
 term and otherwise only lower ones, so above the points below it the
 layer is a kernel: a walk spans each middle kernel (``_span``), and a
-count adds weight * q^(dim of the last kernel).  The ambient odometer,
-``iter_rep_points_odometer``, stays as the test oracle.
+count adds weight * q^(dim of the last kernel).
 
 Hom, mono and ext counts and walks are rep walks of ``hom_quiver`` and
 ``ext_quiver``, whose points are the pairs of points with a Hom vector or
@@ -47,8 +46,8 @@ the layer-0 arrows in itertools.product order, then each layer's kernel
 in ``_span`` order.  The budget counts the steps taken: one per filter
 candidate, layer-0 point tried, loop point, element of a middle layer,
 point walked, and term of a Moebius sum or Hom vector a mono count walks;
-a count whose rows fix the whole layer-0 point takes one per row, planned
-before any partition or orbit size is computed.
+a count takes one per row that fixes the whole layer-0 point above Jordan
+strata, planned before any partition or orbit size is computed.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -180,22 +179,6 @@ def ambient_dimension(task: EnumerationTask) -> int:
 
 
 # --- representation points ----------------------------------------------
-
-
-def iter_rep_points_odometer(pres: BoundQuiver, field: PrimeField,
-                             dims: Mapping, meter: _Meter | None = None
-                             ) -> Iterator[Representation]:
-    """Walk the full ambient coordinate space and keep the valid points."""
-    meter = meter or _Meter()
-    shapes = {a: (r, c) for a, (_, r, c) in flat_layout(pres, dims).items()}
-    total = rep_ambient_dim(pres, dims)
-    meter.precheck(field.p ** total)
-    for values in itertools.product(field.elements(), repeat=total):
-        meter.tick()
-        mats = split_blocks(field, shapes, values)
-        rep = Representation(pres, field, dims, mats)
-        if rep.is_valid():
-            yield rep
 
 
 def _grow(seed: str, arrows: Sequence[str], rels: Mapping, rank: Mapping,
@@ -351,36 +334,35 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
 
 def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
                  orbits: bool, table: StratumTable):
-    """(flat loop point, number of points it stands for) over the loop
-    locus, each extended by the rank rows of ``table`` where it has them,
-    in the fixed order: every loop point the filter accepts where the locus
-    is not stratified; else with ``orbits`` every point of each stratum
-    once; else each row of ``table``.  Orbit points, and rows that fix the
-    whole layer-0 point, take one step each, all planned up front."""
-    if table.loops is None:
-        for point in _assignments(pres, field, dims, (), pres.quiver.loops(),
-                                  loop_rels, meter):
-            yield from ((point + tail, w) for tail, w in table.rows())
-    elif orbits:
+    """(flat loop point, labels of its row of ``table``) in the fixed order:
+    with ``orbits`` and Jordan strata every point of each stratum once,
+    labelled (); else each row of ``table`` above each loop point, the one
+    empty point where there are strata and else each the filter accepts.
+    Orbit points, and rows that fix the whole layer-0 point above strata,
+    take one step each, planned up front; the filter pays for the others."""
+    if orbits and table.loops is not None:
         meter.precheck(table.size())
         for point in table.orbit_points():
             meter.tick()
-            yield point, 1
-    elif table.arrows is None:
-        yield from table.rows()
-    else:
-        meter.precheck(table.row_count())
-        for row in table.rows():
-            meter.tick()
-            yield row
+            yield point, ()
+        return
+    step = int(table.loops is not None and table.arrows is not None)
+    meter.precheck(step * table.row_count())
+    for point in (_assignments(pres, field, dims, (), pres.quiver.loops(),
+                               loop_rels, meter)
+                  if table.loops is None else [()]):
+        for labels, tail in table.rows():
+            meter.tick(step)
+            yield point + tail, labels
 
 
 def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
             top: Iterable[str] = ()):
     """The tower walk of ``_layers``, ``top`` its last layer if given: the
     arrows in the order a walked point lays them out (loops, layer 0, then
-    each later layer), and a stream of (flat point below the last layer,
-    weight, kernel basis of the last layer there) over the points of
+    each later layer), the stratum table's ``weight``, and a stream of
+    (flat point below the last layer, labels, kernel basis of the last
+    layer there) over the points of
     ``_loop_points`` and layer 0 and each middle layer's span, one step per
     element.  Strata and systems are set up once."""
     base, loop_rels, base_rels, layers = _layers(pres, dims, top)
@@ -393,32 +375,32 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     table = StratumTable(pres, field, dims, loop_rels,
                          None if orbits else base, base_rels)
 
-    def above(point, weight, level):
+    def above(point, labels, level):
         size, kernel = plans[level]
         if level + 1 == len(plans):
-            yield point, weight, kernel(point)
+            yield point, labels, kernel(point)
             return
         for vec in _walk_fiber(field, size, kernel(point), meter):
-            yield from above(point + tuple(vec), weight, level + 1)
+            yield from above(point + tuple(vec), labels, level + 1)
 
     def stream():
-        for loops, weight in _loop_points(pres, field, dims, loop_rels, meter,
+        for loops, labels in _loop_points(pres, field, dims, loop_rels, meter,
                                           orbits, table):
             for point in ((loops,) if table.arrows is not None else
                           _assignments(pres, field, dims, loops, base,
                                        base_rels, meter)):
-                yield from above(point, weight, 0)
+                yield from above(point, labels, 0)
 
-    return walked, stream()
+    return walked, table.weight, stream()
 
 
 def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
-                 orbits: bool, top: Iterable[str] = ()) -> Iterator[tuple]:
-    """(point, weight) for every point of the last layer's kernel over each
-    point of ``_fibers`` (with ``orbits`` every point of the variety once,
-    with weight 1), flat as ``flat_layout`` lays it out, spanned straight
-    from each point and kernel vector lifted once to that layout."""
-    walked, fibers = _fibers(pres, field, dims, meter, orbits, top)
+                 top: Iterable[str] = ()) -> Iterator[tuple]:
+    """Every point of the variety once: each point of the last layer's
+    kernel over each point of the orbit walk of ``_fibers``, flat as
+    ``flat_layout`` lays it out, spanned straight from each point and
+    kernel vector lifted once to that layout."""
+    walked, _, fibers = _fibers(pres, field, dims, meter, True, top)
     # the place of each coordinate of a walked point in the flat point
     layout = flat_layout(pres, dims)
     places = [i for a in walked for start, r, c in (layout[a],)
@@ -430,12 +412,12 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
             full[i] = x
         return full
 
-    for point, weight, basis in fibers:
+    for point, _, basis in fibers:
         at = places[len(point):]
         for full in _walk_fiber(field, len(places),
                                 [lift(vec, at) for vec in basis], meter,
                                 lift(point, places)):
-            yield tuple(full), weight
+            yield tuple(full)
 
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
@@ -465,25 +447,24 @@ def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
 def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
                     meter: _Meter | None = None) -> Iterator[Representation]:
     """Deterministic, duplicate-free stream of all variety points, every
-    point of the tower walk.  ``iter_rep_points_odometer`` gives the same
-    points."""
+    point of the tower walk."""
     build = _rep_builder(pres, field, dims)
-    for point, _ in _points_over(pres, field, dims, meter or _Meter(),
-                                 orbits=True):
+    for point in _points_over(pres, field, dims, meter or _Meter()):
         yield build(point)
 
 
 def _count(field: PrimeField, budget: int | None, pres: BoundQuiver, dims,
            top: Iterable[str] = (), counter=None) -> int:
-    """The sum over the points of ``_fibers`` of weight * the size of the
-    last layer's kernel: q^dim, or what ``counter(field, its shapes)``
-    counts from the kernel basis and the meter."""
+    """The sum over the points of ``_fibers`` of their labels' weight * the
+    size of the last layer's kernel: q^dim, or what ``counter(field, its
+    shapes)`` counts from the kernel basis and the meter."""
     meter = _Meter(budget)
-    _, fibers = _fibers(pres, field, dims, meter, orbits=False, top=top)
+    _, weight, fibers = _fibers(pres, field, dims, meter, False, top)
     size = (counter(field, {a: (r, c) for a, (_, r, c)
                             in flat_layout(pres, dims, top).items()})
             if counter else lambda basis, _: field.p ** len(basis))
-    return sum(weight * size(basis, meter) for _, weight, basis in fibers)
+    return sum(weight(labels, field.p) * size(basis, meter)
+               for _, labels, basis in fibers)
 
 
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
@@ -611,8 +592,8 @@ def _pair_points(kind: str, pres: BoundQuiver, field: PrimeField, first,
     x_end = rep_ambient_dim(pres, first)
     y_end = x_end + rep_ambient_dim(pres, second)
     build_x, build_y = (_rep_builder(pres, field, d) for d in (first, second))
-    for point, _ in _points_over(doubled, field, dims, meter or _Meter(),
-                                 orbits=True, top=crossing):
+    for point in _points_over(doubled, field, dims, meter or _Meter(),
+                              crossing):
         vec = point[y_end:]
         if not keep or keep(vec):
             x, y = build_x(point[:x_end]), build_y(point[x_end:y_end])

@@ -10,11 +10,13 @@ points (Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).
 Base arrows have rank strata when no base arrow has a loop or another base
 arrow at an endpoint and no base relation reads one: a d_t x d_s base
 arrow takes [I_r 0; 0 0] weighted by R(d_t, d_s, r), its matrices of rank r.
-``StratumTable`` has one row per choice of a Jordan type for each loop and
-a rank for each base arrow, in itertools.product order.  A count whose rows
-fix the whole base point takes one step per row, planned from
-``row_count`` before any partition or orbit size is computed.  The orbit
-sizes and |GL_d(q)| are pure functions of ints, kept once per process.
+``StratumTable`` labels its rows by a Jordan type per loop and a rank per
+base arrow, in itertools.product order.  A row's point, J_lam and
+[I_r 0; 0 0], is the same over every field; ``weight(labels, q)``
+multiplies the orbit sizes and rank counts over F_q its labels name.  A
+count whose rows fix the whole base point above Jordan strata takes one
+step per row, planned from ``row_count`` before any partition or orbit size
+is computed.  Those sizes, points and counts are kept once per process.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def gl_order(d: int, q: int) -> int:
     return out
 
 
+@functools.cache
 def rank_count(m: int, n: int, r: int, q: int) -> int:
     """R(m, n, r), the number of m x n matrices of rank r over F_q:
     prod_(i<r) (q^m - q^i)(q^n - q^i) / (q^r - q^i)."""
@@ -105,7 +108,8 @@ def nilpotent_orbit_size(lam: tuple[int, ...], q: int) -> int:
     return gl_order(sum(parts), q) // centralizer
 
 
-def _jordan_point(lam: Sequence[int]) -> tuple:
+@functools.cache
+def _jordan_point(lam: tuple[int, ...]) -> tuple:
     """Entries of the nilpotent Jordan matrix with blocks lam, ones above
     the diagonal, row-major."""
     d = sum(lam)
@@ -229,25 +233,34 @@ class StratumTable:
         return (math.prod(partition_count(d, k) for d, k in self.loops or ())
                 * math.prod(min(t, s) + 1 for t, s in self.arrows or ()))
 
+    def labels(self) -> Iterator[tuple]:
+        """Each row's Jordan type per loop, then rank per base arrow."""
+        return itertools.product(
+            *(jordan_types(d, k) for d, k in self.loops or ()),
+            *(range(min(t, s) + 1) for t, s in self.arrows or ()))
+
+    def weight(self, labels, q: int) -> int:
+        """The points over F_q a row stands for: orbit sizes * rank counts."""
+        k, out = len(self.loops or ()), 1
+        for lam in labels[:k]:
+            out *= nilpotent_orbit_size(lam, q)
+        for (t, s), r in zip(self.arrows or (), labels[k:]):
+            out *= rank_count(t, s, r, q)
+        return out
+
     def rows(self) -> Iterator[tuple]:
-        """(flat point, weight) of each row: its Jordan matrices and
-        [I_r 0; 0 0]s concatenated, their orbit sizes and counts multiplied,
-        built one row at a time."""
-        p = self.field.p
-        choices = [[(_jordan_point(lam), nilpotent_orbit_size(lam, p))
-                    for lam in jordan_types(d, k)]
-                   for d, k in self.loops or ()]
-        choices += [[(tuple(int(i == j < r) for i in range(t)
-                            for j in range(s)), rank_count(t, s, r, p))
-                     for r in range(min(t, s) + 1)]
-                    for t, s in self.arrows or ()]
-        for row in itertools.product(*choices):
-            yield (tuple(itertools.chain.from_iterable(x for x, _ in row)),
-                   math.prod(w for _, w in row))
+        """(labels, flat point) of each row, one at a time: its J_lam and
+        [I_r 0; 0 0] concatenated, 0/1 entries the same over every field."""
+        k = len(self.loops or ())
+        for labels in self.labels():
+            yield labels, tuple(itertools.chain(
+                *map(_jordan_point, labels[:k]),
+                *([int(i == j < r) for i in range(t) for j in range(s)]
+                  for (t, s), r in zip(self.arrows or (), labels[k:]))))
 
     def size(self) -> int:
         """The number of points of the stratified loop locus, the points
-        that ``orbit_points`` lists."""
+        that ``orbit_points`` lists: ``weight`` summed over rows, factored."""
         p = self.field.p
         return math.prod(sum(nilpotent_orbit_size(lam, p)
                              for lam in jordan_types(d, k))
@@ -257,8 +270,7 @@ class StratumTable:
         """Every loop point of the stratified locus once, as a flat tuple:
         each row's orbits, breadth-first from its Jordan matrices."""
         cache = {}
-        for lams in itertools.product(*(jordan_types(d, k)
-                                        for d, k in self.loops)):
+        for lams in self.labels():
             # keep only the orbits this stratum uses
             cache = {lam: cache.get(lam) or _nilpotent_orbit(self.field, lam)
                      for lam in set(lams)}

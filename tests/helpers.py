@@ -1,12 +1,32 @@
-"""Shared generators for seeded random test data."""
+"""Shared generators for seeded random test data, and the ambient odometer
+that every walk is checked against."""
 
 from __future__ import annotations
 
+import itertools
+
+from qvl.counting import _Meter, rep_ambient_dim
 from qvl.extensions import ExtensionTriple, cocycle_space_basis, zero_blocks
 from qvl.families import family_lambda
 from qvl.linalg import (Matrix, random_invertible, random_nilpotent,
                         split_blocks)
-from qvl.reps import HomTriple, Morphism, Representation, flat_point, relabel
+from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
+                      flat_point, relabel)
+
+
+def iter_rep_points_odometer(pres, field, dims, meter=None):
+    """Walk the full ambient coordinate space and keep the valid points:
+    the oracle that shares no code with the tower walk."""
+    meter = meter or _Meter()
+    shapes = {a: (r, c) for a, (_, r, c) in flat_layout(pres, dims).items()}
+    total = rep_ambient_dim(pres, dims)
+    meter.precheck(field.p ** total)
+    for values in itertools.product(field.elements(), repeat=total):
+        meter.tick()
+        mats = split_blocks(field, shapes, values)
+        rep = Representation(pres, field, dims, mats)
+        if rep.is_valid():
+            yield rep
 
 
 def random_lambda_rep(m, field, dim, rng) -> Representation:

@@ -11,15 +11,16 @@ from contextlib import contextmanager
 
 import jsonschema
 
-from helpers import ext_triple_of, hom_triple_of, inverse, random_cocycle, \
-    random_gl, random_lambda_rep, random_two_vertex_rep
+from helpers import ext_triple_of, hom_triple_of, inverse, \
+    iter_rep_points_odometer, random_cocycle, random_gl, random_lambda_rep, \
+    random_two_vertex_rep
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
                      EXIT_SEMANTIC, run_command)
 from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness)
 from qvl.counting import (count_ext_points, count_hom_points,
                           count_rep_points, iter_ext_points, iter_hom_points,
-                          iter_rep_points, iter_rep_points_odometer)
+                          iter_rep_points)
 from qvl.dsl import parse_quiver_spec, print_quiver_spec
 from qvl.extensions import (ExtensionTriple, build_extension, cocycle_value,
                             mono_triple_from_extension, splitting_from_mono)

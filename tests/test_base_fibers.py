@@ -16,8 +16,8 @@ from qvl.counting import (BudgetExceededError, _Meter, _assignments,
                           _walk_fiber, count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_rep_points,
-                          iter_rep_points_odometer, rep_ambient_dim)
-from helpers import residual_kernel, typed
+                          rep_ambient_dim)
+from helpers import iter_rep_points_odometer, residual_kernel, typed
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import (block_shapes, cocycle_kernel,
                             cocycle_space_basis, cocycle_value)
@@ -446,8 +446,8 @@ def test_flat_pair_streams_cut_into_the_public_points(spec, q):
              lambda t: (t.quo.mats, t.sub.mats, t.blocks))):
         doubled, dims, crossing = _pair_walk(kind, pres, first, second)
         assert list(crossing.values()) == list(labels)
-        flat = [point for point, _ in _points_over(
-            doubled, field, dims, _Meter(), True, tuple(crossing))]
+        flat = list(_points_over(doubled, field, dims, _Meter(),
+                                 tuple(crossing)))
         assert flat == [sum(map(coordinates, parts(t),
                                 (arrows, arrows, labels)), ())
                         for t in points], text
@@ -485,14 +485,15 @@ def test_loop_points_equal_the_filtered_locus(case, q):
     streamed = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
                                  orbits=True, table=table))
     points = [point for point, _ in streamed]
-    assert {weight for _, weight in streamed} <= {1}
+    assert {table.weight(labels, q) for _, labels in streamed} <= {1}
     assert len(set(points)) == len(points)
     assert set(points) == set(_assignments(pres, field, dims, (),
                                            pres.quiver.loops(), loop_rels,
                                            _Meter()))
     weighted = list(_loop_points(pres, field, dims, loop_rels, _Meter(),
                                  orbits=False, table=table))
-    assert sum(weight for _, weight in weighted) == len(points)
+    assert sum(table.weight(labels, q) for _, labels in weighted) \
+        == len(points)
     assert {point for point, _ in weighted} <= set(points)
 
 
@@ -621,13 +622,13 @@ def test_census_hom_kernels_gather_one_column_systems(q):
     assert free == 1
 
 
-def _concatenated(pres, field, dims, orbits):
+def _concatenated(pres, field, dims):
     """The points of ``_points_over`` built the way the walk once built
     them: each point below the last layer followed by each vector of its
     kernel, put in the flat layout by one reorder per point; and the
     meter's steps."""
     meter = _Meter()
-    walked, fibers = _fibers(pres, field, dims, meter, orbits)
+    walked, _, fibers = _fibers(pres, field, dims, meter, orbits=True)
     layout = flat_layout(pres, dims, walked)
     order = [i for a in pres.quiver.arrow_names()
              for start, r, c in (layout[a],)
@@ -635,10 +636,10 @@ def _concatenated(pres, field, dims, orbits):
     assert order != sorted(order)
     size = rep_ambient_dim(pres, dims)
     points = []
-    for point, weight, basis in fibers:
+    for point, _, basis in fibers:
         for vec in _walk_fiber(field, size - len(point), basis, meter):
             full = point + tuple(vec)
-            points.append((tuple(full[i] for i in order), weight))
+            points.append(tuple(full[i] for i in order))
     return points, (meter.used, meter.planned)
 
 
@@ -651,10 +652,9 @@ def _concatenated(pres, field, dims, orbits):
     (hom_quiver(family_a_prime(3, 2, 2)),
      {"s0": 1, "s1": 1, "t0": 1, "t1": 1})],
     ids=["sandwich-121", "sandwich-221", "census-dims", "square-dims"])
-@pytest.mark.parametrize("orbits", [True, False])
-def test_lifted_points_equal_the_reordered_concatenation(pres, dims, orbits):
+def test_lifted_points_equal_the_reordered_concatenation(pres, dims):
     meter = _Meter()
-    lifted = list(_points_over(pres, GF(3), dims, meter, orbits))
+    lifted = list(_points_over(pres, GF(3), dims, meter))
     assert (lifted, (meter.used, meter.planned)) \
-        == _concatenated(pres, GF(3), dims, orbits)
+        == _concatenated(pres, GF(3), dims)
     assert lifted

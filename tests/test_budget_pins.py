@@ -20,6 +20,7 @@ from qvl.counting import (BudgetExceededError, _Meter, count_hom_points,
 from qvl.dsl import parse_quiver_spec
 from qvl.families import family_a
 from qvl.linalg import GF
+from test_rank_strata import FILTERED_LOOP_AT_END, LOOP_AT_END
 
 # a loop between two arrows: the walk needs the base arrow a
 SANDWICH = parse_quiver_spec("""quiver Sandwich {
@@ -85,6 +86,11 @@ WALKS = {
                                              budget=b),
     "rep-pairs": lambda b: count_rep_points(LOOPED_PAIRS, F3, {0: 5, 1: 5},
                                             budget=b),
+    "rep-ranked": lambda b: count_rep_points(
+        parse_quiver_spec(LOOP_AT_END), F3, {0: 2, 1: 2, 2: 2}, budget=b),
+    "rep-ranked-filter": lambda b: count_rep_points(
+        parse_quiver_spec(FILTERED_LOOP_AT_END), F3, {0: 2, 1: 2, 2: 2},
+        budget=b),
     "hom-copies": lambda b: count_hom_points(
         ZEROS, GF(2), {0: 0, 1: 2, 2: 0, 3: 2}, {0: 1, 1: 1, 2: 2, 3: 2},
         budget=b),
@@ -137,6 +143,12 @@ PINNED = {
     # one step per stratum row, 3 Jordan types of 5 per loop, and no walk:
     # the four arrows are one kernel above each row
     "rep-pairs": [_stop(0, 9)] * 2 + [LOOPED_PAIRS_COUNT] * 6,
+    # rank rows of the base arrow a beside the loop e: above the stratified
+    # locus one step per row, 2 Jordan types times 3 ranks; above the
+    # filtered one none, as the filter has taken one step for each of its
+    # 3^4 candidates (27 rows: 9 loop points times 3 ranks)
+    "rep-ranked": [_stop(0, 6)] * 2 + [3753] * 6,
+    "rep-ranked-filter": [_stop(0, 81)] * 4 + [3753] * 4,
     # one step per rank row of both copies' a2, a4 (1 * 1 * 2 * 3), then
     # per element of the middle layer, both copies' a0, a1, a3 (2^10 above
     # the first row): 1542 steps, where one layer grown across the copies

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import iter_rep_points_odometer
 from qvl import certificates, counting
 from qvl.certificates import (hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
@@ -14,8 +15,7 @@ from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           count_ext_points, count_hom_points,
                           count_mono_points, count_points, count_rep_points,
                           default_budget, iter_hom_points, iter_mono_points,
-                          iter_rep_points, iter_rep_points_odometer,
-                          leading_coefficient_probe)
+                          iter_rep_points, leading_coefficient_probe)
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
@@ -201,7 +201,7 @@ class TestJordanStrata:
             points = list(_loop_points(
                 pres, field, dims, loop_rels, _Meter(), orbits=True,
                 table=StratumTable(pres, field, dims, loop_rels)))
-            assert {weight for _, weight in points} == {1}
+            assert {labels for _, labels in points} == {()}
             return [point for point, _ in points]
 
         streamed = stream()
@@ -485,10 +485,10 @@ class TestCensus:
 
         def changed(*args, **kwargs):
             points = walk(*args, **kwargs)
-            point, weight = next(points)
+            point = next(points)
             if change == "repeat-image":
-                yield point, weight
-                yield (1,) + point[1:], weight
+                yield point
+                yield (1,) + point[1:]
             yield from points
 
         monkeypatch.setattr(certificates, "_points_over", changed)
@@ -508,14 +508,14 @@ class TestCensus:
 
         def off_variety(*args, **kwargs):
             points = walk(*args, **kwargs)
-            point, weight = next(points)
+            point = next(points)
             off = list(point)
             off[layout["f1"][0]] = off[layout["t_a1"][0]] = 1
             if change != "instead":
-                yield point, weight
+                yield point
             if change == "after-repeat":
-                yield point, weight
-            yield tuple(off), weight
+                yield point
+            yield tuple(off)
             yield from points
 
         monkeypatch.setattr(certificates, "_points_over", off_variety)
@@ -577,8 +577,8 @@ class TestCensus:
         walks = []
         for top in ((), ("t_a1", "f0")):
             meter = _Meter()
-            points = {point for point, _ in _points_over(
-                pres, F3, self.CENSUS_DIMS, meter, orbits=True, top=top)}
+            points = set(_points_over(pres, F3, self.CENSUS_DIMS, meter,
+                                      top=top))
             walks.append((points, meter.used, meter.planned))
         assert walks[0] == walks[1]
         assert len(walks[0][0]) == 3 + 3 - 1
@@ -620,7 +620,7 @@ class TestCensus:
             pres = family_a_prime(3, 2, 2)
             meter = _Meter()
             walk = list(_points_over(hom_quiver(pres), F3, self.CENSUS_DIMS,
-                                     meter, orbits=True))
+                                     meter))
             counts = (count_hom_points(pres, F3, {0: 0, 1: 1}, {0: 1, 1: 1}),
                       count_rep_points(parse_quiver_spec(SQUARE), F3,
                                        {0: 1, 1: 2, 2: 1, 3: 2}))

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from helpers import (copy_of, ext_triple_of, hom_triple_of, inverse,
-                     random_two_vertex_rep)
+                     iter_rep_points_odometer, random_two_vertex_rep)
 from qvl.counting import (count_ext_points, count_hom_points,
                           count_rep_points, iter_ext_points, iter_hom_points,
-                          iter_rep_points, iter_rep_points_odometer,
-                          rep_ambient_dim)
+                          iter_rep_points, rep_ambient_dim)
 from qvl.extensions import cocycle_value
 from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, TWIST, FamilyDescriptor,
                           FamilyParameterError, build_family, family_a,

@@ -9,10 +9,10 @@ import itertools
 
 import pytest
 
+from helpers import iter_rep_points_odometer
 from qvl.certificates import mono_reducibility_witness
 from qvl.counting import (BudgetExceededError, count_ext_points,
-                          count_hom_points, count_mono_points,
-                          iter_rep_points_odometer)
+                          count_hom_points, count_mono_points)
 from qvl.extensions import block_shapes, is_cocycle
 from qvl.families import family_a, family_a_prime, family_a_prime_commuting
 from qvl.linalg import GF, Matrix

@@ -7,10 +7,11 @@ import math
 
 import pytest
 
+from helpers import iter_rep_points_odometer
 from qvl.counting import (_layers, count_ext_points, count_hom_points,
                           count_mono_points, count_rep_points,
                           iter_ext_points, iter_hom_points, iter_mono_points,
-                          iter_rep_points_odometer, rep_ambient_dim)
+                          rep_ambient_dim)
 from qvl.dsl import parse_quiver_spec
 from qvl.linalg import GF
 from qvl.strata import StratumTable, rank_count
@@ -69,14 +70,40 @@ def test_rows_list_in_product_order():
     base, loop_rels, base_rels, _ = _layers(pres, dims)
     table = StratumTable(pres, GF(3), dims, loop_rels, base, base_rels)
     assert table.arrows == [(1, 2)]
-    loops = [((0, 1, 0, 0, 0, 0, 0, 0, 0), 104),
-             ((0,) * 9, 1)]
-    ranks = [((0, 0), 1), ((1, 0), 8)]
-    assert list(table.rows()) == [
-        (sum((point for point, _ in row), ()),
-         math.prod(weight for _, weight in row))
-        for row in itertools.product(loops, ranks)]
+    loops = [((2, 1), (0, 1, 0, 0, 0, 0, 0, 0, 0), 104),
+             ((1, 1, 1), (0,) * 9, 1)]
+    ranks = [(0, (0, 0), 1), (1, (1, 0), 8)]
+    rows = list(table.rows())
+    assert rows == [((lam, r), point + tail)
+                    for (lam, point, _), (r, tail, _)
+                    in itertools.product(loops, ranks)]
+    assert [table.weight(labels, 3) for labels, _ in rows] == [
+        w * v for (*_, w), (*_, v) in itertools.product(loops, ranks)]
     assert table.row_count() == 4
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_rank_weights_add_up_to_all_matrices(q):
+    # the one base arrow of the path, t x s: its matrices of each rank make
+    # up all q^(ts) of them, at every prime power q
+    pres = parse_quiver_spec(PATH)
+    for dims in itertools.product(range(4), repeat=3):
+        dims = dict(enumerate(dims))
+        base, loop_rels, base_rels, _ = _layers(pres, dims)
+        table = StratumTable(pres, GF(2), dims, loop_rels, base, base_rels)
+        [(t, s)] = table.arrows
+        assert sum(table.weight(labels, q) for labels in table.labels()) \
+            == q ** (t * s), dims
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_rows_are_the_same_over_every_field(name):
+    pres = parse_quiver_spec(CASES[name][0])
+    dims = {x: 2 for x in pres.quiver.vertices}
+    base, loop_rels, base_rels, _ = _layers(pres, dims)
+    two, five = (StratumTable(pres, GF(p), dims, loop_rels, base, base_rels)
+                 for p in (2, 5))
+    assert list(two.rows()) == list(five.rows())
 
 
 def _rank(rows, q):
@@ -121,9 +148,10 @@ def test_which_bases_have_rank_strata(name):
     table = StratumTable(pres, GF(2), dims, loop_rels, base, base_rels)
     assert (table.arrows is not None) == ranked
     if ranked:    # each loop row, then ranks 0, 1, 2 of each 2 x 2 arrow
-        loops = [w for _, w in StratumTable(pres, GF(2), dims,
-                                            loop_rels).rows()]
-        weights = [w for _, w in table.rows()]
+        loop_table = StratumTable(pres, GF(2), dims, loop_rels)
+        loops = [loop_table.weight(labels, 2)
+                 for labels in loop_table.labels()]
+        weights = [table.weight(labels, 2) for labels, _ in table.rows()]
         assert weights == [math.prod(ws) for ws in itertools.product(
             loops, *[[1, 9, 6]] * len(base))]
         assert table.row_count() == len(weights)

@@ -42,6 +42,20 @@ def test_counting_defines_none_of_the_stratum_math():
     assert MOVED & set(vars(counting)) == set()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_loop_weights_add_up_to_the_nilpotent_matrices(q):
+    # Fine-Herstein: there are q^(d^2 - d) nilpotent d x d matrices over
+    # F_q, the sum of the weights of the Jordan types of d with parts at
+    # most k >= d; the weights are formulas in q, at every prime power
+    for k in range(2, 6):
+        pres = family_lambda(k)
+        for d in range(k + 1):
+            loop_rels = counting._layers(pres, {0: d})[1]
+            table = strata.StratumTable(pres, GF(2), {0: d}, loop_rels)
+            assert sum(table.weight(labels, q) for labels in table.labels()) \
+                == q ** (d * d - d), (k, d)
+
+
 def test_partition_count_equals_the_listed_partitions():
     for d in range(12):
         for k in range(d + 2):
@@ -93,10 +107,12 @@ def test_rows_stream_one_at_a_time():
     assert table.row_count() == 135 ** 2
     tracemalloc.start()
     try:
-        point, weight = next(table.rows())
+        labels, point = next(table.rows())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+    assert labels == ((14,), (14,))
     assert point == 2 * strata._jordan_point((14,))
-    assert weight == strata.nilpotent_orbit_size((14,), 2) ** 2
+    assert table.weight(labels, 2) \
+        == strata.nilpotent_orbit_size((14,), 2) ** 2
