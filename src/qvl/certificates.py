@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import (_Meter, _fibers, _points_over, _span,
-                       count_rep_points, iter_rep_points)
+from .counting import (_Meter, _fibers, _points_over, count_rep_points,
+                       iter_rep_points)
 from .families import (FamilyParameterError, family_a, family_a_prime,
                        family_b)
 from .linalg import Matrix, PrimeField, Subspace
@@ -174,13 +174,21 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
     So the Jordan point of each stratum checks its whole orbit point by
     point, and stands for it weighted by the orbit size, as in the counts.
     Above a stratum the arrow solutions form the span K of the fiber
-    kernel, of dimension k.  mu = (a_i . w) / lam for a unit lam, so for
+    kernel, of dimension s, and the w the nonzero vectors of the loop's
+    kernel W, of dimension k.  mu = (a_i . w) / lam for a unit lam, so for
     each w the flag mu_1 != 0 is the linear functional v -> a_1(v) . w on
-    K, constant on the q - 1 scalars of a class: it holds on q^k - q^(k-1)
+    K, constant on the q - 1 scalars of a class: it holds on q^s - q^(s-1)
     solutions when it is nonzero on a basis vector of K, and on none
-    otherwise.  The walk plans one step per stratum up front, then one per
-    w above each stratum.  The samples are the points that a walk over
-    every point finds first, with lam = 1.
+    otherwise.  With reads[j][b] = a_1(v_j) . w_b on the bases of K and W,
+    it is nonzero for the q^k - q^(k-r) vectors w outside the kernel of
+    reads, r its rank, so one rank per stratum gives every count.  The walk
+    takes one step per source point and per stratum row, none per w.  The
+    samples are the points that a walk over every point finds first, with
+    lam = 1: in ``_span`` order the first w a functional is nonzero on is
+    the last basis vector it is nonzero on, so the full-rank sample takes
+    the zero solution and the last basis vector of W, and the mu_1 sample
+    the last basis vector of K that reads on W, with the last basis vector
+    of W it reads on.
     """
     if m < 2:
         raise FamilyParameterError(f"the witness needs m >= 2, got {m}")
@@ -250,38 +258,32 @@ def mono_reducibility_witness(m: int, l: int, n: int, q: int,
             if Subspace(field, l, loop_kernel) != \
                     Subspace(field, l, head_cols):
                 kernel_image_ok = False
-        ws = [tuple(w) for w in _span(field, loop_kernel, l) if any(w)]
         # re-check the defining constraint on the first arrow row of each
         # basis vector; linearity covers every solution
         firsts = [v[:l] for v in arrow_kernel]
         if any(dot(a, col) for a in firsts for col in head_cols):
             raise AssertionError("arrow solution violates its relation")
-
-        solutions = p ** len(arrow_kernel)
+        # reads[j][b] = a_1(v_j) . w_b; a w reads on some solution unless it
+        # lies in the kernel of reads, of dimension k - rank
+        reads = field.product(firsts, loop_kernel)
+        rank = len(field.row_reduce(reads, len(loop_kernel))[1])
+        solutions, ws = p ** len(arrow_kernel), p ** len(loop_kernel)
         cls = units * weight(labels, p)
-        last_read = -1
-        meter.precheck(len(ws))
-        for w in ws:
-            meter.tick()
-            read = max((j for j, a in enumerate(firsts) if dot(a, w)),
-                       default=-1)
-            hits = solutions - solutions // p if read >= 0 else 0
-            total += solutions * cls
-            count_u2 += hits * cls
-            if in_u1:
-                count_u1 += solutions * cls
-                count_both += hits * cls
-                implication_ok = implication_ok and not hits
-                if sample_u1 is None:     # the zero solution comes first
-                    sample_u1 = witness_point(loop, (0,) * (n * l), w)
-            last_read = max(last_read, read)
-        if sample_u2 is None and last_read >= 0:
-            # The solutions before basis vector j in _span order combine
-            # only later basis vectors, so the first one that any w reads is
-            # the last basis vector some w reads on.
-            values = arrow_kernel[last_read]
-            sample_u2 = witness_point(
-                loop, values, next(w for w in ws if dot(values[:l], w)))
+        pairs = solutions * (ws - 1) * cls
+        hits = (solutions - solutions // p) * (ws - ws // p ** rank) * cls
+        total += pairs
+        count_u2 += hits
+        if in_u1:
+            count_u1 += pairs
+            count_both += hits
+            implication_ok = implication_ok and not hits
+            if sample_u1 is None:     # the zero solution, the first w
+                sample_u1 = witness_point(loop, (0,) * (n * l),
+                                          loop_kernel[-1])
+        if sample_u2 is None and rank:
+            j = max(j for j, row in enumerate(reads) if any(row))
+            b = max(b for b, x in enumerate(reads[j]) if x)
+            sample_u2 = witness_point(loop, arrow_kernel[j], loop_kernel[b])
 
     samples_ok = all(
         _verify_witness_point(pres, field, m, l, n, pt)

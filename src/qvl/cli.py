@@ -371,13 +371,8 @@ def _cmd_classify(args):
 def _cmd_probe(args):
     qs = _parse_q_list(args.q_list)
     pres = _load_pres(args)
-
-    def task_for_q(q: int) -> EnumerationTask:
-        ns = argparse.Namespace(**vars(args))
-        ns.q = q
-        return _make_task(ns, pres, PrimeField(q))
-
-    report = leading_coefficient_probe(task_for_q, qs)
+    report = leading_coefficient_probe(
+        lambda q: _make_task(args, pres, PrimeField(q)), qs)
     result = {
         "counts": {str(q): c for q, c in report.counts.items()},
         "degree": report.degree,

@@ -47,7 +47,8 @@ in ``_span`` order.  The budget counts the steps taken: one per filter
 candidate, layer-0 point tried, loop point, element of a middle layer,
 point walked, and term of a Moebius sum or Hom vector a mono count walks;
 a count takes one per row that fixes the whole layer-0 point above Jordan
-strata, planned before any partition or orbit size is computed.
+strata, planned before any partition or orbit size is computed, and one per
+rank row above each loop point a filter accepts.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -338,19 +339,23 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
     with ``orbits`` and Jordan strata every point of each stratum once,
     labelled (); else each row of ``table`` above each loop point, the one
     empty point where there are strata and else each the filter accepts.
-    Orbit points, and rows that fix the whole layer-0 point above strata,
-    take one step each, planned up front; the filter pays for the others."""
+    Orbit points take one step each, planned up front.  A row that fixes
+    the whole layer-0 point takes one step, planned at each loop point,
+    where there are strata or its labels hold a rank; a filtered row with
+    no rank is the loop point itself, which the filter has paid for."""
     if orbits and table.loops is not None:
         meter.precheck(table.size())
         for point in table.orbit_points():
             meter.tick()
             yield point, ()
         return
-    step = int(table.loops is not None and table.arrows is not None)
-    meter.precheck(step * table.row_count())
+    step = int(table.arrows is not None
+               and (table.loops is not None or bool(table.arrows)))
+    planned = step * table.row_count()
     for point in (_assignments(pres, field, dims, (), pres.quiver.loops(),
                                loop_rels, meter)
                   if table.loops is None else [()]):
+        meter.precheck(planned)
         for labels, tail in table.rows():
             meter.tick(step)
             yield point + tail, labels

@@ -145,16 +145,17 @@ PINNED = {
     "rep-pairs": [_stop(0, 9)] * 2 + [LOOPED_PAIRS_COUNT] * 6,
     # rank rows of the base arrow a beside the loop e: above the stratified
     # locus one step per row, 2 Jordan types times 3 ranks; above the
-    # filtered one none, as the filter has taken one step for each of its
-    # 3^4 candidates (27 rows: 9 loop points times 3 ranks)
+    # filtered one the filter's 3^4 candidates, then one step per row, the
+    # 3 ranks planned at each of the 9 loop points it accepts: 108 steps
     "rep-ranked": [_stop(0, 6)] * 2 + [3753] * 6,
-    "rep-ranked-filter": [_stop(0, 81)] * 4 + [3753] * 4,
+    "rep-ranked-filter": [_stop(0, 81)] * 4 + [_stop(100, 105)]
+    + [3753] * 3,
     # one step per rank row of both copies' a2, a4 (1 * 1 * 2 * 3), then
     # per element of the middle layer, both copies' a0, a1, a3 (2^10 above
     # the first row): 1542 steps, where one layer grown across the copies
     # walked 5249
     "hom-copies": [_stop(0, 6)] * 2 + [_stop(1, 1030)] * 5 + [33392],
-    "witness": [_stop(1, 4), _stop(1, 4), _stop(8, 16)] + [WITNESS] * 5,
+    "witness": [_stop(1, 4), _stop(1, 4)] + [WITNESS] * 6,
     "census": [_stop(0, 243)] * 5 + [_stop(245, 328)]
     + [(4, 3, 83, 81, 3, True, True)] * 2,
 }

@@ -523,6 +523,16 @@ class TestCensus:
                            match="^homomorphism point violates a_i b = 0$"):
             hom_counterexample_census(2, 3)
 
+    def test_candidates_off_the_union_fail_it(self, monkeypatch):
+        # an odometer that keeps every (b, a): the 27 candidates are not
+        # the 9 with b = 0 and the 3 with a = 0, which meet in the origin
+        monkeypatch.setattr(certificates, "filter", lambda f, xs: xs,
+                            raising=False)
+        res = hom_counterexample_census(2, 3)
+        assert (res.total, res.count_b_zero, res.count_a_zero) == (27, 9, 3)
+        assert res.union_verified is False
+        assert not res.hom_bijection_verified
+
     @pytest.mark.parametrize("change,walks", [(None, 1), ("drop", 2)])
     def test_only_a_failed_census_walks_twice(self, change, walks,
                                               monkeypatch):
@@ -738,6 +748,57 @@ class TestWitness:
           ((1, 0), 1, ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
            ((0, 0, 1), (0, 0, 0)), (0, 0, 1)),
           True, True, True)),
+        # reach sizes: above the zero loop W holds 5^6 and 3^10 vectors w
+        ((6, 6, 2, 5),
+         (6, 6, 2, 5, "A(2,6,5)", 1781063615060073852539062500000,
+          691529713875000000000000000000, 871627120948059082031250000000, 0,
+          ((0, 0), 1,
+           ((0, 1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 0, 0, 0)),
+           ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)), (1, 0, 0, 0, 0, 0)),
+          ((1, 0), 1,
+           ((0, 1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0)),
+           ((0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0)), (0, 0, 0, 0, 0, 1)),
+          True, True, True)),
+        ((10, 10, 1, 3),
+         (10, 10, 1, 3, "A(1,10,9)",
+          1937497421669155221828314389759185314816179001712,
+          577357667470752119057948520224832730516212940800,
+          906759836132268735180243913022901722866644040608, 0,
+          ((0,), 1,
+           ((0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+           ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0),), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+          ((1,), 1,
+           ((0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+           ((0, 0, 0, 0, 0, 0, 0, 0, 0, 1),), (0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+          True, True, True)),
     ])
     def test_full_report_pinned(self, args, expected):
         assert dataclasses.astuple(mono_reducibility_witness(*args)) \
@@ -793,8 +854,10 @@ class TestWitness:
             mono_reducibility_witness(2, 2, 0, 2)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            mono_reducibility_witness(2, 2, 1, 3, budget=10)
+        # 3 source points, then the 3 stratum rows of the target
+        with pytest.raises(BudgetExceededError,
+                           match="stopped after 4 of 6 planned steps"):
+            mono_reducibility_witness(2, 2, 1, 3, budget=5)
 
 
 class TestProductCheck:
