@@ -244,7 +244,12 @@ def _cmd_extend(args):
     quo, sub, data = _load_files(args, pres, "quo", "sub", data="blocks")
     _require_points(args, pres, quo=quo, sub=sub)
     blocks = blocks_from_json(pres, sub.dims, quo.dims, data)
-    middle, incl, proj = build_extension(quo, sub, blocks)
+    try:
+        middle, incl, proj = build_extension(quo, sub, blocks)
+    except ValueError as exc:
+        # both sides are points and the blocks have their shapes and field,
+        # so what fails is a cocycle equation: bad input, not a failed check
+        raise CliSemanticError(f"--blocks {args.blocks}: {exc}") from exc
     result = {"middle": rep_to_json(middle),
               "inclusion": morphism_to_json(incl),
               "projection": morphism_to_json(proj)}

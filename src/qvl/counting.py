@@ -386,7 +386,7 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
             yield point, labels, kernel(point)
             return
         for vec in _walk_fiber(field, size, kernel(point), meter):
-            yield from above(point + tuple(vec), labels, level + 1)
+            yield from above(point + vec, labels, level + 1)
 
     def stream():
         for loops, labels in _loop_points(pres, field, dims, loop_rels, meter,
@@ -419,10 +419,9 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
 
     for point, _, basis in fibers:
         at = places[len(point):]
-        for full in _walk_fiber(field, len(places),
-                                [lift(vec, at) for vec in basis], meter,
-                                lift(point, places)):
-            yield tuple(full)
+        yield from _walk_fiber(field, len(places),
+                               [lift(vec, at) for vec in basis], meter,
+                               lift(point, places))
 
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
@@ -482,22 +481,49 @@ def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 
 
 def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
-          start: Optional[list] = None) -> Iterator[list]:
-    """``start`` (zero by default) plus every linear combination of the
-    kernel vectors, as a list of ``size`` entries, with coefficients in
-    itertools.product order (the last one varies fastest).  Where kernel[i]
-    steps up, every later coefficient wraps from p - 1 to 0, and p times a
-    vector is zero: so each vector is the previous one plus the step
-    kernel[i] + kernel[i + 1] + ... + kernel[-1], computed once per i."""
-    p = field.p
-    steps, tail = [], [0] * size    # steps[j]: the step of kernel[-1 - j]
-    for vec in reversed(kernel):
+          start: Optional[list] = None) -> Iterator[tuple]:
+    """``start`` (a list of field elements, zero by default) plus every
+    linear combination of the kernel vectors, as a tuple of ``size``
+    entries, with coefficients in itertools.product order (the last one
+    varies fastest).
+
+    The last t vectors are inner: each coordinate they move gets, once, a
+    table of the p^t values of their span there, shifted by each o in
+    [0, p).  The points then come in blocks of p^t, one per combination
+    of the outer vectors, each block one ``zip`` of the tables read at
+    that combination's coordinates (``repeat`` where no inner vector
+    moves one).  t is ceil(k/2) where there are coordinates and p^k >= 64,
+    lowered until a table of p^(t+1) entries holds at most 1024, and else
+    0: each block one point.  Where outer coefficient i steps up, every
+    later one wraps from p - 1 to 0, and p times a vector is zero: so each
+    combination is the previous one plus the step kernel[i] + ... +
+    kernel[k - t - 1], computed once per i."""
+    p, k = field.p, len(kernel)
+    t = -(-k // 2) if size and p ** k >= 64 else 0
+    while t and p ** (t + 1) > 1024:
+        t -= 1
+    block = p ** t
+    outer, inner = kernel[:k - t], kernel[k - t:]
+    shifts = [[*range(o, p), *range(o)] for o in range(p)] if t else []
+    tables = []    # tables[i][o]: o plus the inner span at coordinate i
+    for i in range(size if t else 0):
+        col = [0]
+        for vec in inner:
+            col = [(x + c * vec[i]) % p for x in col for c in range(p)]
+        tables.append([tuple(map(shift.__getitem__, col)) for shift in shifts]
+                      if any(col) else None)
+    steps, tail = [], [0] * size    # steps[j]: the step of outer[-1 - j]
+    for vec in reversed(outer):
         tail = [(x + y) % p for x, y in zip(tail, vec)]
         steps.append(tail)
     acc = start or [0] * size
-    coeffs = [0] * len(kernel)      # coeffs[j]: of kernel[-1 - j]
+    coeffs = [0] * len(outer)       # coeffs[j]: of outer[-1 - j]
     while True:
-        yield acc
+        if t:
+            yield from zip(*[table[o] if table else itertools.repeat(o, block)
+                             for table, o in zip(tables, acc)])
+        else:
+            yield tuple(acc)
         j = 0
         while j < len(coeffs) and coeffs[j] == p - 1:
             coeffs[j] = 0
@@ -510,9 +536,10 @@ def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
 
 def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter,
                 start: Optional[list] = None):
-    """Every element of ``start`` plus the span of ``kernel``, as a list of
-    ``size`` entries in ``_span`` order, with one step planned and taken
-    per element."""
+    """Every element of ``start`` plus the span of ``kernel``, as a tuple
+    of ``size`` entries in ``_span`` order, with one step planned and
+    taken per element as it is yielded: a walk of a middle layer nests
+    the walks above it, so no step is taken ahead of their prechecks."""
     meter.precheck(field.p ** len(kernel))
     for vec in _span(field, kernel, size, start):
         meter.tick()

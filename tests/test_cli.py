@@ -590,8 +590,10 @@ class TestFileCommands:
         code, report = run(["extend", "--family", "Lambda", "--m", "2",
                             "--quo", str(two), "--sub", str(two),
                             "--blocks", str(blocks)])
-        assert code == EXIT_FAIL
-        assert report["error"]["type"] == "validation"
+        assert code == EXIT_SEMANTIC
+        assert report["error"]["type"] == "semantic"
+        assert report["error"]["message"] == (
+            f"--blocks {blocks}: blocks violate the cocycle equation of e*e")
 
 
 # Lambda(2) files over Q with fractional entries: two points of dim 2, a

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import iter_rep_points_odometer
 from qvl import certificates, counting
-from qvl.certificates import (hom_counterexample_census,
+from qvl.certificates import (CensusResult, hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
                           _assignments, _layers, _loop_points,
@@ -560,6 +560,13 @@ class TestCensus:
     def test_census_at_the_workload_sizes(self, n, q, result):
         # the certify workload's census-hom --n 7 --q 3, and CI's n = 12
         assert dataclasses.astuple(hom_counterexample_census(n, q)) == result
+
+    @pytest.mark.parametrize("n,q", [(9, 3), (2, 101)])
+    def test_census_through_table_and_single_point_walks(self, n, q):
+        # the b = 0 fiber spans n free a_i: 3^9 points walk in table
+        # blocks, 101^2 one at a time (p = 101 is too large for a table)
+        assert hom_counterexample_census(n, q) == CensusResult(
+            n, q, q ** n + q - 1, q ** n, q, True, True)
 
     # the census walks the doubled quiver at these dims, where f0 and the
     # source's arrows s_ai have no entries

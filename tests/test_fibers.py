@@ -6,8 +6,10 @@ import ast
 import itertools
 import json
 import math
+import operator
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -273,12 +275,12 @@ class TestSpan:
         got = list(_span(F3, kernel, 4))
         expected = []
         for coeffs in itertools.product(range(3), repeat=len(kernel)):
-            expected.append([sum(c * v[i] for c, v in zip(coeffs, kernel)) % 3
-                             for i in range(4)])
+            expected.append(tuple(sum(c * v[i] for c, v in zip(coeffs, kernel))
+                                  % 3 for i in range(4)))
         assert got == expected
 
     def test_empty_kernel_gives_the_zero_vector(self):
-        assert list(_span(F5, [], 3)) == [[0, 0, 0]]
+        assert list(_span(F5, [], 3)) == [(0, 0, 0)]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("k", range(4))
@@ -286,16 +288,69 @@ class TestSpan:
         rng = random.Random(10 * p + k)
         kernel = [[rng.randrange(p) for _ in range(4)] for _ in range(k)]
         start = [rng.randrange(p) for _ in range(4)]
-        expected = [[(start[i] + sum(c * v[i] for c, v in zip(coeffs, kernel)))
-                     % p for i in range(4)]
+        expected = [tuple((start[i] + sum(c * v[i]
+                                          for c, v in zip(coeffs, kernel)))
+                          % p for i in range(4))
                     for coeffs in itertools.product(range(p), repeat=k)]
         assert list(_span(GF(p), kernel, 4, list(start))) == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("k", range(4))
     def test_size_zero(self, p, k):
-        assert list(_span(GF(p), [[]] * k, 0)) == [[]] * p ** k
-        assert list(_span(GF(p), [[]] * k, 0, [])) == [[]] * p ** k
+        assert list(_span(GF(p), [[]] * k, 0)) == [()] * p ** k
+        assert list(_span(GF(p), [[]] * k, 0, [])) == [()] * p ** k
+
+    # p up to 101 and k <= 4, spans of at most 20000 points: large spans
+    # with p^2 <= 1024 walk in table blocks, the rest (and p = 37, 101 at
+    # k = 2) one point at a time
+    GRID = [(p, k, size) for p in (2, 3, 5, 7, 11, 13, 31, 37, 101)
+            for k in range(5) if p ** k <= 20000 for size in (0, 1, 4, 9)]
+
+    @staticmethod
+    def _kernel(p, k, size, rng):
+        # coordinate 0 is moved by no vector, and about a third of the
+        # other entries are zero
+        return [[rng.randrange(p) if i and rng.random() < 0.7 else 0
+                 for i in range(size)] for _ in range(k)]
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    @pytest.mark.parametrize("p,k,size", GRID)
+    def test_matches_brute_force_sums(self, p, k, size, with_start):
+        rng = random.Random(1000 * p + 10 * k + size)
+        kernel = self._kernel(p, k, size, rng)
+        start = [rng.randrange(p) for _ in range(size)] if with_start else None
+        base = start or [0] * size
+        expected = [tuple((base[i] + sum(map(operator.mul, coeffs, column)))
+                          % p for i, column in enumerate(zip(*kernel)))
+                    if k else tuple(base)
+                    for coeffs in itertools.product(range(p), repeat=k)]
+        assert list(_span(GF(p), kernel, size, start and list(start))) \
+            == expected
+
+    def test_grid_reaches_table_and_single_point_walks(self):
+        def blocked(p, k, size):
+            walk = _span(GF(p), self._kernel(p, k, size, random.Random(0)),
+                         size)
+            next(walk)
+            return walk.gi_frame.f_locals["t"] > 0
+
+        seen = {(p, k, size): blocked(p, k, size) for p, k, size in self.GRID}
+        assert seen[3, 4, 9] and seen[31, 2, 4] and seen[13, 3, 1]
+        assert not (seen[37, 2, 9] or seen[101, 2, 9] or seen[2, 4, 9]
+                    or seen[7, 4, 0])
+
+    def test_a_large_span_streams(self):
+        # the first 1000 of 2^40 points, read without building the walk
+        units = [[int(i == j) for i in range(40)] for j in range(40)]
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(_span(F2, units, 40), 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        assert first == [tuple(int(bit) for bit in format(i, "040b"))
+                         for i in range(1000)]
 
 
 class TestPinnedBases:
