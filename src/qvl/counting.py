@@ -480,6 +480,21 @@ def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 # --- hom / mono / ext points ---------------------------------------------
 
 
+def _inner_count(p: int, k: int, size: int) -> int:
+    """How many of k kernel vectors ``_span`` walks in table blocks:
+    ceil(k/2) where there are coordinates, k >= 2 and the span has at
+    least 64 points, lowered while its tables, size * p^(t+1) entries,
+    would hold more than 2^17 (about 1 MiB of pointers); else 0.  Below
+    64 points the tables can cost more than they save, and at k = 1
+    (t = k) a table outgrows the span itself."""
+    if not size or k < 2 or p ** k < 64:
+        return 0
+    t = -(-k // 2)
+    while t and size * p ** (t + 1) > 1 << 17:
+        t -= 1
+    return t
+
+
 def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
           start: Optional[list] = None) -> Iterator[tuple]:
     """``start`` (a list of field elements, zero by default) plus every
@@ -487,21 +502,18 @@ def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
     entries, with coefficients in itertools.product order (the last one
     varies fastest).
 
-    The last t vectors are inner: each coordinate they move gets, once, a
-    table of the p^t values of their span there, shifted by each o in
-    [0, p).  The points then come in blocks of p^t, one per combination
-    of the outer vectors, each block one ``zip`` of the tables read at
-    that combination's coordinates (``repeat`` where no inner vector
-    moves one).  t is ceil(k/2) where there are coordinates and p^k >= 64,
-    lowered until a table of p^(t+1) entries holds at most 1024, and else
-    0: each block one point.  Where outer coefficient i steps up, every
-    later one wraps from p - 1 to 0, and p times a vector is zero: so each
-    combination is the previous one plus the step kernel[i] + ... +
+    The last ``_inner_count(p, k, size)`` = t vectors are inner: each
+    coordinate they move gets, once, a table of the p^t values of their
+    span there, shifted by each o in [0, p).  The points then come in
+    blocks of p^t, one per combination of the outer vectors, each block one
+    ``zip`` of the tables read at that combination's coordinates
+    (``repeat`` where no inner vector moves one); at t = 0 each block is
+    the one point ``tuple(acc)``.  Where outer coefficient i steps up,
+    every later one wraps from p - 1 to 0, and p times a vector is zero: so
+    each combination is the previous one plus the step kernel[i] + ... +
     kernel[k - t - 1], computed once per i."""
     p, k = field.p, len(kernel)
-    t = -(-k // 2) if size and p ** k >= 64 else 0
-    while t and p ** (t + 1) > 1024:
-        t -= 1
+    t = _inner_count(p, k, size)
     block = p ** t
     outer, inner = kernel[:k - t], kernel[k - t:]
     shifts = [[*range(o, p), *range(o)] for o in range(p)] if t else []

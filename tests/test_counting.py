@@ -561,10 +561,11 @@ class TestCensus:
         # the certify workload's census-hom --n 7 --q 3, and CI's n = 12
         assert dataclasses.astuple(hom_counterexample_census(n, q)) == result
 
-    @pytest.mark.parametrize("n,q", [(9, 3), (2, 101)])
+    @pytest.mark.parametrize("n,q", [(9, 3), (2, 101), (3, 3), (1, 101)])
     def test_census_through_table_and_single_point_walks(self, n, q):
-        # the b = 0 fiber spans n free a_i: 3^9 points walk in table
-        # blocks, 101^2 one at a time (p = 101 is too large for a table)
+        # the b = 0 fiber spans n free a_i: 3^9 and 101^2 points walk in
+        # table blocks (t = 5 and 1), 3^3 and 101 one at a time (under 64
+        # points, and k = 1)
         assert hom_counterexample_census(n, q) == CensusResult(
             n, q, q ** n + q - 1, q ** n, q, True, True)
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_two_vertex_rep, residual_kernel, typed
-from qvl.counting import _span, iter_ext_points, iter_hom_points
+from qvl.counting import (_inner_count, _span, iter_ext_points,
+                          iter_hom_points)
 from qvl.extensions import (block_shapes, build_extension,
                             cocycle_space_basis, is_cocycle,
                             splitting_from_mono)
@@ -300,11 +301,12 @@ class TestSpan:
         assert list(_span(GF(p), [[]] * k, 0)) == [()] * p ** k
         assert list(_span(GF(p), [[]] * k, 0, [])) == [()] * p ** k
 
-    # p up to 101 and k <= 4, spans of at most 20000 points: large spans
-    # with p^2 <= 1024 walk in table blocks, the rest (and p = 37, 101 at
-    # k = 2) one point at a time
+    # p up to 101 and k <= 4, spans of at most 20000 points, and two
+    # where the table bound lowers t: (31, 3, 9) from 2 to 1 and
+    # (101, 2, 16) from 1 to 0
     GRID = [(p, k, size) for p in (2, 3, 5, 7, 11, 13, 31, 37, 101)
-            for k in range(5) if p ** k <= 20000 for size in (0, 1, 4, 9)]
+            for k in range(5) if p ** k <= 20000
+            for size in (0, 1, 4, 9)] + [(31, 3, 9), (101, 2, 16)]
 
     @staticmethod
     def _kernel(p, k, size, rng):
@@ -328,16 +330,15 @@ class TestSpan:
             == expected
 
     def test_grid_reaches_table_and_single_point_walks(self):
-        def blocked(p, k, size):
-            walk = _span(GF(p), self._kernel(p, k, size, random.Random(0)),
-                         size)
-            next(walk)
-            return walk.gi_frame.f_locals["t"] > 0
-
-        seen = {(p, k, size): blocked(p, k, size) for p, k, size in self.GRID}
-        assert seen[3, 4, 9] and seen[31, 2, 4] and seen[13, 3, 1]
-        assert not (seen[37, 2, 9] or seen[101, 2, 9] or seen[2, 4, 9]
-                    or seen[7, 4, 0])
+        inner = {case: _inner_count(*case) for case in self.GRID}
+        # table blocks: ceil(k/2) at small and large p, and lowered by the
+        # bound on the tables' entries
+        assert (inner[3, 4, 9], inner[13, 3, 1], inner[37, 2, 9],
+                inner[101, 2, 9], inner[31, 3, 9]) == (2, 2, 1, 1, 1)
+        # a point at a time: under 64 points, no coordinates, k = 1, and
+        # where even t = 1 would pass the bound
+        assert not (inner[2, 4, 9] or inner[7, 4, 0] or inner[101, 1, 9]
+                    or inner[101, 2, 16])
 
     def test_a_large_span_streams(self):
         # the first 1000 of 2^40 points, read without building the walk
