@@ -12,7 +12,9 @@ variety, and the product identity of the corner families.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .counting import (_Meter, _fibers, _points_over, count_rep_points,
@@ -20,8 +22,9 @@ from .counting import (_Meter, _fibers, _points_over, count_rep_points,
 from .families import (FamilyParameterError, family_a, family_a_prime,
                        family_b)
 from .linalg import Matrix, PrimeField, Subspace
-from .quiver import BoundQuiver, hom_quiver
-from .reps import Morphism, Representation, flat_layout, is_monomorphism
+from .quiver import BoundQuiver
+from .reps import (Morphism, Representation, _doubling, flat_layout,
+                   is_monomorphism)
 
 
 @dataclass
@@ -51,16 +54,20 @@ def hom_counterexample_census(n: int, q: int,
     two-vertex homomorphism variety (source concentrated at vertex 1,
     target one-dimensional at both vertices) are verified point by point.
 
-    The odometer makes one b-major pass: (b, a) is a candidate when each
-    a_i lies in the annihilator of b; the b = 0 and a = 0 parts and their
-    union are read off the candidate set.  The Hom triples are walked on
-    ``hom_quiver(A'(n,2,2))``, b the entry of f1 and the a_i the target's
-    arrows; for n >= 2 its tower walks one linear fiber per value of b.
-    Each point's (b, a) is taken out of the candidate set, the one set the
-    census holds: when as many points as candidates empty it, the images
-    are distinct candidates and the walk is a bijection.  Only otherwise
-    does a second walk say why: a point off a_i b = 0 raises at once, a
-    repeated point once the walk ends, and else the bijection reads false.
+    The candidates are listed, not filtered: for each b, (b, a) for every
+    a in the n-th power of the annihilator of b in Z/q.  The meter still
+    takes one step per pair (b, a) of the ambient space, q^(n+1) planned up
+    front and q^n taken per b.  The b = 0 and a = 0 parts and their union
+    are read off the candidate set.  The Hom triples are walked on
+    ``hom_quiver(A'(n,2,2))``, kept per process by ``reps._doubling``, b
+    the entry of f1 and the a_i the target's arrows; for n >= 2 its tower
+    walks one linear fiber per value of b.  Each point's (b, a) is taken
+    out of the candidate set, the one set the census holds, by C-level
+    maps over the walk, which a ``zip`` with ``itertools.count`` counts:
+    when as many points as candidates empty it, the images are distinct
+    candidates and the walk is a bijection.  Only otherwise does a second
+    walk say why: a point off a_i b = 0 raises at once, a repeated point
+    once the walk ends, and else the bijection reads false.
     """
     if n < 1:
         raise FamilyParameterError(f"the census needs n >= 1, got {n}")
@@ -71,10 +78,12 @@ def hom_counterexample_census(n: int, q: int,
     points = set()
     for b in elements:
         meter.tick(q ** n)
-        annihilator = {a for a in elements if a * b % q == 0}
+        # the a with a b = 0 mod q, in increasing order: the multiples of
+        # q / gcd(b, q)
+        annihilator = range(0, q, q // gcd(b, q))
         before = len(points)
-        points.update(zip(itertools.repeat(b), filter(
-            annihilator.issuperset, itertools.product(elements, repeat=n))))
+        points.update(zip(itertools.repeat(b),
+                          itertools.product(annihilator, repeat=n)))
         if b == 0:
             count_b_zero = len(points) - before
     total = len(points)
@@ -84,20 +93,17 @@ def hom_counterexample_census(n: int, q: int,
     # origin, exactly when the parts add up to all of them
     union_ok = total == count_b_zero + count_a_zero - ((0, a_zero) in points)
 
-    pres = hom_quiver(family_a_prime(n, 2, 2))
+    pres = _doubling(False, family_a_prime(n, 2, 2))
     dims = {"s0": 0, "s1": 1, "t0": 1, "t1": 1}
     layout = flat_layout(pres, dims)
     b_at = layout["f1"][0]
     a_from, a_to = layout["t_a1"][0], layout[f"t_a{n}"][0] + 1
-    walked = 0
-
-    def images():
-        nonlocal walked
-        for point in _points_over(pres, field, dims, meter):
-            walked += 1
-            yield point[b_at], point[a_from:a_to]
-
-    points.difference_update(images())
+    counter = itertools.count()
+    points.difference_update(map(
+        operator.itemgetter(b_at, slice(a_from, a_to)),
+        map(operator.itemgetter(0),
+            zip(_points_over(pres, field, dims, meter), counter))))
+    walked = next(counter)
     bijective = walked == total and not points
     if not bijective:
         # the same walk again, so it yields ``walked`` points

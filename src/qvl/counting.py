@@ -45,10 +45,12 @@ partitions largest part first, each orbit breadth-first from J_lam, then
 the layer-0 arrows in itertools.product order, then each layer's kernel
 in ``_span`` order.  The budget counts the steps taken: one per filter
 candidate, layer-0 point tried, loop point, element of a middle layer,
-point walked, and term of a Moebius sum or Hom vector a mono count walks;
-a count takes one per row that fixes the whole layer-0 point above Jordan
-strata, planned before any partition or orbit size is computed, and one per
-rank row above each loop point a filter accepts.
+point walked, and term of a Moebius sum or Hom vector a mono count walks
+(a point walked and a Hom vector lie in a top layer, whose steps are
+taken a block at a time: see ``_Meter``); a count takes one per row that
+fixes the whole layer-0 point above Jordan strata, planned before any
+partition or orbit size is computed, and one per rank row above each loop
+point a filter accepts.
 
 Counts are evidence, never proof; the certificates are in ``qvl.certificates``.
 """
@@ -96,7 +98,16 @@ class _Meter:
     """Counts enumeration steps against the budget, by default
     ``default_budget()``: every walk plans its steps with ``precheck``
     before taking them with ``tick``, so an error can say how far the run
-    got.  A walk given no meter runs under a fresh default one."""
+    got.  A walk given no meter runs under a fresh default one.
+
+    A middle layer, with walks nested above it, takes one step per element
+    as it is yielded (``_walk_fiber``).  A top layer, with nothing walked
+    above it, takes each block's steps as the block starts, after its
+    precheck (``_top_blocks``): no tick inside it can stop, so every stop
+    and the (used, planned) of a complete walk are those of one step per
+    point.  A caller that leaves a top-layer stream inside a block and goes
+    on with the same meter would read ``used`` ahead by the rest of that
+    block; no caller in qvl does."""
 
     __slots__ = ("budget", "used", "planned")
 
@@ -404,7 +415,10 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
     """Every point of the variety once: each point of the last layer's
     kernel over each point of the orbit walk of ``_fibers``, flat as
     ``flat_layout`` lays it out, spanned straight from each point and
-    kernel vector lifted once to that layout."""
+    kernel vector lifted once to that layout.  The last layer is a top
+    layer: its span plans p^k steps and takes them per block
+    (``_top_blocks``), and its points stream as one chain of blocks, while
+    the walk below it takes one step per element."""
     walked, _, fibers = _fibers(pres, field, dims, meter, True, top)
     # the place of each coordinate of a walked point in the flat point
     layout = flat_layout(pres, dims)
@@ -417,11 +431,14 @@ def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
             full[i] = x
         return full
 
-    for point, _, basis in fibers:
-        at = places[len(point):]
-        yield from _walk_fiber(field, len(places),
-                               [lift(vec, at) for vec in basis], meter,
-                               lift(point, places))
+    def blocks():
+        for point, _, basis in fibers:
+            at = places[len(point):]
+            yield from _top_blocks(field, len(places),
+                                   [lift(vec, at) for vec in basis], meter,
+                                   lift(point, places))
+
+    return itertools.chain.from_iterable(blocks())
 
 
 def _rep_builder(pres: BoundQuiver, field: PrimeField, dims):
@@ -495,47 +512,13 @@ def _inner_count(p: int, k: int, size: int) -> int:
     return t
 
 
-def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
-          start: Optional[list] = None) -> Iterator[tuple]:
-    """``start`` (a list of field elements, zero by default) plus every
-    linear combination of the kernel vectors, as a tuple of ``size``
-    entries, with coefficients in itertools.product order (the last one
-    varies fastest).
-
-    The last ``_inner_count(p, k, size)`` = t vectors are inner: each
-    coordinate they move gets, once, a table of the p^t values of their
-    span there, shifted by each o in [0, p).  The points then come in
-    blocks of p^t, one per combination of the outer vectors, each block one
-    ``zip`` of the tables read at that combination's coordinates
-    (``repeat`` where no inner vector moves one); at t = 0 each block is
-    the one point ``tuple(acc)``.  Where outer coefficient i steps up,
-    every later one wraps from p - 1 to 0, and p times a vector is zero: so
-    each combination is the previous one plus the step kernel[i] + ... +
-    kernel[k - t - 1], computed once per i."""
-    p, k = field.p, len(kernel)
-    t = _inner_count(p, k, size)
-    block = p ** t
-    outer, inner = kernel[:k - t], kernel[k - t:]
-    shifts = [[*range(o, p), *range(o)] for o in range(p)] if t else []
-    tables = []    # tables[i][o]: o plus the inner span at coordinate i
-    for i in range(size if t else 0):
-        col = [0]
-        for vec in inner:
-            col = [(x + c * vec[i]) % p for x in col for c in range(p)]
-        tables.append([tuple(map(shift.__getitem__, col)) for shift in shifts]
-                      if any(col) else None)
-    steps, tail = [], [0] * size    # steps[j]: the step of outer[-1 - j]
-    for vec in reversed(outer):
-        tail = [(x + y) % p for x, y in zip(tail, vec)]
-        steps.append(tail)
-    acc = start or [0] * size
-    coeffs = [0] * len(outer)       # coeffs[j]: of outer[-1 - j]
+def _combinations(p: int, steps: Sequence[list], acc: list):
+    """``acc`` and each later combination of ``_span_blocks``'s outer
+    vectors, as tuples in itertools.product order: where coefficient j
+    from the last steps up, the combination moves by ``steps[j]``."""
+    coeffs = [0] * len(steps)       # coeffs[j]: the one steps[j] adds
     while True:
-        if t:
-            yield from zip(*[table[o] if table else itertools.repeat(o, block)
-                             for table, o in zip(tables, acc)])
-        else:
-            yield tuple(acc)
+        yield tuple(acc)
         j = 0
         while j < len(coeffs) and coeffs[j] == p - 1:
             coeffs[j] = 0
@@ -546,16 +529,84 @@ def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
         acc = [(x + y) % p for x, y in zip(acc, steps[j])]
 
 
+def _span_blocks(field: PrimeField, kernel: Sequence[Sequence[int]],
+                 size: int, start: Optional[list] = None):
+    """The points of ``_span``, in its order, as (number of points, an
+    iterator over them) per block.
+
+    The last ``_inner_count(p, k, size)`` = t vectors are inner: each
+    coordinate they move gets, once, a table of the p^t values of their
+    span there, shifted by each o in [0, p).  The points then come in
+    blocks of p^t, one per combination of the outer vectors, each block one
+    ``zip`` of the tables read at that combination's coordinates
+    (``repeat`` where no inner vector moves one).  At t = 0 the whole span
+    is one block, the combinations themselves.  Where outer coefficient i
+    steps up, every later one wraps from p - 1 to 0, and p times a vector
+    is zero: so each combination is the previous one plus the step
+    kernel[i] + ... + kernel[k - t - 1], computed once per i."""
+    p, k = field.p, len(kernel)
+    t = _inner_count(p, k, size)
+    steps, tail = [], [0] * size    # steps[j]: the step of kernel[k-t-1-j]
+    for vec in reversed(kernel[:k - t]):
+        tail = [(x + y) % p for x, y in zip(tail, vec)]
+        steps.append(tail)
+    combinations = _combinations(p, steps, start or [0] * size)
+    if not t:
+        yield p ** k, combinations
+        return
+    block = p ** t
+    shifts = [[*range(o, p), *range(o)] for o in range(p)]
+    tables = []    # tables[i][o]: o plus the inner span at coordinate i
+    for i in range(size):
+        col = [0]
+        for vec in kernel[k - t:]:
+            col = [(x + c * vec[i]) % p for x in col for c in range(p)]
+        tables.append([tuple(map(shift.__getitem__, col)) for shift in shifts]
+                      if any(col) else None)
+    for acc in combinations:
+        yield block, zip(*[table[o] if table else itertools.repeat(o, block)
+                           for table, o in zip(tables, acc)])
+
+
+def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
+          start: Optional[list] = None) -> Iterator[tuple]:
+    """``start`` (a list of field elements, zero by default) plus every
+    linear combination of the kernel vectors, as a tuple of ``size``
+    entries, with coefficients in itertools.product order (the last one
+    varies fastest): the blocks of ``_span_blocks`` chained."""
+    return itertools.chain.from_iterable(
+        map(operator.itemgetter(1), _span_blocks(field, kernel, size, start)))
+
+
 def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter,
                 start: Optional[list] = None):
     """Every element of ``start`` plus the span of ``kernel``, as a tuple
-    of ``size`` entries in ``_span`` order, with one step planned and
-    taken per element as it is yielded: a walk of a middle layer nests
-    the walks above it, so no step is taken ahead of their prechecks."""
+    of ``size`` entries in ``_span`` order, block by block, for a middle
+    layer: p^k steps planned, then one taken per element as it is yielded,
+    since the walks of the layers above it nest inside and their prechecks
+    must see every step taken so far."""
     meter.precheck(field.p ** len(kernel))
-    for vec in _span(field, kernel, size, start):
-        meter.tick()
-        yield vec
+    for _, block in _span_blocks(field, kernel, size, start):
+        for vec in block:
+            meter.tick()
+            yield vec
+
+
+def _top_blocks(field: PrimeField, size: int, kernel, meter: _Meter,
+                start: Optional[list] = None):
+    """The blocks of ``_span_blocks`` for a top layer, one with nothing
+    walked above it, for a caller to chain with
+    ``itertools.chain.from_iterable``, so that no Python frame above the
+    span resumes per point: p^k steps planned, then each block's steps
+    taken as it starts.  After the precheck no tick within the span can
+    stop, and nothing else ticks the meter while it streams, so every stop
+    and ``(used, planned)`` after a complete walk are those of one step per
+    point; only ``used`` read inside a block runs ahead, by less than the
+    block's size (p^t, or p^k where t = 0)."""
+    meter.precheck(field.p ** len(kernel))
+    for n, block in _span_blocks(field, kernel, size, start):
+        meter.tick(n)
+        yield block
 
 
 def _injective(field: PrimeField, shapes: Mapping):
@@ -582,7 +633,10 @@ def _mono_counter(field: PrimeField, shapes: Mapping):
     U_v): one rank per term.  The T = prod_v (subspaces of F_q^(c_v)) terms
     are counted in closed form; a basis of dimension d takes them, T steps
     planned before any subspace is listed, where T < q^d, and otherwise
-    walks its q^d vectors with ``_injective``."""
+    walks its q^d vectors with ``_injective``.  That walk is a top layer:
+    q^d steps planned, each block's taken as it starts (``_top_blocks``),
+    and its vectors chained into ``sum(map(injective, ...))`` with no
+    Python frame above the span resumed per vector."""
     p = field.p
     injective = _injective(field, shapes)
     maps, size = [], 0
@@ -597,7 +651,8 @@ def _mono_counter(field: PrimeField, shapes: Mapping):
         nonlocal lattices
         d = len(basis)
         if terms >= p ** d:
-            return sum(map(injective, _walk_fiber(field, size, basis, meter)))
+            return sum(map(injective, itertools.chain.from_iterable(
+                _top_blocks(field, size, basis, meter))))
         meter.precheck(terms)
         if lattices is None:
             lattices = [[((-1) ** k * p ** (k * (k - 1) // 2), us)

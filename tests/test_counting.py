@@ -524,14 +524,42 @@ class TestCensus:
             hom_counterexample_census(2, 3)
 
     def test_candidates_off_the_union_fail_it(self, monkeypatch):
-        # an odometer that keeps every (b, a): the 27 candidates are not
-        # the 9 with b = 0 and the 3 with a = 0, which meet in the origin
-        monkeypatch.setattr(certificates, "filter", lambda f, xs: xs,
-                            raising=False)
+        # an annihilator holding every element, so every (b, a) is listed:
+        # the 27 candidates are not the 9 with b = 0 and the 3 with a = 0,
+        # which meet in the origin
+        monkeypatch.setattr(certificates, "gcd", lambda b, q: q)
         res = hom_counterexample_census(2, 3)
         assert (res.total, res.count_b_zero, res.count_a_zero) == (27, 9, 3)
         assert res.union_verified is False
         assert not res.hom_bijection_verified
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_listed_candidates_are_the_filtered_pairs(self, n, q,
+                                                      monkeypatch):
+        # a walk yielding each (b, a) of {(b, a) : a_i b = 0}, filtered from
+        # all q^(n+1) pairs, once as a flat point, in reverse order, which
+        # the census does not read: it empties the candidate set exactly
+        # when the census listed the same pairs, and else the bijection
+        # reads false
+        layout = flat_layout(hom_quiver(family_a_prime(n, 2, 2)),
+                             self.CENSUS_DIMS)
+        size = sum(r * c for _, r, c in layout.values())
+        pairs = [(b, a) for b in range(q)
+                 for a in itertools.product(range(q), repeat=n)
+                 if all(x * b % q == 0 for x in a)]
+
+        def filtered(*args):
+            for b, a in reversed(pairs):
+                point = [0] * size
+                point[layout["f1"][0]] = b
+                for i, x in enumerate(a, 1):
+                    point[layout[f"t_a{i}"][0]] = x
+                yield tuple(point)
+
+        monkeypatch.setattr(certificates, "_points_over", filtered)
+        res = hom_counterexample_census(n, q)
+        assert (res.total, res.hom_bijection_verified) == (len(pairs), True)
 
     @pytest.mark.parametrize("change,walks", [(None, 1), ("drop", 2)])
     def test_only_a_failed_census_walks_twice(self, change, walks,
