@@ -14,16 +14,15 @@ The enumeration budget defaults to 10**8 steps; override with ``--budget``
 or the QVL_BUDGET environment variable.
 
 Every subcommand is one entry of ``_COMMANDS``: its handler, its help and
-its argument specs.  A process builds only the parser of the subcommand it
-runs; the top-level ``--help``, an unknown command, and arguments that
-subcommand does not know build the full parser, so every usage message
-reads as the full parser writes it.
+its argument specs.  A well-formed query is read off that table, and
+builds no parser; help, abbreviations, ``--flag=value``, repeated flags
+and every usage error go to the full parser, built once per process, so
+every message reads as the full parser writes it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -307,7 +306,7 @@ def _cmd_census_hom(args):
                                     budget=_budget(args))
     ok = res.identity_holds() and res.union_verified \
         and res.hom_bijection_verified
-    result = {**dataclasses.asdict(res),
+    result = {**vars(res),
               "identity_holds": res.identity_holds()}
     text = (f"total {res.total} = q^n + q - 1 "
             f"({'holds' if ok else 'FAILS'}); "
@@ -330,7 +329,7 @@ def _cmd_witness_mono(args):
     ok = (rep.both_nonempty() and rep.disjoint()
           and rep.implication_verified and rep.kernel_image_match_verified
           and rep.samples_verified)
-    result = {**dataclasses.asdict(rep),
+    result = {**vars(rep),
               "disjoint": rep.disjoint(),
               "both_nonempty": rep.both_nonempty(),
               "sample_full_rank": _witness_point_json(rep.sample_full_rank),
@@ -345,7 +344,7 @@ def _cmd_product_check(args):
     d, e = _parse_dim_values(args.dim, (0, 1))
     res = product_count_check(args.n, args.m, (d, e), _field(args).p,
                               budget=_budget(args))
-    result = {**dataclasses.asdict(res), "holds": res.ok}
+    result = {**vars(res), "holds": res.ok}
     text = (f"{res.count_full} "
             f"{'==' if res.ok else '!='} {res.count_core} * {res.free_factor}")
     return res.ok, result, text
@@ -391,7 +390,13 @@ def _cmd_probe(args):
     return True, result, "\n".join(lines)
 
 
-# Argument specs, (flag, add_argument keywords), in the order of --help.
+# Argument specs, (flag, add_argument keywords), in the order of --help;
+# ``_COMMON`` holds the flags every subcommand takes.
+_COMMON = (("--json", {"action": "store_true",
+                       "help": "emit a machine-readable JSON report"}),
+           ("--budget", {"type": int,
+                         "help": "enumeration step budget "
+                                 "(default 10^8, or QVL_BUDGET)"}))
 _FAMILY = (("--family", {"choices": FAMILY_KINDS, "help": "built-in family"}),
            *((flag, {"type": int})
              for flag in ("--n", "--m", "--l", "--m0", "--m1")))
@@ -456,13 +461,9 @@ def _add_specs(parser: argparse.ArgumentParser, specs) -> None:
 
 @functools.cache
 def _common() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, built once per process."""
+    """The parent parser of every subcommand, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report")
-    common.add_argument("--budget", type=int, default=None,
-                        help="enumeration step budget "
-                             "(default 10^8, or QVL_BUDGET)")
+    _add_specs(common, _COMMON)
     return common
 
 
@@ -479,30 +480,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser(command=None) -> argparse.ArgumentParser:
-    """The parser of one subcommand, or the full one when ``command`` is
-    None, built on first use; ``parse_args`` leaves it unchanged, so every
-    call of the process can share it.  A subcommand's parser is the one
-    ``build_parser`` puts under that name, standing alone."""
-    if command is None:
-        return build_parser()
-    parser = argparse.ArgumentParser(prog=f"qvl {command}",
-                                     parents=[_common()])
-    _add_specs(parser, _COMMANDS[command][2])
-    parser.set_defaults(command=command)
-    return parser
+# The full parser, built on first use; ``parse_args`` leaves it unchanged,
+# so every call of the process can share it.
+_parser = functools.cache(build_parser)
+
+
+def _read(argv) -> argparse.Namespace | None:
+    """The namespace the full parser returns for ``argv``, read off the
+    table, or None unless ``argv`` names a command, then gives only flags
+    of it by their exact names, each flag that takes a value followed by
+    one that does not start with "-" and that its spec converts and
+    accepts, and gives every required flag.  A flag given twice keeps its
+    last value, as in argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    specs = dict(_COMMON + _COMMANDS[argv[0]][2])
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            values[flag] = True
+            continue
+        value = next(tokens, "-")       # a missing value reads as "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[flag] = value
+    if any(spec.get("required") and flag not in values
+           for flag, spec in specs.items()):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, spec in specs.items():
+        setattr(args, spec.get("dest", flag[2:].replace("-", "_")),
+                values.get(flag, spec.get("default", False if spec.get(
+                    "action") == "store_true" else None)))
+    return args
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse with the parser of the subcommand ``argv`` names.  An argv
-    that names none, or leaves arguments the subcommand does not know,
-    goes to the full parser, so its usage errors read as they always did."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _parser().parse_args(argv)
+    """Read ``argv`` off the table; what the table read does not take
+    exactly goes to the full parser, which prints help and usage errors."""
+    args = _read(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def run_command(argv) -> tuple[int, dict]:

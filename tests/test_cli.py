@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qvl.cli
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
@@ -747,8 +750,27 @@ class TestParserReuse:
 
 
 class TestCommandParsers:
-    """A query parses with the parser of its subcommand alone; what it
-    prints, exits with and parses to equals the full parser's."""
+    """A well-formed query is read off the command table and builds no
+    parser; everything else goes to the full parser.  What a query prints,
+    exits with and parses to equals the full parser's either way."""
+
+    WELL_FORMED = {
+        "check": "check --family Lambda --m 2 --rep r.json",
+        "hom": "hom --quiver q.qv --source a.json --target b.json --json",
+        "cocycles": "cocycles --family Lambda --m 2 --quo a.json --sub b.json",
+        "extend": "extend --family Lambda --m 2 --quo a.json --sub b.json "
+                  "--blocks c.json",
+        "split": "split --family Lambda --m 2 --sub a.json --middle b.json "
+                 "--map c.json",
+        "count": "count --family Lambda --m 2 --kind hom --source-dim 1 "
+                 "--target-dim 2 --q 3",
+        "census-hom": "census-hom --budget 100 --n 2 --q 3",
+        "witness-mono": "witness-mono --m 2 --l 2 --n 1 --q 2",
+        "product-check": "product-check --n 3 --m 2 --dim 2,2 --q 3",
+        "ext2": "ext2 --family A --n 1 --m 3 --l 1 --x 1 --y 0",
+        "classify": "classify --family A --n 1 --m 4 --l 2",
+        "probe": "probe --family Lambda --m 2 --dim 2 --q 2,3",
+    }
 
     USAGE_ERRORS = {
         "missing_flag": "count --family Lambda --m 2 --dim 2",
@@ -810,7 +832,121 @@ class TestCommandParsers:
         code, report = run(["count", "--family", "Lambda", "--m", "2",
                             "--dim", "2", "--q", "2"])
         assert (code, report["result"]["count"]) == (EXIT_OK, 4)
-        assert len(built) <= 2
+        parsed = {command: qvl.cli._parse(argv.split())
+                  for command, argv in self.WELL_FORMED.items()}
+        assert list(parsed) == list(qvl.cli._COMMANDS)
+        assert len(built) == 0
+        parser = qvl.cli.build_parser()
+        for command, argv in self.WELL_FORMED.items():
+            assert vars(parsed[command]) == \
+                vars(parser.parse_args(argv.split())), argv
+        # abbreviations, --flag=value and values starting with "-" still
+        # parse, through the full parser
+        count = "count --family Lambda --m 2 --dim 2"
+        for argv, name, value, exit_code in [
+                (f"{count} --q 2 --js", "json", True, EXIT_OK),
+                (f"{count} --q=2", "q", 2, EXIT_OK),
+                (f"{count} --q 2 --budget -3", "budget", -3, EXIT_SEMANTIC)]:
+            argv = argv.split()
+            assert qvl.cli._read(argv) is None
+            assert getattr(qvl.cli._parse(argv), name) == value
+            assert run_command(argv)[0] == exit_code
+        assert built
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_every_argv_parses_as_the_full_parser_does(self, capsys, data):
+        argv, well_formed = data.draw(_argvs())
+        if well_formed:
+            assert qvl.cli._read(argv) is not None, argv
+        try:
+            mine = vars(qvl.cli._parse(argv))
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            mine = exc.code, out.out, out.err
+        try:
+            full = vars(_full_parser().parse_args(argv))
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            full = exc.code, out.out, out.err
+        assert mine == full, argv
+
+
+@functools.cache
+def _full_parser():
+    return qvl.cli.build_parser()
+
+
+def _value(spec):
+    """A value the spec accepts, never starting with "-"."""
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if spec.get("type") is int:
+        return st.integers(0, 12).map(str)
+    return st.sampled_from(["2", " 2", "1,2", "r.json", "a b", ""])
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one command built from its specs and the common flags,
+    each flag given at most once and every required flag given, in any
+    order; then, unless the argv stays well formed, one off-table form:
+    an abbreviated or unknown flag, --flag=value, a repeated flag, a value
+    starting with "-" or none, an int written " 3", "+3", "1_0" or "x", a
+    bad choice, a missing required flag, a stray token or a help flag.
+    Returns the argv and whether it stayed well formed."""
+    command = draw(st.sampled_from(list(qvl.cli._COMMANDS)))
+    specs = qvl.cli._COMMON + qvl.cli._COMMANDS[command][2]
+
+    def tokens(flag, spec):
+        if spec.get("action") == "store_true":
+            return [flag]
+        return [flag, draw(_value(spec))]
+
+    pairs = draw(st.permutations([tokens(flag, spec) for flag, spec in specs
+                                  if spec.get("required")
+                                  or draw(st.booleans())]))
+    form = draw(st.sampled_from([None] * 6 + [
+        "abbreviated", "unknown", "equals", "repeated", "dash", "no value",
+        "int", "choice", "missing", "stray", "help"]))
+    extra = []
+    if form == "abbreviated":
+        flag, spec = draw(st.sampled_from(specs))
+        extra = tokens(flag[:draw(st.integers(3, max(3, len(flag) - 1)))],
+                       spec)
+    elif form == "unknown":
+        extra = draw(st.sampled_from([["--bogus"], ["--bogus", "1"]]))
+    elif form == "equals":
+        extra = ["=".join(tokens(*draw(st.sampled_from(specs[1:]))))]
+    elif form == "repeated" and pairs:
+        extra = draw(st.sampled_from(pairs))
+    elif form == "dash":
+        extra = [draw(st.sampled_from(specs[1:]))[0],
+                 draw(st.sampled_from(["-3", "-x", "--", "-"]))]
+    elif form == "no value":
+        extra = [draw(st.sampled_from(specs[1:]))[0]]
+    elif form == "int":
+        extra = ["--budget",
+                 draw(st.sampled_from([" 3", "+3", "1_0", "x", "3.0"]))]
+    elif form == "choice":
+        extra = draw(st.sampled_from([["--family", "Nope"],
+                                      ["--kind", "nope"]]))
+    elif form == "missing":
+        required = [pair for pair in pairs
+                    if dict(specs)[pair[0]].get("required")]
+        if required:
+            pairs.remove(draw(st.sampled_from(required)))
+    elif form == "stray":
+        extra = ["x"]
+    elif form == "help":
+        extra = [draw(st.sampled_from(["-h", "--help"]))]
+    if form in ("dash", "no value", "int", "choice"):
+        # the flag given once, with the off-table value or none
+        pairs = [pair for pair in pairs if pair[0] != extra[0]]
+    pairs.insert(draw(st.integers(0, len(pairs))), extra)
+    return [command, *(token for pair in pairs for token in pair)], \
+        form is None
 
 
 # Each command's report, run in one process after any other queries, must
