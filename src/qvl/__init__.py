@@ -29,7 +29,8 @@ from .families import (FamilyDescriptor, FamilyParameterError, build_family,
                        family_a, family_a_prime, family_a_prime_commuting,
                        family_b, family_lambda,
                        is_geometrically_irreducible_family)
-from .counting import (BudgetExceededError, EnumerationTask, count_points,
+from .counting import (BudgetExceededError, count_ext_points,
+                       count_hom_points, count_mono_points, count_rep_points,
                        leading_coefficient_probe)
 from .certificates import (hom_counterexample_census,
                            mono_reducibility_witness, product_count_check)

@@ -30,8 +30,9 @@ import time
 
 from .certificates import (hom_counterexample_census,
                            mono_reducibility_witness, product_count_check)
-from .counting import (TASK_DIMS, BudgetExceededError, EnumerationTask,
-                       ambient_dimension, count_points, default_budget,
+from .counting import (BudgetExceededError, ambient_dimension,
+                       count_ext_points, count_hom_points, count_mono_points,
+                       count_rep_points, default_budget,
                        leading_coefficient_probe)
 from .dsl import DslSemanticError, DslSyntaxError, parse_quiver_spec
 from .extensions import build_extension, cocycle_space_basis, splitting_from_mono
@@ -273,31 +274,36 @@ def _cmd_split(args):
         f"{[quo.dims[v] for v in pres.quiver.vertices]}")
 
 
-def _make_task(args, pres, field) -> EnumerationTask:
-    """The task of ``--kind``, each of its dims fields read from its flag:
-    ``dims`` from --dim, ``source_dims`` from --source-dim, and so on."""
+# Each --kind: its count function, and the dest of the dims flag of each
+# factor variety, in the order the function takes them.
+_KINDS = {"rep": (count_rep_points, ("dim",)),
+          "hom": (count_hom_points, ("source_dim", "target_dim")),
+          "mono": (count_mono_points, ("source_dim", "target_dim")),
+          "ext": (count_ext_points, ("quo_dim", "sub_dim"))}
+
+
+def _count_kind(args, pres, field) -> tuple[int, list]:
+    """The count of the variety of --kind over ``field``, and the dims of
+    each of its factors, read from their flags; --budget, the relation
+    coefficients and the dims flags are checked in that order."""
     budget = _budget(args)
     _coerce_relations(pres, field)
-    names = TASK_DIMS[args.kind]
-    texts = [getattr(args, name[:-1]) for name in names]
+    count, dests = _KINDS[args.kind]
+    texts = [getattr(args, dest) for dest in dests]
     if None in texts:
         raise CliSemanticError(
             f"{args.kind} counting needs "
-            + " and ".join("--" + name[:-1].replace("_", "-")
-                           for name in names))
-    return EnumerationTask(kind=args.kind, pres=pres, field=field,
-                           budget=budget,
-                           **{name: _parse_dims(pres, text)
-                              for name, text in zip(names, texts)})
+            + " and ".join("--" + dest.replace("_", "-") for dest in dests))
+    dims = [_parse_dims(pres, text) for text in texts]
+    return count(pres, field, *dims, budget=budget), dims
 
 
 def _cmd_count(args):
     pres = _load_pres(args)
     field = _field(args)
-    task = _make_task(args, pres, field)
-    count = count_points(task)
+    count, dims = _count_kind(args, pres, field)
     result = {"count": count, "kind": args.kind, "q": field.p,
-              "ambient_dim": ambient_dimension(task)}
+              "ambient_dim": ambient_dimension(args.kind, pres, *dims)}
     return True, result, f"{count} points over F_{field.p}"
 
 
@@ -376,7 +382,7 @@ def _cmd_probe(args):
     qs = _parse_q_list(args.q_list)
     pres = _load_pres(args)
     report = leading_coefficient_probe(
-        lambda q: _make_task(args, pres, PrimeField(q)), qs)
+        lambda q: _count_kind(args, pres, PrimeField(q))[0], qs)
     result = {
         "counts": {str(q): c for q, c in report.counts.items()},
         "degree": report.degree,
@@ -402,7 +408,7 @@ _FAMILY = (("--family", {"choices": FAMILY_KINDS, "help": "built-in family"}),
              for flag in ("--n", "--m", "--l", "--m0", "--m1")))
 _SOURCE = (("--quiver", {"metavar": "FILE",
                          "help": "presentation in the quiver DSL"}), *_FAMILY)
-_DIMS = (("--kind", {"choices": tuple(TASK_DIMS), "default": "rep"}),
+_DIMS = (("--kind", {"choices": tuple(_KINDS), "default": "rep"}),
          ("--dim", {"help": "dimension vector, comma separated"}),
          *((flag, {}) for flag in ("--source-dim", "--target-dim",
                                    "--quo-dim", "--sub-dim")))

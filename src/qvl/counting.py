@@ -132,61 +132,19 @@ class _Meter:
         self.planned += planned
 
 
-# --- task descriptions ---------------------------------------------------
-
-
-# The EnumerationTask fields that hold each kind's dimension vectors, one
-# per factor variety, in factor order: the order the kind's count function
-# takes them in.
-TASK_DIMS = {"rep": ("dims",),
-             "hom": ("source_dims", "target_dims"),
-             "mono": ("source_dims", "target_dims"),
-             "ext": ("quo_dims", "sub_dims")}
-
-
-@dataclass
-class EnumerationTask:
-    """One counting job: a variety kind, its data, and a step budget."""
-
-    kind: str
-    pres: Optional[BoundQuiver] = None
-    field: Optional[PrimeField] = None
-    dims: Optional[Mapping] = None         # rep
-    source_dims: Optional[Mapping] = None  # hom / mono
-    target_dims: Optional[Mapping] = None  # hom / mono
-    quo_dims: Optional[Mapping] = None     # ext
-    sub_dims: Optional[Mapping] = None     # ext
-    budget: Optional[int] = None           # None: default_budget()
-
-    def __post_init__(self):
-        if self.kind not in TASK_DIMS:
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.pres is None or self.field is None:
-            raise ValueError("variety tasks need pres and field")
-        if not isinstance(self.field, PrimeField):
-            raise ValueError("points are counted over a prime field F_p, "
-                             f"not {self.field!r}")
-        if None in self.factors():
-            raise ValueError(f"{self.kind} tasks need "
-                             + " and ".join(TASK_DIMS[self.kind]))
-
-    def factors(self) -> tuple:
-        """The dimension vector of each factor variety, in factor order."""
-        return tuple(getattr(self, name) for name in TASK_DIMS[self.kind])
-
-
 def rep_ambient_dim(pres: BoundQuiver, dims: Mapping) -> int:
     return sum(dims.get(t, 0) * dims.get(s, 0)
                for _, s, t in pres.quiver.arrows)
 
 
-def ambient_dimension(task: EnumerationTask) -> int:
-    """Coordinate count of the affine space the variety naturally sits in:
-    the arrows' entries, for a pair kind those of its doubled presentation
-    (both points, then the vertex maps or the arrow blocks)."""
-    if task.kind == "rep":
-        return rep_ambient_dim(task.pres, task.dims)
-    doubled, dims, _ = _pair_walk(task.kind, task.pres, *task.factors())
+def ambient_dimension(kind: str, pres: BoundQuiver, *dims: Mapping) -> int:
+    """Coordinate count of the affine space the variety of ``kind`` (rep,
+    hom, mono or ext), with the dims of each factor, naturally sits in: the
+    arrows' entries, for a pair kind those of its doubled presentation (both
+    points, then the vertex maps or the arrow blocks)."""
+    if kind == "rep":
+        return rep_ambient_dim(pres, *dims)
+    doubled, dims, _ = _pair_walk(kind, pres, *dims)
     return rep_ambient_dim(doubled, dims)
 
 
@@ -380,7 +338,11 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     (flat point below the last layer, labels, kernel basis of the last
     layer there) over the points of
     ``_loop_points`` and layer 0 and each middle layer's span, one step per
-    element.  Strata and systems are set up once."""
+    element.  Strata and systems are set up once.  Points are counted over
+    a prime field F_p only."""
+    if not isinstance(field, PrimeField):
+        raise ValueError("points are counted over a prime field F_p, "
+                         f"not {field!r}")
     base, loop_rels, base_rels, layers = _layers(pres, dims, top)
     walked = [*pres.quiver.loops(), *base]
     plans = []
@@ -744,16 +706,6 @@ def count_ext_points(pres: BoundQuiver, field: PrimeField, quo_dims, sub_dims,
                                              sub_dims))
 
 
-_COUNTS = {"rep": count_rep_points, "hom": count_hom_points,
-           "mono": count_mono_points, "ext": count_ext_points}
-
-
-def count_points(task: EnumerationTask) -> int:
-    """Exact point count of the task's variety over its finite field."""
-    return _COUNTS[task.kind](task.pres, task.field, *task.factors(),
-                              budget=task.budget)
-
-
 # --- degree probe -------------------------------------------------------
 
 
@@ -785,9 +737,10 @@ def _nearest_degree(q1: int, c1: int, q2: int, c2: int) -> int:
     return degree
 
 
-def leading_coefficient_probe(task_for_q: Callable[[int], EnumerationTask],
+def leading_coefficient_probe(count_at: Callable[[int], int],
                               qs: Sequence[int]) -> ProbeReport:
-    """Fit exact counts against c * q^D for the best integer D.
+    """Fit the exact counts ``count_at(q)`` against c * q^D for the best
+    integer D.
 
     D is the slope of log count against log q between the two largest field
     sizes (or from the single available one to q = 1, count = 1), rounded
@@ -797,7 +750,7 @@ def leading_coefficient_probe(task_for_q: Callable[[int], EnumerationTask],
     """
     if not qs:
         raise ValueError("at least one field size is required")
-    counts = {q: count_points(task_for_q(q)) for q in sorted(qs)}
+    counts = {q: count_at(q) for q in sorted(qs)}
     usable = {q: c for q, c in counts.items() if c > 0}
     if not usable:
         return ProbeReport(counts, None, {}, False,

@@ -304,17 +304,14 @@ def derive_truncation_bound(quiver: Quiver,
 
 
 def _longest_loop_free_path(quiver: Quiver) -> int:
+    """The number of arrows of the longest path of non-loop arrows.  The
+    quiver must be weakly triangular: its loop-free subquiver is then
+    acyclic, so relaxing every arc settles within |Q_0| rounds."""
     arcs = [(s, t) for a, s, t in quiver.arrows if s != t]
     best = {v: 0 for v in quiver.vertices}
-    # the loop-free subquiver is acyclic here, so iterate to a fixed point
     changed = True
-    rounds = 0
     while changed:
         changed = False
-        rounds += 1
-        if rounds > len(quiver.vertices) + 1:
-            raise DslSemanticError(
-                "loop-free subquiver has a cycle; no truncation bound", 1, 1)
         for s, t in arcs:
             if best[s] + 1 > best[t]:
                 best[t] = best[s] + 1

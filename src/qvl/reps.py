@@ -16,8 +16,8 @@ from typing import Mapping
 
 from .linalg import (Field, Matrix, SandwichPlan, _int_product, block2x2,
                      hstack, split_blocks)
-from .quiver import (BoundQuiver, Path, QuiverError, Relation, Vertex,
-                     ext_quiver, hom_quiver)
+from .quiver import (BoundQuiver, QuiverError, Relation, Vertex, ext_quiver,
+                     hom_quiver)
 
 DimVector = Mapping[Vertex, int]
 
@@ -259,15 +259,6 @@ class Representation:
     def __repr__(self):
         return (f"Representation({self.pres.name}, {self.field}, "
                 f"dims={self.dims})")
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def evaluate_path(self, path: Path) -> Matrix:
-        """Product of the arrow matrices along the path (identity for a
-        trivial path)."""
-        return path_product(self.field, self.mats, path.arrows,
-                            self.dims[path.source])
 
     def evaluate_relation(self, rel: Relation) -> Matrix:
         return evaluate_relation(self.field, self.dims, self.mats, rel)

@@ -453,6 +453,34 @@ def test_missing_family_parameter_is_semantic(kind, dropped):
     assert f"needs {dropped} >= " in report["error"]["message"]
 
 
+# Each --kind with the dims flags its count needs; dropping any one of them,
+# from a count or a probe, must exit 4 with a message naming them all.
+KIND_DIMS = {"rep": "--dim", "hom": "--source-dim and --target-dim",
+             "mono": "--source-dim and --target-dim",
+             "ext": "--quo-dim and --sub-dim"}
+
+
+def test_kind_choices_are_the_count_table():
+    assert tuple(KIND_DIMS) == tuple(qvl.cli._KINDS)
+    for command in ("count", "probe"):
+        specs = dict(qvl.cli._COMMANDS[command][2])
+        assert specs["--kind"]["choices"] == tuple(qvl.cli._KINDS)
+
+
+@pytest.mark.parametrize("command,q", [("count", "2"), ("probe", "2,3")])
+@pytest.mark.parametrize("kind,dropped", [
+    (kind, flag) for kind, flags in KIND_DIMS.items()
+    for flag in flags.split(" and ")])
+def test_missing_dims_is_semantic(command, q, kind, dropped):
+    flags = [token for flag in KIND_DIMS[kind].split(" and ")
+             if flag != dropped for token in (flag, "1")]
+    code, report = run([command, "--family", "Lambda", "--m", "2",
+                        "--kind", kind, *flags, "--q", q])
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    assert report["error"]["message"] == \
+        f"{kind} counting needs {KIND_DIMS[kind]}"
+
+
 # Each file subcommand given files over two fields: "{r5}" and "{r7}" are
 # Lambda(2) points over F_5 and F_7, "{b7}" zero blocks and "{m7}" an
 # identity map over F_7.

@@ -9,12 +9,12 @@ from helpers import iter_rep_points_odometer
 from qvl import certificates, counting
 from qvl.certificates import (CensusResult, hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
-from qvl.counting import (BudgetExceededError, EnumerationTask, _Meter,
-                          _assignments, _layers, _loop_points,
-                          _points_over, ambient_dimension,
-                          count_ext_points, count_hom_points,
-                          count_mono_points, count_points, count_rep_points,
-                          default_budget, iter_hom_points, iter_mono_points,
+from qvl.counting import (BudgetExceededError, _Meter, _assignments,
+                          _layers, _loop_points, _points_over,
+                          ambient_dimension, count_ext_points,
+                          count_hom_points, count_mono_points,
+                          count_rep_points, default_budget, iter_ext_points,
+                          iter_hom_points, iter_mono_points,
                           iter_rep_points, leading_coefficient_probe)
 from qvl.dsl import parse_quiver_spec
 from qvl.extensions import cocycle_space_basis
@@ -319,13 +319,10 @@ class TestHomMonoExtCounts:
         d = {0: 1, 1: 1}
         e = {0: 1, 1: 1}
         count = count_ext_points(pres, F2, e, d)
-        assert count == 2 ** ambient_dimension(
-            EnumerationTask(kind="ext", pres=pres, field=F2, quo_dims=e,
-                            sub_dims=d))
+        assert count == 2 ** ambient_dimension("ext", pres, e, d)
 
     def test_ext_points_satisfy_cocycle(self):
         from qvl.extensions import is_cocycle
-        from qvl.counting import iter_ext_points
         lam = family_lambda(2)
         pts = list(iter_ext_points(lam, F2, {0: 1}, {0: 2}))
         for t in pts:
@@ -334,23 +331,10 @@ class TestHomMonoExtCounts:
 
 class TestTasksAndBudget:
     def test_ambient_dimensions(self):
-        task = EnumerationTask(kind="rep", pres=family_lambda(3), field=F2,
-                               dims={0: 3})
-        assert ambient_dimension(task) == 9
-        task = EnumerationTask(kind="mono", pres=family_a(1, 2, 1), field=F2,
-                               source_dims={0: 1, 1: 1},
-                               target_dims={0: 1, 1: 2})
-        assert ambient_dimension(task) == (1 + 1 + 1) + (1 + 4 + 2) + (1 + 2)
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationTask(kind="nope")
-        with pytest.raises(ValueError):
-            EnumerationTask(kind="rep", pres=family_lambda(2), field=F2)
-        # points are counted over F_p only
-        with pytest.raises(ValueError, match="prime field"):
-            EnumerationTask(kind="rep", pres=family_lambda(2), field=QQ,
-                            dims={0: 2})
+        assert ambient_dimension("rep", family_lambda(3), {0: 3}) == 9
+        assert ambient_dimension("mono", family_a(1, 2, 1), {0: 1, 1: 1},
+                                 {0: 1, 1: 2}) == \
+            (1 + 1 + 1) + (1 + 4 + 2) + (1 + 2)
 
     def test_budget_rejects_big_odometer(self):
         with pytest.raises(BudgetExceededError,
@@ -369,16 +353,22 @@ class TestTasksAndBudget:
         with pytest.raises(ValueError):
             default_budget()
 
-    def test_count_points_dispatch(self):
-        task = EnumerationTask(kind="rep", pres=family_lambda(2), field=F2,
-                               dims={0: 2})
-        assert count_points(task) == 4
-        task = EnumerationTask(kind="hom", pres=family_lambda(2), field=F2,
-                               source_dims={0: 1}, target_dims={0: 1})
-        assert count_points(task) == 2
-        task = EnumerationTask(kind="ext", pres=family_lambda(2), field=F3,
-                               quo_dims={0: 1}, sub_dims={0: 1})
-        assert count_points(task) == 3
+
+# Every count and every public iterator, with the number of dims vectors it
+# takes after the presentation and the field.
+WALKS = [(count_rep_points, 1), (iter_rep_points, 1), (count_hom_points, 2),
+         (iter_hom_points, 2), (count_mono_points, 2), (iter_mono_points, 2),
+         (count_ext_points, 2), (iter_ext_points, 2)]
+
+
+@pytest.mark.parametrize("walk,factors", WALKS,
+                         ids=[walk.__name__ for walk, _ in WALKS])
+def test_points_are_counted_over_prime_fields_only(walk, factors):
+    with pytest.raises(ValueError) as info:
+        points = walk(family_lambda(2), QQ, *[{0: 1}] * factors)
+        next(points)    # an iterator reads its field at its first point
+    assert str(info.value) == \
+        "points are counted over a prime field F_p, not " + repr(QQ)
 
 
 class TestRawAmbientOracles:
@@ -924,19 +914,18 @@ class TestProductCheck:
         assert res.ok
 
 
-def _hom_task(pres, q):
-    return EnumerationTask(kind="hom", pres=pres, field=GF(q),
-                           source_dims={0: 0, 1: 1},
-                           target_dims={0: 1, 1: 1})
+def _hom_count(pres):
+    return lambda q: count_hom_points(pres, GF(q), {0: 0, 1: 1},
+                                      {0: 1, 1: 1})
 
 
 class TestProbe:
     def test_affine_space_exact(self):
         # rep(A'(3,1,1)) at dims (1, 1) is the affine space of 3 arrows
-        def task(q):
-            return EnumerationTask(kind="rep", pres=family_a_prime(3, 1, 1),
-                                   field=GF(q), dims={0: 1, 1: 1})
-        report = leading_coefficient_probe(task, [2, 3, 5])
+        def count(q):
+            return count_rep_points(family_a_prime(3, 1, 1), GF(q),
+                                    {0: 1, 1: 1})
+        report = leading_coefficient_probe(count, [2, 3, 5])
         assert report.counts == {2: 8, 3: 27, 5: 125}
         assert report.degree == 3
         assert report.looks_affine
@@ -945,9 +934,8 @@ class TestProbe:
     def test_census_shape_flagged(self):
         # Hom triples of A'(2,2,2) from dims (0, 1) to (1, 1): the two
         # target arrows and the map f at vertex 1, with a_i f = 0
-        def task(q):
-            return _hom_task(family_a_prime(2, 2, 2), q)
-        report = leading_coefficient_probe(task, [2, 3, 5])
+        report = leading_coefficient_probe(
+            _hom_count(family_a_prime(2, 2, 2)), [2, 3, 5])
         assert report.counts == {2: 5, 3: 11, 5: 29}
         assert report.degree == 2
         assert not report.looks_affine
@@ -955,9 +943,8 @@ class TestProbe:
 
     def test_union_of_two_lines(self):
         # the same with one arrow: a f = 0, a union of two lines
-        def task(q):
-            return _hom_task(family_a_prime(1, 2, 2), q)
-        report = leading_coefficient_probe(task, [2, 3, 5])
+        report = leading_coefficient_probe(
+            _hom_count(family_a_prime(1, 2, 2)), [2, 3, 5])
         assert report.counts == {2: 3, 3: 5, 5: 9}
         assert report.degree == 1
         from fractions import Fraction
@@ -965,20 +952,17 @@ class TestProbe:
         assert not report.looks_affine
 
     def test_huge_counts_exact_degree(self):
-        def task(q):
-            return EnumerationTask(kind="rep", pres=family_lambda(11),
-                                   field=GF(q), dims={0: 11})
-        report = leading_coefficient_probe(task, [5, 7])
+        def count(q):
+            return count_rep_points(family_lambda(11), GF(q), {0: 11})
+        report = leading_coefficient_probe(count, [5, 7])
         assert report.counts[5] == 5 ** 110 > 10 ** 60
         assert report.degree == 110
         assert report.looks_affine
 
     @pytest.mark.parametrize("c8,degree", [(2 ** 401, 101),
                                            (2 ** 401 - 1, 100)])
-    def test_degree_rounds_half_up_exactly(self, monkeypatch, c8, degree):
+    def test_degree_rounds_half_up_exactly(self, c8, degree):
         # log(c8 / c2) / log(8 / 2) is 100.5 or a hair below
-        import qvl.counting as counting
         counts = {2: 2 ** 200, 8: c8}
-        monkeypatch.setattr(counting, "count_points", lambda q: counts[q])
-        report = leading_coefficient_probe(lambda q: q, [2, 8])
+        report = leading_coefficient_probe(counts.__getitem__, [2, 8])
         assert report.degree == degree

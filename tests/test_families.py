@@ -494,7 +494,7 @@ class TestCornerSplit:
         rep = Representation.zero(pres, F2, {0: 1, 1: 1})
         core, free = _split_core(rep, 2)
         assert all(m.is_zero() for m in free)
-        assert core.total_dim() == 2
+        assert sum(core.dims.values()) == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip(self, seed):
