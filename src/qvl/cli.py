@@ -263,7 +263,13 @@ def _cmd_split(args):
     sub, middle, data = _load_files(args, pres, "sub", "middle", data="map")
     _require_points(args, pres, sub=sub, middle=middle)
     mor = morphism_from_json(sub, middle, data)
-    g, blocks, quo = splitting_from_mono(mor)
+    try:
+        g, blocks, quo = splitting_from_mono(mor)
+    except ValueError as exc:
+        # both ends are points and the maps have their shapes and field, so
+        # what fails is the map: not a homomorphism or not injective, which
+        # is bad input, not a failed check
+        raise CliSemanticError(f"--map {args.map}: {exc}") from exc
     result = {
         "base_change": {str(x): matrix_to_json(g[x]) for x in g},
         "blocks": blocks_to_json(sub.field, blocks),

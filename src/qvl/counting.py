@@ -540,15 +540,14 @@ def _span(field: PrimeField, kernel: Sequence[Sequence[int]], size: int,
         map(operator.itemgetter(1), _span_blocks(field, kernel, size, start)))
 
 
-def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter,
-                start: Optional[list] = None):
-    """Every element of ``start`` plus the span of ``kernel``, as a tuple
-    of ``size`` entries in ``_span`` order, block by block, for a middle
-    layer: p^k steps planned, then one taken per element as it is yielded,
-    since the walks of the layers above it nest inside and their prechecks
-    must see every step taken so far."""
+def _walk_fiber(field: PrimeField, size: int, kernel, meter: _Meter):
+    """Every element of the span of ``kernel``, as a tuple of ``size``
+    entries in ``_span`` order, block by block, for a middle layer: p^k
+    steps planned, then one taken per element as it is yielded, since the
+    walks of the layers above it nest inside and their prechecks must see
+    every step taken so far."""
     meter.precheck(field.p ** len(kernel))
-    for _, block in _span_blocks(field, kernel, size, start):
+    for _, block in _span_blocks(field, kernel, size):
         for vec in block:
             meter.tick()
             yield vec

@@ -170,9 +170,10 @@ def splitting_from_mono(mor: Morphism,
     Returns (g, blocks, quo) with g_x = [f_x | h_x] invertible such that
     conjugating the middle term by g^(-1) gives ``build_extension``'s
     [[sub, blocks], [0, quo]]; the blocks are a cocycle.  Without a
-    complement h it is ``standard_complement(f_x)``, and quo is the
-    cokernel's (both read ``reps._split``).  Raises ValueError if h lacks
-    a vertex, has the wrong shape there, or makes [f, h] singular.
+    complement, h_x is the unit columns at the rows that are not pivots of
+    the row-reduced f_x^T, and quo is the cokernel's (both read
+    ``reps._split``).  Raises ValueError if h lacks a vertex, has the
+    wrong shape there, or makes [f, h] singular.
     """
     g, _, blocks, quo = _split(mor, complement, "splitting")
     return g, blocks, quo

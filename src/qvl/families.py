@@ -61,12 +61,16 @@ class FamilyParameterError(QuiverError):
 
 def _check(kind: str, *values):
     """Raise unless each parameter of the family ``kind`` is given and at
-    least its least value."""
+    least its least value, and, for A(n, m, l), l <= m - 1: the range the
+    decision table covers, whose top member is B(n, m) = A(n, m, m - 1)."""
     name, params = FAMILY_PARAMS[kind]
     for (param, least), value in zip(params, values):
         if value is None or value < least:
             raise FamilyParameterError(
                 f"{name} needs {param} >= {least}, got {value}")
+    if kind == "A" and values[2] > values[1] - 1:
+        raise FamilyParameterError(
+            f"{name} needs l <= m - 1, got l = {values[2]}, m = {values[1]}")
 
 
 def two_vertex_quiver(n: int, with_loop0: bool = True,

@@ -133,9 +133,6 @@ class PrimeField:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         return range(self.p)
 
@@ -226,9 +223,6 @@ class RationalField:
             raise ZeroDivisionError("0 is not invertible in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
     def elements(self):
         raise TypeError("Q is infinite; cannot enumerate its elements")
 
@@ -257,24 +251,9 @@ def kernel_basis(field: Field, rows: Sequence[Sequence], ncols: int
     """Basis of {v : row . v = 0 for every row}, read off the reduced row
     echelon form that ``field.row_reduce`` gives: one vector per free
     column, 1 there, 0 at every other free column, and minus that column
-    of each nonzero row at the row's pivot.  Over Q each such entry is
-    built once, as ``Fraction(-x, lead)``, from the primitive integer row
-    of the span's ``Subspace``, with x its entry and lead its pivot's."""
-    zero, one = field.zero, field.one
-    if not field.characteristic:
-        span = Subspace(field, ncols, rows)._rows
-        basis = []
-        for fc in range(ncols):
-            if fc not in span:
-                v = [zero] * ncols
-                v[fc] = one
-                for pc, row in span.items():
-                    if fc in row:
-                        v[pc] = Fraction(-row[fc], row[pc])
-                basis.append(tuple(v))
-        return basis
+    of each nonzero row at the row's pivot."""
+    zero, one, neg = field.zero, field.one, field.neg
     red, pivots = field.row_reduce(rows, ncols)
-    neg = field.neg
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -439,12 +418,6 @@ class Matrix:
                                tuple(zip(*self.rows)) if self.nrows else
                                ((),) * self.ncols)
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return tuple([x for x, in self.field.product(self.rows, (vec,))])
-
     def _check_same_shape(self, other: "Matrix"):
         if (other.field is not self.field and other.field != self.field) \
                 or self.shape != other.shape:
@@ -491,9 +464,6 @@ class Matrix:
             raise ZeroDivisionError("matrix is singular")
         return Matrix._trusted(self.field, n, n,
                                tuple(row[n:] for row in red.rows))
-
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -849,27 +819,3 @@ def random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
                 for i in range(n)])
     return Matrix(field, n, n, lower) @ Matrix(field, n, n, upper) @ p
 
-
-def random_nilpotent(field: Field, n: int, order: int,
-                     rng: random.Random) -> Matrix:
-    """Seeded n-by-n matrix with M**order == 0, via conjugated Jordan blocks."""
-    if order < 1:
-        raise ValueError("nilpotency order must be positive")
-    if n == 0:
-        return Matrix(field, 0, 0)
-    sizes = []
-    remaining = n
-    while remaining > 0:
-        s = rng.randint(1, min(order, remaining))
-        sizes.append(s)
-        remaining -= s
-    m = Matrix.zeros(field, n, n)
-    rows = [list(r) for r in m.rows]
-    offset = 0
-    for s in sizes:
-        for i in range(s - 1):
-            rows[offset + i][offset + i + 1] = field.one
-        offset += s
-    jordan = Matrix(field, n, n, rows)
-    g = random_invertible(field, n, rng)
-    return g @ jordan @ g.inverse()

@@ -260,9 +260,6 @@ class Representation:
         return (f"Representation({self.pres.name}, {self.field}, "
                 f"dims={self.dims})")
 
-    def evaluate_relation(self, rel: Relation) -> Matrix:
-        return evaluate_relation(self.field, self.dims, self.mats, rel)
-
     def is_valid(self) -> bool:
         """Membership in the representation variety: every generating
         relation evaluates to zero (generators suffice since evaluation is
@@ -477,13 +474,6 @@ def _unit_columns(field: Field, n: int, pivots: tuple) -> Matrix:
     one, zero = field.one, field.zero
     return Matrix._trusted(field, n, len(free), tuple(
         tuple([one if i == j else zero for j in free]) for i in range(n)))
-
-
-def standard_complement(f: Matrix) -> Matrix:
-    """Unit columns at the non-pivot rows of the column-reduced input: for
-    injective f they complete the image to the full space, the complement
-    of cokernels and splittings (``_split``)."""
-    return _unit_columns(f.field, f.nrows, f.transpose().rref()[1])
 
 
 def _split(mor: Morphism, complement: Mapping[Vertex, Matrix] | None,

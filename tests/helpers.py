@@ -8,10 +8,10 @@ import itertools
 from qvl.counting import _Meter, rep_ambient_dim
 from qvl.extensions import ExtensionTriple, cocycle_space_basis, zero_blocks
 from qvl.families import family_lambda
-from qvl.linalg import (Matrix, random_invertible, random_nilpotent,
-                        split_blocks)
+from qvl.linalg import Matrix, random_invertible, split_blocks
 from qvl.reps import (HomTriple, Morphism, Representation, flat_layout,
                       flat_point, relabel)
+from qvl.strata import _jordan_point
 
 
 def iter_rep_points_odometer(pres, field, dims, meter=None):
@@ -27,6 +27,21 @@ def iter_rep_points_odometer(pres, field, dims, meter=None):
         rep = Representation(pres, field, dims, mats)
         if rep.is_valid():
             yield rep
+
+
+def random_nilpotent(field, n, order, rng) -> Matrix:
+    """Seeded n-by-n matrix with M**order == 0: a Jordan matrix with
+    random block sizes at most ``order``, conjugated by a random
+    invertible matrix."""
+    if n == 0:
+        return Matrix(field, 0, 0)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(order, n - sum(sizes))))
+    point = _jordan_point(tuple(sizes))
+    jordan = Matrix(field, n, n, [point[i:i + n] for i in range(0, n * n, n)])
+    g = random_invertible(field, n, rng)
+    return g @ jordan @ g.inverse()
 
 
 def random_lambda_rep(m, field, dim, rng) -> Representation:

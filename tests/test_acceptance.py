@@ -274,14 +274,14 @@ def test_criterion_9_nilpotent_count_sanity():
 
 CLASSIFY_TABLE = [
     (FamilyDescriptor("A", n=1, m=2, l=1), True),
-    (FamilyDescriptor("A", n=1, m=2, l=2), False),
+    (FamilyDescriptor("A", n=1, m=5, l=2), False),
     (FamilyDescriptor("A", n=1, m=3, l=1), True),
     (FamilyDescriptor("A", n=1, m=3, l=2), True),
-    (FamilyDescriptor("A", n=1, m=3, l=3), False),
+    (FamilyDescriptor("A", n=1, m=5, l=3), False),
     (FamilyDescriptor("A", n=1, m=4, l=2), False),
     (FamilyDescriptor("A", n=1, m=4, l=3), True),
     (FamilyDescriptor("A", n=2, m=2, l=1), True),
-    (FamilyDescriptor("A", n=2, m=4, l=4), False),
+    (FamilyDescriptor("A", n=2, m=6, l=3), False),
     (FamilyDescriptor("A", n=2, m=5, l=4), True),
     (FamilyDescriptor("A", n=3, m=6, l=2), False),
     (FamilyDescriptor("A", n=2, m=6, l=5), True),

@@ -134,6 +134,9 @@ class TestExitCodes:
         ["witness-mono", "--m", "1", "--l", "2", "--n", "1", "--q", "3"],
         ["count", "--family", "Lambda", "--m", "2", "--dim", "2", "--q", "3",
          "--budget", "-3"],
+        ["classify", "--family", "A", "--n", "1", "--m", "3", "--l", "3"],
+        ["count", "--family", "A", "--n", "1", "--m", "2", "--l", "2",
+         "--dim", "1,1", "--q", "2"],
     ])
     def test_bad_field_or_dims_is_semantic(self, argv):
         code, report = run(argv)
@@ -625,6 +628,29 @@ class TestFileCommands:
         assert report["error"]["type"] == "semantic"
         assert report["error"]["message"] == (
             f"--blocks {blocks}: blocks violate the cocycle equation of e*e")
+
+    @pytest.mark.parametrize("field", [{"type": "Fp", "p": 5}, {"type": "Q"}],
+                             ids=["F5", "Q"])
+    @pytest.mark.parametrize("entries,message", [
+        ([[0], [0]], "splitting requires a monomorphism"),
+        ([[0], [1]], "not a homomorphism of representations")])
+    def test_split_rejects_bad_map(self, tmp_path, field, entries, message):
+        # sub e = [[0]] and middle e = [[0, 1], [0, 0]] are points; the zero
+        # map is not injective, and the map onto the second basis vector
+        # does not intertwine: bad input, not a failed check
+        files = {}
+        for name, data in {
+                "sub": {"dims": {"0": 1}, "mats": {"e": [[0]]}},
+                "middle": {"dims": {"0": 2}, "mats": {"e": [[0, 1], [0, 0]]}},
+                "map": {"maps": {"0": entries}}}.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps({"field": field, **data}))
+        code, report = run(["split", "--family", "Lambda", "--m", "2",
+                            "--sub", str(files["sub"]),
+                            "--middle", str(files["middle"]),
+                            "--map", str(files["map"])])
+        assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+        assert report["error"]["message"] == f"--map {files['map']}: {message}"
 
 
 # Lambda(2) files over Q with fractional entries: two points of dim 2, a

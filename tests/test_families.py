@@ -3,7 +3,8 @@ import random
 import pytest
 
 from helpers import (copy_of, ext_triple_of, hom_triple_of, inverse,
-                     iter_rep_points_odometer, random_two_vertex_rep)
+                     iter_rep_points_odometer, random_nilpotent,
+                     random_two_vertex_rep)
 from qvl.counting import (count_ext_points, count_hom_points,
                           count_rep_points, iter_ext_points, iter_hom_points,
                           iter_rep_points, rep_ambient_dim)
@@ -12,11 +13,11 @@ from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, TWIST, FamilyDescriptor,
                           FamilyParameterError, build_family, family_a,
                           family_a_prime, family_a_prime_commuting, family_b,
                           family_lambda, is_geometrically_irreducible_family)
-from qvl.linalg import GF, QQ, Matrix, random_matrix, random_nilpotent
+from qvl.linalg import GF, QQ, Matrix, random_matrix
 from qvl.quiver import (QuiverError, Relation, ext_quiver, hom_quiver,
                         is_isomorphism, is_simple_loop_extension,
                         is_weakly_triangular, monomial_relation)
-from qvl.reps import Representation, relabel
+from qvl.reps import Representation, evaluate_relation, relabel
 
 F2 = GF(2)
 F3 = GF(3)
@@ -63,7 +64,8 @@ class TestConstructors:
         for bad in [lambda: family_a(0, 2, 1), lambda: family_a(1, 1, 1),
                     lambda: family_a(1, 2, 0), lambda: family_a_prime(-1, 1, 1),
                     lambda: family_a_prime(0, 0, 1), lambda: family_lambda(0),
-                    lambda: family_b(1, 1)]:
+                    lambda: family_b(1, 1), lambda: family_a(1, 2, 2),
+                    lambda: family_a(1, 3, 5)]:
             with pytest.raises(FamilyParameterError):
                 bad()
 
@@ -104,6 +106,12 @@ class TestClassification:
         with pytest.raises(FamilyParameterError):
             is_geometrically_irreducible_family(
                 FamilyDescriptor("Aprime", n=-1, m0=1, m1=1))
+        # the table covers 1 <= l <= m - 1; A(1, 3, 5)'s crossing relation
+        # lies in (e0^3, e1^3), so no answer for l >= m would be the table's
+        for n, m, l in [(1, 2, 2), (1, 3, 3), (2, 4, 4), (1, 3, 5)]:
+            with pytest.raises(FamilyParameterError, match="l <= m - 1"):
+                is_geometrically_irreducible_family(
+                    FamilyDescriptor("A", n=n, m=m, l=l))
 
 
 class TestIsomorphisms:
@@ -428,8 +436,8 @@ class TestExtCorrespondence:
                 "e1": random_nilpotent(F3, 2, 3, rng),
                 "a1": random_matrix(F3, 2, 2, rng),
             }
-            rep = Representation(pres, F3, {0: 2, 1: 2}, mats)
-            crossing_ok = rep.evaluate_relation(pres.relations[2]).is_zero()
+            crossing_ok = evaluate_relation(F3, {0: 2, 1: 2}, mats,
+                                            pres.relations[2]).is_zero()
             lam = family_lambda(3)
             quo = Representation(lam, F3, {0: 2}, {"e": mats["e1"]})
             sub = Representation(lam, F3, {0: 2}, {"e": mats["e0"]})

@@ -8,8 +8,9 @@ import qvl.dsl
 import qvl.quiver
 from qvl.cli import EXIT_SEMANTIC, run_command
 from qvl.dsl import parse_quiver_spec, print_quiver_spec
-from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
-                          family_b, family_lambda)
+from qvl.families import (crossing_relation, family_a, family_a_prime,
+                          family_a_prime_commuting, family_b, family_lambda,
+                          two_vertex_quiver)
 from qvl.linalg import GF, QQ
 from qvl.quiver import (AlgebraElement, BoundQuiver, PathBasis, Quiver,
                         QuiverError, Relation, decompose_by_support, degree,
@@ -425,9 +426,13 @@ class TestMinimalRelationSets:
 
     def test_crossing_relation_of_high_degree_is_redundant(self):
         # every term of the order-3 crossing relation on order-2 loops
-        # already contains a loop power, so dropping it changes nothing
-        pres_named = family_a(1, 2, 3)
-        assert not is_minimal_relation_set(pres_named.relations, pres_named)
+        # already contains a loop power, so dropping it changes nothing;
+        # family A refuses l >= m, so the presentation is built here
+        q = two_vertex_quiver(1)
+        pres = BoundQuiver(q, [monomial_relation(q, "e0", 2),
+                               monomial_relation(q, "e1", 2),
+                               crossing_relation(q, 3)], 4)
+        assert not is_minimal_relation_set(pres.relations, pres)
 
 
 class TestNormalizedRelationSets:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_gl, random_lambda_rep, random_two_vertex_rep
+from helpers import (random_gl, random_lambda_rep, random_nilpotent,
+                     random_two_vertex_rep)
 from qvl.extensions import (cocycle_kernel, cocycle_space_basis,
                             splitting_from_mono)
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
@@ -95,7 +96,7 @@ def _check_presentations():
 def _random_point(pres, field, rng):
     """Seeded dims in 0..3 and matrices: a loop is nilpotent of a random
     order (often a point, often not), any other arrow random or zero."""
-    from qvl.linalg import random_matrix, random_nilpotent
+    from qvl.linalg import random_matrix
     dims = {v: rng.randint(0, 3) for v in pres.quiver.vertices}
     mats = {}
     for a, s, t in pres.quiver.arrows:
@@ -215,7 +216,6 @@ class TestHomBasis:
         # p(V) commutes with V, so it is an endomorphism the basis must span
         rng = random.Random(21)
         pres = family_lambda(3)
-        from qvl.linalg import random_nilpotent
         v = random_nilpotent(F5, 3, 3, rng)
         rep = Representation(pres, F5, {0: 3}, {"e": v})
         endo = Matrix.identity(F5, 3).scale(2) + v.scale(3) + (v @ v)
@@ -304,7 +304,7 @@ class TestGlAction:
         moved = gl_action(g, rep)
         # loops stay zero; the arrow scales by 2/3
         assert moved.mats["e0"].is_zero() and moved.mats["e1"].is_zero()
-        assert moved.mats["a1"][0, 0] == F5.div(2, 3)
+        assert moved.mats["a1"][0, 0] == F5.mul(2, F5.inv(3))
 
     def test_singular_rejected(self):
         pres, one, two = lambda2_reps()
