@@ -511,12 +511,16 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self._p = field.characteristic
         self._rows: dict[int, dict[int, int]] = {}
-        for vec in vectors:
-            self._insert(self._reduce(vec))
+        self.extend(vectors)
 
     @property
     def dim(self) -> int:
         return len(self._rows)
+
+    def extend(self, vectors: Iterable[Sequence | dict]) -> list[int]:
+        """Insert the vectors; the pivot columns they add, in order.  A
+        pivot column stays one as more vectors are inserted."""
+        return [self._insert(v) for v in map(self._reduce, vectors) if v]
 
     def _reduce(self, vec: Sequence | dict) -> dict:
         """A nonzero multiple of the vector minus its part in the span, as
@@ -541,11 +545,9 @@ class Subspace:
             _eliminate(v, v[pc], row, row[pc], p)
         return v
 
-    def _insert(self, v: dict):
-        """Add a reduced vector as a new row, in normal form, and clear its
-        pivot from the others."""
-        if not v:
-            return
+    def _insert(self, v: dict) -> int:
+        """Add a nonzero reduced vector as a new row, in normal form, clear
+        its pivot from the others and return that pivot."""
         p, rows = self._p, self._rows
         pc = min(v)
         v = _normalized(v, pc, p)
@@ -554,6 +556,7 @@ class Subspace:
                 _eliminate(row, row[pc], v, v[pc], p)
                 rows[rc] = _normalized(row, rc, p)
         rows[pc] = v
+        return pc
 
     def contains(self, vec: Sequence | dict) -> bool:
         return not self._reduce(vec)

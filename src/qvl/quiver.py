@@ -387,10 +387,6 @@ class PathBasis:
             v[self.index[path]] = field.coerce(c)
         return tuple(v)
 
-    def sparse(self, coeffs: Mapping[Path, Fraction | int]) -> dict:
-        """A path -> coefficient mapping as a {column: coefficient} vector."""
-        return {self.index[path]: c for path, c in coeffs.items()}
-
 
 # --- bound quiver presentations ----------------------------------------
 
@@ -423,30 +419,34 @@ class BoundQuiver:
                         raise QuiverError(f"relation uses unknown arrow {a!r}")
         self._hash = hash((quiver, self.relations, truncation_bound))
 
-    def _check_truncation_bound(self, field: Field) -> Subspace:
-        """The relation ideal in kQ/J^(N+1) over the field, once every path
-        of length N is found in it."""
+    def _check_truncation_bound(self, field: Field) -> _Checked:
+        """The relation ideal in kQ/J^(N+1) over the field, its relation
+        pivots (``_relation_pivots``) and the path basis, once every path
+        of length N is found in the ideal."""
         n = self.truncation_bound
-        span = ideal_subspace(self, bound=n + 1, field=field)
         basis = self.path_basis(n + 1)
+        span, pivots = _relation_pivots(self.relations, basis, field)
         for path in basis.paths:
             if path.length == n and not span.contains({basis.index[path]: 1}):
                 raise QuiverError(
                     f"N={n} is not a truncation bound over {field}: path "
                     f"{path} of length {n} is not in the relation ideal")
-        return span
+        return span, pivots, basis
+
+    def _checked(self, field: Field) -> _Checked:
+        """This value's entry of ``_SPANS`` over the field.  It is built, and
+        N checked over the field, on the first call in the process for an
+        equal presentation and that field; raises QuiverError, on every
+        call, when N is not a truncation bound over the field."""
+        key = (self, field)
+        if key not in _SPANS:
+            _SPANS[key] = self._check_truncation_bound(field)
+        return _SPANS[key]
 
     def ideal_span(self, field: Field = QQ) -> Subspace:
         """The relation ideal in kQ/J^(N+1) over the field, the span every
-        ideal query works in.  It is built, and N checked over the field,
-        on the first call in the process for an equal presentation and that
-        field; raises QuiverError, on every call, when N is not a truncation
-        bound over the field."""
-        key = (self, field)
-        span = _SPANS.get(key)
-        if span is None:
-            span = _SPANS[key] = self._check_truncation_bound(field)
-        return span
+        ideal query works in (``_checked``)."""
+        return self._checked(field)[0]
 
     def path_basis(self, bound: int | None = None) -> PathBasis:
         return PathBasis(self.quiver, bound or self.truncation_bound)
@@ -470,22 +470,24 @@ class BoundQuiver:
                 f"N={self.truncation_bound})")
 
 
-# (presentation, field) -> the presentation's ideal span over the field,
-# for every value whose N was checked over that field in this process.
-_SPANS: dict[tuple[BoundQuiver, Field], Subspace] = {}
+# (presentation, field) -> its ideal span in kQ/J^(N+1) over the field,
+# the span's relation pivots and the path basis, for every value whose N
+# was checked over that field in this process.
+_Checked = tuple[Subspace, list[int], PathBasis]
+_SPANS: dict[tuple[BoundQuiver, Field], _Checked] = {}
 
 
-def _ideal_rows(pres: BoundQuiver, relations: Sequence[Relation],
-                bound: int) -> list[tuple[bool, dict[Path, Fraction]]]:
-    """One (padded, {path: coefficient}) pair for every nonzero product
-    p*rel*q in kQ/J^bound, p and q paths; padded says p or q is
-    nontrivial, so the padded products span I*J + J*I.  A product is
+def _ideal_rows(relations: Sequence[Relation], basis: PathBasis
+                ) -> list[tuple[bool, dict[int, Fraction]]]:
+    """One (padded, {column: coefficient}) pair for every nonzero product
+    p*rel*q in the basis's kQ/J^bound, p and q paths; padded says p or q
+    is nontrivial, so the padded products span I*J + J*I.  A product is
     built by concatenating arrow sequences and keeps its terms of length
     < bound; its terms are distinct paths with the same endpoints.
     Relation terms have length >= 2, so p and q are shorter than
     bound - 2."""
-    quiver = pres.quiver
-    paths = quiver.paths_up_to(bound - 3)
+    bound, index = basis.bound, basis.index
+    paths = [p for p in basis.paths if p.length < bound - 2]
     rows = []
     for rel in relations:
         room = bound - min(p.length for _, p in rel.terms)
@@ -499,9 +501,9 @@ def _ideal_rows(pres: BoundQuiver, relations: Sequence[Relation],
                 if pad >= room:
                     continue
                 rows.append((pad > 0, {
-                    Path(left.arrows + p.arrows + right.arrows,
-                         source=right.source, target=left.target,
-                         degree=left.degree + p.degree + right.degree): c
+                    index[Path(left.arrows + p.arrows + right.arrows,
+                               right.source, left.target,
+                               left.degree + p.degree + right.degree)]: c
                     for c, p in rel.terms if pad + p.length < bound}))
     return rows
 
@@ -512,10 +514,20 @@ def ideal_subspace(pres: BoundQuiver, relations: Sequence[Relation] | None = Non
     kQ/J^bound, in the path basis.  Defaults: the presentation's own
     relations and truncation bound, coefficients over Q."""
     rels = pres.relations if relations is None else tuple(relations)
-    n = bound or pres.truncation_bound
-    basis = PathBasis(pres.quiver, n)
-    return Subspace(field, basis.dim, (basis.sparse(terms) for _, terms
-                                       in _ideal_rows(pres, rels, n)))
+    basis = PathBasis(pres.quiver, bound or pres.truncation_bound)
+    return _relation_pivots(rels, basis, field)[0]
+
+
+def _relation_pivots(relations: Sequence[Relation], basis: PathBasis,
+                     field: Field) -> tuple[Subspace, list[int]]:
+    """The span I of the relations' products in the basis, and its relation
+    pivots: the pivot columns the relations add to the span of their
+    padded products, IJ + JI, so they index a basis of I/(IJ + JI).  Every
+    product is corner-homogeneous, so every row is, and a pivot's path
+    runs from its row's source to its target."""
+    rows = _ideal_rows(relations, basis)
+    span = Subspace(field, basis.dim, (v for padded, v in rows if padded))
+    return span, span.extend(v for padded, v in rows if not padded)
 
 
 def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
@@ -526,8 +538,8 @@ def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
     the rest is tested in kQ/J^(N+1).
     """
     n = pres.truncation_bound
-    basis = PathBasis(pres.quiver, n + 1)
-    return pres.ideal_span(field).contains(
+    span, _, basis = pres._checked(field)
+    return span.contains(
         {basis.index[p]: c for p, c in elem.coeffs.items() if p.length < n})
 
 
@@ -633,8 +645,7 @@ def loop_nilpotency_index(pres: BoundQuiver, loop: str,
     if not pres.quiver.is_loop(loop):
         raise QuiverError(f"{loop!r} is not a loop")
     n = pres.truncation_bound
-    span = pres.ideal_span(field)
-    basis = pres.path_basis(n + 1)
+    span, _, basis = pres._checked(field)
     for m in range(1, n + 1):
         if span.contains({basis.index[power(pres.quiver, loop, m)]: 1}):
             return m
@@ -649,34 +660,28 @@ def is_minimal_relation_set(relations: Sequence[Relation], pres: BoundQuiver,
     single relation strictly shrinks it.
 
     Computed in kQ/J^(N+1): one step beyond the truncation bound, where the
-    comparison is insensitive to further enlarging the bound, by one rank:
+    comparison is insensitive to further enlarging the bound, by one count:
     the set must be a basis of I/(IJ + JI) (``_products``).
     """
     return _products(pres, tuple(relations), field)[0]
 
 
 def _products(pres: BoundQuiver, relations: Sequence[Relation],
-              field: Field) -> tuple[bool, list[tuple[bool, Path, dict]]]:
-    """Whether the relations are minimal, and their products in kQ/J^(N+1)
-    as _ideal_rows gives them: (padded, one of the product's paths, its
-    sparse vector).  Raises QuiverError unless they span the ideal I; the
-    presentation's own relations give the very rows ``ideal_span`` was
-    built from, so only another set is spanned and compared with it.  J is
-    nilpotent there, so by Nakayama a relation can be dropped exactly when
-    it lies in the span of the others plus IJ + JI, which the padded
-    products span: the set is minimal iff dim I - dim(IJ + JI) is its size."""
-    ideal = pres.ideal_span(field)
-    bound = pres.truncation_bound + 1
-    basis = PathBasis(pres.quiver, bound)
-    rows = [(padded, next(iter(terms)), basis.sparse(terms))
-            for padded, terms in _ideal_rows(pres, relations, bound)]
-    if tuple(relations) != pres.relations and Subspace(
-            field, ideal.ambient_dim, (v for _, _, v in rows)) != ideal:
-        raise QuiverError(
-            "the given relations do not generate the presentation's ideal")
-    radical = Subspace(field, ideal.ambient_dim,
-                       (v for padded, _, v in rows if padded))
-    return ideal.dim - radical.dim == len(relations), rows
+              field: Field) -> tuple[bool, list[Path]]:
+    """Whether the relations are minimal, and the paths at their relation
+    pivots in kQ/J^(N+1) (``_relation_pivots``).  Raises QuiverError
+    unless they span the ideal I.  The presentation's own relations read
+    the pivots kept with its checked span; another set is spanned once and
+    compared with it.  J is nilpotent there, so by Nakayama the set is
+    minimal iff dim I/(IJ + JI), its number of relation pivots, is its
+    size."""
+    ideal, pivots, basis = pres._checked(field)
+    if tuple(relations) != pres.relations:
+        span, pivots = _relation_pivots(relations, basis, field)
+        if span != ideal:
+            raise QuiverError(
+                "the given relations do not generate the presentation's ideal")
+    return len(pivots) == len(relations), [basis.paths[c] for c in pivots]
 
 
 def is_normalized_relation_set(relations: Sequence[Relation],
@@ -705,12 +710,11 @@ def ext2_dimension(pres: BoundQuiver, relations: Sequence[Relation],
                    x: Vertex, y: Vertex,
                    field: Field = QQ) -> tuple[int, int]:
     """Relation count from x to y in a minimal generating set, paired with
-    the dimension of the corresponding corner of I/(IJ + JI), spanned by
-    the same products that decide minimality.
-
-    The two numbers agree for weakly triangular presentations and x != y;
-    a mismatch indicates a broken relation set and is reported as is.
-    """
+    the dimension of the corresponding corner of I/(IJ + JI): the number
+    of the set's relation pivots (``_products``) whose path runs x -> y.
+    A minimal set's relations are a basis of I/(IJ + JI), so the two agree
+    by construction; ROADMAP item 8 plans an independent check (Ext² by
+    syzygies)."""
     for v in (x, y):
         if v not in pres.quiver.vertices:
             raise QuiverError(f"unknown vertex {v!r}")
@@ -719,18 +723,11 @@ def ext2_dimension(pres: BoundQuiver, relations: Sequence[Relation],
     if not is_weakly_triangular(pres.quiver):
         raise QuiverError("presentation is not weakly triangular")
     rels = tuple(relations)
-    minimal, rows = _products(pres, rels, field)
+    minimal, paths = _products(pres, rels, field)
     if not minimal:
         raise QuiverError("relation set is not a minimal generating set")
     count = sum(1 for rel in rels if rel.source == x and rel.target == y)
-
-    corner = [(padded, v) for padded, path, v in rows
-              if path.source == x and path.target == y]
-    dim = pres.ideal_span(field).ambient_dim
-    dim_ideal = Subspace(field, dim, (v for _, v in corner)).dim
-    dim_radical = Subspace(field, dim,
-                           (v for padded, v in corner if padded)).dim
-    return count, dim_ideal - dim_radical
+    return count, sum(1 for p in paths if p.source == x and p.target == y)
 
 
 def is_simple_loop_extension(pres: BoundQuiver) -> bool:

@@ -126,11 +126,18 @@ def check_against_oracle(pres, field):
                     == oracle_ext2(pres, x, y, field)
 
 
+NAMED = [family_lambda(3), family_a(1, 3, 1), family_a_prime(2, 2, 2),
+         family_a_prime_commuting(2), family_b(1, 2)]
+OWN = [family_lambda(3), family_a(1, 3, 1), family_a(1, 4, 2), family_b(1, 3),
+       family_a_prime(1, 3, 3),
+       parse_quiver_spec("quiver F { vertex 0; loop e at 0; rel e^3; "
+                         "rel e^2 - e^3; }")]
+LEFT_OUT = [(family_a(3, 5, 2), (1, 1)), (family_a(2, 4, 3), (1, 1)),
+            (family_b(3, 4), (1, 1)), (family_a_prime(2, 4, 4), (0, 0))]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("pres", [
-    family_lambda(3), family_a(1, 3, 1), family_a_prime(2, 2, 2),
-    family_a_prime_commuting(2), family_b(1, 2),
-], ids=lambda p: p.name)
+@pytest.mark.parametrize("pres", NAMED, ids=lambda p: p.name)
 def test_named_families_agree_with_dense_oracle(pres, field):
     check_against_oracle(pres, field)
 
@@ -142,14 +149,37 @@ def test_random_presentations_agree_with_dense_oracle(spec, field):
     check_against_oracle(parse_quiver_spec(spec[0]), field)
 
 
-@pytest.mark.parametrize("pres,expected", [
-    (family_a(3, 5, 2), (1, 1)),
-    (family_a(2, 4, 3), (1, 1)),
-    (family_b(3, 4), (1, 1)),
-    (family_a_prime(2, 4, 4), (0, 0)),
-], ids=lambda v: getattr(v, "name", ""))
+@pytest.mark.parametrize("pres,expected", LEFT_OUT,
+                         ids=lambda v: getattr(v, "name", ""))
 def test_ext2_on_presentations_left_out_of_the_benchmark(pres, expected):
     assert ext2_dimension(pres, pres.relations, 1, 0) == expected
+
+
+def check_kept_span(pres, field):
+    """The checked entry of ``quiver._SPANS`` holds exactly the span that
+    ``ideal_subspace`` builds in kQ/J^(N+1), and that one pass over the
+    rows in their own order builds, with the path basis of kQ/J^(N+1)."""
+    bound = pres.truncation_bound + 1
+    span, pivots, basis = pres._checked(field)
+    assert quiver_module._SPANS[pres, field] == (span, pivots, basis)
+    assert basis.paths == PathBasis(pres.quiver, bound).paths
+    assert span == ideal_subspace(pres, bound=bound, field=field)
+    assert span == Subspace(field, basis.dim, (
+        v for _, v in _ideal_rows(pres.relations, basis)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("pres", list(dict.fromkeys(
+    NAMED + OWN + [pres for pres, _ in LEFT_OUT])), ids=lambda p: p.name)
+def test_kept_span_is_the_ideal_subspace(pres, field):
+    check_kept_span(pres, field)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.sampled_from(FIELDS))
+def test_kept_span_of_random_presentations(spec, field):
+    check_kept_span(parse_quiver_spec(spec[0]), field)
 
 
 class _CountedSubspace(Subspace):
@@ -160,49 +190,45 @@ class _CountedSubspace(Subspace):
         super().__init__(*args, **kwargs)
 
 
-def _full_products(pres, relations, field):
-    """``_products`` with every set spanned and compared with the ideal,
-    as it was before the presentation's own relations skipped that."""
-    ideal = pres.ideal_span(field)
-    bound = pres.truncation_bound + 1
-    basis = PathBasis(pres.quiver, bound)
-    rows = [(padded, next(iter(terms)), basis.sparse(terms))
-            for padded, terms in _ideal_rows(pres, relations, bound)]
-    assert Subspace(field, ideal.ambient_dim,
-                    (v for _, _, v in rows)) == ideal
-    radical = Subspace(field, ideal.ambient_dim,
-                       (v for padded, _, v in rows if padded))
-    return ideal.dim - radical.dim == len(relations), rows
+def _fresh_products(pres, relations, field):
+    """What ``_products`` returns, computed afresh from the set's rows:
+    whether dim I - dim(IJ + JI) is the set's size, and the set of paths
+    at the pivot columns of I that are no pivot of IJ + JI.  A span's
+    pivot columns do not depend on the order its vectors come in."""
+    basis = PathBasis(pres.quiver, pres.truncation_bound + 1)
+    rows = _ideal_rows(relations, basis)
+    ideal = Subspace(field, basis.dim, (v for _, v in rows))
+    assert ideal == pres.ideal_span(field)
+    radical = Subspace(field, basis.dim, (v for padded, v in rows if padded))
+    return ideal.dim - radical.dim == len(relations), {
+        basis.paths[c] for c in set(ideal._rows) - set(radical._rows)}
 
 
 def _counted_products(pres, relations, field):
-    """``_products``' result and the number of spans it builds, once
-    ``quiver.Subspace`` is ``_CountedSubspace``."""
+    """``_products``' result, its paths as a set, and the number of spans
+    it builds, once ``quiver.Subspace`` is ``_CountedSubspace``."""
     _CountedSubspace.built = 0
-    return _products(pres, relations, field), _CountedSubspace.built
+    minimal, paths = _products(pres, relations, field)
+    assert len(set(paths)) == len(paths)
+    return (minimal, set(paths)), _CountedSubspace.built
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("pres", [
-    family_lambda(3), family_a(1, 3, 1), family_a(1, 4, 2), family_b(1, 3),
-    family_a_prime(1, 3, 3),
-    parse_quiver_spec("quiver F { vertex 0; loop e at 0; rel e^3; "
-                      "rel e^2 - e^3; }"),
-], ids=lambda p: p.name)
+@pytest.mark.parametrize("pres", OWN, ids=lambda p: p.name)
 def test_own_relations_skip_the_generation_span(pres, field, monkeypatch):
-    """The presentation's own relations give the rows its ideal span was
-    built from: ``_products`` returns what the full comparison returns
-    and builds one span fewer.  The same set in another order is still
-    spanned and compared."""
+    """Once the span is checked, the presentation's own relations read the
+    relation pivots kept with it: ``_products`` builds no span for them
+    and returns what spanning their rows afresh returns.  The same set in
+    another order is spanned once and compared."""
     rels = pres.relations
     turned = rels[1:] + rels[:1]
-    expected = _full_products(pres, rels, field)
-    expected_turned = _full_products(pres, turned, field)
+    expected = _fresh_products(pres, rels, field)
+    expected_turned = _fresh_products(pres, turned, field)
     monkeypatch.setattr(quiver_module, "Subspace", _CountedSubspace)
-    assert _counted_products(pres, rels, field) == (expected, 1)
-    assert _counted_products(pres, list(rels), field) == (expected, 1)
+    assert _counted_products(pres, rels, field) == (expected, 0)
+    assert _counted_products(pres, list(rels), field) == (expected, 0)
     if len(rels) > 1:
-        assert _counted_products(pres, turned, field) == (expected_turned, 2)
+        assert _counted_products(pres, turned, field) == (expected_turned, 1)
 
 
 def test_a_non_generating_set_is_still_refused():

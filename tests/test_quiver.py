@@ -158,9 +158,15 @@ class TestIdealSubspace:
         # building checks nothing; every ideal query checks N again
         q = one_loop_quiver()
         pres = BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
-        for _ in range(2):
-            with pytest.raises(QuiverError, match="N=2 is not a truncation"):
-                pres.ideal_span()
+        for query in (
+                pres.ideal_span,
+                lambda: is_minimal_relation_set(pres.relations, pres),
+                lambda: is_normalized_relation_set(pres.relations, pres),
+                lambda: loop_nilpotency_index(pres, "e"),
+                lambda: ideal_membership(pres.element({}), pres)):
+            for _ in range(2):
+                with pytest.raises(QuiverError, match="N=2 is not a trunc"):
+                    query()
         assert (pres, QQ) not in qvl.quiver._SPANS
 
     def test_one_loop_spans(self):
@@ -502,20 +508,23 @@ class TestExtSquared:
         assert ext2_dimension(pres, pres.relations, 1, 0) == (2, 2)
 
     def test_products_built_once(self, monkeypatch):
-        import qvl.quiver
+        """A warm ext2 or minimality check on the presentation's own
+        relations builds no rows and no span; another set builds its rows
+        and spans them once."""
         pres = family_a(3, 5, 2)
         pres.ideal_span()
         built = []
-        rows = qvl.quiver._ideal_rows
-
-        def counted(*args):
-            out = rows(*args)
-            built.extend(out)
-            return out
-        monkeypatch.setattr(qvl.quiver, "_ideal_rows", counted)
+        rows, subspace = qvl.quiver._ideal_rows, qvl.quiver.Subspace
+        monkeypatch.setattr(qvl.quiver, "_ideal_rows",
+                            lambda *a: built.append("rows") or rows(*a))
+        monkeypatch.setattr(qvl.quiver, "Subspace",
+                            lambda *a: built.append("span") or subspace(*a))
         assert ext2_dimension(pres, pres.relations, 1, 0) == (1, 1)
-        assert len(built) == len(rows(pres, pres.relations,
-                                      pres.truncation_bound + 1))
+        assert is_minimal_relation_set(pres.relations, pres)
+        assert built == []
+        turned = pres.relations[1:] + pres.relations[:1]
+        assert ext2_dimension(pres, turned, 1, 0) == (1, 1)
+        assert built == ["rows", "span"]
 
     def test_zero_composite_on_a_chain(self):
         # loop-free three-vertex chain with the composite killed
