@@ -23,7 +23,7 @@ from .reps import (HomTriple, Morphism, Representation, cokernel, direct_sum,
                    gl_action, hom_basis, is_monomorphism, relabel,
                    simple_module)
 from .extensions import (ExtensionTriple, build_extension, cocycle_space_basis,
-                         cocycle_value, extension_from_mono, is_cocycle,
+                         extension_from_mono, is_cocycle,
                          mono_triple_from_extension, splitting_from_mono)
 from .families import (FamilyDescriptor, FamilyParameterError, build_family,
                        family_a, family_a_prime, family_a_prime_commuting,

@@ -71,7 +71,7 @@ from .extensions import ExtensionTriple
 from .linalg import PrimeField, split_blocks
 from .quiver import BoundQuiver
 from .reps import (HomTriple, Morphism, Representation, _arrow_plan,
-                   _pair_walk, evaluate_relation, flat_layout)
+                   _pair_walk, failed_relations, flat_layout)
 from .strata import StratumTable, subspace_count, subspaces
 
 DEFAULT_BUDGET = 10**8
@@ -288,8 +288,7 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
                                         repeat=sum(size[lo:hi])):
             meter.tick()
             mats.update(split_blocks(field, sub, values))
-            if all(evaluate_relation(field, dims, mats, rel).is_zero()
-                   for rel in checks):
+            if next(failed_relations(field, dims, mats, checks), None) is None:
                 yield values
 
     first, *later = [run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

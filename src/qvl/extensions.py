@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from .linalg import Field, Matrix, hstack, split_blocks, vstack
-from .quiver import BoundQuiver, Relation, Vertex
-from .reps import (HomTriple, Morphism, Representation, _pair_kernel,
-                   _split, _triangular, gl_action, same_data)
+from .quiver import BoundQuiver, Vertex
+from .reps import (HomTriple, Morphism, Representation, _pair_failures,
+                   _pair_kernel, _split, _triangular, gl_action, same_data)
 
 ArrowBlocks = Mapping[str, Matrix]
 
@@ -49,43 +49,22 @@ def _check_block_shapes(quo: Representation, sub: Representation,
             raise ValueError(f"arrow {a!r}: field mismatch")
 
 
-def cocycle_value(quo: Representation, sub: Representation,
-                  blocks: ArrowBlocks, rel: Relation) -> Matrix:
-    """Value of a relation on an arrow-block family.
-
-    For a term c * a_1..a_l the contribution is the sum over j of
-
-        c * sub_(a_1) .. sub_(a_(j-1)) block_(a_j) quo_(a_(j+1)) .. quo_(a_l),
-
-    linear in the blocks and bilinear in (sub, quo).
-    """
-    _check_block_shapes(quo, sub, blocks)
-    field = quo.field
-    acc = Matrix.zeros(field, sub.dims[rel.target], quo.dims[rel.source])
-    for coeff, path in rel.terms:
-        c = field.coerce(coeff)
-        arrows = path.arrows
-        for j in range(len(arrows)):
-            term = blocks[arrows[j]]
-            for a in reversed(arrows[:j]):
-                term = sub.mats[a] @ term
-            for a in arrows[j + 1:]:
-                term = term @ quo.mats[a]
-            acc = acc + term.scale(c)
-    return acc
-
-
 def is_cocycle(quo: Representation, sub: Representation,
                blocks: ArrowBlocks) -> bool:
-    return all(cocycle_value(quo, sub, blocks, rel).is_zero()
-               for rel in quo.pres.relations)
+    """Whether the blocks solve the cocycle equation of every relation:
+    for a term c * a_1..a_l the sum over j of c * sub_(a_1) ..
+    sub_(a_(j-1)) block_(a_j) quo_(a_(j+1)) .. quo_(a_l), linear in the
+    blocks and bilinear in (sub, quo), vanishes; that is, no crossing
+    relation of ``ext_quiver`` fails at the triple."""
+    _check_block_shapes(quo, sub, blocks)
+    return next(_pair_failures("ext", quo, sub, blocks), None) is None
 
 
 def cocycle_kernel(quo: Representation, sub: Representation
                    ) -> tuple[dict, list[tuple]]:
     """The block shapes, and the kernel basis of the cocycle system of the
     pair: the relations linearized in every arrow's block, as in
-    cocycle_value, the crossing layer of ``ext_quiver``."""
+    is_cocycle, the crossing layer of ``ext_quiver``."""
     return _pair_kernel("ext", quo, sub)
 
 
@@ -129,8 +108,8 @@ def build_extension(quo: Representation, sub: Representation,
     Returns (middle, incl, proj): middle is [[sub, blocks], [0, quo]]
     (``reps._triangular``), incl embeds ``sub`` as the upper block and proj
     maps onto ``quo``; the sequence is exact.  A relation's value at the
-    middle is [[its value at sub, cocycle_value], [0, its value at quo]],
-    so one validity check proves both sides points and the blocks a
+    middle is [[its value at sub, its cocycle value], [0, its value at
+    quo]], so one validity check proves both sides points and the blocks a
     cocycle.  An invalid middle raises ValueError naming the first failed
     cocycle equation, else a side off the variety; AssertionError if none.
     """
@@ -139,10 +118,9 @@ def build_extension(quo: Representation, sub: Representation,
     pres = quo.pres
     middle = _triangular(sub, quo, blocks)
     if not middle.is_valid():
-        for rel in pres.relations:
-            if not cocycle_value(quo, sub, blocks, rel).is_zero():
-                raise ValueError(
-                    f"blocks violate the cocycle equation of {rel}")
+        rel = next(_pair_failures("ext", quo, sub, blocks), None)
+        if rel is not None:
+            raise ValueError(f"blocks violate the cocycle equation of {rel}")
         for name, rep in (("quotient", quo), ("sub", sub)):
             if not rep.is_valid():
                 raise ValueError(f"the {name} is not a point of the variety")
@@ -161,21 +139,19 @@ def build_extension(quo: Representation, sub: Representation,
             Morphism._trusted(middle, quo, proj_maps))
 
 
-def splitting_from_mono(mor: Morphism,
-                        complement: Mapping[Vertex, Matrix] | None = None
+def splitting_from_mono(mor: Morphism
                         ) -> tuple[dict[Vertex, Matrix], dict[str, Matrix],
                                    Representation]:
     """Split a monomorphism sub -> middle into normal form.
 
     Returns (g, blocks, quo) with g_x = [f_x | h_x] invertible such that
     conjugating the middle term by g^(-1) gives ``build_extension``'s
-    [[sub, blocks], [0, quo]]; the blocks are a cocycle.  Without a
-    complement, h_x is the unit columns at the rows that are not pivots of
-    the row-reduced f_x^T, and quo is the cokernel's (both read
-    ``reps._split``).  Raises ValueError if h lacks a vertex, has the
-    wrong shape there, or makes [f, h] singular.
+    [[sub, blocks], [0, quo]]; the blocks are a cocycle.  h_x is the unit
+    columns at the rows that are not pivots of the row-reduced f_x^T, and
+    quo is the cokernel's (both read ``reps._split``).  Raises ValueError
+    unless ``mor`` is a monomorphism.
     """
-    g, _, blocks, quo = _split(mor, complement, "splitting")
+    g, _, blocks, quo = _split(mor, "splitting")
     return g, blocks, quo
 
 
@@ -193,14 +169,12 @@ def mono_triple_from_extension(g: Mapping[Vertex, Matrix],
     return HomTriple(triple.sub, moved, mor)
 
 
-def extension_from_mono(mor: Morphism,
-                        complement: Mapping[Vertex, Matrix] | None = None
-                        ) -> ExtensionTriple:
+def extension_from_mono(mor: Morphism) -> ExtensionTriple:
     """Extension triple carried by a monomorphism into a middle term.
 
     The lower-left blocks of the conjugated middle term vanish because the
     image of a homomorphism is a subrepresentation, so the data always
     assembles into a valid triple.
     """
-    _, blocks, quo = splitting_from_mono(mor, complement)
+    _, blocks, quo = splitting_from_mono(mor)
     return ExtensionTriple(quo, mor.source, blocks)

@@ -16,8 +16,7 @@ from typing import Mapping
 
 from .linalg import (Field, Matrix, SandwichPlan, _int_product, block2x2,
                      hstack, split_blocks)
-from .quiver import (BoundQuiver, QuiverError, Relation, Vertex, ext_quiver,
-                     hom_quiver)
+from .quiver import BoundQuiver, QuiverError, Vertex, ext_quiver, hom_quiver
 
 DimVector = Mapping[Vertex, int]
 
@@ -31,30 +30,6 @@ def same_data(a, b) -> bool:
 
 def dims_add(a: DimVector, b: DimVector) -> dict:
     return {x: a.get(x, 0) + b.get(x, 0) for x in set(a) | set(b)}
-
-
-def path_product(field: Field, mats: Mapping[str, Matrix], arrows,
-                 size: int) -> Matrix:
-    """mats[arrows[0]] @ .. @ mats[arrows[-1]], or the size x size identity
-    when there are no arrows."""
-    if not arrows:
-        return Matrix.identity(field, size)
-    result = mats[arrows[0]]
-    for arrow in arrows[1:]:
-        result = result @ mats[arrow]
-    return result
-
-
-def evaluate_relation(field: Field, dims: DimVector,
-                      mats: Mapping[str, Matrix], rel: Relation) -> Matrix:
-    """The value of ``rel`` at the arrow matrices ``mats`` with these dims:
-    the path product of each term, scaled by its coefficient, summed."""
-    acc = None
-    for coeff, path in rel.terms:
-        term = path_product(field, mats, path.arrows,
-                            dims.get(path.source, 0)).scale(coeff)
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def failed_relations(field: Field, dims: DimVector,
@@ -84,24 +59,6 @@ def failed_relations(field: Field, dims: DimVector,
                                         for x in row]) for row in m.rows])
                     for a, m in mats.items()}
     columns = {}
-
-    def value(arrows: tuple) -> tuple:
-        """The rows of the product along ``arrows``."""
-        out = products.get(arrows)
-        if out is None:
-            half = len(arrows) // 2
-            out = products[arrows] = product(value(arrows[:half]),
-                                             transposed(arrows[half:]))
-        return out
-
-    def transposed(arrows: tuple) -> tuple:
-        out = columns.get(arrows)
-        if out is None:
-            out = columns[arrows] = (
-                tuple(zip(*value(arrows))) if mats[arrows[0]].nrows
-                else ((),) * mats[arrows[-1]].ncols)
-        return out
-
     reduce = field.reduce
     for rel in relations:
         if field.characteristic:
@@ -113,10 +70,32 @@ def failed_relations(field: Field, dims: DimVector,
                       * d ** (top - p.length) for c, p in rel.terms]
         if not (dims.get(rel.target, 0) and dims.get(rel.source, 0)):
             continue
-        values = [value(p.arrows) for _, p in rel.terms]
+        values = [_path_rows(p.arrows, products, columns, product, mats)
+                  for _, p in rel.terms]
         if any(reduce(sum(map(mul, coeffs, entries)))
                for row in zip(*values) for entries in zip(*row)):
             yield rel
+
+
+def _path_rows(arrows: tuple, rows: dict, columns: dict, product,
+               mats: Mapping[str, Matrix]) -> tuple:
+    """The rows of the product along ``arrows``, its first half times its
+    second: ``rows`` holds those of each path taken so far, one-arrow paths
+    given, and ``columns`` the columns of each second half.  A function of
+    the module, not a closure of ``failed_relations``, so that a call
+    leaves no reference cycle for the garbage collector."""
+    out = rows.get(arrows)
+    if out is None:
+        half = len(arrows) // 2
+        right = arrows[half:]
+        cols = columns.get(right)
+        if cols is None:
+            cols = columns[right] = (
+                tuple(zip(*_path_rows(right, rows, columns, product, mats)))
+                if mats[right[0]].nrows else ((),) * mats[right[-1]].ncols)
+        out = rows[arrows] = product(
+            _path_rows(arrows[:half], rows, columns, product, mats), cols)
+    return out
 
 
 def flat_layout(pres: BoundQuiver, dims: DimVector, arrows=None) -> dict:
@@ -324,13 +303,10 @@ class Morphism:
         return mor
 
     def intertwines(self) -> bool:
-        """Check target_a . f_(s a) == f_(t a) . source_a for every arrow."""
-        for arrow, src, dst in self.source.pres.quiver.arrows:
-            lhs = self.target.mats[arrow] @ self.maps[src]
-            rhs = self.maps[dst] @ self.source.mats[arrow]
-            if lhs != rhs:
-                return False
-        return True
+        """Whether f_(t a) source_a = target_a f_(s a) for every arrow a:
+        no crossing relation of ``hom_quiver`` fails at the triple."""
+        return next(_pair_failures("hom", self.source, self.target,
+                                   self.maps), None) is None
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """self . inner (apply inner first)."""
@@ -395,6 +371,29 @@ def _pair_kernel(kind: str, first: Representation, second: Representation
     return ({crossing[a]: shape for a, shape in plan.shapes.items()},
             plan.kernel(flat_point(first.mats, arrows)
                         + flat_point(second.mats, arrows)))
+
+
+def _pair_failures(kind: str, first: Representation, second: Representation,
+                   crossing: Mapping):
+    """The check-side twin of ``_pair_kernel``: with ``first`` on the first
+    copy of ``_pair_walk``'s doubled presentation, ``second`` on the
+    second, and ``crossing``'s matrices on the crossing arrows (the vertex
+    maps, keyed by vertex, for hom; the blocks, keyed by arrow, for ext),
+    the label of each crossing relation ``failed_relations`` finds nonzero,
+    in order: the arrow of ``first.pres`` whose intertwining fails (hom) or
+    the relation whose cocycle equation fails (ext).  Labels are matched to
+    crossing relations by position, as two equal relations of the
+    presentation give equal crossing relations."""
+    pres = first.pres
+    doubled, dims, labels = _pair_walk(kind, pres, first.dims, second.dims)
+    arrows = pres.quiver.arrow_names()
+    mats = dict(zip(doubled.quiver.arrow_names()[:2 * len(arrows)],
+                    [rep.mats[a] for rep in (first, second) for a in arrows]))
+    mats.update((a, crossing[label]) for a, label in labels.items())
+    rels = doubled.relations[2 * len(pres.relations):]
+    named = iter(zip(rels, pres.relations if kind == "ext" else arrows))
+    for rel in failed_relations(first.field, dims, mats, rels):
+        yield next(label for r, label in named if r is rel)
 
 
 def hom_kernel(source: Representation, target: Representation
@@ -476,13 +475,14 @@ def _unit_columns(field: Field, n: int, pivots: tuple) -> Matrix:
         tuple([one if i == j else zero for j in free]) for i in range(n)))
 
 
-def _split(mor: Morphism, complement: Mapping[Vertex, Matrix] | None,
-           name: str) -> tuple[dict, dict, dict, Representation]:
+def _split(mor: Morphism, name: str
+           ) -> tuple[dict, dict, dict, Representation]:
     """(g, g^(-1), blocks, quotient) of a monomorphism f: sub -> middle,
     with g_x = [f_x | h_x] and g^(-1) middle g = [[sub, blocks], [0,
-    quotient]].  h is ``complement`` or else the standard one: the pivots
-    of the one row reduction of each f_x^T test injectivity (``name``
-    names the construction in that error) and give its free rows."""
+    quotient]].  h is the standard complement: the pivots of the one row
+    reduction of each f_x^T test injectivity (``name`` names the
+    construction in that error), and h_x is the unit columns at the rows
+    off them, so [f_x | h_x] is invertible."""
     if not mor.intertwines():
         raise ValueError("not a homomorphism of representations")
     sub, middle, field = mor.source, mor.target, mor.field
@@ -495,19 +495,9 @@ def _split(mor: Morphism, complement: Mapping[Vertex, Matrix] | None,
     quo_dims = {x: middle.dims[x] - sub.dims[x] for x in quiver.vertices}
     g, g_inv = {}, {}
     for x in quiver.vertices:
-        if complement is None:
-            h = _unit_columns(field, middle.dims[x], pivots[x])
-        elif x not in complement:
-            raise ValueError(f"complement is missing vertex {x!r}")
-        else:
-            h = complement[x]
-        if h.shape != (middle.dims[x], quo_dims[x]):
-            raise ValueError(f"vertex {x!r}: complement has wrong shape")
-        g[x] = hstack(mor.maps[x], h)
-        try:
-            g_inv[x] = g[x].inverse()
-        except ZeroDivisionError:
-            raise ValueError(f"vertex {x!r}: [f, h] is singular") from None
+        g[x] = hstack(mor.maps[x],
+                      _unit_columns(field, middle.dims[x], pivots[x]))
+        g_inv[x] = g[x].inverse()
     blocks, quo_mats = {}, {}
     for a, s, t in quiver.arrows:
         m = g_inv[t] @ middle.mats[a] @ g[s]
@@ -533,7 +523,7 @@ def cokernel(mor: Morphism) -> tuple[Representation, Morphism]:
     (``_split``), and the projection at x the last rows of g_x^(-1), so
     building a quotient twice gives identical matrices.
     """
-    _, g_inv, _, quotient = _split(mor, None, "cokernel")
+    _, g_inv, _, quotient = _split(mor, "cokernel")
     return quotient, Morphism._trusted(mor.target, quotient, {
         x: Matrix._trusted(mor.field, quotient.dims[x], m.ncols,
                            m.rows[mor.source.dims[x]:])

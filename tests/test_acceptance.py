@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import jsonschema
 
-from helpers import ext_triple_of, hom_triple_of, inverse, \
+from helpers import cocycle_value, ext_triple_of, hom_triple_of, inverse, \
     iter_rep_points_odometer, random_cocycle, random_gl, random_lambda_rep, \
     random_two_vertex_rep
 from qvl.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_PARSE,
@@ -22,7 +22,7 @@ from qvl.counting import (count_ext_points, count_hom_points,
                           count_rep_points, iter_ext_points, iter_hom_points,
                           iter_rep_points)
 from qvl.dsl import parse_quiver_spec, print_quiver_spec
-from qvl.extensions import (ExtensionTriple, build_extension, cocycle_value,
+from qvl.extensions import (ExtensionTriple, build_extension,
                             mono_triple_from_extension, splitting_from_mono)
 from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, FamilyDescriptor,
                           family_a, family_a_prime, family_a_prime_commuting,

@@ -629,6 +629,27 @@ class TestFileCommands:
         assert report["error"]["message"] == (
             f"--blocks {blocks}: blocks violate the cocycle equation of e*e")
 
+    def test_extend_names_the_failing_relation(self, tmp_path):
+        # over Q, with two relations and blocks that fail only the second:
+        # the message names that relation
+        quiver = tmp_path / "e2.qv"
+        quiver.write_text("quiver E { vertex 0; vertex 1; loop e at 0; "
+                          "loop f at 1; rel e^2; rel f^2; }\n")
+        n, zero = [["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]
+        point, blocks = tmp_path / "n.json", tmp_path / "x.json"
+        point.write_text(json.dumps({
+            "field": {"type": "Q"}, "dims": {"0": 2, "1": 2},
+            "mats": {"e": n, "f": n}}))
+        blocks.write_text(json.dumps({
+            "field": {"type": "Q"},
+            "blocks": {"e": zero, "f": [["1", "0"], ["0", "0"]]}}))
+        code, report = run(["extend", "--quiver", str(quiver),
+                            "--quo", str(point), "--sub", str(point),
+                            "--blocks", str(blocks)])
+        assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+        assert report["error"]["message"] == (
+            f"--blocks {blocks}: blocks violate the cocycle equation of f*f")
+
     @pytest.mark.parametrize("field", [{"type": "Fp", "p": 5}, {"type": "Q"}],
                              ids=["F5", "Q"])
     @pytest.mark.parametrize("entries,message", [

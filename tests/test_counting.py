@@ -322,11 +322,11 @@ class TestHomMonoExtCounts:
         assert count == 2 ** ambient_dimension("ext", pres, e, d)
 
     def test_ext_points_satisfy_cocycle(self):
-        from qvl.extensions import is_cocycle
+        from helpers import is_cocycle_reference
         lam = family_lambda(2)
         pts = list(iter_ext_points(lam, F2, {0: 1}, {0: 2}))
         for t in pts:
-            assert is_cocycle(t.quo, t.sub, t.blocks)
+            assert is_cocycle_reference(t.quo, t.sub, t.blocks)
 
 
 class TestTasksAndBudget:

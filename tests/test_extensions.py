@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_cocycle, random_gl, random_lambda_rep
+from helpers import (cocycle_value, random_cocycle, random_gl,
+                     random_lambda_rep)
 from qvl.extensions import (ExtensionTriple, block_shapes, build_extension,
-                            cocycle_space_basis, cocycle_value,
-                            extension_from_mono, is_cocycle,
+                            cocycle_space_basis, extension_from_mono,
+                            is_cocycle,
                             mono_triple_from_extension, splitting_from_mono,
                             zero_blocks)
 from qvl.families import family_a, family_lambda
@@ -318,24 +319,6 @@ class TestSplitting:
         zero = Morphism(one, two, {0: Matrix.zeros(F2, 2, 1)})
         with pytest.raises(ValueError):
             splitting_from_mono(zero)
-
-    def test_singular_complement_rejected(self):
-        pres = family_lambda(2)
-        one = Representation(pres, F2, {0: 1}, {"e": Matrix(F2, 1, 1, [[0]])})
-        two = Representation(pres, F2, {0: 2},
-                             {"e": Matrix(F2, 2, 2, [[0, 1], [0, 0]])})
-        from qvl.reps import hom_basis
-        f = [m for m in hom_basis(one, two)][0]
-        bad_h = {0: f.maps[0]}  # same column twice -> singular
-        with pytest.raises(ValueError):
-            splitting_from_mono(f, complement=bad_h)
-
-    def test_complement_missing_a_vertex_rejected(self):
-        pres = family_lambda(2)
-        one = Representation(pres, F2, {0: 1}, {"e": Matrix(F2, 1, 1, [[0]])})
-        ident = Morphism(one, one, {0: Matrix.identity(F2, 1)})
-        with pytest.raises(ValueError, match="complement is missing vertex 0"):
-            splitting_from_mono(ident, complement={})
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_under_base_change(self, seed):

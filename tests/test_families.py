@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from helpers import (copy_of, ext_triple_of, hom_triple_of, inverse,
+from helpers import (cocycle_value, copy_of, evaluate_relation,
+                     ext_triple_of, hom_triple_of, inverse,
                      iter_rep_points_odometer, random_nilpotent,
                      random_two_vertex_rep)
 from qvl.counting import (count_ext_points, count_hom_points,
                           count_rep_points, iter_ext_points, iter_hom_points,
                           iter_rep_points, rep_ambient_dim)
-from qvl.extensions import cocycle_value
 from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, TWIST, FamilyDescriptor,
                           FamilyParameterError, build_family, family_a,
                           family_a_prime, family_a_prime_commuting, family_b,
@@ -17,7 +17,7 @@ from qvl.linalg import GF, QQ, Matrix, random_matrix
 from qvl.quiver import (QuiverError, Relation, ext_quiver, hom_quiver,
                         is_isomorphism, is_simple_loop_extension,
                         is_weakly_triangular, monomial_relation)
-from qvl.reps import Representation, evaluate_relation, relabel
+from qvl.reps import Representation, relabel
 
 F2 = GF(2)
 F3 = GF(3)

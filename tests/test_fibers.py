@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_two_vertex_rep, residual_kernel, typed
+from helpers import (is_cocycle_reference, random_two_vertex_rep,
+                     residual_kernel, typed)
 from qvl.counting import (_inner_count, _span, iter_ext_points,
                           iter_hom_points)
 from qvl.extensions import (block_shapes, build_extension,
-                            cocycle_space_basis, is_cocycle,
-                            splitting_from_mono)
+                            cocycle_space_basis, splitting_from_mono)
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
 from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, random_invertible,
@@ -448,7 +448,8 @@ class TestWalkOrder:
 
 class TestCocycleOracle:
     """Over F_2 the cocycle space has 2^dim elements; count them by testing
-    every block family with the independent evaluator is_cocycle."""
+    every block family with the matrix-product reference, which reads no
+    ext_quiver."""
 
     @pytest.mark.parametrize("name", ["A(1,3,1)", "B(1,3)", "A'comm(2)"])
     def test_brute_force_count(self, name):
@@ -473,7 +474,7 @@ class TestCocycleOracle:
                         values[pos + i * c:pos + (i + 1) * c]
                         for i in range(r)])
                     pos += r * c
-                count += is_cocycle(quo, sub, blocks)
+                count += is_cocycle_reference(quo, sub, blocks)
             assert count == 2 ** len(cocycle_space_basis(quo, sub))
             constrained += count < 2 ** total
         assert constrained > 0

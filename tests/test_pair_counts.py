@@ -9,11 +9,12 @@ import itertools
 
 import pytest
 
-from helpers import iter_rep_points_odometer
+from helpers import (intertwines_reference, is_cocycle_reference,
+                     iter_rep_points_odometer)
 from qvl.certificates import mono_reducibility_witness
 from qvl.counting import (BudgetExceededError, count_ext_points,
                           count_hom_points, count_mono_points)
-from qvl.extensions import block_shapes, is_cocycle
+from qvl.extensions import block_shapes
 from qvl.families import family_a, family_a_prime, family_a_prime_commuting
 from qvl.linalg import GF, Matrix
 from qvl.reps import Morphism, is_monomorphism
@@ -59,10 +60,11 @@ def _oracle(pres, field, first_dims, second_dims):
     for x, y in itertools.product(firsts, seconds):
         for maps in _assignments(field, map_shapes):
             mor = Morphism(x, y, maps)
-            if mor.intertwines():
+            if intertwines_reference(mor):
                 hom += 1
                 mono += is_monomorphism(mor)
-        ext += sum(is_cocycle(x, y, fam) for fam in _assignments(field, blocks))
+        ext += sum(is_cocycle_reference(x, y, fam)
+                   for fam in _assignments(field, blocks))
     return hom, mono, ext
 
 

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (random_gl, random_lambda_rep, random_nilpotent,
+from helpers import (evaluate_relation, intertwines_reference,
+                     is_cocycle_reference, path_product, random_gl,
+                     random_lambda_rep, random_nilpotent,
                      random_two_vertex_rep)
-from qvl.extensions import (cocycle_kernel, cocycle_space_basis,
+from qvl.extensions import (block_shapes, cocycle_kernel,
+                            cocycle_space_basis, is_cocycle,
                             splitting_from_mono)
 from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
-from qvl.linalg import GF, Matrix, QQ, hstack
+from qvl.linalg import GF, Matrix, QQ, hstack, random_matrix
 from qvl.reps import (Morphism, Representation, cokernel, direct_sum,
-                      evaluate_relation, failed_relations, gl_action,
-                      hom_basis, hom_kernel, is_monomorphism, path_product,
-                      simple_module)
+                      failed_relations, gl_action, hom_basis, hom_kernel,
+                      is_monomorphism, simple_module)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -96,7 +98,6 @@ def _check_presentations():
 def _random_point(pres, field, rng):
     """Seeded dims in 0..3 and matrices: a loop is nilpotent of a random
     order (often a point, often not), any other arrow random or zero."""
-    from qvl.linalg import random_matrix
     dims = {v: rng.randint(0, 3) for v in pres.quiver.vertices}
     mats = {}
     for a, s, t in pres.quiver.arrows:
@@ -166,6 +167,63 @@ class TestFailedRelations:
                 evaluate_relation(F3, {0: dim}, mats, pres.relations[0])
             with pytest.raises(ZeroDivisionError):
                 Representation(pres, F3, {0: dim}, mats).is_valid()
+
+
+PAIR_FAMILIES = {"A(1,3,1)": family_a(1, 3, 1),
+                 "A'comm(2)": family_a_prime_commuting(2),
+                 "A(2,4,2)": family_a(2, 4, 2)}
+
+
+def _random_combination(field, zero, families, rng):
+    """``zero`` plus a random linear combination of the matrix families
+    (dicts on its keys), each coefficient in -3..3."""
+    acc = dict(zero)
+    for fam in families:
+        c = field.coerce(rng.randint(-3, 3))
+        acc = {k: acc[k] + fam[k].scale(c) for k in acc}
+    return acc
+
+
+class TestPairChecks:
+    """``is_cocycle`` and ``intertwines``, which read the crossing relations
+    of ``ext_quiver`` and ``hom_quiver``, against the matrix-product
+    references at random blocks and maps and at random elements of the
+    cocycle and Hom kernels."""
+
+    @pytest.mark.parametrize("field", [F3, F5, QQ], ids=str)
+    @pytest.mark.parametrize("name", list(PAIR_FAMILIES))
+    def test_agree_with_references(self, name, field):
+        pres = PAIR_FAMILIES[name]
+        rng = random.Random(f"{name}:{field}")
+        seen = {"ext": set(), "hom": set()}
+        for _ in range(8):
+            first, second = (random_two_vertex_rep(
+                pres, field, rng.randint(0, 2), rng.randint(1, 2), rng)
+                for _ in range(2))
+            shapes = block_shapes(pres, second.dims, first.dims)
+            cocycles = cocycle_space_basis(first, second)
+            for blocks in ({a: random_matrix(field, r, c, rng)
+                            for a, (r, c) in shapes.items()},
+                           _random_combination(field, {
+                               a: Matrix.zeros(field, r, c)
+                               for a, (r, c) in shapes.items()},
+                               cocycles, rng)):
+                got = is_cocycle(first, second, blocks)
+                assert got == is_cocycle_reference(first, second, blocks)
+                seen["ext"].add(got)
+            homs = [m.maps for m in hom_basis(first, second)]
+            for maps in ({x: random_matrix(field, second.dims[x],
+                                           first.dims[x], rng)
+                          for x in pres.quiver.vertices},
+                         _random_combination(field, {
+                             x: Matrix.zeros(field, second.dims[x],
+                                             first.dims[x])
+                             for x in pres.quiver.vertices}, homs, rng)):
+                mor = Morphism(first, second, maps)
+                got = mor.intertwines()
+                assert got == intertwines_reference(mor)
+                seen["hom"].add(got)
+        assert seen == {"ext": {False, True}, "hom": {False, True}}
 
 
 class TestHomBasis:
