@@ -4,10 +4,15 @@ Counts are exact: a point is counted only after its defining equations are
 checked, and linear fibers are kernels of systems, counted through their
 dimension instead of being walked pointwise.  Each walk compiles the layout
 of its systems once, as a ``linalg.SandwichPlan``, and applies it to every
-point.  Walks stream flat points from the loop locus up: a point of a
-variety is a tuple of its coordinates (every arrow's entries, arrows in
-declaration order, row-major), a loop point the entries of the loops
-alone, and a point of a linear fiber a vector in the plan's layout.
+point.  The compiled tower (the layers, each layer's plan and the stratum
+table) is kept for the last 64 (presentation value, field, dims, orbits,
+top) in the process (``_compiled``): a repeated count or walk in one
+process compiles nothing, while a one-shot process compiles each tower
+once, as it would without the cache.  Walks stream flat points from the
+loop locus up: a point of a variety is a tuple of its coordinates (every
+arrow's entries, arrows in declaration order, row-major), a loop point the
+entries of the loops alone, and a point of a linear fiber a vector in the
+plan's layout.
 ``Representation``, ``Morphism``, ``HomTriple`` and ``ExtensionTriple``
 objects are built only by the public iterators; the counts, the census and
 the witness read the flat points.
@@ -189,9 +194,9 @@ def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
     """The tower of the walk with these dims: (layer-0 arrows, loop-only
     relations, the other layer-0 relations, ((arrows, relations) of each
     later layer, bottom up)), all tuples; layer 0 is every loop plus the
-    arrows no layer takes, and its relations read nothing else.  A tower is
-    kept for the last 64 (presentation value, dims at its vertices, top),
-    as a repeated count or walk would grow it again.
+    arrows no layer takes, and its relations read nothing else.  A walk
+    reads it through ``_compiled``, which keeps it, compiled, for the last
+    64 (presentation value, field, dims, orbits, top).
 
     The layers are peeled from the top.  The top is ``top`` if given;
     otherwise each non-loop arrow a relation reads seeds a layer
@@ -203,15 +208,8 @@ def _layers(pres: BoundQuiver, dims: Mapping, top: Iterable[str] = ()):
     layer and the relations it reads, so k non-loop arrows grow at most
     k^2 candidates.  Layer 0 is the loops alone for every named family,
     {a} for b*a and {a, c} for b*a - d*c."""
-    return _tower(pres, tuple(dims.get(v, 0) for v in pres.quiver.vertices),
-                  tuple(top))
-
-
-@functools.lru_cache(maxsize=64)
-def _tower(pres: BoundQuiver, dims: tuple, top: tuple):
-    """``_layers`` at the dims ``dims`` of the vertices, in their order."""
     quiver = pres.quiver
-    layout = flat_layout(pres, dict(zip(quiver.vertices, dims)))
+    layout = flat_layout(pres, dims)
     rank = {a: (r * c, i) for i, (a, (_, r, c)) in enumerate(layout.items())}
     arrows = [a for a in layout if not quiver.is_loop(a)]
     rels = {i: [[a for a in p.arrows if not quiver.is_loop(a)]
@@ -337,20 +335,14 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     (flat point below the last layer, labels, kernel basis of the last
     layer there) over the points of
     ``_loop_points`` and layer 0 and each middle layer's span, one step per
-    element.  Strata and systems are set up once.  Points are counted over
-    a prime field F_p only."""
+    element.  Strata and systems are set up by ``_compiled``, which the
+    meter never sees.  Points are counted over a prime field F_p only."""
     if not isinstance(field, PrimeField):
         raise ValueError("points are counted over a prime field F_p, "
                          f"not {field!r}")
-    base, loop_rels, base_rels, layers = _layers(pres, dims, top)
-    walked = [*pres.quiver.loops(), *base]
-    plans = []
-    for arrows, rels in layers or [((), ())]:
-        plan = _arrow_plan(pres, field, dims, walked, arrows, rels)
-        plans.append((plan.ncols, plan.kernel))
-        walked += arrows
-    table = StratumTable(pres, field, dims, loop_rels,
-                         None if orbits else base, base_rels)
+    (base, loop_rels, base_rels, _), walked, plans, table = _compiled(
+        pres, field, tuple(dims.get(v, 0) for v in pres.quiver.vertices),
+        orbits, tuple(top))
 
     def above(point, labels, level):
         size, kernel = plans[level]
@@ -368,7 +360,29 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
                                        base_rels, meter)):
                 yield from above(point, labels, 0)
 
-    return walked, table.weight, stream()
+    return list(walked), table.weight, stream()
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(pres: BoundQuiver, field: PrimeField, dims: tuple,
+              orbits: bool, top: tuple):
+    """What ``_fibers`` sets up, at the dims ``dims`` of the vertices in
+    their order: (the tower of ``_layers``, the walked arrows, (ncols,
+    kernel) of each layer's ``SandwichPlan``, the ``StratumTable``), kept
+    for the last 64 (presentation value, field, dims, orbits, top), as a
+    repeated count or walk would compile it again.  Equal presentations
+    share an entry whatever their names."""
+    dims = dict(zip(pres.quiver.vertices, dims))
+    tower = base, loop_rels, base_rels, layers = _layers(pres, dims, top)
+    walked = [*pres.quiver.loops(), *base]
+    plans = []
+    for arrows, rels in layers or [((), ())]:
+        plan = _arrow_plan(pres, field, dims, walked, arrows, rels)
+        plans.append((plan.ncols, plan.kernel))
+        walked += arrows
+    table = StratumTable(pres, field, dims, loop_rels,
+                         None if orbits else base, base_rels)
+    return tower, tuple(walked), tuple(plans), table
 
 
 def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,

@@ -59,9 +59,11 @@ class Quiver:
         self.arrows: tuple[tuple[str, Vertex, Vertex], ...] = tuple(arrow_list)
         self._source = {a: s for a, s, _ in self.arrows}
         self._target = {a: t for a, _, t in self.arrows}
+        self._names = tuple(a for a, _, _ in self.arrows)
+        self._loops = tuple(a for a, s, t in self.arrows if s == t)
 
     def arrow_names(self) -> tuple[str, ...]:
-        return tuple(a for a, _, _ in self.arrows)
+        return self._names
 
     def source(self, arrow: str) -> Vertex:
         return self._source[arrow]
@@ -79,7 +81,7 @@ class Quiver:
         return 0 if self.is_loop(arrow) else 1
 
     def loops(self) -> tuple[str, ...]:
-        return tuple(a for a in self.arrow_names() if self.is_loop(a))
+        return self._loops
 
     def loops_at(self, x: Vertex) -> tuple[str, ...]:
         return tuple(a for a in self.loops() if self._source[a] == x)

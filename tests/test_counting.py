@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import iter_rep_points_odometer
-from qvl import certificates, counting
+from qvl import certificates, counting, reps
 from qvl.certificates import (CensusResult, hom_counterexample_census,
                               mono_reducibility_witness, product_count_check)
 from qvl.counting import (BudgetExceededError, _Meter, _assignments,
@@ -26,7 +26,7 @@ from qvl.reps import (Morphism, _arrow_plan, flat_layout, hom_basis,
                       is_monomorphism)
 from qvl.strata import (StratumTable, _jordan_point, _nilpotent_orbit,
                         jordan_types, nilpotent_orbit_size)
-from test_base_fibers import SANDWICH, SQUARE
+from test_base_fibers import PATH2, SANDWICH, SQUARE
 
 F2 = GF(2)
 F3 = GF(3)
@@ -630,7 +630,6 @@ class TestCensus:
             return grow(*args)
 
         monkeypatch.setattr(counting, "_grow", counted)
-        counting._tower.cache_clear()   # grow the tower, not read it back
         pres = hom_quiver(family_a_prime(12, 2, 2))
         k = sum(not pres.quiver.is_loop(a) for a in pres.quiver.arrow_names())
         assert k == 26
@@ -638,9 +637,10 @@ class TestCensus:
         assert 0 < len(grown) <= k * k
 
     def test_repeated_walks_reuse_the_tower(self, monkeypatch):
-        # the tower is kept by presentation value, dims and top: a second
-        # count or walk of an equal presentation grows no layer, and
-        # counts, meters and orders its points as the first
+        # the compiled tower is kept by presentation value, field, dims,
+        # orbits and top: a second count or walk of an equal presentation
+        # grows no layer, and counts, meters and orders its points as the
+        # first
         grown = []
         grow = counting._grow
 
@@ -649,7 +649,7 @@ class TestCensus:
             return grow(*args)
 
         monkeypatch.setattr(counting, "_grow", counted)
-        counting._tower.cache_clear()
+        counting._compiled.cache_clear()
         runs = []
         for _ in range(2):
             before = len(grown)
@@ -664,7 +664,7 @@ class TestCensus:
                          len(grown) - before))
         assert runs[0][:4] == runs[1][:4]
         assert runs[0][4] > 0 == runs[1][4]
-        assert counting._tower.cache_info().hits >= 3
+        assert counting._compiled.cache_info().hits >= 3
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda q: st.tuples(
@@ -678,6 +678,89 @@ class TestCensus:
         assert res.count_a_zero == q
         assert res.union_verified
         assert res.hom_bijection_verified
+
+
+class TestCompiledTower:
+    """``counting._compiled`` keeps each walk's layers, plans and stratum
+    table for the last 64 (presentation value, field, dims, orbits, top)."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        counting._compiled.cache_clear()
+        yield
+        counting._compiled.cache_clear()
+
+    def test_repeat_builds_no_plan_and_no_table(self, monkeypatch):
+        built = []
+        plan, table = reps.SandwichPlan, counting.StratumTable
+
+        class CountedPlan(plan):
+            def __init__(self, *args):
+                built.append("plan")
+                super().__init__(*args)
+
+        def counted_table(*args):
+            built.append("table")
+            return table(*args)
+
+        monkeypatch.setattr(reps, "SandwichPlan", CountedPlan)
+        monkeypatch.setattr(counting, "StratumTable", counted_table)
+        lam, square = family_lambda(2), parse_quiver_spec(SQUARE)
+        runs = []
+        for _ in range(2):
+            before = len(built)
+            meter = _Meter()
+            result = (
+                count_rep_points(square, F3, {0: 1, 1: 2, 2: 1, 3: 2}),
+                count_hom_points(lam, F3, {0: 2}, {0: 2}),
+                count_mono_points(lam, F3, {0: 1}, {0: 2}),
+                count_ext_points(lam, F3, {0: 1}, {0: 1}),
+                list(_points_over(square, F3, {0: 1, 1: 1, 2: 1, 3: 1},
+                                  meter)),
+                [triple.key() for triple in iter_ext_points(
+                    lam, F3, {0: 1}, {0: 1})],
+                meter.used, meter.planned)
+            runs.append((result, built[before:]))
+        assert runs[0][0] == runs[1][0]
+        assert {"plan", "table"} <= set(runs[0][1])
+        assert runs[1][1] == []
+
+    def test_field_and_orbits_key_their_own_entries(self):
+        # PATH2's base arrow a has rank rows in a count and none in a walk
+        pres, dims = parse_quiver_spec(PATH2), {0: 2, 1: 2, 2: 2}
+        counts = [count_rep_points(pres, F2, dims),
+                  count_rep_points(pres, F3, dims),
+                  sum(1 for _ in iter_rep_points(pres, F3, dims))]
+        key = (pres, F3, (2, 2, 2))
+        assert counting._compiled(*key, False, ())[3].arrows == [(2, 2)]
+        assert counting._compiled(*key, True, ())[3].arrows is None
+        assert counting._compiled.cache_info().currsize == 3
+        assert counts == [
+            count_rep_points(pres, F2, dims), count_rep_points(pres, F3, dims),
+            sum(1 for _ in iter_rep_points(pres, F3, dims))]
+        assert counts[1] == counts[2]
+        assert counting._compiled.cache_info().currsize == 3
+
+    def test_rational_field_still_raises(self):
+        pres, dims = family_lambda(2), {0: 2}
+        assert count_rep_points(pres, F3, dims) == 9
+        for walk in (lambda: count_rep_points(pres, QQ, dims),
+                     lambda: list(iter_rep_points(pres, QQ, dims))):
+            with pytest.raises(ValueError, match="prime field"):
+                walk()
+        assert counting._compiled.cache_info().currsize == 1
+
+    def test_equal_presentations_share_an_entry(self):
+        pres = family_lambda(3)
+        quiver = pres.quiver
+        renamed = BoundQuiver(
+            Quiver(quiver.vertices, quiver.arrows, name="Other"),
+            pres.relations, pres.truncation_bound, name="Other")
+        assert renamed == pres and renamed.name != pres.name
+        counts = [count_rep_points(p, F2, {0: 3}) for p in (pres, renamed)]
+        assert counts == [2 ** 6] * 2
+        info = counting._compiled.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestWitness:
