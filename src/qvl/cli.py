@@ -68,7 +68,13 @@ def _load_json_file(path: str):
 
 
 def _load_pres(args):
-    if getattr(args, "quiver", None):
+    family = [f"{flag} {value}" for flag, _ in _FAMILY
+              if (value := getattr(args, flag[2:])) is not None]
+    if args.quiver and family:
+        raise CliSemanticError(
+            f"give --quiver FILE or --family KIND, not both: got --quiver "
+            f"{args.quiver} and {' '.join(family)}")
+    if args.quiver:
         try:
             with open(args.quiver, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -76,7 +82,7 @@ def _load_pres(args):
             raise CliSemanticError(
                 f"cannot read {args.quiver}: {exc}") from exc
         return parse_quiver_spec(text)
-    if getattr(args, "family", None):
+    if args.family:
         return build_family(_descriptor(args))
     raise CliSemanticError("provide --quiver FILE or --family KIND")
 

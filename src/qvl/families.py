@@ -8,10 +8,20 @@ with the Hom and Ext quivers of Lambda(m) (``quiver.hom_quiver`` and
 ``quiver.ext_quiver``) and of A'comm(m) with A(1, m, 1), are vertex and
 signed arrow maps that ``quiver.is_isomorphism`` proves and
 ``reps.relabel`` follows.
+
+Each of the five builders keeps its presentations for the last 64
+parameter tuples, so equal parameters give the one ``BoundQuiver`` in the
+process: a repeated query builds no quiver, relation or path, and the
+per-process caches keyed by presentation value (``quiver._SPANS``,
+``reps._doubling``, ``counting._compiled``) find it by identity.
+Presentations are immutable, so sharing one is safe.  Parameters out of
+range raise ``FamilyParameterError`` on every call: a failed build is not
+kept.  ``family_b(n, m)`` is the object ``family_a(n, m, m - 1)``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +104,7 @@ def crossing_relation(quiver: Quiver, l: int) -> Relation:
     return Relation(terms)
 
 
+@functools.lru_cache(maxsize=64)
 def family_a(n: int, m: int, l: int) -> BoundQuiver:
     """Two loops of order m plus the degree-one crossing relation."""
     _check("A", n, m, l)
@@ -104,6 +115,7 @@ def family_a(n: int, m: int, l: int) -> BoundQuiver:
     return BoundQuiver(quiver, rels, 2 * m, name=f"A({n},{m},{l})")
 
 
+@functools.lru_cache(maxsize=64)
 def family_a_prime(n: int, m0: int, m1: int) -> BoundQuiver:
     """Loops of orders m0 and m1, no crossing relation.
 
@@ -121,6 +133,7 @@ def family_a_prime(n: int, m0: int, m1: int) -> BoundQuiver:
     return BoundQuiver(quiver, rels, bound, name=f"A'({n},{m0},{m1})")
 
 
+@functools.lru_cache(maxsize=64)
 def family_a_prime_commuting(m: int) -> BoundQuiver:
     """One arrow, two order-m loops, and the commuting relation
     e0*a1 - a1*e1."""
@@ -134,6 +147,7 @@ def family_a_prime_commuting(m: int) -> BoundQuiver:
     return BoundQuiver(quiver, rels, 2 * m, name=f"A'comm({m})")
 
 
+@functools.lru_cache(maxsize=64)
 def family_lambda(m: int) -> BoundQuiver:
     """Truncated polynomial algebra: one vertex, one loop e of order m.
 
@@ -148,6 +162,7 @@ def family_lambda(m: int) -> BoundQuiver:
                        name=f"Lambda({m})")
 
 
+@functools.lru_cache(maxsize=64)
 def family_b(n: int, m: int) -> BoundQuiver:
     """The corner family: A(n, m, m-1)."""
     _check("B", n, m)

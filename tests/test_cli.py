@@ -263,6 +263,44 @@ SWEEP["split"]["off_variety"] = ("split --family Lambda --m 2 "
                                  "--sub {dim_zero} --middle {off_variety} "
                                  "--map {map_1x0}")
 
+# A DSL file and a family at once name two presentations: every subcommand
+# that takes a source refuses the pair, whatever else it is given.
+for _command, _tail in {
+        "check": "--rep {rep}", "hom": "--source {rep} --target {rep}",
+        "cocycles": "--quo {rep} --sub {rep}",
+        "extend": "--quo {rep} --sub {rep} --blocks {blocks}",
+        "split": "--sub {rep} --middle {rep} --map {map}",
+        "count": "--dim 2 --q 2", "ext2": "--x 0 --y 0",
+        "probe": "--dim 2 --q 2,3"}.items():
+    SWEEP[_command]["both_sources"] = (
+        f"{_command} --quiver {{quiver}} --family Lambda --m 3 {_tail}")
+
+
+def test_both_sources_cover_every_source_subcommand():
+    takes_source = {name for name, (_, _, specs) in qvl.cli._COMMANDS.items()
+                    if "--quiver" in dict(specs)}
+    assert takes_source == {command for command, cases in SWEEP.items()
+                            if "both_sources" in cases}
+
+
+@pytest.mark.parametrize("command", ["count", "ext2", "probe"])
+def test_both_sources_name_both_flags(command, lam2_file):
+    # the file holds Lambda(2): its count at dim 2 over F_2 (4 points) or
+    # its refusal of ext2 at x = y must not stand in for the refusal
+    argv = SWEEP[command]["both_sources"].format(quiver=lam2_file).split()
+    code, report = run(argv)
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    message = report["error"]["message"]
+    assert "--quiver" in message and "--family" in message
+
+
+def test_quiver_takes_no_family_parameter(lam2_file):
+    code, report = run(["count", "--quiver", lam2_file, "--m", "3",
+                        "--dim", "2", "--q", "2"])
+    assert (code, report["error"]["type"]) == (EXIT_SEMANTIC, "semantic")
+    assert "--quiver" in report["error"]["message"]
+    assert "--m 3" in report["error"]["message"]
+
 
 def test_sweep_covers_every_subcommand():
     assert set(SWEEP) == set(qvl.cli._COMMANDS)

@@ -6,6 +6,7 @@ from helpers import (cocycle_value, copy_of, evaluate_relation,
                      ext_triple_of, hom_triple_of, inverse,
                      iter_rep_points_odometer, random_nilpotent,
                      random_two_vertex_rep)
+from qvl.cli import run_command
 from qvl.counting import (count_ext_points, count_hom_points,
                           count_rep_points, iter_ext_points, iter_hom_points,
                           iter_rep_points, rep_ambient_dim)
@@ -14,8 +15,8 @@ from qvl.families import (EXT_LAMBDA, HOM_LAMBDA, TWIST, FamilyDescriptor,
                           family_a_prime, family_a_prime_commuting, family_b,
                           family_lambda, is_geometrically_irreducible_family)
 from qvl.linalg import GF, QQ, Matrix, random_matrix
-from qvl.quiver import (QuiverError, Relation, ext_quiver, hom_quiver,
-                        is_isomorphism, is_simple_loop_extension,
+from qvl.quiver import (BoundQuiver, QuiverError, Relation, ext_quiver,
+                        hom_quiver, is_isomorphism, is_simple_loop_extension,
                         is_weakly_triangular, monomial_relation)
 from qvl.reps import Representation, relabel
 
@@ -518,3 +519,83 @@ class TestCornerSplit:
         full = count_rep_points(family_b(3, 2), F2, {0: 1, 1: 1})
         core = count_rep_points(family_b(1, 2), F2, {0: 1, 1: 1})
         assert full == core * 2 ** 2
+
+
+# one parameter tuple in range for each builder
+BUILT = [(family_a, (2, 3, 1)), (family_a_prime, (2, 2, 3)),
+         (family_a_prime_commuting, (2,)), (family_lambda, (3,)),
+         (family_b, (2, 3))]
+
+
+def _clear_builders():
+    for builder, _ in BUILT:
+        builder.cache_clear()
+
+
+class TestBuiltOnce:
+    """Each builder keeps its presentations per parameter tuple, so a
+    process builds each family once; a failed build is not kept."""
+
+    @pytest.fixture(autouse=True)
+    def _cleared(self):
+        _clear_builders()
+        yield
+        _clear_builders()
+
+    @pytest.mark.parametrize("builder, params", BUILT,
+                             ids=lambda x: getattr(x, "__name__", None))
+    def test_equal_parameters_give_one_object(self, builder, params):
+        pres = builder(*params)
+        assert builder(*params) is pres
+        _clear_builders()
+        rebuilt = builder(*params)
+        assert rebuilt == pres and rebuilt is not pres
+
+    @pytest.mark.parametrize("desc, builder, params", [
+        (FamilyDescriptor("A", n=2, m=3, l=1), family_a, (2, 3, 1)),
+        (FamilyDescriptor("Aprime", n=2, m0=2, m1=3), family_a_prime,
+         (2, 2, 3)),
+        (FamilyDescriptor("AprimeCommuting", m=2), family_a_prime_commuting,
+         (2,)),
+        (FamilyDescriptor("Lambda", m=3), family_lambda, (3,)),
+        (FamilyDescriptor("B", n=2, m=3), family_b, (2, 3))],
+        ids=lambda x: getattr(x, "kind", None))
+    def test_build_family_is_the_builders_object(self, desc, builder,
+                                                 params):
+        assert build_family(desc) is builder(*params)
+
+    def test_family_b_is_the_corner_of_family_a(self):
+        assert family_b(2, 3) is family_a(2, 3, 2)
+        assert family_a(1, 4, 3) is family_b(1, 4)
+
+    @pytest.mark.parametrize("builder, params, message", [
+        (family_a, (1, 3, 5), "l <= m - 1"),
+        (family_lambda, (0,), "m >= 1")])
+    def test_out_of_range_raises_on_every_call(self, builder, params,
+                                               message):
+        for _ in range(2):
+            with pytest.raises(FamilyParameterError, match=message):
+                builder(*params)
+        assert builder.cache_info().currsize == 0
+
+    def test_repeated_query_builds_no_presentation(self, monkeypatch):
+        argv = "count --family B --n 2 --m 3 --dim 2,2 --q 3".split()
+        built = []
+        init = BoundQuiver.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoundQuiver, "__init__", counted)
+        reports, builds = [], []
+        for _ in range(2):
+            built.clear()
+            code, report = run_command(argv)
+            assert code == 0
+            report.pop("elapsed_seconds")
+            reports.append(report)
+            builds.append(len(built))
+        assert builds[0] > 0 and builds[1] == 0
+        assert reports[0] == reports[1]
+        assert reports[0]["result"]["count"] == 251505
