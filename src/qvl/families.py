@@ -9,14 +9,15 @@ with the Hom and Ext quivers of Lambda(m) (``quiver.hom_quiver`` and
 signed arrow maps that ``quiver.is_isomorphism`` proves and
 ``reps.relabel`` follows.
 
-Each of the five builders keeps its presentations for the last 64
+Each builder that builds keeps its presentations for the last 64
 parameter tuples, so equal parameters give the one ``BoundQuiver`` in the
 process: a repeated query builds no quiver, relation or path, and the
 per-process caches keyed by presentation value (``quiver._SPANS``,
 ``reps._doubling``, ``counting._compiled``) find it by identity.
 Presentations are immutable, so sharing one is safe.  Parameters out of
 range raise ``FamilyParameterError`` on every call: a failed build is not
-kept.  ``family_b(n, m)`` is the object ``family_a(n, m, m - 1)``.
+kept.  ``family_b`` keeps nothing itself: ``family_b(n, m)`` is the object
+``family_a(n, m, m - 1)`` keeps.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ def family_lambda(m: int) -> BoundQuiver:
                        name=f"Lambda({m})")
 
 
-@functools.lru_cache(maxsize=64)
 def family_b(n: int, m: int) -> BoundQuiver:
     """The corner family: A(n, m, m-1)."""
     _check("B", n, m)
