@@ -8,7 +8,10 @@ point.  The compiled tower (the layers, each layer's plan and the stratum
 table) is kept for the last 64 (presentation value, field, dims, orbits,
 top) in the process (``_compiled``): a repeated count or walk in one
 process compiles nothing, while a one-shot process compiles each tower
-once, as it would without the cache.  Walks stream flat points from the
+once, as it would without the cache.  Where each stratum row fixes the
+whole point below one top layer, the entry also keeps the kernel dimension
+above each row, filled by the first count to reach it, so a repeated rep,
+hom or ext count there solves no system.  Walks stream flat points from the
 loop locus up: a point of a variety is a tuple of its coordinates (every
 arrow's entries, arrows in declaration order, row-major), a loop point the
 entries of the loops alone, and a point of a linear fiber a vector in the
@@ -328,28 +331,32 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
 
 
 def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
-            top: Iterable[str] = ()):
+            top: Iterable[str] = (), dims_only: bool = False):
     """The tower walk of ``_layers``, ``top`` its last layer if given: the
     arrows in the order a walked point lays them out (loops, layer 0, then
     each later layer), the stratum table's ``weight``, and a stream of
     (flat point below the last layer, labels, kernel basis of the last
-    layer there) over the points of
+    layer there, or with ``dims_only`` its dimension) over the points of
     ``_loop_points`` and layer 0 and each middle layer's span, one step per
     element.  Strata and systems are set up by ``_compiled``, which the
-    meter never sees.  Points are counted over a prime field F_p only."""
+    meter never sees.  Where the entry keeps the dimension above each row,
+    a stream of dimensions solves a row only the first time any count
+    reaches it, and reads it from the entry after that.  Points are
+    counted over a prime field F_p only."""
     if not isinstance(field, PrimeField):
         raise ValueError("points are counted over a prime field F_p, "
                          f"not {field!r}")
-    (base, loop_rels, base_rels, _), walked, plans, table = _compiled(
+    (base, loop_rels, base_rels, _), walked, plans, table, kept = _compiled(
         pres, field, tuple(dims.get(v, 0) for v in pres.quiver.vertices),
         orbits, tuple(top))
+    solve = plans[-1].nullity if dims_only else plans[-1].kernel
 
     def above(point, labels, level):
-        size, kernel = plans[level]
         if level + 1 == len(plans):
-            yield point, labels, kernel(point)
+            yield point, labels, solve(point)
             return
-        for vec in _walk_fiber(field, size, kernel(point), meter):
+        plan = plans[level]
+        for vec in _walk_fiber(field, plan.ncols, plan.kernel(point), meter):
             yield from above(point + vec, labels, level + 1)
 
     def stream():
@@ -360,29 +367,45 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
                                        base_rels, meter)):
                 yield from above(point, labels, 0)
 
-    return list(walked), table.weight, stream()
+    def kept_stream():    # one row, one point below the top layer
+        for i, (point, labels) in enumerate(_loop_points(
+                pres, field, dims, loop_rels, meter, orbits, table)):
+            if i == len(kept):
+                kept.append(solve(point))
+            yield point, labels, kept[i]
+
+    return (list(walked), table.weight,
+            kept_stream() if dims_only and kept is not None else stream())
 
 
 @functools.lru_cache(maxsize=64)
 def _compiled(pres: BoundQuiver, field: PrimeField, dims: tuple,
               orbits: bool, top: tuple):
     """What ``_fibers`` sets up, at the dims ``dims`` of the vertices in
-    their order: (the tower of ``_layers``, the walked arrows, (ncols,
-    kernel) of each layer's ``SandwichPlan``, the ``StratumTable``), kept
-    for the last 64 (presentation value, field, dims, orbits, top), as a
-    repeated count or walk would compile it again.  Equal presentations
-    share an entry whatever their names."""
+    their order: (the tower of ``_layers``, the walked arrows, each layer's
+    ``SandwichPlan``, the ``StratumTable``, the kept kernel dimensions),
+    kept for the last 64 (presentation value, field, dims, orbits, top), as
+    a repeated count or walk would compile it again.  Equal presentations
+    share an entry whatever their names.
+
+    The kept dimensions are a list, in row order, of the top layer's
+    kernel dimension above each stratum row, which the first count to
+    reach a row appends; they are None unless each row is the whole point
+    below the top layer: at most one layer above layer 0, rank rows for
+    layer 0 (``table.arrows``), and Jordan strata or no loops."""
     dims = dict(zip(pres.quiver.vertices, dims))
     tower = base, loop_rels, base_rels, layers = _layers(pres, dims, top)
     walked = [*pres.quiver.loops(), *base]
     plans = []
     for arrows, rels in layers or [((), ())]:
-        plan = _arrow_plan(pres, field, dims, walked, arrows, rels)
-        plans.append((plan.ncols, plan.kernel))
+        plans.append(_arrow_plan(pres, field, dims, walked, arrows, rels))
         walked += arrows
     table = StratumTable(pres, field, dims, loop_rels,
                          None if orbits else base, base_rels)
-    return tower, tuple(walked), tuple(plans), table
+    rows_fix_the_point = len(plans) == 1 and table.arrows is not None and (
+        table.loops is not None or not pres.quiver.loops())
+    return (tower, tuple(walked), tuple(plans), table,
+            [] if rows_fix_the_point else None)
 
 
 def _points_over(pres: BoundQuiver, field, dims, meter: _Meter,
@@ -452,15 +475,17 @@ def iter_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,
 def _count(field: PrimeField, budget: int | None, pres: BoundQuiver, dims,
            top: Iterable[str] = (), counter=None) -> int:
     """The sum over the points of ``_fibers`` of their labels' weight * the
-    size of the last layer's kernel: q^dim, or what ``counter(field, its
-    shapes)`` counts from the kernel basis and the meter."""
+    size of the last layer's kernel: q^dim, from its dimension alone, or
+    what ``counter(field, its shapes)`` counts from the kernel basis and
+    the meter."""
     meter = _Meter(budget)
-    _, weight, fibers = _fibers(pres, field, dims, meter, False, top)
+    _, weight, fibers = _fibers(pres, field, dims, meter, False, top,
+                                counter is None)
     size = (counter(field, {a: (r, c) for a, (_, r, c)
                             in flat_layout(pres, dims, top).items()})
-            if counter else lambda basis, _: field.p ** len(basis))
-    return sum(weight(labels, field.p) * size(basis, meter)
-               for _, labels, basis in fibers)
+            if counter else lambda dim, _: field.p ** dim)
+    return sum(weight(labels, field.p) * size(fiber, meter)
+               for _, labels, fiber in fibers)
 
 
 def count_rep_points(pres: BoundQuiver, field: PrimeField, dims: Mapping,

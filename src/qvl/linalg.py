@@ -620,7 +620,8 @@ class SandwichPlan:
     the product of their matrices, left to right, each read at the
     (offset, rows, cols) that ``layout`` gives it in the flat point.
     Equations without terms give no rows.  ``kernel(point)`` is the kernel
-    basis of the system at a flat point, ``kernel_basis`` of its rows.
+    basis of the system at a flat point, ``kernel_basis`` of its rows, and
+    ``nullity(point)`` its dimension.
 
     The row-major vec of L X R is (L kron R^T) vec X, so a term adds
     c * L[u, i] * R[j, v] at row (u, v) of its equation and column (i, j)
@@ -749,9 +750,18 @@ class SandwichPlan:
         is first cleared to integers over one common denominator, and the
         int rows go straight to ``field.row_reduce``, which spans them as
         a ``Subspace`` on ints."""
-        field = self.field
-        return kernel_basis(field, self._rows(point) if field.characteristic
-                            else self._rows(*_cleared(point)), self.ncols)
+        return kernel_basis(self.field, self._system(point), self.ncols)
+
+    def nullity(self, point: Sequence) -> int:
+        """The dimension of ``kernel(point)``: ``ncols`` minus the pivot
+        count of ``field.row_reduce`` on the same rows, with no basis
+        vector built."""
+        return self.ncols - len(
+            self.field.row_reduce(self._system(point), self.ncols)[1])
+
+    def _system(self, point: Sequence) -> list[list]:
+        return (self._rows(point) if self.field.characteristic
+                else self._rows(*_cleared(point)))
 
 
 def _side_factor(product, point: Sequence, segments: Sequence[tuple]

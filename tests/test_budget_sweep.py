@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import test_budget_pins as budget_pins
 from qvl import certificates, counting
 from qvl.certificates import hom_counterexample_census
 from qvl.counting import (BudgetExceededError, count_mono_points,
@@ -97,3 +98,47 @@ def test_sweep_is_pinned(query, monkeypatch):
     # a complete walk at the largest budget, with its whole plan taken
     budget, _, used, planned = pinned[-1]
     assert used == planned <= budget
+
+
+# the count pins of test_budget_pins, and this sweep's count
+COUNT_PINS = [walk for walk in budget_pins.WALKS
+              if walk.split("-")[0] in ("rep", "hom", "mono")]
+
+
+@pytest.mark.parametrize("walk", COUNT_PINS)
+def test_count_pins_hold_when_repeated(walk, monkeypatch):
+    """Each count pin twice at each budget, in one process without clearing
+    ``_compiled`` between runs, so a count may read the kernel dimensions
+    an earlier one kept: the same count or the same stop message.  A
+    budget below the row count stops before any row and keeps nothing; a
+    complete count keeps a dimension for every row."""
+    counting._compiled.cache_clear()
+    entries, compiled = [], counting._compiled
+
+    def recording(*key):
+        entries.append(compiled(*key))
+        return entries[-1]
+
+    monkeypatch.setattr(counting, "_compiled", recording)
+    keeps = False
+    for budget, expected in zip(budget_pins.BUDGETS,
+                                budget_pins.PINNED[walk]):
+        if callable(expected):
+            expected = expected(budget)
+        for _ in range(2):
+            del entries[:]
+            assert budget_pins._outcome(walk, budget) == expected
+            for *_, table, kept in entries:
+                if kept is not None:
+                    keeps, rows = True, table.row_count()
+                    assert kept == [] if budget < rows else len(kept) == rows
+    # stratified rows under one top layer; the others walk a base arrow, a
+    # filtered locus or a middle layer
+    assert keeps == (walk in ("rep-loops", "rep-pairs", "rep-ranked"))
+
+
+def test_sweep_counts_hold_when_repeated(monkeypatch):
+    """The sweep's count at each pinned budget twice, in one process."""
+    got = [_run("mono-B13", budget, monkeypatch)
+           for budget, *_ in SWEEP["mono-B13"] for _ in range(2)]
+    assert got == [row for row in SWEEP["mono-B13"] for _ in range(2)]

@@ -20,13 +20,15 @@ from qvl.dsl import parse_quiver_spec
 from qvl.extensions import cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF, QQ, Matrix
+from qvl.linalg import GF, QQ, Matrix, PrimeField
 from qvl.quiver import BoundQuiver, Quiver, hom_quiver
 from qvl.reps import (Morphism, _arrow_plan, flat_layout, hom_basis,
                       is_monomorphism)
 from qvl.strata import (StratumTable, _jordan_point, _nilpotent_orbit,
                         jordan_types, nilpotent_orbit_size)
 from test_base_fibers import PATH2, SANDWICH, SQUARE
+from test_filtered_pins import CASES as FILTERED
+from test_rank_strata import FILTERED_LOOP_AT_END
 
 F2 = GF(2)
 F3 = GF(3)
@@ -761,6 +763,164 @@ class TestCompiledTower:
         assert counts == [2 ** 6] * 2
         info = counting._compiled.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def _spies(monkeypatch):
+    """Lists that record each ``row_reduce`` over F_p, each meter made and
+    each ``_compiled`` entry read, from here on."""
+    solved, meters, entries = [], [], []
+    row_reduce, compiled = PrimeField.row_reduce, counting._compiled
+
+    def spy(self, rows, ncols):
+        solved.append(ncols)
+        return row_reduce(self, rows, ncols)
+
+    class Recording(counting._Meter):
+        def __init__(self, budget=None):
+            super().__init__(budget)
+            meters.append(self)
+
+    def recording(*key):
+        entries.append(compiled(*key))
+        return entries[-1]
+
+    monkeypatch.setattr(PrimeField, "row_reduce", spy)
+    monkeypatch.setattr(counting, "_Meter", Recording)
+    monkeypatch.setattr(counting, "_compiled", recording)
+    return solved, meters, entries
+
+
+# counts whose stratum rows each fix the whole point below one top layer
+KEPT = {
+    "rep Lambda(2)": lambda: count_rep_points(family_lambda(2), F3, {0: 3}),
+    "rep B(2,3)": lambda: count_rep_points(family_b(2, 3), F3,
+                                           {0: 2, 1: 2}),
+    "rep A'comm(2)": lambda: count_rep_points(family_a_prime_commuting(2),
+                                              F3, {0: 2, 1: 2}),
+    "rep A(1,4,2)": lambda: count_rep_points(family_a(1, 4, 2), F3,
+                                             {0: 2, 1: 3}),
+    "rep b*a": lambda: count_rep_points(parse_quiver_spec(PATH2), F3,
+                                        {0: 2, 1: 2, 2: 2}),
+    "hom Lambda(2)": lambda: count_hom_points(family_lambda(2), F3, {0: 2},
+                                              {0: 3}),
+    "ext Lambda(2)": lambda: count_ext_points(family_lambda(2), F2, {0: 3},
+                                              {0: 3}),
+    "hom Lambda(3)": lambda: count_hom_points(family_lambda(3), F2, {0: 3},
+                                              {0: 3}),
+    "ext Lambda(3)": lambda: count_ext_points(family_lambda(3), F2, {0: 2},
+                                              {0: 3}),
+}
+
+# counts whose rows do not fix the point below the top layer: a filtered
+# loop locus, a base walk, a middle layer
+UNKEPT = {
+    **{f"rep {case}": lambda case=case: count_rep_points(
+        FILTERED[case][0], F3, FILTERED[case][1]) for case in ("F", "FP")},
+    "rep PF": lambda: count_rep_points(
+        parse_quiver_spec(FILTERED_LOOP_AT_END), F3, {0: 2, 1: 2, 2: 2}),
+    "hom b*a": lambda: count_hom_points(parse_quiver_spec(PATH2), F3,
+                                        {0: 1, 1: 1, 2: 1},
+                                        {0: 2, 1: 2, 2: 2}),
+}
+
+# what reads kernel bases, never the kept dimensions
+SOLVING = {
+    "mono Lambda(2)": lambda: count_mono_points(family_lambda(2), F3,
+                                                {0: 1}, {0: 2}),
+    "mono A(1,3,1)": lambda: count_mono_points(family_a(1, 3, 1), F3,
+                                               {0: 1, 1: 1}, {0: 1, 1: 2}),
+    "iter_rep_points": lambda: [rep.mats["e"].rows for rep in iter_rep_points(
+        family_lambda(2), F3, {0: 3})],
+    "iter_hom_points": lambda: [t.morphism.maps[0].rows for t in
+                                iter_hom_points(family_lambda(2), F3, {0: 2},
+                                                {0: 3})],
+    "witness": lambda: dataclasses.astuple(
+        mono_reducibility_witness(3, 2, 1, 3)),
+}
+
+
+class TestKeptKernelDims:
+    """A count whose stratum rows each fix the whole point below its one top
+    layer keeps the kernel dimension above each row with its ``_compiled``
+    entry, filled as the first count reaches each row: a repeated count
+    solves no system.  Every other count, walk and the witness solves at
+    each point every time."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        counting._compiled.cache_clear()
+        yield
+        counting._compiled.cache_clear()
+
+    @pytest.mark.parametrize("count", KEPT.values(), ids=list(KEPT))
+    def test_repeat_solves_no_system(self, count, monkeypatch):
+        compiled = counting._compiled
+        solved, meters, entries = _spies(monkeypatch)
+        runs = []
+        for _ in range(2):
+            before = len(solved)
+            result = count()
+            runs.append((result, meters[-1].used, meters[-1].planned,
+                         len(solved) - before))
+        *_, table, kept = entries[-1]
+        assert runs[0][3] == len(kept) == table.row_count() > 0
+        assert runs[1] == (*runs[0][:3], 0)
+        compiled.cache_clear()
+        assert count() == runs[0][0]
+
+    @pytest.mark.parametrize("count", UNKEPT.values(), ids=list(UNKEPT))
+    def test_other_counts_solve_each_time(self, count, monkeypatch):
+        solved, meters, entries = _spies(monkeypatch)
+        runs = []
+        for _ in range(2):
+            before = len(solved)
+            runs.append((count(), meters[-1].used, meters[-1].planned,
+                         len(solved) - before))
+        assert runs[0] == runs[1] and runs[0][3] > 0
+        assert [entry[4] for entry in entries] == [None] * 2
+
+    @pytest.mark.parametrize("walk", SOLVING.values(), ids=list(SOLVING))
+    def test_bases_are_solved_each_time(self, walk, monkeypatch):
+        solved, _, entries = _spies(monkeypatch)
+        runs = []
+        for _ in range(2):
+            before = len(solved)
+            runs.append((walk(), len(solved) - before))
+        assert runs[0] == runs[1] and runs[0][1] > 0
+        assert not any(entry[4] for entry in entries)
+
+    def test_mono_count_solves_above_a_kept_table(self, monkeypatch):
+        lam = family_lambda(2)
+        solved, _, entries = _spies(monkeypatch)
+        mono = count_mono_points(lam, F3, {0: 2}, {0: 3})
+        alone = len(solved)
+        assert count_hom_points(lam, F3, {0: 2}, {0: 3}) == 31833
+        kept = entries[-1][4]
+        assert entries[0] is entries[-1] and len(kept) == 4
+        before = len(solved)
+        assert count_mono_points(lam, F3, {0: 2}, {0: 3}) == mono
+        assert len(solved) - before == alone
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_kept_hom_dims_are_the_closed_form(self, m, monkeypatch):
+        # the Hom space from J_lam to J_mu has dimension sum min(lam_i, mu_j)
+        _, _, entries = _spies(monkeypatch)
+        for d, e, q in itertools.product(range(4), range(4), (F2, F3)):
+            count_hom_points(family_lambda(m), q, {0: d}, {0: e})
+            *_, table, kept = entries[-1]
+            assert kept == [sum(min(a, b) for a in lam for b in mu)
+                            for lam, mu in table.labels()]
+
+    def test_stopped_count_keeps_nothing(self, monkeypatch):
+        _, meters, entries = _spies(monkeypatch)
+        lam = family_lambda(2)
+        with pytest.raises(BudgetExceededError,
+                           match="stopped after 0 of 4 planned steps"):
+            count_hom_points(lam, F3, {0: 2}, {0: 3}, budget=3)
+        assert entries[-1][4] == []
+        assert count_hom_points(lam, F3, {0: 2}, {0: 3}, budget=4) == 31833
+        assert (meters[-1].used, meters[-1].planned) == (4, 4)
+        assert len(entries[-1][4]) == 4
 
 
 class TestWitness:

@@ -172,7 +172,8 @@ class TestSandwichSystem:
             assert (plan.nrows, plan.ncols) == expected.shape
             assert typed(kernel) == typed(expected.kernel_basis()) \
                 == typed(fresh)
-            assert len(kernel) == plan.ncols - expected.rank()
+            assert len(kernel) == plan.nullity(point) \
+                == plan.ncols - expected.rank()
 
     @pytest.mark.parametrize("field", [F5, QQ])
     def test_system_applies_the_sum_of_products(self, field):
