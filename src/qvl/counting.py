@@ -11,11 +11,11 @@ process compiles nothing, while a one-shot process compiles each tower
 once, as it would without the cache.  Where each stratum row fixes the
 whole point below one top layer, the entry also keeps the kernel dimension
 above each row, filled by the first count to reach it, so a repeated rep,
-hom or ext count there solves no system.  Walks stream flat points from the
-loop locus up: a point of a variety is a tuple of its coordinates (every
-arrow's entries, arrows in declaration order, row-major), a loop point the
-entries of the loops alone, and a point of a linear fiber a vector in the
-plan's layout.
+hom or ext count there builds no row point and solves no system.  Walks
+stream flat points from the loop locus up: a point of a variety is a tuple
+of its coordinates (every arrow's entries, arrows in declaration order,
+row-major), a loop point the entries of the loops alone, and a point of a
+linear fiber a vector in the plan's layout.
 ``Representation``, ``Morphism``, ``HomTriple`` and ``ExtensionTriple``
 objects are built only by the public iterators; the counts, the census and
 the witness read the flat points.
@@ -306,7 +306,7 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
                  orbits: bool, table: StratumTable):
     """(flat loop point, labels of its row of ``table``) in the fixed order:
     with ``orbits`` and Jordan strata every point of each stratum once,
-    labelled (); else each row of ``table`` above each loop point, the one
+    labelled (); else each row's labels above each loop point, the one
     empty point where there are strata and else each the filter accepts.
     Orbit points take one step each, planned up front.  A row that fixes
     the whole layer-0 point takes one step, planned at each loop point,
@@ -325,9 +325,9 @@ def _loop_points(pres: BoundQuiver, field, dims, loop_rels, meter: _Meter,
                                loop_rels, meter)
                   if table.loops is None else [()]):
         meter.precheck(planned)
-        for labels, tail in table.rows():
+        for labels in table.labels():
             meter.tick(step)
-            yield point + tail, labels
+            yield point, labels
 
 
 def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
@@ -338,11 +338,11 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     (flat point below the last layer, labels, kernel basis of the last
     layer there, or with ``dims_only`` its dimension) over the points of
     ``_loop_points`` and layer 0 and each middle layer's span, one step per
-    element.  Strata and systems are set up by ``_compiled``, which the
-    meter never sees.  Where the entry keeps the dimension above each row,
-    a stream of dimensions solves a row only the first time any count
-    reaches it, and reads it from the entry after that.  Points are
-    counted over a prime field F_p only."""
+    element, each loop point joined to its row's ``table.point(labels)``.
+    Strata and systems are set up by ``_compiled``, which the meter never
+    sees.  Where the entry keeps each row's dimension, a stream of
+    dimensions yields the loop point alone, solving a row only when a count
+    first reaches it.  Points are counted over a prime field F_p only."""
     if not isinstance(field, PrimeField):
         raise ValueError("points are counted over a prime field F_p, "
                          f"not {field!r}")
@@ -362,6 +362,7 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     def stream():
         for loops, labels in _loop_points(pres, field, dims, loop_rels, meter,
                                           orbits, table):
+            loops += table.point(labels)
             for point in ((loops,) if table.arrows is not None else
                           _assignments(pres, field, dims, loops, base,
                                        base_rels, meter)):
@@ -371,7 +372,7 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
         for i, (point, labels) in enumerate(_loop_points(
                 pres, field, dims, loop_rels, meter, orbits, table)):
             if i == len(kept):
-                kept.append(solve(point))
+                kept.append(solve(point + table.point(labels)))
             yield point, labels, kept[i]
 
     return (list(walked), table.weight,
@@ -392,7 +393,7 @@ def _compiled(pres: BoundQuiver, field: PrimeField, dims: tuple,
     kernel dimension above each stratum row, which the first count to
     reach a row appends; they are None unless each row is the whole point
     below the top layer: at most one layer above layer 0, rank rows for
-    layer 0 (``table.arrows``), and Jordan strata or no loops."""
+    layer 0 (``table.arrows``), and Jordan strata (``table.loops``)."""
     dims = dict(zip(pres.quiver.vertices, dims))
     tower = base, loop_rels, base_rels, layers = _layers(pres, dims, top)
     walked = [*pres.quiver.loops(), *base]
@@ -402,8 +403,8 @@ def _compiled(pres: BoundQuiver, field: PrimeField, dims: tuple,
         walked += arrows
     table = StratumTable(pres, field, dims, loop_rels,
                          None if orbits else base, base_rels)
-    rows_fix_the_point = len(plans) == 1 and table.arrows is not None and (
-        table.loops is not None or not pres.quiver.loops())
+    rows_fix_the_point = (len(plans) == 1 and table.arrows is not None
+                          and table.loops is not None)
     return (tower, tuple(walked), tuple(plans), table,
             [] if rows_fix_the_point else None)
 

@@ -10,9 +10,9 @@ points (Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).
 Base arrows have rank strata when no base arrow has a loop or another base
 arrow at an endpoint and no base relation reads one: a d_t x d_s base
 arrow takes [I_r 0; 0 0] weighted by R(d_t, d_s, r), its matrices of rank r.
-``StratumTable`` labels its rows by a Jordan type per loop and a rank per
-base arrow, in itertools.product order.  A row's point, J_lam and
-[I_r 0; 0 0], is the same over every field; ``weight(labels, q)``
+``StratumTable`` lists its rows by labels, a Jordan type per loop and a
+rank per base arrow, in itertools.product order; ``point(labels)`` joins
+a row's J_lam and [I_r 0; 0 0], the same over every field, and ``weight``
 multiplies the orbit sizes and rank counts over F_q its labels name.  A
 count whose rows fix the whole base point above Jordan strata takes one
 step per row, planned from ``row_count`` before any partition or orbit size
@@ -216,7 +216,7 @@ class StratumTable:
     """The strata at these dims: ``loops`` holds (d, smallest power) per
     loop, or None where the locus is not stratified; ``arrows`` holds
     (d_t, d_s) per arrow of ``base``, or None where ``base`` is None or has
-    no rank strata.  A part that is None adds nothing to a row."""
+    no rank strata.  A part that is None adds nothing to a row's ``point``."""
 
     def __init__(self, pres: BoundQuiver, field, dims, loop_rels,
                  base=None, base_rels=()):
@@ -248,15 +248,14 @@ class StratumTable:
             out *= rank_count(t, s, r, q)
         return out
 
-    def rows(self) -> Iterator[tuple]:
-        """(labels, flat point) of each row, one at a time: its J_lam and
+    def point(self, labels) -> tuple:
+        """The flat point of the row ``labels`` names: its J_lam and
         [I_r 0; 0 0] concatenated, 0/1 entries the same over every field."""
         k = len(self.loops or ())
-        for labels in self.labels():
-            yield labels, tuple(itertools.chain(
-                *map(_jordan_point, labels[:k]),
-                *([int(i == j < r) for i in range(t) for j in range(s)]
-                  for (t, s), r in zip(self.arrows or (), labels[k:]))))
+        return tuple(itertools.chain(
+            *map(_jordan_point, labels[:k]),
+            *([int(i == j < r) for i in range(t) for j in range(s)]
+              for (t, s), r in zip(self.arrows or (), labels[k:]))))
 
     def size(self) -> int:
         """The number of points of the stratified loop locus, the points

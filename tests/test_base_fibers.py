@@ -495,7 +495,8 @@ def test_loop_points_equal_the_filtered_locus(case, q):
                                  orbits=False, table=table))
     assert sum(table.weight(labels, q) for _, labels in weighted) \
         == len(points)
-    assert {point for point, _ in weighted} <= set(points)
+    assert {point + table.point(labels)
+            for point, labels in weighted} <= set(points)
 
 
 # --- flat kernels against kernels built from matrix objects ---------------

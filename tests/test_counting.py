@@ -766,10 +766,12 @@ class TestCompiledTower:
 
 
 def _spies(monkeypatch):
-    """Lists that record each ``row_reduce`` over F_p, each meter made and
-    each ``_compiled`` entry read, from here on."""
-    solved, meters, entries = [], [], []
+    """Lists that record each ``row_reduce`` over F_p, each meter made,
+    each ``_compiled`` entry read and the labels of each row point built
+    (``StratumTable.point``), from here on."""
+    solved, meters, entries, built = [], [], [], []
     row_reduce, compiled = PrimeField.row_reduce, counting._compiled
+    point = StratumTable.point
 
     def spy(self, rows, ncols):
         solved.append(ncols)
@@ -784,11 +786,19 @@ def _spies(monkeypatch):
         entries.append(compiled(*key))
         return entries[-1]
 
+    def building(self, labels):
+        built.append(labels)
+        return point(self, labels)
+
     monkeypatch.setattr(PrimeField, "row_reduce", spy)
     monkeypatch.setattr(counting, "_Meter", Recording)
     monkeypatch.setattr(counting, "_compiled", recording)
-    return solved, meters, entries
+    monkeypatch.setattr(StratumTable, "point", building)
+    return solved, meters, entries, built
 
+
+# no loops and no relations: one stratum row, the arrow its top layer
+ARROW = "quiver K { vertex 0; vertex 1; arrow a: 0 -> 1; }"
 
 # counts whose stratum rows each fix the whole point below one top layer
 KEPT = {
@@ -801,6 +811,8 @@ KEPT = {
                                              {0: 2, 1: 3}),
     "rep b*a": lambda: count_rep_points(parse_quiver_spec(PATH2), F3,
                                         {0: 2, 1: 2, 2: 2}),
+    "rep K": lambda: count_rep_points(parse_quiver_spec(ARROW), F3,
+                                      {0: 2, 1: 3}),
     "hom Lambda(2)": lambda: count_hom_points(family_lambda(2), F3, {0: 2},
                                               {0: 3}),
     "ext Lambda(2)": lambda: count_ext_points(family_lambda(2), F2, {0: 3},
@@ -855,33 +867,33 @@ class TestKeptKernelDims:
     @pytest.mark.parametrize("count", KEPT.values(), ids=list(KEPT))
     def test_repeat_solves_no_system(self, count, monkeypatch):
         compiled = counting._compiled
-        solved, meters, entries = _spies(monkeypatch)
+        solved, meters, entries, built = _spies(monkeypatch)
         runs = []
         for _ in range(2):
-            before = len(solved)
+            before, points = len(solved), len(built)
             result = count()
             runs.append((result, meters[-1].used, meters[-1].planned,
-                         len(solved) - before))
+                         len(solved) - before, len(built) - points))
         *_, table, kept = entries[-1]
-        assert runs[0][3] == len(kept) == table.row_count() > 0
-        assert runs[1] == (*runs[0][:3], 0)
+        assert runs[0][3] == runs[0][4] == len(kept) == table.row_count() > 0
+        assert runs[1] == (*runs[0][:3], 0, 0)
         compiled.cache_clear()
         assert count() == runs[0][0]
 
     @pytest.mark.parametrize("count", UNKEPT.values(), ids=list(UNKEPT))
     def test_other_counts_solve_each_time(self, count, monkeypatch):
-        solved, meters, entries = _spies(monkeypatch)
+        solved, meters, entries, built = _spies(monkeypatch)
         runs = []
         for _ in range(2):
-            before = len(solved)
+            before, points = len(solved), len(built)
             runs.append((count(), meters[-1].used, meters[-1].planned,
-                         len(solved) - before))
+                         len(solved) - before, len(built) - points))
         assert runs[0] == runs[1] and runs[0][3] > 0
         assert [entry[4] for entry in entries] == [None] * 2
 
     @pytest.mark.parametrize("walk", SOLVING.values(), ids=list(SOLVING))
     def test_bases_are_solved_each_time(self, walk, monkeypatch):
-        solved, _, entries = _spies(monkeypatch)
+        solved, _, entries, _ = _spies(monkeypatch)
         runs = []
         for _ in range(2):
             before = len(solved)
@@ -891,7 +903,7 @@ class TestKeptKernelDims:
 
     def test_mono_count_solves_above_a_kept_table(self, monkeypatch):
         lam = family_lambda(2)
-        solved, _, entries = _spies(monkeypatch)
+        solved, _, entries, _ = _spies(monkeypatch)
         mono = count_mono_points(lam, F3, {0: 2}, {0: 3})
         alone = len(solved)
         assert count_hom_points(lam, F3, {0: 2}, {0: 3}) == 31833
@@ -901,10 +913,17 @@ class TestKeptKernelDims:
         assert count_mono_points(lam, F3, {0: 2}, {0: 3}) == mono
         assert len(solved) - before == alone
 
+    def test_loopless_quiver_keeps_its_one_row(self, monkeypatch):
+        _, _, entries, built = _spies(monkeypatch)
+        assert KEPT["rep K"]() == 3 ** 6
+        *_, table, kept = entries[-1]
+        assert (table.loops, table.arrows, kept) == ([], [], [6])
+        assert built == [()]
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kept_hom_dims_are_the_closed_form(self, m, monkeypatch):
         # the Hom space from J_lam to J_mu has dimension sum min(lam_i, mu_j)
-        _, _, entries = _spies(monkeypatch)
+        _, _, entries, _ = _spies(monkeypatch)
         for d, e, q in itertools.product(range(4), range(4), (F2, F3)):
             count_hom_points(family_lambda(m), q, {0: d}, {0: e})
             *_, table, kept = entries[-1]
@@ -912,7 +931,7 @@ class TestKeptKernelDims:
                             for lam, mu in table.labels()]
 
     def test_stopped_count_keeps_nothing(self, monkeypatch):
-        _, meters, entries = _spies(monkeypatch)
+        _, meters, entries, _ = _spies(monkeypatch)
         lam = family_lambda(2)
         with pytest.raises(BudgetExceededError,
                            match="stopped after 0 of 4 planned steps"):

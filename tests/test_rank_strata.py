@@ -73,7 +73,7 @@ def test_rows_list_in_product_order():
     loops = [((2, 1), (0, 1, 0, 0, 0, 0, 0, 0, 0), 104),
              ((1, 1, 1), (0,) * 9, 1)]
     ranks = [(0, (0, 0), 1), (1, (1, 0), 8)]
-    rows = list(table.rows())
+    rows = [(labels, table.point(labels)) for labels in table.labels()]
     assert rows == [((lam, r), point + tail)
                     for (lam, point, _), (r, tail, _)
                     in itertools.product(loops, ranks)]
@@ -103,7 +103,9 @@ def test_rows_are_the_same_over_every_field(name):
     base, loop_rels, base_rels, _ = _layers(pres, dims)
     two, five = (StratumTable(pres, GF(p), dims, loop_rels, base, base_rels)
                  for p in (2, 5))
-    assert list(two.rows()) == list(five.rows())
+    assert list(two.labels()) == list(five.labels())
+    assert [two.point(labels) for labels in two.labels()] \
+        == [five.point(labels) for labels in five.labels()]
 
 
 def _rank(rows, q):
@@ -151,7 +153,7 @@ def test_which_bases_have_rank_strata(name):
         loop_table = StratumTable(pres, GF(2), dims, loop_rels)
         loops = [loop_table.weight(labels, 2)
                  for labels in loop_table.labels()]
-        weights = [table.weight(labels, 2) for labels, _ in table.rows()]
+        weights = [table.weight(labels, 2) for labels in table.labels()]
         assert weights == [math.prod(ws) for ws in itertools.product(
             loops, *[[1, 9, 6]] * len(base))]
         assert table.row_count() == len(weights)

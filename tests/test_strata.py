@@ -107,7 +107,8 @@ def test_rows_stream_one_at_a_time():
     assert table.row_count() == 135 ** 2
     tracemalloc.start()
     try:
-        labels, point = next(table.rows())
+        labels = next(table.labels())
+        point = table.point(labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
