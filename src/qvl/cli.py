@@ -40,7 +40,7 @@ from .families import (FAMILY_KINDS, FamilyDescriptor, FamilyParameterError,
                        build_family, is_geometrically_irreducible_family)
 from .linalg import PrimeField
 from .quiver import QuiverError, ext2_dimension
-from .reps import failed_relations, hom_basis
+from .reps import hom_basis
 from .serialize import (SerializationError, blocks_from_json, blocks_to_json,
                         field_from_json, matrix_to_json, morphism_from_json,
                         morphism_to_json, rep_from_json, rep_to_json)
@@ -108,18 +108,12 @@ def _load_files(args, pres, *reps: str, data: str | None = None) -> list:
     return loaded
 
 
-def _failures(pres, rep):
-    """Each relation of ``pres`` that is nonzero at ``rep``, as text."""
-    return (str(rel) for rel in failed_relations(rep.field, rep.dims,
-                                                 rep.mats, pres.relations))
-
-
-def _require_points(args, pres, **reps) -> None:
+def _require_points(args, **reps) -> None:
     """Raise unless the representation read from each named file is a
     point of the variety, naming the file and its first nonzero relation:
     a file off the variety is bad input, not a failed check."""
     for name, rep in reps.items():
-        failure = next(_failures(pres, rep), None)
+        failure = next(rep.failures(), None)
         if failure is not None:
             raise CliSemanticError(
                 f"--{name} {getattr(args, name)} is not a point of the "
@@ -216,7 +210,7 @@ def _parse_q_list(text: str) -> list[int]:
 def _cmd_check(args):
     pres = _load_pres(args)
     rep, = _load_files(args, pres, "rep")
-    failures = list(_failures(pres, rep))
+    failures = [str(rel) for rel in rep.failures()]
     valid = not failures
     result = {"valid": valid, "failing_relations": failures,
               "dims": {str(v): rep.dims[v] for v in pres.quiver.vertices}}
@@ -228,7 +222,7 @@ def _cmd_check(args):
 def _cmd_hom(args):
     pres = _load_pres(args)
     src, dst = _load_files(args, pres, "source", "target")
-    _require_points(args, pres, source=src, target=dst)
+    _require_points(args, source=src, target=dst)
     basis = hom_basis(src, dst)
     result = {"dim": len(basis),
               "basis": [morphism_to_json(m) for m in basis]}
@@ -238,7 +232,7 @@ def _cmd_hom(args):
 def _cmd_cocycles(args):
     pres = _load_pres(args)
     quo, sub = _load_files(args, pres, "quo", "sub")
-    _require_points(args, pres, quo=quo, sub=sub)
+    _require_points(args, quo=quo, sub=sub)
     basis = cocycle_space_basis(quo, sub)
     result = {"dim": len(basis),
               "basis": [blocks_to_json(quo.field, fam) for fam in basis]}
@@ -248,7 +242,7 @@ def _cmd_cocycles(args):
 def _cmd_extend(args):
     pres = _load_pres(args)
     quo, sub, data = _load_files(args, pres, "quo", "sub", data="blocks")
-    _require_points(args, pres, quo=quo, sub=sub)
+    _require_points(args, quo=quo, sub=sub)
     blocks = blocks_from_json(pres, sub.dims, quo.dims, data)
     try:
         middle, incl, proj = build_extension(quo, sub, blocks)
@@ -267,7 +261,7 @@ def _cmd_extend(args):
 def _cmd_split(args):
     pres = _load_pres(args)
     sub, middle, data = _load_files(args, pres, "sub", "middle", data="map")
-    _require_points(args, pres, sub=sub, middle=middle)
+    _require_points(args, sub=sub, middle=middle)
     mor = morphism_from_json(sub, middle, data)
     try:
         g, blocks, quo = splitting_from_mono(mor)

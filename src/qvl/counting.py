@@ -79,7 +79,7 @@ from .extensions import ExtensionTriple
 from .linalg import PrimeField, split_blocks
 from .quiver import BoundQuiver
 from .reps import (HomTriple, Morphism, Representation, _arrow_plan,
-                   _pair_walk, failed_relations, flat_layout)
+                   _failing, _pair_walk, _segmented, flat_layout)
 from .strata import StratumTable, subspace_count, subspaces
 
 DEFAULT_BUDGET = 10**8
@@ -264,32 +264,33 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
     no relation reads across, each with entries and led by an arrow a
     relation reads; each run is filtered alone, one step planned per
     candidate, the later ones listed before the first is taken, and a point
-    joined from several runs takes one step more.  Without arrows ``point``
-    is its only extension and costs nothing."""
+    joined from several runs takes one step more.  A run checks each
+    candidate as the flat point ``point + values`` of the loops outside
+    ``arrows`` and its own arrows, with its relations' segments worked out
+    once (``reps._segmented``).  Without arrows ``point`` is its only
+    extension and costs nothing."""
     if not arrows:
         yield point
         return
     fixed = [a for a in pres.quiver.loops() if a not in arrows]
-    shapes = {a: (r, c) for a, (_, r, c)
-              in flat_layout(pres, dims, [*fixed, *arrows]).items()}
-    mats = split_blocks(field, {a: shapes.pop(a) for a in fixed}, point)
     spans = [[i for i, a in enumerate(arrows)
               if any(a in p.arrows for p in rel.paths())] or [0]
              for rel in rels]
-    size = [r * c for r, c in map(shapes.get, arrows)]
+    size = [r * c for _, r, c in flat_layout(pres, dims, arrows).values()]
     cuts = [0, *(i for i in range(1, len(arrows))
                  if size[i] and sum(size[:i]) and i in {s[0] for s in spans}
                  and not any(s[0] < i <= s[-1] for s in spans)), len(arrows)]
 
     def run(lo, hi):
-        sub = {a: shapes[a] for a in arrows[lo:hi]}
-        checks = [rel for rel, s in zip(rels, spans) if lo <= s[0] < hi]
+        checks = _segmented(
+            flat_layout(pres, dims, [*fixed, *arrows[lo:hi]]),
+            [rel for rel, s in zip(rels, spans) if lo <= s[0] < hi])
         meter.precheck(field.p ** sum(size[lo:hi]))
         for values in itertools.product(field.elements(),
                                         repeat=sum(size[lo:hi])):
             meter.tick()
-            mats.update(split_blocks(field, sub, values))
-            if next(failed_relations(field, dims, mats, checks), None) is None:
+            if next(_failing(field, dims, point + values, checks),
+                    None) is None:
                 yield values
 
     first, *later = [run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

@@ -628,11 +628,11 @@ class SandwichPlan:
     of X_k.  A term with one identity side is a gather: the cells each
     entry of its factor adds ``c * entry`` to are fixed, and the plan lists
     them.  A factor that is one matrix is read straight from the point; a
-    product is built once per point, by ``_side_factor``, and read from
-    there.  A term with two sides keeps only where its rows and columns
-    start, and the assembly builds both factors and walks their nonzero
-    entries.  Terms without cells are dropped: the assembly never reads
-    their factors.
+    product comes from ``_path_product``, on one memo per point that the
+    gathered products and both sides of two-sided terms share.  A term
+    with two sides keeps only where its rows and columns start, and the
+    assembly takes both factors and walks their nonzero entries.  Terms
+    without cells are dropped: the assembly never reads their factors.
 
     Rows are lists of ints, not reduced: over F_p the system's own.  Over Q
     the coefficients are cleared once, by the lcm of their denominators,
@@ -715,7 +715,8 @@ class SandwichPlan:
 
         def rows(point, d=1) -> list[list]:
             flat = [0] * (nrows * total)
-            factors = [point, *[_side_factor(product, point, segments)
+            memo = {}
+            factors = [point, *[_path_product(product, point, segments, memo)
                                 for segments in products]]
             if d != 1:
                 factors = [[x * d ** (top - k) for x in factor] if k < top
@@ -728,7 +729,7 @@ class SandwichPlan:
                         for idx in cells:
                             flat[idx] += cx
             for coeff, degree, term_sources, cells in walked:
-                left, right = [_side_factor(product, point, segments)
+                left, right = [_path_product(product, point, segments, memo)
                                for segments in term_sources]
                 coeff *= d ** (top - degree)
                 at, du, r, c, out_c = cells
@@ -764,20 +765,29 @@ class SandwichPlan:
                 else self._rows(*_cleared(point)))
 
 
-def _side_factor(product, point: Sequence, segments: Sequence[tuple]
-                 ) -> Sequence:
-    """The product, left to right, of the matrices at the (offset, rows,
-    cols) ``segments`` of a flat point, row-major: a slice for one matrix,
-    ``product`` (``field.product`` or ``_int_product``) for each further
-    one."""
-    at, r, c = segments[0]
-    flat = point[at:at + r * c]
-    for at, _, c2 in segments[1:]:
-        flat = tuple(itertools.chain.from_iterable(product(
-            [flat[i * c:(i + 1) * c] for i in range(r)],
-            [point[at + j:at + c * c2:c2] for j in range(c2)])))
-        c = c2
-    return flat
+def _path_product(product, point: Sequence, segments: tuple, memo: dict
+                  ) -> Sequence:
+    """The product of the matrices at the (offset, rows, cols) ``segments``
+    of a flat point, row-major: a slice for one matrix, else its first half
+    times its second by ``product`` (``field.product`` or ``_int_product``),
+    kept in ``memo``, which lives for one point: each subpath is multiplied
+    once there, and a loop power e^k takes about log2(k) products."""
+    if len(segments) == 1:
+        (at, r, c), = segments
+        return point[at:at + r * c]
+    out = memo.get(segments)
+    if out is None:
+        half = len(segments) // 2
+        r, c, cols = segments[0][1], segments[half][1], segments[-1][2]
+        # a half that is one matrix is read in place, at its offset
+        left, at = ((point, segments[0][0]) if half == 1 else
+                    (_path_product(product, point, segments[:half], memo), 0))
+        right, bt = ((point, segments[-1][0]) if half + 1 == len(segments) else
+                     (_path_product(product, point, segments[half:], memo), 0))
+        out = memo[segments] = tuple(itertools.chain.from_iterable(product(
+            [left[at + i * c:at + i * c + c] for i in range(r)],
+            [right[j:bt + c * cols:cols] for j in range(bt, bt + cols)])))
+    return out
 
 
 def _int_product(rows: Sequence[Sequence[int]],

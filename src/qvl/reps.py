@@ -14,8 +14,8 @@ from math import lcm
 from operator import mul
 from typing import Mapping
 
-from .linalg import (Field, Matrix, SandwichPlan, _int_product, block2x2,
-                     hstack, split_blocks)
+from .linalg import (Field, Matrix, SandwichPlan, _cleared, _int_product,
+                     _path_product, block2x2, hstack, split_blocks)
 from .quiver import BoundQuiver, QuiverError, Vertex, ext_quiver, hom_quiver
 
 DimVector = Mapping[Vertex, int]
@@ -32,35 +32,41 @@ def dims_add(a: DimVector, b: DimVector) -> dict:
     return {x: a.get(x, 0) + b.get(x, 0) for x in set(a) | set(b)}
 
 
-def failed_relations(field: Field, dims: DimVector,
-                     mats: Mapping[str, Matrix], relations):
-    """Each relation of ``relations`` that is nonzero at the arrow matrices
-    ``mats`` with these dims, in order: the one relation check of points.
+def failed_relations(field: Field, dims: DimVector, layout: Mapping,
+                     point, relations):
+    """Each relation of ``relations`` that is nonzero at the flat point
+    ``point`` with these dims, laid out by ``layout`` (``flat_layout``), in
+    order: the one relation check of points.
 
-    Path products are taken on the matrices' rows with no ``Matrix`` in
-    between, a path as its first half times its second, so each subpath is
-    multiplied once per call and a loop power e^k takes about log2(k)
-    products.  Over F_p they are ``field.product`` and each coefficient is
-    ``field.coerce``d, so a denominator that vanishes in F_p raises
-    ZeroDivisionError, also where a relation has no entries at these dims.
-    Over Q, as in ``SandwichPlan``, every matrix is cleared once to ints
-    over one common denominator d and products are taken on ints; a
-    relation's terms, cleared by the lcm of their coefficients'
-    denominators and each scaled by d^(D - k) for a path of length k, D
-    the longest, sum to the true value times one positive integer."""
+    As in ``SandwichPlan``, paths are multiplied by ``_path_product`` on
+    one memo per call, and over Q the point is first cleared to ints by
+    ``_cleared``, d times the true one; a relation's terms, cleared by the
+    lcm of their coefficients' denominators and each scaled by d^(D - k)
+    for a path of length k, D the longest, then sum to the true value times
+    one positive integer.  Over F_p each coefficient is ``field.coerce``d,
+    so a denominator that vanishes in F_p raises ZeroDivisionError, also
+    where a relation has no entries at these dims."""
+    return _failing(field, dims, point, _segmented(layout, relations))
+
+
+def _segmented(layout: Mapping, relations) -> list:
+    """Each relation with the ``layout`` segments of its terms' paths, as
+    ``_failing`` reads them: once per layout where it serves many points."""
+    segment = layout.__getitem__
+    return [(rel, [tuple(map(segment, p.arrows)) for _, p in rel.terms])
+            for rel in relations]
+
+
+def _failing(field: Field, dims: DimVector, point, checks):
+    """``failed_relations`` on the ``checks`` of ``_segmented``."""
     if field.characteristic:
         product = field.product
-        products = {(a,): m.rows for a, m in mats.items()}
     else:
         product = _int_product
-        d = lcm(*[x.denominator for m in mats.values()
-                  for row in m.rows for x in row])
-        products = {(a,): tuple([tuple([x.numerator * (d // x.denominator)
-                                        for x in row]) for row in m.rows])
-                    for a, m in mats.items()}
-    columns = {}
+        point, d = _cleared(point)
+    memo = {}
     reduce = field.reduce
-    for rel in relations:
+    for rel, paths in checks:
         if field.characteristic:
             coeffs = [field.coerce(c) for c, _ in rel.terms]
         else:
@@ -70,32 +76,11 @@ def failed_relations(field: Field, dims: DimVector,
                       * d ** (top - p.length) for c, p in rel.terms]
         if not (dims.get(rel.target, 0) and dims.get(rel.source, 0)):
             continue
-        values = [_path_rows(p.arrows, products, columns, product, mats)
-                  for _, p in rel.terms]
+        values = [_path_product(product, point, segments, memo)
+                  for segments in paths]
         if any(reduce(sum(map(mul, coeffs, entries)))
-               for row in zip(*values) for entries in zip(*row)):
+               for entries in zip(*values)):
             yield rel
-
-
-def _path_rows(arrows: tuple, rows: dict, columns: dict, product,
-               mats: Mapping[str, Matrix]) -> tuple:
-    """The rows of the product along ``arrows``, its first half times its
-    second: ``rows`` holds those of each path taken so far, one-arrow paths
-    given, and ``columns`` the columns of each second half.  A function of
-    the module, not a closure of ``failed_relations``, so that a call
-    leaves no reference cycle for the garbage collector."""
-    out = rows.get(arrows)
-    if out is None:
-        half = len(arrows) // 2
-        right = arrows[half:]
-        cols = columns.get(right)
-        if cols is None:
-            cols = columns[right] = (
-                tuple(zip(*_path_rows(right, rows, columns, product, mats)))
-                if mats[right[0]].nrows else ((),) * mats[right[-1]].ncols)
-        out = rows[arrows] = product(
-            _path_rows(arrows[:half], rows, columns, product, mats), cols)
-    return out
 
 
 def flat_layout(pres: BoundQuiver, dims: DimVector, arrows=None) -> dict:
@@ -239,12 +224,19 @@ class Representation:
         return (f"Representation({self.pres.name}, {self.field}, "
                 f"dims={self.dims})")
 
+    def failures(self):
+        """Each generating relation that is nonzero at this point, in order:
+        ``failed_relations`` at the flat point of every arrow."""
+        return failed_relations(
+            self.field, self.dims, flat_layout(self.pres, self.dims),
+            flat_point(self.mats, self.pres.quiver.arrow_names()),
+            self.pres.relations)
+
     def is_valid(self) -> bool:
         """Membership in the representation variety: every generating
         relation evaluates to zero (generators suffice since evaluation is
         an algebra map)."""
-        return next(failed_relations(self.field, self.dims, self.mats,
-                                     self.pres.relations), None) is None
+        return next(self.failures(), None) is None
 
 
 def relabel(rep: Representation, pres: BoundQuiver, vertices: Mapping,
@@ -381,18 +373,19 @@ def _pair_failures(kind: str, first: Representation, second: Representation,
     maps, keyed by vertex, for hom; the blocks, keyed by arrow, for ext),
     the label of each crossing relation ``failed_relations`` finds nonzero,
     in order: the arrow of ``first.pres`` whose intertwining fails (hom) or
-    the relation whose cocycle equation fails (ext).  Labels are matched to
+    the relation whose cocycle equation fails (ext).  The three are laid
+    out as the doubled presentation's flat point.  Labels are matched to
     crossing relations by position, as two equal relations of the
     presentation give equal crossing relations."""
     pres = first.pres
     doubled, dims, labels = _pair_walk(kind, pres, first.dims, second.dims)
     arrows = pres.quiver.arrow_names()
-    mats = dict(zip(doubled.quiver.arrow_names()[:2 * len(arrows)],
-                    [rep.mats[a] for rep in (first, second) for a in arrows]))
-    mats.update((a, crossing[label]) for a, label in labels.items())
+    point = (flat_point(first.mats, arrows) + flat_point(second.mats, arrows)
+             + flat_point(crossing, labels.values()))
     rels = doubled.relations[2 * len(pres.relations):]
     named = iter(zip(rels, pres.relations if kind == "ext" else arrows))
-    for rel in failed_relations(first.field, dims, mats, rels):
+    for rel in failed_relations(first.field, dims,
+                                flat_layout(doubled, dims), point, rels):
         yield next(label for r, label in named if r is rel)
 
 

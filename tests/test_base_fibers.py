@@ -23,7 +23,7 @@ from qvl.dsl import parse_quiver_spec
 from qvl.extensions import block_shapes, cocycle_kernel, cocycle_space_basis
 from qvl.families import (family_a, family_a_prime, family_a_prime_commuting,
                           family_b, family_lambda)
-from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _side_factor
+from qvl.linalg import GF, QQ, Matrix, SandwichPlan, _path_product
 from qvl.quiver import BoundQuiver, Quiver, Relation, ext_quiver, hom_quiver
 from qvl.reps import (HomTriple, Morphism, Representation, _pair_walk,
                       flat_layout, hom_basis, hom_kernel, is_monomorphism,
@@ -572,8 +572,9 @@ def test_flat_kernels_equal_object_built_kernels(spec, q, data):
             product = m if product is None else product @ m
         factors.append(product)
     point = x_flat + y_flat
-    flat = [_side_factor(field.product, point,
-                         [layout[label] for label in labels])
+    memo = {}
+    flat = [_path_product(field.product, point,
+                          tuple([layout[label] for label in labels]), memo)
             for labels in sides]
     assert typed(flat) == typed(map(_entries, factors))
     assert typed(plan.kernel(point)) == typed(cocycles)

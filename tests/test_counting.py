@@ -764,6 +764,28 @@ class TestCompiledTower:
         info = counting._compiled.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
+    def test_crossing_plan_multiplies_each_power_once(self, monkeypatch):
+        # B(1,12) at dims (1, 12): the crossing relation's terms are
+        # e0^j a1 e1^(11 - j), so the plan's sides are e0^1..e0^11 and
+        # e1^1..e1^11; on one memo per point each power from 2 to 11 is one
+        # product of two kept halves, 10 per loop, at the first row point
+        products = []
+        product = PrimeField.product
+
+        def counted(self, rows, cols):
+            products.append((len(rows), len(cols)))
+            return product(self, rows, cols)
+
+        monkeypatch.setattr(PrimeField, "product", counted)
+        _, _, plans, table, _ = counting._compiled(family_b(1, 12), F3,
+                                                   (1, 12), True, ())
+        plan, = plans
+        point = table.point(next(table.labels()))
+        assert products == []
+        assert plan.nullity(point) == len(plan.kernel(point)) == 11
+        assert len(products) == 2 * 20
+        assert sorted(products[:20]) == [(1, 1)] * 10 + [(12, 12)] * 10
+
 
 def _spies(monkeypatch):
     """Lists that record each ``row_reduce`` over F_p, each meter made,

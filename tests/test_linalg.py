@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_nilpotent
-from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, Subspace, block2x2,
-                        hstack, kernel_basis, random_invertible,
+from qvl.linalg import (GF, Matrix, QQ, SandwichPlan, Subspace, _path_product,
+                        block2x2, hstack, kernel_basis, random_invertible,
                         random_matrix, split_blocks, vstack)
 
 F2 = GF(2)
@@ -391,6 +391,46 @@ class TestTrustedResults:
                           *split_blocks(field, shapes, list(vec)).values()):
                 assert_normal(block)
             assert (a @ blocks["x"] @ b).scale(c) == a @ blocks["y"] @ b
+
+
+class TestPathProduct:
+    """``_path_product`` against a dense chain of ``Matrix`` products."""
+
+    # shapes (rows, cols): a and b pass through a vertex of dim 0
+    SHAPES = {"e": (3, 3), "a": (3, 0), "b": (0, 2), "g": (2, 3),
+              "h": (3, 2)}
+    PATHS = [*[("e",) * k for k in range(1, 13)], ("a", "b"),
+             ("e", "a", "b", "g", "e"), ("b", "g", "h"), ("h", "g", "e", "e"),
+             ("g", "e", "h"), ("e", "h", "g", "e", "e", "e", "e")]
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_agrees_with_matrix_chain(self, field):
+        rng = random.Random(f"path product {field}")
+        mats = {a: random_matrix(field, r, c, rng)
+                for a, (r, c) in self.SHAPES.items()}
+        layout, point = {}, []
+        for a, m in mats.items():
+            layout[a] = (len(point), m.nrows, m.ncols)
+            point += [x for row in m.rows for x in row]
+        memo = {}
+        for path in self.PATHS:
+            want = mats[path[0]]
+            for a in path[1:]:
+                want = want @ mats[a]
+            segments = tuple(layout[a] for a in path)
+            got = _path_product(field.product, point, segments, memo)
+            assert list(got) == [x for row in want.rows for x in row], path
+            assert _path_product(field.product, point, segments, {}) == got
+        # an r x 0 times a 0 x c matrix is the zero r x c matrix
+        assert memo[(layout["a"], layout["b"])] == (field.zero,) * 6
+        assert _path_product(field.product, point, (layout["b"],), {}) == []
+
+    def test_loop_power_takes_its_halves(self):
+        # e^12 is e^6 e^6, e^6 is e^3 e^3, e^3 is e e^2: four products
+        point = list(range(9))
+        memo = {}
+        _path_product(F5.product, point, ((0, 3, 3),) * 12, memo)
+        assert sorted(map(len, memo)) == [2, 3, 6, 12]
 
 
 def gauss_jordan_oracle(rows, ncols, field=QQ):

@@ -15,8 +15,8 @@ from qvl.families import (family_a, family_a_prime_commuting, family_b,
                           family_lambda)
 from qvl.linalg import GF, Matrix, QQ, hstack, random_matrix
 from qvl.reps import (Morphism, Representation, cokernel, direct_sum,
-                      failed_relations, gl_action, hom_basis, hom_kernel,
-                      is_monomorphism, simple_module)
+                      failed_relations, flat_layout, flat_point, gl_action,
+                      hom_basis, hom_kernel, is_monomorphism, simple_module)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -110,6 +110,14 @@ def _random_point(pres, field, rng):
     return dims, mats
 
 
+def _failed(field, pres, dims, mats, relations) -> list:
+    """``failed_relations`` of ``relations`` at the matrices ``mats`` of
+    every arrow of ``pres``, laid out as a flat point."""
+    return list(failed_relations(
+        field, dims, flat_layout(pres, dims),
+        flat_point(mats, pres.quiver.arrow_names()), relations))
+
+
 class TestFailedRelations:
     """``failed_relations`` against the value ``evaluate_relation`` builds,
     relation by relation."""
@@ -124,8 +132,7 @@ class TestFailedRelations:
             dims, mats = _random_point(pres, field, rng)
             want = [rel for rel in pres.relations
                     if not evaluate_relation(field, dims, mats, rel).is_zero()]
-            assert list(failed_relations(field, dims, mats,
-                                         pres.relations)) == want
+            assert _failed(field, pres, dims, mats, pres.relations) == want
             rep = Representation(pres, field, dims, mats)
             assert rep.is_valid() == (not want)
             seen.add((len(want), 0 in dims.values()))
@@ -138,21 +145,20 @@ class TestFailedRelations:
         pres = _check_presentations()[1]
         e = Matrix(QQ, 1, 1, [[Fraction(1, 2)]])
         rels = pres.relations
-        assert list(failed_relations(QQ, {0: 1}, {"e": e}, rels)) == \
-            list(rels)
-        assert list(failed_relations(QQ, {0: 1}, {"e": e}, rels[::-1])) == \
+        assert _failed(QQ, pres, {0: 1}, {"e": e}, rels) == list(rels)
+        assert _failed(QQ, pres, {0: 1}, {"e": e}, rels[::-1]) == \
             list(rels[::-1])
 
     def test_mixed_lengths_scale_exactly(self):
         """1/3 e^2 - 2 e^3 vanishes at e = 1/6 over Q, and at no other
         nonzero scalar; e = 1/6 needs the d^(D - k) scaling of the term of
         length 2."""
-        mixed = _check_presentations()[0].relations[:1]
+        pres = _check_presentations()[0]
+        mixed = pres.relations[:1]
         for x, ok in ((Fraction(1, 6), True), (Fraction(1, 3), False),
                       (Fraction(-1, 6), False), (Fraction(0), True)):
             e = Matrix(QQ, 1, 1, [[x]])
-            assert (not list(failed_relations(QQ, {0: 1}, {"e": e},
-                                              mixed))) is ok, x
+            assert (not _failed(QQ, pres, {0: 1}, {"e": e}, mixed)) is ok, x
 
     def test_vanishing_denominator_raises(self):
         """Over F_3 the coefficient 1/3 is no field element: the check
@@ -162,7 +168,7 @@ class TestFailedRelations:
         for dim in (0, 1, 2):
             mats = {"e": Matrix.zeros(F3, dim, dim)}
             with pytest.raises(ZeroDivisionError):
-                list(failed_relations(F3, {0: dim}, mats, pres.relations))
+                _failed(F3, pres, {0: dim}, mats, pres.relations)
             with pytest.raises(ZeroDivisionError):
                 evaluate_relation(F3, {0: dim}, mats, pres.relations[0])
             with pytest.raises(ZeroDivisionError):
