@@ -17,7 +17,12 @@ Every subcommand is one entry of ``_COMMANDS``: its handler, its help and
 its argument specs.  A well-formed query is read off that table, and
 builds no parser; help, abbreviations, ``--flag=value``, repeated flags
 and every usage error go to the full parser, built once per process, so
-every message reads as the full parser writes it.
+every message reads as the full parser writes it.  Each command's flag
+table is built once per process too (``_flags``).
+
+A ``--quiver`` file is read on every query, and the presentation its text
+parses to is kept by ``_parsed``, keyed by that text: an edited file is
+parsed again, and a file that fails to parse fails on every query.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .extensions import build_extension, cocycle_space_basis, splitting_from_mon
 from .families import (FAMILY_KINDS, FamilyDescriptor, FamilyParameterError,
                        build_family, is_geometrically_irreducible_family)
 from .linalg import PrimeField
-from .quiver import QuiverError, ext2_dimension
+from .quiver import BoundQuiver, QuiverError, ext2_dimension
 from .reps import hom_basis
 from .serialize import (SerializationError, blocks_from_json, blocks_to_json,
                         field_from_json, matrix_to_json, morphism_from_json,
@@ -57,14 +62,30 @@ class CliSemanticError(ValueError):
     pass
 
 
-def _load_json_file(path: str):
+def _text_of(path: str) -> str:
+    """The UTF-8 text of a file; a file that cannot be read or is not
+    UTF-8 is bad input, named in the error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliSemanticError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def _load_json_file(path: str):
+    try:
+        return json.loads(_text_of(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliSemanticError(f"{path} is not valid JSON: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed(text: str) -> BoundQuiver:
+    """The presentation a DSL text parses to, kept for the last 64 texts,
+    so a repeated ``--quiver`` query parses nothing and gets the object the
+    caches keyed by presentation find by identity; a text that fails to
+    parse is not kept, and fails again on every query."""
+    return parse_quiver_spec(text)
 
 
 def _load_pres(args):
@@ -75,13 +96,7 @@ def _load_pres(args):
             f"give --quiver FILE or --family KIND, not both: got --quiver "
             f"{args.quiver} and {' '.join(family)}")
     if args.quiver:
-        try:
-            with open(args.quiver, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliSemanticError(
-                f"cannot read {args.quiver}: {exc}") from exc
-        return parse_quiver_spec(text)
+        return _parsed(_text_of(args.quiver))
     if args.family:
         return build_family(_descriptor(args))
     raise CliSemanticError("provide --quiver FILE or --family KIND")
@@ -497,6 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _flags(command: str):
+    """The flag table of a command, built once per process: each flag's
+    spec, the required flags, and each flag with its dest and default."""
+    specs = dict(_COMMON + _COMMANDS[command][2])
+    required = frozenset(flag for flag, spec in specs.items()
+                         if spec.get("required"))
+    defaults = tuple(
+        (flag, spec.get("dest", flag[2:].replace("-", "_")),
+         spec.get("default",
+                  False if spec.get("action") == "store_true" else None))
+        for flag, spec in specs.items())
+    return specs, required, defaults
+
+
 def _read(argv) -> argparse.Namespace | None:
     """The namespace the full parser returns for ``argv``, read off the
     table, or None unless ``argv`` names a command, then gives only flags
@@ -506,7 +536,7 @@ def _read(argv) -> argparse.Namespace | None:
     last value, as in argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    specs = dict(_COMMON + _COMMANDS[argv[0]][2])
+    specs, required, defaults = _flags(argv[0])
     values = {}
     tokens = iter(argv[1:])
     for flag in tokens:
@@ -526,15 +556,10 @@ def _read(argv) -> argparse.Namespace | None:
         if value not in spec.get("choices", (value,)):
             return None
         values[flag] = value
-    if any(spec.get("required") and flag not in values
-           for flag, spec in specs.items()):
+    if not required <= values.keys():
         return None
-    args = argparse.Namespace(command=argv[0])
-    for flag, spec in specs.items():
-        setattr(args, spec.get("dest", flag[2:].replace("-", "_")),
-                values.get(flag, spec.get("default", False if spec.get(
-                    "action") == "store_true" else None)))
-    return args
+    return argparse.Namespace(command=argv[0], **{
+        dest: values.get(flag, default) for flag, dest, default in defaults})
 
 
 def _parse(argv) -> argparse.Namespace:

@@ -101,6 +101,27 @@ class TestExitCodes:
         assert code == EXIT_SEMANTIC
         assert report["error"]["type"] == "semantic"
 
+    @pytest.mark.parametrize("flag", ["--quiver", "--rep"])
+    def test_non_utf8_file_is_semantic(self, tmp_path, lam2_file, rep_files,
+                                       flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfequiver")
+        files = {"--quiver": lam2_file, "--rep": rep_files["one"],
+                 flag: str(bad)}
+        code, report = run(["check", *(token for pair in files.items()
+                                       for token in pair)])
+        assert code == EXIT_SEMANTIC
+        assert report["error"]["message"].startswith(f"cannot read {bad}: ")
+
+    def test_deeply_nested_json_is_semantic(self, tmp_path, lam2_file):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, report = run(["check", "--quiver", lam2_file,
+                            "--rep", str(deep)])
+        assert code == EXIT_SEMANTIC
+        assert report["error"]["message"].startswith(
+            f"{deep} is not valid JSON: ")
+
     def test_family_range_error(self):
         code, report = run(["classify", "--family", "A", "--n", "0",
                             "--m", "2", "--l", "1"])
@@ -860,6 +881,77 @@ class TestParserReuse:
         code, report = run(["census-hom", "--n", "2", "--q", "3"])
         assert code == EXIT_OK
         assert report["ok"]
+
+
+class TestParsedOnce:
+    """A DSL text is parsed once per process: a ``--quiver`` file is read
+    on every query and its presentation kept by its text, so an edited
+    file is parsed again and a file that fails to parse fails every time."""
+
+    COUNT = ["count", "--dim", "3", "--q", "3"]
+
+    @pytest.fixture(autouse=True)
+    def _cleared(self):
+        qvl.cli._parsed.cache_clear()
+        yield
+        qvl.cli._parsed.cache_clear()
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The texts the CLI parses."""
+        texts = []
+        inner = qvl.cli.parse_quiver_spec
+        monkeypatch.setattr(qvl.cli, "parse_quiver_spec",
+                            lambda text: texts.append(text) or inner(text))
+        return texts
+
+    def test_a_repeated_query_parses_once(self, lam2_file, parsed):
+        argv = self.COUNT + ["--quiver", lam2_file]
+        reports = [_comparable(*run(argv)) for _ in range(3)]
+        assert reports == [_comparable(*run(
+            self.COUNT + ["--family", "Lambda", "--m", "2"]))] * 3
+        assert reports[0][0] == EXIT_OK
+        assert parsed == [Path(lam2_file).read_text()]
+
+    def test_an_edited_file_is_parsed_again(self, tmp_path, parsed):
+        path = tmp_path / "edited.qv"
+        counts = []
+        for m in (2, 3, 2):
+            path.write_text(
+                f"quiver L {{ vertex 0; loop e at 0; rel e^{m}; }}\n")
+            counts.append(run(self.COUNT + ["--quiver", str(path)])[1]
+                          ["result"]["count"])
+            assert counts[-1] == run(self.COUNT + [
+                "--family", "Lambda", "--m", str(m)])[1]["result"]["count"]
+        assert counts[0] != counts[1]
+        assert len(parsed) == 2
+
+    @pytest.mark.parametrize("text, code", [
+        ("quiver X { vertex 0 loop e at 0; }", EXIT_PARSE),
+        ("quiver X { vertex 0; loop e at 0; rel f^2; }", EXIT_SEMANTIC)],
+        ids=["syntax", "unknown_arrow"])
+    def test_a_bad_file_fails_on_every_query(self, tmp_path, lam2_file,
+                                             parsed, text, code):
+        bad = tmp_path / "bad.qv"
+        bad.write_text(text)
+        reports = [run(self.COUNT + ["--quiver", str(bad)]) for _ in range(3)]
+        assert reports == [reports[0]] * 3
+        assert reports[0][0] == code
+        assert len(parsed) == 3
+        assert qvl.cli._parsed.cache_info().currsize == 0
+        assert run(self.COUNT + ["--quiver", lam2_file])[0] == EXIT_OK
+
+    def test_equal_texts_share_one_presentation(self, tmp_path, lam2_file,
+                                                parsed):
+        copy = tmp_path / "copy.qv"
+        copy.write_text(Path(lam2_file).read_text())
+        argvs = [self.COUNT + ["--quiver", path] for path in
+                 (lam2_file, str(copy))]
+        first, second = (qvl.cli._load_pres(qvl.cli._parse(argv))
+                         for argv in argvs)
+        assert second is first
+        assert _comparable(*run(argvs[0])) == _comparable(*run(argvs[1]))
+        assert len(parsed) == 1
 
 
 class TestCommandParsers:
