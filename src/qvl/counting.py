@@ -289,8 +289,7 @@ def _assignments(pres: BoundQuiver, field, dims, point: tuple, arrows,
         for values in itertools.product(field.elements(),
                                         repeat=sum(size[lo:hi])):
             meter.tick()
-            if next(_failing(field, dims, point + values, checks),
-                    None) is None:
+            if next(_failing(field, point + values, checks), None) is None:
                 yield values
 
     first, *later = [run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -343,13 +342,16 @@ def _fibers(pres: BoundQuiver, field, dims, meter: _Meter, orbits: bool,
     Strata and systems are set up by ``_compiled``, which the meter never
     sees.  Where the entry keeps each row's dimension, a stream of
     dimensions yields the loop point alone, solving a row only when a count
-    first reaches it.  Points are counted over a prime field F_p only."""
+    first reaches it.  Points are counted over a prime field F_p only, at
+    nonnegative dims; both are checked before anything is built."""
     if not isinstance(field, PrimeField):
         raise ValueError("points are counted over a prime field F_p, "
                          f"not {field!r}")
+    at = tuple(dims.get(v, 0) for v in pres.quiver.vertices)
+    if min(at, default=0) < 0:
+        raise ValueError("dimensions must be nonnegative")
     (base, loop_rels, base_rels, _), walked, plans, table, kept = _compiled(
-        pres, field, tuple(dims.get(v, 0) for v in pres.quiver.vertices),
-        orbits, tuple(top))
+        pres, field, at, orbits, tuple(top))
     solve = plans[-1].nullity if dims_only else plans[-1].kernel
 
     def above(point, labels, level):

@@ -12,7 +12,7 @@ signed arrow maps that ``quiver.is_isomorphism`` proves and
 Each builder that builds keeps its presentations for the last 64
 parameter tuples, so equal parameters give the one ``BoundQuiver`` in the
 process: a repeated query builds no quiver, relation or path, and the
-per-process caches keyed by presentation value (``quiver._SPANS``,
+per-process caches keyed by presentation value (``quiver._checked``,
 ``reps._doubling``, ``counting._compiled``) find it by identity.
 Presentations are immutable, so sharing one is safe.  Parameters out of
 range raise ``FamilyParameterError`` on every call: a failed build is not

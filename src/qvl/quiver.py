@@ -8,15 +8,16 @@ arrow sequences; most of them are single paths.  Spans are kept as sparse
 reduced row echelon forms (``linalg.Subspace``), so a single-path product
 costs no arithmetic.  A presentation's truncation bound N certifies that all
 paths of length N fall into the relation ideal, so the truncated picture
-loses nothing.  N is certified once per process for each distinct
-presentation and field, on the first ideal query over that field; counts
-and walks never read N, so they never pay for the check.  A relation whose
-coefficients vanish in characteristic p can leave a path of length N
-outside the ideal there.
+loses nothing.  N is certified on the first ideal query over a field, and
+the checked span is kept for the last 64 distinct (presentation, field)
+pairs (``_checked``); counts and walks never read N, so they never pay for
+the check.  A relation whose coefficients vanish in characteristic p can
+leave a path of length N outside the ideal there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -398,10 +399,10 @@ class BoundQuiver:
 
     N certifies that every path of length N lies in the relation ideal.
     Building a presentation checks nothing of N: the first ``ideal_span``
-    over a field verifies it there, by linear algebra in kQ/J^(N+1).  A
-    check is made once per process for each distinct presentation value
-    and field: equal presentations (same quiver, relations and N, whatever
-    their names) share one checked span, and a failed check is not stored,
+    over a field verifies it there, by linear algebra in kQ/J^(N+1), and
+    ``_checked`` keeps the checked span for the last 64 presentation values
+    and fields: equal presentations (same quiver, relations and N, whatever
+    their names) share one checked span, and a failed check is not kept,
     so it fails again on every ideal query.  All values are immutable after
     construction.
     """
@@ -421,7 +422,8 @@ class BoundQuiver:
                         raise QuiverError(f"relation uses unknown arrow {a!r}")
         self._hash = hash((quiver, self.relations, truncation_bound))
 
-    def _check_truncation_bound(self, field: Field) -> _Checked:
+    def _check_truncation_bound(self, field: Field
+                                ) -> tuple[Subspace, list[int], PathBasis]:
         """The relation ideal in kQ/J^(N+1) over the field, its relation
         pivots (``_relation_pivots``) and the path basis, once every path
         of length N is found in the ideal."""
@@ -435,20 +437,10 @@ class BoundQuiver:
                     f"{path} of length {n} is not in the relation ideal")
         return span, pivots, basis
 
-    def _checked(self, field: Field) -> _Checked:
-        """This value's entry of ``_SPANS`` over the field.  It is built, and
-        N checked over the field, on the first call in the process for an
-        equal presentation and that field; raises QuiverError, on every
-        call, when N is not a truncation bound over the field."""
-        key = (self, field)
-        if key not in _SPANS:
-            _SPANS[key] = self._check_truncation_bound(field)
-        return _SPANS[key]
-
     def ideal_span(self, field: Field = QQ) -> Subspace:
         """The relation ideal in kQ/J^(N+1) over the field, the span every
         ideal query works in (``_checked``)."""
-        return self._checked(field)[0]
+        return _checked(self, field)[0]
 
     def path_basis(self, bound: int | None = None) -> PathBasis:
         return PathBasis(self.quiver, bound or self.truncation_bound)
@@ -472,11 +464,15 @@ class BoundQuiver:
                 f"N={self.truncation_bound})")
 
 
-# (presentation, field) -> its ideal span in kQ/J^(N+1) over the field,
-# the span's relation pivots and the path basis, for every value whose N
-# was checked over that field in this process.
-_Checked = tuple[Subspace, list[int], PathBasis]
-_SPANS: dict[tuple[BoundQuiver, Field], _Checked] = {}
+@functools.lru_cache(maxsize=64)
+def _checked(pres: BoundQuiver, field: Field
+             ) -> tuple[Subspace, list[int], PathBasis]:
+    """``pres._check_truncation_bound(field)``, kept for the last 64
+    (presentation value, field): the ideal span in kQ/J^(N+1), its relation
+    pivots and the path basis.  An equal presentation finds the entry
+    whatever its name; raises QuiverError, on every call, when N is not a
+    truncation bound over the field, as no failure is kept."""
+    return pres._check_truncation_bound(field)
 
 
 def _ideal_rows(relations: Sequence[Relation], basis: PathBasis
@@ -540,7 +536,7 @@ def ideal_membership(elem: AlgebraElement, pres: BoundQuiver,
     the rest is tested in kQ/J^(N+1).
     """
     n = pres.truncation_bound
-    span, _, basis = pres._checked(field)
+    span, _, basis = _checked(pres, field)
     return span.contains(
         {basis.index[p]: c for p, c in elem.coeffs.items() if p.length < n})
 
@@ -647,7 +643,7 @@ def loop_nilpotency_index(pres: BoundQuiver, loop: str,
     if not pres.quiver.is_loop(loop):
         raise QuiverError(f"{loop!r} is not a loop")
     n = pres.truncation_bound
-    span, _, basis = pres._checked(field)
+    span, _, basis = _checked(pres, field)
     for m in range(1, n + 1):
         if span.contains({basis.index[power(pres.quiver, loop, m)]: 1}):
             return m
@@ -677,7 +673,7 @@ def _products(pres: BoundQuiver, relations: Sequence[Relation],
     compared with it.  J is nilpotent there, so by Nakayama the set is
     minimal iff dim I/(IJ + JI), its number of relation pivots, is its
     size."""
-    ideal, pivots, basis = pres._checked(field)
+    ideal, pivots, basis = _checked(pres, field)
     if tuple(relations) != pres.relations:
         span, pivots = _relation_pivots(relations, basis, field)
         if span != ideal:

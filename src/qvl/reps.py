@@ -32,11 +32,10 @@ def dims_add(a: DimVector, b: DimVector) -> dict:
     return {x: a.get(x, 0) + b.get(x, 0) for x in set(a) | set(b)}
 
 
-def failed_relations(field: Field, dims: DimVector, layout: Mapping,
-                     point, relations):
+def failed_relations(field: Field, layout: Mapping, point, relations):
     """Each relation of ``relations`` that is nonzero at the flat point
-    ``point`` with these dims, laid out by ``layout`` (``flat_layout``), in
-    order: the one relation check of points.
+    ``point``, laid out by ``layout`` (``flat_layout``), in order: the one
+    relation check of points.
 
     As in ``SandwichPlan``, paths are multiplied by ``_path_product`` on
     one memo per call, and over Q the point is first cleared to ints by
@@ -45,8 +44,9 @@ def failed_relations(field: Field, dims: DimVector, layout: Mapping,
     for a path of length k, D the longest, then sum to the true value times
     one positive integer.  Over F_p each coefficient is ``field.coerce``d,
     so a denominator that vanishes in F_p raises ZeroDivisionError, also
-    where a relation has no entries at these dims."""
-    return _failing(field, dims, point, _segmented(layout, relations))
+    where a relation has no entries in the layout, whose empty products
+    sum to zero."""
+    return _failing(field, point, _segmented(layout, relations))
 
 
 def _segmented(layout: Mapping, relations) -> list:
@@ -57,7 +57,7 @@ def _segmented(layout: Mapping, relations) -> list:
             for rel in relations]
 
 
-def _failing(field: Field, dims: DimVector, point, checks):
+def _failing(field: Field, point, checks):
     """``failed_relations`` on the ``checks`` of ``_segmented``."""
     if field.characteristic:
         product = field.product
@@ -74,8 +74,6 @@ def _failing(field: Field, dims: DimVector, point, checks):
             top = max(p.length for _, p in rel.terms)
             coeffs = [c.numerator * (den // c.denominator)
                       * d ** (top - p.length) for c, p in rel.terms]
-        if not (dims.get(rel.target, 0) and dims.get(rel.source, 0)):
-            continue
         values = [_path_product(product, point, segments, memo)
                   for segments in paths]
         if any(reduce(sum(map(mul, coeffs, entries)))
@@ -228,7 +226,7 @@ class Representation:
         """Each generating relation that is nonzero at this point, in order:
         ``failed_relations`` at the flat point of every arrow."""
         return failed_relations(
-            self.field, self.dims, flat_layout(self.pres, self.dims),
+            self.field, flat_layout(self.pres, self.dims),
             flat_point(self.mats, self.pres.quiver.arrow_names()),
             self.pres.relations)
 
@@ -384,8 +382,8 @@ def _pair_failures(kind: str, first: Representation, second: Representation,
              + flat_point(crossing, labels.values()))
     rels = doubled.relations[2 * len(pres.relations):]
     named = iter(zip(rels, pres.relations if kind == "ext" else arrows))
-    for rel in failed_relations(first.field, dims,
-                                flat_layout(doubled, dims), point, rels):
+    for rel in failed_relations(first.field, flat_layout(doubled, dims),
+                                point, rels):
         yield next(label for r, label in named if r is rel)
 
 

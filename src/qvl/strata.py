@@ -16,7 +16,10 @@ a row's J_lam and [I_r 0; 0 0], the same over every field, and ``weight``
 multiplies the orbit sizes and rank counts over F_q its labels name.  A
 count whose rows fix the whole base point above Jordan strata takes one
 step per row, planned from ``row_count`` before any partition or orbit size
-is computed.  Those sizes, points and counts are kept once per process.
+is computed.  The arithmetic tables ``weight`` reads (``gl_order``,
+``rank_count``, ``nilpotent_orbit_size``) are kept whole in the process;
+no row point is kept, as a row's point is built only where a system is
+solved there.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ def nilpotent_orbit_size(lam: tuple[int, ...], q: int) -> int:
     return gl_order(sum(parts), q) // centralizer
 
 
-@functools.cache
 def _jordan_point(lam: tuple[int, ...]) -> tuple:
     """Entries of the nilpotent Jordan matrix with blocks lam, ones above
     the diagonal, row-major."""

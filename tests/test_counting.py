@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -373,6 +374,21 @@ def test_points_are_counted_over_prime_fields_only(walk, factors):
         "points are counted over a prime field F_p, not " + repr(QQ)
 
 
+@pytest.mark.parametrize("walk,factors,at,d", [
+    (walk, factors, at, d) for walk, factors in WALKS
+    for at in range(factors) for d in (-1, -2)],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_negative_dims_are_rejected_before_a_build(walk, factors, at, d):
+    # as Representation rejects them, whichever factor holds the entry
+    dims = [{0: 1}] * factors
+    dims[at] = {0: d}
+    misses = counting._compiled.cache_info().misses
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        points = walk(family_lambda(2), F3, *dims)
+        next(points)    # an iterator reads its dims at its first point
+    assert counting._compiled.cache_info().misses == misses
+
+
 class TestRawAmbientOracles:
     """Counts recomputed by walking the raw ambient coordinates."""
 
@@ -742,6 +758,18 @@ class TestCompiledTower:
             sum(1 for _ in iter_rep_points(pres, F3, dims))]
         assert counts[1] == counts[2]
         assert counting._compiled.cache_info().currsize == 3
+
+    def test_count_keeps_no_row_point(self):
+        # once a count returns it holds its tower and the orbit sizes it
+        # weighed, not the J_lam of the 627 rows it solved
+        pres = family_lambda(20)
+        tracemalloc.start()
+        try:
+            count_rep_points(pres, F3, {0: 20})
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 10 ** 6
 
     def test_rational_field_still_raises(self):
         pres, dims = family_lambda(2), {0: 2}

@@ -156,12 +156,14 @@ def test_ext2_on_presentations_left_out_of_the_benchmark(pres, expected):
 
 
 def check_kept_span(pres, field):
-    """The checked entry of ``quiver._SPANS`` holds exactly the span that
+    """The checked entry of ``quiver._checked`` holds exactly the span that
     ``ideal_subspace`` builds in kQ/J^(N+1), and that one pass over the
     rows in their own order builds, with the path basis of kQ/J^(N+1)."""
     bound = pres.truncation_bound + 1
-    span, pivots, basis = pres._checked(field)
-    assert quiver_module._SPANS[pres, field] == (span, pivots, basis)
+    span, pivots, basis = quiver_module._checked(pres, field)
+    hits = quiver_module._checked.cache_info().hits
+    assert quiver_module._checked(pres, field) == (span, pivots, basis)
+    assert quiver_module._checked.cache_info().hits == hits + 1
     assert basis.paths == PathBasis(pres.quiver, bound).paths
     assert span == ideal_subspace(pres, bound=bound, field=field)
     assert span == Subspace(field, basis.dim, (

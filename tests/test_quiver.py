@@ -158,6 +158,7 @@ class TestIdealSubspace:
         # building checks nothing; every ideal query checks N again
         q = one_loop_quiver()
         pres = BoundQuiver(q, [monomial_relation(q, "e", 3)], 2)
+        before = qvl.quiver._checked.cache_info()
         for query in (
                 pres.ideal_span,
                 lambda: is_minimal_relation_set(pres.relations, pres),
@@ -167,7 +168,10 @@ class TestIdealSubspace:
             for _ in range(2):
                 with pytest.raises(QuiverError, match="N=2 is not a trunc"):
                     query()
-        assert (pres, QQ) not in qvl.quiver._SPANS
+        # every query checked N again, and none found a kept entry
+        after = qvl.quiver._checked.cache_info()
+        assert after.misses == before.misses + 10
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
 
     def test_one_loop_spans(self):
         assert ideal_subspace(lambda_pres(2, bound=2)).dim == 0
@@ -310,15 +314,26 @@ class TestBoundOverField:
         assert count_rep_points(self.doubled_square(), GF(2), {0: 2}) == 16
 
 
+def _kept(*keys) -> bool:
+    """Whether ``quiver._checked`` holds exactly these (presentation, field)
+    keys: as many entries, each found without a check."""
+    info = qvl.quiver._checked.cache_info()
+    for pres, field in keys:
+        qvl.quiver._checked(pres, field)
+    after = qvl.quiver._checked.cache_info()
+    return (info.currsize == len(keys) and after.misses == info.misses
+            and after.hits == info.hits + len(keys))
+
+
 class TestSpanTable:
-    """N is checked once per process for each presentation value and field;
-    a failed check is never stored."""
+    """N is checked once for each presentation value and field while its
+    span is among the last 64 kept; a failed check is never stored."""
 
     @pytest.fixture
-    def spans(self, monkeypatch):
-        table = {}
-        monkeypatch.setattr(qvl.quiver, "_SPANS", table)
-        return table
+    def spans(self):
+        qvl.quiver._checked.cache_clear()
+        yield
+        qvl.quiver._checked.cache_clear()
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -339,11 +354,11 @@ class TestSpanTable:
                               pres.truncation_bound, name="renamed")
         assert reparsed == pres == renamed
         assert renamed.name != pres.name
-        assert checks == [] and spans == {}
+        assert checks == [] and _kept()
         assert (reparsed.ideal_span() is renamed.ideal_span()
                 is pres.ideal_span())
         assert checks == [QQ]
-        assert list(spans) == [(pres, QQ)]
+        assert _kept((pres, QQ))
 
     def test_wrong_bound_fails_on_every_query(self, spans):
         q = one_loop_quiver()
@@ -353,7 +368,7 @@ class TestSpanTable:
                 with pytest.raises(QuiverError,
                                    match="N=2 is not a truncation"):
                     pres.ideal_span(field)
-        assert spans == {}
+        assert _kept()
 
     def test_wrong_dsl_bound_exits_4_on_every_run(self, tmp_path,
                                                    monkeypatch):
@@ -381,7 +396,7 @@ class TestSpanTable:
         f2, f3 = pres.ideal_span(GF(2)), pres.ideal_span(GF(3))
         assert (f2.field, f3.field) == (GF(2), GF(3))
         assert pres.ideal_span(GF(2)) is f2
-        assert set(spans) == {(pres, GF(2)), (pres, GF(3))}
+        assert _kept((pres, GF(2)), (pres, GF(3)))
         assert checks == [GF(2), GF(3)]
 
     def test_failed_prime_field_check_is_not_stored(self, spans, checks):
@@ -389,15 +404,31 @@ class TestSpanTable:
         for _ in range(2):
             with pytest.raises(QuiverError, match="over F2"):
                 pres.ideal_span(GF(2))
-        assert spans == {}
+        assert _kept()
         assert checks == [GF(2), GF(2)]
 
     def test_unchecked_build_stores_nothing_until_queried(self, spans):
         q = one_loop_quiver()
         pres = BoundQuiver(q, [monomial_relation(q, "e", 2)], 2)
-        assert spans == {}
+        assert _kept()
         assert loop_nilpotency_index(pres, "e") == 2
-        assert list(spans) == [(pres, QQ)]
+        assert _kept((pres, QQ))
+
+    def test_last_64_spans_are_kept(self, spans, checks):
+        # the 65th presentation evicts the first, the least recently used,
+        # which is checked again and gives an equal span
+        assert qvl.quiver._checked.cache_info().maxsize == 64
+        first, *rest = [lambda_pres(m) for m in range(2, 67)]
+        span = first.ideal_span()
+        for pres in rest:
+            pres.ideal_span()
+        assert len(checks) == 65
+        assert qvl.quiver._checked.cache_info().currsize == 64
+        again = first.ideal_span()
+        assert again is not span and again == span
+        assert len(checks) == 66
+        assert rest[-1].ideal_span() is rest[-1].ideal_span()
+        assert len(checks) == 66
 
 
 class TestMinimalRelationSets:

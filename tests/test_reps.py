@@ -114,7 +114,7 @@ def _failed(field, pres, dims, mats, relations) -> list:
     """``failed_relations`` of ``relations`` at the matrices ``mats`` of
     every arrow of ``pres``, laid out as a flat point."""
     return list(failed_relations(
-        field, dims, flat_layout(pres, dims),
+        field, flat_layout(pres, dims),
         flat_point(mats, pres.quiver.arrow_names()), relations))
 
 
