@@ -41,8 +41,9 @@ from .counting import (BudgetExceededError, ambient_dimension,
                        leading_coefficient_probe)
 from .dsl import DslSemanticError, DslSyntaxError, parse_quiver_spec
 from .extensions import build_extension, cocycle_space_basis, splitting_from_mono
-from .families import (FAMILY_KINDS, FamilyDescriptor, FamilyParameterError,
-                       build_family, is_geometrically_irreducible_family)
+from .families import (FAMILY_FIELDS, FAMILY_KINDS, FamilyDescriptor,
+                       FamilyParameterError, build_family,
+                       is_geometrically_irreducible_family)
 from .linalg import PrimeField
 from .quiver import BoundQuiver, QuiverError, ext2_dimension
 from .reps import hom_basis
@@ -147,8 +148,8 @@ def _coerce_relations(pres, field) -> None:
 
 
 def _descriptor(args) -> FamilyDescriptor:
-    return FamilyDescriptor(kind=args.family, n=args.n, m=args.m, l=args.l,
-                            m0=args.m0, m1=args.m1)
+    return FamilyDescriptor(args.family, **{
+        field: getattr(args, field) for field in FAMILY_FIELDS})
 
 
 def _parse_dim_values(text: str, vertices) -> list[int]:
@@ -186,12 +187,6 @@ def _prime_field(q: int) -> PrimeField:
         return PrimeField(q)
     except ValueError as exc:
         raise CliSemanticError(str(exc)) from exc
-
-
-def _field(args) -> PrimeField:
-    if args.q is None:
-        raise CliSemanticError("this command needs --q (a prime field size)")
-    return _prime_field(args.q)
 
 
 def _budget(args) -> int:
@@ -321,7 +316,7 @@ def _count_kind(args, pres, field) -> tuple[int, list]:
 
 def _cmd_count(args):
     pres = _load_pres(args)
-    field = _field(args)
+    field = _prime_field(args.q)
     count, dims = _count_kind(args, pres, field)
     result = {"count": count, "kind": args.kind, "q": field.p,
               "ambient_dim": ambient_dimension(args.kind, pres, *dims)}
@@ -329,7 +324,7 @@ def _cmd_count(args):
 
 
 def _cmd_census_hom(args):
-    res = hom_counterexample_census(args.n, _field(args).p,
+    res = hom_counterexample_census(args.n, _prime_field(args.q).p,
                                     budget=_budget(args))
     ok = res.identity_holds() and res.union_verified \
         and res.hom_bijection_verified
@@ -351,7 +346,8 @@ def _witness_point_json(pt):
 
 
 def _cmd_witness_mono(args):
-    rep = mono_reducibility_witness(args.m, args.l, args.n, _field(args).p,
+    rep = mono_reducibility_witness(args.m, args.l, args.n,
+                                    _prime_field(args.q).p,
                                     budget=_budget(args))
     ok = (rep.both_nonempty() and rep.disjoint()
           and rep.implication_verified and rep.kernel_image_match_verified
@@ -369,7 +365,7 @@ def _cmd_witness_mono(args):
 
 def _cmd_product_check(args):
     d, e = _parse_dim_values(args.dim, (0, 1))
-    res = product_count_check(args.n, args.m, (d, e), _field(args).p,
+    res = product_count_check(args.n, args.m, (d, e), _prime_field(args.q).p,
                               budget=_budget(args))
     result = {**vars(res), "holds": res.ok}
     text = (f"{res.count_full} "
@@ -425,8 +421,7 @@ _COMMON = (("--json", {"action": "store_true",
                          "help": "enumeration step budget "
                                  "(default 10^8, or QVL_BUDGET)"}))
 _FAMILY = (("--family", {"choices": FAMILY_KINDS, "help": "built-in family"}),
-           *((flag, {"type": int})
-             for flag in ("--n", "--m", "--l", "--m0", "--m1")))
+           *((f"--{field}", {"type": int}) for field in FAMILY_FIELDS))
 _SOURCE = (("--quiver", {"metavar": "FILE",
                          "help": "presentation in the quiver DSL"}), *_FAMILY)
 _DIMS = (("--kind", {"choices": tuple(_KINDS), "default": "rep"}),
@@ -486,23 +481,18 @@ def _add_specs(parser: argparse.ArgumentParser, specs) -> None:
         parser.add_argument(flag, **kwargs)
 
 
-@functools.cache
-def _common() -> argparse.ArgumentParser:
-    """The parent parser of every subcommand, built once per process."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand of the table under ``qvl``, each
+    with the flags of ``_COMMON`` from one parent parser."""
     common = argparse.ArgumentParser(add_help=False)
     _add_specs(common, _COMMON)
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every subcommand of the table under ``qvl``."""
     parser = argparse.ArgumentParser(
         prog="qvl",
         description="exact computations on bound quiver representation "
                     "varieties over small exact fields")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, specs) in _COMMANDS.items():
-        _add_specs(sub.add_parser(name, parents=[_common()], help=help_text),
+        _add_specs(sub.add_parser(name, parents=[common], help=help_text),
                    specs)
     return parser
 

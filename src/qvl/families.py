@@ -23,23 +23,11 @@ kept.  ``family_b`` keeps nothing itself: ``family_b(n, m)`` is the object
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .quiver import (BoundQuiver, Quiver, QuiverError, Relation,
                      monomial_relation)
-
-# kind -> (name in messages, ((parameter, least value), ...)), the
-# parameters in the order the kind's builder takes them
-FAMILY_PARAMS = {
-    "A": ("family A", (("n", 1), ("m", 2), ("l", 1))),
-    "Aprime": ("family A'", (("n", 0), ("m0", 1), ("m1", 1))),
-    "AprimeCommuting": ("the commuting family", (("m", 2),)),
-    "Lambda": ("family Lambda", (("m", 1),)),
-    "B": ("family B", (("n", 1), ("m", 2))),
-}
-FAMILY_KINDS = tuple(FAMILY_PARAMS)
-
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
@@ -53,17 +41,12 @@ class FamilyDescriptor:
     m1: Optional[int] = None
 
     def label(self) -> str:
-        if self.kind == "A":
-            return f"A({self.n},{self.m},{self.l})"
-        if self.kind == "Aprime":
-            return f"A'({self.n},{self.m0},{self.m1})"
-        if self.kind == "AprimeCommuting":
-            return f"A'comm({self.m})"
-        if self.kind == "Lambda":
-            return f"Lambda({self.m})"
-        if self.kind == "B":
-            return f"B({self.n},m={self.m})"
-        return self.kind
+        row = FAMILIES.get(self.kind)
+        return self.kind if row is None else row[2].format(**vars(self))
+
+
+# the descriptor's parameter fields, in declaration order
+FAMILY_FIELDS = tuple(f.name for f in fields(FamilyDescriptor))[1:]
 
 
 class FamilyParameterError(QuiverError):
@@ -74,7 +57,7 @@ def _check(kind: str, *values):
     """Raise unless each parameter of the family ``kind`` is given and at
     least its least value, and, for A(n, m, l), l <= m - 1: the range the
     decision table covers, whose top member is B(n, m) = A(n, m, m - 1)."""
-    name, params = FAMILY_PARAMS[kind]
+    name, params = FAMILIES[kind][:2]
     for (param, least), value in zip(params, values):
         if value is None or value < least:
             raise FamilyParameterError(
@@ -180,23 +163,33 @@ EXT_LAMBDA = ({"q0": 1, "u0": 0},
 TWIST = ({0: 0, 1: 1}, {"e0": (1, "e0"), "e1": (-1, "e1"), "a1": (1, "a1")})
 
 
-_BUILDERS = {"A": family_a, "Aprime": family_a_prime,
-             "AprimeCommuting": family_a_prime_commuting,
-             "Lambda": family_lambda, "B": family_b}
+# kind -> (name in messages, ((parameter, least value), ...), label
+# format, builder), the parameters in the order the builder takes them
+FAMILIES = {
+    "A": ("family A", (("n", 1), ("m", 2), ("l", 1)), "A({n},{m},{l})",
+          family_a),
+    "Aprime": ("family A'", (("n", 0), ("m0", 1), ("m1", 1)),
+               "A'({n},{m0},{m1})", family_a_prime),
+    "AprimeCommuting": ("the commuting family", (("m", 2),), "A'comm({m})",
+                        family_a_prime_commuting),
+    "Lambda": ("family Lambda", (("m", 1),), "Lambda({m})", family_lambda),
+    "B": ("family B", (("n", 1), ("m", 2)), "B({n},m={m})", family_b),
+}
+FAMILY_KINDS = tuple(FAMILIES)
 
 
 def _parameters(desc: FamilyDescriptor) -> list:
     """The descriptor's parameters in builder order, each checked."""
-    if desc.kind not in FAMILY_PARAMS:
+    if desc.kind not in FAMILIES:
         raise FamilyParameterError(f"unknown family kind {desc.kind!r}")
-    values = [getattr(desc, param) for param, _ in FAMILY_PARAMS[desc.kind][1]]
+    values = [getattr(desc, param) for param, _ in FAMILIES[desc.kind][1]]
     _check(desc.kind, *values)
     return values
 
 
 def build_family(desc: FamilyDescriptor) -> BoundQuiver:
     params = _parameters(desc)
-    return _BUILDERS[desc.kind](*params)
+    return FAMILIES[desc.kind][3](*params)
 
 
 def is_geometrically_irreducible_family(desc: FamilyDescriptor) -> bool:

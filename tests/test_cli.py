@@ -176,6 +176,18 @@ class TestExitCodes:
         assert code == EXIT_SEMANTIC
         assert "family B needs n >= 1" in report["error"]["message"]
 
+    @pytest.mark.parametrize("argv,message", [
+        # "-1" starts with "-", so the full parser reads it
+        ("count --family Lambda --m 2 --dim -1 --q 3",
+         "dimensions must be nonnegative"),
+        ("ext2 --family A --n 1 --m 3 --l 1 --x 7 --y 0",
+         "unknown vertex '7'"),
+    ])
+    def test_bad_dims_and_vertex_messages(self, argv, message):
+        code, report = run(argv.split())
+        assert code == EXIT_SEMANTIC
+        assert report["error"] == {"type": "semantic", "message": message}
+
     def test_missing_source(self, rep_files):
         code, report = run(["check", "--rep", rep_files["one"]])
         assert code == EXIT_SEMANTIC
@@ -502,6 +514,34 @@ FAMILY_FLAGS = {"A": {"n": 1, "m": 3, "l": 1},
 
 def test_family_flags_cover_every_kind():
     assert tuple(FAMILY_FLAGS) == FAMILY_KINDS
+
+
+# One parameter set per kind, with the label and the verdict its classify
+# report gives.
+CLASSIFY_LABELS = {
+    "classify --family A --n 1 --m 4 --l 2": ("A(1,4,2)", False),
+    "classify --family Aprime --n 1 --m0 2 --m1 2": ("A'(1,2,2)", True),
+    "classify --family AprimeCommuting --m 3": ("A'comm(3)", True),
+    "classify --family Lambda --m 3": ("Lambda(3)", True),
+    "classify --family B --n 1 --m 3": ("B(1,m=3)", True),
+}
+
+
+def test_classify_labels_cover_every_kind():
+    assert tuple(query.split()[2] for query in CLASSIFY_LABELS) == \
+        FAMILY_KINDS
+
+
+@pytest.mark.parametrize("query", CLASSIFY_LABELS)
+def test_classify_label_pinned(query):
+    label, flag = CLASSIFY_LABELS[query]
+    code, report = run_command(query.split())
+    assert code == EXIT_OK
+    assert report["result"] == {"family": label,
+                                "geometrically_irreducible": flag}
+    verdict = "geometrically irreducible" if flag \
+        else "not geometrically irreducible"
+    assert report["_text"] == f"{label}: {verdict}"
 
 
 @pytest.mark.parametrize("kind,dropped", [
@@ -1028,7 +1068,6 @@ class TestCommandParsers:
 
     def test_a_query_builds_only_its_parser(self, monkeypatch):
         qvl.cli._parser.cache_clear()
-        qvl.cli._common.cache_clear()
         built = []
         init = argparse.ArgumentParser.__init__
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (cocycle_value, random_cocycle, random_gl,
                      random_lambda_rep)
+from qvl.counting import count_ext_points, iter_ext_points
 from qvl.extensions import (ExtensionTriple, block_shapes, build_extension,
                             cocycle_space_basis, extension_from_mono,
                             is_cocycle,
@@ -379,3 +380,19 @@ class TestConversionMaps:
         rebuilt, _, _ = build_extension(triple.quo, triple.sub, triple.blocks)
         g2, blocks2, quo2 = splitting_from_mono(homt.morphism)
         assert gl_action(g2, rebuilt) == homt.target
+
+
+@pytest.mark.parametrize("pres,quo_dims,sub_dims,count", [
+    (family_lambda(3), {0: 2}, {0: 2}, 184),
+    (family_a(1, 3, 1), {0: 1, 1: 1}, {0: 1, 1: 1}, 20),
+])
+def test_ext_points_are_distinct_and_equal_across_walks(pres, quo_dims,
+                                                        sub_dims, count):
+    """ExtensionTriple equality and hash: the walk yields each point once,
+    and two walks yield equal triples in the same order."""
+    walk = list(iter_ext_points(pres, F2, quo_dims, sub_dims))
+    assert count_ext_points(pres, F2, quo_dims, sub_dims) == count
+    assert len(set(walk)) == count
+    again = iter_ext_points(pres, F2, quo_dims, sub_dims)
+    assert all(x == y and hash(x) == hash(y)
+               for x, y in itertools.zip_longest(walk, again))

@@ -78,6 +78,9 @@ class TestConstructors:
         with pytest.raises(FamilyParameterError):
             build_family(FamilyDescriptor("nope"))
 
+    def test_label_of_an_unknown_kind_is_the_kind(self):
+        assert FamilyDescriptor("nope", n=1, m=3).label() == "nope"
+
     def test_structural_predicates(self):
         for n, m, l in [(1, 2, 1), (2, 3, 2), (1, 4, 3)]:
             pres = family_a(n, m, l)
